@@ -1,9 +1,11 @@
 """Frame bounds and deterministic lower-bound constants for sampled STFTs.
 
 The Bessel bound B of a sampled system {pi(lam_j) phi} is computed
-exactly as the spectral norm of its frame operator (finite dimensions
-admit the exact value; abstract covering-based estimates are both looser
-and non-constructive).  The certificate constants:
+exactly as the spectral norm of its frame operator, by one dense
+eigensolve of the smaller of the r x r Gram matrix and the L x L frame
+operator (finite dimensions admit the exact value; abstract
+covering-based estimates are both looser and non-constructive).  The
+certificate constants:
 
     A_lemma   = (r/|Omega|) (gamma - gamma*eps/(1-gamma) - nu) - 2 B sqrt(eps/(1-gamma))
     A_theorem = (r/|Omega|) (1/2 - eps - nu - 6 sqrt(2) C_phi sqrt(eps)),  C_phi = B/N0
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .regions import SampleSet
-from .tfcore import Signal, Window, _analysis_rows
+from .tfcore import Signal, Window
 
 __all__ = [
     "BoundReport",
@@ -66,50 +68,18 @@ class SamplingCheck:
     A: float
 
 
-def _atoms(samples: SampleSet, window: Window) -> np.ndarray:
-    """(L, r) matrix whose columns are pi(lam_j) phi."""
-    W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
-    return np.conj(W.T)
-
-
 def exact_bessel_bound(samples: SampleSet, window: Window) -> float:
     """Largest eigenvalue of the frame operator S = sum_j pi(lam_j)phi (pi(lam_j)phi)^*.
 
-    Power iteration with matvecs through the atom matrix (O(rL) per step),
-    relative tolerance 1e-10 held over several consecutive steps; falls back
-    to a dense eigensolve of the smaller Gram form if the iteration stalls.
+    S = W^H W shares its nonzero eigenvalues with the Gram matrix W W^H of
+    the sampled analysis matrix W, so one dense Hermitian eigensolve of the
+    smaller of the two (r x r or L x L) gives B exactly.
     """
     if samples.r < 1:
         raise ParameterError("Bessel bound needs at least one sample point")
-    A = _atoms(samples, window)
-    L, r = A.shape
-    rng = np.random.default_rng(np.random.SeedSequence(0x7F5A))
-    x = rng.normal(size=L) + 1j * rng.normal(size=L)
-    x /= np.linalg.norm(x)
-    prev = 0.0
-    stable = 0
-    for _ in range(20000):
-        y = A @ (A.conj().T @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        lam = float(np.real(np.vdot(x, y)))
-        if abs(lam - prev) <= 1e-12 * max(lam, 1e-300):
-            stable += 1
-            # Rayleigh quotient stalled; accept only with a certified residual
-            if stable >= 5 and np.linalg.norm(y - lam * x) <= 1e-10 * max(lam, 1e-300):
-                return lam
-        else:
-            stable = 0
-        x = y / ny
-        prev = lam
-    # stalled: top eigenvalues too close for power iteration; go dense on the
-    # smaller of Gram (r x r) and frame operator (L x L)
-    if r <= L:
-        G = A.conj().T @ A
-        return float(np.linalg.eigvalsh(0.5 * (G + G.conj().T))[-1])
-    S = A @ A.conj().T
-    return float(np.linalg.eigvalsh(0.5 * (S + S.conj().T))[-1])
+    W = samples.analysis_rows(window)
+    G = W @ W.conj().T if W.shape[0] <= W.shape[1] else W.conj().T @ W
+    return float(np.linalg.eigvalsh(G)[-1])
 
 
 def lemma_lower_bound_A(r, omega_measure, gamma, eps, nu, B) -> float:
@@ -163,7 +133,7 @@ def verify_sampling_inequality(
     nsq = float(np.real(np.vdot(f.values, f.values)))
     if nsq == 0.0:
         raise ParameterError("sampling inequality is undefined for the zero signal")
-    W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
+    W = samples.analysis_rows(window)
     energy = float((np.abs(W @ f.values) ** 2).sum())
     return SamplingCheck(
         sample_energy=energy,

@@ -15,9 +15,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 infeasible request.
 
 Seed management: every random object in a run is drawn from a seed
-derived as SeedSequence(master_seed, spawn_key=(stream, index)); stream
-0 is run-level sample draws, stream 1 per-trial Monte Carlo draws,
-stream 2 generated test functions.  Reports echo each derived seed, so
+derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
+tfsamp.sampling.derive_seed (re-exported here), which sits next to the
+three stream ids: SAMPLE_STREAM 0 for run-level sample draws,
+TRIAL_STREAM 1 for per-trial Monte Carlo draws, FUNCTION_STREAM 2 for
+generated test functions.  Reports echo each derived seed, so
 any row can be regenerated in isolation.  With a fixed config and
 master seed the report files are byte-identical across runs except for
 the wall-clock timing block.
@@ -29,6 +31,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
@@ -48,7 +51,7 @@ from .locop import (
     eigendecompose,
     eigenvalue_count_estimate,
 )
-from .recon import FUNCTION_STREAM, make_concentrated_test_function, reconstruct
+from .recon import make_concentrated_test_function, reconstruct
 from .regions import (
     covering_excess,
     covering_index,
@@ -68,14 +71,17 @@ from .reports import (
     write_signal,
 )
 from .sampling import (
+    FUNCTION_STREAM,
+    SAMPLE_STREAM,
     TailParams,
     covering_tail,
+    derive_seed,
     monte_carlo_failure_frequency,
     required_samples,
     subspace_failure_bound,
     success_probability,
 )
-from .tfcore import Signal, TFPoint, Window, _analysis_rows, make_gaussian_window, stft
+from .tfcore import Signal, TFPoint, Window, make_gaussian_window, stft
 from .witnesses import nonlinearity_witness, null_sample_witness
 
 __all__ = [
@@ -90,14 +96,6 @@ __all__ = [
     "run_witness",
     "main",
 ]
-
-SAMPLE_STREAM = 0
-
-
-def derive_seed(master_seed: int, stream: int, index: int) -> int:
-    """Derived 64-bit seed for (stream, index); collision-safe across streams."""
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(stream), int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def build_region(cfg: ExperimentConfig):
@@ -152,183 +150,40 @@ def _eigen_summary(region, window, H, eigs) -> dict:
     }
 
 
-def _overlay_grid(L: int, points: np.ndarray) -> np.ndarray:
-    grid = np.zeros((L, L), dtype=np.int64)
-    grid[points[:, 0], points[:, 1]] = 1
-    return grid
+@contextmanager
+def _run(verb: str, cfg: ExperimentConfig, outdir: str):
+    """Runner skeleton shared by every verb.
 
-
-def run_spectrum(cfg: ExperimentConfig, outdir: str, emit_eigenvectors: bool = False) -> RunReport:
+    Times build_setup, starts the report with the eigen section and makes
+    the output directory, then yields (report, region, window, eigs); the
+    with-block adds its sections, artifacts and any extra timings.
+    """
     t0 = time.perf_counter()
     region, window, H, eigs = build_setup(cfg)
-    t1 = time.perf_counter()
-    report = RunReport("spectrum", cfg.master_seed, cfg.to_dict())
+    report = RunReport(verb, cfg.master_seed, cfg.to_dict())
+    report.timings["setup_s"] = time.perf_counter() - t0
     report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
-
     os.makedirs(outdir, exist_ok=True)
-    write_rows_csv(
-        os.path.join(outdir, "eigenvalues.csv"),
-        ["k", "alpha"],
-        [(k + 1, a) for k, a in enumerate(eigs.eigenvalues)],
-    )
-    spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), window).values) ** 2
-    write_grid_csv(os.path.join(outdir, "eigfun1_spectrogram.csv"), spectro)
-    write_mask(os.path.join(outdir, "region.json"), region.mask)
-    report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.csv", "region.json"]
-    if emit_eigenvectors:
-        vecdir = os.path.join(outdir, "eigenvectors")
-        os.makedirs(vecdir, exist_ok=True)
-        for k in range(eigs.N):
-            name = f"eigenvectors/psi_{k + 1:04d}.tfrs"
-            write_signal(os.path.join(outdir, name), eigs.eigenvectors[:, k])
-            report.artifacts.append(name)
-    report.timings = {"setup_s": t1 - t0, "total_s": time.perf_counter() - t0}
-    return report
+    yield report, region, window, eigs
+    report.timings["total_s"] = time.perf_counter() - t0
 
 
-def run_reconstruct(cfg: ExperimentConfig, outdir: str) -> RunReport:
-    t0 = time.perf_counter()
-    region, window, H, eigs = build_setup(cfg)
-    t1 = time.perf_counter()
+def _draw_samples(cfg: ExperimentConfig, region):
+    """(seed, samples) of the run-level sample draw."""
     sample_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, 0)
-    samples = uniform_sample(region, cfg.r, sample_seed, cfg.distinct)
-
-    os.makedirs(outdir, exist_ok=True)
-    rows = []
-    for i, eps_t in enumerate(cfg.epsilon_targets):
-        fseed = derive_seed(cfg.master_seed, FUNCTION_STREAM, i)
-        row = {"epsilon_target": eps_t, "function_seed": fseed, "infeasible": ""}
-        try:
-            f = make_concentrated_test_function(eigs, eps_t, fseed)
-        except InfeasibleError as exc:  # report the row, keep going
-            row["infeasible"] = str(exc)
-            rows.append(row)
-            continue
-        rec = reconstruct(f, samples, eigs, window, cfg.cg_tol)
-        row.update(
-            epsilon_measured=rec.epsilon,
-            relative_error=rec.relative_error,
-            error_bound=rec.error_bound,
-            iterations=rec.iterations,
-            converged=rec.converged,
-            residual_norm=rec.residual_norm,
-        )
-        rows.append(row)
-        write_grid_csv(
-            os.path.join(outdir, f"stft_abs_{i + 1}.csv"),
-            np.abs(stft(f, window).values),
-        )
-
-    report = RunReport("reconstruct", cfg.master_seed, cfg.to_dict())
-    report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
-    report.sections["reconstruct"] = {
-        "r": samples.r,
-        "distinct": samples.distinct,
-        "sample_seed": sample_seed,
-        "rows": rows,
-    }
-    header = [
-        "epsilon_target", "epsilon_measured", "relative_error", "error_bound",
-        "iterations", "converged", "residual_norm", "function_seed", "infeasible",
-    ]
-    write_rows_csv(
-        os.path.join(outdir, "recon_rows.csv"),
-        header,
-        [[row.get(k, "") for k in header] for row in rows],
-    )
-    write_rows_csv(
-        os.path.join(outdir, "samples.csv"),
-        ["j", "m", "n"],
-        [(j + 1, m, n) for j, (m, n) in enumerate(samples.points)],
-    )
-    write_grid_csv(
-        os.path.join(outdir, "sample_overlay.csv"), _overlay_grid(region.L, samples.points)
-    )
-    report.artifacts += ["recon_rows.csv", "samples.csv", "sample_overlay.csv"]
-    report.artifacts += [
-        f"stft_abs_{i + 1}.csv" for i, row in enumerate(rows) if not row["infeasible"]
-    ]
-    report.timings = {"setup_s": t1 - t0, "total_s": time.perf_counter() - t0}
-    return report
+    return sample_seed, uniform_sample(region, cfg.r, sample_seed, cfg.distinct)
 
 
-def run_montecarlo(cfg: ExperimentConfig, outdir: str, threads: int = 1) -> RunReport:
-    t0 = time.perf_counter()
-    region, window, H, eigs = build_setup(cfg)
-    t1 = time.perf_counter()
-    cell_px = cfg.cell_px if cfg.cell_px is not None else default_cell_px(cfg.L)
-    measure = region.measure
-    eps1 = covering_excess(region, cell_px)
-    eps2 = max(0.0, eigs.N - measure)
-
-    rows = []
-    for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
-        cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
-        freq = monte_carlo_failure_frequency(
-            cfg.trials, nu, int(r), (region, window, eigs), cell_seed, threads
-        )
-        p = TailParams(nu=nu, r=int(r), omega_measure=measure, N=eigs.N,
-                       eps1=eps1, eps2=eps2)
-        rows.append({
-            "nu": nu,
-            "r": int(r),
-            "trials": cfg.trials,
-            "cell_seed": cell_seed,
-            "empirical_freq": freq,
-            "subspace_bound": subspace_failure_bound(p),
-            "covering_tail": covering_tail(p),
-            "success_probability": success_probability(p),
-            "required_samples": required_samples(nu, cfg.delta, measure, eps2)
-            if nu > 0 else None,
-        })
-    t2 = time.perf_counter()
-
-    report = RunReport("montecarlo", cfg.master_seed, cfg.to_dict())
-    report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
-    report.sections["montecarlo"] = {
-        "trials": cfg.trials,
-        "delta": cfg.delta,
-        "cell_px": cell_px,
-        "eps1": eps1,
-        "eps2": eps2,
-        "covering_rate_a": 3.0 / measure,
-        "rows": rows,
-    }
-    os.makedirs(outdir, exist_ok=True)
-    write_rows_csv(
-        os.path.join(outdir, "mc_rows.csv"),
-        ["nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
-         "covering_tail", "success_probability", "required_samples", "cell_seed"],
-        [
-            (row["nu"], row["r"], row["empirical_freq"], row["subspace_bound"],
-             row["trials"], cfg.master_seed, row["covering_tail"],
-             row["success_probability"],
-             "" if row["required_samples"] is None else row["required_samples"],
-             row["cell_seed"])
-            for row in rows
-        ],
-    )
-    report.artifacts.append("mc_rows.csv")
-    report.timings = {
-        "setup_s": t1 - t0, "trials_s": t2 - t1, "total_s": time.perf_counter() - t0
-    }
-    return report
+def _cell_px(cfg: ExperimentConfig) -> int:
+    return cfg.cell_px if cfg.cell_px is not None else default_cell_px(cfg.L)
 
 
-def run_certify(cfg: ExperimentConfig, outdir: str) -> RunReport:
-    t0 = time.perf_counter()
-    region, window, H, eigs = build_setup(cfg)
-    t1 = time.perf_counter()
-    sample_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, 0)
-    samples = uniform_sample(region, cfg.r, sample_seed, cfg.distinct)
-    cell_px = cfg.cell_px if cfg.cell_px is not None else default_cell_px(cfg.L)
-    covering = covering_index(samples, cell_px)
-    B = exact_bessel_bound(samples, window)
-    C_phi = B / covering.N0
-    eps_max, nu_max = admissible_params(C_phi)
-    measure = region.measure
-    gamma = eigs.gamma
+def _epsilon_rows(cfg: ExperimentConfig, eigs, evaluate) -> list:
+    """One row per epsilon target, each with its own generated test function.
 
+    evaluate(i, eps_target, f) returns the row's result fields; an
+    infeasible target is reported in its row and the loop keeps going.
+    """
     rows = []
     for i, eps_t in enumerate(cfg.epsilon_targets):
         fseed = derive_seed(cfg.master_seed, FUNCTION_STREAM, i)
@@ -337,126 +192,261 @@ def run_certify(cfg: ExperimentConfig, outdir: str) -> RunReport:
             f = make_concentrated_test_function(eigs, eps_t, fseed)
         except InfeasibleError as exc:
             row["infeasible"] = str(exc)
-            rows.append(row)
-            continue
-        eps_cert = max(eps_t, concentration_from_eigs(f, eigs).epsilon)
-        A_lem = (
-            lemma_lower_bound_A(samples.r, measure, gamma, eps_cert, cfg.nu, B)
-            if eps_cert < 1.0 - gamma else None
-        )
-        admissible = eps_cert < eps_max and cfg.nu < nu_max(eps_cert)
-        A_thm = (
-            theorem_lower_bound_A(samples.r, measure, eps_cert, cfg.nu, C_phi)
-            if admissible else None
-        )
-        A_best = max((a for a in (A_lem, A_thm) if a is not None), default=0.0)
-        check = verify_sampling_inequality(f, samples, window, A_best)
-        row.update(
-            epsilon_certified=eps_cert,
-            A_lemma=A_lem,
-            A_theorem=A_thm,
-            theorem_admissible=admissible,
-            A_used=A_best,
-            sample_energy=check.sample_energy,
-            ratio=check.ratio,
-            lower_holds=check.lower_holds,
-            upper_holds=check.upper_holds,
-            vacuous=A_best <= 0.0,
-        )
+        else:
+            row.update(evaluate(i, eps_t, f))
         rows.append(row)
+    return rows
 
-    report = RunReport("certify", cfg.master_seed, cfg.to_dict())
-    report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
-    report.sections["bounds"] = {
-        "r": samples.r,
-        "distinct": samples.distinct,
-        "sample_seed": sample_seed,
-        "cell_px": cell_px,
-        "N0": covering.N0,
-        "bessel_B": B,
-        "C_phi": C_phi,
-        "eps_max": eps_max,
-        "nu": cfg.nu,
-        "nu_max_at_eps_max": nu_max(eps_max),
-        "success_probability": success_probability(
-            TailParams(nu=cfg.nu, r=samples.r, omega_measure=measure, N=eigs.N,
-                       eps1=covering_excess(region, cell_px),
-                       eps2=max(0.0, eigs.N - measure))
-        ) if cfg.nu > 0 else None,
-        "required_samples": required_samples(cfg.nu, cfg.delta, measure)
-        if cfg.nu > 0 else None,
-        "all_vacuous": all(row.get("vacuous", True) for row in rows),
-        "rows": rows,
-    }
-    os.makedirs(outdir, exist_ok=True)
-    header = [
-        "epsilon_target", "epsilon_certified", "A_lemma", "A_theorem",
-        "theorem_admissible", "A_used", "ratio", "lower_holds", "upper_holds",
-        "vacuous", "function_seed", "infeasible",
-    ]
+
+def _write_row_table(path: str, header: list, rows: list):
+    """CSV of row dicts in header order; missing and None fields are left blank."""
     write_rows_csv(
-        os.path.join(outdir, "certify_rows.csv"),
-        header,
-        [["" if row.get(k) is None else row.get(k, "") for k in header] for row in rows],
+        path, header, [["" if row.get(k) is None else row[k] for k in header] for row in rows]
     )
+
+
+def _write_samples(outdir: str, samples):
     write_rows_csv(
         os.path.join(outdir, "samples.csv"),
         ["j", "m", "n"],
         [(j + 1, m, n) for j, (m, n) in enumerate(samples.points)],
     )
-    report.artifacts += ["certify_rows.csv", "samples.csv"]
-    report.timings = {"setup_s": t1 - t0, "total_s": time.perf_counter() - t0}
+
+
+# Every runner takes the common --threads and --emit-eigenvectors flags;
+# only montecarlo and spectrum act on them.
+
+
+def run_spectrum(
+    cfg: ExperimentConfig, outdir: str, emit_eigenvectors: bool = False, *, threads: int = 1
+) -> RunReport:
+    with _run("spectrum", cfg, outdir) as (report, region, window, eigs):
+        write_rows_csv(
+            os.path.join(outdir, "eigenvalues.csv"),
+            ["k", "alpha"],
+            [(k + 1, a) for k, a in enumerate(eigs.eigenvalues)],
+        )
+        spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), window).values) ** 2
+        write_grid_csv(os.path.join(outdir, "eigfun1_spectrogram.csv"), spectro)
+        write_mask(os.path.join(outdir, "region.json"), region.mask)
+        report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.csv", "region.json"]
+        if emit_eigenvectors:
+            vecdir = os.path.join(outdir, "eigenvectors")
+            os.makedirs(vecdir, exist_ok=True)
+            for k in range(eigs.N):
+                name = f"eigenvectors/psi_{k + 1:04d}.tfrs"
+                write_signal(os.path.join(outdir, name), eigs.eigenvectors[:, k])
+                report.artifacts.append(name)
     return report
 
 
-def run_witness(cfg: ExperimentConfig, outdir: str) -> RunReport:
-    t0 = time.perf_counter()
-    region, window, H, eigs = build_setup(cfg)
-    t1 = time.perf_counter()
-    nl = nonlinearity_witness(eigs, cfg.witness_epsilon, cfg.witness_eta, cfg.witness_M)
-    sample_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, 0)
-    samples = uniform_sample(region, cfg.r, sample_seed, cfg.distinct)
-    fseed = derive_seed(cfg.master_seed, FUNCTION_STREAM, 0)
-    f = make_concentrated_test_function(eigs, cfg.witness_epsilon, fseed)
-    alias = null_sample_witness(samples, window, f, eigs)
-    W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
-    sample_gap = float(
-        np.abs(W @ alias.f.values - W @ alias.f_tilde.values).max()
-    )
+def run_reconstruct(
+    cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
+) -> RunReport:
+    with _run("reconstruct", cfg, outdir) as (report, region, window, eigs):
+        sample_seed, samples = _draw_samples(cfg, region)
 
-    def _conc(sig):
-        c = concentration_from_eigs(sig, eigs)
-        return {"value": c.value, "epsilon": c.epsilon}
+        def evaluate(i, eps_t, f):
+            rec = reconstruct(f, samples, eigs, window, cfg.cg_tol)
+            write_grid_csv(
+                os.path.join(outdir, f"stft_abs_{i + 1}.csv"),
+                np.abs(stft(f, window).values),
+            )
+            return dict(
+                epsilon_measured=rec.epsilon,
+                relative_error=rec.relative_error,
+                error_bound=rec.error_bound,
+                iterations=rec.iterations,
+                converged=rec.converged,
+                residual_norm=rec.residual_norm,
+            )
 
-    report = RunReport("witness", cfg.master_seed, cfg.to_dict())
-    report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
-    report.sections["nonlinearity"] = {
-        "eps": nl.eps,
-        "eta": nl.eta,
-        "M": nl.M,
-        "delta": nl.delta,
-        "psi_M": _conc(nl.psi_M),
-        "f": _conc(nl.f),
-        "h": _conc(nl.h),
-    }
-    report.sections["alias"] = {
-        "r": samples.r,
-        "sample_seed": sample_seed,
-        "function_seed": fseed,
-        "delta": alias.delta,
-        "sample_gap": sample_gap,
-        "f": _conc(alias.f),
-        "f_tilde": _conc(alias.f_tilde),
-    }
-    os.makedirs(outdir, exist_ok=True)
-    for name, sig in [
-        ("psi_M.tfrs", nl.psi_M), ("witness_f.tfrs", nl.f), ("witness_h.tfrs", nl.h),
-        ("alias_f.tfrs", alias.f), ("alias_f_tilde.tfrs", alias.f_tilde),
-        ("alias_phi_perp.tfrs", alias.phi_perp),
-    ]:
-        write_signal(os.path.join(outdir, name), sig.values)
-        report.artifacts.append(name)
-    report.timings = {"setup_s": t1 - t0, "total_s": time.perf_counter() - t0}
+        rows = _epsilon_rows(cfg, eigs, evaluate)
+        report.sections["reconstruct"] = {
+            "r": samples.r,
+            "distinct": samples.distinct,
+            "sample_seed": sample_seed,
+            "rows": rows,
+        }
+        header = [
+            "epsilon_target", "epsilon_measured", "relative_error", "error_bound",
+            "iterations", "converged", "residual_norm", "function_seed", "infeasible",
+        ]
+        _write_row_table(os.path.join(outdir, "recon_rows.csv"), header, rows)
+        _write_samples(outdir, samples)
+        overlay = np.zeros((region.L, region.L), dtype=np.int64)
+        overlay[samples.points[:, 0], samples.points[:, 1]] = 1
+        write_grid_csv(os.path.join(outdir, "sample_overlay.csv"), overlay)
+        report.artifacts += ["recon_rows.csv", "samples.csv", "sample_overlay.csv"]
+        report.artifacts += [
+            f"stft_abs_{i + 1}.csv" for i, row in enumerate(rows) if not row["infeasible"]
+        ]
+    return report
+
+
+def run_montecarlo(
+    cfg: ExperimentConfig, outdir: str, threads: int = 1, *, emit_eigenvectors: bool = False
+) -> RunReport:
+    with _run("montecarlo", cfg, outdir) as (report, region, window, eigs):
+        t1 = time.perf_counter()
+        cell_px = _cell_px(cfg)
+        measure = region.measure
+        eps1 = covering_excess(region, cell_px)
+        eps2 = max(0.0, eigs.N - measure)
+
+        rows = []
+        for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
+            cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
+            freq = monte_carlo_failure_frequency(
+                cfg.trials, nu, int(r), (region, window, eigs), cell_seed, threads
+            )
+            p = TailParams(nu=nu, r=int(r), omega_measure=measure, N=eigs.N,
+                           eps1=eps1, eps2=eps2)
+            rows.append({
+                "nu": nu,
+                "r": int(r),
+                "trials": cfg.trials,
+                "cell_seed": cell_seed,
+                "empirical_freq": freq,
+                "subspace_bound": subspace_failure_bound(p),
+                "covering_tail": covering_tail(p),
+                "success_probability": success_probability(p),
+                "required_samples": required_samples(nu, cfg.delta, measure, eps2)
+                if nu > 0 else None,
+            })
+        report.timings["trials_s"] = time.perf_counter() - t1
+
+        report.sections["montecarlo"] = {
+            "trials": cfg.trials,
+            "delta": cfg.delta,
+            "cell_px": cell_px,
+            "eps1": eps1,
+            "eps2": eps2,
+            "covering_rate_a": 3.0 / measure,
+            "rows": rows,
+        }
+        _write_row_table(
+            os.path.join(outdir, "mc_rows.csv"),
+            ["nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
+             "covering_tail", "success_probability", "required_samples", "cell_seed"],
+            [{**row, "theory_bound": row["subspace_bound"], "master_seed": cfg.master_seed}
+             for row in rows],
+        )
+        report.artifacts.append("mc_rows.csv")
+    return report
+
+
+def run_certify(
+    cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
+) -> RunReport:
+    with _run("certify", cfg, outdir) as (report, region, window, eigs):
+        sample_seed, samples = _draw_samples(cfg, region)
+        cell_px = _cell_px(cfg)
+        covering = covering_index(samples, cell_px)
+        B = exact_bessel_bound(samples, window)
+        C_phi = B / covering.N0
+        eps_max, nu_max = admissible_params(C_phi)
+        measure = region.measure
+        gamma = eigs.gamma
+        eps2 = max(0.0, eigs.N - measure)
+
+        def evaluate(i, eps_t, f):
+            eps_cert = max(eps_t, concentration_from_eigs(f, eigs).epsilon)
+            A_lem = (
+                lemma_lower_bound_A(samples.r, measure, gamma, eps_cert, cfg.nu, B)
+                if eps_cert < 1.0 - gamma else None
+            )
+            admissible = eps_cert < eps_max and cfg.nu < nu_max(eps_cert)
+            A_thm = (
+                theorem_lower_bound_A(samples.r, measure, eps_cert, cfg.nu, C_phi)
+                if admissible else None
+            )
+            A_best = max((a for a in (A_lem, A_thm) if a is not None), default=0.0)
+            check = verify_sampling_inequality(f, samples, window, A_best)
+            return dict(
+                epsilon_certified=eps_cert,
+                A_lemma=A_lem,
+                A_theorem=A_thm,
+                theorem_admissible=admissible,
+                A_used=A_best,
+                sample_energy=check.sample_energy,
+                ratio=check.ratio,
+                lower_holds=check.lower_holds,
+                upper_holds=check.upper_holds,
+                vacuous=A_best <= 0.0,
+            )
+
+        rows = _epsilon_rows(cfg, eigs, evaluate)
+        report.sections["bounds"] = {
+            "r": samples.r,
+            "distinct": samples.distinct,
+            "sample_seed": sample_seed,
+            "cell_px": cell_px,
+            "N0": covering.N0,
+            "bessel_B": B,
+            "C_phi": C_phi,
+            "eps_max": eps_max,
+            "nu": cfg.nu,
+            "nu_max_at_eps_max": nu_max(eps_max),
+            "success_probability": success_probability(
+                TailParams(nu=cfg.nu, r=samples.r, omega_measure=measure, N=eigs.N,
+                           eps1=covering_excess(region, cell_px), eps2=eps2)
+            ) if cfg.nu > 0 else None,
+            "required_samples": required_samples(cfg.nu, cfg.delta, measure, eps2)
+            if cfg.nu > 0 else None,
+            "all_vacuous": all(row.get("vacuous", True) for row in rows),
+            "rows": rows,
+        }
+        header = [
+            "epsilon_target", "epsilon_certified", "A_lemma", "A_theorem",
+            "theorem_admissible", "A_used", "ratio", "lower_holds", "upper_holds",
+            "vacuous", "function_seed", "infeasible",
+        ]
+        _write_row_table(os.path.join(outdir, "certify_rows.csv"), header, rows)
+        _write_samples(outdir, samples)
+        report.artifacts += ["certify_rows.csv", "samples.csv"]
+    return report
+
+
+def run_witness(
+    cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
+) -> RunReport:
+    with _run("witness", cfg, outdir) as (report, region, window, eigs):
+        nl = nonlinearity_witness(eigs, cfg.witness_epsilon, cfg.witness_eta, cfg.witness_M)
+        sample_seed, samples = _draw_samples(cfg, region)
+        fseed = derive_seed(cfg.master_seed, FUNCTION_STREAM, 0)
+        f = make_concentrated_test_function(eigs, cfg.witness_epsilon, fseed)
+        alias = null_sample_witness(samples, window, f, eigs)
+
+        def _conc(sig):
+            c = concentration_from_eigs(sig, eigs)
+            return {"value": c.value, "epsilon": c.epsilon}
+
+        report.sections["nonlinearity"] = {
+            "eps": nl.eps,
+            "eta": nl.eta,
+            "M": nl.M,
+            "delta": nl.delta,
+            "psi_M": _conc(nl.psi_M),
+            "f": _conc(nl.f),
+            "h": _conc(nl.h),
+        }
+        report.sections["alias"] = {
+            "r": samples.r,
+            "sample_seed": sample_seed,
+            "function_seed": fseed,
+            "delta": alias.delta,
+            "sample_gap": alias.sample_gap,
+            "f": _conc(alias.f),
+            "f_tilde": _conc(alias.f_tilde),
+        }
+        for name, sig in [
+            ("psi_M.tfrs", nl.psi_M), ("witness_f.tfrs", nl.f), ("witness_h.tfrs", nl.h),
+            ("alias_f.tfrs", alias.f), ("alias_f_tilde.tfrs", alias.f_tilde),
+            ("alias_phi_perp.tfrs", alias.phi_perp),
+        ]:
+            write_signal(os.path.join(outdir, name), sig.values)
+            report.artifacts.append(name)
     return report
 
 
@@ -471,9 +461,8 @@ _RUNNERS = {
 
 def _print_headline(report: RunReport):
     s = report.sections
-    if "eigen" in s:
-        e = s["eigen"]
-        print(f"L={e['L']}  |Omega|={e['measure']:.6g}  N={e['N']}  trace={e['trace']:.6g}")
+    e = s["eigen"]  # every runner starts its report with the eigen section
+    print(f"L={e['L']}  |Omega|={e['measure']:.6g}  N={e['N']}  trace={e['trace']:.6g}")
     if report.verb == "reconstruct":
         for row in s["reconstruct"]["rows"]:
             if row["infeasible"]:
@@ -515,6 +504,14 @@ def _print_headline(report: RunReport):
         )
 
 
+# first matching class wins; parameter/dimension misuse surfaces via the config path
+_EXIT_CODES = (
+    (NumericalError, 3, "numerical failure"),
+    (InfeasibleError, 4, "infeasible request"),
+    (TFSampError, 2, "config error"),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tfsamp",
@@ -539,25 +536,16 @@ def main(argv=None) -> int:
             cfg.master_seed = args.seed
         if args.threads < 1:
             raise ConfigError("--threads: must be >= 1")
-        if args.verb == "spectrum":
-            report = run_spectrum(cfg, args.out, args.emit_eigenvectors)
-        elif args.verb == "montecarlo":
-            report = run_montecarlo(cfg, args.out, args.threads)
-        else:
-            report = _RUNNERS[args.verb](cfg, args.out)
+        report = _RUNNERS[args.verb](
+            cfg, args.out, threads=args.threads, emit_eigenvectors=args.emit_eigenvectors
+        )
         paths = write_report(report, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleError as exc:
-        print(f"infeasible request: {exc}", file=sys.stderr)
-        return 4
-    except TFSampError as exc:  # parameter/dimension misuse surfaced via config path
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except TFSampError as exc:
+        code, label = next(
+            (code, label) for cls, code, label in _EXIT_CODES if isinstance(exc, cls)
+        )
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     _print_headline(report)
     print(f"report: {paths[0]}")
     return 0

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import exact_bessel_bound
-from .errors import InfeasibleError, NumericalError, ParameterError
+from .errors import InfeasibleError, ParameterError
 from .locop import EigenSystem, concentration_from_eigs
 from .regions import SampleSet
-from .tfcore import Signal, Window, _analysis_rows
+from .tfcore import Signal, Window
 
 __all__ = [
     "ReconstructionResult",
@@ -45,9 +45,6 @@ __all__ = [
     "error_bound",
     "make_concentrated_test_function",
 ]
-
-# spawn-key stream id for test-function generation (see cli.derive_seed)
-FUNCTION_STREAM = 2
 
 
 @dataclass(eq=False)
@@ -62,10 +59,10 @@ class ReconstructionResult:
     epsilon: float  # measured concentration defect of the input
 
 
-def _sampled_basis(samples: SampleSet, eigs: EigenSystem, window: Window) -> np.ndarray:
-    """E[j, k] = V_phi psi_k(lam_j): the sampled analysis map restricted to V_N."""
-    W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
-    return W @ eigs.basis()
+def _normal_equations(E: np.ndarray, s: np.ndarray):
+    """(G, b) = (E^H E, E^H s), with G symmetrized to exact Hermitian."""
+    G = E.conj().T @ E
+    return 0.5 * (G + G.conj().T), E.conj().T @ s
 
 
 def gram_and_rhs(samples: SampleSet, eigs: EigenSystem, window: Window, sample_values):
@@ -77,10 +74,7 @@ def gram_and_rhs(samples: SampleSet, eigs: EigenSystem, window: Window, sample_v
     s = np.asarray(sample_values, dtype=np.complex128)
     if s.shape != (samples.r,):
         raise ParameterError(f"sample_values must have shape ({samples.r},)")
-    E = _sampled_basis(samples, eigs, window)
-    G = E.conj().T @ E
-    G = 0.5 * (G + G.conj().T)
-    return G, E.conj().T @ s
+    return _normal_equations(samples.analysis_rows(window) @ eigs.basis(), s)
 
 
 def _cg(G: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
@@ -146,12 +140,10 @@ def reconstruct(
     nrm = f.norm()
     if nrm == 0.0:
         raise ParameterError("cannot reconstruct the zero signal")
-    W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
+    W = samples.analysis_rows(window)
     s = W @ f.values
     E = W @ eigs.basis()
-    G = E.conj().T @ E
-    G = 0.5 * (G + G.conj().T)
-    b = E.conj().T @ s
+    G, b = _normal_equations(E, s)
     c, it, history, converged = _cg(G, b, tol, 10 * eigs.N)
     p_opt = Signal(eigs.basis() @ c)
     relative_error = float(np.linalg.norm(s - E @ c) / nrm)
@@ -173,12 +165,13 @@ def make_concentrated_test_function(eigs: EigenSystem, eps_target: float, seed: 
     """Unit-norm signal whose measured concentration defect equals eps_target.
 
     f = sqrt(1-s) u + sqrt(s) v with u a random unit vector in V_N and v a
-    random unit vector in span{psi_k : alpha_k < gamma}; s is solved by
-    bisection on the measured defect to relative 1e-6.  u is drawn from the
-    top spectral slice {alpha_k >= 1 - eps_target/2} of V_N so that defects
-    all the way down to ~(1 - alpha_1) stay reachable; a uniformly random
-    direction in V_N would floor the defect near the mean of (1 - alpha)
-    over V_N and make small targets unattainable.
+    random unit vector in span{psi_k : alpha_k < gamma}.  The measured
+    defect of the blend is linear in s, eps(s) = (1-s) eps_u + s eps_v, so
+    s is solved in closed form.  u is drawn from the top spectral slice
+    {alpha_k >= 1 - eps_target/2} of V_N so that defects all the way down
+    to ~(1 - alpha_1) stay reachable; a uniformly random direction in V_N
+    would floor the defect near the mean of (1 - alpha) over V_N and make
+    small targets unattainable.
     """
     if not 0.0 < eps_target < 1.0:
         raise ParameterError("eps_target must lie strictly in (0, 1)")
@@ -204,23 +197,12 @@ def make_concentrated_test_function(eigs: EigenSystem, eps_target: float, seed: 
     av = float(alpha[lo] @ (np.abs(cv) ** 2))
     eps_u = 1.0 - au
     eps_v = 1.0 - av
+    # eps_v > eps_u: every alpha in hi is >= gamma, every alpha in lo is < gamma
     if not eps_u <= eps_target <= eps_v:
         raise InfeasibleError(
             f"eps_target={eps_target:g} outside reachable bracket [{eps_u:.3g}, {eps_v:.3g}]"
         )
-    lo_s, hi_s = 0.0, 1.0
-    eps_m = eps_u
-    for _ in range(200):
-        s = 0.5 * (lo_s + hi_s)
-        eps_m = 1.0 - ((1.0 - s) * au + s * av)
-        if abs(eps_m - eps_target) <= 1e-7 * eps_target:
-            break
-        if eps_m > eps_target:
-            hi_s = s
-        else:
-            lo_s = s
-    else:
-        raise NumericalError("bisection failed to localize the concentration target")
+    s = (eps_target - eps_u) / (eps_v - eps_u)
     u = eigs.eigenvectors[:, hi] @ cu
     v = eigs.eigenvectors[:, lo] @ cv
     f = math.sqrt(1.0 - s) * u + math.sqrt(s) * v

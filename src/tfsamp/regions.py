@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, ParameterError, RegionError
-from .tfcore import TFPoint
+from .tfcore import TFPoint, Window, _analysis_rows
 
 __all__ = [
     "TFRegion",
@@ -87,6 +87,10 @@ class SampleSet:
     def tfpoints(self) -> list:
         return [TFPoint(int(m), int(n)) for m, n in self.points]
 
+    def analysis_rows(self, window: Window) -> np.ndarray:
+        """(r, L) sampled analysis matrix W: (W @ f)[j] == V_phi f(lam_j)."""
+        return _analysis_rows(self.points[:, 0], self.points[:, 1], window.values)
+
 
 @dataclass(eq=False)
 class CoveringReport:
@@ -98,13 +102,19 @@ class CoveringReport:
 
 
 def disk_region(L: int, center: TFPoint, radius_px: float) -> TFRegion:
-    """Euclidean disk of the given pixel radius; must fit without self-wrap."""
+    """Euclidean disk of the given pixel radius on the torus Z_L x Z_L.
+
+    Distances are taken mod L, so a disk centred near an edge wraps around
+    it; the diameter must stay below L so the disk never overlaps itself.
+    """
     if radius_px <= 0:
         raise RegionError("disk radius must be positive")
     if 2 * radius_px >= L:
         raise RegionError(f"disk of radius {radius_px} px wraps around an L={L} grid")
-    mm, nn = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
-    mask = (mm - center.m) ** 2 + (nn - center.n) ** 2 <= radius_px**2
+    d = np.arange(L)
+    dm = np.minimum((d - center.m) % L, (center.m - d) % L)
+    dn = np.minimum((d - center.n) % L, (center.n - d) % L)
+    mask = dm[:, None] ** 2 + dn[None, :] ** 2 <= radius_px**2
     return TFRegion(L, mask)
 
 

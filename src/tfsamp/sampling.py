@@ -55,10 +55,20 @@ __all__ = [
     "required_samples",
     "monte_carlo_failure_frequency",
     "covering_exceedance_frequency",
+    "derive_seed",
 ]
 
-# spawn-key stream ids for counter-based seed derivation (see cli.derive_seed)
+# spawn-key stream ids for counter-based seed derivation (see derive_seed):
+# run-level sample draws, per-trial Monte Carlo draws, generated test functions
+SAMPLE_STREAM = 0
 TRIAL_STREAM = 1
+FUNCTION_STREAM = 2
+
+
+def derive_seed(master_seed: int, stream: int, index: int) -> int:
+    """Derived 64-bit seed for (stream, index); collision-safe across streams."""
+    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(stream), int(index)))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 @dataclass(eq=False)
@@ -146,8 +156,7 @@ def empirical_min_eigenvalue(
         raise ParameterError("empirical statistic needs r >= 1")
     if eigs.N < 1:
         raise ParameterError("empirical statistic needs a spectral cut with N >= 1")
-    W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
-    A = W @ eigs.basis()
+    A = samples.analysis_rows(window) @ eigs.basis()
     return _min_eig_from_rows(A, expected_T(eigs, region))
 
 
@@ -206,11 +215,6 @@ def required_samples(nu: float, delta: float, omega_measure: float, eps2: float 
     return max(1, int(math.floor(bound + 0.5)))
 
 
-def _trial_seed(master_seed: int, trial: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(TRIAL_STREAM, int(trial)))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def monte_carlo_failure_frequency(
     trials: int,
     nu: float,
@@ -242,7 +246,8 @@ def monte_carlo_failure_frequency(
         B = t1 - t0
         idx = np.empty((B, r), dtype=np.int64)
         for i in range(B):
-            rng = np.random.default_rng(np.random.SeedSequence(_trial_seed(master_seed, t0 + i)))
+            seed = derive_seed(master_seed, TRIAL_STREAM, t0 + i)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
             idx[i] = _draw_indices(rng, P, r, False)
         A = table[idx]  # (B, r, N)
         S = np.einsum("brk,brl->bkl", A, np.conj(A)) / r
@@ -286,7 +291,8 @@ def covering_exceedance_frequency(
     threshold = a * r
     failures = 0
     for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(_trial_seed(master_seed, i)))
+        seed = derive_seed(master_seed, TRIAL_STREAM, i)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         idx = _draw_indices(rng, P, r, False)
         occ = np.bincount(cell_of_point[idx], minlength=ncells)
         if occ.max() > threshold:

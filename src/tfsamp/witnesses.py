@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InfeasibleError, ParameterError
 from .locop import EigenSystem, concentration_from_eigs
 from .regions import SampleSet
-from .tfcore import Signal, Window, _analysis_rows
+from .tfcore import Signal, Window
 
 __all__ = [
     "NonlinearityWitness",
@@ -55,6 +55,7 @@ class AliasWitness:
     f_tilde: Signal
     phi_perp: Signal
     delta: float
+    sample_gap: float  # max_j |V_phi f(lam_j) - V_phi f_tilde(lam_j)|
 
 
 def nonlinearity_witness(
@@ -139,7 +140,7 @@ def null_sample_witness(
     stays concentrated at eps = 2 * (measured defect of f).
     """
     L = f.L
-    W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
+    W = samples.analysis_rows(window)
     atoms = np.conj(W.T)  # columns pi(lam_j) phi
     U, sv, _ = np.linalg.svd(atoms, full_matrices=True)
     tol = max(atoms.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
@@ -182,4 +183,4 @@ def null_sample_witness(
     gap = float(np.max(np.abs(W @ f_tilde.values - W @ f.values)))
     if gap > 1e-10:
         raise InfeasibleError(f"complement construction leaked into the samples ({gap:.3e})")
-    return AliasWitness(f, f_tilde, phi_perp, float(delta))
+    return AliasWitness(f, f_tilde, phi_perp, float(delta), gap)

@@ -178,6 +178,36 @@ delta = 0.05
     assert len(lines) == 5
 
 
+def test_certify_and_montecarlo_agree_on_required_samples(tmp_path):
+    # N = 2 exceeds |Omega| ~ 0.906 here, so eps2 = N - |Omega| > 0 enters the count
+    ini = _ini(tmp_path, """
+[experiment]
+L = 32
+gamma = 0.1
+r = 20
+nu = 0.3
+trials = 5
+
+[region]
+radius_px = 3
+
+[montecarlo]
+nu_grid = 0.3
+r_grid = 20
+delta = 0.05
+""")
+    reports = {}
+    for verb in ("certify", "montecarlo"):
+        out = str(tmp_path / verb)
+        assert main([verb, "--config", ini, "--out", out]) == 0
+        reports[verb] = _json_report(out)
+    e = reports["certify"]["sections"]["eigen"]
+    assert e["N"] == 2 and e["N"] > e["measure"]
+    mc_row = reports["montecarlo"]["sections"]["montecarlo"]["rows"][0]
+    assert mc_row["required_samples"] == 49
+    assert reports["certify"]["sections"]["bounds"]["required_samples"] == 49
+
+
 # ----------------------------------------------------------------- certify
 
 

@@ -17,6 +17,7 @@ from tfsamp import (
     make_gaussian_window,
     mask_region,
     project_VN,
+    tf_shift,
 )
 from tfsamp.locop import EigenSystem
 
@@ -43,6 +44,30 @@ def test_trace_equals_region_measure(L, radius):
     H = build_localization_operator(reg, make_gaussian_window(L))
     tr = float(np.real(np.trace(H.matrix)))
     assert abs(tr - reg.measure) <= 1e-8 * reg.measure
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (5, 3), (-9, 14), (20, -20), (31, 31)])
+@pytest.mark.parametrize("kind", ["disk", "random"])
+def test_spectrum_covariant_under_cyclic_mask_shift(kind, shift):
+    # H_{Omega+z} = pi(z) H_Omega pi(z)^*: same spectrum, same trace |Omega|,
+    # and pi(z) f is as concentrated on Omega+z as f is on Omega
+    L = 32
+    if kind == "disk":
+        base = disk_region(L, TFPoint(10, 22), 6)
+    else:
+        base = mask_region(np.random.default_rng(7).random((L, L)) < 0.2)
+    moved = mask_region(np.roll(base.mask, shift, axis=(0, 1)))
+    phi = make_gaussian_window(L)
+    H0 = build_localization_operator(base, phi).matrix
+    H1 = build_localization_operator(moved, phi).matrix
+    assert np.max(np.abs(np.linalg.eigvalsh(H1) - np.linalg.eigvalsh(H0))) <= 1e-12
+    assert abs(float(np.real(np.trace(H1))) - moved.measure) <= 1e-12 * L
+    assert moved.measure == base.measure
+    f = random_signal(L, 3)
+    z = TFPoint(shift[0] % L, shift[1] % L)
+    c0 = concentration(f, base, phi)
+    c1 = concentration(tf_shift(f, z), moved, phi)
+    assert abs(c1.epsilon - c0.epsilon) <= 1e-12
 
 
 def test_operator_is_masked_analysis_synthesis():

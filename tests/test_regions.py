@@ -42,6 +42,17 @@ def test_disk_radius_half_pixel_is_single_point():
     assert reg.mask[10, 20]
 
 
+@pytest.mark.parametrize("cm,cn", [(0, 0), (3, 60), (63, 31), (32, 0)])
+def test_disk_wraps_on_the_torus(cm, cn):
+    # a disk centred near an edge keeps every point, wrapped around Z_L x Z_L
+    L, radius = 64, 10
+    centred = disk_region(L, TFPoint(L // 2, L // 2), radius)
+    moved = disk_region(L, TFPoint(cm, cn), radius)
+    assert centred.point_count == disk_count(L, L // 2, L // 2, radius) == 317
+    shift = (cm - L // 2, cn - L // 2)
+    assert np.array_equal(moved.mask, np.roll(centred.mask, shift, axis=(0, 1)))
+
+
 def test_disk_must_not_wrap():
     with pytest.raises(RegionError):
         disk_region(32, TFPoint(16, 16), 16)
