@@ -178,6 +178,20 @@ def _cell_px(cfg: ExperimentConfig) -> int:
     return cfg.cell_px if cfg.cell_px is not None else default_cell_px(cfg.L)
 
 
+def _tail_fields(cfg: ExperimentConfig, region, eigs, nu: float, r: int) -> dict:
+    """Closed-form tails at (nu, r), raw, as both montecarlo and certify report them."""
+    measure = region.measure
+    eps2 = max(0.0, eigs.N - measure)
+    p = TailParams(nu=nu, r=r, omega_measure=measure, N=eigs.N,
+                   eps1=covering_excess(region, _cell_px(cfg)), eps2=eps2)
+    return {
+        "subspace_bound": subspace_failure_bound(p),
+        "covering_tail": covering_tail(p),
+        "success_probability": success_probability(p),
+        "required_samples": required_samples(nu, cfg.delta, measure, eps2) if nu > 0 else None,
+    }
+
+
 def _epsilon_rows(cfg: ExperimentConfig, eigs, evaluate) -> list:
     """One row per epsilon target, each with its own generated test function.
 
@@ -290,29 +304,19 @@ def run_montecarlo(
     with _run("montecarlo", cfg, outdir) as (report, region, window, eigs):
         t1 = time.perf_counter()
         cell_px = _cell_px(cfg)
-        measure = region.measure
-        eps1 = covering_excess(region, cell_px)
-        eps2 = max(0.0, eigs.N - measure)
-
         rows = []
         for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
             cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
             freq = monte_carlo_failure_frequency(
                 cfg.trials, nu, int(r), (region, window, eigs), cell_seed, threads
             )
-            p = TailParams(nu=nu, r=int(r), omega_measure=measure, N=eigs.N,
-                           eps1=eps1, eps2=eps2)
             rows.append({
                 "nu": nu,
                 "r": int(r),
                 "trials": cfg.trials,
                 "cell_seed": cell_seed,
                 "empirical_freq": freq,
-                "subspace_bound": subspace_failure_bound(p),
-                "covering_tail": covering_tail(p),
-                "success_probability": success_probability(p),
-                "required_samples": required_samples(nu, cfg.delta, measure, eps2)
-                if nu > 0 else None,
+                **_tail_fields(cfg, region, eigs, nu, int(r)),
             })
         report.timings["trials_s"] = time.perf_counter() - t1
 
@@ -320,9 +324,9 @@ def run_montecarlo(
             "trials": cfg.trials,
             "delta": cfg.delta,
             "cell_px": cell_px,
-            "eps1": eps1,
-            "eps2": eps2,
-            "covering_rate_a": 3.0 / measure,
+            "eps1": covering_excess(region, cell_px),
+            "eps2": max(0.0, eigs.N - region.measure),
+            "covering_rate_a": 3.0 / region.measure,
             "rows": rows,
         }
         _write_row_table(
@@ -348,7 +352,6 @@ def run_certify(
         eps_max, nu_max = admissible_params(C_phi)
         measure = region.measure
         gamma = eigs.gamma
-        eps2 = max(0.0, eigs.N - measure)
 
         def evaluate(i, eps_t, f):
             eps_cert = max(eps_t, concentration_from_eigs(f, eigs).epsilon)
@@ -377,6 +380,7 @@ def run_certify(
             )
 
         rows = _epsilon_rows(cfg, eigs, evaluate)
+        tails = _tail_fields(cfg, region, eigs, cfg.nu, samples.r)
         report.sections["bounds"] = {
             "r": samples.r,
             "distinct": samples.distinct,
@@ -388,12 +392,8 @@ def run_certify(
             "eps_max": eps_max,
             "nu": cfg.nu,
             "nu_max_at_eps_max": nu_max(eps_max),
-            "success_probability": success_probability(
-                TailParams(nu=cfg.nu, r=samples.r, omega_measure=measure, N=eigs.N,
-                           eps1=covering_excess(region, cell_px), eps2=eps2)
-            ) if cfg.nu > 0 else None,
-            "required_samples": required_samples(cfg.nu, cfg.delta, measure, eps2)
-            if cfg.nu > 0 else None,
+            "success_probability": tails["success_probability"],
+            "required_samples": tails["required_samples"],
             "all_vacuous": all(row.get("vacuous", True) for row in rows),
             "rows": rows,
         }

@@ -132,8 +132,8 @@ class ExperimentConfig:
         for e in self.epsilon_targets:
             if not 0.0 < e < 1.0:
                 raise ConfigError("reconstruct.epsilon_targets: every value must be in (0, 1)")
-        if not self.nu_grid:
-            raise ConfigError("montecarlo.nu_grid: must be non-empty")
+        if not self.nu_grid or any(nu < 0 for nu in self.nu_grid):
+            raise ConfigError("montecarlo.nu_grid: must be non-empty, with every value >= 0")
         if not self.r_grid or any(int(r) < 1 for r in self.r_grid):
             raise ConfigError("montecarlo.r_grid: entries must be integers >= 1")
         if not 0.0 < self.delta < 1.0:

@@ -191,5 +191,5 @@ def covering_excess(region: TFRegion, cell_px: int) -> float:
     pts = region.points()
     if pts.shape[0] == 0:
         return 0.0
-    n_cells = np.unique(pts // cell_px, axis=0).shape[0]
+    n_cells = np.unique((pts[:, 0] // cell_px) * region.L + pts[:, 1] // cell_px).size
     return n_cells - region.measure

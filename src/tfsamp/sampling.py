@@ -137,12 +137,12 @@ def _region_table(eigs: EigenSystem, region: TFRegion, window: Window) -> np.nda
     return np.stack(cols, axis=1)
 
 
-def _min_eig_from_rows(A: np.ndarray, diag_term: np.ndarray) -> float:
-    # rows of A are the sample vectors v_j; sum_j T_j = A^T conj(A)
-    r = A.shape[0]
-    S = (A.T @ np.conj(A)) / r - diag_term
-    S = 0.5 * (S + S.conj().T)
-    return float(np.linalg.eigvalsh(S)[0])
+def _min_eigs(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of (1/r) sum_j T_j - diag for each (r, N) block of A."""
+    # rows of a block are the sample vectors v_j; sum_j T_j = A^T conj(A)
+    S = np.swapaxes(A, -1, -2) @ np.conj(A) / A.shape[-2] - diag
+    S = 0.5 * (S + np.conj(np.swapaxes(S, -1, -2)))
+    return np.linalg.eigvalsh(S)[..., 0]
 
 
 def empirical_min_eigenvalue(
@@ -157,7 +157,7 @@ def empirical_min_eigenvalue(
     if eigs.N < 1:
         raise ParameterError("empirical statistic needs a spectral cut with N >= 1")
     A = samples.analysis_rows(window) @ eigs.basis()
-    return _min_eig_from_rows(A, expected_T(eigs, region))
+    return float(_min_eigs(A[None], expected_T(eigs, region))[0])
 
 
 def tropp_tail(N: int, sigma2: float, Bnorm: float, t: float) -> float:
@@ -215,49 +215,29 @@ def required_samples(nu: float, delta: float, omega_measure: float, eps2: float 
     return max(1, int(math.floor(bound + 0.5)))
 
 
-def monte_carlo_failure_frequency(
-    trials: int,
-    nu: float,
-    r: int,
-    setup,
-    master_seed: int,
-    threads: int = 1,
+def _trial_failure_frequency(
+    trials: int, r: int, P: int, master_seed: int, fails, row_width: int, threads: int = 1
 ) -> float:
-    """Fraction of trials with empirical min-eigenvalue <= -nu/|Omega|.
+    """Fraction of trials whose draw fails; the one Monte Carlo engine.
 
-    setup is the (region, window, eigensystem) triple.  Trial i draws its
-    sample set with the derived seed SeedSequence(master_seed, spawn_key=
-    (1, i)), so trials are independent, reproducible, and parallel-safe;
-    aggregation is an order-independent count.
+    Trial i draws r of the P region points i.i.d. exactly as uniform_sample
+    does, seeded with index i of TRIAL_STREAM under master_seed, so trials
+    are independent, reproducible and parallel-safe.
+    fails maps a (B, r) block of point indices to B booleans; aggregation
+    is an order-independent count over chunks of trials.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    region, window, eigs = setup
-    if eigs.N < 1:
-        raise ParameterError("Monte Carlo needs a spectral cut with N >= 1")
-    table = _region_table(eigs, region, window)
-    P = region.point_count
-    alpha = eigs.eigenvalues[: eigs.N]
-    thresh = -nu / region.measure
-    diag = alpha / region.measure
 
-    # vectorized over trial chunks: gather rows, batched Gram, batched eigvalsh
     def count_chunk(t0: int, t1: int) -> int:
-        B = t1 - t0
-        idx = np.empty((B, r), dtype=np.int64)
-        for i in range(B):
-            seed = derive_seed(master_seed, TRIAL_STREAM, t0 + i)
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            idx[i] = _draw_indices(rng, P, r, False)
-        A = table[idx]  # (B, r, N)
-        S = np.einsum("brk,brl->bkl", A, np.conj(A)) / r
-        S[:, np.arange(eigs.N), np.arange(eigs.N)] -= diag
-        S = 0.5 * (S + np.conj(np.swapaxes(S, 1, 2)))
-        mins = np.linalg.eigvalsh(S)[:, 0]
-        return int((mins <= thresh).sum())
+        idx = np.empty((t1 - t0, r), dtype=np.int64)
+        for i in range(t0, t1):
+            rng = np.random.default_rng(derive_seed(master_seed, TRIAL_STREAM, i))
+            idx[i - t0] = _draw_indices(rng, P, r, False)
+        return int(np.count_nonzero(fails(idx)))
 
-    # keep the gathered (chunk, r, N) block and its conjugate near ~128 MB total
-    chunk = max(1, min(trials, 4_000_000 // max(1, r * eigs.N)))
+    # keep a gathered (chunk, r, row_width) complex block and its conjugate near ~128 MB
+    chunk = max(1, min(trials, 4_000_000 // max(1, r * row_width)))
     spans = [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
     if threads > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -269,6 +249,32 @@ def monte_carlo_failure_frequency(
     return failures / trials
 
 
+def monte_carlo_failure_frequency(
+    trials: int,
+    nu: float,
+    r: int,
+    setup,
+    master_seed: int,
+    threads: int = 1,
+) -> float:
+    """Fraction of trials with empirical min-eigenvalue <= -nu/|Omega|.
+
+    setup is the (region, window, eigensystem) triple; trial i is the
+    sample set uniform_sample(region, r, derive_seed(master_seed,
+    TRIAL_STREAM, i)), and its statistic is empirical_min_eigenvalue's.
+    """
+    region, window, eigs = setup
+    if eigs.N < 1:
+        raise ParameterError("Monte Carlo needs a spectral cut with N >= 1")
+    table = _region_table(eigs, region, window)
+    diag = expected_T(eigs, region)
+    thresh = -nu / region.measure
+    return _trial_failure_frequency(
+        trials, r, region.point_count, master_seed,
+        lambda idx: _min_eigs(table[idx], diag) <= thresh, eigs.N, threads,
+    )
+
+
 def covering_exceedance_frequency(
     trials: int,
     r: int,
@@ -277,24 +283,14 @@ def covering_exceedance_frequency(
     a: float,
     master_seed: int,
 ) -> float:
-    """Fraction of trials whose covering index N0 exceeds a*r (same seeding scheme)."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    """Fraction of trials whose covering index N0 exceeds a*r (same trial draws)."""
     if cell_px < 1:
         raise ParameterError("cell_px must be >= 1")
-    L = region.L
     pts = region.points()
-    P = region.point_count
-    C = -(-L // cell_px)
+    C = -(-region.L // cell_px)
     cell_of_point = (pts[:, 0] // cell_px) * C + (pts[:, 1] // cell_px)
-    ncells = C * C
-    threshold = a * r
-    failures = 0
-    for i in range(trials):
-        seed = derive_seed(master_seed, TRIAL_STREAM, i)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        idx = _draw_indices(rng, P, r, False)
-        occ = np.bincount(cell_of_point[idx], minlength=ncells)
-        if occ.max() > threshold:
-            failures += 1
-    return failures / trials
+
+    def fails(idx):
+        return np.array([np.bincount(row).max() for row in cell_of_point[idx]]) > a * r
+
+    return _trial_failure_frequency(trials, r, region.point_count, master_seed, fails, 1)

@@ -135,9 +135,9 @@ def null_sample_witness(
 
     phi_perp is the unit vector of the orthogonal complement of
     span{pi(lam_j) phi} with the largest region energy <H x, x> (the
-    complement direction least damaging to concentration).  delta starts
-    at 0.1*||f|| and is bisected down until f_tilde = f + delta*phi_perp
-    stays concentrated at eps = 2 * (measured defect of f).
+    complement direction least damaging to concentration).  delta is
+    0.1*||f||, capped at the largest size for which f_tilde = f +
+    delta*phi_perp stays concentrated at eps = 2 * (measured defect of f).
     """
     L = f.L
     W = samples.analysis_rows(window)
@@ -160,22 +160,17 @@ def null_sample_witness(
         raise InfeasibleError(
             "f has no strict concentration slack; cannot absorb a perturbation"
         )
-    fnorm = f.norm()
-
-    def concentrated(delta: float) -> bool:
-        g = Signal(f.values + delta * phi_perp.values)
-        return concentration_from_eigs(g, eigs).epsilon <= eps
-
-    delta = 0.1 * fnorm
-    if not concentrated(delta):
-        lo, hi = 0.0, delta
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if concentrated(mid):
-                lo = mid
-            else:
-                hi = mid
-        delta = lo
+    # f + delta*phi_perp stays concentrated iff q(delta) = a + 2b delta + c delta^2 >= 0,
+    # with k_j = alpha_j - (1 - eps) weighting the eigen-coefficients; a > 0 here
+    k = eigs.eigenvalues - (1.0 - eps)
+    cf, cp = eigs.coeffs(f), eigs.coeffs(phi_perp)
+    a = float(k @ np.abs(cf) ** 2)
+    b = float(np.real(np.sum(k * np.conj(cf) * cp)))
+    c = float(k @ np.abs(cp) ** 2)
+    delta = 0.1 * f.norm()
+    if c < 0 or (b < 0 and b * b - a * c >= 0):
+        # first positive root of q, in the form free of cancellation
+        delta = min(delta, a / (math.sqrt(b * b - a * c) - b))
     if delta <= 1e-6:
         raise InfeasibleError("no usable perturbation size keeps f_tilde concentrated")
     f_tilde = Signal(f.values + delta * phi_perp.values)

@@ -179,33 +179,38 @@ delta = 0.05
 
 
 def test_certify_and_montecarlo_agree_on_required_samples(tmp_path):
-    # N = 2 exceeds |Omega| ~ 0.906 here, so eps2 = N - |Omega| > 0 enters the count
-    ini = _ini(tmp_path, """
+    # N = 2 exceeds |Omega| ~ 0.906 here, so eps2 = N - |Omega| > 0 enters the count;
+    # nu = 0 has no sample count, but both verbs still report the raw success bound
+    for nu, expected_required in [(0.3, 49), (0.0, None)]:
+        ini = _ini(tmp_path, f"""
 [experiment]
 L = 32
 gamma = 0.1
 r = 20
-nu = 0.3
+nu = {nu}
 trials = 5
 
 [region]
 radius_px = 3
 
 [montecarlo]
-nu_grid = 0.3
+nu_grid = {nu}
 r_grid = 20
 delta = 0.05
 """)
-    reports = {}
-    for verb in ("certify", "montecarlo"):
-        out = str(tmp_path / verb)
-        assert main([verb, "--config", ini, "--out", out]) == 0
-        reports[verb] = _json_report(out)
-    e = reports["certify"]["sections"]["eigen"]
-    assert e["N"] == 2 and e["N"] > e["measure"]
-    mc_row = reports["montecarlo"]["sections"]["montecarlo"]["rows"][0]
-    assert mc_row["required_samples"] == 49
-    assert reports["certify"]["sections"]["bounds"]["required_samples"] == 49
+        reports = {}
+        for verb in ("certify", "montecarlo"):
+            out = str(tmp_path / f"{verb}-{nu}")
+            assert main([verb, "--config", ini, "--out", out]) == 0
+            reports[verb] = _json_report(out)
+        e = reports["certify"]["sections"]["eigen"]
+        assert e["N"] == 2 and e["N"] > e["measure"]
+        mc_row = reports["montecarlo"]["sections"]["montecarlo"]["rows"][0]
+        bounds = reports["certify"]["sections"]["bounds"]
+        assert mc_row["required_samples"] == expected_required
+        assert bounds["required_samples"] == expected_required
+        assert isinstance(mc_row["success_probability"], float)
+        assert bounds["success_probability"] == mc_row["success_probability"]
 
 
 # ----------------------------------------------------------------- certify

@@ -177,6 +177,7 @@ def test_conversion_diagnostics_name_the_key(tmp_path, body, fragment):
         ("[window]\nkind = file\n", r"window\.path: required when window\.kind = file"),
         ("[reconstruct]\nepsilon_targets = 0.1, 2.0\n", r"every value must be in \(0, 1\)"),
         ("[montecarlo]\nnu_grid =\n", r"montecarlo\.nu_grid: must be non-empty"),
+        ("[montecarlo]\nnu_grid = 0, -0.1\n", r"montecarlo\.nu_grid: .*every value >= 0"),
         ("[montecarlo]\ndelta = 1.0\n", r"montecarlo\.delta"),
         ("[witness]\nepsilon = 0.2\neta = 6.0\n", r"witness\.eta: must satisfy 1 < eta < 1/epsilon"),
         ("[tolerances]\ncg_tol = 0\n", r"tolerances\.cg_tol: must be positive"),

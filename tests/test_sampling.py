@@ -11,6 +11,7 @@ from tfsamp import (
     TFPoint,
     build_T_matrix,
     covering_exceedance_frequency,
+    covering_index,
     covering_tail,
     default_cell_px,
     empirical_min_eigenvalue,
@@ -26,6 +27,7 @@ from tfsamp import (
     uniform_sample,
 )
 from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
+from tfsamp.sampling import TRIAL_STREAM, _trial_failure_frequency, derive_seed
 
 from oracles import (
     mp_covering_tail,
@@ -394,6 +396,38 @@ def test_monte_carlo_respects_theory_bound(sys32):
         bound = subspace_failure_bound(TailParams(nu=nu, r=r, omega_measure=om, N=N))
         sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / 400)
         assert freq <= min(1.0, bound) + 4 * sigma
+
+
+def test_batched_engine_matches_single_draws(sys32):
+    # trial i of both estimators is uniform_sample's draw with the trial-stream seed
+    region, window, eigs = sys32.region, sys32.window, sys32.eigs
+    trials, seed = 60, 11
+    draws = [uniform_sample(region, r, derive_seed(seed, TRIAL_STREAM, i))
+             for r in (30, 40) for i in range(trials)]
+    nu = 0.4
+    thresh = -nu / region.measure
+    stats = np.array([empirical_min_eigenvalue(s, eigs, region, window) for s in draws[:trials]])
+    assert np.min(np.abs(stats - thresh)) > 1e-9
+    freq = monte_carlo_failure_frequency(trials, nu, 30, (region, window, eigs), seed)
+    assert 0.0 < freq < 1.0
+    assert freq == np.count_nonzero(stats <= thresh) / trials
+
+    cell = default_cell_px(region.L)
+    a = 1.5 / region.measure
+    N0 = np.array([covering_index(s, cell).N0 for s in draws[trials:]])
+    assert np.min(np.abs(N0 - a * 40)) > 1e-9
+    cover = covering_exceedance_frequency(trials, 40, region, cell, a, seed)
+    assert 0.0 < cover < 1.0
+    assert cover == np.count_nonzero(N0 > a * 40) / trials
+
+    # one trial per chunk on a thread pool counts the same failures as one chunk
+    def fails(idx):
+        return np.isin(idx, np.arange(20)).any(axis=1)
+
+    P = region.point_count
+    one = _trial_failure_frequency(trials, 30, P, seed, fails, row_width=1)
+    assert 0.0 < one < 1.0
+    assert _trial_failure_frequency(trials, 30, P, seed, fails, 10**9, threads=2) == one
 
 
 def test_covering_exceedance_deterministic(sys32):
