@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from tfsamp import (
     covering_index,
     covering_tail,
     default_cell_px,
+    disk_region,
     empirical_min_eigenvalue,
     expected_T,
     full_region,
     make_gaussian_window,
+    mask_region,
     monte_carlo_failure_frequency,
     required_samples,
     stft,
@@ -27,7 +30,7 @@ from tfsamp import (
     uniform_sample,
 )
 from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
-from tfsamp.sampling import TRIAL_STREAM, _trial_failure_frequency, derive_seed
+from tfsamp.sampling import TRIAL_STREAM, _region_table, _trial_failure_frequency, derive_seed
 
 from oracles import (
     mp_covering_tail,
@@ -356,6 +359,60 @@ def test_required_samples_param_errors():
         required_samples(0.3, 1.0, 94.25)
     with pytest.raises(ParameterError):
         required_samples(0.3, 0.05, 0.0)
+
+
+# ---------------------------------------------------------------- region table
+
+
+def _eigs_and_window(region):
+    window = make_gaussian_window(region.L)
+    return eigendecompose(build_localization_operator(region, window), 0.5), window
+
+
+def _disk_plus_noisy_block(L):
+    # empty time rows between the disk and the block, and inside the disk
+    mask = disk_region(L, TFPoint(L // 3, L // 2), L // 4).mask.copy()
+    mask[L // 3 - 1 : L // 3 + 1] = False
+    rng = np.random.default_rng(17)
+    mask[3 * L // 4 : 3 * L // 4 + 5, 2:12] |= rng.random((5, 10)) < 0.5
+    assert not mask.any(axis=1).all()
+    return mask_region(mask)
+
+
+def test_region_table_matches_stft():
+    for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
+        eigs, window = _eigs_and_window(region)
+        table = _region_table(eigs, region, window)
+        assert eigs.N >= 2
+        assert table.shape == (region.point_count, eigs.N)
+        for k in range(eigs.N):
+            col = stft(Signal(eigs.eigenvectors[:, k]), window).values[region.mask]
+            got = np.ascontiguousarray(table[:, k])
+            assert np.array_equal(got.view(np.float64), col.view(np.float64))
+
+    # against the direct O(L^3) sum, so the check does not rest on FFT vs FFT
+    region = _disk_plus_noisy_block(24)
+    eigs, window = _eigs_and_window(region)
+    table = _region_table(eigs, region, window)
+    assert eigs.N >= 2
+    for k in range(eigs.N):
+        V = stft_direct(eigs.eigenvectors[:, k], window.values)
+        assert np.max(np.abs(table[:, k] - V[region.mask])) < 1e-12
+
+
+def test_region_table_peak_memory():
+    # the table itself plus O(N x L) workspace, never a second table-sized copy
+    region = disk_region(128, TFPoint(64, 64), 40)
+    eigs, window = _eigs_and_window(region)
+    assert eigs.N == 39
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = _region_table(eigs, region, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
 
 
 # ---------------------------------------------------------------- monte carlo
