@@ -180,6 +180,29 @@ def _stft_values(fvals: np.ndarray, phivals: np.ndarray) -> np.ndarray:
     return np.fft.fft(fvals[None, :] * np.conj(W), axis=1)
 
 
+def _stft_rows(fvals: np.ndarray, phivals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """STFT samples of a batch of signals at the True cells of an L x L mask.
+
+    fvals is (K, L), one signal per row; out[i, k] = V_phi f_k(p_i) for the
+    i-th True cell p_i in row-major order, equal bit for bit to
+    _stft_values(fvals[k], phivals)[mask].  Cost: one (K, L) FFT batch per
+    time row that holds a cell.  Memory: the K * mask.sum() output plus two
+    K x L temporaries.
+    """
+    K, L = fvals.shape
+    conj_phi = np.conj(phivals)
+    out = np.empty((np.count_nonzero(mask), K), dtype=np.complex128)
+    i = 0
+    for m in np.flatnonzero(mask.any(axis=1)):
+        cols = mask[m]
+        # row m of _stft_values for every signal; np.roll(x, m)[t] == x[(t - m) mod L]
+        F = np.fft.fft(fvals * np.roll(conj_phi, m), axis=1)
+        j = i + np.count_nonzero(cols)
+        out[i:j] = F[:, cols].T
+        i = j
+    return out
+
+
 def stft(f: Signal, phi: Window) -> TFMatrix:
     """Full-grid STFT: V(m, n) = <f, pi(m,n) phi>, computed by L length-L FFTs."""
     _check_same_L(f, phi, "signal and window")
