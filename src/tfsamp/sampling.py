@@ -127,16 +127,33 @@ def expected_T(eigs: EigenSystem, region: TFRegion) -> np.ndarray:
     return np.diag(eigs.eigenvalues[: eigs.N]) / region.measure
 
 
-def _region_table(eigs: EigenSystem, region: TFRegion, window: Window) -> np.ndarray:
-    """E[i, k] = V_phi psi_k(p_i) over all region points p_i (row-major order).
+def _region_table(eigs: EigenSystem, mask: np.ndarray, window: Window) -> np.ndarray:
+    """E[i, k] = V_phi psi_k(p_i) over the True cells p_i of mask (row-major order).
 
-    One (N, L) FFT batch per time row of the region (tfcore._stft_rows).
-    Memory: the 16 * |Omega| * N byte table plus N x L buffers (the
+    One (N, L) FFT batch per time row of the mask (tfcore._stft_rows).
+    Memory: the 16 * mask.sum() * N byte table plus N x L buffers (the
     contiguous eigenvector basis and the FFT temporaries).
     """
     # contiguous rows: the strided view of eigenvectors makes the FFTs ~1.5x slower
     psi = np.ascontiguousarray(eigs.eigenvectors[:, : eigs.N].T)
-    return _stft_rows(psi, window.values, region.mask)
+    return _stft_rows(psi, window.values, mask)
+
+
+def _drawn_mask(region: TFRegion, idx: np.ndarray) -> np.ndarray:
+    """Mask of the distinct region points in idx; remaps idx in place to table rows.
+
+    idx holds point indices into region.points(); afterwards idx[t, j] is the
+    row of that point in _region_table(eigs, mask, window) for the returned
+    mask, so the table covers only the points the trials draw.
+    """
+    drawn = np.zeros(region.point_count, dtype=bool)
+    drawn[idx] = True
+    rows = np.cumsum(drawn) - 1
+    for trial in idx:
+        trial[:] = rows[trial]
+    mask = np.zeros_like(region.mask)
+    mask[region.mask] = drawn
+    return mask
 
 
 def _min_eigs(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -217,26 +234,33 @@ def required_samples(nu: float, delta: float, omega_measure: float, eps2: float 
     return max(1, int(math.floor(bound + 0.5)))
 
 
-def _trial_failure_frequency(
-    trials: int, r: int, P: int, master_seed: int, fails, row_width: int, threads: int = 1
-) -> float:
-    """Fraction of trials whose draw fails; the one Monte Carlo engine.
+def _draw_trials(trials: int, r: int, P: int, master_seed: int) -> np.ndarray:
+    """(trials, r) block of point indices; row i is trial i's draw.
 
     Trial i draws r of the P region points i.i.d. exactly as uniform_sample
     does, seeded with index i of TRIAL_STREAM under master_seed, so trials
-    are independent, reproducible and parallel-safe.
-    fails maps a (B, r) block of point indices to B booleans; aggregation
-    is an order-independent count over chunks of trials.
+    are independent and reproducible.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    idx = np.empty((trials, r), dtype=np.int64)
+    for i in range(trials):
+        rng = np.random.default_rng(derive_seed(master_seed, TRIAL_STREAM, i))
+        idx[i] = _draw_indices(rng, P, r, False)
+    return idx
+
+
+def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1) -> float:
+    """Fraction of the trials (rows of idx) that fail; the one Monte Carlo count.
+
+    fails maps a (B, r) block of idx to B booleans; aggregation is an
+    order-independent count over chunks of trials, so any thread count
+    gives the same result.
+    """
+    trials, r = idx.shape
 
     def count_chunk(t0: int, t1: int) -> int:
-        idx = np.empty((t1 - t0, r), dtype=np.int64)
-        for i in range(t0, t1):
-            rng = np.random.default_rng(derive_seed(master_seed, TRIAL_STREAM, i))
-            idx[i - t0] = _draw_indices(rng, P, r, False)
-        return int(np.count_nonzero(fails(idx)))
+        return int(np.count_nonzero(fails(idx[t0:t1])))
 
     # keep a gathered (chunk, r, row_width) complex block and its conjugate near ~128 MB
     chunk = max(1, min(trials, 4_000_000 // max(1, r * row_width)))
@@ -268,12 +292,13 @@ def monte_carlo_failure_frequency(
     region, window, eigs = setup
     if eigs.N < 1:
         raise ParameterError("Monte Carlo needs a spectral cut with N >= 1")
-    table = _region_table(eigs, region, window)
+    idx = _draw_trials(trials, r, region.point_count, master_seed)
+    # tabulate only the points the trials draw: 16 * N bytes per distinct point
+    table = _region_table(eigs, _drawn_mask(region, idx), window)
     diag = expected_T(eigs, region)
     thresh = -nu / region.measure
-    return _trial_failure_frequency(
-        trials, r, region.point_count, master_seed,
-        lambda idx: _min_eigs(table[idx], diag) <= thresh, eigs.N, threads,
+    return _failure_frequency(
+        idx, lambda blk: _min_eigs(table[blk], diag) <= thresh, eigs.N, threads
     )
 
 
@@ -295,4 +320,4 @@ def covering_exceedance_frequency(
     def fails(idx):
         return np.array([np.bincount(row).max() for row in cell_of_point[idx]]) > a * r
 
-    return _trial_failure_frequency(trials, r, region.point_count, master_seed, fails, 1)
+    return _failure_frequency(_draw_trials(trials, r, region.point_count, master_seed), fails, 1)

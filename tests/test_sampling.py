@@ -30,7 +30,14 @@ from tfsamp import (
     uniform_sample,
 )
 from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
-from tfsamp.sampling import TRIAL_STREAM, _region_table, _trial_failure_frequency, derive_seed
+from tfsamp.sampling import (
+    TRIAL_STREAM,
+    _draw_trials,
+    _drawn_mask,
+    _failure_frequency,
+    _region_table,
+    derive_seed,
+)
 
 from oracles import (
     mp_covering_tail,
@@ -382,7 +389,7 @@ def _disk_plus_noisy_block(L):
 def test_region_table_matches_stft():
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
-        table = _region_table(eigs, region, window)
+        table = _region_table(eigs, region.mask, window)
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
@@ -393,7 +400,7 @@ def test_region_table_matches_stft():
     # against the direct O(L^3) sum, so the check does not rest on FFT vs FFT
     region = _disk_plus_noisy_block(24)
     eigs, window = _eigs_and_window(region)
-    table = _region_table(eigs, region, window)
+    table = _region_table(eigs, region.mask, window)
     assert eigs.N >= 2
     for k in range(eigs.N):
         V = stft_direct(eigs.eigenvectors[:, k], window.values)
@@ -408,11 +415,44 @@ def test_region_table_peak_memory():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        table = _region_table(eigs, region, window)
+        table = _region_table(eigs, region.mask, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * table.nbytes
+
+
+def test_drawn_table_rows_match_full_table():
+    # the table of the drawn points only, read through the remapped indices
+    region = disk_region(128, TFPoint(3, 125), 40)
+    eigs, window = _eigs_and_window(region)
+    idx = _draw_trials(6, 25, region.point_count, 5)
+    drawn = idx.copy()
+    mask = _drawn_mask(region, idx)
+    assert np.count_nonzero(mask) == np.unique(drawn).size < region.point_count
+    assert np.array_equal(np.argwhere(mask), region.points()[np.unique(drawn)])
+    table = _region_table(eigs, mask, window)
+    full = _region_table(eigs, region.mask, window)
+    assert table.shape == (np.unique(drawn).size, eigs.N)
+    assert np.array_equal(table[idx].view(np.float64), full[drawn].view(np.float64))
+
+
+def test_monte_carlo_tabulates_only_drawn_points():
+    # 5 trials x 20 samples touch at most 100 of the ~5000 region points
+    region = disk_region(128, TFPoint(64, 64), 40)
+    eigs, window = _eigs_and_window(region)
+    assert eigs.N == 39
+    full_table_bytes = 16 * region.point_count * eigs.N
+    setup = (region, window, eigs)
+    monte_carlo_failure_frequency(5, 0.3, 20, setup, master_seed=4)  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        monte_carlo_failure_frequency(5, 0.3, 20, setup, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * full_table_bytes
 
 
 # ---------------------------------------------------------------- monte carlo
@@ -477,14 +517,16 @@ def test_batched_engine_matches_single_draws(sys32):
     assert 0.0 < cover < 1.0
     assert cover == np.count_nonzero(N0 > a * 40) / trials
 
-    # one trial per chunk on a thread pool counts the same failures as one chunk
+    # the engine's draw block is those draws; one trial per chunk on a thread
+    # pool counts the same failures as one chunk
     def fails(idx):
         return np.isin(idx, np.arange(20)).any(axis=1)
 
-    P = region.point_count
-    one = _trial_failure_frequency(trials, 30, P, seed, fails, row_width=1)
+    idx = _draw_trials(trials, 30, region.point_count, seed)
+    assert np.array_equal(region.points()[idx], np.stack([s.points for s in draws[:trials]]))
+    one = _failure_frequency(idx, fails, row_width=1)
     assert 0.0 < one < 1.0
-    assert _trial_failure_frequency(trials, 30, P, seed, fails, 10**9, threads=2) == one
+    assert _failure_frequency(idx, fails, 10**9, threads=2) == one
 
 
 def test_covering_exceedance_deterministic(sys32):

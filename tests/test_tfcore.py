@@ -45,6 +45,14 @@ def test_gaussian_window_symmetry():
         assert abs(phi[t] - phi[(16 - t) % 16]) < 1e-15
 
 
+@pytest.mark.parametrize("L", [120, 480, 960, 1920])
+def test_gaussian_window_has_no_subnormal_products(L):
+    # a tail entry below sqrt(tiny) makes subnormal products with the window
+    phi = np.real(make_gaussian_window(L).values)
+    root_tiny = np.sqrt(np.finfo(np.float64).tiny)
+    assert not np.any((phi > 0.0) & (phi < root_tiny))
+
+
 def test_gaussian_window_rejects_tiny_L():
     with pytest.raises(DimensionError):
         make_gaussian_window(3)
