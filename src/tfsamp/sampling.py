@@ -259,19 +259,19 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
     """
     trials, r = idx.shape
 
-    def count_chunk(t0: int, t1: int) -> int:
-        return int(np.count_nonzero(fails(idx[t0:t1])))
+    def count_chunk(span: slice) -> int:
+        return int(np.count_nonzero(fails(idx[span])))
 
     # keep a gathered (chunk, r, row_width) complex block and its conjugate near ~128 MB
     chunk = max(1, min(trials, 4_000_000 // max(1, r * row_width)))
-    spans = [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
+    spans = [slice(t0, t0 + chunk) for t0 in range(0, trials, chunk)]
     if threads > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            failures = sum(ex.map(lambda s: count_chunk(*s), spans))
+            failures = sum(ex.map(count_chunk, spans))
     else:
-        failures = sum(count_chunk(*s) for s in spans)
+        failures = sum(map(count_chunk, spans))
     return failures / trials
 
 
