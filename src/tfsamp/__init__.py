@@ -8,7 +8,6 @@ concentrated functions, and reconstruct them by least squares.
 """
 
 from .bounds import (
-    BoundReport,
     SamplingCheck,
     admissible_params,
     exact_bessel_bound,
@@ -56,7 +55,6 @@ from .regions import (
     disk_region,
     full_region,
     mask_region,
-    region_measure,
     uniform_sample,
 )
 from .reports import RunReport, read_mask, read_signal, write_mask, write_report, write_signal

@@ -20,7 +20,7 @@ guarantee, not that sampling failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .regions import SampleSet
 from .tfcore import Signal, Window
 
 __all__ = [
-    "BoundReport",
     "SamplingCheck",
     "exact_bessel_bound",
     "lemma_lower_bound_A",
@@ -37,23 +36,6 @@ __all__ = [
     "admissible_params",
     "verify_sampling_inequality",
 ]
-
-
-@dataclass
-class BoundReport:
-    """Certificate constants for one sampled system."""
-
-    bessel_B: float
-    C_phi: float
-    A_lemma: float
-    A_theorem: float
-    eps_max: float
-    nu_max: float
-    params: dict = field(default_factory=dict)
-
-    @property
-    def vacuous(self) -> bool:
-        return self.A_lemma <= 0.0 and self.A_theorem <= 0.0
 
 
 @dataclass(frozen=True)

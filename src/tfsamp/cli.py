@@ -154,15 +154,24 @@ def _eigen_summary(region, window, H, eigs) -> dict:
 def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     """Runner skeleton shared by every verb.
 
-    Times build_setup, starts the report with the eigen section and makes
-    the output directory, then yields (report, region, window, eigs); the
-    with-block adds its sections, artifacts and any extra timings.
+    Times build_setup, starts the report with the eigen section and its
+    headline line, makes the output directory, then yields (report, region,
+    window, eigs); the with-block adds sections, headline lines, artifacts
+    and any extra timings.
     """
     t0 = time.perf_counter()
     region, window, H, eigs = build_setup(cfg)
+    if eigs.N < 1 and verb != "spectrum":  # every other verb works inside V_N
+        raise InfeasibleError(
+            f"V_N is empty: no eigenvalue reaches gamma = {eigs.gamma:g} "
+            f"(alpha_1 = {eigs.eigenvalues[0]:.12g})"
+        )
     report = RunReport(verb, cfg.master_seed, cfg.to_dict())
     report.timings["setup_s"] = time.perf_counter() - t0
-    report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
+    e = report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
+    report.headline.append(
+        f"L={e['L']}  |Omega|={e['measure']:.6g}  N={e['N']}  trace={e['trace']:.6g}"
+    )
     os.makedirs(outdir, exist_ok=True)
     yield report, region, window, eigs
     report.timings["total_s"] = time.perf_counter() - t0
@@ -210,6 +219,15 @@ def _epsilon_rows(cfg: ExperimentConfig, eigs, evaluate) -> list:
             row.update(evaluate(i, eps_t, f))
         rows.append(row)
     return rows
+
+
+def _row_lines(rows: list, describe) -> list:
+    """Headline line per epsilon row; describe(row) formats a feasible one."""
+    return [
+        f"eps_target={row['epsilon_target']:.4g}  infeasible: {row['infeasible']}"
+        if row["infeasible"] else describe(row)
+        for row in rows
+    ]
 
 
 def _write_row_table(path: str, header: list, rows: list):
@@ -276,6 +294,10 @@ def run_reconstruct(
             )
 
         rows = _epsilon_rows(cfg, eigs, evaluate)
+        report.headline += _row_lines(rows, lambda row: (
+            f"eps={row['epsilon_measured']:.4g}  rel_error={row['relative_error']:.4g}"
+            f"  bound={row['error_bound']:.4g}  iters={row['iterations']}"
+        ))
         report.sections["reconstruct"] = {
             "r": samples.r,
             "distinct": samples.distinct,
@@ -318,6 +340,10 @@ def run_montecarlo(
                 "empirical_freq": freq,
                 **_tail_fields(cfg, region, eigs, nu, int(r)),
             })
+            report.headline.append(
+                f"nu={nu:.3g} r={int(r)}  empirical={freq:.4g}"
+                f"  bound={min(1.0, rows[-1]['subspace_bound']):.4g}"
+            )
         report.timings["trials_s"] = time.perf_counter() - t1
 
         report.sections["montecarlo"] = {
@@ -381,6 +407,22 @@ def run_certify(
 
         rows = _epsilon_rows(cfg, eigs, evaluate)
         tails = _tail_fields(cfg, region, eigs, cfg.nu, samples.r)
+        all_vacuous = all(row.get("vacuous", True) for row in rows)
+        report.headline.append(
+            f"B={B:.6g}  C_phi={C_phi:.6g}  N0={covering.N0}"
+            f"  eps_max={eps_max:.4g}  all_vacuous={all_vacuous}"
+        )
+
+        def describe(row):
+            alem, athm = ("n/a" if a is None else f"{a:.4g}"
+                          for a in (row["A_lemma"], row["A_theorem"]))
+            return (
+                f"eps={row['epsilon_certified']:.4g}  A_lemma={alem}  A_theorem={athm}"
+                f"  ratio={row['ratio']:.4g}  lower_holds={row['lower_holds']}"
+                f"  vacuous={row['vacuous']}"
+            )
+
+        report.headline += _row_lines(rows, describe)
         report.sections["bounds"] = {
             "r": samples.r,
             "distinct": samples.distinct,
@@ -394,7 +436,7 @@ def run_certify(
             "nu_max_at_eps_max": nu_max(eps_max),
             "success_probability": tails["success_probability"],
             "required_samples": tails["required_samples"],
-            "all_vacuous": all(row.get("vacuous", True) for row in rows),
+            "all_vacuous": all_vacuous,
             "rows": rows,
         }
         header = [
@@ -422,6 +464,10 @@ def run_witness(
             c = concentration_from_eigs(sig, eigs)
             return {"value": c.value, "epsilon": c.epsilon}
 
+        report.headline += [
+            f"nonlinearity: M={nl.M}  delta={nl.delta:.6g}",
+            f"alias: delta={alias.delta:.6g}  sample_gap={alias.sample_gap:.3g}",
+        ]
         report.sections["nonlinearity"] = {
             "eps": nl.eps,
             "eta": nl.eta,
@@ -457,51 +503,6 @@ _RUNNERS = {
     "certify": run_certify,
     "witness": run_witness,
 }
-
-
-def _print_headline(report: RunReport):
-    s = report.sections
-    e = s["eigen"]  # every runner starts its report with the eigen section
-    print(f"L={e['L']}  |Omega|={e['measure']:.6g}  N={e['N']}  trace={e['trace']:.6g}")
-    if report.verb == "reconstruct":
-        for row in s["reconstruct"]["rows"]:
-            if row["infeasible"]:
-                print(f"eps_target={row['epsilon_target']:.4g}  infeasible: {row['infeasible']}")
-            else:
-                print(
-                    f"eps={row['epsilon_measured']:.4g}  rel_error={row['relative_error']:.4g}"
-                    f"  bound={row['error_bound']:.4g}  iters={row['iterations']}"
-                )
-    elif report.verb == "montecarlo":
-        for row in s["montecarlo"]["rows"]:
-            print(
-                f"nu={row['nu']:.3g} r={row['r']}  empirical={row['empirical_freq']:.4g}"
-                f"  bound={min(1.0, row['subspace_bound']):.4g}"
-            )
-    elif report.verb == "certify":
-        b = s["bounds"]
-        print(
-            f"B={b['bessel_B']:.6g}  C_phi={b['C_phi']:.6g}  N0={b['N0']}"
-            f"  eps_max={b['eps_max']:.4g}  all_vacuous={b['all_vacuous']}"
-        )
-        for row in b["rows"]:
-            if row["infeasible"]:
-                print(f"eps_target={row['epsilon_target']:.4g}  infeasible: {row['infeasible']}")
-            else:
-                alem = "n/a" if row["A_lemma"] is None else f"{row['A_lemma']:.4g}"
-                athm = "n/a" if row["A_theorem"] is None else f"{row['A_theorem']:.4g}"
-                print(
-                    f"eps={row['epsilon_certified']:.4g}  A_lemma={alem}  A_theorem={athm}"
-                    f"  ratio={row['ratio']:.4g}  lower_holds={row['lower_holds']}"
-                    f"  vacuous={row['vacuous']}"
-                )
-    elif report.verb == "witness":
-        print(
-            f"nonlinearity: M={s['nonlinearity']['M']}  delta={s['nonlinearity']['delta']:.6g}"
-        )
-        print(
-            f"alias: delta={s['alias']['delta']:.6g}  sample_gap={s['alias']['sample_gap']:.3g}"
-        )
 
 
 # first matching class wins; parameter/dimension misuse surfaces via the config path
@@ -546,8 +547,7 @@ def main(argv=None) -> int:
         )
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    _print_headline(report)
-    print(f"report: {paths[0]}")
+    print(*report.headline, f"report: {paths[0]}", sep="\n")
     return 0
 
 

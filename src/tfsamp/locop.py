@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, ParameterError
 from .regions import TFRegion
-from .tfcore import Signal, Window, _stft_values
+from .tfcore import Signal, Window, _stft_values, _translates
 
 __all__ = [
     "LocalizationOperator",
@@ -76,10 +76,9 @@ class EigenSystem:
     def L(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def basis(self, upto: int | None = None) -> np.ndarray:
-        """(L, k) matrix of the first k eigenvectors (default k = N)."""
-        k = self.N if upto is None else upto
-        return self.eigenvectors[:, :k]
+    def basis(self) -> np.ndarray:
+        """(L, N) matrix of the V_N basis psi_1..psi_N."""
+        return self.eigenvectors[:, : self.N]
 
     def coeffs(self, f: Signal) -> np.ndarray:
         """All L eigenbasis coefficients: c[k] = <f, psi_k>, so f = sum_k c[k] psi_k."""
@@ -107,14 +106,14 @@ def build_localization_operator(region: TFRegion, window: Window) -> Localizatio
     mask = region.mask.astype(np.float64)
     H = np.empty((L, L), dtype=np.complex128)
     t = np.arange(L)
-    d = np.arange(L)
+    # cols[d, u] = (u - d) mod L, for every diagonal offset d
+    cols = _translates(t, t)
     # frequency sum per time row m: M[m, d] = sum_n mask[m, n] e^{2 pi i n d / L}
     M = L * np.fft.ifft(mask, axis=1)
     # A[d, u] = phi(u) * conj(phi((u - d) mod L)); row d pairs the two translates
-    A = phi[None, :] * np.conj(phi[(t[None, :] - d[:, None]) % L])
+    A = phi[None, :] * np.conj(phi[cols])
     # H[t, (t-d)%L] = (1/L) * sum_m A[d, (t - m)%L] * M[m, d]  (circular convolution in m)
     conv = np.fft.ifft(np.fft.fft(A, axis=1) * np.fft.fft(M.T, axis=1), axis=1)
-    cols = (t[None, :] - d[:, None]) % L
     rows = np.broadcast_to(t[None, :], (L, L))
     H[rows, cols] = conv / L
     H = 0.5 * (H + H.conj().T)  # kill roundoff asymmetry
@@ -139,18 +138,15 @@ def eigendecompose(
         raise NumericalError(f"dense Hermitian eigensolve failed: {exc}") from exc
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    # phase fix, column by column (vectorized over columns)
+    # phase fix, column by column (vectorized over columns); a unit-norm column's
+    # largest entry has modulus >= 1/sqrt(L), so no pivot is zero
     lead = np.abs(v).argmax(axis=0)
     pivots = v[lead, np.arange(v.shape[1])]
-    mags = np.abs(pivots)
-    safe = mags > 0
-    phase = np.ones_like(pivots)
-    phase[safe] = np.conj(pivots[safe]) / mags[safe]
-    v = v * phase[None, :]
+    v = v * (np.conj(pivots) / np.abs(pivots))[None, :]
     eigs = EigenSystem(w, v, 0, float(gamma))
     eigs.N = choose_N(eigs, gamma)
-    # one cheap sanity check: worst eigen-residual must be tiny for a desk-scale
-    # dense solve; a blow-up here means the input was not Hermitian PSD
+    # one cheap sanity check: the residual of the top eigenpair must be tiny for a
+    # desk-scale dense solve; a blow-up here means the input was not Hermitian PSD
     k = int(np.argmax(w))
     res = np.linalg.norm(H.matrix @ v[:, k] - w[k] * v[:, k])
     if not np.isfinite(res) or res > residual_tol:

@@ -187,7 +187,7 @@ def make_concentrated_test_function(eigs: EigenSystem, eps_target: float, seed: 
         )
     if lo.size == 0:
         raise InfeasibleError("no eigenvalues below gamma; cannot blend energy outside V_N")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(int(seed))
     cu = rng.normal(size=hi.size) + 1j * rng.normal(size=hi.size)
     cu /= np.linalg.norm(cu)
     cv = rng.normal(size=lo.size) + 1j * rng.normal(size=lo.size)

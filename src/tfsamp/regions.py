@@ -28,7 +28,6 @@ __all__ = [
     "disk_region",
     "mask_region",
     "full_region",
-    "region_measure",
     "uniform_sample",
     "covering_index",
     "default_cell_px",
@@ -84,9 +83,6 @@ class SampleSet:
     def r(self) -> int:
         return self.points.shape[0]
 
-    def tfpoints(self) -> list:
-        return [TFPoint(int(m), int(n)) for m, n in self.points]
-
     def analysis_rows(self, window: Window) -> np.ndarray:
         """(r, L) sampled analysis matrix W: (W @ f)[j] == V_phi f(lam_j)."""
         return _analysis_rows(self.points[:, 0], self.points[:, 1], window.values)
@@ -130,11 +126,6 @@ def full_region(L: int) -> TFRegion:
     return TFRegion(L, np.ones((L, L), dtype=bool))
 
 
-def region_measure(region: TFRegion) -> float:
-    """|Omega| = #points / L."""
-    return region.measure
-
-
 def _draw_indices(rng: np.random.Generator, P: int, r: int, distinct: bool) -> np.ndarray:
     if distinct:
         # first-r-distinct of an iid uniform stream == uniform without replacement
@@ -156,7 +147,7 @@ def uniform_sample(region: TFRegion, r: int, seed: int, distinct: bool = False) 
         raise RegionError("cannot sample from an empty region")
     if distinct and r > P:
         raise InfeasibleError(f"r={r} distinct points requested but region has {P}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(int(seed))
     idx = _draw_indices(rng, P, r, distinct)
     return SampleSet(region.points()[idx], int(seed), region, distinct)
 
@@ -166,18 +157,20 @@ def default_cell_px(L: int) -> int:
     return max(1, round(math.sqrt(L)))
 
 
-def covering_index(samples: SampleSet, cell_px: int) -> CoveringReport:
-    """Partition the grid into aligned cell_px x cell_px cells; N0 = max occupancy."""
+def _cell_ids(points: np.ndarray, L: int, cell_px: int):
+    """(C, ids): C = ceil(L / cell_px) aligned cells per side, and the row-major id
+    of the cell_px x cell_px covering cell that holds each (m, n) row of points."""
     if cell_px < 1:
         raise ParameterError("cell_px must be >= 1")
-    L = samples.region.L
-    C = -(-L // cell_px)  # ceil
-    counts = np.zeros((C, C), dtype=np.int64)
-    if samples.r:
-        ci = samples.points[:, 0] // cell_px
-        cj = samples.points[:, 1] // cell_px
-        np.add.at(counts, (ci, cj), 1)
-    return CoveringReport(int(cell_px), counts, int(counts.max()) if samples.r else 0)
+    C = -(-L // cell_px)
+    return C, (points[:, 0] // cell_px) * C + points[:, 1] // cell_px
+
+
+def covering_index(samples: SampleSet, cell_px: int) -> CoveringReport:
+    """Partition the grid into aligned cell_px x cell_px cells; N0 = max occupancy."""
+    C, ids = _cell_ids(samples.points, samples.region.L, cell_px)
+    counts = np.bincount(ids, minlength=C * C).reshape(C, C)
+    return CoveringReport(int(cell_px), counts, int(counts.max()))
 
 
 def covering_excess(region: TFRegion, cell_px: int) -> float:
@@ -186,10 +179,5 @@ def covering_excess(region: TFRegion, cell_px: int) -> float:
     The region is covered by at most |Omega| + eps1 cells; eps1 absorbs the
     boundary cells that are only partially filled.
     """
-    if cell_px < 1:
-        raise ParameterError("cell_px must be >= 1")
-    pts = region.points()
-    if pts.shape[0] == 0:
-        return 0.0
-    n_cells = np.unique((pts[:, 0] // cell_px) * region.L + pts[:, 1] // cell_px).size
-    return n_cells - region.measure
+    _, ids = _cell_ids(region.points(), region.L, cell_px)
+    return np.unique(ids).size - region.measure

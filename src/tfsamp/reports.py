@@ -179,6 +179,7 @@ class RunReport:
     sections: dict = field(default_factory=dict)  # name -> dict | list of dicts
     artifacts: list = field(default_factory=list)  # relative paths written alongside
     timings: dict = field(default_factory=dict)  # seconds; excluded from determinism
+    headline: list = field(default_factory=list)  # stdout lines; in neither report file
 
 
 def _render_value(v, indent: str) -> list:

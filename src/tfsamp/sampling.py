@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .locop import EigenSystem
-from .regions import TFRegion, _draw_indices
+from .regions import TFRegion, _cell_ids, _draw_indices
 from .tfcore import TFPoint, Window, _analysis_rows, _stft_rows
 
 __all__ = [
@@ -135,7 +135,7 @@ def _region_table(eigs: EigenSystem, mask: np.ndarray, window: Window) -> np.nda
     contiguous eigenvector basis and the FFT temporaries).
     """
     # contiguous rows: the strided view of eigenvectors makes the FFTs ~1.5x slower
-    psi = np.ascontiguousarray(eigs.eigenvectors[:, : eigs.N].T)
+    psi = np.ascontiguousarray(eigs.basis().T)
     return _stft_rows(psi, window.values, mask)
 
 
@@ -262,8 +262,9 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
     def count_chunk(span: slice) -> int:
         return int(np.count_nonzero(fails(idx[span])))
 
-    # keep a gathered (chunk, r, row_width) complex block and its conjugate near ~128 MB
-    chunk = max(1, min(trials, 4_000_000 // max(1, r * row_width)))
+    # keep the gathered (chunk, r, row_width) complex blocks and their conjugates
+    # near ~128 MB in total over all threads
+    chunk = max(1, min(trials, 4_000_000 // threads // max(1, r * row_width)))
     spans = [slice(t0, t0 + chunk) for t0 in range(0, trials, chunk)]
     if threads > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -311,11 +312,7 @@ def covering_exceedance_frequency(
     master_seed: int,
 ) -> float:
     """Fraction of trials whose covering index N0 exceeds a*r (same trial draws)."""
-    if cell_px < 1:
-        raise ParameterError("cell_px must be >= 1")
-    pts = region.points()
-    C = -(-region.L // cell_px)
-    cell_of_point = (pts[:, 0] // cell_px) * C + (pts[:, 1] // cell_px)
+    _, cell_of_point = _cell_ids(region.points(), region.L, cell_px)
 
     def fails(idx):
         return np.array([np.bincount(row).max() for row in cell_of_point[idx]]) > a * r

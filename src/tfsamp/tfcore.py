@@ -68,9 +68,6 @@ class Signal:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def copy(self) -> "Signal":
-        return Signal(self.values.copy())
-
 
 @dataclass(eq=False)
 class Window:
@@ -161,25 +158,25 @@ def make_gaussian_window(L: int) -> Window:
     return Window(Signal(acc.astype(np.complex128)))
 
 
-def _shift_index(L: int) -> np.ndarray:
-    # idx[m, t] = (t - m) mod L, so phi[idx] stacks all L translates row-wise
+def _translates(x: np.ndarray, shifts) -> np.ndarray:
+    """Circular translates of x, one per shift: out[i, t] = x[(t - shifts[i]) mod L]."""
+    L = x.shape[0]
     t = np.arange(L)
-    return (t[None, :] - t[:, None]) % L
+    return x[(t[None, :] - np.asarray(shifts)[:, None]) % L]
 
 
 def tf_shift(f: Signal, lam: TFPoint) -> Signal:
     """Time-frequency shift pi(lam): translate by m, then modulate by n. Unitary."""
     L = f.L
     _check_point(lam, L)
-    t = np.arange(L)
-    shifted = f.values[(t - lam.m) % L]
-    return Signal(shifted * np.exp(2j * np.pi * lam.n * t / L))
+    shifted = _translates(f.values, [lam.m])[0]
+    return Signal(shifted * np.exp(2j * np.pi * lam.n * np.arange(L) / L))
 
 
 def _stft_values(fvals: np.ndarray, phivals: np.ndarray) -> np.ndarray:
     L = fvals.shape[0]
     # row m of the integrand: f(t) * conj(phi((t - m) mod L)); FFT over t gives all n
-    W = phivals[_shift_index(L)]
+    W = _translates(phivals, np.arange(L))
     return np.fft.fft(fvals[None, :] * np.conj(W), axis=1)
 
 
@@ -198,8 +195,8 @@ def _stft_rows(fvals: np.ndarray, phivals: np.ndarray, mask: np.ndarray) -> np.n
     i = 0
     for m in np.flatnonzero(mask.any(axis=1)):
         cols = mask[m]
-        # row m of _stft_values for every signal; np.roll(x, m)[t] == x[(t - m) mod L]
-        F = np.fft.fft(fvals * np.roll(conj_phi, m), axis=1)
+        # row m of _stft_values for every signal
+        F = np.fft.fft(fvals * _translates(conj_phi, [m])[0], axis=1)
         j = i + np.count_nonzero(cols)
         out[i:j] = F[:, cols].T
         i = j
@@ -214,7 +211,7 @@ def stft(f: Signal, phi: Window) -> TFMatrix:
 
 def _adjoint_values(Fvals: np.ndarray, phivals: np.ndarray) -> np.ndarray:
     L = Fvals.shape[0]
-    W = phivals[_shift_index(L)]
+    W = _translates(phivals, np.arange(L))
     # ifft carries the 1/L grid weight; synthesis sums the modulated translates
     return (W * np.fft.ifft(Fvals, axis=1)).sum(axis=0)
 
@@ -232,9 +229,8 @@ def stft_adjoint(F: TFMatrix, phi: Window) -> Signal:
 def _analysis_rows(mvec: np.ndarray, nvec: np.ndarray, phivals: np.ndarray) -> np.ndarray:
     """Rows of the sampled analysis map: out[j] @ f == V_phi f(m_j, n_j)."""
     L = phivals.shape[0]
-    t = np.arange(L)
-    tr = np.conj(phivals[(t[None, :] - np.asarray(mvec)[:, None]) % L])
-    return tr * np.exp(-2j * np.pi * np.asarray(nvec)[:, None] * t[None, :] / L)
+    tr = np.conj(_translates(phivals, mvec))
+    return tr * np.exp(-2j * np.pi * np.asarray(nvec)[:, None] * np.arange(L)[None, :] / L)
 
 
 def stft_point(f: Signal, phi: Window, lam: TFPoint) -> complex:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tfsamp import (
-    BoundReport,
     ParameterError,
     SampleSet,
     Signal,
@@ -247,17 +246,3 @@ def test_projected_atoms_form_frame_when_statistic_clears(sys32):
     w = np.linalg.eigvalsh(G)
     assert w[0] >= (gamma - nu) * r / om - 1e-8
     assert w[-1] <= r + 1e-9
-
-
-# ---------------------------------------------------------------- report type
-
-
-def test_bound_report_vacuous_flag():
-    rep = BoundReport(
-        bessel_B=7.85, C_phi=0.9, A_lemma=-2.9, A_theorem=-0.1, eps_max=0.01, nu_max=0.2
-    )
-    assert rep.vacuous
-    rep2 = BoundReport(
-        bessel_B=7.85, C_phi=0.9, A_lemma=-2.9, A_theorem=0.4, eps_max=0.01, nu_max=0.2
-    )
-    assert not rep2.vacuous

@@ -245,6 +245,48 @@ epsilon_targets = 0.1
     assert os.path.exists(os.path.join(out, "samples.csv"))
 
 
+# ---------------------------------------------------------------- headlines
+
+HEADLINE = """
+[experiment]
+L = 32
+r = 20
+trials = 10
+
+[region]
+radius_px = 8
+
+[reconstruct]
+epsilon_targets = 0.2, 1e-9
+
+[montecarlo]
+nu_grid = 0.5, 0.8
+r_grid = 20, 40
+"""
+
+# prefixes of the lines between the L= line and the report: line
+HEADLINE_LINES = {
+    "spectrum": [],
+    "reconstruct": ["eps=", "eps_target=1e-09  infeasible: "],
+    "certify": ["B=", "eps=", "eps_target=1e-09  infeasible: "],
+    "montecarlo": ["nu=0.5 r=20  ", "nu=0.5 r=40  ", "nu=0.8 r=20  ", "nu=0.8 r=40  "],
+    "witness": ["nonlinearity: M=", "alias: delta="],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HEADLINE_LINES))
+def test_runner_headlines(tmp_path, capsys, verb):
+    out = str(tmp_path / "out")
+    assert main([verb, "--config", _ini(tmp_path, HEADLINE), "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("L=32  |Omega|=")
+    assert lines[-1] == f"report: {os.path.join(out, 'report.txt')}"
+    prefixes = HEADLINE_LINES[verb]
+    assert len(lines) == len(prefixes) + 2
+    for line, prefix in zip(lines[1:-1], prefixes):
+        assert line.startswith(prefix), (line, prefix)
+
+
 # ----------------------------------------------------------------- witness
 
 
@@ -295,6 +337,33 @@ eta = 2.0
 
 
 # -------------------------------------------------------- errors and seeds
+
+
+@pytest.mark.parametrize("verb", ["reconstruct", "certify", "witness", "montecarlo"])
+def test_empty_model_space_exits_4(tmp_path, capsys, verb):
+    # alpha_1 = 0.919 < gamma, so V_N is empty; only spectrum can report on it
+    ini = _ini(tmp_path, """
+[experiment]
+L = 32
+gamma = 0.99
+r = 5
+trials = 5
+
+[region]
+radius_px = 5
+
+[montecarlo]
+nu_grid = 0.3
+r_grid = 5
+""")
+    assert main(["spectrum", "--config", ini, "--out", str(tmp_path / "spec")]) == 0
+    assert _json_report(str(tmp_path / "spec"))["sections"]["eigen"]["N"] == 0
+    capsys.readouterr()
+    assert main([verb, "--config", ini, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request: V_N is empty")
+    assert "gamma = 0.99" in err and "alpha_1 = 0.9187" in err
+
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -13,7 +13,6 @@ from tfsamp import (
     disk_region,
     full_region,
     mask_region,
-    region_measure,
     uniform_sample,
 )
 
@@ -31,14 +30,14 @@ def test_disk_point_count_matches_scan(L, radius):
 
 def test_disk_measure_at_experiment_scale():
     reg = disk_region(480, TFPoint(240, 240), 120.0)
-    assert abs(region_measure(reg) - 94.21875) < 0.1
+    assert abs(reg.measure - 94.21875) < 0.1
     assert reg.point_count == 45225
 
 
 def test_disk_radius_half_pixel_is_single_point():
     reg = disk_region(32, TFPoint(10, 20), 0.5)
     assert reg.point_count == 1
-    assert region_measure(reg) == 1 / 32
+    assert reg.measure == 1 / 32
     assert reg.mask[10, 20]
 
 
@@ -61,17 +60,17 @@ def test_disk_must_not_wrap():
 
 
 def test_region_measure_full_and_empty():
-    assert region_measure(full_region(24)) == 24.0
+    assert full_region(24).measure == 24.0
     empty = mask_region(np.zeros((24, 24), dtype=bool))
-    assert region_measure(empty) == 0.0
+    assert empty.measure == 0.0
 
 
 def test_region_measure_additive_on_disjoint_masks():
     rng = np.random.default_rng(0)
     a = rng.random((20, 20)) < 0.3
     b = (rng.random((20, 20)) < 0.3) & ~a
-    total = region_measure(mask_region(a | b))
-    assert total == region_measure(mask_region(a)) + region_measure(mask_region(b))
+    total = mask_region(a | b).measure
+    assert total == mask_region(a).measure + mask_region(b).measure
 
 
 def test_mask_region_requires_square():
@@ -212,7 +211,7 @@ def test_covering_excess_counts_boundary_cells():
     eps1 = covering_excess(reg, cell)
     pts = reg.points()
     ncells = np.unique(pts // cell, axis=0).shape[0]
-    assert eps1 == ncells - region_measure(reg)
+    assert eps1 == ncells - reg.measure
     assert eps1 >= 0
 
 

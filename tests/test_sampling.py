@@ -477,6 +477,23 @@ def test_monte_carlo_threads_agree(sys32):
     assert a == b
 
 
+def test_monte_carlo_threads_share_one_chunk_budget(sys120):
+    # the ~128 MB chunk budget is split over the threads, not held once per thread
+    setup = (sys120.region, sys120.window, sys120.eigs)
+    freq, peak = {}, {}
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            freq[threads] = monte_carlo_failure_frequency(
+                200, 0.2, 4000, setup, master_seed=5, threads=threads
+            )
+            peak[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert freq[1] == freq[2]
+    assert peak[2] <= 1.25 * peak[1]
+
+
 def test_monte_carlo_huge_nu_never_fails(sys32):
     om = sys32.region.measure
     setup = (sys32.region, sys32.window, sys32.eigs)
