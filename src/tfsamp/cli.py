@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -187,17 +188,23 @@ def _cell_px(cfg: ExperimentConfig) -> int:
     return cfg.cell_px if cfg.cell_px is not None else default_cell_px(cfg.L)
 
 
-def _tail_fields(cfg: ExperimentConfig, region, eigs, nu: float, r: int) -> dict:
+def _tail_params(cfg: ExperimentConfig, region, eigs) -> TailParams:
+    """The run's tail constants eps1, eps2 and a, at the config's (nu, r)."""
+    return TailParams(nu=cfg.nu, r=cfg.r, omega_measure=region.measure, N=eigs.N,
+                      eps1=covering_excess(region, _cell_px(cfg)),
+                      eps2=max(0.0, eigs.N - region.measure))
+
+
+def _tail_fields(cfg: ExperimentConfig, tail: TailParams, nu: float, r: int) -> dict:
     """Closed-form tails at (nu, r), raw, as both montecarlo and certify report them."""
-    measure = region.measure
-    eps2 = max(0.0, eigs.N - measure)
-    p = TailParams(nu=nu, r=r, omega_measure=measure, N=eigs.N,
-                   eps1=covering_excess(region, _cell_px(cfg)), eps2=eps2)
+    p = replace(tail, nu=nu, r=r)
     return {
         "subspace_bound": subspace_failure_bound(p),
         "covering_tail": covering_tail(p),
         "success_probability": success_probability(p),
-        "required_samples": required_samples(nu, cfg.delta, measure, eps2) if nu > 0 else None,
+        "required_samples": (
+            required_samples(nu, cfg.delta, p.omega_measure, p.eps2) if nu > 0 else None
+        ),
     }
 
 
@@ -325,7 +332,7 @@ def run_montecarlo(
 ) -> RunReport:
     with _run("montecarlo", cfg, outdir) as (report, region, window, eigs):
         t1 = time.perf_counter()
-        cell_px = _cell_px(cfg)
+        tail = _tail_params(cfg, region, eigs)
         rows = []
         for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
             cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
@@ -338,7 +345,7 @@ def run_montecarlo(
                 "trials": cfg.trials,
                 "cell_seed": cell_seed,
                 "empirical_freq": freq,
-                **_tail_fields(cfg, region, eigs, nu, int(r)),
+                **_tail_fields(cfg, tail, nu, int(r)),
             })
             report.headline.append(
                 f"nu={nu:.3g} r={int(r)}  empirical={freq:.4g}"
@@ -349,10 +356,10 @@ def run_montecarlo(
         report.sections["montecarlo"] = {
             "trials": cfg.trials,
             "delta": cfg.delta,
-            "cell_px": cell_px,
-            "eps1": covering_excess(region, cell_px),
-            "eps2": max(0.0, eigs.N - region.measure),
-            "covering_rate_a": 3.0 / region.measure,
+            "cell_px": _cell_px(cfg),
+            "eps1": tail.eps1,
+            "eps2": tail.eps2,
+            "covering_rate_a": tail.a,
             "rows": rows,
         }
         _write_row_table(
@@ -406,7 +413,7 @@ def run_certify(
             )
 
         rows = _epsilon_rows(cfg, eigs, evaluate)
-        tails = _tail_fields(cfg, region, eigs, cfg.nu, samples.r)
+        tails = _tail_fields(cfg, _tail_params(cfg, region, eigs), cfg.nu, samples.r)
         all_vacuous = all(row.get("vacuous", True) for row in rows)
         report.headline.append(
             f"B={B:.6g}  C_phi={C_phi:.6g}  N0={covering.N0}"

@@ -2,7 +2,8 @@
 
 Every run is fully described by (config file, master seed); the report
 echoes both so any row can be regenerated.  Parsing is total: every
-failure surfaces as a ConfigError naming the offending section.key.
+failure surfaces as a ConfigError naming the offending section.key, and
+a key that no ExperimentConfig field declares is one of them.
 
 Example
 -------
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -60,37 +61,73 @@ __all__ = ["ExperimentConfig", "load_config", "SCHEMA_VERSION"]
 SCHEMA_VERSION = 1
 
 
+def _as_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(low)
+
+
+def _float_list(raw: str) -> list:
+    items = [p for chunk in raw.split(",") for p in chunk.split()]
+    return [float(p) for p in items]
+
+
+def _int_list(raw: str) -> list:
+    return [int(p) for p in _float_list(raw)]
+
+
+# parsers: (conversion, diagnostic when the conversion fails)
+_INT = (int, "must be an integer")
+_REAL = (float, "must be a real number")
+_TEXT = (str.strip, "")
+_BOOL = (_as_bool, "must be a boolean")
+_REALS = (_float_list, "must be a comma-separated list of reals")
+_INTS = (_int_list, "must be a comma-separated list of integers")
+
+
+def _ini(section: str, key, parse: tuple, default=None):
+    """A field read from [section] key; a tuple of keys fills a tuple, all required together."""
+    meta = {"ini": (section, (key,) if isinstance(key, str) else key, parse)}
+    if isinstance(default, list):  # each config gets its own copy
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ExperimentConfig:
-    L: int = 480
-    gamma: float = 0.5
-    r: int = 300
-    nu: float = 0.3
-    trials: int = 2000
-    master_seed: int = 20260816
+    L: int = _ini("experiment", "L", _INT, 480)
+    gamma: float = _ini("experiment", "gamma", _REAL, 0.5)
+    r: int = _ini("experiment", "r", _INT, 300)
+    nu: float = _ini("experiment", "nu", _REAL, 0.3)
+    trials: int = _ini("experiment", "trials", _INT, 2000)
+    master_seed: int = _ini("experiment", "master_seed", _INT, 20260816)
 
-    region_kind: str = "disk"
-    region_center: tuple | None = None  # None -> (L//2, L//2)
-    region_radius_px: float | None = None  # None -> L/4
-    region_mask_path: str | None = None
+    region_kind: str = _ini("region", "kind", _TEXT, "disk")
+    # None -> (L//2, L//2)
+    region_center: tuple | None = _ini("region", ("center_m", "center_n"), _INT)
+    region_radius_px: float | None = _ini("region", "radius_px", _REAL)  # None -> L/4
+    region_mask_path: str | None = _ini("region", "path", _TEXT)
 
-    window_kind: str = "gaussian"
-    window_path: str | None = None
+    window_kind: str = _ini("window", "kind", _TEXT, "gaussian")
+    window_path: str | None = _ini("window", "path", _TEXT)
 
-    epsilon_targets: list = field(default_factory=lambda: [0.1, 0.03, 1e-4, 1e-8])
-    distinct: bool = True
+    epsilon_targets: list = _ini("reconstruct", "epsilon_targets", _REALS, [0.1, 0.03, 1e-4, 1e-8])
+    distinct: bool = _ini("reconstruct", "distinct", _BOOL, True)
 
-    nu_grid: list = field(default_factory=lambda: [0.2, 0.3, 0.5])
-    r_grid: list = field(default_factory=lambda: [250, 1000, 4000])
-    delta: float = 0.05
+    nu_grid: list = _ini("montecarlo", "nu_grid", _REALS, [0.2, 0.3, 0.5])
+    r_grid: list = _ini("montecarlo", "r_grid", _INTS, [250, 1000, 4000])
+    delta: float = _ini("montecarlo", "delta", _REAL, 0.05)
 
-    witness_epsilon: float = 0.2
-    witness_eta: float = 2.0
-    witness_M: int | None = None
+    witness_epsilon: float = _ini("witness", "epsilon", _REAL, 0.2)
+    witness_eta: float = _ini("witness", "eta", _REAL, 2.0)
+    witness_M: int | None = _ini("witness", "M", _INT)
 
-    cg_tol: float = 1e-12
-    eig_residual: float = 1e-8
-    cell_px: int | None = None  # None -> round(sqrt(L))
+    cg_tol: float = _ini("tolerances", "cg_tol", _REAL, 1e-12)
+    eig_residual: float = _ini("tolerances", "eig_residual", _REAL, 1e-8)
+    cell_px: int | None = _ini("experiment", "cell_px", _INT)  # None -> round(sqrt(L))
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -151,37 +188,22 @@ class ExperimentConfig:
         return self
 
 
-def _get(parser, section, key, conv, default, diag):
+# (section, key) pairs a config file may set; configparser lowercases keys
+_KNOWN_KEYS = {("meta", "schema_version")} | {
+    (f.metadata["ini"][0], key.lower())
+    for f in fields(ExperimentConfig) for key in f.metadata["ini"][1]
+}
+
+
+def _get(parser, section: str, key: str, parse: tuple):
     if not parser.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigError(f"{section}.{key}: missing required key")
-        return default
+        raise ConfigError(f"{section}.{key}: missing required key")
     raw = parser.get(section, key)
+    conv, diag = parse
     try:
         return conv(raw)
     except (ValueError, TypeError):
         raise ConfigError(f"{section}.{key}: {diag} (got {raw!r})") from None
-
-
-_REQUIRED = object()
-
-
-def _as_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(low)
-
-
-def _float_list(raw: str) -> list:
-    items = [p for chunk in raw.split(",") for p in chunk.split()]
-    return [float(p) for p in items]
-
-
-def _int_list(raw: str) -> list:
-    return [int(p) for p in _float_list(raw)]
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -194,53 +216,19 @@ def load_config(path: str) -> ExperimentConfig:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    version = _get(parser, "meta", "schema_version", int, _REQUIRED, "must be an integer") \
-        if parser.has_section("meta") else None
+    version = _get(parser, "meta", "schema_version", _INT) if parser.has_section("meta") else None
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"meta.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in _KNOWN_KEYS:
+                raise ConfigError(f"{section}.{key}: unknown key")
     cfg = ExperimentConfig()
-    g = _get
-    cfg.L = g(parser, "experiment", "L", int, cfg.L, "must be an integer")
-    cfg.gamma = g(parser, "experiment", "gamma", float, cfg.gamma, "must be a real number")
-    cfg.r = g(parser, "experiment", "r", int, cfg.r, "must be an integer")
-    cfg.nu = g(parser, "experiment", "nu", float, cfg.nu, "must be a real number")
-    cfg.trials = g(parser, "experiment", "trials", int, cfg.trials, "must be an integer")
-    cfg.master_seed = g(parser, "experiment", "master_seed", int, cfg.master_seed,
-                        "must be an integer")
-    cfg.cell_px = g(parser, "experiment", "cell_px", int, cfg.cell_px, "must be an integer")
-
-    cfg.region_kind = g(parser, "region", "kind", str.strip, cfg.region_kind, "")
-    if parser.has_option("region", "center_m") or parser.has_option("region", "center_n"):
-        cm = g(parser, "region", "center_m", int, _REQUIRED, "must be an integer")
-        cn = g(parser, "region", "center_n", int, _REQUIRED, "must be an integer")
-        cfg.region_center = (cm, cn)
-    cfg.region_radius_px = g(parser, "region", "radius_px", float, cfg.region_radius_px,
-                             "must be a real number")
-    cfg.region_mask_path = g(parser, "region", "path", str.strip, cfg.region_mask_path, "")
-
-    cfg.window_kind = g(parser, "window", "kind", str.strip, cfg.window_kind, "")
-    cfg.window_path = g(parser, "window", "path", str.strip, cfg.window_path, "")
-
-    cfg.epsilon_targets = g(parser, "reconstruct", "epsilon_targets", _float_list,
-                            cfg.epsilon_targets, "must be a comma-separated list of reals")
-    cfg.distinct = g(parser, "reconstruct", "distinct", _as_bool, cfg.distinct,
-                     "must be a boolean")
-
-    cfg.nu_grid = g(parser, "montecarlo", "nu_grid", _float_list, cfg.nu_grid,
-                    "must be a comma-separated list of reals")
-    cfg.r_grid = g(parser, "montecarlo", "r_grid", _int_list, cfg.r_grid,
-                   "must be a comma-separated list of integers")
-    cfg.delta = g(parser, "montecarlo", "delta", float, cfg.delta, "must be a real number")
-
-    cfg.witness_epsilon = g(parser, "witness", "epsilon", float, cfg.witness_epsilon,
-                            "must be a real number")
-    cfg.witness_eta = g(parser, "witness", "eta", float, cfg.witness_eta,
-                        "must be a real number")
-    cfg.witness_M = g(parser, "witness", "M", int, cfg.witness_M, "must be an integer")
-
-    cfg.cg_tol = g(parser, "tolerances", "cg_tol", float, cfg.cg_tol, "must be a real number")
-    cfg.eig_residual = g(parser, "tolerances", "eig_residual", float, cfg.eig_residual,
-                         "must be a real number")
+    for f in fields(cfg):
+        section, keys, parse = f.metadata["ini"]
+        if any(parser.has_option(section, key) for key in keys):
+            values = tuple(_get(parser, section, key, parse) for key in keys)
+            setattr(cfg, f.name, values if len(keys) > 1 else values[0])
     return cfg.validate()

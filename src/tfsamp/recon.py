@@ -182,8 +182,7 @@ def make_concentrated_test_function(eigs: EigenSystem, eps_target: float, seed: 
     lo = np.where(alpha < eigs.gamma)[0]
     if hi.size == 0:
         raise InfeasibleError(
-            f"eps_target={eps_target:g} infeasible: no eigenvalue in V_N reaches "
-            f"1 - eps_target/2 (alpha_1 = {alpha[0]:.12g})"
+            f"no eigenvalue in V_N reaches 1 - eps_target/2 (alpha_1 = {alpha[0]:.12g})"
         )
     if lo.size == 0:
         raise InfeasibleError("no eigenvalues below gamma; cannot blend energy outside V_N")
@@ -199,9 +198,7 @@ def make_concentrated_test_function(eigs: EigenSystem, eps_target: float, seed: 
     eps_v = 1.0 - av
     # eps_v > eps_u: every alpha in hi is >= gamma, every alpha in lo is < gamma
     if not eps_u <= eps_target <= eps_v:
-        raise InfeasibleError(
-            f"eps_target={eps_target:g} outside reachable bracket [{eps_u:.3g}, {eps_v:.3g}]"
-        )
+        raise InfeasibleError(f"outside reachable bracket [{eps_u:.3g}, {eps_v:.3g}]")
     s = (eps_target - eps_u) / (eps_v - eps_u)
     u = eigs.eigenvectors[:, hi] @ cu
     v = eigs.eigenvectors[:, lo] @ cv

@@ -51,13 +51,10 @@ def write_signal(path: str, values: np.ndarray):
     vals = np.asarray(values, dtype=np.complex128)
     if vals.ndim != 1 or vals.size == 0:
         raise ConfigError("signal write: expected a non-empty 1-D array")
-    inter = np.empty(2 * vals.size, dtype="<f8")
-    inter[0::2] = vals.real
-    inter[1::2] = vals.imag
     with open(path, "wb") as fh:
         fh.write(SIGNAL_MAGIC)
         fh.write(struct.pack("<II", SIGNAL_VERSION, vals.size))
-        fh.write(inter.tobytes())
+        fh.write(vals.astype("<c16").tobytes())
 
 
 def read_signal(path: str) -> np.ndarray:
@@ -73,8 +70,7 @@ def read_signal(path: str) -> np.ndarray:
     expected = 12 + 16 * length
     if len(blob) != expected:
         raise ConfigError(f"{path}: truncated signal (need {expected} bytes, have {len(blob)})")
-    inter = np.frombuffer(blob, dtype="<f8", offset=12)
-    return (inter[0::2] + 1j * inter[1::2]).astype(np.complex128)
+    return np.frombuffer(blob, "<c16", offset=12).astype(np.complex128)
 
 
 def mask_to_rle(mask: np.ndarray) -> dict:
@@ -130,8 +126,6 @@ def _fmt(x) -> str:
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
-    if isinstance(x, (complex, np.complexfloating)):
-        return f"{_fmt(x.real)}{x.imag:+.17g}j"
     return str(x)
 
 
@@ -139,10 +133,11 @@ def write_grid_csv(path: str, grid: np.ndarray):
     arr = np.asarray(grid)
     if arr.ndim != 2:
         raise ConfigError("grid write: expected a 2-D array")
+    if arr.dtype.kind == "c":
+        raise ConfigError("grid write: expected a real array")
+    fmt = "%d" if arr.dtype.kind in "biu" else "%.17g"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in arr:
-            fh.write(",".join(_fmt(v) for v in row))
-            fh.write("\n")
+        np.savetxt(fh, arr, fmt=fmt, delimiter=",")
 
 
 def write_rows_csv(path: str, header: list, rows: list):
@@ -151,22 +146,6 @@ def write_rows_csv(path: str, header: list, rows: list):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
 
 
 @dataclass
@@ -207,34 +186,28 @@ def _render_value(v, indent: str) -> list:
 def write_report(report: RunReport, outdir: str) -> list:
     """Write report.txt and report.json under outdir; return their paths."""
     os.makedirs(outdir, exist_ok=True)
-    payload = {
-        "verb": report.verb,
-        "master_seed": int(report.master_seed),
-        "config": _jsonable(report.config),
-        "sections": _jsonable(report.sections),
-        "artifacts": list(report.artifacts),
-        "timings": _jsonable(report.timings),
-    }
+    payload = {k: v for k, v in vars(report).items() if k != "headline"}
     json_path = os.path.join(outdir, "report.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        # numpy scalars and arrays that json cannot encode go through tolist()
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")
 
     lines = [f"run: {report.verb}", f"master_seed: {report.master_seed}", ""]
     lines.append("[config]")
-    lines.extend(_render_value(payload["config"], "  "))
-    for name in sorted(payload["sections"]):
+    lines.extend(_render_value(report.config, "  "))
+    for name in sorted(report.sections):
         lines.append("")
         lines.append(f"[{name}]")
-        lines.extend(_render_value(payload["sections"][name], "  "))
-    if payload["artifacts"]:
+        lines.extend(_render_value(report.sections[name], "  "))
+    if report.artifacts:
         lines.append("")
         lines.append("[artifacts]")
-        lines.extend(f"  {a}" for a in payload["artifacts"])
+        lines.extend(f"  {a}" for a in report.artifacts)
     # timings go last so everything above is reproducible byte-for-byte
     lines.append("")
     lines.append("[timings]")
-    lines.extend(_render_value(payload["timings"], "  "))
+    lines.extend(_render_value(report.timings, "  "))
     txt_path = os.path.join(outdir, "report.txt")
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

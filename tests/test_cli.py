@@ -285,6 +285,8 @@ def test_runner_headlines(tmp_path, capsys, verb):
     assert len(lines) == len(prefixes) + 2
     for line, prefix in zip(lines[1:-1], prefixes):
         assert line.startswith(prefix), (line, prefix)
+        if "infeasible: " in line:  # the row names its target; the message does not repeat it
+            assert line.count("eps_target=") == 1, line
 
 
 # ----------------------------------------------------------------- witness
@@ -377,6 +379,12 @@ def test_bad_schema_exits_2(tmp_path, capsys):
     p.write_text("[meta]\nschema_version = 7\n", encoding="utf-8")
     assert main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "schema_version" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    ini = _ini(tmp_path, "[experiment]\nL = 16\ntrails = 5\n")
+    assert main(["montecarlo", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: experiment.trails: unknown key\n"
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):

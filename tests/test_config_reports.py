@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,29 @@ def test_malformed_ini_is_config_error(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("[experiment]\ntrails = 5\n", r"experiment\.trails: unknown key"),
+        ("[experiment]\nseed = 7\n", r"experiment\.seed: unknown key"),
+        ("[experimnt]\nL = 64\n", r"experimnt\.l: unknown key"),
+        ("[region]\ncenter = 10\n", r"region\.center: unknown key"),
+        ("[window]\nkind = gaussian\nfile = w.tfrs\n", r"window\.file: unknown key"),
+    ],
+)
+def test_unknown_keys_are_config_errors(tmp_path, body, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        _load(tmp_path, body)
+
+
+def test_readme_ini_block_is_the_default_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.ini"
+    p.write_text(block, encoding="utf-8")
+    assert load_config(str(p)).to_dict() == ExperimentConfig().validate().to_dict()
+
+
 def test_to_dict_round_trips_center_as_list():
     cfg = ExperimentConfig(L=16).validate()
     d = cfg.to_dict()
@@ -230,6 +254,16 @@ def test_signal_round_trip(tmp_path):
     g = read_signal(path)
     assert g.dtype == np.complex128
     assert np.array_equal(f, g)  # float64 survives the byte round trip exactly
+
+
+def test_signal_round_trip_keeps_signed_zeros_and_infinities(tmp_path):
+    f = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(np.inf, -np.inf)])
+    path = str(tmp_path / "f.tfrs")
+    write_signal(path, f)
+    g = read_signal(path)
+    assert np.signbit(g.real).tolist() == [True, False, False]
+    assert np.signbit(g.imag).tolist() == [True, True, True]
+    assert g[2] == complex(np.inf, -np.inf)
 
 
 def test_signal_byte_layout(tmp_path):
@@ -401,9 +435,8 @@ def test_grid_csv_bool_and_complex_cells(tmp_path):
     path = str(tmp_path / "g.csv")
     write_grid_csv(path, np.array([[True, False]]))
     assert open(path, encoding="utf-8").read() == "1,0\n"
-    write_grid_csv(path, np.array([[1.5 - 2.25j]]))
-    cell = open(path, encoding="utf-8").read().strip()
-    assert complex(cell) == 1.5 - 2.25j
+    with pytest.raises(ConfigError, match="expected a real array"):
+        write_grid_csv(path, np.array([[1.5 - 2.25j]]))
 
 
 def test_grid_csv_rejects_non_2d(tmp_path):
