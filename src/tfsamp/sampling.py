@@ -263,8 +263,9 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
         return int(np.count_nonzero(fails(idx[span])))
 
     # keep the gathered (chunk, r, row_width) complex blocks and their conjugates
-    # near ~128 MB in total over all threads
-    chunk = max(1, min(trials, 4_000_000 // threads // max(1, r * row_width)))
+    # near ~32 MB in total over all threads; larger chunks are no faster and
+    # only raise the peak RSS
+    chunk = max(1, min(trials, 1_000_000 // threads // max(1, r * row_width)))
     spans = [slice(t0, t0 + chunk) for t0 in range(0, trials, chunk)]
     if threads > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ParameterError
-from .locop import EigenSystem, concentration_from_eigs
+from .locop import EigenSystem, _fix_phases, concentration_from_eigs
 from .regions import SampleSet
 from .tfcore import Signal, Window
 
@@ -135,7 +135,8 @@ def null_sample_witness(
 
     phi_perp is the unit vector of the orthogonal complement of
     span{pi(lam_j) phi} with the largest region energy <H x, x> (the
-    complement direction least damaging to concentration).  delta is
+    complement direction least damaging to concentration), its phase fixed
+    like an eigenvector's (largest-magnitude entry real positive).  delta is
     0.1*||f||, capped at the largest size for which f_tilde = f +
     delta*phi_perp stays concentrated at eps = 2 * (measured defect of f).
     """
@@ -153,7 +154,9 @@ def null_sample_witness(
     Mmat = C.conj().T @ (eigs.eigenvalues[:, None] * C)
     Mmat = 0.5 * (Mmat + Mmat.conj().T)
     w, v = np.linalg.eigh(Mmat)
-    phi_perp = Signal(comp @ v[:, -1])
+    # the complement basis and eigh fix phi_perp only up to a phase; pin it the
+    # way eigendecompose pins eigenvectors, so b, delta and f_tilde do not depend on it
+    phi_perp = Signal(_fix_phases(comp @ v[:, -1:])[:, 0])
     base = concentration_from_eigs(f, eigs)
     eps = 2.0 * base.epsilon
     if base.epsilon <= 0.0 or eps >= 1.0:

@@ -6,6 +6,7 @@ from tfsamp import (
     ParameterError,
     Signal,
     TFPoint,
+    Window,
     build_localization_operator,
     choose_N,
     concentration,
@@ -19,7 +20,8 @@ from tfsamp import (
     project_VN,
     tf_shift,
 )
-from tfsamp.locop import EigenSystem
+from tfsamp import locop
+from tfsamp.locop import EigenSystem, LocalizationOperator, _fix_phases, _symmetry_blocks
 
 from oracles import adjoint_direct, loc_operator_direct, stft_direct
 
@@ -200,6 +202,152 @@ def test_numerical_rank():
     )
     assert zero.numerical_rank == 0
     assert zero.N == 0
+
+
+# ------------------------------------------------------- symmetry blocks
+
+
+def _rect(L, rows, cols):
+    m = np.zeros((L, L), dtype=bool)
+    m[rows, cols] = True
+    return mask_region(m)
+
+
+def _freq_only_mask(L):
+    # rows symmetric about n0 = 10/2 in frequency, no symmetry in time
+    m = np.random.default_rng(3).random((L, L)) < 0.15
+    return mask_region(m | m[:, (10 - np.arange(L)) % L])
+
+
+def _chirp_window(L):
+    # complex and not even, as a `file` window may be
+    t = np.arange(L)
+    return Window.normalized(make_gaussian_window(L).values * np.exp(0.02j * t**2))
+
+
+def _skewed_window(L):
+    # real but not even: frequency symmetry survives, time symmetry does not
+    return Window.normalized(make_gaussian_window(L).values.real * (1 + np.arange(L) / L))
+
+
+# name -> (region, window, block sizes, demodulated to a real matrix)
+SYMMETRY_CASES = {
+    "disk even L": (lambda: disk_region(48, TFPoint(24, 24), 10), 48, [25, 23], True),
+    "disk odd L": (lambda: disk_region(47, TFPoint(23, 23), 10), 47, [24, 23], True),
+    "disk off centre": (lambda: disk_region(48, TFPoint(7, 30), 10), 48, [25, 23], True),
+    "disk wraps edge": (lambda: disk_region(48, TFPoint(2, 45), 10), 48, [25, 23], True),
+    # centre (15, 7.5): half-integer n0 puts the fixed point t = 39 in the odd block
+    "rect signed": (lambda: _rect(48, slice(10, 21), slice(5, 11)), 48, [24, 24], True),
+    # centre (14.5, 7.5): the one fixed point, t = 38, is odd
+    "rect odd L": (lambda: _rect(47, slice(10, 20), slice(5, 11)), 47, [23, 24], True),
+    "frequency only": (lambda: _freq_only_mask(48), 48, [48], True),
+    "real skewed window": (lambda: disk_region(48, TFPoint(24, 24), 10), _skewed_window, [48], True),
+    "asymmetric mask": (
+        lambda: mask_region(np.random.default_rng(7).random((48, 48)) < 0.2), 48, [48], False
+    ),
+    "file window": (lambda: disk_region(48, TFPoint(24, 24), 10), _chirp_window, [48], False),
+}
+
+
+def _case_operator(name):
+    make_region, win, _, _ = SYMMETRY_CASES[name]
+    region = make_region()
+    window = win(region.L) if callable(win) else make_gaussian_window(win)
+    return build_localization_operator(region, window)
+
+
+def _block_sizes(H):
+    _, d, blocks = _symmetry_blocks(H)
+    return [H.L if b is None else b[0].size for b in blocks], d is not None
+
+
+def _assert_true_eigensystem(eigs, Hm, w_ref, v_ref):
+    # eigenvalues, V_N projector and every pair's residual against the plain solve
+    w, v, N = eigs.eigenvalues, eigs.eigenvectors, eigs.N
+    assert np.max(np.abs(w - w_ref)) <= 1e-13
+    P = v[:, :N] @ v[:, :N].conj().T
+    P_ref = v_ref[:, :N] @ v_ref[:, :N].conj().T
+    assert np.max(np.abs(P - P_ref)) <= 1e-10
+    assert np.max(np.linalg.norm(Hm @ v - v * w[None, :], axis=0)) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", list(SYMMETRY_CASES))
+def test_block_eigensolve_matches_complex_eigh(name):
+    H = _case_operator(name)
+    sizes, real = _block_sizes(H)
+    assert (sizes, real) == tuple(SYMMETRY_CASES[name][2:])
+    eigs = eigendecompose(H, 0.5)
+    w_ref, v_ref = np.linalg.eigh(H.matrix)
+    _assert_true_eigensystem(eigs, H.matrix, w_ref[::-1], v_ref[:, ::-1])
+    assert eigs.N == int((w_ref >= 0.5).sum())
+    # mirror entries tie in magnitude; the phase convention takes the first of them
+    v = eigs.eigenvectors
+    mag = np.abs(v)
+    pivots = v[(mag >= (1 - 1e-8) * mag.max(axis=0)).argmax(axis=0), np.arange(H.L)]
+    assert np.max(np.abs(pivots.imag)) < 1e-12 and np.all(pivots.real > 0)
+    assert np.max(np.abs(_fix_phases(v) - v)) < 1e-12
+
+
+def test_disk_at_experiment_scale_splits_in_half():
+    L = 960
+    H = build_localization_operator(
+        disk_region(L, TFPoint(L // 2, L // 2), 240), make_gaussian_window(L)
+    )
+    assert _block_sizes(H) == ([481, 479], True)
+
+
+@pytest.mark.parametrize("size", [1e-4, 1e-9, 1e-13])
+def test_symmetry_broken_by_the_matrix_is_not_trusted(sys32, size):
+    # region and window promise two real blocks, the matrix itself does not keep them
+    rng = np.random.default_rng(11)
+    E = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    E = E + E.conj().T
+    Hm = sys32.H.matrix + size * E / np.linalg.norm(E)
+    bent = LocalizationOperator(Hm, sys32.region, sys32.window)
+    if size > 1e-12:
+        assert _block_sizes(bent) == ([32], False)  # caught on the assembled matrix
+    try:
+        eigs = eigendecompose(bent, 0.5)
+    except NumericalError:
+        return
+    w_ref, v_ref = np.linalg.eigh(Hm)
+    _assert_true_eigensystem(eigs, Hm, w_ref[::-1], v_ref[:, ::-1])
+
+
+def _even_block_twice(blocks):
+    (u, a, r, b), _ = blocks
+    return [(u, a, r, b), (u, a, r, b)]
+
+
+def _fixed_point_weight(blocks):
+    (u, a, r, b), odd = blocks
+    a = np.where(u == r, np.sqrt(0.5), a)
+    return [(u, a, r, b), odd]
+
+
+def _fixed_point_parity(blocks):
+    (u, a, r, b), (uo, ao, ro, bo) = blocks
+    keep = u != r
+    return [
+        (u[keep], a[keep], r[keep], b[keep]),
+        (np.concatenate([uo, u[~keep]]), np.concatenate([ao, a[~keep]]),
+         np.concatenate([ro, r[~keep]]), np.concatenate([bo, b[~keep]])),
+    ]
+
+
+@pytest.mark.parametrize("corrupt", [_even_block_twice, _fixed_point_weight, _fixed_point_parity])
+def test_mis_assembled_block_is_caught(sys32, monkeypatch, corrupt):
+    real = locop._symmetry_blocks
+
+    def wrong(H):
+        M, d, blocks = real(H)
+        assert [b[0].size for b in blocks] == [17, 15]
+        return M, d, corrupt(blocks)
+
+    monkeypatch.setattr(locop, "_symmetry_blocks", wrong)
+    with pytest.raises(NumericalError):
+        eigendecompose(sys32.H, 0.5)
 
 
 # ---------------------------------------------------------------- concentration

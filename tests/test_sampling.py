@@ -478,7 +478,7 @@ def test_monte_carlo_threads_agree(sys32):
 
 
 def test_monte_carlo_threads_share_one_chunk_budget(sys120):
-    # the ~128 MB chunk budget is split over the threads, not held once per thread
+    # the ~32 MB chunk budget is split over the threads, not held once per thread
     setup = (sys120.region, sys120.window, sys120.eigs)
     freq, peak = {}, {}
     for threads in (1, 2):

@@ -4,6 +4,7 @@ import pytest
 from tfsamp import (
     InfeasibleError,
     ParameterError,
+    SampleSet,
     Signal,
     concentration_from_eigs,
     make_concentrated_test_function,
@@ -163,3 +164,25 @@ def test_alias_witness_needs_concentration_slack(sys64):
     s = uniform_sample(sys64.region, 30, seed=4)
     with pytest.raises(InfeasibleError):
         null_sample_witness(s, sys64.window, tail, eigs)
+
+
+def test_alias_witness_independent_of_complement_basis(sys64):
+    # permuting the sample points changes the SVD's complement basis but not the
+    # complement, so the alias direction and everything built on it must agree
+    # (r=20 keeps the complement's top region energy simple: 0.17 against 0.04)
+    f, s, w = _alias_instance(sys64, r=20)
+    perm = np.random.default_rng(5).permutation(s.r)
+    s2 = SampleSet(s.points[perm], seed=s.seed, region=s.region, distinct=s.distinct)
+    w2 = null_sample_witness(s2, sys64.window, f, sys64.eigs)
+    assert np.max(np.abs(w2.phi_perp.values - w.phi_perp.values)) < 1e-10
+    assert abs(w2.delta - w.delta) < 1e-10
+    assert np.max(np.abs(w2.f_tilde.values - w.f_tilde.values)) < 1e-10
+
+
+def test_alias_direction_phase_convention(sys64):
+    # phi_perp follows the eigenvector convention: largest-magnitude entry real positive
+    _, _, w = _alias_instance(sys64)
+    p = w.phi_perp.values
+    pivot = p[np.abs(p).argmax()]
+    assert abs(pivot.imag) < 1e-12
+    assert pivot.real > 0
