@@ -230,30 +230,33 @@ def _skewed_window(L):
     return Window.normalized(make_gaussian_window(L).values.real * (1 + np.arange(L) / L))
 
 
-# name -> (region, window, block sizes, demodulated to a real matrix)
+GAUSS = make_gaussian_window
+
+# name -> (region, window of L, block sizes, demodulated to a real matrix)
 SYMMETRY_CASES = {
-    "disk even L": (lambda: disk_region(48, TFPoint(24, 24), 10), 48, [25, 23], True),
-    "disk odd L": (lambda: disk_region(47, TFPoint(23, 23), 10), 47, [24, 23], True),
-    "disk off centre": (lambda: disk_region(48, TFPoint(7, 30), 10), 48, [25, 23], True),
-    "disk wraps edge": (lambda: disk_region(48, TFPoint(2, 45), 10), 48, [25, 23], True),
+    "disk even L": (lambda: disk_region(48, TFPoint(24, 24), 10), GAUSS, [25, 23], True),
+    "disk odd L": (lambda: disk_region(47, TFPoint(23, 23), 10), GAUSS, [24, 23], True),
+    "disk off centre": (lambda: disk_region(48, TFPoint(7, 30), 10), GAUSS, [25, 23], True),
+    "disk wraps edge": (lambda: disk_region(48, TFPoint(2, 45), 10), GAUSS, [25, 23], True),
     # centre (15, 7.5): half-integer n0 puts the fixed point t = 39 in the odd block
-    "rect signed": (lambda: _rect(48, slice(10, 21), slice(5, 11)), 48, [24, 24], True),
+    "rect signed": (lambda: _rect(48, slice(10, 21), slice(5, 11)), GAUSS, [24, 24], True),
     # centre (14.5, 7.5): the one fixed point, t = 38, is odd
-    "rect odd L": (lambda: _rect(47, slice(10, 20), slice(5, 11)), 47, [23, 24], True),
-    "frequency only": (lambda: _freq_only_mask(48), 48, [48], True),
-    "real skewed window": (lambda: disk_region(48, TFPoint(24, 24), 10), _skewed_window, [48], True),
+    "rect odd L": (lambda: _rect(47, slice(10, 20), slice(5, 11)), GAUSS, [23, 24], True),
+    "frequency only": (lambda: _freq_only_mask(48), GAUSS, [48], True),
+    "real skewed window": (
+        lambda: disk_region(48, TFPoint(24, 24), 10), _skewed_window, [48], True
+    ),
     "asymmetric mask": (
-        lambda: mask_region(np.random.default_rng(7).random((48, 48)) < 0.2), 48, [48], False
+        lambda: mask_region(np.random.default_rng(7).random((48, 48)) < 0.2), GAUSS, [48], False
     ),
     "file window": (lambda: disk_region(48, TFPoint(24, 24), 10), _chirp_window, [48], False),
 }
 
 
 def _case_operator(name):
-    make_region, win, _, _ = SYMMETRY_CASES[name]
+    make_region, make_window, _, _ = SYMMETRY_CASES[name]
     region = make_region()
-    window = win(region.L) if callable(win) else make_gaussian_window(win)
-    return build_localization_operator(region, window)
+    return build_localization_operator(region, make_window(region.L))
 
 
 def _block_sizes(H):
