@@ -318,6 +318,13 @@ def test_symmetry_broken_by_the_matrix_is_not_trusted(sys32, size):
     _assert_true_eigensystem(eigs, Hm, w_ref[::-1], v_ref[:, ::-1])
 
 
+def test_tight_residual_tol_accepts_a_true_eigensystem(sys480):
+    # the trace check allows the L eigenvalues' roundoff (2.8e-14 at L=480),
+    # so a tolerance the pair residuals meet is not failed by the sum
+    eigs = eigendecompose(sys480.H, 0.5, residual_tol=1e-14)
+    assert eigs.N == sys480.eigs.N
+
+
 def _even_block_twice(blocks):
     (u, a, r, b), _ = blocks
     return [(u, a, r, b), (u, a, r, b)]
