@@ -12,7 +12,8 @@ Common flags: --config PATH, --seed U64 (overrides the config's
 master_seed), --out DIR, --threads N, --emit-eigenvectors.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 infeasible request.
+4 infeasible request (an empty V_N, or an L whose dense setup cannot
+fit in physical memory).
 
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
@@ -122,17 +123,31 @@ def build_window(cfg: ExperimentConfig) -> Window:
     return Window.normalized(vals)
 
 
+# peak bytes of build_setup per L^2: ru_maxrss grew by 113-122 B per L^2 at L = 480, 960
+SETUP_BYTES_PER_L2 = 128
+
+
 def build_setup(cfg: ExperimentConfig):
-    """(region, window, operator, eigensystem) for one config."""
-    region = build_region(cfg)
-    window = build_window(cfg)
-    H = build_localization_operator(region, window)
-    eigs = eigendecompose(H, cfg.gamma, cfg.eig_residual)
-    return region, window, H, eigs
+    """(operator, eigensystem) for one config.
+
+    An L whose dense setup cannot fit in physical memory is refused before
+    any array or mask file is touched.
+    """
+    need = SETUP_BYTES_PER_L2 * cfg.L**2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InfeasibleError(
+            f"L={cfg.L}: the dense setup needs about {need / 2**30:.3g} GiB "
+            f"({SETUP_BYTES_PER_L2} * L^2 bytes), more than the {have / 2**30:.3g} GiB "
+            "of physical memory"
+        )
+    H = build_localization_operator(build_region(cfg), build_window(cfg))
+    return H, eigendecompose(H, cfg.gamma, cfg.eig_residual)
 
 
-def _eigen_summary(region, window, H, eigs) -> dict:
-    lo, hi = eigenvalue_count_estimate(region, window, 1.0 - eigs.gamma)
+def _eigen_summary(H, eigs) -> dict:
+    region = H.region
+    lo, hi = eigenvalue_count_estimate(region, H.window, 1.0 - eigs.gamma)
     w = eigs.eigenvalues
     return {
         "L": region.L,
@@ -156,12 +171,12 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     """Runner skeleton shared by every verb.
 
     Times build_setup, starts the report with the eigen section and its
-    headline line, makes the output directory, then yields (report, region,
-    window, eigs); the with-block adds sections, headline lines, artifacts
-    and any extra timings.
+    headline line, makes the output directory, then yields (report, eigs);
+    the with-block adds sections, headline lines, artifacts and any extra
+    timings.
     """
     t0 = time.perf_counter()
-    region, window, H, eigs = build_setup(cfg)
+    H, eigs = build_setup(cfg)
     if eigs.N < 1 and verb != "spectrum":  # every other verb works inside V_N
         raise InfeasibleError(
             f"V_N is empty: no eigenvalue reaches gamma = {eigs.gamma:g} "
@@ -169,30 +184,30 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
         )
     report = RunReport(verb, cfg.master_seed, cfg.to_dict())
     report.timings["setup_s"] = time.perf_counter() - t0
-    e = report.sections["eigen"] = _eigen_summary(region, window, H, eigs)
+    e = report.sections["eigen"] = _eigen_summary(H, eigs)
     report.headline.append(
         f"L={e['L']}  |Omega|={e['measure']:.6g}  N={e['N']}  trace={e['trace']:.6g}"
     )
     os.makedirs(outdir, exist_ok=True)
-    yield report, region, window, eigs
+    yield report, eigs
     report.timings["total_s"] = time.perf_counter() - t0
 
 
-def _draw_samples(cfg: ExperimentConfig, region):
+def _draw_samples(cfg: ExperimentConfig, eigs):
     """(seed, samples) of the run-level sample draw."""
     sample_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, 0)
-    return sample_seed, uniform_sample(region, cfg.r, sample_seed, cfg.distinct)
+    return sample_seed, uniform_sample(eigs.region, cfg.r, sample_seed, cfg.distinct)
 
 
 def _cell_px(cfg: ExperimentConfig) -> int:
     return cfg.cell_px if cfg.cell_px is not None else default_cell_px(cfg.L)
 
 
-def _tail_params(cfg: ExperimentConfig, region, eigs) -> TailParams:
+def _tail_params(cfg: ExperimentConfig, eigs) -> TailParams:
     """The run's tail constants eps1, eps2 and a, at the config's (nu, r)."""
-    return TailParams(nu=cfg.nu, r=cfg.r, omega_measure=region.measure, N=eigs.N,
-                      eps1=covering_excess(region, _cell_px(cfg)),
-                      eps2=max(0.0, eigs.N - region.measure))
+    return TailParams(nu=cfg.nu, r=cfg.r, omega_measure=eigs.region.measure, N=eigs.N,
+                      eps1=covering_excess(eigs.region, _cell_px(cfg)),
+                      eps2=max(0.0, eigs.N - eigs.region.measure))
 
 
 def _tail_fields(cfg: ExperimentConfig, tail: TailParams, nu: float, r: int) -> dict:
@@ -259,15 +274,15 @@ def _write_samples(outdir: str, samples):
 def run_spectrum(
     cfg: ExperimentConfig, outdir: str, emit_eigenvectors: bool = False, *, threads: int = 1
 ) -> RunReport:
-    with _run("spectrum", cfg, outdir) as (report, region, window, eigs):
+    with _run("spectrum", cfg, outdir) as (report, eigs):
         write_rows_csv(
             os.path.join(outdir, "eigenvalues.csv"),
             ["k", "alpha"],
             [(k + 1, a) for k, a in enumerate(eigs.eigenvalues)],
         )
-        spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), window).values) ** 2
+        spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window).values) ** 2
         write_grid_csv(os.path.join(outdir, "eigfun1_spectrogram.csv"), spectro)
-        write_mask(os.path.join(outdir, "region.json"), region.mask)
+        write_mask(os.path.join(outdir, "region.json"), eigs.region.mask)
         report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.csv", "region.json"]
         if emit_eigenvectors:
             vecdir = os.path.join(outdir, "eigenvectors")
@@ -282,14 +297,14 @@ def run_spectrum(
 def run_reconstruct(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
-    with _run("reconstruct", cfg, outdir) as (report, region, window, eigs):
-        sample_seed, samples = _draw_samples(cfg, region)
+    with _run("reconstruct", cfg, outdir) as (report, eigs):
+        sample_seed, samples = _draw_samples(cfg, eigs)
 
         def evaluate(i, eps_t, f):
-            rec = reconstruct(f, samples, eigs, window, cfg.cg_tol)
+            rec = reconstruct(f, samples, eigs, cfg.cg_tol)
             write_grid_csv(
                 os.path.join(outdir, f"stft_abs_{i + 1}.csv"),
-                np.abs(stft(f, window).values),
+                np.abs(stft(f, eigs.window).values),
             )
             return dict(
                 epsilon_measured=rec.epsilon,
@@ -317,7 +332,7 @@ def run_reconstruct(
         ]
         _write_row_table(os.path.join(outdir, "recon_rows.csv"), header, rows)
         _write_samples(outdir, samples)
-        overlay = np.zeros((region.L, region.L), dtype=np.int64)
+        overlay = np.zeros((eigs.L, eigs.L), dtype=np.int64)
         overlay[samples.points[:, 0], samples.points[:, 1]] = 1
         write_grid_csv(os.path.join(outdir, "sample_overlay.csv"), overlay)
         report.artifacts += ["recon_rows.csv", "samples.csv", "sample_overlay.csv"]
@@ -330,15 +345,13 @@ def run_reconstruct(
 def run_montecarlo(
     cfg: ExperimentConfig, outdir: str, threads: int = 1, *, emit_eigenvectors: bool = False
 ) -> RunReport:
-    with _run("montecarlo", cfg, outdir) as (report, region, window, eigs):
+    with _run("montecarlo", cfg, outdir) as (report, eigs):
         t1 = time.perf_counter()
-        tail = _tail_params(cfg, region, eigs)
+        tail = _tail_params(cfg, eigs)
         rows = []
         for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
             cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
-            freq = monte_carlo_failure_frequency(
-                cfg.trials, nu, int(r), (region, window, eigs), cell_seed, threads
-            )
+            freq = monte_carlo_failure_frequency(cfg.trials, nu, int(r), eigs, cell_seed, threads)
             rows.append({
                 "nu": nu,
                 "r": int(r),
@@ -376,14 +389,14 @@ def run_montecarlo(
 def run_certify(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
-    with _run("certify", cfg, outdir) as (report, region, window, eigs):
-        sample_seed, samples = _draw_samples(cfg, region)
+    with _run("certify", cfg, outdir) as (report, eigs):
+        sample_seed, samples = _draw_samples(cfg, eigs)
         cell_px = _cell_px(cfg)
         covering = covering_index(samples, cell_px)
-        B = exact_bessel_bound(samples, window)
+        B = exact_bessel_bound(samples, eigs.window)
         C_phi = B / covering.N0
         eps_max, nu_max = admissible_params(C_phi)
-        measure = region.measure
+        measure = eigs.region.measure
         gamma = eigs.gamma
 
         def evaluate(i, eps_t, f):
@@ -398,7 +411,7 @@ def run_certify(
                 if admissible else None
             )
             A_best = max((a for a in (A_lem, A_thm) if a is not None), default=0.0)
-            check = verify_sampling_inequality(f, samples, window, A_best)
+            check = verify_sampling_inequality(f, samples, eigs.window, A_best)
             return dict(
                 epsilon_certified=eps_cert,
                 A_lemma=A_lem,
@@ -413,7 +426,7 @@ def run_certify(
             )
 
         rows = _epsilon_rows(cfg, eigs, evaluate)
-        tails = _tail_fields(cfg, _tail_params(cfg, region, eigs), cfg.nu, samples.r)
+        tails = _tail_fields(cfg, _tail_params(cfg, eigs), cfg.nu, samples.r)
         all_vacuous = all(row.get("vacuous", True) for row in rows)
         report.headline.append(
             f"B={B:.6g}  C_phi={C_phi:.6g}  N0={covering.N0}"
@@ -460,12 +473,12 @@ def run_certify(
 def run_witness(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
-    with _run("witness", cfg, outdir) as (report, region, window, eigs):
+    with _run("witness", cfg, outdir) as (report, eigs):
         nl = nonlinearity_witness(eigs, cfg.witness_epsilon, cfg.witness_eta, cfg.witness_M)
-        sample_seed, samples = _draw_samples(cfg, region)
+        sample_seed, samples = _draw_samples(cfg, eigs)
         fseed = derive_seed(cfg.master_seed, FUNCTION_STREAM, 0)
         f = make_concentrated_test_function(eigs, cfg.witness_epsilon, fseed)
-        alias = null_sample_witness(samples, window, f, eigs)
+        alias = null_sample_witness(samples, f, eigs)
 
         def _conc(sig):
             c = concentration_from_eigs(sig, eigs)

@@ -72,12 +72,16 @@ class EigenSystem:
 
     eigenvalues[k] = alpha_{k+1} sorted non-increasing; column k of
     eigenvectors is psi_{k+1}.  N is the number of eigenvalues >= gamma.
+    region and window are the operator's: everything sampled from V_N is
+    defined on that one pair.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     N: int
     gamma: float
+    region: TFRegion
+    window: Window
 
     @property
     def L(self) -> int:
@@ -270,7 +274,7 @@ def eigendecompose(
     if d is not None:
         v = d[:, None] * v
     v = _fix_phases(v)
-    eigs = EigenSystem(w, v, 0, float(gamma))
+    eigs = EigenSystem(w, v, 0, float(gamma), H.region, H.window)
     eigs.N = choose_N(eigs, gamma)
     # cheap sanity checks against H itself, one matvec per pair: the top pair, the
     # pairs at alpha_N and alpha_{N+1}, and the bottom pair; a blow-up means the

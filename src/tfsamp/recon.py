@@ -35,7 +35,7 @@ from .bounds import exact_bessel_bound
 from .errors import InfeasibleError, ParameterError
 from .locop import EigenSystem, concentration_from_eigs
 from .regions import SampleSet
-from .tfcore import Signal, Window
+from .tfcore import Signal
 
 __all__ = [
     "ReconstructionResult",
@@ -65,7 +65,7 @@ def _normal_equations(E: np.ndarray, s: np.ndarray):
     return 0.5 * (G + G.conj().T), E.conj().T @ s
 
 
-def gram_and_rhs(samples: SampleSet, eigs: EigenSystem, window: Window, sample_values):
+def gram_and_rhs(samples: SampleSet, eigs: EigenSystem, sample_values):
     """Normal equations of the sampled least-squares problem: (G, b)."""
     if samples.r < 1:
         raise ParameterError("need at least one sample")
@@ -74,7 +74,7 @@ def gram_and_rhs(samples: SampleSet, eigs: EigenSystem, window: Window, sample_v
     s = np.asarray(sample_values, dtype=np.complex128)
     if s.shape != (samples.r,):
         raise ParameterError(f"sample_values must have shape ({samples.r},)")
-    return _normal_equations(samples.analysis_rows(window) @ eigs.basis(), s)
+    return _normal_equations(samples.analysis_rows(eigs.window) @ eigs.basis(), s)
 
 
 def _cg(G: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
@@ -130,17 +130,13 @@ def error_bound(B: float, eps: float, gamma: float) -> float:
 
 
 def reconstruct(
-    f: Signal,
-    samples: SampleSet,
-    eigs: EigenSystem,
-    window: Window,
-    tol: float = 1e-12,
+    f: Signal, samples: SampleSet, eigs: EigenSystem, tol: float = 1e-12
 ) -> ReconstructionResult:
     """Sample f at the given points, solve for p_opt in V_N, report error vs bound."""
     nrm = f.norm()
     if nrm == 0.0:
         raise ParameterError("cannot reconstruct the zero signal")
-    W = samples.analysis_rows(window)
+    W = samples.analysis_rows(eigs.window)
     s = W @ f.values
     E = W @ eigs.basis()
     G, b = _normal_equations(E, s)
@@ -148,7 +144,7 @@ def reconstruct(
     p_opt = Signal(eigs.basis() @ c)
     relative_error = float(np.linalg.norm(s - E @ c) / nrm)
     eps = concentration_from_eigs(f, eigs).epsilon
-    B = exact_bessel_bound(samples, window)
+    B = exact_bessel_bound(samples, eigs.window)
     return ReconstructionResult(
         coefficients=c,
         p_opt=p_opt,

@@ -33,6 +33,7 @@ form still dominates the empirical tails at the scales exercised.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import ParameterError
 from .locop import EigenSystem
 from .regions import TFRegion, _cell_ids, _draw_indices
-from .tfcore import TFPoint, Window, _analysis_rows, _stft_rows
+from .tfcore import TFPoint, _analysis_rows, _stft_rows
 
 __all__ = [
     "TMatrix",
@@ -108,26 +109,21 @@ class TailParams:
             raise ParameterError("covering rate a must exceed 1/|Omega|")
 
 
-def _sample_vector(lam: TFPoint, eigs: EigenSystem, window: Window) -> np.ndarray:
-    # v[k] = V_phi psi_k(lam), k = 1..N
-    row = _analysis_rows(np.array([lam.m]), np.array([lam.n]), window.values)[0]
-    return row @ eigs.basis()
-
-
-def build_T_matrix(lam: TFPoint, eigs: EigenSystem, window: Window) -> TMatrix:
+def build_T_matrix(lam: TFPoint, eigs: EigenSystem) -> TMatrix:
     """T = v v^H with v_k = V_phi psi_k(lam); trace = ||P_{V_N} pi(lam) phi||^2."""
     if eigs.N < 1:
         raise ParameterError("build_T_matrix needs a spectral cut with N >= 1")
-    v = _sample_vector(lam, eigs, window)
+    row = _analysis_rows(np.array([lam.m]), np.array([lam.n]), eigs.window.values)[0]
+    v = row @ eigs.basis()
     return TMatrix(np.outer(v, np.conj(v)), lam)
 
 
-def expected_T(eigs: EigenSystem, region: TFRegion) -> np.ndarray:
+def expected_T(eigs: EigenSystem) -> np.ndarray:
     """E(T) over a uniform point of the region: diag(alpha_1..alpha_N)/|Omega|, exact."""
-    return np.diag(eigs.eigenvalues[: eigs.N]) / region.measure
+    return np.diag(eigs.eigenvalues[: eigs.N]) / eigs.region.measure
 
 
-def _region_table(eigs: EigenSystem, mask: np.ndarray, window: Window) -> np.ndarray:
+def _region_table(eigs: EigenSystem, mask: np.ndarray) -> np.ndarray:
     """E[i, k] = V_phi psi_k(p_i) over the True cells p_i of mask (row-major order).
 
     One (N, L) FFT batch per time row of the mask (tfcore._stft_rows).
@@ -136,14 +132,14 @@ def _region_table(eigs: EigenSystem, mask: np.ndarray, window: Window) -> np.nda
     """
     # contiguous rows: the strided view of eigenvectors makes the FFTs ~1.5x slower
     psi = np.ascontiguousarray(eigs.basis().T)
-    return _stft_rows(psi, window.values, mask)
+    return _stft_rows(psi, eigs.window.values, mask)
 
 
 def _drawn_mask(region: TFRegion, idx: np.ndarray) -> np.ndarray:
     """Mask of the distinct region points in idx; remaps idx in place to table rows.
 
     idx holds point indices into region.points(); afterwards idx[t, j] is the
-    row of that point in _region_table(eigs, mask, window) for the returned
+    row of that point in _region_table(eigs, mask) for the returned
     mask, so the table covers only the points the trials draw.
     """
     drawn = np.zeros(region.point_count, dtype=bool)
@@ -164,9 +160,7 @@ def _min_eigs(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(S)[..., 0]
 
 
-def empirical_min_eigenvalue(
-    samples, eigs: EigenSystem, region: TFRegion, window: Window
-) -> float:
+def empirical_min_eigenvalue(samples, eigs: EigenSystem) -> float:
     """Smallest eigenvalue of (1/r) sum_j (T_j - E T) for a concrete draw.
 
     Always >= -(1 + 1/|Omega|) since each centered summand has norm <= 1.
@@ -175,8 +169,8 @@ def empirical_min_eigenvalue(
         raise ParameterError("empirical statistic needs r >= 1")
     if eigs.N < 1:
         raise ParameterError("empirical statistic needs a spectral cut with N >= 1")
-    A = samples.analysis_rows(window) @ eigs.basis()
-    return float(_min_eigs(A[None], expected_T(eigs, region))[0])
+    A = samples.analysis_rows(eigs.window) @ eigs.basis()
+    return float(_min_eigs(A[None], expected_T(eigs))[0])
 
 
 def tropp_tail(N: int, sigma2: float, Bnorm: float, t: float) -> float:
@@ -255,22 +249,23 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
 
     fails maps a (B, r) block of idx to B booleans; aggregation is an
     order-independent count over chunks of trials, so any thread count
-    gives the same result.
+    gives the same result.  At most one worker per CPU is started.
     """
     trials, r = idx.shape
+    workers = min(threads, os.cpu_count() or 1)
 
     def count_chunk(span: slice) -> int:
         return int(np.count_nonzero(fails(idx[span])))
 
     # keep the gathered (chunk, r, row_width) complex blocks and their conjugates
-    # near ~32 MB in total over all threads; larger chunks are no faster and
+    # near ~32 MB in total over all workers; larger chunks are no faster and
     # only raise the peak RSS
-    chunk = max(1, min(trials, 1_000_000 // threads // max(1, r * row_width)))
+    chunk = max(1, min(trials, 1_000_000 // workers // max(1, r * row_width)))
     spans = [slice(t0, t0 + chunk) for t0 in range(0, trials, chunk)]
-    if threads > 1 and len(spans) > 1:
+    if workers > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             failures = sum(ex.map(count_chunk, spans))
     else:
         failures = sum(map(count_chunk, spans))
@@ -281,23 +276,23 @@ def monte_carlo_failure_frequency(
     trials: int,
     nu: float,
     r: int,
-    setup,
+    eigs: EigenSystem,
     master_seed: int,
     threads: int = 1,
 ) -> float:
     """Fraction of trials with empirical min-eigenvalue <= -nu/|Omega|.
 
-    setup is the (region, window, eigensystem) triple; trial i is the
-    sample set uniform_sample(region, r, derive_seed(master_seed,
-    TRIAL_STREAM, i)), and its statistic is empirical_min_eigenvalue's.
+    Trial i is the sample set uniform_sample(eigs.region, r,
+    derive_seed(master_seed, TRIAL_STREAM, i)), and its statistic is
+    empirical_min_eigenvalue's.
     """
-    region, window, eigs = setup
+    region = eigs.region
     if eigs.N < 1:
         raise ParameterError("Monte Carlo needs a spectral cut with N >= 1")
     idx = _draw_trials(trials, r, region.point_count, master_seed)
     # tabulate only the points the trials draw: 16 * N bytes per distinct point
-    table = _region_table(eigs, _drawn_mask(region, idx), window)
-    diag = expected_T(eigs, region)
+    table = _region_table(eigs, _drawn_mask(region, idx))
+    diag = expected_T(eigs)
     thresh = -nu / region.measure
     return _failure_frequency(
         idx, lambda blk: _min_eigs(table[blk], diag) <= thresh, eigs.N, threads

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InfeasibleError, ParameterError
 from .locop import EigenSystem, _fix_phases, concentration_from_eigs
 from .regions import SampleSet
-from .tfcore import Signal, Window
+from .tfcore import Signal
 
 __all__ = [
     "NonlinearityWitness",
@@ -128,9 +128,7 @@ def nonlinearity_witness(
     return NonlinearityWitness(psi_M, h, float(delta), f, float(eta), float(eps), idx + 1)
 
 
-def null_sample_witness(
-    samples: SampleSet, window: Window, f: Signal, eigs: EigenSystem
-) -> AliasWitness:
+def null_sample_witness(samples: SampleSet, f: Signal, eigs: EigenSystem) -> AliasWitness:
     """Perturb f inside the sampled system's null space without losing concentration.
 
     phi_perp is the unit vector of the orthogonal complement of
@@ -141,7 +139,7 @@ def null_sample_witness(
     delta*phi_perp stays concentrated at eps = 2 * (measured defect of f).
     """
     L = f.L
-    W = samples.analysis_rows(window)
+    W = samples.analysis_rows(eigs.window)
     atoms = np.conj(W.T)  # columns pi(lam_j) phi
     U, sv, _ = np.linalg.svd(atoms, full_matrices=True)
     tol = max(atoms.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)

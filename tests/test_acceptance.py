@@ -141,18 +141,18 @@ def test_03_projection_inequality_suite(sys64):
 def test_04_sample_matrix_expectation_identity(sys32):
     t0 = time.perf_counter()
     eigs, window, region = sys32.eigs, sys32.window, sys32.region
-    E = expected_T(eigs, region)
+    E = expected_T(eigs)
 
     S = np.zeros((eigs.N, eigs.N), dtype=complex)
     for m, n in region.points():
-        S += build_T_matrix(TFPoint(int(m), int(n)), eigs, window).entries
+        S += build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
     S /= region.point_count
     exhaustive_err = float(np.max(np.abs(S - E)))
 
     draws = 10_000
     s = uniform_sample(region, draws, seed=77)
     stack = np.stack([
-        build_T_matrix(TFPoint(int(m), int(n)), eigs, window).entries
+        build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
         for m, n in s.points
     ])
     mean = stack.mean(axis=0)
@@ -171,7 +171,6 @@ def test_04_sample_matrix_expectation_identity(sys32):
 
 def test_05_failure_frequency_under_tail_bound(sys120):
     t0 = time.perf_counter()
-    setup = (sys120.region, sys120.window, sys120.eigs)
     om, N = sys120.region.measure, sys120.eigs.N
     trials = 2000
     cells = []
@@ -179,7 +178,7 @@ def test_05_failure_frequency_under_tail_bound(sys120):
     for cell, (nu, r) in enumerate(
         [(n, rr) for n in (0.2, 0.3, 0.5) for rr in (250, 1000, 4000)]
     ):
-        freq = monte_carlo_failure_frequency(trials, nu, r, setup, master_seed=1000 + cell)
+        freq = monte_carlo_failure_frequency(trials, nu, r, sys120.eigs, master_seed=1000 + cell)
         bound = min(1.0, subspace_failure_bound(TailParams(nu=nu, r=r, omega_measure=om, N=N)))
         sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
         cell_ok = freq <= bound + 4 * sigma
@@ -229,7 +228,7 @@ def test_07_reconstruction_error_within_bound(sys480):
     bound_ok = True
     for eps_t in (1e-1, 3e-2, 1e-4, 1e-8):
         f = make_concentrated_test_function(eigs, eps_t, seed=97)
-        rec = reconstruct(f, samples, eigs, window, 1e-12)
+        rec = reconstruct(f, samples, eigs, 1e-12)
         bound_ok = bound_ok and rec.relative_error <= rec.error_bound
         errs.append(rec.relative_error)
         rows.append(f"eps={rec.epsilon:.1e}: err={rec.relative_error:.2e}"
@@ -254,13 +253,13 @@ def test_08_model_space_perfect_reconstruction(sys480):
     eigs, window, region = sys480.eigs, sys480.window, sys480.region
     samples = uniform_sample(region, 300, seed=424242)
     # certify the draw spans the model space before trusting the solve
-    G, _ = gram_and_rhs(samples, eigs, window, np.zeros(samples.r, dtype=complex))
+    G, _ = gram_and_rhs(samples, eigs, np.zeros(samples.r, dtype=complex))
     lam = np.linalg.eigvalsh(G)
     frame_ok = lam[0] > 1e-6 * lam[-1]
     rng = np.random.default_rng(31)
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
     v = eigs.eigenvectors[:, : eigs.N] @ c
-    rec = reconstruct(Signal(v / np.linalg.norm(v)), samples, eigs, window, 1e-12)
+    rec = reconstruct(Signal(v / np.linalg.norm(v)), samples, eigs, 1e-12)
     elapsed = time.perf_counter() - t0
     ok = (frame_ok and rec.converged and rec.iterations <= 100
           and rec.relative_error <= 1e-10)
@@ -294,11 +293,11 @@ def test_09_witness_constructions(sys64):
 
     f = make_concentrated_test_function(eigs, 0.01, seed=33)
     samples = uniform_sample(region, 60, seed=33)
-    alias = null_sample_witness(samples, window, f, eigs)
+    alias = null_sample_witness(samples, f, eigs)
     W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
     sample_gap = float(np.max(np.abs(W @ alias.f.values - W @ alias.f_tilde.values)))
-    rec_a = reconstruct(alias.f, samples, eigs, window, 1e-12)
-    rec_b = reconstruct(alias.f_tilde, samples, eigs, window, 1e-12)
+    rec_a = reconstruct(alias.f, samples, eigs, 1e-12)
+    rec_b = reconstruct(alias.f_tilde, samples, eigs, 1e-12)
     p_gap = float(np.max(np.abs(rec_a.p_opt.values - rec_b.p_opt.values)))
     alias_ok = alias.delta > 1e-6 and sample_gap < 1e-10 and p_gap < 1e-10
     elapsed = time.perf_counter() - t0

@@ -200,7 +200,7 @@ def test_verify_lower_bound_from_empirical_certificate(sys64):
     gamma = eigs.gamma
     r = 600
     s = uniform_sample(region, r, seed=12345)
-    stat = empirical_min_eigenvalue(s, eigs, region, window)
+    stat = empirical_min_eigenvalue(s, eigs)
     nu = max(0.0, -stat * om) + 1e-12
     assert nu < gamma  # draw is good enough for a usable certificate
     B = exact_bessel_bound(s, window)
@@ -239,10 +239,10 @@ def test_projected_atoms_form_frame_when_statistic_clears(sys32):
     gamma = eigs.gamma
     r = 800
     s = uniform_sample(region, r, seed=777)
-    stat = empirical_min_eigenvalue(s, eigs, region, window)
+    stat = empirical_min_eigenvalue(s, eigs)
     nu = max(0.0, -stat * om) + 1e-12
     assert nu < gamma
-    G, _ = gram_and_rhs(s, eigs, window, np.zeros(r))
+    G, _ = gram_and_rhs(s, eigs, np.zeros(r))
     w = np.linalg.eigvalsh(G)
     assert w[0] >= (gamma - nu) * r / om - 1e-8
     assert w[-1] <= r + 1e-9

@@ -1,5 +1,7 @@
 import json
 import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +178,32 @@ delta = 0.05
     lines = open(os.path.join(out, "mc_rows.csv"), encoding="utf-8").read().splitlines()
     assert lines[0].startswith("nu,r,empirical_freq,theory_bound")
     assert len(lines) == 5
+
+
+def test_montecarlo_threads_do_not_change_the_results(tmp_path):
+    # at r = 4000 the chunk budget makes several chunks, so --threads 2 uses a pool
+    ini = _ini(tmp_path, """
+[experiment]
+L = 48
+trials = 40
+
+[region]
+radius_px = 12
+
+[montecarlo]
+nu_grid = 0.3
+r_grid = 250, 4000
+""")
+    outs = [str(tmp_path / f"t{threads}") for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        assert main(["montecarlo", "--config", ini, "--out", out,
+                     "--threads", str(threads)]) == 0
+    reports = [_json_report(out) for out in outs]
+    for rep in reports:
+        rep.pop("timings")
+    assert reports[0] == reports[1]
+    csvs = [open(os.path.join(out, "mc_rows.csv"), "rb").read() for out in outs]
+    assert csvs[0] == csvs[1]
 
 
 def test_certify_and_montecarlo_agree_on_required_samples(tmp_path):
@@ -366,6 +394,27 @@ r_grid = 5
     assert err.startswith("infeasible request: V_N is empty")
     assert "gamma = 0.99" in err and "alpha_1 = 0.9187" in err
 
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "reconstruct", "certify", "witness", "montecarlo"])
+def test_setup_too_large_for_memory_exits_4_without_allocating(tmp_path, capsys, verb):
+    # L = 2**20 needs ~128 TiB for the dense setup; the guard is an estimate only
+    ini = _ini(tmp_path, "[experiment]\nL = 1048576\n")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = main([verb, "--config", ini, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request: L=1048576: the dense setup needs about")
+    assert "GiB of physical memory" in err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -147,6 +147,33 @@ def test_eigensystem_properties(sys32):
     assert np.max(np.abs(rebuilt - H.matrix)) < 1e-10
 
 
+def test_eigensystem_carries_region_and_window(sys32):
+    assert sys32.eigs.region is sys32.H.region
+    assert sys32.eigs.window is sys32.H.window
+
+
+def test_no_callable_takes_an_eigensystem_and_its_region_or_window():
+    # an EigenSystem fixes its region and window; a second copy could only disagree
+    import importlib
+    import inspect
+    import pkgutil
+
+    import tfsamp
+
+    checked = []
+    for info in pkgutil.iter_modules(tfsamp.__path__):
+        mod = importlib.import_module(f"tfsamp.{info.name}")
+        for name, fn in vars(mod).items():
+            if not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if any(p.name == "eigs" or "EigenSystem" in str(p.annotation) for p in params):
+                checked.append(f"{info.name}.{name}")
+                assert not {p.name for p in params} & {"window", "region"}, checked[-1]
+    assert {"sampling.build_T_matrix", "recon.reconstruct", "sampling._region_table",
+            "witnesses.null_sample_witness"} <= set(checked)
+
+
 def test_eigenvector_phase_convention(sys32):
     v = sys32.eigs.eigenvectors
     lead = np.abs(v).argmax(axis=0)
@@ -434,7 +461,9 @@ def test_project_VN_pythagoras_and_idempotent(sys32):
 
 def test_project_VN_needs_positive_N():
     L = 16
-    eigs = EigenSystem(np.zeros(L), np.eye(L, dtype=complex), 0, 0.5)
+    eigs = EigenSystem(
+        np.zeros(L), np.eye(L, dtype=complex), 0, 0.5, full_region(L), make_gaussian_window(L)
+    )
     with pytest.raises(ParameterError):
         project_VN(random_signal(L, 0), eigs)
 

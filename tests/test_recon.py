@@ -36,7 +36,7 @@ def test_full_grid_gram_is_L_times_identity(sys32):
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
     f = eigs.eigenvectors[:, : eigs.N] @ c
     values = stft(Signal(f), window).values[s.points[:, 0], s.points[:, 1]]
-    G, b = gram_and_rhs(s, eigs, window, values)
+    G, b = gram_and_rhs(s, eigs, values)
     assert np.max(np.abs(G - 32 * np.eye(eigs.N))) < 1e-9
     assert np.max(np.abs(b - 32 * c)) < 1e-9
     x, it = cg_solve(G, b)
@@ -47,16 +47,16 @@ def test_full_grid_gram_is_L_times_identity(sys32):
 def test_gram_is_conjugate_sum_of_T(sys16):
     eigs, window, region = sys16.eigs, sys16.window, sys16.region
     s = uniform_sample(region, 12, seed=4)
-    G, _ = gram_and_rhs(s, eigs, window, np.zeros(12))
+    G, _ = gram_and_rhs(s, eigs, np.zeros(12))
     S = np.zeros((eigs.N, eigs.N), dtype=complex)
     for m, n in s.points:
-        S += build_T_matrix(TFPoint(int(m), int(n)), eigs, window).entries
+        S += build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
     assert np.max(np.abs(G - np.conj(S))) < 1e-12
 
 
 def test_zero_samples_zero_solution(sys16):
     s = uniform_sample(sys16.region, 8, seed=5)
-    G, b = gram_and_rhs(s, sys16.eigs, sys16.window, np.zeros(8))
+    G, b = gram_and_rhs(s, sys16.eigs, np.zeros(8))
     assert np.max(np.abs(b)) == 0.0
     x, it = cg_solve(G, b)
     assert it == 0
@@ -66,10 +66,10 @@ def test_zero_samples_zero_solution(sys16):
 def test_gram_input_validation(sys16):
     s = uniform_sample(sys16.region, 8, seed=5)
     with pytest.raises(ParameterError):
-        gram_and_rhs(s, sys16.eigs, sys16.window, np.zeros(7))
+        gram_and_rhs(s, sys16.eigs, np.zeros(7))
     empty = SampleSet(np.zeros((0, 2), dtype=np.int64), 0, sys16.region, False)
     with pytest.raises(ParameterError):
-        gram_and_rhs(empty, sys16.eigs, sys16.window, np.zeros(0))
+        gram_and_rhs(empty, sys16.eigs, np.zeros(0))
 
 
 # ---------------------------------------------------------------- cg
@@ -115,7 +115,7 @@ def test_cg_residual_history_monotone(sys32):
         s = uniform_sample(sys32.region, 60, seed=seed)
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-        G, b = gram_and_rhs(s, sys32.eigs, sys32.window, vals)
+        G, b = gram_and_rhs(s, sys32.eigs, vals)
         _, _, history, converged = _cg(G, b, 1e-12, 10 * sys32.eigs.N)
         assert converged
         assert all(a >= b_ - 1e-13 for a, b_ in zip(history, history[1:]))
@@ -199,7 +199,7 @@ def test_reconstruct_model_space_signal_exactly(sys64):
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
     f = Signal(eigs.eigenvectors[:, : eigs.N] @ c)
     s = uniform_sample(region, 600, seed=12345)
-    res = reconstruct(f, s, eigs, window)
+    res = reconstruct(f, s, eigs)
     assert res.converged
     assert res.iterations <= 100
     assert res.relative_error <= 1e-10
@@ -213,7 +213,7 @@ def test_reconstruct_concentrated_signal_obeys_bound(sys64):
     s = uniform_sample(region, 300, seed=6)
     for target in [0.1, 0.01]:
         f = make_concentrated_test_function(eigs, target, seed=55)
-        res = reconstruct(f, s, eigs, window)
+        res = reconstruct(f, s, eigs)
         assert abs(res.epsilon - target) <= 1e-6 * target
         B = exact_bessel_bound(s, window)
         assert abs(res.error_bound - error_bound(B, res.epsilon, eigs.gamma)) < 1e-12
@@ -226,7 +226,7 @@ def test_reconstruct_error_decreases_with_concentration(sys64):
     errs = []
     for target in [0.2, 0.02, 2e-3]:
         f = make_concentrated_test_function(eigs, target, seed=77)
-        errs.append(reconstruct(f, s, eigs, window).relative_error)
+        errs.append(reconstruct(f, s, eigs).relative_error)
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -234,7 +234,7 @@ def test_reconstruct_is_sampled_least_squares_optimum(sys32):
     eigs, window, region = sys32.eigs, sys32.window, sys32.region
     f = make_concentrated_test_function(eigs, 0.05, seed=3)
     s = uniform_sample(region, 100, seed=8)
-    res = reconstruct(f, s, eigs, window)
+    res = reconstruct(f, s, eigs)
     V = stft(f, window).values
     target = V[s.points[:, 0], s.points[:, 1]]
 
@@ -257,7 +257,7 @@ def test_reconstruct_beats_projection_on_samples(sys32):
     eigs, window, region = sys32.eigs, sys32.window, sys32.region
     f = make_concentrated_test_function(eigs, 0.15, seed=13)
     s = uniform_sample(region, 80, seed=14)
-    res = reconstruct(f, s, eigs, window)
+    res = reconstruct(f, s, eigs)
     V = stft(f, window).values[s.points[:, 0], s.points[:, 1]]
     p = project_VN(f, eigs)
     Vp = stft(p, window).values[s.points[:, 0], s.points[:, 1]]
@@ -269,7 +269,7 @@ def test_reconstruct_beats_projection_on_samples(sys32):
 def test_reconstruct_rejects_zero(sys16):
     s = uniform_sample(sys16.region, 5, seed=0)
     with pytest.raises(ParameterError):
-        reconstruct(Signal(np.zeros(16, complex)), s, sys16.eigs, sys16.window)
+        reconstruct(Signal(np.zeros(16, complex)), s, sys16.eigs)
 
 
 def test_cg_reports_nonconvergence_when_capped():
@@ -286,6 +286,6 @@ def test_cg_reports_nonconvergence_when_capped():
 def test_reconstruct_converges_at_default_tol(sys32):
     f = make_concentrated_test_function(sys32.eigs, 0.1, seed=2)
     s = uniform_sample(sys32.region, 40, seed=2)
-    res = reconstruct(f, s, sys32.eigs, sys32.window)
+    res = reconstruct(f, s, sys32.eigs)
     assert res.converged
     assert res.relative_error < 1.0  # the iterate is a usable solution

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_T_matrix_invariants(sys32):
     pts = sys32.region.points()
     for idx in rng.integers(0, len(pts), size=10):
         lam = TFPoint(int(pts[idx][0]), int(pts[idx][1]))
-        T = build_T_matrix(lam, eigs, window).entries
+        T = build_T_matrix(lam, eigs).entries
         assert T.shape == (eigs.N, eigs.N)
         assert np.max(np.abs(T - T.conj().T)) < 1e-14
         w = np.linalg.eigvalsh(T)
@@ -74,7 +75,7 @@ def test_T_matrix_trace_is_projected_atom_energy(sys32):
 
     eigs, window = sys32.eigs, sys32.window
     lam = TFPoint(14, 18)
-    T = build_T_matrix(lam, eigs, window).entries
+    T = build_T_matrix(lam, eigs).entries
     atom = tf_shift(Signal(window.values), lam)
     coeffs = eigs.basis().conj().T @ atom.values
     assert abs(np.real(np.trace(T)) - float(np.sum(np.abs(coeffs) ** 2))) < 1e-10
@@ -82,9 +83,9 @@ def test_T_matrix_trace_is_projected_atom_energy(sys32):
 
 def test_T_matrix_single_dimension_cut(sys32):
     e = sys32.eigs
-    one = EigenSystem(e.eigenvalues, e.eigenvectors, 1, e.gamma)
+    one = EigenSystem(e.eigenvalues, e.eigenvectors, 1, e.gamma, e.region, e.window)
     lam = TFPoint(16, 16)
-    T = build_T_matrix(lam, one, sys32.window).entries
+    T = build_T_matrix(lam, one).entries
     assert T.shape == (1, 1)
     V = stft(Signal(e.eigenvectors[:, 0]), sys32.window).values
     assert abs(T[0, 0] - abs(V[16, 16]) ** 2) < 1e-12
@@ -97,7 +98,7 @@ def test_T_matrix_quadratic_form_is_sampled_energy(sys16):
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
     p = eigs.eigenvectors[:, : eigs.N] @ c
     lam = TFPoint(9, 6)
-    T = build_T_matrix(lam, eigs, window).entries
+    T = build_T_matrix(lam, eigs).entries
     u = np.conj(c)
     quad = float(np.real(np.vdot(u, T @ u)))
     V = stft_direct(p, window.values)
@@ -106,9 +107,9 @@ def test_T_matrix_quadratic_form_is_sampled_energy(sys16):
 
 def test_T_matrix_requires_cut(sys16):
     e = sys16.eigs
-    empty = EigenSystem(e.eigenvalues, e.eigenvectors, 0, e.gamma)
+    empty = EigenSystem(e.eigenvalues, e.eigenvectors, 0, e.gamma, e.region, e.window)
     with pytest.raises(ParameterError):
-        build_T_matrix(TFPoint(0, 0), empty, sys16.window)
+        build_T_matrix(TFPoint(0, 0), empty)
 
 
 # ---------------------------------------------------------------- expectation
@@ -119,7 +120,7 @@ def test_expected_T_full_grid():
     phi = make_gaussian_window(L)
     eigs = eigendecompose(build_localization_operator(full_region(L), phi), 0.5)
     assert eigs.N == L
-    E = expected_T(eigs, full_region(L))
+    E = expected_T(eigs)
     assert np.max(np.abs(E - np.eye(L) / L)) < 1e-10
 
 
@@ -127,9 +128,9 @@ def test_expected_T_is_exhaustive_average(sys32):
     eigs, window, region = sys32.eigs, sys32.window, sys32.region
     S = np.zeros((eigs.N, eigs.N), dtype=complex)
     for m, n in region.points():
-        S += build_T_matrix(TFPoint(int(m), int(n)), eigs, window).entries
+        S += build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
     S /= region.point_count
-    E = expected_T(eigs, region)
+    E = expected_T(eigs)
     assert np.max(np.abs(S - E)) < 1e-10
     off = S - np.diag(np.diag(S))
     assert np.max(np.abs(off)) < 1e-10
@@ -143,11 +144,11 @@ def test_expected_T_monte_carlo_average(sys32):
     S = np.zeros((eigs.N, eigs.N), dtype=complex)
     samples = []
     for m, n in s.points:
-        T = build_T_matrix(TFPoint(int(m), int(n)), eigs, window).entries
+        T = build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
         samples.append(T)
         S += T
     S /= draws
-    E = expected_T(eigs, region)
+    E = expected_T(eigs)
     stack = np.stack(samples)
     se = np.std(stack, axis=0) / math.sqrt(draws)
     assert np.all(np.abs(S - E) <= 4 * se + 1e-12)
@@ -159,7 +160,7 @@ def test_expected_T_monte_carlo_average(sys32):
 def test_empirical_min_eig_exhaustive_draw_is_zero(sys32):
     region = sys32.region
     s = SampleSet(region.points(), seed=0, region=region, distinct=True)
-    stat = empirical_min_eigenvalue(s, sys32.eigs, region, sys32.window)
+    stat = empirical_min_eigenvalue(s, sys32.eigs)
     assert abs(stat) < 1e-10
 
 
@@ -168,7 +169,7 @@ def test_empirical_min_eig_lower_bound(sys32):
     om = region.measure
     for seed in range(10):
         s = uniform_sample(region, 5, seed=seed)
-        stat = empirical_min_eigenvalue(s, sys32.eigs, region, sys32.window)
+        stat = empirical_min_eigenvalue(s, sys32.eigs)
         assert stat >= -(1.0 + 1.0 / om) - 1e-12
         assert stat <= 1e-10  # centered average of PSD pieces keeps min eig <= 0
 
@@ -176,11 +177,11 @@ def test_empirical_min_eig_lower_bound(sys32):
 def test_centered_summand_norm_bound(sys32):
     # || T - E T || <= 1 for every point: the Bernstein B parameter
     eigs, window, region = sys32.eigs, sys32.window, sys32.region
-    E = expected_T(eigs, region)
+    E = expected_T(eigs)
     rng = np.random.default_rng(13)
     pts = region.points()
     for idx in rng.integers(0, len(pts), size=20):
-        T = build_T_matrix(TFPoint(*map(int, pts[idx])), eigs, window).entries
+        T = build_T_matrix(TFPoint(*map(int, pts[idx])), eigs).entries
         X = T - E
         assert np.abs(np.linalg.eigvalsh(X)).max() <= 1 + 1e-10
 
@@ -190,7 +191,7 @@ def test_empirical_statistic_implies_sampling_bound(sys32):
     eigs, window, region, H = sys32.eigs, sys32.window, sys32.region, sys32.H
     om = region.measure
     s = uniform_sample(region, 40, seed=99)
-    stat = empirical_min_eigenvalue(s, eigs, region, window)
+    stat = empirical_min_eigenvalue(s, eigs)
     nu_hat = max(0.0, -stat * om)
     rng = np.random.default_rng(14)
     for _ in range(20):
@@ -208,7 +209,7 @@ def test_empirical_min_eig_requires_samples(sys16):
     region = sys16.region
     empty = SampleSet(np.zeros((0, 2), dtype=np.int64), 0, region, False)
     with pytest.raises(ParameterError):
-        empirical_min_eigenvalue(empty, sys16.eigs, region, sys16.window)
+        empirical_min_eigenvalue(empty, sys16.eigs)
 
 
 # ---------------------------------------------------------------- tail params
@@ -389,7 +390,7 @@ def _disk_plus_noisy_block(L):
 def test_region_table_matches_stft():
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
-        table = _region_table(eigs, region.mask, window)
+        table = _region_table(eigs, region.mask)
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
@@ -400,7 +401,7 @@ def test_region_table_matches_stft():
     # against the direct O(L^3) sum, so the check does not rest on FFT vs FFT
     region = _disk_plus_noisy_block(24)
     eigs, window = _eigs_and_window(region)
-    table = _region_table(eigs, region.mask, window)
+    table = _region_table(eigs, region.mask)
     assert eigs.N >= 2
     for k in range(eigs.N):
         V = stft_direct(eigs.eigenvectors[:, k], window.values)
@@ -415,7 +416,7 @@ def test_region_table_peak_memory():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        table = _region_table(eigs, region.mask, window)
+        table = _region_table(eigs, region.mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,8 +433,8 @@ def test_drawn_table_rows_match_full_table():
     mask = _drawn_mask(region, idx)
     assert np.array_equal(np.argwhere(mask), region.points()[distinct])
     assert distinct.size < region.point_count
-    table = _region_table(eigs, mask, window)
-    full = _region_table(eigs, region.mask, window)
+    table = _region_table(eigs, mask)
+    full = _region_table(eigs, region.mask)
     assert table.shape == (distinct.size, eigs.N)
     assert np.array_equal(table[idx].view(np.float64), full[drawn].view(np.float64))
 
@@ -444,12 +445,11 @@ def test_monte_carlo_tabulates_only_drawn_points():
     eigs, window = _eigs_and_window(region)
     assert eigs.N == 39
     full_table_bytes = 16 * region.point_count * eigs.N
-    setup = (region, window, eigs)
-    monte_carlo_failure_frequency(5, 0.3, 20, setup, master_seed=4)  # lazy imports, caches
+    monte_carlo_failure_frequency(5, 0.3, 20, eigs, master_seed=4)  # lazy imports, caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        monte_carlo_failure_frequency(5, 0.3, 20, setup, master_seed=3)
+        monte_carlo_failure_frequency(5, 0.3, 20, eigs, master_seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,32 +460,62 @@ def test_monte_carlo_tabulates_only_drawn_points():
 
 
 def test_monte_carlo_deterministic(sys32):
-    setup = (sys32.region, sys32.window, sys32.eigs)
-    a = monte_carlo_failure_frequency(50, 0.4, 30, setup, master_seed=42)
-    b = monte_carlo_failure_frequency(50, 0.4, 30, setup, master_seed=42)
+    a = monte_carlo_failure_frequency(50, 0.4, 30, sys32.eigs, master_seed=42)
+    b = monte_carlo_failure_frequency(50, 0.4, 30, sys32.eigs, master_seed=42)
     assert a == b
-    c = monte_carlo_failure_frequency(50, 0.4, 30, setup, master_seed=43)
+    c = monte_carlo_failure_frequency(50, 0.4, 30, sys32.eigs, master_seed=43)
     # a different seed is allowed to coincide numerically but the draw differs;
     # just check the frequency is a valid proportion
     assert 0.0 <= c <= 1.0
 
 
 def test_monte_carlo_threads_agree(sys32):
-    setup = (sys32.region, sys32.window, sys32.eigs)
-    a = monte_carlo_failure_frequency(64, 0.3, 25, setup, master_seed=7, threads=1)
-    b = monte_carlo_failure_frequency(64, 0.3, 25, setup, master_seed=7, threads=4)
+    a = monte_carlo_failure_frequency(64, 0.3, 25, sys32.eigs, master_seed=7, threads=1)
+    b = monte_carlo_failure_frequency(64, 0.3, 25, sys32.eigs, master_seed=7, threads=4)
     assert a == b
+
+
+def test_monte_carlo_starts_at_most_one_worker_per_cpu(sys32, monkeypatch):
+    # a huge --threads must not start a thread per chunk; the recording pool runs
+    # the chunks serially and starts no thread at all
+    import tfsamp.sampling as sampling
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    # r * N large enough that the budget makes several chunks, so a pool is used
+    serial = monte_carlo_failure_frequency(64, 0.3, 4000, sys32.eigs, master_seed=7)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+    for cpus in (os.cpu_count(), None, 1, 3):
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
+        started.clear()
+        freq = monte_carlo_failure_frequency(
+            64, 0.3, 4000, sys32.eigs, master_seed=7, threads=10**6
+        )
+        assert freq == serial
+        assert started == ([] if cpus in (None, 1) else [cpus])
 
 
 def test_monte_carlo_threads_share_one_chunk_budget(sys120):
     # the ~32 MB chunk budget is split over the threads, not held once per thread
-    setup = (sys120.region, sys120.window, sys120.eigs)
     freq, peak = {}, {}
     for threads in (1, 2):
         tracemalloc.start()
         try:
             freq[threads] = monte_carlo_failure_frequency(
-                200, 0.2, 4000, setup, master_seed=5, threads=threads
+                200, 0.2, 4000, sys120.eigs, master_seed=5, threads=threads
             )
             peak[threads] = tracemalloc.get_traced_memory()[1]
         finally:
@@ -496,18 +526,16 @@ def test_monte_carlo_threads_share_one_chunk_budget(sys120):
 
 def test_monte_carlo_huge_nu_never_fails(sys32):
     om = sys32.region.measure
-    setup = (sys32.region, sys32.window, sys32.eigs)
     nu = om * (1.0 + 1.0 / om) + 1.0  # statistic can never reach -nu/|Omega|
-    assert monte_carlo_failure_frequency(30, nu, 10, setup, master_seed=1) == 0.0
+    assert monte_carlo_failure_frequency(30, nu, 10, sys32.eigs, master_seed=1) == 0.0
 
 
 def test_monte_carlo_respects_theory_bound(sys32):
     # small-scale version of the tail-validation experiment
-    setup = (sys32.region, sys32.window, sys32.eigs)
     om = sys32.region.measure
     N = sys32.eigs.N
     for nu, r in [(0.4, 60), (0.6, 60)]:
-        freq = monte_carlo_failure_frequency(400, nu, r, setup, master_seed=5)
+        freq = monte_carlo_failure_frequency(400, nu, r, sys32.eigs, master_seed=5)
         bound = subspace_failure_bound(TailParams(nu=nu, r=r, omega_measure=om, N=N))
         sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / 400)
         assert freq <= min(1.0, bound) + 4 * sigma
@@ -521,9 +549,9 @@ def test_batched_engine_matches_single_draws(sys32):
              for r in (30, 40) for i in range(trials)]
     nu = 0.4
     thresh = -nu / region.measure
-    stats = np.array([empirical_min_eigenvalue(s, eigs, region, window) for s in draws[:trials]])
+    stats = np.array([empirical_min_eigenvalue(s, eigs) for s in draws[:trials]])
     assert np.min(np.abs(stats - thresh)) > 1e-9
-    freq = monte_carlo_failure_frequency(trials, nu, 30, (region, window, eigs), seed)
+    freq = monte_carlo_failure_frequency(trials, nu, 30, eigs, seed)
     assert 0.0 < freq < 1.0
     assert freq == np.count_nonzero(stats <= thresh) / trials
 
