@@ -12,8 +12,8 @@ Common flags: --config PATH, --seed U64 (overrides the config's
 master_seed), --out DIR, --threads N, --emit-eigenvectors.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 infeasible request (an empty V_N, or an L whose dense setup cannot
-fit in physical memory).
+4 infeasible request (an empty V_N, an L whose dense setup cannot fit
+in physical memory, or Monte Carlo draws that cannot).
 
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
@@ -127,20 +127,24 @@ def build_window(cfg: ExperimentConfig) -> Window:
 SETUP_BYTES_PER_L2 = 128
 
 
+def _refuse_beyond_memory(need: int, what: str, formula: str):
+    """InfeasibleError if an estimated peak of need bytes exceeds physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InfeasibleError(
+            f"{what} needs about {need / 2**30:.3g} GiB ({formula} bytes), more than "
+            f"the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def build_setup(cfg: ExperimentConfig):
     """(operator, eigensystem) for one config.
 
     An L whose dense setup cannot fit in physical memory is refused before
     any array or mask file is touched.
     """
-    need = SETUP_BYTES_PER_L2 * cfg.L**2
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise InfeasibleError(
-            f"L={cfg.L}: the dense setup needs about {need / 2**30:.3g} GiB "
-            f"({SETUP_BYTES_PER_L2} * L^2 bytes), more than the {have / 2**30:.3g} GiB "
-            "of physical memory"
-        )
+    _refuse_beyond_memory(SETUP_BYTES_PER_L2 * cfg.L**2, f"L={cfg.L}: the dense setup",
+                          f"{SETUP_BYTES_PER_L2} * L^2")
     H = build_localization_operator(build_region(cfg), build_window(cfg))
     return H, eigendecompose(H, cfg.gamma, cfg.eig_residual)
 
@@ -345,6 +349,11 @@ def run_reconstruct(
 def run_montecarlo(
     cfg: ExperimentConfig, outdir: str, threads: int = 1, *, emit_eigenvectors: bool = False
 ) -> RunReport:
+    r_max = max(int(r) for r in cfg.r_grid)
+    # each cell draws every trial's r point indices at once, 8 bytes each
+    _refuse_beyond_memory(8 * cfg.trials * r_max,
+                          f"trials={cfg.trials}, r={r_max}: the Monte Carlo draw block",
+                          "8 * trials * r")
     with _run("montecarlo", cfg, outdir) as (report, eigs):
         t1 = time.perf_counter()
         tail = _tail_params(cfg, eigs)
@@ -503,6 +512,7 @@ def run_witness(
             "function_seed": fseed,
             "delta": alias.delta,
             "sample_gap": alias.sample_gap,
+            "phi_perp_energy": alias.phi_perp_energy,
             "f": _conc(alias.f),
             "f_tilde": _conc(alias.f_tilde),
         }

@@ -56,6 +56,7 @@ class AliasWitness:
     phi_perp: Signal
     delta: float
     sample_gap: float  # max_j |V_phi f(lam_j) - V_phi f_tilde(lam_j)|
+    phi_perp_energy: float  # <H phi_perp, phi_perp>; <= KERNEL_RANK_TOL: chosen by roundoff
 
 
 def nonlinearity_witness(
@@ -131,36 +132,51 @@ def nonlinearity_witness(
 def null_sample_witness(samples: SampleSet, f: Signal, eigs: EigenSystem) -> AliasWitness:
     """Perturb f inside the sampled system's null space without losing concentration.
 
-    phi_perp is the unit vector of the orthogonal complement of
-    span{pi(lam_j) phi} with the largest region energy <H x, x> (the
-    complement direction least damaging to concentration), its phase fixed
-    like an eigenvector's (largest-magnitude entry real positive).  delta is
-    0.1*||f||, capped at the largest size for which f_tilde = f +
-    delta*phi_perp stays concentrated at eps = 2 * (measured defect of f).
+    phi_perp is the unit vector orthogonal to span{pi(lam_j) phi} with the
+    largest region energy <H x, x> (the complement direction least damaging
+    to concentration), its phase fixed like an eigenvector's
+    (largest-magnitude entry real positive).  delta is 0.1*||f||, capped at
+    the largest size for which f_tilde = f + delta*phi_perp stays
+    concentrated at eps = 2 * (measured defect of f).
+
+    The direction search never forms an L x L matrix.  A thin SVD of the
+    L x r atoms gives an orthonormal basis Q of their span.  With H cut to
+    its K = eigs.numerical_rank eigenvalues above KERNEL_RANK_TOL, H_K =
+    B B^H for B = psi_K diag(sqrt(alpha_K)), and the maximiser is
+    phi_perp ~ P_perp B y, P_perp = I - Q Q^H, for the top eigenvector y of
+    the K x K matrix G = diag(alpha_K) - Z^H Z, Z = Q^H B.  The cut moves
+    any region energy by less than KERNEL_RANK_TOL = 1e-12.
+
+    phi_perp_energy = <H phi_perp, phi_perp>, G's top eigenvalue up to
+    roundoff.  A value <= KERNEL_RANK_TOL means every complement direction
+    carries only roundoff region energy, so phi_perp is an arbitrary valid
+    choice among them.
     """
-    L = f.L
-    W = samples.analysis_rows(eigs.window)
-    atoms = np.conj(W.T)  # columns pi(lam_j) phi
-    U, sv, _ = np.linalg.svd(atoms, full_matrices=True)
-    tol = max(atoms.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int((sv > tol).sum())
-    if rank >= L:
-        raise InfeasibleError("sampled atoms span the whole space; no alias direction")
-    comp = U[:, rank:]  # orthonormal basis of the complement
-    # compress H onto the complement and take the top eigenvector
-    C = eigs.eigenvectors.conj().T @ comp
-    Mmat = C.conj().T @ (eigs.eigenvalues[:, None] * C)
-    Mmat = 0.5 * (Mmat + Mmat.conj().T)
-    w, v = np.linalg.eigh(Mmat)
-    # the complement basis and eigh fix phi_perp only up to a phase; pin it the
-    # way eigendecompose pins eigenvectors, so b, delta and f_tilde do not depend on it
-    phi_perp = Signal(_fix_phases(comp @ v[:, -1:])[:, 0])
     base = concentration_from_eigs(f, eigs)
     eps = 2.0 * base.epsilon
     if base.epsilon <= 0.0 or eps >= 1.0:
         raise InfeasibleError(
             "f has no strict concentration slack; cannot absorb a perturbation"
         )
+    W = samples.analysis_rows(eigs.window)
+    atoms = np.conj(W.T)  # columns pi(lam_j) phi
+    Q, sv, _ = np.linalg.svd(atoms, full_matrices=False)
+    tol = max(atoms.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    rank = int((sv > tol).sum())
+    if rank >= f.L:
+        raise InfeasibleError("sampled atoms span the whole space; no alias direction")
+    Q = Q[:, :rank]
+    K = eigs.numerical_rank  # >= 1: f's region energy exceeds half its norm
+    B = eigs.eigenvectors[:, :K] * np.sqrt(eigs.eigenvalues[:K])
+    Z = Q.conj().T @ B
+    G = np.diag(eigs.eigenvalues[:K]) - Z.conj().T @ Z
+    _, y = np.linalg.eigh(0.5 * (G + G.conj().T))
+    x = B @ y[:, -1]
+    for _ in range(2):  # twice is enough: the second pass removes the first's roundoff
+        x -= Q @ (Q.conj().T @ x)
+    # eigh fixes y only up to a phase; pin phi_perp the way eigendecompose pins
+    # eigenvectors, so b, delta and f_tilde do not depend on it
+    phi_perp = Signal(_fix_phases((x / np.linalg.norm(x))[:, None])[:, 0])
     # f + delta*phi_perp stays concentrated iff q(delta) = a + 2b delta + c delta^2 >= 0,
     # with k_j = alpha_j - (1 - eps) weighting the eigen-coefficients; a > 0 here
     k = eigs.eigenvalues - (1.0 - eps)
@@ -179,4 +195,5 @@ def null_sample_witness(samples: SampleSet, f: Signal, eigs: EigenSystem) -> Ali
     gap = float(np.max(np.abs(W @ f_tilde.values - W @ f.values)))
     if gap > 1e-10:
         raise InfeasibleError(f"complement construction leaked into the samples ({gap:.3e})")
-    return AliasWitness(f, f_tilde, phi_perp, float(delta), gap)
+    energy = float(eigs.eigenvalues @ np.abs(cp) ** 2)  # <H phi_perp, phi_perp>
+    return AliasWitness(f, f_tilde, phi_perp, float(delta), gap, energy)

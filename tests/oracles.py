@@ -116,6 +116,23 @@ def bessel_direct(points, phi):
     return float(np.linalg.eigvalsh(S)[-1])
 
 
+def alias_direction_full(atoms, alpha, V):
+    """Top region-energy direction of the atoms' complement, from the full SVD.
+
+    Complete SVD of the L x r atoms, an L x (L - rank) basis of the
+    complement, and the eigh of H = V diag(alpha) V^H compressed onto it.
+    Returns (unit direction, the compressed operator's eigenvalues
+    ascending); the last eigenvalue is the maximal region energy.
+    """
+    U, sv, _ = np.linalg.svd(atoms, full_matrices=True)
+    rank = int((sv > max(atoms.shape) * np.finfo(float).eps * sv[0]).sum())
+    comp = U[:, rank:]
+    C = V.conjugate().T @ comp
+    M = C.conjugate().T @ (alpha[:, None] * C)
+    w, v = np.linalg.eigh(0.5 * (M + M.conjugate().T))
+    return comp @ v[:, -1], w
+
+
 # ---------------------------------------------------------------- tails
 
 

@@ -342,6 +342,7 @@ eta = 2.0
     al = payload["sections"]["alias"]
     assert al["sample_gap"] <= 1e-10
     assert al["delta"] > 1e-6
+    assert isinstance(al["phi_perp_energy"], float)
     fa = read_signal(os.path.join(out, "alias_f.tfrs"))
     fb = read_signal(os.path.join(out, "alias_f_tilde.tfrs"))
     assert abs(np.linalg.norm(fa - fb) - al["delta"]) < 1e-10
@@ -414,6 +415,31 @@ def test_setup_too_large_for_memory_exits_4_without_allocating(tmp_path, capsys,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("infeasible request: L=1048576: the dense setup needs about")
+    assert "GiB of physical memory" in err
+
+
+def test_montecarlo_draws_too_large_for_memory_exit_4_without_allocating(tmp_path, capsys):
+    # 10**12 trials at r=4000 draw 8 * trials * r bytes of indices, ~28 PiB;
+    # the guard is an estimate only and refuses before the setup
+    ini = _ini(tmp_path, "[experiment]\nL = 32\ntrials = 1000000000000\n"
+                         "[region]\nradius_px = 8\n[montecarlo]\nr_grid = 250, 4000\n")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = main(["montecarlo", "--config", ini, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "infeasible request: trials=1000000000000, r=4000: the Monte Carlo draw block needs about"
+    )
+    assert "(8 * trials * r bytes)" in err
     assert "GiB of physical memory" in err
 
 

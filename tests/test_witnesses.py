@@ -15,6 +15,8 @@ from tfsamp import (
     uniform_sample,
 )
 
+from oracles import alias_direction_full
+
 
 # --------------------------------------------------------- nonlinearity
 
@@ -186,3 +188,30 @@ def test_alias_direction_phase_convention(sys64):
     pivot = p[np.abs(p).argmax()]
     assert abs(pivot.imag) < 1e-12
     assert pivot.real > 0
+
+
+def _oracle_direction(s, eigs):
+    atoms = np.conj(s.analysis_rows(eigs.window).T)
+    return alias_direction_full(atoms, eigs.eigenvalues, eigs.eigenvectors)
+
+
+def test_alias_direction_matches_full_complement_oracle(sys64):
+    # r=20: the complement's top region energy is well separated (0.17 against 0.04),
+    # so the reduced K x K solve must find the same direction as the full complement
+    _, s, w = _alias_instance(sys64, r=20)
+    phi, energies = _oracle_direction(s, sys64.eigs)
+    assert energies[-1] - energies[-2] >= 1e-3 * energies[-1]
+    phi = phi * np.vdot(phi, w.phi_perp.values) / abs(np.vdot(phi, w.phi_perp.values))
+    assert np.max(np.abs(w.phi_perp.values - phi)) < 1e-8
+    assert abs(w.phi_perp_energy - energies[-1]) < 1e-12
+
+
+def test_alias_direction_in_roundoff_regime_is_maximal_and_invisible(sys64):
+    # r=60: every complement direction carries only roundoff region energy, so the
+    # direction itself is arbitrary; its energy must still be maximal to 1e-12 and
+    # its samples must vanish
+    _, s, w = _alias_instance(sys64)
+    _, energies = _oracle_direction(s, sys64.eigs)
+    assert energies[-1] <= 1e-12
+    assert abs(w.phi_perp_energy - energies[-1]) <= 1e-12
+    assert np.max(np.abs(s.analysis_rows(sys64.window) @ w.phi_perp.values)) <= 1e-12
