@@ -169,8 +169,8 @@ def test_alias_witness_needs_concentration_slack(sys64):
 
 
 def test_alias_witness_independent_of_complement_basis(sys64):
-    # permuting the sample points changes the SVD's complement basis but not the
-    # complement, so the alias direction and everything built on it must agree
+    # permuting the sample points changes the SVD's basis of the atoms' span but not
+    # the span, so the alias direction and everything built on it must agree
     # (r=20 keeps the complement's top region energy simple: 0.17 against 0.04)
     f, s, w = _alias_instance(sys64, r=20)
     perm = np.random.default_rng(5).permutation(s.r)
