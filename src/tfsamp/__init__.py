@@ -60,7 +60,6 @@ from .regions import (
 from .reports import RunReport, read_mask, read_signal, write_mask, write_report, write_signal
 from .sampling import (
     TailParams,
-    TMatrix,
     build_T_matrix,
     covering_exceedance_frequency,
     covering_tail,

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .regions import SampleSet
-from .tfcore import Signal, Window
+from .tfcore import Signal
 
 __all__ = [
     "SamplingCheck",
@@ -50,16 +49,15 @@ class SamplingCheck:
     A: float
 
 
-def exact_bessel_bound(samples: SampleSet, window: Window) -> float:
+def exact_bessel_bound(W: np.ndarray) -> float:
     """Largest eigenvalue of the frame operator S = sum_j pi(lam_j)phi (pi(lam_j)phi)^*.
 
     S = W^H W shares its nonzero eigenvalues with the Gram matrix W W^H of
-    the sampled analysis matrix W, so one dense Hermitian eigensolve of the
-    smaller of the two (r x r or L x L) gives B exactly.
+    the (r, L) sampled analysis matrix W (SampleSet.analysis_rows), so one
+    dense Hermitian eigensolve of the smaller of the two gives B exactly.
     """
-    if samples.r < 1:
+    if W.shape[0] < 1:
         raise ParameterError("Bessel bound needs at least one sample point")
-    W = samples.analysis_rows(window)
     G = W @ W.conj().T if W.shape[0] <= W.shape[1] else W.conj().T @ W
     return float(np.linalg.eigvalsh(G)[-1])
 
@@ -108,20 +106,17 @@ def admissible_params(C_phi: float):
     return eps_max, nu_max
 
 
-def verify_sampling_inequality(
-    f: Signal, samples: SampleSet, window: Window, A: float
-) -> SamplingCheck:
-    """Evaluate both sides of A||f||^2 <= sum_j |V_phi f(lam_j)|^2 <= r||f||^2."""
+def verify_sampling_inequality(f: Signal, W: np.ndarray, A: float) -> SamplingCheck:
+    """Evaluate both sides of A||f||^2 <= sum_j |V_phi f(lam_j)|^2 <= r||f||^2 for W f."""
     nsq = float(np.real(np.vdot(f.values, f.values)))
     if nsq == 0.0:
         raise ParameterError("sampling inequality is undefined for the zero signal")
-    W = samples.analysis_rows(window)
     energy = float((np.abs(W @ f.values) ** 2).sum())
     return SamplingCheck(
         sample_energy=energy,
         norm_sq=nsq,
         ratio=energy / nsq,
         lower_holds=bool(energy >= A * nsq),
-        upper_holds=bool(energy <= samples.r * nsq + 1e-9 * max(1.0, energy)),
+        upper_holds=bool(energy <= W.shape[0] * nsq + 1e-9 * max(1.0, energy)),
         A=float(A),
     )

@@ -11,9 +11,11 @@ witness      construct the non-linearity and equal-samples witnesses
 Common flags: --config PATH, --seed U64 (overrides the config's
 master_seed), --out DIR, --threads N, --emit-eigenvectors.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 infeasible request (an empty V_N, an L whose dense setup cannot fit
-in physical memory, or Monte Carlo draws that cannot).
+Exit codes: 0 success, 2 configuration error (also the library checks
+a config reaches: a wrapping disk, an all-zero or non-finite window
+file, witness.M outside 1..L), 3 numerical failure, 4 infeasible request
+(an empty V_N, an L whose dense setup cannot fit in physical memory, or
+Monte Carlo draws that cannot).
 
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
@@ -53,7 +55,7 @@ from .locop import (
     eigendecompose,
     eigenvalue_count_estimate,
 )
-from .recon import make_concentrated_test_function, reconstruct
+from .recon import error_bound, make_concentrated_test_function, reconstruct
 from .regions import (
     covering_excess,
     covering_index,
@@ -198,9 +200,10 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
 
 
 def _draw_samples(cfg: ExperimentConfig, eigs):
-    """(seed, samples) of the run-level sample draw."""
+    """(seed, samples, W) of the run-level sample draw; W is its one analysis matrix."""
     sample_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, 0)
-    return sample_seed, uniform_sample(eigs.region, cfg.r, sample_seed, cfg.distinct)
+    samples = uniform_sample(eigs.region, cfg.r, sample_seed, cfg.distinct)
+    return sample_seed, samples, samples.analysis_rows(eigs.window)
 
 
 def _cell_px(cfg: ExperimentConfig) -> int:
@@ -302,10 +305,11 @@ def run_reconstruct(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
     with _run("reconstruct", cfg, outdir) as (report, eigs):
-        sample_seed, samples = _draw_samples(cfg, eigs)
+        sample_seed, samples, W = _draw_samples(cfg, eigs)
+        B = exact_bessel_bound(W)
 
         def evaluate(i, eps_t, f):
-            rec = reconstruct(f, samples, eigs, cfg.cg_tol)
+            rec = reconstruct(f, W, eigs, cfg.cg_tol)
             write_grid_csv(
                 os.path.join(outdir, f"stft_abs_{i + 1}.csv"),
                 np.abs(stft(f, eigs.window).values),
@@ -313,7 +317,7 @@ def run_reconstruct(
             return dict(
                 epsilon_measured=rec.epsilon,
                 relative_error=rec.relative_error,
-                error_bound=rec.error_bound,
+                error_bound=error_bound(B, max(rec.epsilon, 0.0), eigs.gamma),
                 iterations=rec.iterations,
                 converged=rec.converged,
                 residual_norm=rec.residual_norm,
@@ -336,10 +340,7 @@ def run_reconstruct(
         ]
         _write_row_table(os.path.join(outdir, "recon_rows.csv"), header, rows)
         _write_samples(outdir, samples)
-        overlay = np.zeros((eigs.L, eigs.L), dtype=np.int64)
-        overlay[samples.points[:, 0], samples.points[:, 1]] = 1
-        write_grid_csv(os.path.join(outdir, "sample_overlay.csv"), overlay)
-        report.artifacts += ["recon_rows.csv", "samples.csv", "sample_overlay.csv"]
+        report.artifacts += ["recon_rows.csv", "samples.csv"]
         report.artifacts += [
             f"stft_abs_{i + 1}.csv" for i, row in enumerate(rows) if not row["infeasible"]
         ]
@@ -399,10 +400,10 @@ def run_certify(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
     with _run("certify", cfg, outdir) as (report, eigs):
-        sample_seed, samples = _draw_samples(cfg, eigs)
+        sample_seed, samples, W = _draw_samples(cfg, eigs)
         cell_px = _cell_px(cfg)
         covering = covering_index(samples, cell_px)
-        B = exact_bessel_bound(samples, eigs.window)
+        B = exact_bessel_bound(W)
         C_phi = B / covering.N0
         eps_max, nu_max = admissible_params(C_phi)
         measure = eigs.region.measure
@@ -420,7 +421,7 @@ def run_certify(
                 if admissible else None
             )
             A_best = max((a for a in (A_lem, A_thm) if a is not None), default=0.0)
-            check = verify_sampling_inequality(f, samples, eigs.window, A_best)
+            check = verify_sampling_inequality(f, W, A_best)
             return dict(
                 epsilon_certified=eps_cert,
                 A_lemma=A_lem,
@@ -484,10 +485,10 @@ def run_witness(
 ) -> RunReport:
     with _run("witness", cfg, outdir) as (report, eigs):
         nl = nonlinearity_witness(eigs, cfg.witness_epsilon, cfg.witness_eta, cfg.witness_M)
-        sample_seed, samples = _draw_samples(cfg, eigs)
+        sample_seed, samples, W = _draw_samples(cfg, eigs)
         fseed = derive_seed(cfg.master_seed, FUNCTION_STREAM, 0)
         f = make_concentrated_test_function(eigs, cfg.witness_epsilon, fseed)
-        alias = null_sample_witness(samples, f, eigs)
+        alias = null_sample_witness(W, f, eigs)
 
         def _conc(sig):
             c = concentration_from_eigs(sig, eigs)

@@ -31,10 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import exact_bessel_bound
 from .errors import InfeasibleError, ParameterError
 from .locop import EigenSystem, concentration_from_eigs
-from .regions import SampleSet
 from .tfcore import Signal
 
 __all__ = [
@@ -54,31 +52,40 @@ class ReconstructionResult:
     iterations: int
     residual_norm: float
     relative_error: float
-    error_bound: float
     converged: bool
     epsilon: float  # measured concentration defect of the input
 
 
-def _normal_equations(E: np.ndarray, s: np.ndarray):
-    """(G, b) = (E^H E, E^H s), with G symmetrized to exact Hermitian."""
+def gram_and_rhs(E: np.ndarray, sample_values):
+    """Normal equations (G, b) = (E^H E, E^H s) of min_c ||s - E c||, G exactly Hermitian.
+
+    E is the (r, N) sampled basis W @ eigs.basis(), E[j, k] = V_phi psi_k(lam_j).
+    """
+    r, N = E.shape
+    if r < 1:
+        raise ParameterError("need at least one sample")
+    if N < 1:
+        raise ParameterError("need a spectral cut with N >= 1")
+    s = np.asarray(sample_values, dtype=np.complex128)
+    if s.shape != (r,):
+        raise ParameterError(f"sample_values must have shape ({r},)")
     G = E.conj().T @ E
     return 0.5 * (G + G.conj().T), E.conj().T @ s
 
 
-def gram_and_rhs(samples: SampleSet, eigs: EigenSystem, sample_values):
-    """Normal equations of the sampled least-squares problem: (G, b)."""
-    if samples.r < 1:
-        raise ParameterError("need at least one sample")
-    if eigs.N < 1:
-        raise ParameterError("need a spectral cut with N >= 1")
-    s = np.asarray(sample_values, dtype=np.complex128)
-    if s.shape != (samples.r,):
-        raise ParameterError(f"sample_values must have shape ({samples.r},)")
-    return _normal_equations(samples.analysis_rows(eigs.window) @ eigs.basis(), s)
+def cg_solve(G, b, tol: float = 1e-12, max_iter: int | None = None):
+    """Conjugate gradient for Hermitian PSD G.
 
-
-def _cg(G: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
-    """CG from x0 = 0; returns (x, iterations, residual 2-norm history, converged)."""
+    Stops when ||G c - b|| <= tol * ||b|| or at max_iter (default 10N);
+    started from zero, so a singular G yields the minimum-norm solution.
+    Returns (c, iterations, residual 2-norm history, converged).
+    """
+    if tol <= 0:
+        raise ParameterError("tol must be positive")
+    G = np.asarray(G, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if max_iter is None:
+        max_iter = 10 * b.shape[0]
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -104,22 +111,6 @@ def _cg(G: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
     return x, it, history, math.sqrt(rs) <= tol * bnorm
 
 
-def cg_solve(G, b, tol: float = 1e-12, max_iter: int | None = None):
-    """Conjugate gradient for Hermitian PSD G.
-
-    Stops when ||G c - b|| <= tol * ||b|| or at max_iter (default 10N);
-    started from zero, so a singular G yields the minimum-norm solution.
-    Returns (c, iterations).
-    """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    b = np.asarray(b, dtype=np.complex128)
-    if max_iter is None:
-        max_iter = 10 * b.shape[0]
-    x, it, _, _ = _cg(np.asarray(G, dtype=np.complex128), b, tol, max_iter)
-    return x, it
-
-
 def error_bound(B: float, eps: float, gamma: float) -> float:
     """Relative-error bound sqrt(B * eps / (1 - gamma))."""
     if not 0.0 <= eps < 1.0:
@@ -130,30 +121,27 @@ def error_bound(B: float, eps: float, gamma: float) -> float:
 
 
 def reconstruct(
-    f: Signal, samples: SampleSet, eigs: EigenSystem, tol: float = 1e-12
+    f: Signal, W: np.ndarray, eigs: EigenSystem, tol: float = 1e-12
 ) -> ReconstructionResult:
-    """Sample f at the given points, solve for p_opt in V_N, report error vs bound."""
+    """Sample f through the analysis matrix W, solve for p_opt in V_N.
+
+    The relative error is bounded by error_bound(exact_bessel_bound(W),
+    max(epsilon, 0), eigs.gamma).
+    """
     nrm = f.norm()
     if nrm == 0.0:
         raise ParameterError("cannot reconstruct the zero signal")
-    W = samples.analysis_rows(eigs.window)
     s = W @ f.values
     E = W @ eigs.basis()
-    G, b = _normal_equations(E, s)
-    c, it, history, converged = _cg(G, b, tol, 10 * eigs.N)
-    p_opt = Signal(eigs.basis() @ c)
-    relative_error = float(np.linalg.norm(s - E @ c) / nrm)
-    eps = concentration_from_eigs(f, eigs).epsilon
-    B = exact_bessel_bound(samples, eigs.window)
+    c, it, history, converged = cg_solve(*gram_and_rhs(E, s), tol, 10 * eigs.N)
     return ReconstructionResult(
         coefficients=c,
-        p_opt=p_opt,
+        p_opt=Signal(eigs.basis() @ c),
         iterations=it,
         residual_norm=float(history[-1]),
-        relative_error=relative_error,
-        error_bound=error_bound(B, max(eps, 0.0), eigs.gamma),
+        relative_error=float(np.linalg.norm(s - E @ c) / nrm),
         converged=converged,
-        epsilon=eps,
+        epsilon=concentration_from_eigs(f, eigs).epsilon,
     )
 
 

@@ -44,7 +44,6 @@ from .regions import TFRegion, _cell_ids, _draw_indices
 from .tfcore import TFPoint, _analysis_rows, _stft_rows
 
 __all__ = [
-    "TMatrix",
     "TailParams",
     "build_T_matrix",
     "expected_T",
@@ -70,14 +69,6 @@ def derive_seed(master_seed: int, stream: int, index: int) -> int:
     """Derived 64-bit seed for (stream, index); collision-safe across streams."""
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(stream), int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-@dataclass(eq=False)
-class TMatrix:
-    """Rank-one Hermitian N x N sample matrix attached to one grid point."""
-
-    entries: np.ndarray
-    source_point: TFPoint
 
 
 @dataclass
@@ -109,13 +100,13 @@ class TailParams:
             raise ParameterError("covering rate a must exceed 1/|Omega|")
 
 
-def build_T_matrix(lam: TFPoint, eigs: EigenSystem) -> TMatrix:
+def build_T_matrix(lam: TFPoint, eigs: EigenSystem) -> np.ndarray:
     """T = v v^H with v_k = V_phi psi_k(lam); trace = ||P_{V_N} pi(lam) phi||^2."""
     if eigs.N < 1:
         raise ParameterError("build_T_matrix needs a spectral cut with N >= 1")
     row = _analysis_rows(np.array([lam.m]), np.array([lam.n]), eigs.window.values)[0]
     v = row @ eigs.basis()
-    return TMatrix(np.outer(v, np.conj(v)), lam)
+    return np.outer(v, np.conj(v))
 
 
 def expected_T(eigs: EigenSystem) -> np.ndarray:
@@ -160,17 +151,16 @@ def _min_eigs(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(S)[..., 0]
 
 
-def empirical_min_eigenvalue(samples, eigs: EigenSystem) -> float:
-    """Smallest eigenvalue of (1/r) sum_j (T_j - E T) for a concrete draw.
+def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
+    """Smallest eigenvalue of (1/r) sum_j (T_j - E T) for the draw of analysis matrix W.
 
     Always >= -(1 + 1/|Omega|) since each centered summand has norm <= 1.
     """
-    if samples.r < 1:
+    if W.shape[0] < 1:
         raise ParameterError("empirical statistic needs r >= 1")
     if eigs.N < 1:
         raise ParameterError("empirical statistic needs a spectral cut with N >= 1")
-    A = samples.analysis_rows(eigs.window) @ eigs.basis()
-    return float(_min_eigs(A[None], expected_T(eigs))[0])
+    return float(_min_eigs((W @ eigs.basis())[None], expected_T(eigs))[0])
 
 
 def tropp_tail(N: int, sigma2: float, Bnorm: float, t: float) -> float:

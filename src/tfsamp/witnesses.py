@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterError
 from .locop import EigenSystem, _fix_phases, concentration_from_eigs
-from .regions import SampleSet
 from .tfcore import Signal
 
 __all__ = [
@@ -129,12 +128,12 @@ def nonlinearity_witness(
     return NonlinearityWitness(psi_M, h, float(delta), f, float(eta), float(eps), idx + 1)
 
 
-def null_sample_witness(samples: SampleSet, f: Signal, eigs: EigenSystem) -> AliasWitness:
-    """Perturb f inside the sampled system's null space without losing concentration.
+def null_sample_witness(W: np.ndarray, f: Signal, eigs: EigenSystem) -> AliasWitness:
+    """Perturb f inside the null space of the analysis matrix W without losing concentration.
 
-    phi_perp is the unit vector orthogonal to span{pi(lam_j) phi} with the
-    largest region energy <H x, x> (the complement direction least damaging
-    to concentration), its phase fixed like an eigenvector's
+    phi_perp is the unit vector orthogonal to span{pi(lam_j) phi}, the
+    conjugated rows of W, with the largest region energy <H x, x> (the
+    complement direction least damaging to concentration), its phase fixed like an eigenvector's
     (largest-magnitude entry real positive).  delta is 0.1*||f||, capped at
     the largest size for which f_tilde = f + delta*phi_perp stays
     concentrated at eps = 2 * (measured defect of f).
@@ -158,7 +157,6 @@ def null_sample_witness(samples: SampleSet, f: Signal, eigs: EigenSystem) -> Ali
         raise InfeasibleError(
             "f has no strict concentration slack; cannot absorb a perturbation"
         )
-    W = samples.analysis_rows(eigs.window)
     atoms = np.conj(W.T)  # columns pi(lam_j) phi
     Q, sv, _ = np.linalg.svd(atoms, full_matrices=False)
     tol = max(atoms.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)

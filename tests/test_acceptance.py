@@ -25,6 +25,8 @@ from tfsamp import (
     default_cell_px,
     disk_region,
     eigendecompose,
+    error_bound,
+    exact_bessel_bound,
     expected_T,
     full_region,
     gram_and_rhs,
@@ -145,14 +147,14 @@ def test_04_sample_matrix_expectation_identity(sys32):
 
     S = np.zeros((eigs.N, eigs.N), dtype=complex)
     for m, n in region.points():
-        S += build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
+        S += build_T_matrix(TFPoint(int(m), int(n)), eigs)
     S /= region.point_count
     exhaustive_err = float(np.max(np.abs(S - E)))
 
     draws = 10_000
     s = uniform_sample(region, draws, seed=77)
     stack = np.stack([
-        build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
+        build_T_matrix(TFPoint(int(m), int(n)), eigs)
         for m, n in s.points
     ])
     mean = stack.mean(axis=0)
@@ -222,17 +224,19 @@ def test_06_covering_index_tail(sys120):
 def test_07_reconstruction_error_within_bound(sys480):
     t0 = time.perf_counter()
     eigs, window, region = sys480.eigs, sys480.window, sys480.region
-    samples = uniform_sample(region, 300, seed=424242)
+    W = uniform_sample(region, 300, seed=424242).analysis_rows(window)
+    B = exact_bessel_bound(W)
     rows = []
     errs = []
     bound_ok = True
     for eps_t in (1e-1, 3e-2, 1e-4, 1e-8):
         f = make_concentrated_test_function(eigs, eps_t, seed=97)
-        rec = reconstruct(f, samples, eigs, 1e-12)
-        bound_ok = bound_ok and rec.relative_error <= rec.error_bound
+        rec = reconstruct(f, W, eigs, 1e-12)
+        bound = error_bound(B, max(rec.epsilon, 0.0), eigs.gamma)
+        bound_ok = bound_ok and rec.relative_error <= bound
         errs.append(rec.relative_error)
         rows.append(f"eps={rec.epsilon:.1e}: err={rec.relative_error:.2e}"
-                    f"<=bound={rec.error_bound:.2e}")
+                    f"<=bound={bound:.2e}")
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     # the published error table inverts to one Bessel constant (err^2/eps)
     B1 = 0.72491 ** 2 / 0.067
@@ -251,15 +255,15 @@ def test_07_reconstruction_error_within_bound(sys480):
 def test_08_model_space_perfect_reconstruction(sys480):
     t0 = time.perf_counter()
     eigs, window, region = sys480.eigs, sys480.window, sys480.region
-    samples = uniform_sample(region, 300, seed=424242)
+    W = uniform_sample(region, 300, seed=424242).analysis_rows(window)
     # certify the draw spans the model space before trusting the solve
-    G, _ = gram_and_rhs(samples, eigs, np.zeros(samples.r, dtype=complex))
+    G, _ = gram_and_rhs(W @ eigs.basis(), np.zeros(W.shape[0], dtype=complex))
     lam = np.linalg.eigvalsh(G)
     frame_ok = lam[0] > 1e-6 * lam[-1]
     rng = np.random.default_rng(31)
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
     v = eigs.eigenvectors[:, : eigs.N] @ c
-    rec = reconstruct(Signal(v / np.linalg.norm(v)), samples, eigs, 1e-12)
+    rec = reconstruct(Signal(v / np.linalg.norm(v)), W, eigs, 1e-12)
     elapsed = time.perf_counter() - t0
     ok = (frame_ok and rec.converged and rec.iterations <= 100
           and rec.relative_error <= 1e-10)
@@ -293,11 +297,11 @@ def test_09_witness_constructions(sys64):
 
     f = make_concentrated_test_function(eigs, 0.01, seed=33)
     samples = uniform_sample(region, 60, seed=33)
-    alias = null_sample_witness(samples, f, eigs)
     W = _analysis_rows(samples.points[:, 0], samples.points[:, 1], window.values)
+    alias = null_sample_witness(W, f, eigs)
     sample_gap = float(np.max(np.abs(W @ alias.f.values - W @ alias.f_tilde.values)))
-    rec_a = reconstruct(alias.f, samples, eigs, 1e-12)
-    rec_b = reconstruct(alias.f_tilde, samples, eigs, 1e-12)
+    rec_a = reconstruct(alias.f, W, eigs, 1e-12)
+    rec_b = reconstruct(alias.f_tilde, W, eigs, 1e-12)
     p_gap = float(np.max(np.abs(rec_a.p_opt.values - rec_b.p_opt.values)))
     alias_ok = alias.delta > 1e-6 and sample_gap < 1e-10 and p_gap < 1e-10
     elapsed = time.perf_counter() - t0

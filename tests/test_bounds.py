@@ -29,13 +29,13 @@ def test_bessel_full_grid_is_L():
     L = 24
     reg = full_region(L)
     s = SampleSet(reg.points(), seed=0, region=reg, distinct=True)
-    B = exact_bessel_bound(s, make_gaussian_window(L))
+    B = exact_bessel_bound(s.analysis_rows(make_gaussian_window(L)))
     assert abs(B - L) < 1e-8
 
 
 def test_bessel_single_point_is_window_energy(sys32):
     s = SampleSet(np.array([[5, 9]]), seed=0, region=sys32.region, distinct=True)
-    B = exact_bessel_bound(s, sys32.window)
+    B = exact_bessel_bound(s.analysis_rows(sys32.window))
     assert abs(B - 1.0) < 1e-10
 
 
@@ -44,7 +44,7 @@ def test_bessel_matches_dense_oracle():
     reg = full_region(L)
     s = uniform_sample(reg, 50, seed=31)
     phi = make_gaussian_window(L)
-    B = exact_bessel_bound(s, phi)
+    B = exact_bessel_bound(s.analysis_rows(phi))
     ref = bessel_direct(s.points, phi.values)
     assert abs(B - ref) <= 1e-8 * ref
 
@@ -53,15 +53,15 @@ def test_bessel_monotone_under_inclusion(sys64):
     region, window = sys64.region, sys64.window
     s_big = uniform_sample(region, 80, seed=8)
     s_small = SampleSet(s_big.points[:30], seed=8, region=region, distinct=False)
-    B_small = exact_bessel_bound(s_small, window)
-    B_big = exact_bessel_bound(s_big, window)
+    B_small = exact_bessel_bound(s_small.analysis_rows(window))
+    B_big = exact_bessel_bound(s_big.analysis_rows(window))
     assert B_small <= B_big + 1e-10
 
 
 def test_bessel_needs_points(sys16):
     empty = SampleSet(np.zeros((0, 2), dtype=np.int64), 0, sys16.region, False)
     with pytest.raises(ParameterError):
-        exact_bessel_bound(empty, sys16.window)
+        exact_bessel_bound(empty.analysis_rows(sys16.window))
 
 
 # ---------------------------------------------------------------- lemma A
@@ -178,18 +178,19 @@ def test_theorem_equals_lemma_under_substitution():
 def test_verify_upper_always_holds(sys32):
     rng = np.random.default_rng(19)
     s = uniform_sample(sys32.region, 25, seed=2)
+    W = s.analysis_rows(sys32.window)
     for seed in range(10):
         f = Signal(rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        chk = verify_sampling_inequality(f, s, sys32.window, A=0.0)
+        chk = verify_sampling_inequality(f, W, A=0.0)
         assert chk.upper_holds
         assert chk.sample_energy <= s.r * chk.norm_sq + 1e-9
         assert abs(chk.ratio - chk.sample_energy / chk.norm_sq) < 1e-12
 
 
 def test_verify_rejects_zero_signal(sys16):
-    s = uniform_sample(sys16.region, 5, seed=1)
+    W = uniform_sample(sys16.region, 5, seed=1).analysis_rows(sys16.window)
     with pytest.raises(ParameterError):
-        verify_sampling_inequality(Signal(np.zeros(16, complex)), s, sys16.window, 0.1)
+        verify_sampling_inequality(Signal(np.zeros(16, complex)), W, 0.1)
 
 
 def test_verify_lower_bound_from_empirical_certificate(sys64):
@@ -199,18 +200,18 @@ def test_verify_lower_bound_from_empirical_certificate(sys64):
     om = region.measure
     gamma = eigs.gamma
     r = 600
-    s = uniform_sample(region, r, seed=12345)
-    stat = empirical_min_eigenvalue(s, eigs)
+    W = uniform_sample(region, r, seed=12345).analysis_rows(window)
+    stat = empirical_min_eigenvalue(W, eigs)
     nu = max(0.0, -stat * om) + 1e-12
     assert nu < gamma  # draw is good enough for a usable certificate
-    B = exact_bessel_bound(s, window)
+    B = exact_bessel_bound(W)
     A = lemma_lower_bound_A(r, om, gamma, 0.0, nu, B)  # eps=0: test inside V_N
     assert A > 0
     rng = np.random.default_rng(20)
     for _ in range(10):
         c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
         f = Signal(eigs.eigenvectors[:, : eigs.N] @ c)
-        chk = verify_sampling_inequality(f, s, window, A)
+        chk = verify_sampling_inequality(f, W, A)
         assert chk.lower_holds
         assert chk.upper_holds
 
@@ -223,7 +224,7 @@ def test_verify_alias_direction_defeats_positive_A(sys32):
     W = _analysis_rows(s.points[:, 0], s.points[:, 1], sys32.window.values)
     _, _, Vh = np.linalg.svd(W)
     f = Signal(Vh[-1].conj())  # null vector of the analysis map (r < L)
-    chk = verify_sampling_inequality(f, s, sys32.window, A=0.5)
+    chk = verify_sampling_inequality(f, W, A=0.5)
     assert chk.sample_energy < 1e-20
     assert not chk.lower_holds
 
@@ -238,11 +239,11 @@ def test_projected_atoms_form_frame_when_statistic_clears(sys32):
     om = region.measure
     gamma = eigs.gamma
     r = 800
-    s = uniform_sample(region, r, seed=777)
-    stat = empirical_min_eigenvalue(s, eigs)
+    W = uniform_sample(region, r, seed=777).analysis_rows(window)
+    stat = empirical_min_eigenvalue(W, eigs)
     nu = max(0.0, -stat * om) + 1e-12
     assert nu < gamma
-    G, _ = gram_and_rhs(s, eigs, np.zeros(r))
+    G, _ = gram_and_rhs(W @ eigs.basis(), np.zeros(r))
     w = np.linalg.eigvalsh(G)
     assert w[0] >= (gamma - nu) * r / om - 1e-8
     assert w[-1] <= r + 1e-9

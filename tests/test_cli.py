@@ -95,8 +95,7 @@ def test_reconstruct_deterministic_modulo_timings(tmp_path):
     ja, jb = _json_report(out1), _json_report(out2)
     ja.pop("timings"), jb.pop("timings")
     assert ja == jb
-    for name in ("recon_rows.csv", "samples.csv", "sample_overlay.csv",
-                 "stft_abs_1.csv", "stft_abs_2.csv"):
+    for name in ("recon_rows.csv", "samples.csv", "stft_abs_1.csv", "stft_abs_2.csv"):
         ba = open(os.path.join(out1, name), "rb").read()
         bb = open(os.path.join(out2, name), "rb").read()
         assert ba == bb, name
@@ -367,7 +366,64 @@ eta = 2.0
     assert "infeasible request" in capsys.readouterr().err
 
 
+# ------------------------------------------------------------ one draw
+
+
+def test_one_draw_builds_one_analysis_matrix_and_one_bessel_bound(tmp_path, monkeypatch):
+    # every consumer of the run's draw shares its analysis matrix W and its bound B,
+    # however many epsilon rows read them
+    from tfsamp import SampleSet, cli
+
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SampleSet, "analysis_rows", counted("W", SampleSet.analysis_rows))
+    monkeypatch.setattr(cli, "exact_bessel_bound", counted("B", cli.exact_bessel_bound))
+    ini = _ini(tmp_path, RECON)
+    for verb, section in (("reconstruct", "reconstruct"), ("certify", "bounds")):
+        calls.update(W=0, B=0)
+        out = str(tmp_path / verb)
+        assert main([verb, "--config", ini, "--out", out]) == 0
+        rows = _json_report(out)["sections"][section]["rows"]
+        assert sum(not row["infeasible"] for row in rows) >= 2
+        assert calls == {"W": 1, "B": 1}, verb
+
+
 # -------------------------------------------------------- errors and seeds
+
+
+ALL_VERBS = ("spectrum", "reconstruct", "certify", "witness", "montecarlo")
+
+
+@pytest.mark.parametrize("radius, window, M, verbs, message", [
+    # RegionError
+    (16, None, None, ALL_VERBS, "disk of radius 16.0 px wraps around an L=32 grid"),
+    # ParameterError from the window file: all zero, all NaN
+    (8, 0.0, None, ALL_VERBS, "cannot normalize the zero signal into a window"),
+    (8, np.nan, None, ALL_VERBS, "Signal entries must be finite"),
+    # ParameterError; only witness reads M
+    (8, None, 0, ("witness",), "M=0 out of range 1..32"),
+    (8, None, 99, ("witness",), "M=99 out of range 1..32"),
+])
+def test_library_errors_a_config_reaches_exit_2(tmp_path, capsys, radius, window, M, verbs,
+                                                message):
+    body = f"[experiment]\nL = 32\nr = 12\ntrials = 5\n[region]\nradius_px = {radius}\n"
+    if window is not None:  # a window file with every entry equal to window
+        write_signal(str(tmp_path / "win.tfrs"), np.full(32, window, dtype=complex))
+        body += f"[window]\nkind = file\npath = {tmp_path / 'win.tfrs'}\n"
+    if M is not None:
+        body += f"[witness]\nM = {M}\n"
+    ini = _ini(tmp_path, body)
+    for verb in verbs:
+        assert main([verb, "--config", ini, "--out", str(tmp_path / verb)]) == 2, verb
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n", verb
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("verb", ["reconstruct", "certify", "witness", "montecarlo"])

@@ -9,5 +9,5 @@ def test_readme_library_example_runs(capsys):
     ns = {}
     exec(compile(code, str(README), "exec"), ns)
     assert ns["eigs"].N == 94
-    assert ns["rec"].relative_error <= ns["rec"].error_bound
+    assert ns["rec"].relative_error <= ns["bound"]
     assert "iterations" in capsys.readouterr().out

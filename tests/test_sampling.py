@@ -59,7 +59,7 @@ def test_T_matrix_invariants(sys32):
     pts = sys32.region.points()
     for idx in rng.integers(0, len(pts), size=10):
         lam = TFPoint(int(pts[idx][0]), int(pts[idx][1]))
-        T = build_T_matrix(lam, eigs).entries
+        T = build_T_matrix(lam, eigs)
         assert T.shape == (eigs.N, eigs.N)
         assert np.max(np.abs(T - T.conj().T)) < 1e-14
         w = np.linalg.eigvalsh(T)
@@ -75,7 +75,7 @@ def test_T_matrix_trace_is_projected_atom_energy(sys32):
 
     eigs, window = sys32.eigs, sys32.window
     lam = TFPoint(14, 18)
-    T = build_T_matrix(lam, eigs).entries
+    T = build_T_matrix(lam, eigs)
     atom = tf_shift(Signal(window.values), lam)
     coeffs = eigs.basis().conj().T @ atom.values
     assert abs(np.real(np.trace(T)) - float(np.sum(np.abs(coeffs) ** 2))) < 1e-10
@@ -85,7 +85,7 @@ def test_T_matrix_single_dimension_cut(sys32):
     e = sys32.eigs
     one = EigenSystem(e.eigenvalues, e.eigenvectors, 1, e.gamma, e.region, e.window)
     lam = TFPoint(16, 16)
-    T = build_T_matrix(lam, one).entries
+    T = build_T_matrix(lam, one)
     assert T.shape == (1, 1)
     V = stft(Signal(e.eigenvectors[:, 0]), sys32.window).values
     assert abs(T[0, 0] - abs(V[16, 16]) ** 2) < 1e-12
@@ -98,7 +98,7 @@ def test_T_matrix_quadratic_form_is_sampled_energy(sys16):
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
     p = eigs.eigenvectors[:, : eigs.N] @ c
     lam = TFPoint(9, 6)
-    T = build_T_matrix(lam, eigs).entries
+    T = build_T_matrix(lam, eigs)
     u = np.conj(c)
     quad = float(np.real(np.vdot(u, T @ u)))
     V = stft_direct(p, window.values)
@@ -128,7 +128,7 @@ def test_expected_T_is_exhaustive_average(sys32):
     eigs, window, region = sys32.eigs, sys32.window, sys32.region
     S = np.zeros((eigs.N, eigs.N), dtype=complex)
     for m, n in region.points():
-        S += build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
+        S += build_T_matrix(TFPoint(int(m), int(n)), eigs)
     S /= region.point_count
     E = expected_T(eigs)
     assert np.max(np.abs(S - E)) < 1e-10
@@ -144,7 +144,7 @@ def test_expected_T_monte_carlo_average(sys32):
     S = np.zeros((eigs.N, eigs.N), dtype=complex)
     samples = []
     for m, n in s.points:
-        T = build_T_matrix(TFPoint(int(m), int(n)), eigs).entries
+        T = build_T_matrix(TFPoint(int(m), int(n)), eigs)
         samples.append(T)
         S += T
     S /= draws
@@ -160,7 +160,7 @@ def test_expected_T_monte_carlo_average(sys32):
 def test_empirical_min_eig_exhaustive_draw_is_zero(sys32):
     region = sys32.region
     s = SampleSet(region.points(), seed=0, region=region, distinct=True)
-    stat = empirical_min_eigenvalue(s, sys32.eigs)
+    stat = empirical_min_eigenvalue(s.analysis_rows(sys32.window), sys32.eigs)
     assert abs(stat) < 1e-10
 
 
@@ -169,7 +169,7 @@ def test_empirical_min_eig_lower_bound(sys32):
     om = region.measure
     for seed in range(10):
         s = uniform_sample(region, 5, seed=seed)
-        stat = empirical_min_eigenvalue(s, sys32.eigs)
+        stat = empirical_min_eigenvalue(s.analysis_rows(sys32.window), sys32.eigs)
         assert stat >= -(1.0 + 1.0 / om) - 1e-12
         assert stat <= 1e-10  # centered average of PSD pieces keeps min eig <= 0
 
@@ -181,7 +181,7 @@ def test_centered_summand_norm_bound(sys32):
     rng = np.random.default_rng(13)
     pts = region.points()
     for idx in rng.integers(0, len(pts), size=20):
-        T = build_T_matrix(TFPoint(*map(int, pts[idx])), eigs).entries
+        T = build_T_matrix(TFPoint(*map(int, pts[idx])), eigs)
         X = T - E
         assert np.abs(np.linalg.eigvalsh(X)).max() <= 1 + 1e-10
 
@@ -191,7 +191,7 @@ def test_empirical_statistic_implies_sampling_bound(sys32):
     eigs, window, region, H = sys32.eigs, sys32.window, sys32.region, sys32.H
     om = region.measure
     s = uniform_sample(region, 40, seed=99)
-    stat = empirical_min_eigenvalue(s, eigs)
+    stat = empirical_min_eigenvalue(s.analysis_rows(window), eigs)
     nu_hat = max(0.0, -stat * om)
     rng = np.random.default_rng(14)
     for _ in range(20):
@@ -209,7 +209,7 @@ def test_empirical_min_eig_requires_samples(sys16):
     region = sys16.region
     empty = SampleSet(np.zeros((0, 2), dtype=np.int64), 0, region, False)
     with pytest.raises(ParameterError):
-        empirical_min_eigenvalue(empty, sys16.eigs)
+        empirical_min_eigenvalue(empty.analysis_rows(sys16.window), sys16.eigs)
 
 
 # ---------------------------------------------------------------- tail params
@@ -549,7 +549,8 @@ def test_batched_engine_matches_single_draws(sys32):
              for r in (30, 40) for i in range(trials)]
     nu = 0.4
     thresh = -nu / region.measure
-    stats = np.array([empirical_min_eigenvalue(s, eigs) for s in draws[:trials]])
+    stats = np.array([empirical_min_eigenvalue(s.analysis_rows(window), eigs)
+                      for s in draws[:trials]])
     assert np.min(np.abs(stats - thresh)) > 1e-9
     freq = monte_carlo_failure_frequency(trials, nu, 30, eigs, seed)
     assert 0.0 < freq < 1.0

@@ -111,7 +111,7 @@ def test_nonlinearity_witness_infeasible_eps(sys16):
 def _alias_instance(sys64, r=60, target=0.01, seed=33):
     f = make_concentrated_test_function(sys64.eigs, target, seed=seed)
     s = uniform_sample(sys64.region, r, seed=seed)
-    return f, s, null_sample_witness(s, f, sys64.eigs)
+    return f, s, null_sample_witness(s.analysis_rows(sys64.window), f, sys64.eigs)
 
 
 def test_alias_witness_identical_samples(sys64):
@@ -143,8 +143,9 @@ def test_alias_witness_both_concentrated(sys64):
 
 def test_alias_witness_same_reconstruction(sys64):
     f, s, w = _alias_instance(sys64)
-    r1 = reconstruct(w.f, s, sys64.eigs)
-    r2 = reconstruct(w.f_tilde, s, sys64.eigs)
+    W = s.analysis_rows(sys64.window)
+    r1 = reconstruct(w.f, W, sys64.eigs)
+    r2 = reconstruct(w.f_tilde, W, sys64.eigs)
     assert np.max(np.abs(r1.p_opt.values - r2.p_opt.values)) < 1e-8
 
 
@@ -156,7 +157,7 @@ def test_alias_witness_full_rank_sampling_infeasible(sys16):
     s = SampleSet(grid.points(), seed=0, region=grid, distinct=True)
     f = make_concentrated_test_function(sys16.eigs, 0.1, seed=0)
     with pytest.raises(InfeasibleError):
-        null_sample_witness(s, f, sys16.eigs)
+        null_sample_witness(s.analysis_rows(sys16.window), f, sys16.eigs)
 
 
 def test_alias_witness_needs_concentration_slack(sys64):
@@ -165,7 +166,7 @@ def test_alias_witness_needs_concentration_slack(sys64):
     tail = Signal(eigs.eigenvectors[:, -1].copy())  # essentially zero region energy
     s = uniform_sample(sys64.region, 30, seed=4)
     with pytest.raises(InfeasibleError):
-        null_sample_witness(s, tail, eigs)
+        null_sample_witness(s.analysis_rows(eigs.window), tail, eigs)
 
 
 def test_alias_witness_independent_of_complement_basis(sys64):
@@ -175,7 +176,7 @@ def test_alias_witness_independent_of_complement_basis(sys64):
     f, s, w = _alias_instance(sys64, r=20)
     perm = np.random.default_rng(5).permutation(s.r)
     s2 = SampleSet(s.points[perm], seed=s.seed, region=s.region, distinct=s.distinct)
-    w2 = null_sample_witness(s2, f, sys64.eigs)
+    w2 = null_sample_witness(s2.analysis_rows(sys64.window), f, sys64.eigs)
     assert np.max(np.abs(w2.phi_perp.values - w.phi_perp.values)) < 1e-10
     assert abs(w2.delta - w.delta) < 1e-10
     assert np.max(np.abs(w2.f_tilde.values - w.f_tilde.values)) < 1e-10
