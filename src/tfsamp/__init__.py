@@ -73,7 +73,6 @@ from .sampling import (
 )
 from .tfcore import (
     Signal,
-    TFMatrix,
     TFPoint,
     Window,
     make_gaussian_window,

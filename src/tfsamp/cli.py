@@ -13,7 +13,7 @@ master_seed), --out DIR, --threads N, --emit-eigenvectors.
 
 Exit codes: 0 success, 2 configuration error (also the library checks
 a config reaches: a wrapping disk, an all-zero or non-finite window
-file, witness.M outside 1..L), 3 numerical failure, 4 infeasible request
+file), 3 numerical failure, 4 infeasible request
 (an empty V_N, an L whose dense setup cannot fit in physical memory, or
 Monte Carlo draws that cannot).
 
@@ -80,6 +80,7 @@ from .sampling import (
     TailParams,
     covering_tail,
     derive_seed,
+    empirical_min_eigenvalue,
     monte_carlo_failure_frequency,
     required_samples,
     subspace_failure_bound,
@@ -153,7 +154,7 @@ def build_setup(cfg: ExperimentConfig):
 
 def _eigen_summary(H, eigs) -> dict:
     region = H.region
-    lo, hi = eigenvalue_count_estimate(region, H.window, 1.0 - eigs.gamma)
+    lo, hi = eigenvalue_count_estimate(H, 1.0 - eigs.gamma)
     w = eigs.eigenvalues
     return {
         "L": region.L,
@@ -177,9 +178,9 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     """Runner skeleton shared by every verb.
 
     Times build_setup, starts the report with the eigen section and its
-    headline line, makes the output directory, then yields (report, eigs);
-    the with-block adds sections, headline lines, artifacts and any extra
-    timings.
+    headline line, releases the operator, makes the output directory, then
+    yields (report, eigs); the with-block adds sections, headline lines,
+    artifacts and any extra timings.
     """
     t0 = time.perf_counter()
     H, eigs = build_setup(cfg)
@@ -191,6 +192,7 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     report = RunReport(verb, cfg.master_seed, cfg.to_dict())
     report.timings["setup_s"] = time.perf_counter() - t0
     e = report.sections["eigen"] = _eigen_summary(H, eigs)
+    del H  # 16 L^2 bytes that no runner reads past the eigen section
     report.headline.append(
         f"L={e['L']}  |Omega|={e['measure']:.6g}  N={e['N']}  trace={e['trace']:.6g}"
     )
@@ -287,7 +289,7 @@ def run_spectrum(
             ["k", "alpha"],
             [(k + 1, a) for k, a in enumerate(eigs.eigenvalues)],
         )
-        spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window).values) ** 2
+        spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window)) ** 2
         write_grid_csv(os.path.join(outdir, "eigfun1_spectrogram.csv"), spectro)
         write_mask(os.path.join(outdir, "region.json"), eigs.region.mask)
         report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.csv", "region.json"]
@@ -312,7 +314,7 @@ def run_reconstruct(
             rec = reconstruct(f, W, eigs, cfg.cg_tol)
             write_grid_csv(
                 os.path.join(outdir, f"stft_abs_{i + 1}.csv"),
-                np.abs(stft(f, eigs.window).values),
+                np.abs(stft(f, eigs.window)),
             )
             return dict(
                 epsilon_measured=rec.epsilon,
@@ -408,6 +410,9 @@ def run_certify(
         eps_max, nu_max = admissible_params(C_phi)
         measure = eigs.region.measure
         gamma = eigs.gamma
+        # the premise of both A values: the draw's statistic clears -nu/|Omega|
+        min_eig = empirical_min_eigenvalue(W, eigs)
+        min_eig_threshold = -cfg.nu / measure
 
         def evaluate(i, eps_t, f):
             eps_cert = max(eps_t, concentration_from_eigs(f, eigs).epsilon)
@@ -463,6 +468,9 @@ def run_certify(
             "C_phi": C_phi,
             "eps_max": eps_max,
             "nu": cfg.nu,
+            "min_eig": min_eig,
+            "min_eig_threshold": min_eig_threshold,
+            "premise_holds": min_eig > min_eig_threshold,
             "nu_max_at_eps_max": nu_max(eps_max),
             "success_probability": tails["success_probability"],
             "required_samples": tails["required_samples"],

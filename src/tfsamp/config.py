@@ -179,6 +179,8 @@ class ExperimentConfig:
             raise ConfigError("witness.epsilon: must lie strictly between 0 and 1")
         if not 1.0 < self.witness_eta < 1.0 / self.witness_epsilon:
             raise ConfigError("witness.eta: must satisfy 1 < eta < 1/epsilon")
+        if self.witness_M is not None and not 1 <= self.witness_M <= self.L:
+            raise ConfigError("witness.M: must lie in 1..L")
         if self.cg_tol <= 0:
             raise ConfigError("tolerances.cg_tol: must be positive")
         if self.eig_residual <= 0:

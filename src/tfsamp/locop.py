@@ -12,7 +12,10 @@ Dense construction runs in O(L^2 log L): for a fixed diagonal offset
 d = t - s the inner frequency sum is L*ifft of the mask row, and the sum
 over m is a circular convolution, done with one batch of FFTs per offset
 block.  The dense matrix holds 16 L^2 bytes: 3.7 MB at L=480, 15 MB at
-L=960.
+L=960.  Its trace is |Omega| and its squared Frobenius norm trace(H^2) =
+sum_k alpha_k^2 is what eigenvalue_count_estimate needs, so every
+quantity of H itself is read off the matrix; past the eigensolve only
+the EigenSystem is needed.
 
 The eigenpairs (alpha_k, psi_k), sorted by non-increasing alpha, rank
 the signals by their energy fraction inside the region; V_N is the span
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, ParameterError
 from .regions import TFRegion
-from .tfcore import Signal, Window, _stft_values, _translates
+from .tfcore import Signal, Window, _translates, stft
 
 __all__ = [
     "LocalizationOperator",
@@ -306,8 +309,8 @@ def concentration(f: Signal, region: TFRegion, window: Window) -> ConcentrationV
     nsq = float(np.real(np.vdot(f.values, f.values)))
     if nsq == 0.0:
         raise ParameterError("concentration is undefined for the zero signal")
-    V = _stft_values(f.values, window.values)
-    value = float((np.abs(V[region.mask]) ** 2).sum() / region.L)
+    V = stft(f, window)[region.mask]
+    value = float((np.abs(V) ** 2).sum() / region.L)
     return ConcentrationValue(value, 1.0 - value / nsq)
 
 
@@ -329,26 +332,21 @@ def project_VN(f: Signal, eigs: EigenSystem) -> Signal:
     return Signal(B @ (B.conj().T @ f.values))
 
 
-def eigenvalue_count_estimate(region: TFRegion, window: Window, delta: float):
+def eigenvalue_count_estimate(H: LocalizationOperator, delta: float):
     """Two-sided estimate for #{k : alpha_k > 1 - delta} without an eigensolve.
 
-    Let D = (1/L^2) * sum_{z, z' in Omega} |V_phi phi(z - z')|^2 (the region's
-    window-autocorrelation energy).  Then the count lies in
+    Let D = trace(H^2) = ||H||_F^2 = sum_k alpha_k^2, the region's
+    window-autocorrelation energy.  Then the count lies in
 
-        [ |Omega| - R, |Omega| + R ],   R = max(1/delta, 1/(1-delta)) * |D - |Omega||.
+        [ |Omega| - R, |Omega| + R ],   R = max(1/delta, 1/(1-delta)) * |D - |Omega||,
 
-    D is computed with two 2-D FFTs: the pair-difference histogram of the
-    mask is ifft2(|fft2(mask)|^2).
+    since |Omega| - D = sum_k alpha_k (1 - alpha_k), to which an alpha_k <= 1 - delta
+    adds at least delta * alpha_k and an alpha_k > 1 - delta at least
+    (1 - delta) * (1 - alpha_k).  D is one pass over H.matrix.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie strictly between 0 and 1")
-    if window.L != region.L:
-        raise DimensionError("window and region dimensions must agree")
-    L = region.L
-    Vphi2 = np.abs(_stft_values(window.values, window.values)) ** 2
-    F = np.fft.fft2(region.mask.astype(np.float64))
-    pair_counts = np.real(np.fft.ifft2(F * np.conj(F)))  # pairs at each difference d
-    D = float((pair_counts * Vphi2).sum() / L**2)
-    om = region.measure
+    D = float(np.vdot(H.matrix, H.matrix).real)
+    om = H.region.measure
     R = max(1.0 / delta, 1.0 / (1.0 - delta)) * abs(D - om)
     return (om - R, om + R)

@@ -22,8 +22,9 @@ analysis        V_phi f(m, n) = <f, pi(m,n) phi>
 synthesis       adjoint of analysis with the 1/L grid weight
 
 All index arithmetic is circular.  The STFT over the full grid costs L
-FFTs of length L; naive O(L^3) evaluation exists only in the test suite
-as an oracle.
+FFTs of length L and comes back as a plain L x L ndarray V[m, n], the
+form stft_adjoint takes; naive O(L^3) evaluation exists only in the
+test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "Signal",
     "Window",
     "TFPoint",
-    "TFMatrix",
     "make_gaussian_window",
     "tf_shift",
     "stft",
@@ -107,23 +107,6 @@ class TFPoint:
     n: int
 
 
-@dataclass(eq=False)
-class TFMatrix:
-    """An L x L complex array over the time-frequency grid, indexed (m, n)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionError("TFMatrix must be a square 2-D array")
-        self.values = v
-
-    @property
-    def L(self) -> int:
-        return self.values.shape[0]
-
-
 def _check_same_L(a, b, what="operands"):
     if a.L != b.L:
         raise DimensionError(f"{what} have mismatched dimensions: {a.L} vs {b.L}")
@@ -173,19 +156,12 @@ def tf_shift(f: Signal, lam: TFPoint) -> Signal:
     return Signal(shifted * np.exp(2j * np.pi * lam.n * np.arange(L) / L))
 
 
-def _stft_values(fvals: np.ndarray, phivals: np.ndarray) -> np.ndarray:
-    L = fvals.shape[0]
-    # row m of the integrand: f(t) * conj(phi((t - m) mod L)); FFT over t gives all n
-    W = _translates(phivals, np.arange(L))
-    return np.fft.fft(fvals[None, :] * np.conj(W), axis=1)
-
-
 def _stft_rows(fvals: np.ndarray, phivals: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """STFT samples of a batch of signals at the True cells of an L x L mask.
 
     fvals is (K, L), one signal per row; out[i, k] = V_phi f_k(p_i) for the
     i-th True cell p_i in row-major order, equal bit for bit to
-    _stft_values(fvals[k], phivals)[mask].  Cost: one (K, L) FFT batch per
+    stft(f_k, phi)[mask].  Cost: one (K, L) FFT batch per
     time row that holds a cell.  Memory: the K * mask.sum() output plus two
     K x L temporaries.
     """
@@ -195,7 +171,7 @@ def _stft_rows(fvals: np.ndarray, phivals: np.ndarray, mask: np.ndarray) -> np.n
     i = 0
     for m in np.flatnonzero(mask.any(axis=1)):
         cols = mask[m]
-        # row m of _stft_values for every signal
+        # row m of stft for every signal
         F = np.fft.fft(fvals * _translates(conj_phi, [m])[0], axis=1)
         j = i + np.count_nonzero(cols)
         out[i:j] = F[:, cols].T
@@ -203,27 +179,26 @@ def _stft_rows(fvals: np.ndarray, phivals: np.ndarray, mask: np.ndarray) -> np.n
     return out
 
 
-def stft(f: Signal, phi: Window) -> TFMatrix:
-    """Full-grid STFT: V(m, n) = <f, pi(m,n) phi>, computed by L length-L FFTs."""
+def stft(f: Signal, phi: Window) -> np.ndarray:
+    """Full-grid STFT as an L x L array: V[m, n] = <f, pi(m,n) phi>, by L length-L FFTs."""
     _check_same_L(f, phi, "signal and window")
-    return TFMatrix(_stft_values(f.values, phi.values))
+    # row m of the integrand: f(t) * conj(phi((t - m) mod L)); FFT over t gives all n
+    W = _translates(phi.values, np.arange(f.L))
+    return np.fft.fft(f.values[None, :] * np.conj(W), axis=1)
 
 
-def _adjoint_values(Fvals: np.ndarray, phivals: np.ndarray) -> np.ndarray:
-    L = Fvals.shape[0]
-    W = _translates(phivals, np.arange(L))
-    # ifft carries the 1/L grid weight; synthesis sums the modulated translates
-    return (W * np.fft.ifft(Fvals, axis=1)).sum(axis=0)
-
-
-def stft_adjoint(F: TFMatrix, phi: Window) -> Signal:
-    """Adjoint of stft with the 1/L grid weight.
+def stft_adjoint(F: np.ndarray, phi: Window) -> Signal:
+    """Adjoint of stft with the 1/L grid weight, for an L x L array F indexed (m, n).
 
     g(t) = (1/L) * sum_{m,n} F(m,n) * phi((t-m) mod L) * e^{2 pi i n t / L}.
     For a unit-norm window, stft_adjoint(stft(f, phi), phi) == f (inversion).
     """
-    _check_same_L(F, phi, "matrix and window")
-    return Signal(_adjoint_values(F.values, phi.values))
+    F = np.asarray(F, dtype=np.complex128)
+    if F.shape != (phi.L, phi.L):
+        raise DimensionError(f"stft_adjoint needs an {phi.L} x {phi.L} array, got {F.shape}")
+    W = _translates(phi.values, np.arange(phi.L))
+    # ifft carries the 1/L grid weight; synthesis sums the modulated translates
+    return Signal((W * np.fft.ifft(F, axis=1)).sum(axis=0))
 
 
 def _analysis_rows(mvec: np.ndarray, nvec: np.ndarray, phivals: np.ndarray) -> np.ndarray:

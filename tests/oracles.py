@@ -100,6 +100,21 @@ def loc_operator_direct(mask, phi):
     return H / L
 
 
+def count_interval_direct(mask, phi, delta):
+    """Landau count interval from the pair-difference sum over the ambiguity function.
+
+    D = (1/L^2) sum_{z, z' in region} |V_phi phi(z - z')|^2, |Omega| = #region / L,
+    interval [|Omega| - R, |Omega| + R], R = max(1/delta, 1/(1-delta)) |D - |Omega||.
+    """
+    L = mask.shape[0]
+    A = np.abs(stft_direct(phi, phi)) ** 2
+    pts = list(zip(*np.nonzero(mask)))
+    D = math.fsum(A[(m - p) % L, (n - q) % L] for m, n in pts for p, q in pts) / L**2
+    om = len(pts) / L
+    R = max(1.0 / delta, 1.0 / (1.0 - delta)) * abs(D - om)
+    return om - R, om + R
+
+
 def frame_matrix_direct(points, phi):
     """Columns pi(lambda_j) phi for each sample point."""
     L = len(phi)

@@ -272,6 +272,26 @@ epsilon_targets = 0.1
     assert os.path.exists(os.path.join(out, "samples.csv"))
 
 
+@pytest.mark.parametrize("r, holds", [(12, False), (150, True)])
+def test_certify_reports_whether_the_draw_clears_the_premise(tmp_path, r, holds):
+    # A_lemma and A_theorem assume the draw's min-eigenvalue statistic clears -nu/|Omega|
+    from tfsamp import empirical_min_eigenvalue, load_config, uniform_sample
+    from tfsamp.cli import SAMPLE_STREAM, build_setup
+
+    ini = _ini(tmp_path, f"[experiment]\nL = 32\nr = {r}\n[region]\nradius_px = 8\n")
+    out = str(tmp_path / "out")
+    assert main(["certify", "--config", ini, "--out", out]) == 0
+    b = _json_report(out)["sections"]["bounds"]
+    cfg = load_config(ini)
+    _, eigs = build_setup(cfg)
+    samples = uniform_sample(eigs.region, cfg.r,
+                             derive_seed(cfg.master_seed, SAMPLE_STREAM, 0), cfg.distinct)
+    min_eig = empirical_min_eigenvalue(samples.analysis_rows(eigs.window), eigs)
+    assert b["min_eig"] == min_eig
+    assert b["min_eig_threshold"] == -cfg.nu / eigs.region.measure
+    assert b["premise_holds"] is (min_eig > b["min_eig_threshold"]) is holds
+
+
 # ---------------------------------------------------------------- headlines
 
 HEADLINE = """
@@ -394,6 +414,37 @@ def test_one_draw_builds_one_analysis_matrix_and_one_bessel_bound(tmp_path, monk
         assert calls == {"W": 1, "B": 1}, verb
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "reconstruct", "certify", "witness", "montecarlo"])
+def test_runners_release_the_operator_after_the_eigen_section(tmp_path, monkeypatch, verb):
+    # the runner body holds only the eigensystem; H (16 L^2 bytes) is already freed
+    import gc
+    import weakref
+
+    from tfsamp import cli
+
+    refs, alive = [], []
+    build_setup = cli.build_setup
+
+    def tracked_setup(cfg):
+        H, eigs = build_setup(cfg)
+        refs.append(weakref.ref(H))
+        return H, eigs
+
+    def checked(fn):
+        def wrapper(*args, **kwargs):
+            gc.collect()
+            alive.append(refs[-1]() is not None)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_setup", tracked_setup)
+    # every runner body writes its artifacts through one of these two
+    monkeypatch.setattr(cli, "write_rows_csv", checked(cli.write_rows_csv))
+    monkeypatch.setattr(cli, "write_signal", checked(cli.write_signal))
+    assert main([verb, "--config", _ini(tmp_path, HEADLINE), "--out", str(tmp_path / "o")]) == 0
+    assert len(refs) == 1 and alive and not any(alive)
+
+
 # -------------------------------------------------------- errors and seeds
 
 
@@ -406,9 +457,9 @@ ALL_VERBS = ("spectrum", "reconstruct", "certify", "witness", "montecarlo")
     # ParameterError from the window file: all zero, all NaN
     (8, 0.0, None, ALL_VERBS, "cannot normalize the zero signal into a window"),
     (8, np.nan, None, ALL_VERBS, "Signal entries must be finite"),
-    # ParameterError; only witness reads M
-    (8, None, 0, ("witness",), "M=0 out of range 1..32"),
-    (8, None, 99, ("witness",), "M=99 out of range 1..32"),
+    # ConfigError at config load, before any verb builds its setup
+    (8, None, 0, ALL_VERBS, "witness.M: must lie in 1..L"),
+    (8, None, 99, ALL_VERBS, "witness.M: must lie in 1..L"),
 ])
 def test_library_errors_a_config_reaches_exit_2(tmp_path, capsys, radius, window, M, verbs,
                                                 message):
@@ -424,6 +475,7 @@ def test_library_errors_a_config_reaches_exit_2(tmp_path, capsys, radius, window
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message}\n", verb
         assert captured.out == ""
+        assert not (tmp_path / verb).exists(), verb
 
 
 @pytest.mark.parametrize("verb", ["reconstruct", "certify", "witness", "montecarlo"])

@@ -23,7 +23,7 @@ from tfsamp import (
 from tfsamp import locop
 from tfsamp.locop import EigenSystem, LocalizationOperator, _fix_phases, _symmetry_blocks
 
-from oracles import adjoint_direct, loc_operator_direct, stft_direct
+from oracles import adjoint_direct, count_interval_direct, loc_operator_direct, stft_direct
 
 
 def random_signal(L, seed):
@@ -516,7 +516,8 @@ def test_concentration_lemma_inequalities_small_suite(sys64):
 def test_count_estimate_exact_on_full_grid():
     L = 32
     reg = full_region(L)
-    lo, hi = eigenvalue_count_estimate(reg, make_gaussian_window(L), 0.5)
+    H = build_localization_operator(reg, make_gaussian_window(L))
+    lo, hi = eigenvalue_count_estimate(H, 0.5)
     assert abs(lo - L) < 1e-8 and abs(hi - L) < 1e-8
 
 
@@ -525,8 +526,9 @@ def test_count_estimate_brackets_true_count(delta):
     L = 32
     reg = disk_region(L, TFPoint(16, 16), 2)
     phi = make_gaussian_window(L)
-    lo, hi = eigenvalue_count_estimate(reg, phi, delta)
-    w = np.linalg.eigvalsh(build_localization_operator(reg, phi).matrix)
+    H = build_localization_operator(reg, phi)
+    lo, hi = eigenvalue_count_estimate(H, delta)
+    w = np.linalg.eigvalsh(H.matrix)
     count = int((w > 1 - delta).sum())
     assert lo - 1e-9 <= count <= hi + 1e-9
     assert lo <= reg.measure <= hi
@@ -539,12 +541,36 @@ def test_count_estimate_brackets_N_at_gamma_cut():
     phi = make_gaussian_window(L)
     H = build_localization_operator(reg, phi)
     eigs = eigendecompose(H, gamma)
-    lo, hi = eigenvalue_count_estimate(reg, phi, 1 - gamma)
+    lo, hi = eigenvalue_count_estimate(H, 1 - gamma)
     assert lo - 1e-9 <= eigs.N <= hi + 1e-9
+
+
+@pytest.mark.parametrize("L", [16, 24])
+@pytest.mark.parametrize("case", ["disk", "random mask", "chirped window"])
+def test_count_estimate_matches_pair_difference_oracle_and_spectrum(L, case):
+    # the interval reads trace(H^2) = ||H||_F^2 off H; the oracle sums the window's
+    # ambiguity function over every pair of region points, the spectrum gives sum alpha_k^2
+    rng = np.random.default_rng(L)
+    t = np.arange(L)
+    phi = make_gaussian_window(L)
+    if case == "random mask":
+        reg = mask_region(rng.random((L, L)) < 0.3)
+    else:
+        reg = disk_region(L, TFPoint(L // 2, L // 2), L / 4)
+    if case == "chirped window":
+        phi = Window.normalized(phi.values * np.exp(1j * np.pi * 3 * t**2 / L))
+    delta = 0.3
+    H = build_localization_operator(reg, phi)
+    got = np.array(eigenvalue_count_estimate(H, delta))
+    ref = np.array(count_interval_direct(reg.mask, phi.values, delta))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * reg.measure
+    sq = float(np.sum(eigendecompose(H, 0.5).eigenvalues ** 2))
+    R = max(1 / delta, 1 / (1 - delta)) * abs(sq - reg.measure)
+    assert np.max(np.abs(got - (reg.measure - R, reg.measure + R))) <= 1e-12 * reg.measure
 
 
 def test_count_estimate_rejects_bad_delta(sys16):
     with pytest.raises(ParameterError):
-        eigenvalue_count_estimate(sys16.region, sys16.window, 0.0)
+        eigenvalue_count_estimate(sys16.H, 0.0)
     with pytest.raises(ParameterError):
-        eigenvalue_count_estimate(sys16.region, sys16.window, 1.0)
+        eigenvalue_count_estimate(sys16.H, 1.0)

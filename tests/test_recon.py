@@ -34,7 +34,7 @@ def test_full_grid_gram_is_L_times_identity(sys32):
     rng = np.random.default_rng(21)
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
     f = eigs.eigenvectors[:, : eigs.N] @ c
-    values = stft(Signal(f), window).values[s.points[:, 0], s.points[:, 1]]
+    values = stft(Signal(f), window)[s.points[:, 0], s.points[:, 1]]
     G, b = gram_and_rhs(s.analysis_rows(window) @ eigs.basis(), values)
     assert np.max(np.abs(G - 32 * np.eye(eigs.N))) < 1e-9
     assert np.max(np.abs(b - 32 * c)) < 1e-9
@@ -234,12 +234,12 @@ def test_reconstruct_is_sampled_least_squares_optimum(sys32):
     f = make_concentrated_test_function(eigs, 0.05, seed=3)
     s = uniform_sample(region, 100, seed=8)
     res = reconstruct(f, s.analysis_rows(window), eigs)
-    V = stft(f, window).values
+    V = stft(f, window)
     target = V[s.points[:, 0], s.points[:, 1]]
 
     def sampled_residual(coeffs):
         p = Signal(eigs.eigenvectors[:, : eigs.N] @ coeffs)
-        Vp = stft(p, window).values[s.points[:, 0], s.points[:, 1]]
+        Vp = stft(p, window)[s.points[:, 0], s.points[:, 1]]
         return float(np.sum(np.abs(target - Vp) ** 2))
 
     best = sampled_residual(res.coefficients)
@@ -257,10 +257,10 @@ def test_reconstruct_beats_projection_on_samples(sys32):
     f = make_concentrated_test_function(eigs, 0.15, seed=13)
     s = uniform_sample(region, 80, seed=14)
     res = reconstruct(f, s.analysis_rows(window), eigs)
-    V = stft(f, window).values[s.points[:, 0], s.points[:, 1]]
+    V = stft(f, window)[s.points[:, 0], s.points[:, 1]]
     p = project_VN(f, eigs)
-    Vp = stft(p, window).values[s.points[:, 0], s.points[:, 1]]
-    r_opt = float(np.sum(np.abs(V - stft(res.p_opt, window).values[s.points[:, 0], s.points[:, 1]]) ** 2))
+    Vp = stft(p, window)[s.points[:, 0], s.points[:, 1]]
+    r_opt = float(np.sum(np.abs(V - stft(res.p_opt, window)[s.points[:, 0], s.points[:, 1]]) ** 2))
     r_proj = float(np.sum(np.abs(V - Vp) ** 2))
     assert r_opt <= r_proj + 1e-12
 

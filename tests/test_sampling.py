@@ -87,7 +87,7 @@ def test_T_matrix_single_dimension_cut(sys32):
     lam = TFPoint(16, 16)
     T = build_T_matrix(lam, one)
     assert T.shape == (1, 1)
-    V = stft(Signal(e.eigenvectors[:, 0]), sys32.window).values
+    V = stft(Signal(e.eigenvectors[:, 0]), sys32.window)
     assert abs(T[0, 0] - abs(V[16, 16]) ** 2) < 1e-12
 
 
@@ -197,7 +197,7 @@ def test_empirical_statistic_implies_sampling_bound(sys32):
     for _ in range(20):
         c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
         p = eigs.eigenvectors[:, : eigs.N] @ c
-        V = stft(Signal(p), window).values
+        V = stft(Signal(p), window)
         lhs = float(np.mean(np.abs(V[s.points[:, 0], s.points[:, 1]]) ** 2))
         energy = float(np.real(np.vdot(p, H.matrix @ p)))
         nsq = float(np.real(np.vdot(p, p)))
@@ -394,7 +394,7 @@ def test_region_table_matches_stft():
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
-            col = stft(Signal(eigs.eigenvectors[:, k]), window).values[region.mask]
+            col = stft(Signal(eigs.eigenvectors[:, k]), window)[region.mask]
             got = np.ascontiguousarray(table[:, k])
             assert np.array_equal(got.view(np.float64), col.view(np.float64))
 

@@ -116,11 +116,11 @@ def _alias_instance(sys64, r=60, target=0.01, seed=33):
 
 def test_alias_witness_identical_samples(sys64):
     f, s, w = _alias_instance(sys64)
-    Vf = stft(w.f, sys64.window).values[s.points[:, 0], s.points[:, 1]]
-    Vt = stft(w.f_tilde, sys64.window).values[s.points[:, 0], s.points[:, 1]]
+    Vf = stft(w.f, sys64.window)[s.points[:, 0], s.points[:, 1]]
+    Vt = stft(w.f_tilde, sys64.window)[s.points[:, 0], s.points[:, 1]]
     assert np.max(np.abs(Vf - Vt)) < 1e-10
     # and the alias direction itself is invisible to the samples
-    Vp = stft(w.phi_perp, sys64.window).values[s.points[:, 0], s.points[:, 1]]
+    Vp = stft(w.phi_perp, sys64.window)[s.points[:, 0], s.points[:, 1]]
     assert np.max(np.abs(Vp)) < 1e-10
 
 
