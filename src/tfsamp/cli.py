@@ -363,13 +363,16 @@ def run_montecarlo(
         rows = []
         for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
             cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
-            freq = monte_carlo_failure_frequency(cfg.trials, nu, int(r), eigs, cell_seed, threads)
+            stats = {}  # the cell's Gram route and distinct drawn points
+            freq = monte_carlo_failure_frequency(cfg.trials, nu, int(r), eigs, cell_seed, threads,
+                                                 stats=stats)
             rows.append({
                 "nu": nu,
                 "r": int(r),
                 "trials": cfg.trials,
                 "cell_seed": cell_seed,
                 "empirical_freq": freq,
+                **stats,
                 **_tail_fields(cfg, tail, nu, int(r)),
             })
             report.headline.append(
@@ -413,6 +416,7 @@ def run_certify(
         # the premise of both A values: the draw's statistic clears -nu/|Omega|
         min_eig = empirical_min_eigenvalue(W, eigs)
         min_eig_threshold = -cfg.nu / measure
+        premise_holds = min_eig > min_eig_threshold
 
         def evaluate(i, eps_t, f):
             eps_cert = max(eps_t, concentration_from_eigs(f, eigs).epsilon)
@@ -445,7 +449,7 @@ def run_certify(
         all_vacuous = all(row.get("vacuous", True) for row in rows)
         report.headline.append(
             f"B={B:.6g}  C_phi={C_phi:.6g}  N0={covering.N0}"
-            f"  eps_max={eps_max:.4g}  all_vacuous={all_vacuous}"
+            f"  eps_max={eps_max:.4g}  all_vacuous={all_vacuous}  premise_holds={premise_holds}"
         )
 
         def describe(row):
@@ -470,7 +474,7 @@ def run_certify(
             "nu": cfg.nu,
             "min_eig": min_eig,
             "min_eig_threshold": min_eig_threshold,
-            "premise_holds": min_eig > min_eig_threshold,
+            "premise_holds": premise_holds,
             "nu_max_at_eps_max": nu_max(eps_max),
             "success_probability": tails["success_probability"],
             "required_samples": tails["required_samples"],
@@ -480,9 +484,10 @@ def run_certify(
         header = [
             "epsilon_target", "epsilon_certified", "A_lemma", "A_theorem",
             "theorem_admissible", "A_used", "ratio", "lower_holds", "upper_holds",
-            "vacuous", "function_seed", "infeasible",
+            "vacuous", "premise_holds", "function_seed", "infeasible",
         ]
-        _write_row_table(os.path.join(outdir, "certify_rows.csv"), header, rows)
+        _write_row_table(os.path.join(outdir, "certify_rows.csv"), header,
+                         [{**row, "premise_holds": premise_holds} for row in rows])
         _write_samples(outdir, samples)
         report.artifacts += ["certify_rows.csv", "samples.csv"]
     return report

@@ -21,6 +21,21 @@ event; this module evaluates those closed-form tails exactly as stated
 only, so the formulas stay cross-checkable) and estimates the empirical
 failure frequency by seeded Monte Carlo.
 
+Monte Carlo forms each trial's Gram sum_j T_j by one of two routes, picked
+per cell by _gram_route from the cell's shape alone (trials, r, the P
+distinct drawn points, N); both give the same statistics up to roundoff.
+The gather route copies each trial's r rows v_j out of the table of drawn
+points and multiplies them, a complex GEMM of about r N^2 per trial.  The
+counts route uses sum_j T_j = sum_p c_p v_p v_p^H, with c the bincount of
+the trial's draw: it builds the P x N^2 table of rank-one matrices once per
+cell and forms a chunk of Grams as one real GEMM, the (chunk, P) count
+matrix times that table viewed as (P, 2 N^2) float64.  Counts wins once the
+draws revisit points, roughly P (40 + trials) N < 5 trials r (N + 6), i.e.
+P below about 5 r for many trials, and only while the table's 16 P N^2 bytes
+fit OUTER_TABLE_BUDGET (32 MiB).  At L=120 (N=23, P=2821, 50 trials) the
+r=1000 and r=4000 cells count and the r=250 cells gather; at L=960 (N=188,
+P=9741) the table would take 5.5 GB, so that cell gathers.
+
 Note on exponents: the general Bernstein tail used here carries the
 customary t^2/2 numerator, while the specialized subspace bound
 N*exp(-nu^2 r / (|Omega|(1+nu/3))) is the (sharper) form without the
@@ -143,12 +158,34 @@ def _drawn_mask(region: TFRegion, idx: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _min_eigs(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of (1/r) sum_j T_j - diag for each (r, N) block of A."""
-    # rows of a block are the sample vectors v_j; sum_j T_j = A^T conj(A)
-    S = np.swapaxes(A, -1, -2) @ np.conj(A) / A.shape[-2] - diag
+def _min_eigs(G: np.ndarray, r: int, diag: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of (1/r) G - diag for each N x N Gram G = sum_j T_j of r draws."""
+    S = G / r - diag
     S = 0.5 * (S + np.conj(np.swapaxes(S, -1, -2)))
     return np.linalg.eigvalsh(S)[..., 0]
+
+
+def _gathered_grams(A: np.ndarray) -> np.ndarray:
+    """sum_j T_j = A^T conj(A) for each (r, N) block of A, whose rows are the v_j."""
+    return np.swapaxes(A, -1, -2) @ np.conj(A)
+
+
+def _outer_table(table: np.ndarray) -> np.ndarray:
+    """(P, N, N) rank-one matrices v_p v_p^H of table's rows v_p: 16 N^2 bytes per row."""
+    return table[:, :, None] * np.conj(table[:, None, :])
+
+
+def _counted_grams(outer: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """sum_j T_j = sum_p c_p v_p v_p^H for each trial (row) of blk, c_p its point counts.
+
+    blk holds indices into outer, the _outer_table of the drawn points.  The
+    (B, P) count matrix times outer, viewed as (P, 2 N^2) float64, is one
+    real GEMM for the whole block.
+    """
+    B, (P, N, _) = blk.shape[0], outer.shape
+    counts = np.bincount((blk + P * np.arange(B)[:, None]).ravel(), minlength=B * P)
+    G = counts.reshape(B, P).astype(np.float64) @ outer.reshape(P, -1).view(np.float64)
+    return G.view(np.complex128).reshape(B, N, N)
 
 
 def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
@@ -160,7 +197,8 @@ def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
         raise ParameterError("empirical statistic needs r >= 1")
     if eigs.N < 1:
         raise ParameterError("empirical statistic needs a spectral cut with N >= 1")
-    return float(_min_eigs((W @ eigs.basis())[None], expected_T(eigs))[0])
+    G = _gathered_grams((W @ eigs.basis())[None])
+    return float(_min_eigs(G, W.shape[0], expected_T(eigs))[0])
 
 
 def tropp_tail(N: int, sigma2: float, Bnorm: float, t: float) -> float:
@@ -239,7 +277,10 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
 
     fails maps a (B, r) block of idx to B booleans; aggregation is an
     order-independent count over chunks of trials, so any thread count
-    gives the same result.  At most one worker per CPU is started.
+    gives the same result.  A trial's chunk holds about 32 * r * row_width
+    bytes (row_width complex values and their conjugates per drawn point).
+    At most one worker per CPU is started, and each gets work: a chunk is
+    at most ceil(trials / workers) trials.
     """
     trials, r = idx.shape
     workers = min(threads, os.cpu_count() or 1)
@@ -247,10 +288,9 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
     def count_chunk(span: slice) -> int:
         return int(np.count_nonzero(fails(idx[span])))
 
-    # keep the gathered (chunk, r, row_width) complex blocks and their conjugates
-    # near ~32 MB in total over all workers; larger chunks are no faster and
-    # only raise the peak RSS
-    chunk = max(1, min(trials, 1_000_000 // workers // max(1, r * row_width)))
+    # keep the chunks near ~32 MB in total over all workers; larger chunks
+    # are no faster and only raise the peak RSS
+    chunk = max(1, min(-(-trials // workers), 1_000_000 // workers // max(1, r * row_width)))
     spans = [slice(t0, t0 + chunk) for t0 in range(0, trials, chunk)]
     if workers > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -262,6 +302,28 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
     return failures / trials
 
 
+# bytes allowed for the counts route's _outer_table, 16 N^2 per drawn point;
+# the gather route holds ~32 MB of chunks at its peak, so the counts route holds no more
+OUTER_TABLE_BUDGET = 32 * 2**20
+
+
+def _gram_route(trials: int, r: int, P: int, N: int) -> str:
+    """"counts" or "gather": the cheaper way to form a Monte Carlo cell's Grams.
+
+    A pure function of the cell's shape: trials of r draws that hit P
+    distinct points, with N = dim V_N.  Per cell, the gather route costs
+    about trials * r * (3 N + 0.5 N^2) ns (copy the rows, multiply them) and
+    the counts route about P N^2 * (4 + 0.1 trials) ns (build the table of
+    v_p v_p^H, then one GEMM row per trial), as measured at N = 12, 23 and
+    47 on a 2-core x86 host with OpenBLAS on one thread; the eigvalsh step
+    is the same on both.  The counts route also needs its table to fit
+    OUTER_TABLE_BUDGET.
+    """
+    if 16 * P * N * N > OUTER_TABLE_BUDGET:
+        return "gather"
+    return "counts" if P * N * N * (40 + trials) < 5 * trials * r * N * (N + 6) else "gather"
+
+
 def monte_carlo_failure_frequency(
     trials: int,
     nu: float,
@@ -269,23 +331,44 @@ def monte_carlo_failure_frequency(
     eigs: EigenSystem,
     master_seed: int,
     threads: int = 1,
+    stats: dict | None = None,
 ) -> float:
     """Fraction of trials with empirical min-eigenvalue <= -nu/|Omega|.
 
     Trial i is the sample set uniform_sample(eigs.region, r,
     derive_seed(master_seed, TRIAL_STREAM, i)), and its statistic is
-    empirical_min_eigenvalue's.
+    empirical_min_eigenvalue's.  The Grams come from _gram_route's choice;
+    both routes give the same statistics up to roundoff.  A stats dict, if
+    given, receives the route as "gram" and the distinct drawn points as
+    "drawn_points".
     """
-    region = eigs.region
-    if eigs.N < 1:
+    region, N = eigs.region, eigs.N
+    if N < 1:
         raise ParameterError("Monte Carlo needs a spectral cut with N >= 1")
     idx = _draw_trials(trials, r, region.point_count, master_seed)
     # tabulate only the points the trials draw: 16 * N bytes per distinct point
     table = _region_table(eigs, _drawn_mask(region, idx))
+    P = table.shape[0]
+    route = _gram_route(trials, r, P, N)
+    if stats is not None:
+        stats.update(gram=route, drawn_points=P)
+    if route == "counts":
+        outer = _outer_table(table)
+
+        def grams(blk):
+            return _counted_grams(outer, blk)
+
+        # per trial: its offset indices, count rows as int and float, Gram and copies
+        row_width = -(-(8 * r + 16 * P + 64 * N * N) // (32 * r))
+    else:
+        def grams(blk):
+            return _gathered_grams(table[blk])
+
+        row_width = N
     diag = expected_T(eigs)
     thresh = -nu / region.measure
     return _failure_frequency(
-        idx, lambda blk: _min_eigs(table[blk], diag) <= thresh, eigs.N, threads
+        idx, lambda blk: _min_eigs(grams(blk), r, diag) <= thresh, row_width, threads
     )
 
 

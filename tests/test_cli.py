@@ -205,6 +205,38 @@ r_grid = 250, 4000
     assert csvs[0] == csvs[1]
 
 
+def test_montecarlo_rows_name_their_gram_route(tmp_path):
+    # each cell reports the Gram route it took and the distinct points its trials drew
+    from tfsamp.sampling import _draw_trials, _gram_route
+
+    ini = _ini(tmp_path, """
+[experiment]
+L = 32
+trials = 20
+
+[region]
+radius_px = 8
+
+[montecarlo]
+nu_grid = 0.3
+r_grid = 20, 400
+""")
+    out = str(tmp_path / "out")
+    assert main(["montecarlo", "--config", ini, "--out", out]) == 0
+    rep = _json_report(out)
+    P, N = rep["sections"]["eigen"]["point_count"], rep["sections"]["eigen"]["N"]
+    rows = rep["sections"]["montecarlo"]["rows"]
+    for row in rows:
+        drawn = np.unique(_draw_trials(row["trials"], row["r"], P, row["cell_seed"])).size
+        assert row["drawn_points"] == drawn
+        assert row["gram"] == _gram_route(row["trials"], row["r"], drawn, N)
+    assert [row["gram"] for row in rows] == ["gather", "counts"]
+    with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
+        assert fh.readline().rstrip("\n").split(",") == [
+            "nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
+            "covering_tail", "success_probability", "required_samples", "cell_seed"]
+
+
 def test_certify_and_montecarlo_agree_on_required_samples(tmp_path):
     # N = 2 exceeds |Omega| ~ 0.906 here, so eps2 = N - |Omega| > 0 enters the count;
     # nu = 0 has no sample count, but both verbs still report the raw success bound
@@ -290,6 +322,21 @@ def test_certify_reports_whether_the_draw_clears_the_premise(tmp_path, r, holds)
     assert b["min_eig"] == min_eig
     assert b["min_eig_threshold"] == -cfg.nu / eigs.region.measure
     assert b["premise_holds"] is (min_eig > b["min_eig_threshold"]) is holds
+
+
+@pytest.mark.parametrize("r, holds", [(12, False), (150, True)])
+def test_certify_headline_and_rows_carry_the_premise(tmp_path, capsys, r, holds):
+    # the verdict the A values rest on sits next to them on stdout and in every CSV row
+    ini = _ini(tmp_path, f"[experiment]\nL = 32\nr = {r}\n[region]\nradius_px = 8\n")
+    out = str(tmp_path / "out")
+    assert main(["certify", "--config", ini, "--out", out]) == 0
+    assert _json_report(out)["sections"]["bounds"]["premise_holds"] is holds
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith("B=") and line.endswith(f"  premise_holds={holds}")
+    with open(os.path.join(out, "certify_rows.csv"), encoding="utf-8") as fh:
+        header, *rows = [row.split(",") for row in fh.read().splitlines()]
+    assert header[9:12] == ["vacuous", "premise_holds", "function_seed"]
+    assert rows and all(row[10] == str(int(holds)) for row in rows)  # booleans as 0 or 1
 
 
 # ---------------------------------------------------------------- headlines

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import tracemalloc
@@ -32,10 +33,16 @@ from tfsamp import (
 )
 from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
 from tfsamp.sampling import (
+    OUTER_TABLE_BUDGET,
     TRIAL_STREAM,
+    _counted_grams,
     _draw_trials,
     _drawn_mask,
     _failure_frequency,
+    _gathered_grams,
+    _gram_route,
+    _min_eigs,
+    _outer_table,
     _region_table,
     derive_seed,
 )
@@ -574,6 +581,77 @@ def test_batched_engine_matches_single_draws(sys32):
     one = _failure_frequency(idx, fails, row_width=1)
     assert 0.0 < one < 1.0
     assert _failure_frequency(idx, fails, 10**9, threads=2) == one
+
+
+# ---------------------------------------------------------------- Gram routes
+
+
+@pytest.mark.parametrize("system, trials, r, nu, route", [
+    ("sys32", 60, 30, 0.45, "gather"),
+    ("sys32", 60, 400, 0.13, "counts"),
+    ("sys120", 50, 250, 0.45, "gather"),
+    ("sys120", 50, 1000, 0.25, "counts"),
+])
+def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
+    # draws on both sides of the crossover, each pushed through both routes
+    import tfsamp.sampling as sampling
+
+    s = request.getfixturevalue(system)
+    eigs, seed = s.eigs, 2024
+    idx = _draw_trials(trials, r, s.region.point_count, seed)
+    mask = _drawn_mask(s.region, idx)
+    assert _gram_route(trials, r, int(mask.sum()), eigs.N) == route
+    table = _region_table(eigs, mask)
+    diag = expected_T(eigs)
+    gathered = _min_eigs(_gathered_grams(table[idx]), r, diag)
+    counted = _min_eigs(_counted_grams(_outer_table(table), idx), r, diag)
+    assert np.max(np.abs(gathered - counted)) <= 1e-12
+
+    thresh = -nu / s.region.measure
+    assert np.min(np.abs(gathered - thresh)) > 1e-9
+    fails = np.count_nonzero(gathered <= thresh)
+    assert 0 < fails < trials
+    assert np.array_equal(gathered <= thresh, counted <= thresh)
+    for pinned in ("gather", "counts"):
+        monkeypatch.setattr(sampling, "_gram_route", lambda *shape: pinned)
+        stats = {}
+        freq = monte_carlo_failure_frequency(trials, nu, r, eigs, seed, stats=stats)
+        assert freq == fails / trials
+        assert stats == {"gram": pinned, "drawn_points": int(mask.sum())}
+
+
+def test_gram_route_reads_only_the_cell_shape():
+    # (trials, r, drawn points, N) of the benchmark cells: large-L960, then mc-L120
+    # at r = 250, 1000, 4000; the last shape is cheaper by counts but over budget
+    shapes = [(20, 500, 9741, 188), (50, 250, 2787, 23), (50, 1000, 2821, 23),
+              (50, 4000, 2821, 23), (2000, 4000, 9741, 188)]
+    tracemalloc.start()
+    try:
+        routes = [_gram_route(*shape) for shape in shapes]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert routes == ["gather", "gather", "counts", "counts", "gather"]
+    assert peak < 4096
+    # the budget is on the 16 N^2 bytes per drawn point of the outer-product table
+    P = OUTER_TABLE_BUDGET // (16 * 23 * 23)
+    assert _gram_route(50, 4000, P, 23) == "counts"
+    assert _gram_route(50, 4000, P + 1, 23) == "gather"
+
+
+@pytest.mark.parametrize("route", ["gather", "counts"])
+@pytest.mark.parametrize("check", [
+    test_monte_carlo_threads_agree,
+    test_monte_carlo_starts_at_most_one_worker_per_cpu,
+    test_monte_carlo_threads_share_one_chunk_budget,
+], ids=lambda check: check.__name__.removeprefix("test_monte_carlo_"))
+def test_monte_carlo_thread_checks_hold_on_each_route(request, monkeypatch, check, route):
+    # the thread checks again with the Gram route pinned, whichever route their r selects
+    import tfsamp.sampling as sampling
+
+    monkeypatch.setattr(sampling, "_gram_route", lambda *shape: route)
+    check(*(monkeypatch if name == "monkeypatch" else request.getfixturevalue(name)
+            for name in inspect.signature(check).parameters))
 
 
 def test_covering_exceedance_deterministic(sys32):
