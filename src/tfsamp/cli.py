@@ -11,6 +11,9 @@ witness      construct the non-linearity and equal-samples witnesses
 Common flags: --config PATH, --seed U64 (overrides the config's
 master_seed), --out DIR, --threads N, --emit-eigenvectors.
 
+Artifacts: row tables as CSV, signals as .tfrs, and real float64 grids
+as .npy (eigfun1_spectrogram.npy, stft_abs_<i>.npy); see tfsamp.reports.
+
 Exit codes: 0 success, 2 configuration error (also the library checks
 a config reaches: a wrapping disk, an all-zero or non-finite window
 file), 3 numerical failure, 4 infeasible request
@@ -68,7 +71,6 @@ from .reports import (
     RunReport,
     read_mask,
     read_signal,
-    write_grid_csv,
     write_mask,
     write_report,
     write_rows_csv,
@@ -281,7 +283,7 @@ def _write_samples(outdir: str, samples):
 
 
 def run_spectrum(
-    cfg: ExperimentConfig, outdir: str, emit_eigenvectors: bool = False, *, threads: int = 1
+    cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
     with _run("spectrum", cfg, outdir) as (report, eigs):
         write_rows_csv(
@@ -290,9 +292,9 @@ def run_spectrum(
             [(k + 1, a) for k, a in enumerate(eigs.eigenvalues)],
         )
         spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window)) ** 2
-        write_grid_csv(os.path.join(outdir, "eigfun1_spectrogram.csv"), spectro)
+        np.save(os.path.join(outdir, "eigfun1_spectrogram.npy"), spectro)
         write_mask(os.path.join(outdir, "region.json"), eigs.region.mask)
-        report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.csv", "region.json"]
+        report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.json"]
         if emit_eigenvectors:
             vecdir = os.path.join(outdir, "eigenvectors")
             os.makedirs(vecdir, exist_ok=True)
@@ -312,10 +314,7 @@ def run_reconstruct(
 
         def evaluate(i, eps_t, f):
             rec = reconstruct(f, W, eigs, cfg.cg_tol)
-            write_grid_csv(
-                os.path.join(outdir, f"stft_abs_{i + 1}.csv"),
-                np.abs(stft(f, eigs.window)),
-            )
+            np.save(os.path.join(outdir, f"stft_abs_{i + 1}.npy"), np.abs(stft(f, eigs.window)))
             return dict(
                 epsilon_measured=rec.epsilon,
                 relative_error=rec.relative_error,
@@ -344,13 +343,13 @@ def run_reconstruct(
         _write_samples(outdir, samples)
         report.artifacts += ["recon_rows.csv", "samples.csv"]
         report.artifacts += [
-            f"stft_abs_{i + 1}.csv" for i, row in enumerate(rows) if not row["infeasible"]
+            f"stft_abs_{i + 1}.npy" for i, row in enumerate(rows) if not row["infeasible"]
         ]
     return report
 
 
 def run_montecarlo(
-    cfg: ExperimentConfig, outdir: str, threads: int = 1, *, emit_eigenvectors: bool = False
+    cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
     r_max = max(int(r) for r in cfg.r_grid)
     # each cell draws every trial's r point indices at once, 8 bytes each

@@ -76,7 +76,10 @@ def _float_list(raw: str) -> list:
 
 
 def _int_list(raw: str) -> list:
-    return [int(p) for p in _float_list(raw)]
+    values = _float_list(raw)
+    if not all(v.is_integer() for v in values):  # 1e2 passes; 20.9, inf, nan are refused
+        raise ValueError(raw)
+    return [int(v) for v in values]
 
 
 # parsers: (conversion, diagnostic when the conversion fails)

@@ -1,4 +1,9 @@
-"""Run artifacts: binary signals, run-length masks, CSV grids, reports.
+"""Run artifacts: binary signals, run-length masks, CSV row tables, reports.
+
+Besides reports and JSON masks, a run writes three artifact formats: row
+tables as CSV (floats at .17g, lossless for float64), signals as .tfrs
+(below), and real float64 grids as .npy, one np.save each, read back
+with np.load(path, allow_pickle=False).
 
 Binary signal format (.tfrs), little-endian throughout:
 
@@ -37,7 +42,6 @@ __all__ = [
     "rle_to_mask",
     "write_mask",
     "read_mask",
-    "write_grid_csv",
     "write_rows_csv",
     "RunReport",
     "write_report",
@@ -127,17 +131,6 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
-
-
-def write_grid_csv(path: str, grid: np.ndarray):
-    arr = np.asarray(grid)
-    if arr.ndim != 2:
-        raise ConfigError("grid write: expected a 2-D array")
-    if arr.dtype.kind == "c":
-        raise ConfigError("grid write: expected a real array")
-    fmt = "%d" if arr.dtype.kind in "biu" else "%.17g"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, arr, fmt=fmt, delimiter=",")
 
 
 def write_rows_csv(path: str, header: list, rows: list):

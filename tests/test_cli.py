@@ -41,7 +41,7 @@ def test_spectrum_end_to_end(tmp_path, capsys):
     rc = main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", out])
     assert rc == 0
     for name in ("report.txt", "report.json", "eigenvalues.csv",
-                 "eigfun1_spectrogram.csv", "region.json"):
+                 "eigfun1_spectrogram.npy", "region.json"):
         assert os.path.exists(os.path.join(out, name))
     payload = _json_report(out)
     assert payload["verb"] == "spectrum"
@@ -95,7 +95,7 @@ def test_reconstruct_deterministic_modulo_timings(tmp_path):
     ja, jb = _json_report(out1), _json_report(out2)
     ja.pop("timings"), jb.pop("timings")
     assert ja == jb
-    for name in ("recon_rows.csv", "samples.csv", "stft_abs_1.csv", "stft_abs_2.csv"):
+    for name in ("recon_rows.csv", "samples.csv", "stft_abs_1.npy", "stft_abs_2.npy"):
         ba = open(os.path.join(out1, name), "rb").read()
         bb = open(os.path.join(out2, name), "rb").read()
         assert ba == bb, name
@@ -105,6 +105,35 @@ def test_reconstruct_deterministic_modulo_timings(tmp_path):
         assert row["infeasible"] == ""
         assert row["converged"] is True
         assert row["relative_error"] <= row["error_bound"] + 1e-8
+
+
+def test_grids_are_npy_arrays_equal_to_the_library_values(tmp_path):
+    # every grid in the artifact list reloads without pickle, bit for bit the library's value
+    from tfsamp import Signal, load_config, make_concentrated_test_function, stft
+    from tfsamp.cli import build_setup
+
+    ini = _ini(tmp_path, RECON)
+    _, eigs = build_setup(load_config(ini))
+    out = str(tmp_path / "spectrum")
+    assert main(["spectrum", "--config", ini, "--out", out]) == 0
+    expected = {"eigfun1_spectrogram.npy":
+                np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window)) ** 2}
+    grids = {os.path.join(out, a): expected[a]
+             for a in _json_report(out)["artifacts"] if a.endswith(".npy")}
+    out = str(tmp_path / "reconstruct")
+    assert main(["reconstruct", "--config", ini, "--out", out]) == 0
+    report = _json_report(out)
+    rows = report["sections"]["reconstruct"]["rows"]
+    for a in report["artifacts"]:
+        if a.endswith(".npy"):
+            row = rows[int(a[len("stft_abs_"):-len(".npy")]) - 1]
+            f = make_concentrated_test_function(eigs, row["epsilon_target"], row["function_seed"])
+            grids[os.path.join(out, a)] = np.abs(stft(f, eigs.window))
+    assert len(grids) == 1 + len(rows) == 3
+    for path, want in grids.items():
+        got = np.load(path, allow_pickle=False)
+        assert got.dtype == np.float64 and got.shape == (64, 64), path
+        assert np.array_equal(got, want), path
 
 
 def test_reconstruct_seed_override(tmp_path):
@@ -138,7 +167,7 @@ epsilon_targets = 0.2, 1e-9
     assert rows[0]["infeasible"] == "" and rows[0]["converged"] is True
     assert rows[1]["infeasible"] != ""  # unreachable defect target, row still reported
     arts = _json_report(out)["artifacts"]
-    assert "stft_abs_1.csv" in arts and "stft_abs_2.csv" not in arts
+    assert "stft_abs_1.npy" in arts and "stft_abs_2.npy" not in arts
     csv_text = open(os.path.join(out, "recon_rows.csv"), encoding="utf-8").read()
     assert len(csv_text.splitlines()) == 3
 

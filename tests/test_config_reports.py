@@ -22,7 +22,6 @@ from tfsamp.reports import (
     SIGNAL_VERSION,
     mask_to_rle,
     rle_to_mask,
-    write_grid_csv,
     write_rows_csv,
 )
 
@@ -66,7 +65,7 @@ distinct = off
 
 [montecarlo]
 nu_grid = 0.1, 0.2
-r_grid = 10 20, 30
+r_grid = 10 2e1, 30
 delta = 0.125
 
 [witness]
@@ -85,7 +84,7 @@ eig_residual = 1e-6
     assert cfg.region_center == (10, 30)
     assert cfg.region_radius_px == 9.5
     assert cfg.window_kind == "gaussian" and cfg.window_path is None
-    # list values split on commas and whitespace alike
+    # list values split on commas and whitespace alike; an integral 2e1 is the integer 20
     assert cfg.epsilon_targets == [0.5, 0.25, 0.125]
     assert cfg.distinct is False
     assert cfg.nu_grid == [0.1, 0.2]
@@ -157,6 +156,10 @@ def test_meta_section_without_version_key(tmp_path):
         ("[experiment]\nL = banana\n", r"experiment\.L: must be an integer \(got 'banana'\)"),
         ("[experiment]\ngamma = much\n", r"experiment\.gamma: must be a real number"),
         ("[montecarlo]\nr_grid = 1, two\n", r"montecarlo\.r_grid"),
+        ("[montecarlo]\nr_grid = 20.9, 1e2\n",
+         r"montecarlo\.r_grid: must be a comma-separated list of integers"),
+        ("[montecarlo]\nr_grid = inf\n",
+         r"montecarlo\.r_grid: must be a comma-separated list of integers"),
         ("[reconstruct]\ndistinct = maybe\n", r"reconstruct\.distinct: must be a boolean"),
         ("[witness]\nM = 2.5\n", r"witness\.M: must be an integer"),
     ],
@@ -419,29 +422,6 @@ def test_reports_identical_except_timings(tmp_path):
 
 
 # ---------------------------------------------------------------- csv
-
-
-def test_grid_csv_floats_round_trip_exactly(tmp_path):
-    rng = np.random.default_rng(11)
-    grid = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 3))
-    path = str(tmp_path / "g.csv")
-    write_grid_csv(path, grid)
-    rows = [line.split(",") for line in open(path, encoding="utf-8").read().splitlines()]
-    back = np.array([[float(c) for c in row] for row in rows])
-    assert np.array_equal(back, grid)  # .17g is lossless for float64
-
-
-def test_grid_csv_bool_and_complex_cells(tmp_path):
-    path = str(tmp_path / "g.csv")
-    write_grid_csv(path, np.array([[True, False]]))
-    assert open(path, encoding="utf-8").read() == "1,0\n"
-    with pytest.raises(ConfigError, match="expected a real array"):
-        write_grid_csv(path, np.array([[1.5 - 2.25j]]))
-
-
-def test_grid_csv_rejects_non_2d(tmp_path):
-    with pytest.raises(ConfigError):
-        write_grid_csv(str(tmp_path / "g.csv"), np.arange(4.0))
 
 
 def test_rows_csv_header_and_values(tmp_path):
