@@ -57,7 +57,7 @@ from .regions import (
     mask_region,
     uniform_sample,
 )
-from .reports import RunReport, read_mask, read_signal, write_mask, write_report, write_signal
+from .reports import RunReport, write_report
 from .sampling import (
     TailParams,
     build_T_matrix,

@@ -11,8 +11,11 @@ witness      construct the non-linearity and equal-samples witnesses
 Common flags: --config PATH, --seed U64 (overrides the config's
 master_seed), --out DIR, --threads N, --emit-eigenvectors.
 
-Artifacts: row tables as CSV, signals as .tfrs, and real float64 grids
-as .npy (eigfun1_spectrogram.npy, stft_abs_<i>.npy); see tfsamp.reports.
+Artifacts: row tables as CSV and every array as one .npy file: real
+float64 grids (eigfun1_spectrogram.npy, stft_abs_<i>.npy), complex128
+signals (the six witness files, eigenvectors.npy) and the bool region
+mask (region.npy); see tfsamp.reports.  The mask and window files a
+config names (region.path, window.path) are .npy arrays too.
 
 Exit codes: 0 success, 2 configuration error (also the library checks
 a config reaches: a wrapping disk, an all-zero or non-finite window
@@ -67,15 +70,7 @@ from .regions import (
     mask_region,
     uniform_sample,
 )
-from .reports import (
-    RunReport,
-    read_mask,
-    read_signal,
-    write_mask,
-    write_report,
-    write_rows_csv,
-    write_signal,
-)
+from .reports import RunReport, write_report, write_rows_csv
 from .sampling import (
     FUNCTION_STREAM,
     SAMPLE_STREAM,
@@ -105,11 +100,35 @@ __all__ = [
 ]
 
 
+def _load_array(path: str, key: str, what: str) -> np.ndarray:
+    """The array in the .npy file at path; any failure is a ConfigError naming key.
+
+    np.load fails four ways: a missing file, an empty one (EOFError), a
+    truncated, pickled or foreign one (ValueError), and a zip archive,
+    which loads as an NpzFile instead of an array.
+    """
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise ConfigError(f"{key}: {what} file not found: {path}") from None
+    except (OSError, EOFError, ValueError) as exc:
+        raise ConfigError(f"{key}: not a .npy array file: {path} ({exc})") from None
+    if not isinstance(arr, np.ndarray):
+        arr.close()
+        raise ConfigError(f"{key}: not a .npy array file: {path} (a .npz archive)")
+    return arr
+
+
 def build_region(cfg: ExperimentConfig):
     if cfg.region_kind == "disk":
         cm, cn = cfg.region_center
         return disk_region(cfg.L, TFPoint(cm, cn), cfg.region_radius_px)
-    mask = read_mask(cfg.region_mask_path)
+    mask = _load_array(cfg.region_mask_path, "region.path", "mask")
+    # no coercion: astype(bool) would read 0.5 as True
+    if mask.dtype != bool or mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ConfigError(
+            f"region.path: mask must be a square 2-D bool array, got {mask.dtype} {mask.shape}"
+        )
     if mask.shape[0] != cfg.L:
         raise ConfigError(
             f"region.path: mask is {mask.shape[0]}x{mask.shape[0]}, config says L={cfg.L}"
@@ -120,7 +139,12 @@ def build_region(cfg: ExperimentConfig):
 def build_window(cfg: ExperimentConfig) -> Window:
     if cfg.window_kind == "gaussian":
         return make_gaussian_window(cfg.L)
-    vals = read_signal(cfg.window_path)
+    vals = _load_array(cfg.window_path, "window.path", "signal")
+    if vals.ndim != 1 or vals.dtype.kind not in "iufc":
+        raise ConfigError(
+            f"window.path: signal must be a 1-D real or complex array, got {vals.dtype} "
+            f"{vals.shape}"
+        )
     if vals.size != cfg.L:
         raise ConfigError(
             f"window.path: signal has length {vals.size}, config says L={cfg.L}"
@@ -293,15 +317,12 @@ def run_spectrum(
         )
         spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window)) ** 2
         np.save(os.path.join(outdir, "eigfun1_spectrogram.npy"), spectro)
-        write_mask(os.path.join(outdir, "region.json"), eigs.region.mask)
-        report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.json"]
+        np.save(os.path.join(outdir, "region.npy"), eigs.region.mask)
+        report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.npy"]
         if emit_eigenvectors:
-            vecdir = os.path.join(outdir, "eigenvectors")
-            os.makedirs(vecdir, exist_ok=True)
-            for k in range(eigs.N):
-                name = f"eigenvectors/psi_{k + 1:04d}.tfrs"
-                write_signal(os.path.join(outdir, name), eigs.eigenvectors[:, k])
-                report.artifacts.append(name)
+            # column k is psi_{k+1}; not basis(), which refuses an empty V_N
+            np.save(os.path.join(outdir, "eigenvectors.npy"), eigs.eigenvectors[:, : eigs.N])
+            report.artifacts.append("eigenvectors.npy")
     return report
 
 
@@ -530,11 +551,11 @@ def run_witness(
             "f_tilde": _conc(alias.f_tilde),
         }
         for name, sig in [
-            ("psi_M.tfrs", nl.psi_M), ("witness_f.tfrs", nl.f), ("witness_h.tfrs", nl.h),
-            ("alias_f.tfrs", alias.f), ("alias_f_tilde.tfrs", alias.f_tilde),
-            ("alias_phi_perp.tfrs", alias.phi_perp),
+            ("psi_M.npy", nl.psi_M), ("witness_f.npy", nl.f), ("witness_h.npy", nl.h),
+            ("alias_f.npy", alias.f), ("alias_f_tilde.npy", alias.f_tilde),
+            ("alias_phi_perp.npy", alias.phi_perp),
         ]:
-            write_signal(os.path.join(outdir, name), sig.values)
+            np.save(os.path.join(outdir, name), sig.values)
             report.artifacts.append(name)
     return report
 

@@ -23,11 +23,11 @@ Example
     center_m = 240
     center_n = 240
     radius_px = 120
-    ; path = region.json  (kind = mask: run-length-encoded JSON mask)
+    ; path = region.npy  (kind = mask: an (L, L) bool array in .npy format)
 
     [window]
     kind = gaussian      ; gaussian | file
-    ; path = window.tfrs  (kind = file: binary signal format)
+    ; path = window.npy  (kind = file: an (L,) real or complex array in .npy format)
 
     [reconstruct]
     epsilon_targets = 0.1, 0.03, 1e-4, 1e-8
@@ -75,15 +75,27 @@ def _float_list(raw: str) -> list:
     return [float(p) for p in items]
 
 
+def _as_int(raw: str) -> int:
+    """An integer token, exact at any size, or an integral float spelling up to 2^53.
+
+    1e2 reads as 100; 20.9, inf and nan are refused, and so is a float
+    spelling above 2^53, where float64 no longer holds every integer.
+    """
+    try:
+        return int(raw)
+    except ValueError:
+        v = float(raw)
+        if not (v.is_integer() and abs(v) <= 2**53):
+            raise ValueError(raw) from None
+        return int(v)
+
+
 def _int_list(raw: str) -> list:
-    values = _float_list(raw)
-    if not all(v.is_integer() for v in values):  # 1e2 passes; 20.9, inf, nan are refused
-        raise ValueError(raw)
-    return [int(v) for v in values]
+    return [_as_int(p) for chunk in raw.split(",") for p in chunk.split()]
 
 
 # parsers: (conversion, diagnostic when the conversion fails)
-_INT = (int, "must be an integer")
+_INT = (_as_int, "must be an integer")
 _REAL = (float, "must be a real number")
 _TEXT = (str.strip, "")
 _BOOL = (_as_bool, "must be a boolean")

@@ -91,7 +91,9 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
     def basis(self) -> np.ndarray:
-        """(L, N) matrix of the V_N basis psi_1..psi_N."""
+        """(L, N) matrix of the V_N basis psi_1..psi_N; ParameterError if V_N is empty."""
+        if self.N < 1:
+            raise ParameterError("V_N basis needs a spectral cut with N >= 1")
         return self.eigenvectors[:, : self.N]
 
     def coeffs(self, f: Signal) -> np.ndarray:
@@ -326,8 +328,6 @@ def concentration_from_eigs(f: Signal, eigs: EigenSystem) -> ConcentrationValue:
 
 def project_VN(f: Signal, eigs: EigenSystem) -> Signal:
     """Orthogonal projection onto V_N = span{psi_1..psi_N}."""
-    if eigs.N < 1:
-        raise ParameterError("projection needs a spectral cut with N >= 1")
     B = eigs.basis()
     return Signal(B @ (B.conj().T @ f.values))
 

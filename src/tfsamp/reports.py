@@ -1,19 +1,11 @@
-"""Run artifacts: binary signals, run-length masks, CSV row tables, reports.
+"""Run artifacts: CSV row tables and reports.
 
-Besides reports and JSON masks, a run writes three artifact formats: row
-tables as CSV (floats at .17g, lossless for float64), signals as .tfrs
-(below), and real float64 grids as .npy, one np.save each, read back
-with np.load(path, allow_pickle=False).
-
-Binary signal format (.tfrs), little-endian throughout:
-
-    bytes 0..3   magic b"TFRS"
-    bytes 4..7   format version, uint32 (currently 1)
-    bytes 8..11  length L, uint32
-    bytes 12..   2*L float64: re(x[0]), im(x[0]), re(x[1]), im(x[1]), ...
-
-Masks travel as JSON run-length encodings over the row-major flattening:
-{"L": side, "start": first cell value (0/1), "runs": [run lengths]}.
+A run writes two kinds of data file.  Row tables are CSV, with floats
+at .17g, which is lossless for float64.  Every array, whether a grid,
+a signal, an eigenvector block or a region mask, is one NumPy .npy
+file written by np.save, read back with np.load(path, allow_pickle=False).
+The same format carries the arrays a config reads (region.path,
+window.path).
 
 Reports are written twice, as report.txt (human) and report.json
 (machine, sorted keys).  Wall-clock timings live in a single dedicated
@@ -26,101 +18,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-
-__all__ = [
-    "SIGNAL_MAGIC",
-    "SIGNAL_VERSION",
-    "write_signal",
-    "read_signal",
-    "mask_to_rle",
-    "rle_to_mask",
-    "write_mask",
-    "read_mask",
-    "write_rows_csv",
-    "RunReport",
-    "write_report",
-]
-
-SIGNAL_MAGIC = b"TFRS"
-SIGNAL_VERSION = 1
-
-
-def write_signal(path: str, values: np.ndarray):
-    vals = np.asarray(values, dtype=np.complex128)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ConfigError("signal write: expected a non-empty 1-D array")
-    with open(path, "wb") as fh:
-        fh.write(SIGNAL_MAGIC)
-        fh.write(struct.pack("<II", SIGNAL_VERSION, vals.size))
-        fh.write(vals.astype("<c16").tobytes())
-
-
-def read_signal(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"signal file not found: {path}")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != SIGNAL_MAGIC:
-        raise ConfigError(f"{path}: not a TFRS signal file")
-    version, length = struct.unpack("<II", blob[4:12])
-    if version != SIGNAL_VERSION:
-        raise ConfigError(f"{path}: unsupported signal format version {version}")
-    expected = 12 + 16 * length
-    if len(blob) != expected:
-        raise ConfigError(f"{path}: truncated signal (need {expected} bytes, have {len(blob)})")
-    return np.frombuffer(blob, "<c16", offset=12).astype(np.complex128)
-
-
-def mask_to_rle(mask: np.ndarray) -> dict:
-    m = np.asarray(mask, dtype=bool)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError("mask encode: expected a square 2-D boolean array")
-    flat = m.ravel()
-    # run boundaries: indices where the value flips
-    flips = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    edges = np.concatenate(([0], flips, [flat.size]))
-    runs = np.diff(edges)
-    return {"L": int(m.shape[0]), "start": int(flat[0]), "runs": [int(x) for x in runs]}
-
-
-def rle_to_mask(enc: dict) -> np.ndarray:
-    try:
-        L = int(enc["L"])
-        start = int(enc["start"])
-        runs = [int(x) for x in enc["runs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"mask decode: malformed encoding ({exc})") from None
-    if L < 1 or start not in (0, 1) or any(r < 1 for r in runs):
-        raise ConfigError("mask decode: invalid L, start, or run lengths")
-    if sum(runs) != L * L:
-        raise ConfigError(f"mask decode: runs sum to {sum(runs)}, expected {L * L}")
-    vals = np.empty(len(runs), dtype=bool)
-    vals[0::2] = bool(start)
-    vals[1::2] = not start
-    return np.repeat(vals, runs).reshape(L, L)
-
-
-def write_mask(path: str, mask: np.ndarray):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mask_to_rle(mask), fh)
-        fh.write("\n")
-
-
-def read_mask(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"mask file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            enc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON mask ({exc})") from None
-    return rle_to_mask(enc)
+__all__ = ["write_rows_csv", "RunReport", "write_report"]
 
 
 def _fmt(x) -> str:

@@ -117,8 +117,6 @@ class TailParams:
 
 def build_T_matrix(lam: TFPoint, eigs: EigenSystem) -> np.ndarray:
     """T = v v^H with v_k = V_phi psi_k(lam); trace = ||P_{V_N} pi(lam) phi||^2."""
-    if eigs.N < 1:
-        raise ParameterError("build_T_matrix needs a spectral cut with N >= 1")
     row = _analysis_rows(np.array([lam.m]), np.array([lam.n]), eigs.window.values)[0]
     v = row @ eigs.basis()
     return np.outer(v, np.conj(v))
@@ -195,8 +193,6 @@ def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
     """
     if W.shape[0] < 1:
         raise ParameterError("empirical statistic needs r >= 1")
-    if eigs.N < 1:
-        raise ParameterError("empirical statistic needs a spectral cut with N >= 1")
     G = _gathered_grams((W @ eigs.basis())[None])
     return float(_min_eigs(G, W.shape[0], expected_T(eigs))[0])
 
@@ -343,8 +339,6 @@ def monte_carlo_failure_frequency(
     "drawn_points".
     """
     region, N = eigs.region, eigs.N
-    if N < 1:
-        raise ParameterError("Monte Carlo needs a spectral cut with N >= 1")
     idx = _draw_trials(trials, r, region.point_count, master_seed)
     # tabulate only the points the trials draw: 16 * N bytes per distinct point
     table = _region_table(eigs, _drawn_mask(region, idx))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfsamp import make_gaussian_window, read_signal, write_mask, write_signal
+from tfsamp import make_gaussian_window
 from tfsamp.cli import derive_seed, main
 
 META = "[meta]\nschema_version = 1\n"
@@ -41,7 +41,7 @@ def test_spectrum_end_to_end(tmp_path, capsys):
     rc = main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", out])
     assert rc == 0
     for name in ("report.txt", "report.json", "eigenvalues.csv",
-                 "eigfun1_spectrogram.npy", "region.json"):
+                 "eigfun1_spectrogram.npy", "region.npy"):
         assert os.path.exists(os.path.join(out, name))
     payload = _json_report(out)
     assert payload["verb"] == "spectrum"
@@ -59,16 +59,23 @@ def test_spectrum_end_to_end(tmp_path, capsys):
 
 
 def test_spectrum_emit_eigenvectors(tmp_path):
+    # one (L, N) complex128 array whose column k is psi_{k+1}, bit for bit the library's
+    from tfsamp import load_config
+    from tfsamp.cli import build_setup
+
     out = str(tmp_path / "out")
     ini = _ini(tmp_path, "[experiment]\nL = 16\n[region]\nradius_px = 4\n")
     assert main(["spectrum", "--config", ini, "--out", out, "--emit-eigenvectors"]) == 0
     payload = _json_report(out)
     N = payload["sections"]["eigen"]["N"]
-    vecs = [a for a in payload["artifacts"] if a.startswith("eigenvectors/")]
-    assert len(vecs) == N
-    psi1 = read_signal(os.path.join(out, "eigenvectors", "psi_0001.tfrs"))
-    assert psi1.size == 16
-    assert abs(np.linalg.norm(psi1) - 1.0) < 1e-12
+    assert N >= 1
+    assert payload["artifacts"] == ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.npy",
+                                    "eigenvectors.npy"]
+    vecs = np.load(os.path.join(out, "eigenvectors.npy"), allow_pickle=False)
+    assert vecs.dtype == np.complex128 and vecs.shape == (16, N)
+    _, eigs = build_setup(load_config(ini))
+    got, want = (np.ascontiguousarray(a).view(np.uint64) for a in (vecs, eigs.eigenvectors[:, :N]))
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- reconstruct
@@ -108,7 +115,8 @@ def test_reconstruct_deterministic_modulo_timings(tmp_path):
 
 
 def test_grids_are_npy_arrays_equal_to_the_library_values(tmp_path):
-    # every grid in the artifact list reloads without pickle, bit for bit the library's value
+    # every grid in the artifact list (all .npy but the region mask) reloads without pickle,
+    # bit for bit the library's value
     from tfsamp import Signal, load_config, make_concentrated_test_function, stft
     from tfsamp.cli import build_setup
 
@@ -119,7 +127,7 @@ def test_grids_are_npy_arrays_equal_to_the_library_values(tmp_path):
     expected = {"eigfun1_spectrogram.npy":
                 np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window)) ** 2}
     grids = {os.path.join(out, a): expected[a]
-             for a in _json_report(out)["artifacts"] if a.endswith(".npy")}
+             for a in _json_report(out)["artifacts"] if a.endswith(".npy") and a != "region.npy"}
     out = str(tmp_path / "reconstruct")
     assert main(["reconstruct", "--config", ini, "--out", out]) == 0
     report = _json_report(out)
@@ -438,11 +446,13 @@ eta = 2.0
     assert al["sample_gap"] <= 1e-10
     assert al["delta"] > 1e-6
     assert isinstance(al["phi_perp_energy"], float)
-    fa = read_signal(os.path.join(out, "alias_f.tfrs"))
-    fb = read_signal(os.path.join(out, "alias_f_tilde.tfrs"))
+    signals = {name: np.load(os.path.join(out, name), allow_pickle=False)
+               for name in payload["artifacts"]}
+    assert list(signals) == ["psi_M.npy", "witness_f.npy", "witness_h.npy", "alias_f.npy",
+                             "alias_f_tilde.npy", "alias_phi_perp.npy"]
+    assert all(v.dtype == np.complex128 and v.shape == (64,) for v in signals.values())
+    fa, fb = signals["alias_f.npy"], signals["alias_f_tilde.npy"]
     assert abs(np.linalg.norm(fa - fb) - al["delta"]) < 1e-10
-    for name in ("psi_M.tfrs", "witness_f.tfrs", "witness_h.tfrs", "alias_phi_perp.tfrs"):
-        assert read_signal(os.path.join(out, name)).size == 64
 
 
 def test_witness_infeasible_exits_4(tmp_path, capsys):
@@ -516,7 +526,7 @@ def test_runners_release_the_operator_after_the_eigen_section(tmp_path, monkeypa
     monkeypatch.setattr(cli, "build_setup", tracked_setup)
     # every runner body writes its artifacts through one of these two
     monkeypatch.setattr(cli, "write_rows_csv", checked(cli.write_rows_csv))
-    monkeypatch.setattr(cli, "write_signal", checked(cli.write_signal))
+    monkeypatch.setattr(cli.np, "save", checked(np.save))
     assert main([verb, "--config", _ini(tmp_path, HEADLINE), "--out", str(tmp_path / "o")]) == 0
     assert len(refs) == 1 and alive and not any(alive)
 
@@ -541,8 +551,8 @@ def test_library_errors_a_config_reaches_exit_2(tmp_path, capsys, radius, window
                                                 message):
     body = f"[experiment]\nL = 32\nr = 12\ntrials = 5\n[region]\nradius_px = {radius}\n"
     if window is not None:  # a window file with every entry equal to window
-        write_signal(str(tmp_path / "win.tfrs"), np.full(32, window, dtype=complex))
-        body += f"[window]\nkind = file\npath = {tmp_path / 'win.tfrs'}\n"
+        np.save(tmp_path / "win.npy", np.full(32, window, dtype=complex))
+        body += f"[window]\nkind = file\npath = {tmp_path / 'win.npy'}\n"
     if M is not None:
         body += f"[witness]\nM = {M}\n"
     ini = _ini(tmp_path, body)
@@ -663,19 +673,19 @@ def test_unknown_verb_is_usage_error(tmp_path):
 def test_mask_region_and_window_file(tmp_path):
     mask = np.zeros((16, 16), dtype=bool)
     mask[5:11, 5:11] = True
-    write_mask(str(tmp_path / "region.json"), mask)
-    write_signal(str(tmp_path / "win.tfrs"), make_gaussian_window(16).values)
+    np.save(tmp_path / "region.npy", mask)
+    np.save(tmp_path / "win.npy", make_gaussian_window(16).values)
     ini = _ini(tmp_path, f"""
 [experiment]
 L = 16
 
 [region]
 kind = mask
-path = {tmp_path / 'region.json'}
+path = {tmp_path / 'region.npy'}
 
 [window]
 kind = file
-path = {tmp_path / 'win.tfrs'}
+path = {tmp_path / 'win.npy'}
 """)
     out = str(tmp_path / "out")
     assert main(["spectrum", "--config", ini, "--out", out]) == 0
@@ -685,21 +695,21 @@ path = {tmp_path / 'win.tfrs'}
 
 
 def test_mask_dimension_mismatch_exits_2(tmp_path, capsys):
-    write_mask(str(tmp_path / "region.json"), np.ones((12, 12), dtype=bool))
+    np.save(tmp_path / "region.npy", np.ones((12, 12), dtype=bool))
     ini = _ini(tmp_path, f"""
 [experiment]
 L = 16
 
 [region]
 kind = mask
-path = {tmp_path / 'region.json'}
+path = {tmp_path / 'region.npy'}
 """)
     assert main(["spectrum", "--config", ini, "--out", str(tmp_path / "o")]) == 2
-    assert "12x12" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: region.path: mask is 12x12, config says L=16\n"
 
 
 def test_window_length_mismatch_exits_2(tmp_path, capsys):
-    write_signal(str(tmp_path / "win.tfrs"), np.ones(12, dtype=complex))
+    np.save(tmp_path / "win.npy", np.ones(12, dtype=complex))
     ini = _ini(tmp_path, f"""
 [experiment]
 L = 16
@@ -709,10 +719,12 @@ radius_px = 4
 
 [window]
 kind = file
-path = {tmp_path / 'win.tfrs'}
+path = {tmp_path / 'win.npy'}
 """)
     assert main(["spectrum", "--config", ini, "--out", str(tmp_path / "o")]) == 2
-    assert "length 12" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: window.path: signal has length 12, config says L=16\n"
+    )
 
 
 def test_missing_window_file_exits_2(tmp_path, capsys):
@@ -725,10 +737,61 @@ radius_px = 4
 
 [window]
 kind = file
-path = {tmp_path / 'no-such.tfrs'}
+path = {tmp_path / 'no-such.npy'}
 """)
     assert main(["spectrum", "--config", ini, "--out", str(tmp_path / "o")]) == 2
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"config error: window.path: signal file not found: {tmp_path / 'no-such.npy'}\n"
+    )
+
+
+def _npz(path):
+    np.savez(path, mask=np.ones((16, 16), dtype=bool))
+    os.replace(f"{path}.npz", path)  # np.savez appends .npz to a name without it
+
+
+# (region or window, how the file is made, message after the key)
+_BAD_ARRAY_FILES = {
+    "empty file": ("region", lambda p: open(p, "wb").close(), "not a .npy array file"),
+    "truncated": ("region", lambda p: (np.save(p, np.ones((16, 16), dtype=bool)),
+                                       os.truncate(p, os.path.getsize(p) - 7)),
+                  "not a .npy array file"),
+    "pickled object array": ("window", lambda p: np.save(p, np.array([1, "a"] * 8, dtype=object)),
+                             "not a .npy array file"),
+    "renamed npz": ("region", _npz, "not a .npy array file"),
+    "non-bool mask": ("region", lambda p: np.save(p, np.full((16, 16), 0.5)),
+                      "mask must be a square 2-D bool array, got float64 (16, 16)"),
+    "1-D mask": ("region", lambda p: np.save(p, np.ones(256, dtype=bool)),
+                 "mask must be a square 2-D bool array, got bool (256,)"),
+    "non-square mask": ("region", lambda p: np.save(p, np.ones((16, 8), dtype=bool)),
+                        "mask must be a square 2-D bool array, got bool (16, 8)"),
+    "string window": ("window", lambda p: np.save(p, np.array(["1.0"] * 16)),
+                      "signal must be a 1-D real or complex array, got <U3 (16,)"),
+    "bool window": ("window", lambda p: np.save(p, np.ones(16, dtype=bool)),
+                    "signal must be a 1-D real or complex array, got bool (16,)"),
+    "2-D window": ("window", lambda p: np.save(p, np.ones((4, 4))),
+                   "signal must be a 1-D real or complex array, got float64 (4, 4)"),
+    "missing mask": ("region", lambda p: None, "mask file not found: "),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ARRAY_FILES))
+def test_bad_array_files_exit_2(tmp_path, capsys, case):
+    # every file np.load cannot turn into the array a key needs is a config error naming the key
+    which, make, message = _BAD_ARRAY_FILES[case]
+    path = str(tmp_path / "bad.npy")
+    make(path)
+    body = "[experiment]\nL = 16\n[region]\nradius_px = 4\n"
+    if which == "region":
+        body += f"kind = mask\npath = {path}\n"
+    else:
+        body += f"[window]\nkind = file\npath = {path}\n"
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", _ini(tmp_path, body), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {which}.path: {message}"), captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_derived_seeds_are_stream_separated():

@@ -1,29 +1,13 @@
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tfsamp import (
-    ConfigError,
-    ExperimentConfig,
-    RunReport,
-    load_config,
-    read_mask,
-    read_signal,
-    write_mask,
-    write_report,
-    write_signal,
-)
+from tfsamp import ConfigError, ExperimentConfig, RunReport, Window, load_config, write_report
+from tfsamp.cli import build_window, main
 from tfsamp.config import SCHEMA_VERSION
-from tfsamp.reports import (
-    SIGNAL_MAGIC,
-    SIGNAL_VERSION,
-    mask_to_rle,
-    rle_to_mask,
-    write_rows_csv,
-)
+from tfsamp.reports import write_rows_csv
 
 META = "[meta]\nschema_version = 1\n"
 
@@ -160,6 +144,10 @@ def test_meta_section_without_version_key(tmp_path):
          r"montecarlo\.r_grid: must be a comma-separated list of integers"),
         ("[montecarlo]\nr_grid = inf\n",
          r"montecarlo\.r_grid: must be a comma-separated list of integers"),
+        # an integral float above 2^53 may already be rounded: 1e300 is not an exact integer
+        ("[montecarlo]\nr_grid = 1e300\n",
+         r"montecarlo\.r_grid: must be a comma-separated list of integers \(got '1e300'\)"),
+        ("[experiment]\nr = 1e300\n", r"experiment\.r: must be an integer \(got '1e300'\)"),
         ("[reconstruct]\ndistinct = maybe\n", r"reconstruct\.distinct: must be a boolean"),
         ("[witness]\nM = 2.5\n", r"witness\.M: must be an integer"),
     ],
@@ -200,6 +188,19 @@ def test_bool_spellings(tmp_path, raw, expect):
     assert cfg.distinct is expect
 
 
+@pytest.mark.parametrize("body,field,expect", [
+    # scalars and lists share one rule: an exact integer token, or an integral float to 2^53
+    ("[experiment]\nr = 1e2\n", "r", 100),
+    ("[montecarlo]\nr_grid = 1e2\n", "r_grid", [100]),
+    ("[montecarlo]\nr_grid = 9007199254740993\n", "r_grid", [9007199254740993]),
+    ("[experiment]\nmaster_seed = 18446744073709551615\n", "master_seed", 2**64 - 1),
+])
+def test_integer_spellings(tmp_path, body, field, expect):
+    value = getattr(_load(tmp_path, body), field)
+    assert value == expect
+    assert all(type(v) is int for v in (value if isinstance(value, list) else [value]))
+
+
 def test_inline_comments_are_stripped(tmp_path):
     cfg = _load(tmp_path, "[region]\nkind = disk   ; disk | mask\n"
                           "[experiment]\ngamma = 0.25  # quarter\n")
@@ -221,7 +222,7 @@ def test_malformed_ini_is_config_error(tmp_path):
         ("[experiment]\nseed = 7\n", r"experiment\.seed: unknown key"),
         ("[experimnt]\nL = 64\n", r"experimnt\.l: unknown key"),
         ("[region]\ncenter = 10\n", r"region\.center: unknown key"),
-        ("[window]\nkind = gaussian\nfile = w.tfrs\n", r"window\.file: unknown key"),
+        ("[window]\nkind = gaussian\nfile = w.txt\n", r"window\.file: unknown key"),
     ],
 )
 def test_unknown_keys_are_config_errors(tmp_path, body, fragment):
@@ -246,132 +247,42 @@ def test_to_dict_round_trips_center_as_list():
     assert ExperimentConfig().to_dict()["region_center"] is None
 
 
-# ---------------------------------------------------------------- signals
+# ---------------------------------------------------------------- arrays on disk
 
 
 def test_signal_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(33) + 1j * rng.standard_normal(33)
-    path = str(tmp_path / "f.tfrs")
-    write_signal(path, f)
-    g = read_signal(path)
-    assert g.dtype == np.complex128
-    assert np.array_equal(f, g)  # float64 survives the byte round trip exactly
+    # a window file is a plain .npy array, real or complex; it reloads bit for bit
+    taps = np.arange(1, 17) % 5
+    for values in (taps + 1j * (np.arange(16) % 3), taps / 3.0, taps):
+        path = tmp_path / f"win-{values.dtype}.npy"
+        np.save(path, values)
+        cfg = ExperimentConfig(L=16, window_kind="file", window_path=str(path)).validate()
+        got = build_window(cfg).values
+        expect = Window.normalized(values).values
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), values.dtype
 
 
-def test_signal_round_trip_keeps_signed_zeros_and_infinities(tmp_path):
-    f = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(np.inf, -np.inf)])
-    path = str(tmp_path / "f.tfrs")
-    write_signal(path, f)
-    g = read_signal(path)
-    assert np.signbit(g.real).tolist() == [True, False, False]
-    assert np.signbit(g.imag).tolist() == [True, True, True]
-    assert g[2] == complex(np.inf, -np.inf)
-
-
-def test_signal_byte_layout(tmp_path):
-    path = str(tmp_path / "f.tfrs")
-    write_signal(path, np.array([1.0 + 2.0j, -0.5, 3.25 - 4.0j]))
-    blob = open(path, "rb").read()
-    assert blob[:4] == SIGNAL_MAGIC == b"TFRS"
-    version, L = struct.unpack("<II", blob[4:12])
-    assert version == SIGNAL_VERSION == 1 and L == 3
-    assert len(blob) == 12 + 16 * 3
-    inter = struct.unpack("<6d", blob[12:])
-    assert inter == (1.0, 2.0, -0.5, 0.0, 3.25, -4.0)
-
-
-@pytest.mark.parametrize(
-    "mangle,fragment",
-    [
-        (lambda b: b"X" + b[1:], "not a TFRS signal file"),
-        (lambda b: b[:4] + struct.pack("<I", 9) + b[8:], "unsupported signal format version 9"),
-        (lambda b: b[:-5], "truncated signal"),
-        (lambda b: b[:3], "not a TFRS signal file"),
-    ],
-)
-def test_signal_corruption_detected(tmp_path, mangle, fragment):
-    path = str(tmp_path / "f.tfrs")
-    write_signal(path, np.arange(4.0) + 0j)
-    blob = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(mangle(blob))
-    with pytest.raises(ConfigError, match=fragment):
-        read_signal(path)
-
-
-def test_write_signal_rejects_bad_shapes(tmp_path):
-    path = str(tmp_path / "f.tfrs")
-    with pytest.raises(ConfigError):
-        write_signal(path, np.array([], dtype=complex))
-    with pytest.raises(ConfigError):
-        write_signal(path, np.ones((2, 2), dtype=complex))
-
-
-# ---------------------------------------------------------------- masks
-
-
-def _random_mask(L, seed, p=0.5):
-    return np.random.default_rng(seed).random((L, L)) < p
-
-
-@pytest.mark.parametrize(
-    "mask",
-    [
-        _random_mask(9, 3),
-        _random_mask(16, 4, p=0.05),
-        np.ones((5, 5), dtype=bool),
-        np.zeros((7, 7), dtype=bool),
-        np.eye(6, dtype=bool),
-    ],
-)
-def test_rle_round_trip(mask):
-    enc = mask_to_rle(mask)
-    assert enc["L"] == mask.shape[0]
-    assert enc["start"] in (0, 1)
-    assert sum(enc["runs"]) == mask.size
-    assert np.array_equal(rle_to_mask(enc), mask)
-
-
-def test_rle_rejects_non_square():
-    with pytest.raises(ConfigError):
-        mask_to_rle(np.ones(9, dtype=bool))
-    with pytest.raises(ConfigError):
-        mask_to_rle(np.ones((3, 4), dtype=bool))
-
-
-@pytest.mark.parametrize(
-    "enc",
-    [
-        {"L": 2, "start": 0},  # runs missing
-        {"L": 2, "start": 2, "runs": [4]},  # start not 0/1
-        {"L": 2, "start": 0, "runs": [2, 0, 2]},  # zero-length run
-        {"L": 2, "start": 0, "runs": [3]},  # sum != L*L
-        {"L": 2, "start": 0, "runs": [2, "x"]},  # non-integer run
-        {"L": 0, "start": 0, "runs": []},
-    ],
-)
-def test_rle_malformed_encodings_raise(enc):
-    with pytest.raises(ConfigError):
-        rle_to_mask(enc)
-
-
-def test_mask_file_round_trip(tmp_path):
-    mask = _random_mask(12, 5)
-    path = str(tmp_path / "region.json")
-    write_mask(path, mask)
-    assert np.array_equal(read_mask(path), mask)
-    enc = json.loads(open(path, encoding="utf-8").read())
-    assert set(enc) == {"L", "start", "runs"}
-
-
-def test_read_mask_errors(tmp_path):
-    with pytest.raises(ConfigError, match="mask file not found"):
-        read_mask(str(tmp_path / "gone.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError, match="invalid JSON mask"):
-        read_mask(str(bad))
+def test_mask_file_round_trip(tmp_path, capsys):
+    # the region.npy that spectrum writes is a region.path the next run can read
+    disk = tmp_path / "disk.ini"
+    disk.write_text(META + "[experiment]\nL = 24\n[region]\ncenter_m = 7\ncenter_n = 15\n"
+                    "radius_px = 6.5\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(disk), "--out", str(tmp_path / "a")]) == 0
+    region = tmp_path / "a" / "region.npy"
+    saved = np.load(region, allow_pickle=False)
+    assert saved.dtype == bool and saved.shape == (24, 24)
+    mask = tmp_path / "mask.ini"
+    mask.write_text(META + f"[experiment]\nL = 24\n[region]\nkind = mask\npath = {region}\n",
+                    encoding="utf-8")
+    assert main(["spectrum", "--config", str(mask), "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    eigen = [json.loads((tmp_path / run / "report.json").read_text(encoding="utf-8"))
+             ["sections"]["eigen"] for run in "ab"]
+    assert eigen[0] == eigen[1]
+    csvs = [(tmp_path / run / "eigenvalues.csv").read_bytes() for run in "ab"]
+    assert csvs[0] == csvs[1]
+    assert np.array_equal(np.load(tmp_path / "b" / "region.npy", allow_pickle=False), saved)
 
 
 # ---------------------------------------------------------------- reports

@@ -7,6 +7,7 @@ from tfsamp import (
     Signal,
     TFPoint,
     Window,
+    build_T_matrix,
     build_localization_operator,
     choose_N,
     concentration,
@@ -14,9 +15,11 @@ from tfsamp import (
     disk_region,
     eigendecompose,
     eigenvalue_count_estimate,
+    empirical_min_eigenvalue,
     full_region,
     make_gaussian_window,
     mask_region,
+    monte_carlo_failure_frequency,
     project_VN,
     tf_shift,
 )
@@ -466,6 +469,21 @@ def test_project_VN_needs_positive_N():
     )
     with pytest.raises(ParameterError):
         project_VN(random_signal(L, 0), eigs)
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda eigs: build_T_matrix(TFPoint(8, 8), eigs),
+    lambda eigs: empirical_min_eigenvalue(np.ones((3, 16), dtype=complex), eigs),
+    lambda eigs: monte_carlo_failure_frequency(4, 0.3, 5, eigs, 7),
+    lambda eigs: project_VN(random_signal(16, 0), eigs),
+], ids=["build_T_matrix", "empirical_min_eigenvalue", "monte_carlo_failure_frequency",
+        "project_VN"])
+def test_V_N_consumers_refuse_an_empty_V_N(sys16, consumer):
+    # alpha_1 = 0.953 < gamma: the one guard in EigenSystem.basis() refuses for each reader
+    eigs = eigendecompose(sys16.H, 0.99)
+    assert eigs.N == 0
+    with pytest.raises(ParameterError, match=r"spectral cut with N >= 1"):
+        consumer(eigs)
 
 
 # ------------------------------------------------------- concentration lemma
