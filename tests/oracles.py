@@ -44,18 +44,27 @@ def tf_shift_direct(f, m, n):
     return out
 
 
-def stft_direct(f, phi):
-    """V[m, n] = sum_t f(t) conj(phi((t-m) mod L)) e^{-2 pi i n t / L}."""
+def stft_direct(f, phi, points=None):
+    """V[m, n] = sum_t f(t) conj(phi((t-m) mod L)) e^{-2 pi i n t / L}.
+
+    The whole L x L grid, or, given points, the samples at its (m, n) rows.
+    """
     L = len(f)
+
+    def sample(m, n):
+        acc = 0j
+        for t in range(L):
+            acc += f[t] * phi[(t - m) % L].conjugate() * cmath.exp(
+                -2j * cmath.pi * n * t / L
+            )
+        return acc
+
+    if points is not None:
+        return np.array([sample(m, n) for m, n in points])
     V = np.zeros((L, L), dtype=complex)
     for m in range(L):
         for n in range(L):
-            acc = 0j
-            for t in range(L):
-                acc += f[t] * phi[(t - m) % L].conjugate() * cmath.exp(
-                    -2j * cmath.pi * n * t / L
-                )
-            V[m, n] = acc
+            V[m, n] = sample(m, n)
     return V
 
 

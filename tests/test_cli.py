@@ -2,6 +2,7 @@ import json
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_spectrum_end_to_end(tmp_path, capsys):
     assert e["count_interval"][0] <= e["N"] <= e["count_interval"][1]
     assert e["alpha_N"] >= 0.5 >= e["alpha_N_plus_1"]
     # one eigenvalue row per basis dimension, plus the header
-    lines = open(os.path.join(out, "eigenvalues.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(os.path.join(out, "eigenvalues.csv")).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,alpha" and len(lines) == 1 + 48
     captured = capsys.readouterr()
     assert "L=48" in captured.out and "report:" in captured.out
@@ -103,8 +104,8 @@ def test_reconstruct_deterministic_modulo_timings(tmp_path):
     ja.pop("timings"), jb.pop("timings")
     assert ja == jb
     for name in ("recon_rows.csv", "samples.csv", "stft_abs_1.npy", "stft_abs_2.npy"):
-        ba = open(os.path.join(out1, name), "rb").read()
-        bb = open(os.path.join(out2, name), "rb").read()
+        ba = Path(os.path.join(out1, name)).read_bytes()
+        bb = Path(os.path.join(out2, name)).read_bytes()
         assert ba == bb, name
     rows = ja["sections"]["reconstruct"]["rows"]
     assert len(rows) == 2
@@ -152,8 +153,8 @@ def test_reconstruct_seed_override(tmp_path):
     p1, p2 = _json_report(out1), _json_report(out2)
     assert p1["master_seed"] == 123 and p1["config"]["master_seed"] == 123
     assert p2["master_seed"] == 124
-    s1 = open(os.path.join(out1, "samples.csv")).read()
-    s2 = open(os.path.join(out2, "samples.csv")).read()
+    s1 = Path(os.path.join(out1, "samples.csv")).read_text(encoding="utf-8")
+    s2 = Path(os.path.join(out2, "samples.csv")).read_text(encoding="utf-8")
     assert s1 != s2
 
 
@@ -176,7 +177,7 @@ epsilon_targets = 0.2, 1e-9
     assert rows[1]["infeasible"] != ""  # unreachable defect target, row still reported
     arts = _json_report(out)["artifacts"]
     assert "stft_abs_1.npy" in arts and "stft_abs_2.npy" not in arts
-    csv_text = open(os.path.join(out, "recon_rows.csv"), encoding="utf-8").read()
+    csv_text = Path(os.path.join(out, "recon_rows.csv")).read_text(encoding="utf-8")
     assert len(csv_text.splitlines()) == 3
 
 
@@ -211,7 +212,7 @@ delta = 0.05
         assert row["required_samples"] >= 1
         seen.add((row["nu"], row["r"]))
     assert seen == {(0.5, 20), (0.5, 40), (0.8, 20), (0.8, 40)}
-    lines = open(os.path.join(out, "mc_rows.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(os.path.join(out, "mc_rows.csv")).read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("nu,r,empirical_freq,theory_bound")
     assert len(lines) == 5
 
@@ -238,13 +239,17 @@ r_grid = 250, 4000
     for rep in reports:
         rep.pop("timings")
     assert reports[0] == reports[1]
-    csvs = [open(os.path.join(out, "mc_rows.csv"), "rb").read() for out in outs]
+    csvs = [Path(os.path.join(out, "mc_rows.csv")).read_bytes() for out in outs]
     assert csvs[0] == csvs[1]
 
 
 def test_montecarlo_rows_name_their_gram_route(tmp_path):
-    # each cell reports the Gram route it took and the distinct points its trials drew
-    from tfsamp.sampling import _draw_trials, _gram_route
+    # each cell reports the Gram route it took, the distinct points its trials drew
+    # and the time rows of their table that took the GEMM route
+    from tfsamp import load_config
+    from tfsamp.cli import build_region
+    from tfsamp.sampling import _draw_trials, _drawn_mask, _gram_route
+    from tfsamp.tfcore import _gemm_rows, _window_support
 
     ini = _ini(tmp_path, """
 [experiment]
@@ -263,10 +268,16 @@ r_grid = 20, 400
     rep = _json_report(out)
     P, N = rep["sections"]["eigen"]["point_count"], rep["sections"]["eigen"]["N"]
     rows = rep["sections"]["montecarlo"]["rows"]
+    region = build_region(load_config(ini))
+    support = _window_support(make_gaussian_window(32).values).size
     for row in rows:
-        drawn = np.unique(_draw_trials(row["trials"], row["r"], P, row["cell_seed"])).size
+        idx = _draw_trials(row["trials"], row["r"], P, row["cell_seed"])
+        drawn = np.unique(idx).size
         assert row["drawn_points"] == drawn
         assert row["gram"] == _gram_route(row["trials"], row["r"], drawn, N)
+        cells = np.count_nonzero(_drawn_mask(region, idx), axis=1)
+        cells = cells[cells > 0]
+        assert row["table_gemm_rows"] == np.count_nonzero(_gemm_rows(cells, support, 32, N))
     assert [row["gram"] for row in rows] == ["gather", "counts"]
     with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n").split(",") == [

@@ -305,12 +305,12 @@ def _demo_report(timings):
 def test_report_files_and_keys(tmp_path):
     paths = write_report(_demo_report({"total": 0.5}), str(tmp_path))
     assert [p.rsplit("/", 1)[1] for p in paths] == ["report.txt", "report.json"]
-    payload = json.loads(open(paths[1], encoding="utf-8").read())
+    payload = json.loads(Path(paths[1]).read_text(encoding="utf-8"))
     assert set(payload) == {"verb", "master_seed", "config", "sections", "artifacts", "timings"}
     assert payload["verb"] == "spectrum"
     assert payload["master_seed"] == 20260816
     assert payload["sections"]["rows"][1]["nu"] == 0.3
-    txt = open(paths[0], encoding="utf-8").read()
+    txt = Path(paths[0]).read_text(encoding="utf-8")
     assert txt.startswith("run: spectrum\nmaster_seed: 20260816\n")
     assert "[config]" in txt and "[eigs]" in txt and "[artifacts]" in txt
 
@@ -319,13 +319,13 @@ def test_reports_identical_except_timings(tmp_path):
     # same run twice: only the wall-clock block may differ
     pa = write_report(_demo_report({"total": 0.51}), str(tmp_path / "a"))
     pb = write_report(_demo_report({"total": 83.2}), str(tmp_path / "b"))
-    ja = json.loads(open(pa[1], encoding="utf-8").read())
-    jb = json.loads(open(pb[1], encoding="utf-8").read())
+    ja = json.loads(Path(pa[1]).read_text(encoding="utf-8"))
+    jb = json.loads(Path(pb[1]).read_text(encoding="utf-8"))
     assert ja["timings"] != jb["timings"]
     ja.pop("timings"), jb.pop("timings")
     assert ja == jb
-    ta = open(pa[0], encoding="utf-8").read()
-    tb = open(pb[0], encoding="utf-8").read()
+    ta = Path(pa[0]).read_text(encoding="utf-8")
+    tb = Path(pb[0]).read_text(encoding="utf-8")
     assert ta != tb
     head_a, _, tail_a = ta.partition("[timings]")
     head_b, _, tail_b = tb.partition("[timings]")
@@ -338,7 +338,7 @@ def test_reports_identical_except_timings(tmp_path):
 def test_rows_csv_header_and_values(tmp_path):
     path = str(tmp_path / "rows.csv")
     write_rows_csv(path, ["name", "value", "ok"], [["a", 0.1 + 0.2, True], ["b", -3.0, False]])
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "name,value,ok"
     cells = lines[1].split(",")
     assert cells[0] == "a" and float(cells[1]) == 0.1 + 0.2 and cells[2] == "1"

@@ -486,6 +486,20 @@ def test_V_N_consumers_refuse_an_empty_V_N(sys16, consumer):
         consumer(eigs)
 
 
+def test_monte_carlo_refuses_an_empty_V_N_before_drawing(sys16, monkeypatch):
+    # 100 000 trials of r = 20 would take seconds to draw; the guard comes first
+    import tfsamp.sampling as sampling
+
+    def no_draws(*args):
+        raise AssertionError("trials drawn for an empty V_N")
+
+    monkeypatch.setattr(sampling, "_draw_trials", no_draws)
+    eigs = eigendecompose(sys16.H, 0.99)
+    with pytest.raises(ParameterError, match=r"spectral cut with N >= 1") as info:
+        monte_carlo_failure_frequency(100_000, 0.3, 20, eigs, 7)
+    assert info.traceback[-1].name == "basis"
+
+
 # ------------------------------------------------------- concentration lemma
 
 

@@ -46,6 +46,7 @@ from tfsamp.sampling import (
     _region_table,
     derive_seed,
 )
+from tfsamp.tfcore import _stft_rows
 
 from oracles import (
     mp_covering_tail,
@@ -395,15 +396,24 @@ def _disk_plus_noisy_block(L):
 
 
 def test_region_table_matches_stft():
+    # rows on the FFT route are bit-equal to stft; the disk's edge rows hold few
+    # cells and take the GEMM route, which agrees to 1e-14 of each column's norm
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
-        table = _region_table(eigs, region.mask)
+        stats = {}
+        table = _region_table(eigs, region.mask, stats)
+        _, gemm = _stft_rows(np.ascontiguousarray(eigs.basis().T), window.values, region.mask)
+        assert stats == {"table_gemm_rows": np.count_nonzero(gemm)}
+        rows = region.mask.any(axis=1)
+        assert gemm[rows].any() and not gemm[rows].all()
+        on_gemm = gemm[region.points()[:, 0]]
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
             col = stft(Signal(eigs.eigenvectors[:, k]), window)[region.mask]
             got = np.ascontiguousarray(table[:, k])
-            assert np.array_equal(got.view(np.float64), col.view(np.float64))
+            assert np.array_equal(got[~on_gemm].view(np.float64), col[~on_gemm].view(np.float64))
+            assert np.max(np.abs(got[on_gemm] - col[on_gemm])) <= 1e-14 * np.linalg.norm(col)
 
     # against the direct O(L^3) sum, so the check does not rest on FFT vs FFT
     region = _disk_plus_noisy_block(24)
@@ -443,7 +453,9 @@ def test_drawn_table_rows_match_full_table():
     table = _region_table(eigs, mask)
     full = _region_table(eigs, region.mask)
     assert table.shape == (distinct.size, eigs.N)
-    assert np.array_equal(table[idx].view(np.float64), full[drawn].view(np.float64))
+    # the drawn rows hold few cells and may take the GEMM route where the full rows do not
+    err = np.abs(table[idx] - full[drawn]).max(axis=(0, 1))
+    assert np.all(err <= 1e-14 * np.linalg.norm(full, axis=0))
 
 
 def test_monte_carlo_tabulates_only_drawn_points():
@@ -601,7 +613,8 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     idx = _draw_trials(trials, r, s.region.point_count, seed)
     mask = _drawn_mask(s.region, idx)
     assert _gram_route(trials, r, int(mask.sum()), eigs.N) == route
-    table = _region_table(eigs, mask)
+    table_stats = {}
+    table = _region_table(eigs, mask, table_stats)
     diag = expected_T(eigs)
     gathered = _min_eigs(_gathered_grams(table[idx]), r, diag)
     counted = _min_eigs(_counted_grams(_outer_table(table), idx), r, diag)
@@ -617,7 +630,7 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
         stats = {}
         freq = monte_carlo_failure_frequency(trials, nu, r, eigs, seed, stats=stats)
         assert freq == fails / trials
-        assert stats == {"gram": pinned, "drawn_points": int(mask.sum())}
+        assert stats == {"gram": pinned, "drawn_points": int(mask.sum()), **table_stats}
 
 
 def test_gram_route_reads_only_the_cell_shape():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,14 @@ from tfsamp import (
     ParameterError,
     Signal,
     Window,
+    disk_region,
     make_gaussian_window,
     stft,
     stft_adjoint,
     stft_point,
     tf_shift,
 )
-from tfsamp.tfcore import TFPoint
+from tfsamp.tfcore import TFPoint, _gemm_rows, _stft_rows, _window_support
 
 from oracles import adjoint_direct, gaussian_window_direct, stft_direct, tf_shift_direct
 
@@ -231,3 +234,92 @@ def test_stft_point_cauchy_schwarz():
         f = random_signal(L, seed)
         lam = TFPoint(seed, (3 * seed) % L)
         assert abs(stft_point(f, phi, lam)) <= f.norm() + 1e-12
+
+
+# ---------------------------------------------------------------- STFT at chosen cells
+
+
+def _unit_signals(K, L, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((K, L)) + 1j * rng.standard_normal((K, L))
+    return f / np.linalg.norm(f, axis=1, keepdims=True)
+
+
+def _check_rows(f, phi, mask, out, gemm):
+    # FFT rows bit-equal to stft, GEMM rows within 1e-14 of each column's norm
+    on_gemm = gemm[np.nonzero(mask)[0]]
+    for k in range(f.shape[0]):
+        col = stft(Signal(f[k]), phi)[mask]
+        got = np.ascontiguousarray(out[:, k])
+        assert np.array_equal(got[~on_gemm].view(np.float64), col[~on_gemm].view(np.float64))
+        assert np.max(np.abs(got - col)) <= 1e-14 * np.linalg.norm(col)
+
+
+def test_stft_rows_gemm_route_on_a_sparse_mask():
+    # 1-3 drawn columns in every row of L = 256: every row computes only those frequencies
+    L = 256
+    rng = np.random.default_rng(3)
+    mask = np.zeros((L, L), dtype=bool)
+    for m in range(L):
+        mask[m, rng.choice(L, rng.integers(1, 4), replace=False)] = True
+    f, phi = _unit_signals(12, L, 4), make_gaussian_window(L)
+    out, gemm = _stft_rows(f, phi.values, mask)
+    assert gemm.all()
+    _check_rows(f, phi, mask, out, gemm)
+    ref = stft_direct(f[0], phi.values, points=np.argwhere(mask))
+    assert np.max(np.abs(out[:, 0] - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.125])
+def test_stft_rows_wrap_around_the_torus(keep):
+    # a disk centred at (2, L - 3): rows wrap past 0, and so does every support shift
+    L = 256
+    thin = np.random.default_rng(5).random((L, L)) < keep
+    mask = disk_region(L, TFPoint(2, L - 3), 30).mask & thin
+    assert mask[0].any() and mask[L - 1].any()
+    f, phi = _unit_signals(12, L, 6), make_gaussian_window(L)
+    out, gemm = _stft_rows(f, phi.values, mask)
+    if keep == 1.0:
+        # the middle rows keep up to 61 columns, where the FFT is cheaper; the edge rows few
+        assert not gemm[[L - 1, 0, 2]].any() and gemm[[L - 28, 32]].all()
+    else:
+        assert gemm[mask.any(axis=1)].all()
+    _check_rows(f, phi, mask, out, gemm)
+
+
+def test_stft_rows_full_support_window_keeps_the_fft():
+    L = 128
+    rng = np.random.default_rng(7)
+    phi = Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    assert _window_support(phi.values).size == L
+    mask = disk_region(L, TFPoint(40, 90), 20).mask | (rng.random((L, L)) < 0.01)
+    f = _unit_signals(12, L, 8)
+    out, gemm = _stft_rows(f, phi.values, mask)
+    assert not gemm.any()
+    _check_rows(f, phi, mask, out, gemm)
+
+
+def test_window_support_drops_at_most_eps_over_16():
+    for L, size in ((120, 77), (480, 152), (960, 215), (1920, 303)):
+        phi = make_gaussian_window(L).values
+        S = _window_support(phi)
+        assert S.size == size and np.all(np.diff(S) > 0)
+        dropped = np.delete(phi, S)
+        assert np.linalg.norm(dropped) <= np.finfo(np.float64).eps / 16
+        assert np.min(np.abs(phi[S])) >= np.max(np.abs(dropped))
+
+
+def test_gemm_rows_read_only_the_row_shape():
+    # (c, |S|, L, K) of a drawn row: mc-L120 keeps the FFT, large-L960 takes the GEMM
+    shapes = [(46, 77, 120, 23), (20, 215, 960, 188), (1, 120, 120, 23), (1, 960, 960, 188)]
+    tracemalloc.start()
+    try:
+        routes = [_gemm_rows(*shape) for shape in shapes]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert routes == [False, True, False, False]
+    assert [_gemm_rows(*shape) for shape in shapes] == routes
+    assert peak < 4096
+    # elementwise over a row's cell counts: an mc-L120 disk edge row with 3 takes the GEMM
+    assert _gemm_rows(np.array([3, 46]), 77, 120, 23).tolist() == [True, False]
