@@ -152,8 +152,8 @@ def build_window(cfg: ExperimentConfig) -> Window:
     return Window.normalized(vals)
 
 
-# peak bytes of build_setup per L^2: ru_maxrss grew by 113-122 B per L^2 at L = 480, 960
-SETUP_BYTES_PER_L2 = 128
+# peak bytes of build_setup per L^2: ru_maxrss grew by 74, 62, 58 B/L^2 at L = 480, 960, 1920
+SETUP_BYTES_PER_L2 = 80
 
 
 def _refuse_beyond_memory(need: int, what: str, formula: str):

@@ -8,25 +8,25 @@ Parseval normalization), and trace(H) = |Omega|.
 Entries:  H(t, s) = (1/L) * sum_{(m,n) in Omega}
                      phi((t-m) mod L) * conj(phi((s-m) mod L)) * e^{2 pi i n (t-s)/L}.
 
-Dense construction runs in O(L^2 log L): for a fixed diagonal offset
-d = t - s the inner frequency sum is L*ifft of the mask row, and the sum
-over m is a circular convolution, done with one batch of FFTs per offset
-block.  The dense matrix holds 16 L^2 bytes: 3.7 MB at L=480, 15 MB at
-L=960.  Its trace is |Omega| and its squared Frobenius norm trace(H^2) =
-sum_k alpha_k^2 is what eigenvalue_count_estimate needs, so every
-quantity of H itself is read off the matrix; past the eigensolve only
-the EigenSystem is needed.
+Dense construction runs in O(L^2 log L): per diagonal offset k = t - s
+the frequency sum is the conjugate rfft of the mask row and the sum over
+m a circular convolution, one FFT batch over k = 0..L/2; the Hermitian
+mirror fills the rest.  A mask whose rows are symmetric about one
+frequency, with a real window, gives a real symmetric demodulated matrix
+of 8 L^2 bytes (7.4 MB at L=960), anything else the complex H of 16 L^2.
+Both keep trace(H) = |Omega| and ||H||_F^2 = sum_k alpha_k^2, which
+eigenvalue_count_estimate reads, so past the eigensolve only the
+EigenSystem is needed.
 
 The eigenpairs (alpha_k, psi_k), sorted by non-increasing alpha, rank
 the signals by their energy fraction inside the region; V_N is the span
 of the first N of them, the natural model space for region-concentrated
-signals.  eigendecompose solves H as the blocks its symmetries allow.
-When every mask row is symmetric about one frequency and the window is
-real, demodulation makes H real; when the mask is also symmetric about
-one time and the window is even, a reflection splits it into an even and
-an odd block of about L/2 each.  A disk with the Gaussian window has
-both, and its two real half-size solves take 0.15 s at L=960 where one
-complex solve of H takes 1.4 s (two-core host, BLAS on one thread).
+signals.  eigendecompose solves the matrix as the blocks its symmetries
+allow: a mask also symmetric about one time and an even window split the
+real matrix into an even and an odd block of about L/2.  For the disk
+with the Gaussian window at L=960 the assembly takes 0.06 s and the two
+half-size solves 0.08 s; one complex solve of H takes 1.4 s (two-core
+host, BLAS on one thread).
 """
 
 from __future__ import annotations
@@ -58,15 +58,21 @@ KERNEL_RANK_TOL = 1e-12
 
 @dataclass(eq=False)
 class LocalizationOperator:
-    """Dense Hermitian matrix of the region-localization operator."""
+    """Dense matrix M of H = diag(d) M diag(d)^*: H itself if modulation d is None, else real."""
 
     matrix: np.ndarray
     region: TFRegion
     window: Window
+    modulation: np.ndarray | None = None
 
     @property
     def L(self) -> int:
         return self.matrix.shape[0]
+
+    def hermitian(self) -> np.ndarray:
+        """H as a new complex L x L array."""
+        d = np.ones(self.L, complex) if self.modulation is None else self.modulation
+        return d[:, None] * self.matrix * np.conj(d)[None, :]
 
 
 @dataclass(eq=False)
@@ -114,29 +120,45 @@ class ConcentrationValue:
 
 
 def build_localization_operator(region: TFRegion, window: Window) -> LocalizationOperator:
-    """Assemble the dense Hermitian matrix of H for a region and window."""
+    """Assemble H, or its real demodulated form M where the symmetry allows.
+
+    H(t, t - k) = (1/L) sum_m phi(t-m) conj(phi(t-m-k)) K(m, k), K(m, k) = sum_n
+    mask(m, n) e^{2 pi i n k/L}.  If every mask row is symmetric about n0 = c/2
+    and the window is real, M = diag(d)^* H diag(d), d(t) = e^{2 pi i n0 t/L},
+    has the real kernel K(m, k) e^{-i pi c k/L}; an entry whose t - k wraps
+    gains (-1)^c.
+    """
     L = region.L
     if window.L != L:
         raise DimensionError(f"window dimension {window.L} != region dimension {L}")
     phi = window.values
-    mask = region.mask.astype(np.float64)
-    H = np.empty((L, L), dtype=np.complex128)
-    t = np.arange(L)
-    # cols[d, u] = (u - d) mod L, for every diagonal offset d
-    cols = _translates(t, t)
-    # frequency sum per time row m: M[m, d] = sum_n mask[m, n] e^{2 pi i n d / L}
-    M = L * np.fft.ifft(mask, axis=1)
-    # A[d, u] = phi(u) * conj(phi((u - d) mod L)); row d pairs the two translates
-    A = phi[None, :] * np.conj(phi[cols])
-    # H[t, (t-d)%L] = (1/L) * sum_m A[d, (t - m)%L] * M[m, d]  (circular convolution in m)
-    conv = np.fft.ifft(np.fft.fft(A, axis=1) * np.fft.fft(M.T, axis=1), axis=1)
-    rows = np.broadcast_to(t[None, :], (L, L))
-    H[rows, cols] = conv / L
-    H = 0.5 * (H + H.conj().T)  # kill roundoff asymmetry
-    return LocalizationOperator(H, region, window)
+    # conj(F)[m, k] = K(m, k) for k = 0..L/2: the rfft is all the offsets need
+    F = np.fft.rfft(region.mask.astype(np.float64), axis=1)
+    c = None if phi.imag.any() else _mirror(region.mask, F)
+    n = c or 0
+    k = np.arange(F.shape[1])
+    F *= np.exp(1j * np.pi * ((n * k) % (2 * L)) / L)  # conj(F) is now the kernel
+    # conv[k, t] = (1/L) sum_m A[k, (t - m) % L] conj(F)[m, k], the entry at (t, t - k)
+    if c is None:
+        A = _translates(np.conj(phi), k) * phi[None, :]
+        conv = np.fft.ifft(np.fft.fft(A, axis=1) * np.fft.fft(np.conj(F), axis=0).T, axis=1)
+    else:
+        A = _translates(phi.real, k) * phi.real[None, :]
+        conv = np.fft.irfft(np.fft.rfft(A, axis=1) * np.fft.rfft(F.real, axis=0).T, L, axis=1)
+    conv /= L
+    conv[0] *= 0.5  # the diagonal comes back from both halves of the mirror
+    conv[L // 2, L // 2 :] *= L % 2  # at even L, offset L/2 meets each pair twice
+    # B[t, L - k] lands at Z[t, t - k + L]: columns >= L hold t >= k, the rest wrap
+    B = np.zeros((L, 2 * L + 1), dtype=conv.dtype)
+    B[:, L + 1 - k.size : L + 1] = conv[::-1].T
+    Z = B.ravel()[: 2 * L * L].reshape(L, 2 * L)
+    P = Z[:, L:] + (-1.0) ** n * Z[:, :L]
+    M = P + P.T.conj()
+    d = None if c is None else np.exp(1j * np.pi * ((c * np.arange(L)) % (2 * L)) / L)
+    return LocalizationOperator(M, region, window, d)
 
 
-def _fix_phases(v: np.ndarray) -> np.ndarray:
+def _fix_phases(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     """Rotate each column's largest-magnitude entry to the positive real axis.
 
     The one phase convention for eigenvectors and other unit vectors that
@@ -145,11 +167,14 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     them is the pivot, so roundoff cannot move the pivot between the two
     mirror entries of a symmetric vector, and fixing twice changes nothing.
     A unit-norm column's largest entry has modulus >= 1/sqrt(L), so no pivot
-    is zero.
+    is zero.  Given d, the columns fixed are those of diag(d) v; |d| = 1
+    keeps the pivots of v.
     """
     mag = np.abs(v)
     lead = (mag >= (1 - 1e-8) * mag.max(axis=0)).argmax(axis=0)
     pivots = v[lead, np.arange(v.shape[1])]
+    if d is not None:
+        v, pivots = d[:, None] * v, pivots * d[lead]
     return v * (np.conj(pivots) / np.abs(pivots))[None, :]
 
 
@@ -158,10 +183,11 @@ def _reflection(L: int, c: int) -> np.ndarray:
     return _translates(-np.arange(L) % L, [c])[0]
 
 
-def _mirror(mask: np.ndarray):
-    """A c with every mask row equal to itself reflected about c/2, else None."""
+def _mirror(mask: np.ndarray, F: np.ndarray | None = None):
+    """A c with every mask row equal to itself reflected about c/2, else None; F = row rfft."""
     L = mask.shape[1]
-    F = np.fft.rfft(mask.astype(np.float64), axis=1)
+    if F is None:
+        F = np.fft.rfft(np.ascontiguousarray(mask, dtype=np.float64), axis=1)
     # hits[c] = number of cells whose mirror image about c/2 is also in the mask
     hits = np.rint(np.fft.irfft((F * F).sum(axis=0), n=L))
     for c in np.flatnonzero(hits == np.count_nonzero(mask)):
@@ -171,46 +197,27 @@ def _mirror(mask: np.ndarray):
 
 
 def _symmetry_blocks(H: LocalizationOperator):
-    """(M, d, blocks): H = diag(d) M diag(d)^*, and M is block diagonal in the blocks' bases.
+    """Blocks of M = H.matrix, each (u, a, r, b) an orthonormal basis of an M-invariant subspace.
 
-    Each block (u, a, r, b) is the orthonormal basis q_i = a_i e_{u_i} + b_i e_{r_i}
-    of an M-invariant subspace; together the blocks span C^L.
-
-    - Frequency symmetry: every mask row symmetric about n0 = c/2 and a real
-      window make M = diag(d)^* H diag(d) real symmetric, d(t) = e^{2 pi i n0 t / L}.
-    - Time symmetry: a mask also symmetric about m0 = a/2 and an even window make
-      M commute with the signed reflection (J x)(t) = s_t x((a - t) mod L), where
-      s_t = e^{2 pi i n0 (t + (a - t) mod L - a) / L} = +-1; M splits into the even
-      and the odd subspace of J.
-    - Otherwise M = H is one complex block (d is None).
-
-    A block is None where it is the whole space (Q = I).
-
-    Each symmetry found on the mask and window is confirmed on the assembled
-    matrix: what it drops must be roundoff, at most 64 eps sqrt(|Omega|) in norm.
+    q_i = a_i e_{u_i} + b_i e_{r_i}; the blocks span C^L, and a block is None
+    where it is the whole space (Q = I).  A complex M (no modulation d) is one
+    block.  A real M whose mask is also symmetric about m0 = a/2 in time, with
+    an even window, commutes with the signed reflection (J x)(t) = s_t x((a - t)
+    mod L), s_t = d(t) d((a - t) mod L) conj(d(a)) = +-1, and splits into J's
+    even and odd subspace.  That symmetry is confirmed on M: what it drops must
+    be roundoff, at most 64 eps sqrt(|Omega|) in norm.
     """
-    L = H.L
-    t = np.arange(L)
-    whole = [None]
-    phi = H.window.values
-    c = None if phi.imag.any() else _mirror(H.region.mask)
-    if c is None:
-        return H.matrix, None, whole
-    # ||H||_F <= sqrt(trace H) = sqrt(|Omega|) when the eigenvalues lie in [0, 1]
-    tol = 64 * np.finfo(np.float64).eps * np.sqrt(max(H.region.measure, 1.0))
-    d = np.exp(1j * np.pi * ((c * t) % (2 * L)) / L)
-    M = np.conj(d)[:, None] * H.matrix
-    M *= d[None, :]
-    if np.linalg.norm(M.imag) > tol:
-        return H.matrix, None, whole
-    M = M.real.copy()
-    a = _mirror(H.region.mask.T)
+    L, t = H.L, np.arange(H.L)
+    d, M, phi = H.modulation, H.matrix, H.window.values
+    a = None if d is None else _mirror(H.region.mask.T)
     if a is None or np.abs(phi - phi[_reflection(L, 0)]).max() > 1e-14 * np.abs(phi).max():
-        return M, d, whole
+        return [None]
     refl = _reflection(L, a)
-    s = np.where(t <= a, 1.0, (-1.0) ** c)
+    s = np.rint((d * d[refl] * np.conj(d[a])).real)
+    # ||M||_F <= sqrt(trace M) = sqrt(|Omega|) when the eigenvalues lie in [0, 1]
+    tol = 64 * np.finfo(np.float64).eps * np.sqrt(max(H.region.measure, 1.0))
     if np.linalg.norm(s[:, None] * M[np.ix_(refl, refl)] * s[None, :] - M) > tol:
-        return M, d, whole
+        return [None]
     u = t[t < refl]
     h = np.full(u.size, np.sqrt(0.5))
     fixed = t[t == refl]
@@ -223,7 +230,7 @@ def _symmetry_blocks(H: LocalizationOperator):
             np.concatenate([refl[u], f]),
             np.concatenate([parity * s[u] * h, np.zeros(f.size)]),
         ))
-    return M, d, blocks
+    return blocks
 
 
 def _compress(M: np.ndarray, blk) -> np.ndarray:
@@ -251,10 +258,8 @@ def eigendecompose(
 ) -> EigenSystem:
     """Full Hermitian eigensystem, non-increasing eigenvalues, cut at gamma.
 
-    H is solved as the blocks its symmetry allows (see _symmetry_blocks): a
-    disk with the Gaussian window gives two real blocks of about L/2, a mask
-    symmetric in frequency only one real block, anything else one complex
-    block.  The block eigenvectors are mapped back to C^L.
+    H.matrix is solved as the blocks _symmetry_blocks finds, and the block
+    eigenvectors are mapped back to C^L and modulated by H.modulation.
 
     Eigenvector phases are fixed by rotating the largest-magnitude entry
     to the positive real axis, so serialized output is reproducible.
@@ -263,9 +268,8 @@ def eigendecompose(
         raise ParameterError("gamma must lie strictly between 0 and 1")
     if residual_tol <= 0:
         raise ParameterError("residual_tol must be positive")
-    M, d, blocks = _symmetry_blocks(H)
-    ws, vs = [], []
-    for blk in blocks:
+    M, ws, vs = H.matrix, [], []
+    for blk in _symmetry_blocks(H):
         try:
             w, y = np.linalg.eigh(_compress(M, blk))
         except np.linalg.LinAlgError as exc:
@@ -275,23 +279,18 @@ def eigendecompose(
     w = np.concatenate(ws)
     order = np.argsort(w, kind="stable")[::-1]
     w = w[order]
-    v = np.hstack(vs)[:, order]
-    if d is not None:
-        v = d[:, None] * v
-    v = _fix_phases(v)
-    eigs = EigenSystem(w, v, 0, float(gamma), H.region, H.window)
+    x = np.hstack(vs)[:, order]
+    # sanity checks against M, one matvec per pair (top, alpha_N, alpha_{N+1} and
+    # bottom): a blow-up means M was not Hermitian or a block was mis-assembled.  A
+    # block that spans the wrong subspace (the even block twice, say) shows in the
+    # eigenvalue sum, which must equal trace(M) up to roundoff (8.5e-14 at L=960)
+    eigs = EigenSystem(w, _fix_phases(x, H.modulation), 0, float(gamma), H.region, H.window)
     eigs.N = choose_N(eigs, gamma)
-    # cheap sanity checks against H itself, one matvec per pair: the top pair, the
-    # pairs at alpha_N and alpha_{N+1}, and the bottom pair; a blow-up means the
-    # input was not Hermitian or a block was mis-assembled.  A block that spans the
-    # wrong subspace can still return true eigenpairs (the even block twice, say);
-    # that shows in the eigenvalue sum, which must equal trace(H) up to the L
-    # eigenvalues' roundoff (8.5e-14 for the disk at L=960)
     ks = sorted({0, eigs.N - 1, eigs.N, H.L - 1} & set(range(H.L)))
-    res = np.linalg.norm(H.matrix @ v[:, ks] - v[:, ks] * w[ks], axis=0).max()
+    res = np.linalg.norm(M @ x[:, ks] - x[:, ks] * w[ks], axis=0).max()
     if not np.isfinite(res) or res > residual_tol:
         raise NumericalError(f"eigensolve residual {res:.3e} exceeds {residual_tol:g}")
-    drift = abs(w.sum() - np.trace(H.matrix).real)
+    drift = abs(w.sum() - np.trace(M).real)
     if not drift <= residual_tol + 64 * H.L * np.finfo(np.float64).eps:
         raise NumericalError(f"eigenvalue sum misses trace(H) by {drift:.3e}")
     return eigs

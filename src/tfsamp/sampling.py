@@ -149,7 +149,7 @@ def _region_table(eigs: EigenSystem, mask: np.ndarray, stats: dict | None = None
     """
     # contiguous rows: the strided view of eigenvectors makes the FFTs ~1.5x slower
     psi = np.ascontiguousarray(eigs.basis().T)
-    table, gemm = _stft_rows(psi, eigs.window.values, mask)
+    table, gemm = _stft_rows(psi, eigs.window, mask)
     if stats is not None:
         stats["table_gemm_rows"] = int(np.count_nonzero(gemm))
     return table

@@ -72,7 +72,7 @@ class Signal:
 
 @dataclass(eq=False)
 class Window:
-    """A unit-norm Signal used as the STFT analysis atom."""
+    """A unit-norm Signal used as the STFT analysis atom; support = _window_support(values)."""
 
     signal: Signal
 
@@ -82,6 +82,7 @@ class Window:
                 "Window must be unit-norm (|norm - 1| <= 1e-12); "
                 "use Window.normalized() to rescale"
             )
+        self.support = _window_support(self.signal.values)
 
     @classmethod
     def normalized(cls, values) -> "Window":
@@ -189,7 +190,7 @@ def _gemm_rows(c, support: int, L: int, K: int):
 
 
 def _stft_rows(
-    fvals: np.ndarray, phivals: np.ndarray, mask: np.ndarray
+    fvals: np.ndarray, phi: Window, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """STFT samples of a batch of signals at the True cells of an L x L mask.
 
@@ -201,7 +202,7 @@ def _stft_rows(
       to stft(f_k, phi)[mask].
     - GEMM: only the drawn frequencies n_j, as omega[(n_j t) mod L] *
       conj(phi(t - m)) times f_k(t), summed over t = m + s for s in the
-      window's support (_window_support); omega holds the L-th roots of unity,
+      window's support (Window.support); omega holds the L-th roots of unity,
       and the phase is reduced mod L as an integer before the lookup.  It
       agrees with stft to roundoff, about 1e-16 of each column's norm.
 
@@ -209,8 +210,8 @@ def _stft_rows(
     Memory: the K * mask.sum() output plus two K x L temporaries.
     """
     K, L = fvals.shape
-    conj_phi = np.conj(phivals)
-    support = _window_support(phivals)
+    conj_phi = np.conj(phi.values)
+    support = phi.support
     omega = np.exp(-2j * np.pi * np.arange(L) / L)
     counts = np.count_nonzero(mask, axis=1)
     gemm = (counts > 0) & _gemm_rows(counts, support.size, L, K)

@@ -54,7 +54,7 @@ def test_01_full_grid_identity_and_parseval():
     for L in (32, 120, 480):
         windows[L] = make_gaussian_window(L)
         H = build_localization_operator(full_region(L), windows[L])
-        worst_id = max(worst_id, float(np.max(np.abs(H.matrix - np.eye(L)))))
+        worst_id = max(worst_id, float(np.max(np.abs(H.hermitian() - np.eye(L)))))
     rng = np.random.default_rng(101)
     worst_rel = 0.0
     for i in range(50):
@@ -78,7 +78,7 @@ def test_02_eigenvalue_count_and_trace_at_experiment_scale():
     region = disk_region(480, TFPoint(240, 240), 120.0)
     H = build_localization_operator(region, make_gaussian_window(480))
     eigs = eigendecompose(H, 0.5)
-    trace = float(np.real(np.trace(H.matrix)))
+    trace = float(np.real(np.trace(H.hermitian())))
     trace_rel = abs(trace - region.measure) / region.measure
     elapsed = time.perf_counter() - t0
     ok = abs(eigs.N - 94) <= 2 and trace_rel < 1e-8 and elapsed < 60
@@ -122,7 +122,7 @@ def test_03_projection_inequality_suite(sys64):
             continue
         p = _projection_at_gamma(f, eigs, gamma)
         floor = 1 - eps / (1 - gamma)
-        energy = float(np.real(np.vdot(p.values, H.matrix @ p.values)))
+        energy = float(np.real(np.vdot(p.values, H.hermitian() @ p.values)))
         slack = min(
             p.norm() ** 2 - floor,
             eps / (1 - gamma) - Signal(f.values - p.values).norm() ** 2,
@@ -282,8 +282,8 @@ def test_09_witness_constructions(sys64):
     eps, eta = 0.2, 2.0
     nl = nonlinearity_witness(eigs, eps, eta)
     alpha_M = float(eigs.eigenvalues[nl.M - 1])
-    h_energy = float(np.real(np.vdot(nl.h.values, H.matrix @ nl.h.values)))
-    f_energy = float(np.real(np.vdot(nl.f.values, H.matrix @ nl.f.values)))
+    h_energy = float(np.real(np.vdot(nl.h.values, H.hermitian() @ nl.h.values)))
+    f_energy = float(np.real(np.vdot(nl.f.values, H.hermitian() @ nl.f.values)))
     rebuild = nl.psi_M.values + nl.delta * nl.h.values
     nl_ok = (
         abs(nl.h.norm() - 1.0) < 1e-8

@@ -604,7 +604,7 @@ r_grid = 5
 
 @pytest.mark.parametrize("verb", ["spectrum", "reconstruct", "certify", "witness", "montecarlo"])
 def test_setup_too_large_for_memory_exits_4_without_allocating(tmp_path, capsys, verb):
-    # L = 2**20 needs ~128 TiB for the dense setup; the guard is an estimate only
+    # L = 2**20 needs ~80 TiB for the dense setup; the guard is an estimate only
     ini = _ini(tmp_path, "[experiment]\nL = 1048576\n")
     out = tmp_path / "out"
     t0 = time.perf_counter()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,14 +42,14 @@ def random_signal(L, seed):
 def test_full_grid_operator_is_identity():
     L = 32
     H = build_localization_operator(full_region(L), make_gaussian_window(L))
-    assert np.max(np.abs(H.matrix - np.eye(L))) < 1e-10
+    assert np.max(np.abs(H.hermitian() - np.eye(L))) < 1e-10
 
 
 @pytest.mark.parametrize("L,radius", [(16, 4), (32, 8), (64, 16)])
 def test_trace_equals_region_measure(L, radius):
     reg = disk_region(L, TFPoint(L // 2, L // 2), radius)
     H = build_localization_operator(reg, make_gaussian_window(L))
-    tr = float(np.real(np.trace(H.matrix)))
+    tr = float(np.real(np.trace(H.hermitian())))
     assert abs(tr - reg.measure) <= 1e-8 * reg.measure
 
 
@@ -63,8 +65,8 @@ def test_spectrum_covariant_under_cyclic_mask_shift(kind, shift):
         base = mask_region(np.random.default_rng(7).random((L, L)) < 0.2)
     moved = mask_region(np.roll(base.mask, shift, axis=(0, 1)))
     phi = make_gaussian_window(L)
-    H0 = build_localization_operator(base, phi).matrix
-    H1 = build_localization_operator(moved, phi).matrix
+    H0 = build_localization_operator(base, phi).hermitian()
+    H1 = build_localization_operator(moved, phi).hermitian()
     assert np.max(np.abs(np.linalg.eigvalsh(H1) - np.linalg.eigvalsh(H0))) <= 1e-12
     assert abs(float(np.real(np.trace(H1))) - moved.measure) <= 1e-12 * L
     assert moved.measure == base.measure
@@ -85,7 +87,7 @@ def test_operator_is_masked_analysis_synthesis():
     V = stft_direct(f.values, phi.values)
     V[~reg.mask] = 0
     want = adjoint_direct(V, phi.values)
-    got = H.matrix @ f.values
+    got = H.hermitian() @ f.values
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -95,15 +97,15 @@ def test_operator_matches_rank_one_sum():
     phi = make_gaussian_window(L)
     H = build_localization_operator(reg, phi)
     ref = loc_operator_direct(reg.mask, phi.values)
-    assert np.max(np.abs(H.matrix - ref)) < 1e-12
+    assert np.max(np.abs(H.hermitian() - ref)) < 1e-12
 
 
 def test_operator_hermitian_psd():
     L = 32
     reg = disk_region(L, TFPoint(16, 16), 8)
-    H = build_localization_operator(reg, make_gaussian_window(L)).matrix
-    assert np.max(np.abs(H - H.conj().T)) == 0.0  # symmetrized on build
-    w = np.linalg.eigvalsh(H)
+    op = build_localization_operator(reg, make_gaussian_window(L))
+    assert np.array_equal(op.matrix, op.matrix.conj().T)  # the mirror fills the matrix
+    w = np.linalg.eigvalsh(op.hermitian())
     assert w.min() >= -1e-12
     assert w.max() <= 1 + 1e-12
 
@@ -112,7 +114,7 @@ def test_empty_region_gives_zero_operator():
     L = 16
     reg = mask_region(np.zeros((L, L), dtype=bool))
     H = build_localization_operator(reg, make_gaussian_window(L))
-    assert np.max(np.abs(H.matrix)) < 1e-14
+    assert np.max(np.abs(H.hermitian())) < 1e-14
 
 
 def test_operator_dimension_mismatch():
@@ -143,11 +145,11 @@ def test_eigensystem_properties(sys32):
     G = v.conj().T @ v
     assert np.max(np.abs(G - np.eye(eigs.L))) < 1e-10
     # every eigenpair satisfies its equation
-    res = H.matrix @ v - v * w[None, :]
+    res = H.hermitian() @ v - v * w[None, :]
     assert np.max(np.linalg.norm(res, axis=0)) < 1e-8
     # operator rebuilds from its eigenpairs
     rebuilt = (v * w[None, :]) @ v.conj().T
-    assert np.max(np.abs(rebuilt - H.matrix)) < 1e-10
+    assert np.max(np.abs(rebuilt - H.hermitian())) < 1e-10
 
 
 def test_eigensystem_carries_region_and_window(sys32):
@@ -290,8 +292,8 @@ def _case_operator(name):
 
 
 def _block_sizes(H):
-    _, d, blocks = _symmetry_blocks(H)
-    return [H.L if b is None else b[0].size for b in blocks], d is not None
+    blocks = _symmetry_blocks(H)
+    return [H.L if b is None else b[0].size for b in blocks], H.modulation is not None
 
 
 def _assert_true_eigensystem(eigs, Hm, w_ref, v_ref):
@@ -311,8 +313,9 @@ def test_block_eigensolve_matches_complex_eigh(name):
     sizes, real = _block_sizes(H)
     assert (sizes, real) == tuple(SYMMETRY_CASES[name][2:])
     eigs = eigendecompose(H, 0.5)
-    w_ref, v_ref = np.linalg.eigh(H.matrix)
-    _assert_true_eigensystem(eigs, H.matrix, w_ref[::-1], v_ref[:, ::-1])
+    Hm = H.hermitian()
+    w_ref, v_ref = np.linalg.eigh(Hm)
+    _assert_true_eigensystem(eigs, Hm, w_ref[::-1], v_ref[:, ::-1])
     assert eigs.N == int((w_ref >= 0.5).sum())
     # mirror entries tie in magnitude; the phase convention takes the first of them
     v = eigs.eigenvectors
@@ -320,6 +323,48 @@ def test_block_eigensolve_matches_complex_eigh(name):
     pivots = v[(mag >= (1 - 1e-8) * mag.max(axis=0)).argmax(axis=0), np.arange(H.L)]
     assert np.max(np.abs(pivots.imag)) < 1e-12 and np.all(pivots.real > 0)
     assert np.max(np.abs(_fix_phases(v) - v)) < 1e-12
+
+
+@pytest.mark.parametrize("name", list(SYMMETRY_CASES))
+def test_assembly_matches_rank_one_sum_in_every_symmetry_case(name):
+    # "rect signed" and "rect odd L" mirror about n0 = 7.5 (odd c), the latter at odd L
+    H = _case_operator(name)
+    region, phi = H.region, H.window
+    M, d = H.matrix, H.modulation
+    Hm = H.hermitian()
+    assert np.max(np.abs(Hm - loc_operator_direct(region.mask, phi.values))) < 1e-12
+    assert (d is not None) == SYMMETRY_CASES[name][3]
+    if d is None:
+        assert M.dtype == np.complex128 and np.array_equal(M, M.conj().T)
+    else:
+        t = np.arange(region.L)
+        c = next(c for c in t if np.array_equal(region.mask, region.mask[:, (c - t) % region.L]))
+        assert M.dtype == np.float64 and np.array_equal(M, M.T)
+        assert np.max(np.abs(d - np.exp(1j * np.pi * c * t / region.L))) < 1e-12
+    # the trace and the count interval read off M are those of H
+    plain = LocalizationOperator(Hm, region, phi)
+    assert abs(np.trace(M).real - np.trace(Hm).real) <= 1e-12
+    for delta in (0.3, 0.5):
+        got = eigenvalue_count_estimate(H, delta)
+        assert np.max(np.abs(np.subtract(got, eigenvalue_count_estimate(plain, delta)))) <= 1e-12
+
+
+def _poisson_tail(a, K):
+    """P(Poisson(a) > k) for k = 0..K-1."""
+    terms = [math.exp(j * math.log(a) - a - math.lgamma(j + 1)) for j in range(K)]
+    return np.array([1.0 - math.fsum(terms[: k + 1]) for k in range(K)])
+
+
+@pytest.mark.parametrize("fixture,gap", [("sys120", 3.6e-5), ("sys480", 1.3e-5)])
+def test_disk_spectrum_follows_the_continuum_poisson_tail(request, fixture, gap):
+    # Daubechies (1988): a disk of area a with the Gaussian window has eigenvalues
+    # P(Poisson(a) > k) in the continuum; the discrete disk of radius L/4 follows them
+    # over its first 2|Omega| eigenvalues (measured 3.54e-5 at L=120, 1.26e-5 at L=480)
+    system = request.getfixturevalue(fixture)
+    a = system.region.measure
+    K = int(2 * a)
+    ref = _poisson_tail(a, K)
+    assert np.max(np.abs(system.eigs.eigenvalues[:K] - ref)) <= gap
 
 
 def test_disk_at_experiment_scale_splits_in_half():
@@ -336,16 +381,23 @@ def test_symmetry_broken_by_the_matrix_is_not_trusted(sys32, size):
     rng = np.random.default_rng(11)
     E = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     E = E + E.conj().T
-    Hm = sys32.H.matrix + size * E / np.linalg.norm(E)
+    op = sys32.H
+    # a plain Hermitian matrix (no modulation) is solved as it stands, as one complex block
+    Hm = op.hermitian() + size * E / np.linalg.norm(E)
     bent = LocalizationOperator(Hm, sys32.region, sys32.window)
+    assert _block_sizes(bent) == ([32], False)
+    # a demodulated matrix that breaks the time reflection is caught on the matrix
+    Mr = op.matrix + size * E.real / np.linalg.norm(E.real)
+    bent_real = LocalizationOperator(Mr, sys32.region, sys32.window, op.modulation)
     if size > 1e-12:
-        assert _block_sizes(bent) == ([32], False)  # caught on the assembled matrix
-    try:
-        eigs = eigendecompose(bent, 0.5)
-    except NumericalError:
-        return
-    w_ref, v_ref = np.linalg.eigh(Hm)
-    _assert_true_eigensystem(eigs, Hm, w_ref[::-1], v_ref[:, ::-1])
+        assert _block_sizes(bent_real) == ([32], True)
+    for bad in (bent, bent_real):
+        try:
+            eigs = eigendecompose(bad, 0.5)
+        except NumericalError:
+            continue
+        w_ref, v_ref = np.linalg.eigh(bad.hermitian())
+        _assert_true_eigensystem(eigs, bad.hermitian(), w_ref[::-1], v_ref[:, ::-1])
 
 
 def test_tight_residual_tol_accepts_a_true_eigensystem(sys480):
@@ -381,9 +433,9 @@ def test_mis_assembled_block_is_caught(sys32, monkeypatch, corrupt):
     real = locop._symmetry_blocks
 
     def wrong(H):
-        M, d, blocks = real(H)
+        blocks = real(H)
         assert [b[0].size for b in blocks] == [17, 15]
-        return M, d, corrupt(blocks)
+        return corrupt(blocks)
 
     monkeypatch.setattr(locop, "_symmetry_blocks", wrong)
     with pytest.raises(NumericalError):
@@ -412,7 +464,7 @@ def test_concentration_of_eigenfunctions(sys32):
 def test_concentration_is_quadratic_form(sys16):
     f = random_signal(16, 2)
     c = concentration(f, sys16.region, sys16.window)
-    quad = float(np.real(np.vdot(f.values, sys16.H.matrix @ f.values)))
+    quad = float(np.real(np.vdot(f.values, sys16.H.hermitian() @ f.values)))
     assert abs(c.value - quad) < 1e-12
 
 
@@ -536,7 +588,7 @@ def test_concentration_lemma_inequalities_small_suite(sys64):
         floor = 1 - eps / (1 - gamma)
         assert p.norm() ** 2 >= floor - 1e-9
         assert Signal(f.values - p.values).norm() ** 2 <= eps / (1 - gamma) + 1e-9
-        energy = float(np.real(np.vdot(p.values, H.matrix @ p.values)))
+        energy = float(np.real(np.vdot(p.values, H.hermitian() @ p.values)))
         assert energy >= gamma * floor - 1e-9
         checked += 1
     assert checked >= 25
@@ -560,7 +612,7 @@ def test_count_estimate_brackets_true_count(delta):
     phi = make_gaussian_window(L)
     H = build_localization_operator(reg, phi)
     lo, hi = eigenvalue_count_estimate(H, delta)
-    w = np.linalg.eigvalsh(H.matrix)
+    w = np.linalg.eigvalsh(H.hermitian())
     count = int((w > 1 - delta).sum())
     assert lo - 1e-9 <= count <= hi + 1e-9
     assert lo <= reg.measure <= hi

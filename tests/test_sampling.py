@@ -207,7 +207,7 @@ def test_empirical_statistic_implies_sampling_bound(sys32):
         p = eigs.eigenvectors[:, : eigs.N] @ c
         V = stft(Signal(p), window)
         lhs = float(np.mean(np.abs(V[s.points[:, 0], s.points[:, 1]]) ** 2))
-        energy = float(np.real(np.vdot(p, H.matrix @ p)))
+        energy = float(np.real(np.vdot(p, H.hermitian() @ p)))
         nsq = float(np.real(np.vdot(p, p)))
         rhs = (energy - nu_hat * nsq) / om
         assert lhs >= rhs - 1e-9
@@ -402,7 +402,7 @@ def test_region_table_matches_stft():
         eigs, window = _eigs_and_window(region)
         stats = {}
         table = _region_table(eigs, region.mask, stats)
-        _, gemm = _stft_rows(np.ascontiguousarray(eigs.basis().T), window.values, region.mask)
+        _, gemm = _stft_rows(np.ascontiguousarray(eigs.basis().T), window, region.mask)
         assert stats == {"table_gemm_rows": np.count_nonzero(gemm)}
         rows = region.mask.any(axis=1)
         assert gemm[rows].any() and not gemm[rows].all()
@@ -438,6 +438,29 @@ def test_region_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * table.nbytes
+
+
+def test_window_support_is_found_once_per_window(monkeypatch):
+    # a window finds its support when it is made; Monte Carlo cells and tables only
+    # read it, and a table is bit for bit that of a twin window made afterwards
+    import tfsamp.tfcore as tfcore
+
+    region = disk_region(120, TFPoint(60, 60), 30)
+    eigs, window = _eigs_and_window(region)
+    real = tfcore._window_support
+    calls = []
+    monkeypatch.setattr(tfcore, "_window_support", lambda phi: calls.append(phi) or real(phi))
+    for nu, r in [(0.1, 250), (0.2, 1000), (0.3, 250)]:
+        monte_carlo_failure_frequency(20, nu, r, eigs, master_seed=7)
+    table = _region_table(eigs, region.mask)
+    assert calls == []
+    twin = EigenSystem(eigs.eigenvalues, eigs.eigenvectors, eigs.N, eigs.gamma, region,
+                       make_gaussian_window(120))
+    assert len(calls) == 1
+    assert np.array_equal(twin.window.support, window.support)
+    fresh = _region_table(twin, region.mask)
+    assert len(calls) == 1
+    assert np.array_equal(table.view(np.float64), fresh.view(np.float64))
 
 
 def test_drawn_table_rows_match_full_table():

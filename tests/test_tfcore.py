@@ -263,7 +263,7 @@ def test_stft_rows_gemm_route_on_a_sparse_mask():
     for m in range(L):
         mask[m, rng.choice(L, rng.integers(1, 4), replace=False)] = True
     f, phi = _unit_signals(12, L, 4), make_gaussian_window(L)
-    out, gemm = _stft_rows(f, phi.values, mask)
+    out, gemm = _stft_rows(f, phi, mask)
     assert gemm.all()
     _check_rows(f, phi, mask, out, gemm)
     ref = stft_direct(f[0], phi.values, points=np.argwhere(mask))
@@ -278,7 +278,7 @@ def test_stft_rows_wrap_around_the_torus(keep):
     mask = disk_region(L, TFPoint(2, L - 3), 30).mask & thin
     assert mask[0].any() and mask[L - 1].any()
     f, phi = _unit_signals(12, L, 6), make_gaussian_window(L)
-    out, gemm = _stft_rows(f, phi.values, mask)
+    out, gemm = _stft_rows(f, phi, mask)
     if keep == 1.0:
         # the middle rows keep up to 61 columns, where the FFT is cheaper; the edge rows few
         assert not gemm[[L - 1, 0, 2]].any() and gemm[[L - 28, 32]].all()
@@ -294,7 +294,7 @@ def test_stft_rows_full_support_window_keeps_the_fft():
     assert _window_support(phi.values).size == L
     mask = disk_region(L, TFPoint(40, 90), 20).mask | (rng.random((L, L)) < 0.01)
     f = _unit_signals(12, L, 8)
-    out, gemm = _stft_rows(f, phi.values, mask)
+    out, gemm = _stft_rows(f, phi, mask)
     assert not gemm.any()
     _check_rows(f, phi, mask, out, gemm)
 
