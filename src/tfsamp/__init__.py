@@ -35,7 +35,6 @@ from .locop import (
     concentration_from_eigs,
     eigendecompose,
     eigenvalue_count_estimate,
-    project_VN,
 )
 from .recon import (
     ReconstructionResult,
@@ -78,7 +77,6 @@ from .tfcore import (
     make_gaussian_window,
     stft,
     stft_adjoint,
-    stft_point,
     tf_shift,
 )
 from .witnesses import (

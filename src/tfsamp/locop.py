@@ -48,7 +48,6 @@ __all__ = [
     "choose_N",
     "concentration",
     "concentration_from_eigs",
-    "project_VN",
     "eigenvalue_count_estimate",
 ]
 
@@ -323,12 +322,6 @@ def concentration_from_eigs(f: Signal, eigs: EigenSystem) -> ConcentrationValue:
     c = eigs.coeffs(f)
     value = float(np.real(eigs.eigenvalues @ (np.abs(c) ** 2)))
     return ConcentrationValue(value, 1.0 - value / nsq)
-
-
-def project_VN(f: Signal, eigs: EigenSystem) -> Signal:
-    """Orthogonal projection onto V_N = span{psi_1..psi_N}."""
-    B = eigs.basis()
-    return Signal(B @ (B.conj().T @ f.values))
 
 
 def eigenvalue_count_estimate(H: LocalizationOperator, delta: float):

@@ -32,20 +32,33 @@ row takes the GEMM, and the table of 9 752 points takes 0.22 s instead of
 keep about 46 of 120 frequencies, and all but the disk's 3-4 edge rows take
 the FFT.
 
-Monte Carlo forms each trial's Gram sum_j T_j by one of two routes, picked
-per cell by _gram_route from the cell's shape alone (trials, r, the P
-distinct drawn points, N); both give the same statistics up to roundoff.
+Monte Carlo decides each trial without its min-eigenvalue: the statistic is
+<= -nu/|Omega| iff (1/r) G - E T + (nu/|Omega|) I is not positive definite,
+so one Cholesky per trial settles it, and a factorization that breaks down
+is a failure.  The Cholesky reads only the lower triangle of G.  At N=188
+it takes 0.9 ms against 5.5 ms for eigvalsh, at N=23 12 us against 54 us
+(OpenBLAS on one thread).  The acceptance grid's closest statistic lies
+2.1e-10 from its threshold, where the factorization's residual is 9e-17
+of the matrix norm, so no count moves.  empirical_min_eigenvalue, whose
+value certify reports, keeps eigvalsh.
+
+Monte Carlo forms each trial's Gram G = sum_j T_j by one of two routes,
+picked per cell by _gram_route from the cell's shape alone (trials, r, the
+P distinct drawn points, N); both give the same decisions up to roundoff.
 The gather route copies each trial's r rows v_j out of the table of drawn
 points and multiplies them, a complex GEMM of about r N^2 per trial.  The
 counts route uses sum_j T_j = sum_p c_p v_p v_p^H, with c the bincount of
-the trial's draw: it builds the P x N^2 table of rank-one matrices once per
-cell and forms a chunk of Grams as one real GEMM, the (chunk, P) count
-matrix times that table viewed as (P, 2 N^2) float64.  Counts wins once the
-draws revisit points, roughly P (40 + trials) N < 5 trials r (N + 6), i.e.
-P below about 5 r for many trials, and only while the table's 16 P N^2 bytes
-fit OUTER_TABLE_BUDGET (32 MiB).  At L=120 (N=23, P=2821, 50 trials) the
-r=1000 and r=4000 cells count and the r=250 cells gather; at L=960 (N=188,
-P=9741) the table would take 5.5 GB, so that cell gathers.
+the trial's draw.  Once per cell it builds a packed table of the lower
+triangles of the v_p v_p^H: the real parts on and below the diagonal and
+the imaginary parts below it, N^2 float64 or 8 N^2 bytes per point.  A
+chunk's Grams are then one real GEMM, the (chunk, P) count matrix times
+that table, scattered into the lower triangles.  Measured over whole
+cells, counts wins once P N^2 (120 + trials) < trials r (340 N - 110),
+roughly P below 6 r for N=23 and many trials, and only while the table's
+8 P N^2 bytes fit OUTER_TABLE_BUDGET (32 MiB).  At L=120 (N=23, P=2821)
+the 50-trial cells count at r=1000 and r=4000 and gather at r=250, where
+2000 trials count at every r.  At L=960 (N=188, P=9741) the table would
+take 2.75 GB, so that cell gathers.
 
 Note on exponents: the general Bernstein tail used here carries the
 customary t^2/2 numerator, while the specialized subspace bound
@@ -172,34 +185,70 @@ def _drawn_mask(region: TFRegion, idx: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _min_eigs(G: np.ndarray, r: int, diag: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of (1/r) G - diag for each N x N Gram G = sum_j T_j of r draws."""
-    S = G / r - diag
-    S = 0.5 * (S + np.conj(np.swapaxes(S, -1, -2)))
-    return np.linalg.eigvalsh(S)[..., 0]
-
-
 def _gathered_grams(A: np.ndarray) -> np.ndarray:
     """sum_j T_j = A^T conj(A) for each (r, N) block of A, whose rows are the v_j."""
     return np.swapaxes(A, -1, -2) @ np.conj(A)
 
 
+def _tril_layout(N: int) -> np.ndarray:
+    """Where each column of an _outer_table lands in an N x N complex matrix viewed as float64.
+
+    Row i of the matrix takes columns i^2 .. (i+1)^2 - 1: the real parts of
+    its entries j = 0..i, then the imaginary parts of j = 0..i-1.
+    """
+    k = np.arange(N * N)
+    i = np.sqrt(k).astype(np.int64)  # exact: k < 2^52
+    q = k - i * i
+    imag = q > i
+    return 2 * (i * N + np.where(imag, q - i - 1, q)) + imag
+
+
 def _outer_table(table: np.ndarray) -> np.ndarray:
-    """(P, N, N) rank-one matrices v_p v_p^H of table's rows v_p: 16 N^2 bytes per row."""
-    return table[:, :, None] * np.conj(table[:, None, :])
+    """(N^2, P) float64 lower triangles of the rank-one v_p v_p^H of table's rows v_p.
+
+    Column p holds v_p v_p^H packed as _tril_layout says: 8 N^2 bytes per
+    drawn point, half the full complex matrix, and all a Cholesky reads.
+    Each packed entry is one contiguous row over the P points.
+    """
+    v = np.ascontiguousarray(table.T)
+    N = v.shape[0]
+    outer = np.empty((N * N, v.shape[1]))
+    for i in range(N):
+        w = v[i] * np.conj(v[: i + 1])
+        outer[i * i : i * i + i + 1] = w.real
+        outer[i * i + i + 1 : (i + 1) ** 2] = w.imag[:i]
+    return outer
 
 
 def _counted_grams(outer: np.ndarray, blk: np.ndarray) -> np.ndarray:
-    """sum_j T_j = sum_p c_p v_p v_p^H for each trial (row) of blk, c_p its point counts.
+    """Lower triangle of sum_j T_j = sum_p c_p v_p v_p^H for each trial (row) of blk.
 
-    blk holds indices into outer, the _outer_table of the drawn points.  The
-    (B, P) count matrix times outer, viewed as (P, 2 N^2) float64, is one
-    real GEMM for the whole block.
+    blk holds indices into the P points of outer, the packed _outer_table,
+    and c_p are a trial's point counts.  The (B, P) count matrix times
+    outer^T is one real GEMM for the whole block; its columns are scattered
+    into the lower triangles, and the strict upper triangles are 0.
     """
-    B, (P, N, _) = blk.shape[0], outer.shape
+    B, (NN, P) = blk.shape[0], outer.shape
+    N = math.isqrt(NN)
     counts = np.bincount((blk + P * np.arange(B)[:, None]).ravel(), minlength=B * P)
-    G = counts.reshape(B, P).astype(np.float64) @ outer.reshape(P, -1).view(np.float64)
+    G = np.zeros((B, 2 * NN))
+    G[:, _tril_layout(N)] = counts.reshape(B, P).astype(np.float64) @ outer.T
     return G.view(np.complex128).reshape(B, N, N)
+
+
+def _not_positive_definite(S: np.ndarray) -> np.ndarray:
+    """For each Hermitian N x N matrix of the stack S: True iff it is not positive definite.
+
+    One Cholesky per matrix, which reads only its lower triangle; a
+    factorization that breaks down is the answer True.
+    """
+    fails = np.zeros(S.shape[0], dtype=bool)
+    for k, s in enumerate(S):
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            fails[k] = True
+    return fails
 
 
 def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
@@ -209,8 +258,9 @@ def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
     """
     if W.shape[0] < 1:
         raise ParameterError("empirical statistic needs r >= 1")
-    G = _gathered_grams((W @ eigs.basis())[None])
-    return float(_min_eigs(G, W.shape[0], expected_T(eigs))[0])
+    S = _gathered_grams((W @ eigs.basis())[None])[0] / W.shape[0] - expected_T(eigs)
+    S = 0.5 * (S + np.conj(S.T))
+    return float(np.linalg.eigvalsh(S)[0])
 
 
 def tropp_tail(N: int, sigma2: float, Bnorm: float, t: float) -> float:
@@ -314,7 +364,7 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
     return failures / trials
 
 
-# bytes allowed for the counts route's _outer_table, 16 N^2 per drawn point;
+# bytes allowed for the counts route's _outer_table, 8 N^2 per drawn point;
 # the gather route holds ~32 MB of chunks at its peak, so the counts route holds no more
 OUTER_TABLE_BUDGET = 32 * 2**20
 
@@ -324,16 +374,16 @@ def _gram_route(trials: int, r: int, P: int, N: int) -> str:
 
     A pure function of the cell's shape: trials of r draws that hit P
     distinct points, with N = dim V_N.  Per cell, the gather route costs
-    about trials * r * (3 N + 0.5 N^2) ns (copy the rows, multiply them) and
-    the counts route about P N^2 * (4 + 0.1 trials) ns (build the table of
-    v_p v_p^H, then one GEMM row per trial), as measured at N = 12, 23 and
-    47 on a 2-core x86 host with OpenBLAS on one thread; the eigvalsh step
-    is the same on both.  The counts route also needs its table to fit
-    OUTER_TABLE_BUDGET.
+    about 17 trials * r * N ns (copy the rows, multiply them) and the counts
+    route about P N^2 (6 + 0.05 trials) + 5.5 trials * r ns (build the
+    packed table, then count the draws and one GEMM row per trial), as
+    measured over whole cells at N = 12, 23 and 28 on a 2-core x86 host with
+    OpenBLAS on one thread; the Cholesky step is the same on both.  The
+    counts route also needs its table to fit OUTER_TABLE_BUDGET.
     """
-    if 16 * P * N * N > OUTER_TABLE_BUDGET:
+    if 8 * P * N * N > OUTER_TABLE_BUDGET:
         return "gather"
-    return "counts" if P * N * N * (40 + trials) < 5 * trials * r * N * (N + 6) else "gather"
+    return "counts" if P * N * N * (120 + trials) < trials * r * (340 * N - 110) else "gather"
 
 
 def monte_carlo_failure_frequency(
@@ -349,8 +399,9 @@ def monte_carlo_failure_frequency(
 
     Trial i is the sample set uniform_sample(eigs.region, r,
     derive_seed(master_seed, TRIAL_STREAM, i)), and its statistic is
-    empirical_min_eigenvalue's.  The Grams come from _gram_route's choice;
-    both routes give the same statistics up to roundoff.  A stats dict, if
+    empirical_min_eigenvalue's, compared with the threshold by one Cholesky
+    (_not_positive_definite).  The Grams come from _gram_route's choice;
+    both routes give the same decisions up to roundoff.  A stats dict, if
     given, receives the route as "gram", the distinct drawn points as
     "drawn_points" and the region table's GEMM rows as "table_gemm_rows".
     """
@@ -369,18 +420,24 @@ def monte_carlo_failure_frequency(
         def grams(blk):
             return _counted_grams(outer, blk)
 
-        # per trial: its offset indices, count rows as int and float, Gram and copies
-        row_width = -(-(8 * r + 16 * P + 64 * N * N) // (32 * r))
+        # per trial: its offset indices, count rows as int and float, packed and full Gram
+        row_width = -(-(8 * r + 16 * P + 24 * N * N) // (32 * r))
     else:
         def grams(blk):
             return _gathered_grams(table[blk])
 
         row_width = N
-    diag = expected_T(eigs)
-    thresh = -nu / region.measure
-    return _failure_frequency(
-        idx, lambda blk: _min_eigs(grams(blk), r, diag) <= thresh, row_width, threads
-    )
+    # a trial fails iff its min-eigenvalue is <= -nu/|Omega|, i.e. iff
+    # (1/r) G - E T + (nu/|Omega|) I is not positive definite
+    shift = expected_T(eigs) - nu / region.measure * np.eye(N)
+
+    def fails(blk):
+        S = grams(blk)
+        S /= r
+        S -= shift
+        return _not_positive_definite(S)
+
+    return _failure_frequency(idx, fails, row_width, threads)
 
 
 def covering_exceedance_frequency(

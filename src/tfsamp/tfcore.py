@@ -44,7 +44,6 @@ __all__ = [
     "tf_shift",
     "stft",
     "stft_adjoint",
-    "stft_point",
 ]
 
 
@@ -259,11 +258,3 @@ def _analysis_rows(mvec: np.ndarray, nvec: np.ndarray, phivals: np.ndarray) -> n
     L = phivals.shape[0]
     tr = np.conj(_translates(phivals, mvec))
     return tr * np.exp(-2j * np.pi * np.asarray(nvec)[:, None] * np.arange(L)[None, :] / L)
-
-
-def stft_point(f: Signal, phi: Window, lam: TFPoint) -> complex:
-    """Single STFT sample V_phi f(lam) in O(L), no full-grid transform."""
-    _check_same_L(f, phi, "signal and window")
-    _check_point(lam, f.L)
-    row = _analysis_rows(np.array([lam.m]), np.array([lam.n]), phi.values)[0]
-    return complex(row @ f.values)

@@ -44,28 +44,36 @@ def tf_shift_direct(f, m, n):
     return out
 
 
+def stft_point(f, phi, m, n):
+    """V_phi f(m, n) = sum_t f(t) conj(phi((t-m) mod L)) e^{-2 pi i n t / L}, one O(L) sum."""
+    L = len(f)
+    acc = 0j
+    for t in range(L):
+        acc += f[t] * phi[(t - m) % L].conjugate() * cmath.exp(-2j * cmath.pi * n * t / L)
+    return acc
+
+
 def stft_direct(f, phi, points=None):
     """V[m, n] = sum_t f(t) conj(phi((t-m) mod L)) e^{-2 pi i n t / L}.
 
     The whole L x L grid, or, given points, the samples at its (m, n) rows.
     """
     L = len(f)
-
-    def sample(m, n):
-        acc = 0j
-        for t in range(L):
-            acc += f[t] * phi[(t - m) % L].conjugate() * cmath.exp(
-                -2j * cmath.pi * n * t / L
-            )
-        return acc
-
     if points is not None:
-        return np.array([sample(m, n) for m, n in points])
+        return np.array([stft_point(f, phi, m, n) for m, n in points])
     V = np.zeros((L, L), dtype=complex)
     for m in range(L):
         for n in range(L):
-            V[m, n] = sample(m, n)
+            V[m, n] = stft_point(f, phi, m, n)
     return V
+
+
+def project_VN(f, basis):
+    """Orthogonal projection of f onto the span of basis's orthonormal columns, column by column."""
+    out = np.zeros(len(f), dtype=complex)
+    for k in range(basis.shape[1]):
+        out += np.vdot(basis[:, k], f) * basis[:, k]
+    return out
 
 
 def adjoint_direct(F, phi):

@@ -14,12 +14,13 @@ from tfsamp import (
     exact_bessel_bound,
     gram_and_rhs,
     make_concentrated_test_function,
-    project_VN,
     reconstruct,
     stft,
     TFPoint,
     uniform_sample,
 )
+
+from oracles import project_VN
 
 
 # ---------------------------------------------------------------- normal eqs
@@ -170,7 +171,7 @@ def test_generator_small_target_stays_in_top_slice(sys64):
     f = make_concentrated_test_function(sys64.eigs, 1e-4, seed=1)
     eps = concentration_from_eigs(f, sys64.eigs).epsilon
     assert abs(eps - 1e-4) <= 1e-10
-    p = project_VN(f, sys64.eigs)
+    p = Signal(project_VN(f.values, sys64.eigs.basis()))
     assert Signal(f.values - p.values).norm() ** 2 < 1e-3
 
 
@@ -258,7 +259,7 @@ def test_reconstruct_beats_projection_on_samples(sys32):
     s = uniform_sample(region, 80, seed=14)
     res = reconstruct(f, s.analysis_rows(window), eigs)
     V = stft(f, window)[s.points[:, 0], s.points[:, 1]]
-    p = project_VN(f, eigs)
+    p = Signal(project_VN(f.values, eigs.basis()))
     Vp = stft(p, window)[s.points[:, 0], s.points[:, 1]]
     r_opt = float(np.sum(np.abs(V - stft(res.p_opt, window)[s.points[:, 0], s.points[:, 1]]) ** 2))
     r_proj = float(np.sum(np.abs(V - Vp) ** 2))

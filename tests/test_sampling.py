@@ -41,7 +41,7 @@ from tfsamp.sampling import (
     _failure_frequency,
     _gathered_grams,
     _gram_route,
-    _min_eigs,
+    _not_positive_definite,
     _outer_table,
     _region_table,
     derive_seed,
@@ -621,8 +621,44 @@ def test_batched_engine_matches_single_draws(sys32):
 # ---------------------------------------------------------------- Gram routes
 
 
+def _hermitian_batch(rng, B, N):
+    """B random Hermitian N x N matrices shaped like a centred Monte Carlo statistic."""
+    X = rng.standard_normal((B, N, 3 * N)) + 1j * rng.standard_normal((B, N, 3 * N))
+    return X @ np.conj(np.swapaxes(X, -1, -2)) / (3 * N) - np.eye(N)
+
+
+@pytest.mark.parametrize("N", [4, 23, 188])
+def test_cholesky_decision_matches_eigvalsh(N):
+    # fails iff S + (nu/|Omega|) I is not positive definite, i.e. iff
+    # eigvalsh(S)[0] <= thresh = -nu/|Omega|; also 1e-9 either side of it
+    rng = np.random.default_rng(N)
+    S = _hermitian_batch(rng, 12, N)
+    lam = np.linalg.eigvalsh(S)[:, 0]
+    thresh = float(np.median(lam))
+    off = np.array([1e-9, -1e-9] * 6)
+    near = S - (lam - thresh - off)[:, None, None] * np.eye(N)
+    for batch in (S, near):
+        expected = np.linalg.eigvalsh(batch)[:, 0] <= thresh
+        assert 0 < np.count_nonzero(expected) < len(batch)
+        assert np.array_equal(_not_positive_definite(batch - thresh * np.eye(N)), expected)
+    assert np.array_equal(np.linalg.eigvalsh(near)[:, 0] <= thresh, off < 0)
+
+
+def test_cholesky_decision_reads_only_the_lower_triangle():
+    # the counts route leaves the strict upper triangles 0; any values there are ignored
+    rng = np.random.default_rng(3)
+    S = _hermitian_batch(rng, 20, 23) + 0.6 * np.eye(23)
+    decided = _not_positive_definite(S)
+    assert 0 < np.count_nonzero(decided) < len(S)
+    upper = np.triu(np.ones((23, 23), dtype=bool), 1)
+    for garbage in (0.0, 1e6 * (rng.standard_normal((20, 23, 23)) + 1j)):
+        spoiled = S.copy()
+        spoiled[:, upper] = np.broadcast_to(garbage, S.shape)[:, upper]
+        assert np.array_equal(_not_positive_definite(spoiled), decided)
+
+
 @pytest.mark.parametrize("system, trials, r, nu, route", [
-    ("sys32", 60, 30, 0.45, "gather"),
+    ("sys64", 60, 30, 0.8, "gather"),
     ("sys32", 60, 400, 0.13, "counts"),
     ("sys120", 50, 250, 0.45, "gather"),
     ("sys120", 50, 1000, 0.25, "counts"),
@@ -638,16 +674,22 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     assert _gram_route(trials, r, int(mask.sum()), eigs.N) == route
     table_stats = {}
     table = _region_table(eigs, mask, table_stats)
-    diag = expected_T(eigs)
-    gathered = _min_eigs(_gathered_grams(table[idx]), r, diag)
-    counted = _min_eigs(_counted_grams(_outer_table(table), idx), r, diag)
-    assert np.max(np.abs(gathered - counted)) <= 1e-12
+    gathered = _gathered_grams(table[idx]) / r
+    counted = _counted_grams(_outer_table(table), idx) / r
+    # the packed counts Grams are the lower triangles of the gathered ones
+    lower = np.tril(np.ones((eigs.N, eigs.N), dtype=bool))
+    assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
+    assert not np.any(counted[:, ~lower])
 
     thresh = -nu / s.region.measure
-    assert np.min(np.abs(gathered - thresh)) > 1e-9
-    fails = np.count_nonzero(gathered <= thresh)
+    diag = expected_T(eigs)
+    stats = np.linalg.eigvalsh(gathered - diag)[:, 0]
+    assert np.min(np.abs(stats - thresh)) > 1e-9
+    fails = np.count_nonzero(stats <= thresh)
     assert 0 < fails < trials
-    assert np.array_equal(gathered <= thresh, counted <= thresh)
+    for G in (gathered, counted):
+        assert np.array_equal(_not_positive_definite(G - diag - thresh * np.eye(eigs.N)),
+                              stats <= thresh)
     for pinned in ("gather", "counts"):
         monkeypatch.setattr(sampling, "_gram_route", lambda *shape: pinned)
         stats = {}
@@ -658,21 +700,23 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
 
 def test_gram_route_reads_only_the_cell_shape():
     # (trials, r, drawn points, N) of the benchmark cells: large-L960, then mc-L120
-    # at r = 250, 1000, 4000; the last shape is cheaper by counts but over budget
+    # at r = 250, 1000, 4000, then acceptance 05 at r = 250; the last shape is
+    # cheaper by counts but over budget
     shapes = [(20, 500, 9741, 188), (50, 250, 2787, 23), (50, 1000, 2821, 23),
-              (50, 4000, 2821, 23), (2000, 4000, 9741, 188)]
+              (50, 4000, 2821, 23), (2000, 250, 2821, 23), (2000, 40000, 9741, 188)]
     tracemalloc.start()
     try:
         routes = [_gram_route(*shape) for shape in shapes]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert routes == ["gather", "gather", "counts", "counts", "gather"]
+    assert routes == ["gather", "gather", "counts", "counts", "counts", "gather"]
     assert peak < 4096
-    # the budget is on the 16 N^2 bytes per drawn point of the outer-product table
-    P = OUTER_TABLE_BUDGET // (16 * 23 * 23)
+    # the budget is on the 8 N^2 bytes per drawn point of the packed table
+    P = OUTER_TABLE_BUDGET // (8 * 23 * 23)
     assert _gram_route(50, 4000, P, 23) == "counts"
     assert _gram_route(50, 4000, P + 1, 23) == "gather"
+    assert _outer_table(np.ones((7, 23), dtype=complex)).nbytes == 7 * 8 * 23 * 23
 
 
 @pytest.mark.parametrize("route", ["gather", "counts"])
