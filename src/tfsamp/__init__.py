@@ -76,7 +76,6 @@ from .tfcore import (
     Window,
     make_gaussian_window,
     stft,
-    stft_adjoint,
     tf_shift,
 )
 from .witnesses import (

@@ -24,13 +24,16 @@ failure frequency by seeded Monte Carlo.
 Monte Carlo first tabulates v_p = (V_phi psi_k(p))_k at the P distinct
 points a cell's trials draw (_region_table).  Each time row of those points
 takes the cheaper of two routes, picked by tfcore._gemm_rows from the row's
-shape alone: one FFT batch of length L, or one GEMM over the row's drawn
-frequencies and the window's numerical support.  At L=960 (N=188, radius
-240, 20 trials of r=500) a row keeps about 20 of the 960 frequencies, every
-row takes the GEMM, and the table of 9 752 points takes 0.22 s instead of
-1.23 s (2-core x86 host, OpenBLAS on one thread).  At L=120 (N=23) rows
-keep about 46 of 120 frequencies, and all but the disk's 3-4 edge rows take
-the FFT.
+shape alone: one FFT batch of length L, or one real GEMM over the row's
+drawn frequencies and the arc that holds the window's numerical support.
+The centred disk's V_N basis at even L is real and enters that GEMM as
+itself; a complex basis enters as its real and imaginary planes, twice the
+flops.  At
+L=960 (N=188, radius 240, 20 trials of r=500) a row keeps about 20 of the
+960 frequencies, every row takes the GEMM, and the table of 9 752 points
+takes about 0.10 s, 0.16 s for a complex basis, against 1.23 s by FFT
+(2-core x86 host, OpenBLAS on one thread).  At L=120 (N=23) rows keep about
+46 of 120 frequencies, and all but the disk's 3-4 edge rows take the FFT.
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
 <= -nu/|Omega| iff (1/r) G - E T + (nu/|Omega|) I is not positive definite,
@@ -46,7 +49,10 @@ Monte Carlo forms each trial's Gram G = sum_j T_j by one of two routes,
 picked per cell by _gram_route from the cell's shape alone (trials, r, the
 P distinct drawn points, N); both give the same decisions up to roundoff.
 The gather route copies each trial's r rows v_j out of the table of drawn
-points and multiplies them, a complex GEMM of about r N^2 per trial.  The
+points and multiplies them in real arithmetic: one symmetric rank-r update
+of their (r, 2N) float64 view, 4 r N^2 flops against 8 r N^2 for the
+complex product (_gathered_grams; 20 Grams at N=188, r=500 take 0.07 s
+instead of 0.09 s).  The
 counts route uses sum_j T_j = sum_p c_p v_p v_p^H, with c the bincount of
 the trial's draw.  Once per cell it builds a packed table of the lower
 triangles of the v_p v_p^H: the real parts on and below the diagonal and
@@ -154,11 +160,12 @@ def expected_T(eigs: EigenSystem) -> np.ndarray:
 def _region_table(eigs: EigenSystem, mask: np.ndarray, stats: dict | None = None) -> np.ndarray:
     """E[i, k] = V_phi psi_k(p_i) over the True cells p_i of mask (row-major order).
 
-    Row by row, an FFT batch over all L frequencies or one GEMM over the
-    row's cells and the window's support (tfcore._stft_rows); a stats dict,
-    if given, receives the number of GEMM rows as "table_gemm_rows".
-    Memory: the 16 * mask.sum() * N byte table plus N x L buffers (the
-    contiguous eigenvector basis and the FFT temporaries).
+    Row by row, an FFT batch over all L frequencies or one real GEMM over
+    the row's cells and the window's support arc (tfcore._stft_rows); a stats
+    dict, if given, receives the number of GEMM rows as "table_gemm_rows".
+    Memory: the 16 * mask.sum() * N byte table plus O(L (N + w)) bytes of
+    buffers, w the width of the support arc: the contiguous eigenvector
+    basis, the GEMM's phase table and extended basis, the FFT temporaries.
     """
     # contiguous rows: the strided view of eigenvectors makes the FFTs ~1.5x slower
     psi = np.ascontiguousarray(eigs.basis().T)
@@ -186,8 +193,22 @@ def _drawn_mask(region: TFRegion, idx: np.ndarray) -> np.ndarray:
 
 
 def _gathered_grams(A: np.ndarray) -> np.ndarray:
-    """sum_j T_j = A^T conj(A) for each (r, N) block of A, whose rows are the v_j."""
-    return np.swapaxes(A, -1, -2) @ np.conj(A)
+    """sum_j T_j = A^T conj(A) for each (r, N) block of A, whose rows are the v_j.
+
+    In real arithmetic, by one product of the (r, 2N) float64 view V of a
+    block, where Re v_k and Im v_k sit side by side: with Z = V^T V,
+    Re G = Z[re, re] + Z[im, im] and Im G = Z[im, re] - Z[re, im].  NumPy runs
+    V^T V as a symmetric rank-k update, 4 r N^2 flops against the complex
+    product's 8 r N^2, and V needs no copy of A.
+    """
+    A = np.ascontiguousarray(A)
+    N = A.shape[-1]
+    V = A.view(np.float64)
+    Z = (np.swapaxes(V, -1, -2) @ V).reshape(A.shape[:-2] + (N, 2, N, 2))
+    G = np.empty(A.shape[:-2] + (N, N), dtype=np.complex128)
+    np.add(Z[..., 0, :, 0], Z[..., 1, :, 1], out=G.real)
+    np.subtract(Z[..., 1, :, 0], Z[..., 0, :, 1], out=G.imag)
+    return G
 
 
 def _tril_layout(N: int) -> np.ndarray:
@@ -339,8 +360,8 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
 
     fails maps a (B, r) block of idx to B booleans; aggregation is an
     order-independent count over chunks of trials, so any thread count
-    gives the same result.  A trial's chunk holds about 32 * r * row_width
-    bytes (row_width complex values and their conjugates per drawn point).
+    gives the same result.  row_width is what one trial holds at the peak of
+    fails, in units of 32 * r bytes (32 bytes per drawn point).
     At most one worker per CPU is started, and each gets work: a chunk is
     at most ceil(trials / workers) trials.
     """
@@ -426,7 +447,8 @@ def monte_carlo_failure_frequency(
         def grams(blk):
             return _gathered_grams(table[blk])
 
-        row_width = N
+        # per trial: its (r, N) complex rows, the (2N)^2 real product and the Gram
+        row_width = -(-(16 * r * N + 48 * N * N) // (32 * r))
     # a trial fails iff its min-eigenvalue is <= -nu/|Omega|, i.e. iff
     # (1/r) G - E T + (nu/|Omega|) I is not positive definite
     shift = expected_T(eigs) - nu / region.measure * np.eye(N)

@@ -22,9 +22,9 @@ analysis        V_phi f(m, n) = <f, pi(m,n) phi>
 synthesis       adjoint of analysis with the 1/L grid weight
 
 All index arithmetic is circular.  The STFT over the full grid costs L
-FFTs of length L and comes back as a plain L x L ndarray V[m, n], the
-form stft_adjoint takes; naive O(L^3) evaluation exists only in the
-test suite as an oracle.  _stft_rows samples the STFT of many signals at
+FFTs of length L and comes back as a plain L x L ndarray V[m, n]; naive
+O(L^3) evaluation and the adjoint exist only in the test suite as
+oracles.  _stft_rows samples the STFT of many signals at
 chosen cells only, computing just those frequencies where that is cheaper.
 """
 
@@ -43,7 +43,6 @@ __all__ = [
     "make_gaussian_window",
     "tf_shift",
     "stft",
-    "stft_adjoint",
 ]
 
 
@@ -171,17 +170,30 @@ def _window_support(phivals: np.ndarray) -> np.ndarray:
     return np.sort(order[dropped:])
 
 
+def _support_arc(support: np.ndarray, L: int) -> tuple[int, int]:
+    """(s0, w): the shortest cyclic arc s0, .., s0 + w - 1 (mod L) that holds every offset in support."""
+    gaps = np.diff(support, append=support[0] + L)
+    j = int(np.argmax(gaps))
+    return int(support[(j + 1) % support.size]), L + 1 - int(gaps[j])
+
+
 def _gemm_rows(c, support: int, L: int, K: int):
     """True where an STFT row of K signals is cheaper by GEMM at its c drawn frequencies.
 
     A pure function of the row's shape, elementwise over an array c, with
-    support = |S| the window's support size.  Per row, the FFT route costs
-    about 31 + 0.0015 K L log2(L) us and the GEMM route about
-    28 + c |S| (0.013 + 0.00027 K) + 0.0029 |S| K us (phase table, product,
-    gather), as measured over whole tables of up to 96 rows at L = 64..1920,
-    K = 8..188 and c = 1..100 on a 2-core x86 host with OpenBLAS on one
-    thread.  A window with full support (|S| = L) takes the FFT on every row,
-    so its table stays bit-equal to stft.
+    support = w the width of the window's support arc (_support_arc; |S| for
+    a Gaussian).  The rule prices an FFT row at 31 + 0.0015 K L log2(L) us
+    and a GEMM row at 28 + c w (0.013 + 0.00027 K) + 0.0029 w K us.  Measured
+    over whole tables of up to 96 rows at L = 64..1920, K = 8..188 and
+    c = 1..100 (2-core x86 host, OpenBLAS on one thread), an FFT row costs
+    32 + 0.0014 K L log2(L) us, and a GEMM row of _stft_rows' real kernel
+    24 + c w (0.0029 + 0.00018 p K) + 0.00048 w p K us (p = 1 for a real
+    batch, 2 for a complex one) plus 0.023 L w us per table for the phase
+    table.  So the rule sends some rows to the FFT that the GEMM would do
+    faster: at L = 120, for K = 23 real signals, the rows of 18 to about 57
+    cells.  On the mc-L120 tables that costs at most 0.4 of about 4 ms and
+    moves no Monte Carlo cell.  A window with full support (w = L) takes the
+    FFT on every row, so its table stays bit-equal to stft.
     """
     fft_ns = 31_000 + 1.5 * K * L * np.log2(L)
     gemm_ns = 28_000 + c * support * (13 + 0.27 * K) + 2.9 * support * K
@@ -199,30 +211,56 @@ def _stft_rows(
 
     - FFT: one (K, L) FFT batch kept at the row's columns, equal bit for bit
       to stft(f_k, phi)[mask].
-    - GEMM: only the drawn frequencies n_j, as omega[(n_j t) mod L] *
-      conj(phi(t - m)) times f_k(t), summed over t = m + s for s in the
-      window's support (Window.support); omega holds the L-th roots of unity,
-      and the phase is reduced mod L as an integer before the lookup.  It
-      agrees with stft to roundoff, about 1e-16 of each column's norm.
+    - GEMM: only the drawn frequencies n_j.  With t = m + s,
+      V_phi f(m, n) = omega^(n m) sum_s conj(phi(s)) omega^(n s) f(m + s),
+      omega = e^(-2 pi i / L), summed over the arc s = s0 .. s0 + w - 1 that
+      holds the window's support (Window.support; zero taps elsewhere).  One
+      (L, 2, w) phase table holds the real and imaginary planes of
+      conj(phi(s)) omega^(n s), with n s reduced mod L as an integer; a row
+      takes its drawn frequencies' rows of it, times the signals over the arc,
+      a contiguous slice of a wrap-extended (L + w, K) copy.  That is one
+      real GEMM per row: a real batch (with a real window, every mask
+      mirrored about frequency 0 gives a real V_N basis) enters as itself, a
+      complex one as its real and imaginary planes side by side.  omega^(n m) then scales each frequency.
+      It agrees with stft to roundoff, about 1e-16 of each column's norm.
 
     Returns (out, gemm), gemm[m] True where time row m took the GEMM route.
-    Memory: the K * mask.sum() output plus two K x L temporaries.
+    Memory: the K * mask.sum() output, the 16 L w byte phase table and the
+    8 (L + w) K (real) or 16 (L + w) K (complex) byte extended copy, or two
+    K x L temporaries on the FFT rows.
     """
     K, L = fvals.shape
     conj_phi = np.conj(phi.values)
-    support = phi.support
+    s0, w = _support_arc(phi.support, L)
     omega = np.exp(-2j * np.pi * np.arange(L) / L)
     counts = np.count_nonzero(mask, axis=1)
-    gemm = (counts > 0) & _gemm_rows(counts, support.size, L, K)
+    gemm = (counts > 0) & _gemm_rows(counts, w, L, K)
     out = np.empty((counts.sum(), K), dtype=np.complex128)
+    if gemm.any():
+        s = (s0 + np.arange(w)) % L
+        taps = np.zeros(L, dtype=np.complex128)
+        taps[phi.support] = conj_phi[phi.support]
+        ph = omega[np.outer(np.arange(L), s) % L] * taps[s]
+        phase = np.stack([ph.real, ph.imag], axis=1)  # (L, 2, w)
+        planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])
+        p = len(planes)
+        ext = np.concatenate(planes, axis=1)
+        ext = np.concatenate([ext, ext[:w]])  # row t holds f(t mod L)
     i = 0
     for m in np.flatnonzero(counts):
         cols = mask[m]
         j = i + counts[m]
         if gemm[m]:
-            t = (support + m) % L
-            phases = omega[np.outer(np.flatnonzero(cols), t) % L] * conj_phi[support]
-            out[i:j] = (fvals[:, t] @ phases.T).T
+            n = np.flatnonzero(cols)
+            a = (m + s0) % L
+            Y = (phase[n].reshape(-1, w) @ ext[a : a + w]).reshape(-1, 2, p, K)
+            row = out[i:j]
+            row.real = Y[:, 0, 0]
+            row.imag = Y[:, 1, 0]
+            if p == 2:  # (Re P + i Im P)(Re F + i Im F)
+                row.real -= Y[:, 1, 1]
+                row.imag += Y[:, 0, 1]
+            row *= omega[(n * m) % L, None]
         else:
             # row m of stft for every signal
             F = np.fft.fft(fvals * _translates(conj_phi, [m])[0], axis=1)
@@ -237,20 +275,6 @@ def stft(f: Signal, phi: Window) -> np.ndarray:
     # row m of the integrand: f(t) * conj(phi((t - m) mod L)); FFT over t gives all n
     W = _translates(phi.values, np.arange(f.L))
     return np.fft.fft(f.values[None, :] * np.conj(W), axis=1)
-
-
-def stft_adjoint(F: np.ndarray, phi: Window) -> Signal:
-    """Adjoint of stft with the 1/L grid weight, for an L x L array F indexed (m, n).
-
-    g(t) = (1/L) * sum_{m,n} F(m,n) * phi((t-m) mod L) * e^{2 pi i n t / L}.
-    For a unit-norm window, stft_adjoint(stft(f, phi), phi) == f (inversion).
-    """
-    F = np.asarray(F, dtype=np.complex128)
-    if F.shape != (phi.L, phi.L):
-        raise DimensionError(f"stft_adjoint needs an {phi.L} x {phi.L} array, got {F.shape}")
-    W = _translates(phi.values, np.arange(phi.L))
-    # ifft carries the 1/L grid weight; synthesis sums the modulated translates
-    return Signal((W * np.fft.ifft(F, axis=1)).sum(axis=0))
 
 
 def _analysis_rows(mvec: np.ndarray, nvec: np.ndarray, phivals: np.ndarray) -> np.ndarray:

@@ -89,6 +89,19 @@ def adjoint_direct(F, phi):
     return g
 
 
+def stft_adjoint(F, phi):
+    """Adjoint of the full-grid STFT with the 1/L grid weight, by one inverse FFT batch.
+
+    g(t) = (1/L) sum_{m,n} F(m,n) phi((t-m) mod L) e^{2 pi i n t / L}, the fast
+    form of adjoint_direct; for a unit-norm window, stft_adjoint(stft(f), phi) == f.
+    """
+    L = len(phi)
+    t = np.arange(L)
+    W = np.asarray(phi)[(t[None, :] - t[:, None]) % L]  # W[m, t] = phi((t - m) mod L)
+    # ifft carries the 1/L grid weight; synthesis sums the modulated translates
+    return (W * np.fft.ifft(F, axis=1)).sum(axis=0)
+
+
 # ---------------------------------------------------------------- regions
 
 

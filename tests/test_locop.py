@@ -25,7 +25,13 @@ from tfsamp import (
     tf_shift,
 )
 from tfsamp import locop
-from tfsamp.locop import EigenSystem, LocalizationOperator, _fix_phases, _symmetry_blocks
+from tfsamp.locop import (
+    EigenSystem,
+    LocalizationOperator,
+    _fix_phases,
+    _mirror,
+    _symmetry_blocks,
+)
 
 from oracles import (
     adjoint_direct,
@@ -310,6 +316,43 @@ def _assert_true_eigensystem(eigs, Hm, w_ref, v_ref):
     assert np.max(np.abs(P - P_ref)) <= 1e-10
     assert np.max(np.linalg.norm(Hm @ v - v * w[None, :], axis=0)) <= 1e-10
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-10
+
+
+def _one_cell_off(L):
+    # a disk mirrored about n0 = 12 and m0 = 12, but for one cell
+    m = disk_region(L, TFPoint(12, 12), 6).mask.copy()
+    m[10, 19] = True
+    return m
+
+
+def _stripes(L):
+    # period-8 columns: every row mirrors about c/2 for c = 3, 11, 19, ..., time about any c
+    m = np.zeros((L, L), dtype=bool)
+    m[:, np.arange(L) % 8 < 4] = True
+    return m
+
+
+MIRROR_MASKS = {
+    **{name: lambda name=name: SYMMETRY_CASES[name][0]().mask for name in SYMMETRY_CASES},
+    "empty": lambda: np.zeros((24, 24), dtype=bool),
+    "full": lambda: np.ones((24, 24), dtype=bool),
+    "one cell off": lambda: _one_cell_off(40),
+    "stripes": lambda: _stripes(48),
+}
+
+
+@pytest.mark.parametrize("name", list(MIRROR_MASKS))
+def test_mirror_is_the_smallest_reflection_of_the_mask(name):
+    # against every c in turn, on both axes
+    mask = MIRROR_MASKS[name]()
+    for m in (mask, mask.T):
+        L = m.shape[1]
+        mirrors = [c for c in range(L) if np.array_equal(m, m[:, (c - np.arange(L)) % L])]
+        assert _mirror(m) == (mirrors[0] if mirrors else None)
+    if name == "one cell off":
+        assert _mirror(mask) is None and _mirror(mask.T) is None
+    if name == "stripes":
+        assert _mirror(mask) == 3
 
 
 @pytest.mark.parametrize("name", list(SYMMETRY_CASES))

@@ -46,7 +46,7 @@ from tfsamp.sampling import (
     _region_table,
     derive_seed,
 )
-from tfsamp.tfcore import _stft_rows
+from tfsamp.tfcore import Window, _stft_rows, _support_arc
 
 from oracles import (
     mp_covering_tail,
@@ -425,6 +425,66 @@ def test_region_table_matches_stft():
         assert np.max(np.abs(table[:, k] - V[region.mask])) < 1e-12
 
 
+def _two_bump_window(L):
+    # real and even, but its support is two arcs, around 0 and around L/2
+    t = np.arange(L)
+    bump = lambda c: np.exp(-np.pi * ((t - c + L // 2) % L - L // 2) ** 2 / (L / 8))
+    return Window.normalized(bump(0) + 0.5 * bump(L // 2))
+
+
+# name -> (region, window): a real V_N basis, a modulated one, the basis of a complex H,
+# and a window whose support is not one arc
+TABLE_CASES = {
+    "centred disk": lambda: (disk_region(64, TFPoint(32, 32), 12), make_gaussian_window(64)),
+    "odd L disk": lambda: (disk_region(65, TFPoint(32, 32), 12), make_gaussian_window(65)),
+    "asymmetric mask": lambda: (
+        mask_region(disk_region(64, TFPoint(20, 40), 14).mask
+                    | (np.random.default_rng(5).random((64, 64)) < 0.05)),
+        make_gaussian_window(64),
+    ),
+    "two-bump window": lambda: (disk_region(64, TFPoint(32, 32), 12), _two_bump_window(64)),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_region_table_matches_stft_for_every_kind_of_basis(name):
+    # a quarter of the region, as a Monte Carlo draw keeps it: most rows take the GEMM,
+    # which agrees to 1e-15 of each column's norm; the FFT rows stay bit-equal
+    region, window = TABLE_CASES[name]()
+    H = build_localization_operator(region, window)
+    eigs = eigendecompose(H, 0.5)
+    basis = eigs.basis()
+    s0, w = _support_arc(window.support, region.L)
+    kind = {
+        "centred disk": not basis.imag.any(),
+        "odd L disk": H.modulation is not None and basis.imag.any(),
+        "asymmetric mask": H.modulation is None,
+        "two-bump window": w > window.support.size,
+    }
+    assert kind[name] and eigs.N >= 4
+    mask = region.mask & (np.random.default_rng(1).random(region.mask.shape) < 0.25)
+    table = _region_table(eigs, mask)
+    _, gemm = _stft_rows(np.ascontiguousarray(basis.T), window, mask)
+    rows = mask.any(axis=1)
+    assert gemm[rows].sum() > rows.sum() // 2 and not gemm[rows].all()
+    on_gemm = gemm[np.nonzero(mask)[0]]
+    for k in range(eigs.N):
+        col = stft(Signal(basis[:, k]), window)[mask]
+        got = np.ascontiguousarray(table[:, k])
+        assert np.array_equal(got[~on_gemm].view(np.float64), col[~on_gemm].view(np.float64))
+        assert np.max(np.abs(got - col)) <= 1e-15 * np.linalg.norm(col)
+
+
+def test_support_arc_holds_the_support():
+    for L, window in ((120, make_gaussian_window(120)), (64, _two_bump_window(64))):
+        S = window.support
+        s0, w = _support_arc(S, L)
+        assert set(S) <= set((s0 + np.arange(w)) % L)
+        assert {s0, (s0 + w - 1) % L} <= set(S)
+    assert _support_arc(np.arange(16), 16)[1] == 16
+    assert _support_arc(np.array([5]), 16) == (5, 1)
+
+
 def test_region_table_peak_memory():
     # the table itself plus O(N x L) workspace, never a second table-sized copy
     region = disk_region(128, TFPoint(64, 64), 40)
@@ -566,6 +626,21 @@ def test_monte_carlo_threads_share_one_chunk_budget(sys120):
     assert peak[2] <= 1.25 * peak[1]
 
 
+def test_gather_chunks_stay_near_the_budget(sys120, monkeypatch):
+    # at r = 8 a trial's (2N)^2 real product and Gram outweigh its r rows; the chunk
+    # size counts them, so 2000 trials run in two chunks of about 32 MB, not one of 58 MB
+    import tfsamp.sampling as sampling
+
+    monkeypatch.setattr(sampling, "_gram_route", lambda *shape: "gather")
+    tracemalloc.start()
+    try:
+        monte_carlo_failure_frequency(2000, 0.9, 8, sys120.eigs, master_seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
+
+
 def test_monte_carlo_huge_nu_never_fails(sys32):
     om = sys32.region.measure
     nu = om * (1.0 + 1.0 / om) + 1.0  # statistic can never reach -nu/|Omega|
@@ -655,6 +730,20 @@ def test_cholesky_decision_reads_only_the_lower_triangle():
         spoiled = S.copy()
         spoiled[:, upper] = np.broadcast_to(garbage, S.shape)[:, upper]
         assert np.array_equal(_not_positive_definite(spoiled), decided)
+
+
+@pytest.mark.parametrize("B, r, N", [(1, 1, 1), (50, 250, 23), (3, 500, 188)])
+def test_gathered_grams_match_the_complex_product(B, r, N):
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal((B, r, N)) + 1j * rng.standard_normal((B, r, N))
+    G = _gathered_grams(A)
+    ref = np.swapaxes(A, -1, -2) @ np.conj(A)
+    assert G.shape == (B, N, N) and G.dtype == np.complex128
+    for g, f in zip(G, ref):
+        assert np.linalg.norm(g - f) <= 1e-15 * np.linalg.norm(f)
+    # a real block has a real Gram, and a strided block reads the same as a copy
+    assert not _gathered_grams(A.real + 0j).imag.any()
+    assert np.array_equal(_gathered_grams(A[:, ::2]), _gathered_grams(A[:, ::2].copy()))
 
 
 @pytest.mark.parametrize("system, trials, r, nu, route", [
