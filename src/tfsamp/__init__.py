@@ -68,7 +68,6 @@ from .sampling import (
     required_samples,
     subspace_failure_bound,
     success_probability,
-    tropp_tail,
 )
 from .tfcore import (
     Signal,

@@ -75,6 +75,7 @@ from .sampling import (
     FUNCTION_STREAM,
     SAMPLE_STREAM,
     TailParams,
+    _RegionTable,
     covering_tail,
     derive_seed,
     empirical_min_eigenvalue,
@@ -380,12 +381,16 @@ def run_montecarlo(
     with _run("montecarlo", cfg, outdir) as (report, eigs):
         t1 = time.perf_counter()
         tail = _tail_params(cfg, eigs)
+        # one table of V_phi psi_k for the whole grid: each cell adds the points it
+        # is the first to draw, and reads the rest
+        draws = cfg.trials * len(cfg.nu_grid) * sum(int(r) for r in cfg.r_grid)
+        table = _RegionTable(eigs, draws)
         rows = []
         for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
             cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
             stats = {}  # the cell's Gram route and distinct drawn points
             freq = monte_carlo_failure_frequency(cfg.trials, nu, int(r), eigs, cell_seed, threads,
-                                                 stats=stats)
+                                                 stats=stats, table=table)
             rows.append({
                 "nu": nu,
                 "r": int(r),

@@ -21,19 +21,27 @@ event; this module evaluates those closed-form tails exactly as stated
 only, so the formulas stay cross-checkable) and estimates the empirical
 failure frequency by seeded Monte Carlo.
 
-Monte Carlo first tabulates v_p = (V_phi psi_k(p))_k at the P distinct
-points a cell's trials draw (_region_table).  Each time row of those points
-takes the cheaper of two routes, picked by tfcore._gemm_rows from the row's
-shape alone: one FFT batch of length L, or one real GEMM over the row's
-drawn frequencies and the arc that holds the window's numerical support.
-The centred disk's V_N basis at even L is real and enters that GEMM as
-itself; a complex basis enters as its real and imaginary planes, twice the
-flops.  At
-L=960 (N=188, radius 240, 20 trials of r=500) a row keeps about 20 of the
-960 frequencies, every row takes the GEMM, and the table of 9 752 points
-takes about 0.10 s, 0.16 s for a complex basis, against 1.23 s by FFT
-(2-core x86 host, OpenBLAS on one thread).  At L=120 (N=23) rows keep about
-46 of 120 frequencies, and all but the disk's 3-4 edge rows take the FFT.
+Monte Carlo tabulates v_p = (V_phi psi_k(p))_k only at the points its
+trials draw (_region_table), and one montecarlo call keeps one such table
+for all its cells (_RegionTable): a point -> row map over the region, and
+rows written once, in the order cells first draw their points.  A cell
+computes only the points no earlier cell drew; on the mc-L120 grid (nine
+cells of 50 trials at L=120) that is 2 821 rows where the cells draw 25 289
+between them, and every cell after the second adds none.  The table never
+holds more than min(|Omega|, the call's draws) rows, 16 N bytes each.  Each
+time row of a cell's new points takes one of two routes, picked by
+tfcore._gemm_rows from the rows' shapes alone: one FFT batch of length L,
+or one real GEMM over the row's drawn frequencies and the arc that holds
+the window's numerical support.  The centred disk's V_N basis at even L is
+real and enters that GEMM as itself; a complex basis enters as its real and
+imaginary planes, twice the flops.  At L=960 (N=188, radius 240, 20 trials
+of r=500) a row keeps about 20 of the 960 frequencies, every row takes the
+GEMM, and the table of 9 752 points takes about 0.09 s, 0.13-0.15 s for a
+complex basis, against 1.23 s by FFT (2-core x86 host, OpenBLAS on one
+thread).  At L=120 (N=23) the disk's whole table takes the GEMM on all 61
+rows for its real basis (3.7 ms against 4.3 ms by the earlier FFT-heavy
+rule); for a complex basis there the rows' savings do not pay for the
+GEMM's phase table, and every row takes the FFT.
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
 <= -nu/|Omega| iff (1/r) G - E T + (nu/|Omega|) I is not positive definite,
@@ -47,32 +55,36 @@ value certify reports, keeps eigvalsh.
 
 Monte Carlo forms each trial's Gram G = sum_j T_j by one of two routes,
 picked per cell by _gram_route from the cell's shape alone (trials, r, the
-P distinct drawn points, N); both give the same decisions up to roundoff.
-The gather route copies each trial's r rows v_j out of the table of drawn
-points and multiplies them in real arithmetic: one symmetric rank-r update
-of their (r, 2N) float64 view, 4 r N^2 flops against 8 r N^2 for the
-complex product (_gathered_grams; 20 Grams at N=188, r=500 take 0.07 s
-instead of 0.09 s).  The
-counts route uses sum_j T_j = sum_p c_p v_p v_p^H, with c the bincount of
-the trial's draw.  Once per cell it builds a packed table of the lower
-triangles of the v_p v_p^H: the real parts on and below the diagonal and
-the imaginary parts below it, N^2 float64 or 8 N^2 bytes per point.  A
-chunk's Grams are then one real GEMM, the (chunk, P) count matrix times
-that table, scattered into the lower triangles.  Measured over whole
-cells, counts wins once P N^2 (120 + trials) < trials r (340 N - 110),
-roughly P below 6 r for N=23 and many trials, and only while the table's
-8 P N^2 bytes fit OUTER_TABLE_BUDGET (32 MiB).  At L=120 (N=23, P=2821)
-the 50-trial cells count at r=1000 and r=4000 and gather at r=250, where
-2000 trials count at every r.  At L=960 (N=188, P=9741) the table would
-take 2.75 GB, so that cell gathers.
+P points of the call's table after the cell, N); both give the same
+decisions up to roundoff.  The gather route copies each trial's r rows v_j
+out of the table and multiplies them in real arithmetic: one symmetric
+rank-r update of their (r, 2N) float64 view, 4 r N^2 flops against 8 r N^2
+for the complex product (_gathered_grams; 20 Grams at N=188, r=500 take
+0.07 s instead of 0.09 s).  The counts route uses
+sum_j T_j = sum_p c_p v_p v_p^H, with c the bincount of the trial's draw.
+It reads a packed table of the lower triangles of the v_p v_p^H: the real
+parts on and below the diagonal and the imaginary parts below it, N^2
+float64 or 8 N^2 bytes per point.  The call's table builds it when its
+first counts cell runs and extends it by new points only, so the mc-L120
+grid builds one where each counts cell used to build its own.  A chunk's
+Grams are then one real GEMM, the (chunk, P) count matrix times that table,
+scattered into the lower triangles.  Measured over whole cells, counts wins
+once P N^2 (120 + trials) < trials r (340 N - 110), roughly P below 6 r
+for N=23 and many trials, and only while the packed table's 8 P N^2 bytes
+fit OUTER_TABLE_BUDGET (32 MiB), which it therefore never outgrows.  At
+L=120 (N=23, P=2821) the 50-trial cells count at r=1000 and r=4000 and
+gather at r=250, where 2000 trials count at every r.  At L=960 (N=188,
+P=9741) the packed table would take 2.75 GB, so that cell gathers.
 
-Note on exponents: the general Bernstein tail used here carries the
-customary t^2/2 numerator, while the specialized subspace bound
-N*exp(-nu^2 r / (|Omega|(1+nu/3))) is the (sharper) form without the
-1/2; consequently subspace = N*(tropp/N)^2 under the canonical
-substitution sigma^2 = r/|Omega|, B = 1, t = r*nu/|Omega|.  Both are
-implemented exactly as stated; Monte Carlo validation shows the sharper
-form still dominates the empirical tails at the scales exercised.
+Note on exponents: the general matrix Bernstein tail
+N*exp(-(t^2/2)/(sigma^2 + B t/3)) carries the customary t^2/2 numerator,
+while the specialized subspace bound N*exp(-nu^2 r / (|Omega|(1+nu/3)))
+is the (sharper) form without the 1/2; consequently subspace =
+N*(tropp/N)^2 under the canonical substitution sigma^2 = r/|Omega|, B = 1,
+t = r*nu/|Omega| (tropp_tail in the test suite's oracles checks it).  The
+subspace bound is implemented exactly as stated; Monte Carlo validation
+shows the sharper form still dominates the empirical tails at the scales
+exercised.
 """
 
 from __future__ import annotations
@@ -93,7 +105,6 @@ __all__ = [
     "build_T_matrix",
     "expected_T",
     "empirical_min_eigenvalue",
-    "tropp_tail",
     "subspace_failure_bound",
     "covering_tail",
     "success_probability",
@@ -157,39 +168,81 @@ def expected_T(eigs: EigenSystem) -> np.ndarray:
     return np.diag(eigs.eigenvalues[: eigs.N]) / eigs.region.measure
 
 
-def _region_table(eigs: EigenSystem, mask: np.ndarray, stats: dict | None = None) -> np.ndarray:
+def _region_table(
+    eigs: EigenSystem, mask: np.ndarray, stats: dict | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """E[i, k] = V_phi psi_k(p_i) over the True cells p_i of mask (row-major order).
 
     Row by row, an FFT batch over all L frequencies or one real GEMM over
     the row's cells and the window's support arc (tfcore._stft_rows); a stats
     dict, if given, receives the number of GEMM rows as "table_gemm_rows".
-    Memory: the 16 * mask.sum() * N byte table plus O(L (N + w)) bytes of
-    buffers, w the width of the support arc: the contiguous eigenvector
-    basis, the GEMM's phase table and extended basis, the FFT temporaries.
+    The table is written into out if given, such as the next rows of a
+    _RegionTable.  Memory: the 16 * mask.sum() * N byte table unless out is
+    given, plus O(L (N + w)) bytes of buffers, w the width of the support
+    arc: the contiguous eigenvector basis, the GEMM's phase table and
+    extended basis, the FFT temporaries.
     """
     # contiguous rows: the strided view of eigenvectors makes the FFTs ~1.5x slower
     psi = np.ascontiguousarray(eigs.basis().T)
-    table, gemm = _stft_rows(psi, eigs.window, mask)
+    table, gemm = _stft_rows(psi, eigs.window, mask, out)
     if stats is not None:
         stats["table_gemm_rows"] = int(np.count_nonzero(gemm))
     return table
 
 
-def _drawn_mask(region: TFRegion, idx: np.ndarray) -> np.ndarray:
-    """Mask of the distinct region points in idx; remaps idx in place to table rows.
+class _RegionTable:
+    """V_phi psi_k at the region points drawn so far; one per montecarlo call.
 
-    idx holds point indices into region.points(); afterwards idx[t, j] is the
-    row of that point in _region_table(eigs, mask) for the returned
-    mask, so the table covers only the points the trials draw.
+    row_of maps each of the region's point_count points to its row of
+    values, -1 for a point not yet tabulated.  values is one (capacity, N)
+    complex allocation, filled from the front: each add() appends the points
+    no earlier cell drew, and no row is copied after it is written.  Only
+    written pages become resident, so the capacity, min(|Omega|, the draws
+    to come), costs address space, not memory.  The counts route's packed
+    table (_outer_table) is built the first time a counts cell asks for it
+    and then extended by the new points only; its capacity fits
+    OUTER_TABLE_BUDGET.
     """
-    drawn = np.zeros(region.point_count, dtype=bool)
-    drawn[idx] = True
-    rows = np.cumsum(drawn) - 1
-    for trial in idx:
-        trial[:] = rows[trial]
-    mask = np.zeros_like(region.mask)
-    mask[region.mask] = drawn
-    return mask
+
+    def __init__(self, eigs: EigenSystem, draws: int):
+        self.eigs = eigs
+        self.row_of = np.full(eigs.region.point_count, -1, dtype=np.int64)
+        self.values = np.empty((min(eigs.region.point_count, draws), eigs.N), dtype=np.complex128)
+        self.P = 0  # rows written
+        self._outer = None
+        self._packed = 0  # rows of values packed into _outer
+
+    def add(self, idx: np.ndarray, stats: dict | None = None) -> int:
+        """Tabulate the points of idx not yet in the table; remap idx in place to rows.
+
+        idx holds point indices into region.points(); afterwards idx[t, j] is
+        the row of values that holds that point.  Returns the number of
+        distinct points in idx.  A stats dict receives the GEMM rows of this
+        addition as "table_gemm_rows", 0 when every point was there before.
+        """
+        region = self.eigs.region
+        drawn = np.zeros(region.point_count, dtype=bool)
+        drawn[idx] = True
+        new = drawn & (self.row_of < 0)
+        mask = np.zeros_like(region.mask)
+        mask[region.mask] = new
+        P = self.P + int(np.count_nonzero(new))
+        _region_table(self.eigs, mask, stats, self.values[self.P : P])
+        self.row_of[new] = np.arange(self.P, P)
+        self.P = P
+        for trial in idx:
+            trial[:] = self.row_of[trial]
+        return int(np.count_nonzero(drawn))
+
+    def outer(self) -> np.ndarray:
+        """The packed (N^2, P) table of every tabulated point, as a view."""
+        N = self.eigs.N
+        if self._outer is None:
+            width = min(self.values.shape[0], OUTER_TABLE_BUDGET // (8 * N * N))
+            self._outer = np.empty((N * N, width))
+        _outer_table(self.values[self._packed : self.P], self._outer[:, self._packed : self.P])
+        self._packed = self.P
+        return self._outer[:, : self.P]
 
 
 def _gathered_grams(A: np.ndarray) -> np.ndarray:
@@ -224,21 +277,23 @@ def _tril_layout(N: int) -> np.ndarray:
     return 2 * (i * N + np.where(imag, q - i - 1, q)) + imag
 
 
-def _outer_table(table: np.ndarray) -> np.ndarray:
+def _outer_table(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(N^2, P) float64 lower triangles of the rank-one v_p v_p^H of table's rows v_p.
 
     Column p holds v_p v_p^H packed as _tril_layout says: 8 N^2 bytes per
     drawn point, half the full complex matrix, and all a Cholesky reads.
-    Each packed entry is one contiguous row over the P points.
+    Each packed entry is one contiguous row over the P points.  Written into
+    out if given, such as the next columns of a _RegionTable's packed table.
     """
     v = np.ascontiguousarray(table.T)
     N = v.shape[0]
-    outer = np.empty((N * N, v.shape[1]))
+    if out is None:
+        out = np.empty((N * N, v.shape[1]))
     for i in range(N):
         w = v[i] * np.conj(v[: i + 1])
-        outer[i * i : i * i + i + 1] = w.real
-        outer[i * i + i + 1 : (i + 1) ** 2] = w.imag[:i]
-    return outer
+        out[i * i : i * i + i + 1] = w.real
+        out[i * i + i + 1 : (i + 1) ** 2] = w.imag[:i]
+    return out
 
 
 def _counted_grams(outer: np.ndarray, blk: np.ndarray) -> np.ndarray:
@@ -282,18 +337,6 @@ def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
     S = _gathered_grams((W @ eigs.basis())[None])[0] / W.shape[0] - expected_T(eigs)
     S = 0.5 * (S + np.conj(S.T))
     return float(np.linalg.eigvalsh(S)[0])
-
-
-def tropp_tail(N: int, sigma2: float, Bnorm: float, t: float) -> float:
-    """Bernstein-type tail N * exp(-(t^2/2)/(sigma^2 + B t / 3)) for matrix sums.
-
-    Raw value; may exceed 1.
-    """
-    if t < 0 or sigma2 < 0 or Bnorm <= 0:
-        raise ParameterError("tropp_tail requires t >= 0, sigma2 >= 0, Bnorm > 0")
-    if t == 0.0:
-        return float(N)
-    return float(N * math.exp(-(t * t / 2.0) / (sigma2 + Bnorm * t / 3.0)))
 
 
 def subspace_failure_bound(p: TailParams) -> float:
@@ -393,14 +436,17 @@ OUTER_TABLE_BUDGET = 32 * 2**20
 def _gram_route(trials: int, r: int, P: int, N: int) -> str:
     """"counts" or "gather": the cheaper way to form a Monte Carlo cell's Grams.
 
-    A pure function of the cell's shape: trials of r draws that hit P
-    distinct points, with N = dim V_N.  Per cell, the gather route costs
-    about 17 trials * r * N ns (copy the rows, multiply them) and the counts
-    route about P N^2 (6 + 0.05 trials) + 5.5 trials * r ns (build the
-    packed table, then count the draws and one GEMM row per trial), as
+    A pure function of the cell's shape: trials of r draws, P the points of
+    the call's table after the cell (its own distinct points and those that
+    earlier cells drew: the width of the counts GEMM), with N = dim V_N.
+    Per cell, the gather route costs about 17 trials * r * N ns (copy the
+    rows, multiply them) and the counts route about
+    P N^2 (6 + 0.05 trials) + 5.5 trials * r ns (build the packed table,
+    then count the draws and one GEMM row per trial), as
     measured over whole cells at N = 12, 23 and 28 on a 2-core x86 host with
     OpenBLAS on one thread; the Cholesky step is the same on both.  The
-    counts route also needs its table to fit OUTER_TABLE_BUDGET.
+    counts route also needs its packed table of P points to fit
+    OUTER_TABLE_BUDGET.
     """
     if 8 * P * N * N > OUTER_TABLE_BUDGET:
         return "gather"
@@ -415,6 +461,7 @@ def monte_carlo_failure_frequency(
     master_seed: int,
     threads: int = 1,
     stats: dict | None = None,
+    table: _RegionTable | None = None,
 ) -> float:
     """Fraction of trials with empirical min-eigenvalue <= -nu/|Omega|.
 
@@ -422,21 +469,26 @@ def monte_carlo_failure_frequency(
     derive_seed(master_seed, TRIAL_STREAM, i)), and its statistic is
     empirical_min_eigenvalue's, compared with the threshold by one Cholesky
     (_not_positive_definite).  The Grams come from _gram_route's choice;
-    both routes give the same decisions up to roundoff.  A stats dict, if
-    given, receives the route as "gram", the distinct drawn points as
-    "drawn_points" and the region table's GEMM rows as "table_gemm_rows".
+    both routes give the same decisions up to roundoff.  table, the
+    _RegionTable of the calling montecarlo run (same eigs), lends the rows
+    earlier cells tabulated and takes this cell's new points; without one
+    the cell makes its own.  A stats dict, if given, receives the route as
+    "gram", the distinct points this cell drew as "drawn_points" and the GEMM
+    rows among the points it added to the table as "table_gemm_rows".
     """
     region, N = eigs.region, eigs.N
     eigs.basis()  # refuse an empty V_N before drawing every trial's indices
     idx = _draw_trials(trials, r, region.point_count, master_seed)
-    # tabulate only the points the trials draw: 16 * N bytes per distinct point
-    table = _region_table(eigs, _drawn_mask(region, idx), stats)
-    P = table.shape[0]
+    if table is None:
+        table = _RegionTable(eigs, trials * r)
+    drawn = table.add(idx, stats)
+    # the counts route's GEMM runs over every point of the table, not just this cell's
+    P = table.P
     route = _gram_route(trials, r, P, N)
     if stats is not None:
-        stats.update(gram=route, drawn_points=P)
+        stats.update(gram=route, drawn_points=drawn)
     if route == "counts":
-        outer = _outer_table(table)
+        outer = table.outer()
 
         def grams(blk):
             return _counted_grams(outer, blk)
@@ -445,7 +497,7 @@ def monte_carlo_failure_frequency(
         row_width = -(-(8 * r + 16 * P + 24 * N * N) // (32 * r))
     else:
         def grams(blk):
-            return _gathered_grams(table[blk])
+            return _gathered_grams(table.values[blk])
 
         # per trial: its (r, N) complex rows, the (2N)^2 real product and the Gram
         row_width = -(-(16 * r * N + 48 * N * N) // (32 * r))

@@ -177,37 +177,37 @@ def _support_arc(support: np.ndarray, L: int) -> tuple[int, int]:
     return int(support[(j + 1) % support.size]), L + 1 - int(gaps[j])
 
 
-def _gemm_rows(c, support: int, L: int, K: int):
-    """True where an STFT row of K signals is cheaper by GEMM at its c drawn frequencies.
+def _gemm_rows(c, support: int, L: int, K: int, p: int = 1) -> np.ndarray:
+    """True where a time row of an STFT table of K signals takes the GEMM route.
 
-    A pure function of the row's shape, elementwise over an array c, with
-    support = w the width of the window's support arc (_support_arc; |S| for
-    a Gaussian).  The rule prices an FFT row at 31 + 0.0015 K L log2(L) us
-    and a GEMM row at 28 + c w (0.013 + 0.00027 K) + 0.0029 w K us.  Measured
-    over whole tables of up to 96 rows at L = 64..1920, K = 8..188 and
-    c = 1..100 (2-core x86 host, OpenBLAS on one thread), an FFT row costs
-    32 + 0.0014 K L log2(L) us, and a GEMM row of _stft_rows' real kernel
-    24 + c w (0.0029 + 0.00018 p K) + 0.00048 w p K us (p = 1 for a real
-    batch, 2 for a complex one) plus 0.023 L w us per table for the phase
-    table.  So the rule sends some rows to the FFT that the GEMM would do
-    faster: at L = 120, for K = 23 real signals, the rows of 18 to about 57
-    cells.  On the mc-L120 tables that costs at most 0.4 of about 4 ms and
-    moves no Monte Carlo cell.  A window with full support (w = L) takes the
-    FFT on every row, so its table stays bit-equal to stft.
+    c holds the drawn cells of every time row of one table, support = w the
+    width of the window's support arc (_support_arc; |S| for a Gaussian),
+    and p = 1 for a real batch, 2 for a complex one.  Measured over whole
+    tables of up to 96 rows at L = 64..1920, K = 8..188 and c = 1..100
+    (2-core x86 host, OpenBLAS on one thread), an FFT row costs
+    32 + 0.0014 K L log2(L) us, a GEMM row of _stft_rows' real kernel
+    24 + c w (0.0029 + 0.00018 p K) + 0.00048 w p K us, and the GEMM route's
+    phase table 0.023 L w us once per table.  A row takes the GEMM where it
+    is the cheaper route, unless those rows together save less than the
+    phase table costs.  Empty rows take neither route.  A window with full
+    support (w = L) takes the FFT on every row, so its table stays bit-equal
+    to stft.
     """
-    fft_ns = 31_000 + 1.5 * K * L * np.log2(L)
-    gemm_ns = 28_000 + c * support * (13 + 0.27 * K) + 2.9 * support * K
-    return (gemm_ns < fft_ns) & (support < L)
+    fft_ns = 32_000 + 1.4 * K * L * np.log2(L)
+    gemm_ns = 24_000 + c * support * (2.9 + 0.18 * p * K) + 0.48 * support * p * K
+    gain = np.where((c > 0) & (support < L), fft_ns - gemm_ns, 0.0)
+    return (gain > 0) & (gain.clip(0).sum() > 23 * L * support)
 
 
 def _stft_rows(
-    fvals: np.ndarray, phi: Window, mask: np.ndarray
+    fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """STFT samples of a batch of signals at the True cells of an L x L mask.
 
     fvals is (K, L), one signal per row; out[i, k] = V_phi f_k(p_i) for the
-    i-th True cell p_i in row-major order.  Each time row m takes the route
-    _gemm_rows picks from its number of cells:
+    i-th True cell p_i in row-major order, written into out if given (a
+    (mask.sum(), K) complex array, such as rows of a larger table).  Each
+    time row m takes the route _gemm_rows picks from the table's cells per row:
 
     - FFT: one (K, L) FFT batch kept at the row's columns, equal bit for bit
       to stft(f_k, phi)[mask].
@@ -225,25 +225,26 @@ def _stft_rows(
       It agrees with stft to roundoff, about 1e-16 of each column's norm.
 
     Returns (out, gemm), gemm[m] True where time row m took the GEMM route.
-    Memory: the K * mask.sum() output, the 16 L w byte phase table and the
-    8 (L + w) K (real) or 16 (L + w) K (complex) byte extended copy, or two
-    K x L temporaries on the FFT rows.
+    Memory: the K * mask.sum() output unless out is given, the 16 L w byte
+    phase table and the 8 (L + w) K (real) or 16 (L + w) K (complex) byte
+    extended copy, or two K x L temporaries on the FFT rows.
     """
     K, L = fvals.shape
     conj_phi = np.conj(phi.values)
     s0, w = _support_arc(phi.support, L)
     omega = np.exp(-2j * np.pi * np.arange(L) / L)
     counts = np.count_nonzero(mask, axis=1)
-    gemm = (counts > 0) & _gemm_rows(counts, w, L, K)
-    out = np.empty((counts.sum(), K), dtype=np.complex128)
+    planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])
+    p = len(planes)
+    gemm = _gemm_rows(counts, w, L, K, p)
+    if out is None:
+        out = np.empty((counts.sum(), K), dtype=np.complex128)
     if gemm.any():
         s = (s0 + np.arange(w)) % L
         taps = np.zeros(L, dtype=np.complex128)
         taps[phi.support] = conj_phi[phi.support]
         ph = omega[np.outer(np.arange(L), s) % L] * taps[s]
         phase = np.stack([ph.real, ph.imag], axis=1)  # (L, 2, w)
-        planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])
-        p = len(planes)
         ext = np.concatenate(planes, axis=1)
         ext = np.concatenate([ext, ext[:w]])  # row t holds f(t mod L)
     i = 0

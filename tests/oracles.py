@@ -186,6 +186,13 @@ def mp_subspace_bound(N, nu, r, omega):
     return N * mpmath.exp(-(nu**2 * r) / (omega * (1 + nu / 3)))
 
 
+def tropp_tail(N, sigma2, Bnorm, t):
+    """Matrix Bernstein tail N * exp(-(t^2/2)/(sigma^2 + B t / 3)), raw; may exceed 1."""
+    if t == 0.0:
+        return float(N)
+    return float(N * math.exp(-(t * t / 2.0) / (sigma2 + Bnorm * t / 3.0)))
+
+
 def mp_tropp(N, sigma2, Bnorm, t):
     N, sigma2, Bnorm, t = map(mpmath.mpf, (N, sigma2, Bnorm, t))
     return N * mpmath.exp(-(t**2 / 2) / (sigma2 + Bnorm * t / 3))

@@ -245,10 +245,11 @@ r_grid = 250, 4000
 
 def test_montecarlo_rows_name_their_gram_route(tmp_path):
     # each cell reports the Gram route it took, the distinct points its trials drew
-    # and the time rows of their table that took the GEMM route
+    # and the time rows that took the GEMM route among the points it added to the
+    # call's table; the route reads the table's width after the cell
     from tfsamp import load_config
     from tfsamp.cli import build_region
-    from tfsamp.sampling import _draw_trials, _drawn_mask, _gram_route
+    from tfsamp.sampling import _draw_trials, _gram_route
     from tfsamp.tfcore import _gemm_rows, _window_support
 
     ini = _ini(tmp_path, """
@@ -270,19 +271,79 @@ r_grid = 20, 400
     rows = rep["sections"]["montecarlo"]["rows"]
     region = build_region(load_config(ini))
     support = _window_support(make_gaussian_window(32).values).size
+    tabulated = np.zeros(P, dtype=bool)  # the point -> row map's rows >= 0
     for row in rows:
         idx = _draw_trials(row["trials"], row["r"], P, row["cell_seed"])
-        drawn = np.unique(idx).size
-        assert row["drawn_points"] == drawn
-        assert row["gram"] == _gram_route(row["trials"], row["r"], drawn, N)
-        cells = np.count_nonzero(_drawn_mask(region, idx), axis=1)
-        cells = cells[cells > 0]
+        drawn = np.zeros(P, dtype=bool)
+        drawn[idx] = True
+        new = drawn & ~tabulated
+        tabulated |= drawn
+        assert row["drawn_points"] == np.count_nonzero(drawn)
+        assert row["gram"] == _gram_route(row["trials"], row["r"], np.count_nonzero(tabulated), N)
+        mask = np.zeros_like(region.mask)
+        mask[region.mask] = new
+        cells = np.count_nonzero(mask, axis=1)
         assert row["table_gemm_rows"] == np.count_nonzero(_gemm_rows(cells, support, 32, N))
     assert [row["gram"] for row in rows] == ["gather", "counts"]
     with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n").split(",") == [
             "nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
             "covering_tail", "success_probability", "required_samples", "cell_seed"]
+
+
+def _shared_table_config(tmp_path, name):
+    # a montecarlo config with a gather and a counts cell at L = 64 or 65: a real V_N
+    # basis, the basis of a complex H (a disk plus 5 % random cells), a modulated basis
+    if name == "complex H":
+        from tfsamp import TFPoint, disk_region
+
+        mask = (disk_region(64, TFPoint(20, 40), 14).mask
+                | (np.random.default_rng(5).random((64, 64)) < 0.05))
+        np.save(tmp_path / "asym64.npy", mask)
+        region = f"kind = mask\npath = {tmp_path / 'asym64.npy'}"
+    else:
+        region = "radius_px = 14" if name == "real" else "radius_px = 12"
+    L = 65 if name == "modulated" else 64
+    return _ini(tmp_path, f"""
+[experiment]
+L = {L}
+trials = 40
+
+[region]
+{region}
+
+[montecarlo]
+nu_grid = 0.3, 0.6
+r_grid = {"20" if name == "modulated" else "60"}, 150
+""")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["real", "complex H", "modulated"])
+def test_montecarlo_shared_table_matches_standalone_cells(tmp_path, name, threads):
+    # the cells of one call share one region table; each row is what a standalone
+    # call with the row's cell_seed, tabulating its own points, reports
+    from tfsamp import load_config
+    from tfsamp.cli import build_setup
+    from tfsamp.sampling import monte_carlo_failure_frequency
+
+    ini = _shared_table_config(tmp_path, name)
+    out = str(tmp_path / "out")
+    assert main(["montecarlo", "--config", ini, "--out", out, "--threads", str(threads)]) == 0
+    rows = _json_report(out)["sections"]["montecarlo"]["rows"]
+    H, eigs = build_setup(load_config(ini))
+    kind = {"real": not eigs.basis().imag.any(),
+            "complex H": H.modulation is None,
+            "modulated": H.modulation is not None and eigs.basis().imag.any()}
+    assert kind[name]
+    assert {row["gram"] for row in rows} == {"gather", "counts"}
+    assert rows[0]["table_gemm_rows"] > 0
+    for row in rows:
+        stats = {}
+        freq = monte_carlo_failure_frequency(row["trials"], row["nu"], row["r"], eigs,
+                                             row["cell_seed"], threads, stats=stats)
+        assert (row["empirical_freq"], row["gram"], row["drawn_points"]) == (
+            freq, stats["gram"], stats["drawn_points"])
 
 
 def test_certify_and_montecarlo_agree_on_required_samples(tmp_path):

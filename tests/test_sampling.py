@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import os
 import tracemalloc
@@ -28,7 +29,6 @@ from tfsamp import (
     stft,
     subspace_failure_bound,
     success_probability,
-    tropp_tail,
     uniform_sample,
 )
 from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
@@ -37,13 +37,13 @@ from tfsamp.sampling import (
     TRIAL_STREAM,
     _counted_grams,
     _draw_trials,
-    _drawn_mask,
     _failure_frequency,
     _gathered_grams,
     _gram_route,
     _not_positive_definite,
     _outer_table,
     _region_table,
+    _RegionTable,
     derive_seed,
 )
 from tfsamp.tfcore import Window, _stft_rows, _support_arc
@@ -55,6 +55,7 @@ from oracles import (
     mp_success,
     mp_tropp,
     stft_direct,
+    tropp_tail,
 )
 
 
@@ -236,7 +237,7 @@ def test_tail_params_validation():
         TailParams(nu=0.3, r=10, omega_measure=5.0, N=4, a=0.2)  # a == 1/|Omega|
 
 
-# ---------------------------------------------------------------- tropp tail
+# ---------------------------------------------------------------- tropp tail (an oracle)
 
 
 def test_tropp_tail_at_zero_is_dimension():
@@ -247,15 +248,6 @@ def test_tropp_tail_hand_value():
     got = tropp_tail(2, 1.0, 1.0, 3.0)
     assert abs(got - 2 * math.exp(-2.25)) < 1e-15
     assert abs(got - mp_tropp(2, 1.0, 1.0, 3.0)) < 1e-12
-
-
-def test_tropp_tail_param_errors():
-    with pytest.raises(ParameterError):
-        tropp_tail(2, 1.0, 1.0, -1.0)
-    with pytest.raises(ParameterError):
-        tropp_tail(2, -1.0, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        tropp_tail(2, 1.0, 0.0, 1.0)
 
 
 def test_subspace_bound_is_squared_tropp():
@@ -448,8 +440,9 @@ TABLE_CASES = {
 
 @pytest.mark.parametrize("name", list(TABLE_CASES))
 def test_region_table_matches_stft_for_every_kind_of_basis(name):
-    # a quarter of the region, as a Monte Carlo draw keeps it: most rows take the GEMM,
-    # which agrees to 1e-15 of each column's norm; the FFT rows stay bit-equal
+    # a quarter of the region, as a Monte Carlo draw keeps it: every row takes the GEMM,
+    # which agrees to 1e-15 of each column's norm; the region's longest time row alone
+    # saves too little to pay for the GEMM's phase table, keeps the FFT and is bit-equal
     region, window = TABLE_CASES[name]()
     H = build_localization_operator(region, window)
     eigs = eigendecompose(H, 0.5)
@@ -462,17 +455,21 @@ def test_region_table_matches_stft_for_every_kind_of_basis(name):
         "two-bump window": w > window.support.size,
     }
     assert kind[name] and eigs.N >= 4
-    mask = region.mask & (np.random.default_rng(1).random(region.mask.shape) < 0.25)
-    table = _region_table(eigs, mask)
-    _, gemm = _stft_rows(np.ascontiguousarray(basis.T), window, mask)
-    rows = mask.any(axis=1)
-    assert gemm[rows].sum() > rows.sum() // 2 and not gemm[rows].all()
-    on_gemm = gemm[np.nonzero(mask)[0]]
-    for k in range(eigs.N):
-        col = stft(Signal(basis[:, k]), window)[mask]
-        got = np.ascontiguousarray(table[:, k])
-        assert np.array_equal(got[~on_gemm].view(np.float64), col[~on_gemm].view(np.float64))
-        assert np.max(np.abs(got - col)) <= 1e-15 * np.linalg.norm(col)
+    thin = region.mask & (np.random.default_rng(1).random(region.mask.shape) < 0.25)
+    longest = np.argmax(region.mask.sum(axis=1))
+    lone = np.zeros_like(region.mask)
+    lone[longest] = region.mask[longest]
+    for mask, route in ((thin, "gemm"), (lone, "fft")):
+        table = _region_table(eigs, mask)
+        _, gemm = _stft_rows(np.ascontiguousarray(basis.T), window, mask)
+        rows = mask.any(axis=1)
+        assert gemm[rows].all() if route == "gemm" else not gemm.any()
+        for k in range(eigs.N):
+            col = stft(Signal(basis[:, k]), window)[mask]
+            got = np.ascontiguousarray(table[:, k])
+            if route == "fft":
+                assert np.array_equal(got.view(np.float64), col.view(np.float64))
+            assert np.max(np.abs(got - col)) <= 1e-15 * np.linalg.norm(col)
 
 
 def test_support_arc_holds_the_support():
@@ -530,15 +527,100 @@ def test_drawn_table_rows_match_full_table():
     idx = _draw_trials(6, 25, region.point_count, 5)
     drawn = idx.copy()
     distinct = np.unique(drawn)
-    mask = _drawn_mask(region, idx)
-    assert np.array_equal(np.argwhere(mask), region.points()[distinct])
-    assert distinct.size < region.point_count
-    table = _region_table(eigs, mask)
+    table = _RegionTable(eigs, idx.size)
+    assert table.add(idx) == table.P == distinct.size < region.point_count
+    # the point -> row map: rows in row-major order of the drawn cells, -1 elsewhere
+    assert np.array_equal(np.flatnonzero(table.row_of >= 0), distinct)
+    assert np.array_equal(table.row_of[distinct], np.arange(distinct.size))
+    assert np.array_equal(idx, table.row_of[drawn])
     full = _region_table(eigs, region.mask)
-    assert table.shape == (distinct.size, eigs.N)
     # the drawn rows hold few cells and may take the GEMM route where the full rows do not
-    err = np.abs(table[idx] - full[drawn]).max(axis=(0, 1))
+    err = np.abs(table.values[idx] - full[drawn]).max(axis=(0, 1))
     assert np.all(err <= 1e-14 * np.linalg.norm(full, axis=0))
+
+
+@pytest.mark.parametrize("name", ["centred disk", "odd L disk", "asymmetric mask"])
+def test_shared_table_matches_stft(name):
+    # cells that add ever fewer new points to one table, as a montecarlo call's do:
+    # every tabulated point agrees with stft to 1e-15 of each column's norm
+    region, window = TABLE_CASES[name]()
+    eigs = eigendecompose(build_localization_operator(region, window), 0.5)
+    basis = eigs.basis()
+    cells = [(2, 40, 1), (2, 40, 2), (4, 40, 3), (2, 40, 4)]
+    table = _RegionTable(eigs, sum(t * r for t, r, _ in cells))
+    stats = []
+    for cell in cells:
+        stats.append({})
+        idx = _draw_trials(*cell[:2], region.point_count, cell[2])
+        table.add(idx, stats[-1])
+    assert stats[0]["table_gemm_rows"] > 0
+    union = np.flatnonzero(table.row_of >= 0)
+    assert table.P == union.size < region.point_count
+    mask = np.zeros_like(region.mask)
+    mask[region.mask] = table.row_of >= 0
+    rows = table.values[table.row_of[union]]
+    for k in range(eigs.N):
+        col = stft(Signal(basis[:, k]), window)[mask]
+        assert np.max(np.abs(rows[:, k] - col)) <= 1e-15 * np.linalg.norm(col)
+
+
+def test_each_point_is_tabulated_once_per_call(tmp_path, monkeypatch):
+    # every cell of one montecarlo call hands _stft_rows only the points no earlier
+    # cell drew, and together they cover every drawn point
+    import tfsamp.sampling as sampling
+    from tfsamp.cli import main
+
+    real, masks, outs = sampling._stft_rows, [], []
+
+    def recorded(f, phi, mask, out=None):
+        masks.append(mask)
+        outs.append(out)
+        return real(f, phi, mask, out)
+
+    monkeypatch.setattr(sampling, "_stft_rows", recorded)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[meta]\nschema_version = 1\n\n[experiment]\nL = 120\ntrials = 10\n\n"
+                   "[region]\nradius_px = 30\n\n[montecarlo]\nnu_grid = 0.2, 0.3\n"
+                   "r_grid = 20, 100, 400\n", encoding="utf-8")
+    assert main(["montecarlo", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
+        rep = json.load(fh)
+    P = rep["sections"]["eigen"]["point_count"]
+    drawn = np.zeros(P, dtype=bool)
+    for row in rep["sections"]["montecarlo"]["rows"]:
+        drawn[_draw_trials(row["trials"], row["r"], P, row["cell_seed"])] = True
+    assert len(masks) == 6
+    tabulated = np.sum(masks, axis=0)
+    assert tabulated.max() == 1
+    region = disk_region(120, TFPoint(60, 60), 30)
+    assert np.array_equal(np.argwhere(tabulated), region.points()[drawn])
+    assert drawn.sum() < P and all(m.sum() < drawn.sum() for m in masks)
+    # each cell writes its rows straight into the one table
+    assert all(out.base is outs[0].base is not None for out in outs)
+
+
+def test_shared_table_rows_are_never_copied(sys480):
+    # six cells of one call fill one table from the front; a table grown by copying
+    # its rows would hold the old and the new rows at once, about twice the written
+    # rows, where the call's other buffers (draws, a gather chunk, the STFT
+    # workspace) stay near a quarter of them
+    eigs = sys480.eigs
+    cells = [(2, 1000, seed) for seed in range(6)]
+    monte_carlo_failure_frequency(2, 0.3, 10, eigs, master_seed=99)  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        table = _RegionTable(eigs, sum(trials * r for trials, r, _ in cells))
+        for trials, r, seed in cells:
+            stats = {}
+            monte_carlo_failure_frequency(trials, 0.3, r, eigs, seed, stats=stats, table=table)
+            assert stats["gram"] == "gather"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = 16 * table.P * eigs.N
+    assert written > 0.8 * 16 * 12000 * eigs.N
+    assert peak <= 16 * 12000 * eigs.N + 0.5 * written
+    assert table.values.shape[0] == 12000
 
 
 def test_monte_carlo_tabulates_only_drawn_points():
@@ -759,12 +841,11 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     s = request.getfixturevalue(system)
     eigs, seed = s.eigs, 2024
     idx = _draw_trials(trials, r, s.region.point_count, seed)
-    mask = _drawn_mask(s.region, idx)
-    assert _gram_route(trials, r, int(mask.sum()), eigs.N) == route
-    table_stats = {}
-    table = _region_table(eigs, mask, table_stats)
-    gathered = _gathered_grams(table[idx]) / r
-    counted = _counted_grams(_outer_table(table), idx) / r
+    table, table_stats = _RegionTable(eigs, idx.size), {}
+    P = table.add(idx, table_stats)
+    assert _gram_route(trials, r, P, eigs.N) == route
+    gathered = _gathered_grams(table.values[idx]) / r
+    counted = _counted_grams(table.outer(), idx) / r
     # the packed counts Grams are the lower triangles of the gathered ones
     lower = np.tril(np.ones((eigs.N, eigs.N), dtype=bool))
     assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
@@ -784,7 +865,7 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
         stats = {}
         freq = monte_carlo_failure_frequency(trials, nu, r, eigs, seed, stats=stats)
         assert freq == fails / trials
-        assert stats == {"gram": pinned, "drawn_points": int(mask.sum()), **table_stats}
+        assert stats == {"gram": pinned, "drawn_points": P, **table_stats}
 
 
 def test_gram_route_reads_only_the_cell_shape():
@@ -806,6 +887,37 @@ def test_gram_route_reads_only_the_cell_shape():
     assert _gram_route(50, 4000, P, 23) == "counts"
     assert _gram_route(50, 4000, P + 1, 23) == "gather"
     assert _outer_table(np.ones((7, 23), dtype=complex)).nbytes == 7 * 8 * 23 * 23
+
+
+def test_union_over_the_budget_gathers(sys32, monkeypatch):
+    # the packed table spans every point the call has tabulated; a cell that counts
+    # on its own points gathers once the union no longer fits the budget
+    import tfsamp.sampling as sampling
+
+    eigs, P, nu = sys32.eigs, sys32.region.point_count, 0.5
+    cells = [(10, 60, 1), (10, 60, 2)]  # (trials, r, seed)
+    union = np.zeros(P, dtype=bool)
+    for trials, r, seed in cells:
+        union[_draw_trials(trials, r, P, seed)] = True
+    alone = {}
+    freq = monte_carlo_failure_frequency(10, nu, 60, eigs, 2, stats=alone)
+    # a budget that holds the second cell's packed table but not the union's
+    budget = 8 * eigs.N**2 * alone["drawn_points"]
+    assert alone["drawn_points"] < union.sum()
+    monkeypatch.setattr(sampling, "OUTER_TABLE_BUDGET", budget)
+    assert monte_carlo_failure_frequency(10, nu, 60, eigs, 2, stats=alone) == freq
+    assert alone["gram"] == "counts"
+    table, shared = _RegionTable(eigs, 1200), {}
+    for trials, r, seed in cells:
+        got = monte_carlo_failure_frequency(trials, nu, r, eigs, seed, stats=shared, table=table)
+    assert table.P == union.sum()
+    assert shared["gram"] == "gather" and shared["drawn_points"] == alone["drawn_points"]
+    assert got == freq
+    # a packed table is allocated within the budget, whatever the call's draws
+    table = _RegionTable(eigs, 1200)
+    monkeypatch.setattr(sampling, "_gram_route", lambda *shape: "counts")
+    monte_carlo_failure_frequency(10, nu, 60, eigs, 2, table=table)
+    assert table.outer().nbytes <= table._outer.nbytes <= budget
 
 
 @pytest.mark.parametrize("route", ["gather", "counts"])

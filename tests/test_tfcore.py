@@ -273,18 +273,22 @@ def test_stft_rows_gemm_route_on_a_sparse_mask():
 
 @pytest.mark.parametrize("keep", [1.0, 0.125])
 def test_stft_rows_wrap_around_the_torus(keep):
-    # a disk centred at (2, L - 3): rows wrap past 0, and so does every support shift
+    # a disk centred at (2, L - 3): rows wrap past 0, and so does every support shift;
+    # the 41 rows around its centre keep every cell, the others a fraction keep of them
     L = 256
     thin = np.random.default_rng(5).random((L, L)) < keep
-    mask = disk_region(L, TFPoint(2, L - 3), 30).mask & thin
+    thin[np.r_[L - 18 : L, 0:23]] = True
+    mask = disk_region(L, TFPoint(2, L - 3), 100).mask & thin
     assert mask[0].any() and mask[L - 1].any()
     f, phi = _unit_signals(12, L, 6), make_gaussian_window(L)
     out, gemm = _stft_rows(f, phi, mask)
     if keep == 1.0:
-        # the middle rows keep up to 61 columns, where the FFT is cheaper; the edge rows few
-        assert not gemm[[L - 1, 0, 2]].any() and gemm[[L - 28, 32]].all()
+        # rows of up to 201 cells: even the disk's short edge rows together save less
+        # than the GEMM's phase table costs, so every row keeps the FFT
+        assert not gemm.any()
     else:
-        assert gemm[mask.any(axis=1)].all()
+        # the full rows around the centre keep the FFT, the thinned ones take the GEMM
+        assert not gemm[[L - 1, 0, 2]].any() and gemm[[L - 28, 32, 100, 159]].all()
     _check_rows(f, phi, mask, out, gemm)
 
 
@@ -311,16 +315,25 @@ def test_window_support_drops_at_most_eps_over_16():
 
 
 def test_gemm_rows_read_only_the_row_shape():
-    # (c, |S|, L, K) of a drawn row: mc-L120 keeps the FFT, large-L960 takes the GEMM
-    shapes = [(46, 77, 120, 23), (20, 215, 960, 188), (1, 120, 120, 23), (1, 960, 960, 188)]
+    # (cells per time row, w, L, K, p) of whole tables: the mc-L120 region takes the GEMM
+    # on every row for a real basis; for a complex one, and for one lone row of it, the
+    # rows' savings do not pay for the phase table; large-L960's drawn rows take the GEMM,
+    # and a window with full support keeps the FFT
+    disk = np.count_nonzero(disk_region(120, TFPoint(60, 60), 30).mask, axis=1)
+    lone = np.where(np.arange(120) == 60, 46, 0)
+    drawn = np.where(np.arange(960) < 481, 20, 0)
+    shapes = [(disk, 77, 120, 23, 1), (disk, 77, 120, 23, 2), (lone, 77, 120, 23, 1),
+              (drawn, 215, 960, 188, 1), (drawn, 960, 960, 188, 1)]
     tracemalloc.start()
     try:
         routes = [_gemm_rows(*shape) for shape in shapes]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert routes == [False, True, False, False]
-    assert [_gemm_rows(*shape) for shape in shapes] == routes
-    assert peak < 4096
-    # elementwise over a row's cell counts: an mc-L120 disk edge row with 3 takes the GEMM
-    assert _gemm_rows(np.array([3, 46]), 77, 120, 23).tolist() == [True, False]
+    assert [int(g.sum()) for g in routes] == [61, 0, 0, 481, 0]
+    assert np.array_equal(routes[0], disk > 0) and np.array_equal(routes[3], drawn > 0)
+    assert all(np.array_equal(_gemm_rows(*shape), g) for shape, g in zip(shapes, routes))
+    assert peak < 16 * 8 * 960  # a few temporaries of the largest table's length
+    # thirty rows of 46 cells save enough to pay for the phase table, twenty do not
+    for rows, expected in ((30, 30), (20, 0)):
+        assert _gemm_rows(np.where(np.arange(120) < rows, 46, 0), 77, 120, 23).sum() == expected
