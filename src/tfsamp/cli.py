@@ -153,8 +153,9 @@ def build_window(cfg: ExperimentConfig) -> Window:
     return Window.normalized(vals)
 
 
-# peak bytes of build_setup per L^2: ru_maxrss grew by 74, 62, 58 B/L^2 at L = 480, 960, 1920
-SETUP_BYTES_PER_L2 = 80
+# peak bytes of build_setup per L^2: in a fresh process ru_maxrss grew by 44, 36 and
+# 34 B/L^2 at L = 480, 960 and 1920
+SETUP_BYTES_PER_L2 = 48
 
 
 def _refuse_beyond_memory(need: int, what: str, formula: str):
@@ -316,13 +317,13 @@ def run_spectrum(
             ["k", "alpha"],
             [(k + 1, a) for k, a in enumerate(eigs.eigenvalues)],
         )
-        spectro = np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window)) ** 2
+        spectro = np.abs(stft(Signal(eigs.columns(0)), eigs.window)) ** 2
         np.save(os.path.join(outdir, "eigfun1_spectrogram.npy"), spectro)
         np.save(os.path.join(outdir, "region.npy"), eigs.region.mask)
         report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.npy"]
         if emit_eigenvectors:
             # column k is psi_{k+1}; not basis(), which refuses an empty V_N
-            np.save(os.path.join(outdir, "eigenvectors.npy"), eigs.eigenvectors[:, : eigs.N])
+            np.save(os.path.join(outdir, "eigenvectors.npy"), eigs.columns(slice(0, eigs.N)))
             report.artifacts.append("eigenvectors.npy")
     return report
 
@@ -528,8 +529,7 @@ def run_witness(
         f = make_concentrated_test_function(eigs, cfg.witness_epsilon, fseed)
         alias = null_sample_witness(W, f, eigs)
 
-        def _conc(sig):
-            c = concentration_from_eigs(sig, eigs)
+        def _conc(c):
             return {"value": c.value, "epsilon": c.epsilon}
 
         report.headline += [
@@ -541,9 +541,9 @@ def run_witness(
             "eta": nl.eta,
             "M": nl.M,
             "delta": nl.delta,
-            "psi_M": _conc(nl.psi_M),
-            "f": _conc(nl.f),
-            "h": _conc(nl.h),
+            "psi_M": _conc(concentration_from_eigs(nl.psi_M, eigs)),
+            "f": _conc(nl.conc_f),
+            "h": _conc(nl.conc_h),
         }
         report.sections["alias"] = {
             "r": samples.r,
@@ -552,8 +552,8 @@ def run_witness(
             "delta": alias.delta,
             "sample_gap": alias.sample_gap,
             "phi_perp_energy": alias.phi_perp_energy,
-            "f": _conc(alias.f),
-            "f_tilde": _conc(alias.f_tilde),
+            "f": _conc(alias.conc_f),
+            "f_tilde": _conc(concentration_from_eigs(alias.f_tilde, eigs)),
         }
         for name, sig in [
             ("psi_M.npy", nl.psi_M), ("witness_f.npy", nl.f), ("witness_h.npy", nl.h),

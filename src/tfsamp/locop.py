@@ -23,15 +23,19 @@ the signals by their energy fraction inside the region; V_N is the span
 of the first N of them, the natural model space for region-concentrated
 signals.  eigendecompose solves the matrix as the blocks its symmetries
 allow: a mask also symmetric about one time and an even window split the
-real matrix into an even and an odd block of about L/2.  For the disk
-with the Gaussian window at L=960 the assembly takes 0.06 s and the two
-half-size solves 0.08 s; one complex solve of H takes 1.4 s (two-core
-host, BLAS on one thread).
+real matrix into an even and an odd block of about L/2.
+
+The EigenSystem keeps that block form: each block's eigenvector matrix as
+eigh returns it, the sort order, the modulation and one phase per column.
+Two real halves hold 8 (n_1^2 + n_2^2), about 4 L^2 bytes, where the
+expanded complex L x L matrix would take 16 L^2.  A column is expanded only
+when it is read (EigenSystem.columns, basis), and coefficients and
+syntheses run in block coordinates.  The README gives the setup's timings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,34 +80,126 @@ class LocalizationOperator:
 
 @dataclass(eq=False)
 class EigenSystem:
-    """Full eigensystem of a localization operator with a spectral cut.
+    """Full eigensystem of a localization operator with a spectral cut, in block form.
 
-    eigenvalues[k] = alpha_{k+1} sorted non-increasing; column k of
-    eigenvectors is psi_{k+1}.  N is the number of eigenvalues >= gamma.
-    region and window are the operator's: everything sampled from V_N is
-    defined on that one pair.
+    eigenvalues[k] = alpha_{k+1} sorted non-increasing, psi_{k+1} its
+    eigenvector; N is the number of eigenvalues >= gamma.  region and window
+    are the operator's: everything sampled from V_N is defined on that one pair.
+
+    The eigenvectors stay as the solver returned them.  vectors[i] is the
+    eigenvector matrix y_i of blocks[i], an (u, a, r, b) basis Q_i from
+    _symmetry_blocks or None for the whole space.  With the blocks' columns
+    side by side, column order[k] is column j of some y_i, and
+
+        psi_{k+1} = phases[k] * d * (Q_i y_i[:, j]),
+
+    d the operator's modulation.  A dense (L, L) matrix V is the one-block
+    case: blocks [None], order, modulation and phases None (identity, none,
+    unit).  The disk's two real blocks at L=960 hold 3.7 MB, where the
+    complex L x L matrix takes 14.7 MB.  columns(sel) expands only the
+    columns it is asked for; coeffs and synthesize never expand one.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    vectors: list  # y_i per block; one (L, L) array is the dense case
     N: int
     gamma: float
     region: TFRegion
     window: Window
+    blocks: list = field(default_factory=lambda: [None])
+    order: np.ndarray | None = None
+    modulation: np.ndarray | None = None
+    phases: np.ndarray | None = None
+    _block: np.ndarray = field(init=False, repr=False)  # block of each sorted column
+    _col: np.ndarray = field(init=False, repr=False)  # its column within the block
+    _basis: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.vectors, np.ndarray):
+            self.vectors = [self.vectors]
+        start = np.cumsum([0] + [y.shape[1] for y in self.vectors])
+        src = np.arange(self.L) if self.order is None else self.order
+        self._block = np.searchsorted(start, src, side="right") - 1
+        self._col = src - start[self._block]
 
     @property
     def L(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def _expanded(self, ks: np.ndarray) -> np.ndarray:
+        """Q_i y_i[:, j] for the sorted columns ks, before modulation and phases."""
+        L = self.region.L  # the space's dimension; self.L counts eigenpairs
+        # column-major, as the full matrix was: basis().T is then C-contiguous
+        x = np.empty((L, ks.size), dtype=np.result_type(*self.vectors), order="F")
+        for i, (y, blk) in enumerate(zip(self.vectors, self.blocks)):
+            m = self._block[ks] == i
+            if m.any():
+                x[:, m] = _expand(y[:, self._col[ks[m]]], blk, L)
+        return x
+
+    def columns(self, sel) -> np.ndarray:
+        """psi_{k+1} for k in sel (an index, slice or index array), as V[:, sel] of the full V."""
+        ks = np.arange(self.L)[sel]
+        cols = np.atleast_1d(ks)
+        x = self._expanded(cols)
+        if self.modulation is not None:
+            x = self.modulation[:, None] * x
+        if self.phases is not None:
+            x = x * self.phases[cols][None, :]
+        return x if ks.ndim else x[:, 0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The full (L, L) matrix, column k psi_{k+1}: 16 L^2 bytes that no CLI verb forms."""
+        return self.columns(slice(None))
+
     def basis(self) -> np.ndarray:
-        """(L, N) matrix of the V_N basis psi_1..psi_N; ParameterError if V_N is empty."""
+        """(L, N) matrix of the V_N basis psi_1..psi_N; ParameterError if V_N is empty.
+
+        Built once per N and read-only.
+        """
         if self.N < 1:
             raise ParameterError("V_N basis needs a spectral cut with N >= 1")
-        return self.eigenvectors[:, : self.N]
+        if self._basis is None or self._basis.shape[1] != self.N:
+            self._basis = self.columns(slice(0, self.N))
+            self._basis.flags.writeable = False
+        return self._basis
 
     def coeffs(self, f: Signal) -> np.ndarray:
-        """All L eigenbasis coefficients: c[k] = <f, psi_k>, so f = sum_k c[k] psi_k."""
-        return self.eigenvectors.conj().T @ f.values
+        """All L eigenbasis coefficients: c[k] = <f, psi_k>, so f = sum_k c[k] psi_k.
+
+        In block coordinates: c = conj(phases) * y_i^H Q_i^T (conj(d) f), one
+        half-size GEMV per block, real for a real y_i.
+        """
+        g = f.values if self.modulation is None else np.conj(self.modulation) * f.values
+        parts = []
+        for y, blk in zip(self.vectors, self.blocks):
+            h = g if blk is None else blk[1] * g[blk[0]] + blk[3] * g[blk[2]]  # Q_i^T g
+            parts.append(_adjoint_product(y, h))
+        c = np.concatenate(parts)
+        c = c if self.order is None else c[self.order]
+        return c if self.phases is None else np.conj(self.phases) * c
+
+    def synthesize(self, sel, c) -> np.ndarray:
+        """columns(sel) @ c, summed in block coordinates: one half-size GEMV per block."""
+        ks = np.atleast_1d(np.arange(self.L)[sel])
+        z = np.asarray(c, dtype=np.complex128)
+        z = z if self.phases is None else self.phases[ks] * z
+        x = np.zeros(self.region.L, dtype=np.complex128)
+        for i, (y, blk) in enumerate(zip(self.vectors, self.blocks)):
+            m = self._block[ks] == i
+            if not m.any():
+                continue
+            zi = np.zeros(y.shape[1], dtype=np.complex128)
+            zi[self._col[ks[m]]] = z[m]
+            g = _product(y, zi)
+            if blk is None:
+                x += g
+            else:
+                u, a, r, b = blk
+                x[u] += a * g
+                x[r] += b * g
+        return x if self.modulation is None else self.modulation * x
 
     @property
     def numerical_rank(self) -> int:
@@ -147,14 +243,26 @@ def build_localization_operator(region: TFRegion, window: Window) -> Localizatio
     conv /= L
     conv[0] *= 0.5  # the diagonal comes back from both halves of the mirror
     conv[L // 2, L // 2 :] *= L % 2  # at even L, offset L/2 meets each pair twice
+    del F, A  # each array is freed once read, so no more than B and P are held at once
     # B[t, L - k] lands at Z[t, t - k + L]: columns >= L hold t >= k, the rest wrap
     B = np.zeros((L, 2 * L + 1), dtype=conv.dtype)
     B[:, L + 1 - k.size : L + 1] = conv[::-1].T
+    del conv
     Z = B.ravel()[: 2 * L * L].reshape(L, 2 * L)
-    P = Z[:, L:] + (-1.0) ** n * Z[:, :L]
-    M = P + P.T.conj()
+    P = Z[:, L:] - Z[:, :L] if n % 2 else Z[:, L:] + Z[:, :L]
+    del B, Z
+    # M = P + P^H, in slabs of 32 rows: the transposed read stays in cache
+    M = np.empty_like(P)
+    for i in range(0, L, 32):
+        Pt = P[:, i : i + 32].T
+        M[i : i + 32] = P[i : i + 32] + (Pt if c is not None else Pt.conj())
     d = None if c is None else np.exp(1j * np.pi * ((c * np.arange(L)) % (2 * L)) / L)
     return LocalizationOperator(M, region, window, d)
+
+
+def _lead(mag: np.ndarray) -> np.ndarray:
+    """Row of each column's pivot: the first within a relative 1e-8 of its largest magnitude."""
+    return (mag >= (1 - 1e-8) * mag.max(axis=0)).argmax(axis=0)
 
 
 def _fix_phases(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
@@ -163,23 +271,62 @@ def _fix_phases(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     The one phase convention for eigenvectors and other unit vectors that
     numerical linear algebra returns with an arbitrary phase.  Entries within
     a relative 1e-8 of the largest magnitude count as tied and the first of
-    them is the pivot, so roundoff cannot move the pivot between the two
-    mirror entries of a symmetric vector, and fixing twice changes nothing.
+    them is the pivot (_lead), so roundoff cannot move the pivot between the
+    two mirror entries of a symmetric vector, and fixing twice changes nothing.
     A unit-norm column's largest entry has modulus >= 1/sqrt(L), so no pivot
     is zero.  Given d, the columns fixed are those of diag(d) v; |d| = 1
     keeps the pivots of v.
     """
-    mag = np.abs(v)
-    lead = (mag >= (1 - 1e-8) * mag.max(axis=0)).argmax(axis=0)
+    lead = _lead(np.abs(v))
     pivots = v[lead, np.arange(v.shape[1])]
     if d is not None:
         v, pivots = d[:, None] * v, pivots * d[lead]
     return v * (np.conj(pivots) / np.abs(pivots))[None, :]
 
 
-def _reflection(L: int, c: int) -> np.ndarray:
-    """Index map of the reflection about c/2 on Z_L: out[t] = (c - t) mod L."""
-    return _translates(-np.arange(L) % L, [c])[0]
+def _block_phases(y: np.ndarray, blk, d: np.ndarray | None) -> np.ndarray:
+    """The factors _fix_phases(Q y, d) multiplies Q y's columns by, found without Q y.
+
+    Q y has a_i y_i at u_i and b_i y_i at r_i, and |a_i| = |b_i| (b_i = 0 only
+    where u_i = r_i), so the two entries tie exactly and u_i < r_i makes u_i
+    the first of them: the pivot is the first u_i, in t order, among the rows
+    of |a y| within 1e-8 of the column's largest.
+    """
+    cols = np.arange(y.shape[1])
+    if blk is None:
+        lead = _lead(np.abs(y))
+        t, pivots = lead, y[lead, cols]
+    else:
+        u, a = blk[0], blk[1]
+        by_t = np.argsort(u)
+        lead = by_t[_lead(np.abs(a[by_t, None] * y[by_t]))]
+        t, pivots = u[lead], a[lead] * y[lead, cols]
+    if d is not None:
+        pivots = pivots * d[t]
+    return np.conj(pivots) / np.abs(pivots)
+
+
+def _product(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """y @ z for a contiguous complex z; a real y takes one real GEMM over z as (n, 2) reals."""
+    if np.iscomplexobj(y):
+        return y @ z
+    return (y @ z.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+
+def _adjoint_product(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """y^H @ h for a contiguous complex h, without a conjugate or transposed copy of y."""
+    if np.iscomplexobj(y):
+        return np.conj(np.conj(h) @ y)
+    return _product(y.T, h)
+
+
+def _reflected(x: np.ndarray, c: int, axis=0) -> np.ndarray:
+    """x reflected about c/2 along axis (every axis of a tuple): out[t] = x[(c - t) mod L].
+
+    A flip and a roll, so each element is copied once; _reflected(np.arange(L), c)
+    is the reflection's index map.
+    """
+    return np.roll(np.flip(x, axis), c + 1, axis)
 
 
 def _mirror(mask: np.ndarray):
@@ -198,7 +345,7 @@ def _mirror(mask: np.ndarray):
     conv = np.fft.irfft(np.fft.rfft(g) ** 2, n=L)
     # a mirror reaches g @ g up to FFT roundoff, far below 1e-9 of it
     for c in np.flatnonzero(conv >= (1 - 1e-9) * (g @ g)):
-        if np.array_equal(mask, mask[:, _reflection(L, c)]):
+        if np.array_equal(mask, _reflected(mask, c, axis=1)):
             return int(c)
     return None
 
@@ -217,13 +364,17 @@ def _symmetry_blocks(H: LocalizationOperator):
     L, t = H.L, np.arange(H.L)
     d, M, phi = H.modulation, H.matrix, H.window.values
     a = None if d is None else _mirror(H.region.mask.T)
-    if a is None or np.abs(phi - phi[_reflection(L, 0)]).max() > 1e-14 * np.abs(phi).max():
+    if a is None or np.abs(phi - _reflected(phi, 0)).max() > 1e-14 * np.abs(phi).max():
         return [None]
-    refl = _reflection(L, a)
+    refl = _reflected(t, a)
     s = np.rint((d * d[refl] * np.conj(d[a])).real)
     # ||M||_F <= sqrt(trace M) = sqrt(|Omega|) when the eigenvalues lie in [0, 1]
     tol = 64 * np.finfo(np.float64).eps * np.sqrt(max(H.region.measure, 1.0))
-    if np.linalg.norm(s[:, None] * M[np.ix_(refl, refl)] * s[None, :] - M) > tol:
+    R = _reflected(M, a, axis=(0, 1))  # M[refl][:, refl]
+    R *= s[:, None]
+    R *= s[None, :]
+    R -= M
+    if np.linalg.norm(R) > tol:
         return [None]
     u = t[t < refl]
     h = np.full(u.size, np.sqrt(0.5))
@@ -245,8 +396,18 @@ def _compress(M: np.ndarray, blk) -> np.ndarray:
     if blk is None:
         return M
     u, a, r, b = blk
-    T = a[:, None] * M[u] + b[:, None] * M[r]
-    return T[:, u] * a[None, :] + T[:, r] * b[None, :]
+    # a M[u] + b M[r], then its columns u and r, each sum formed in place
+    T = np.take(M, u, axis=0)
+    T *= a[:, None]
+    Tr = np.take(M, r, axis=0)
+    Tr *= b[:, None]
+    T += Tr
+    C = np.take(T, u, axis=1)
+    C *= a[None, :]
+    Cr = np.take(T, r, axis=1)
+    Cr *= b[None, :]
+    C += Cr
+    return C
 
 
 def _expand(y: np.ndarray, blk, L: int) -> np.ndarray:
@@ -265,36 +426,41 @@ def eigendecompose(
 ) -> EigenSystem:
     """Full Hermitian eigensystem, non-increasing eigenvalues, cut at gamma.
 
-    H.matrix is solved as the blocks _symmetry_blocks finds, and the block
-    eigenvectors are mapped back to C^L and modulated by H.modulation.
+    H.matrix is solved as the blocks _symmetry_blocks finds, and the
+    EigenSystem keeps each block's eigenvectors as eigh returns them, with the
+    sort order, H.modulation and one phase per column.
 
     Eigenvector phases are fixed by rotating the largest-magnitude entry
-    to the positive real axis, so serialized output is reproducible.
+    to the positive real axis (_fix_phases, found per block by
+    _block_phases), so serialized output is reproducible.
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie strictly between 0 and 1")
     if residual_tol <= 0:
         raise ParameterError("residual_tol must be positive")
-    M, ws, vs = H.matrix, [], []
-    for blk in _symmetry_blocks(H):
+    M, ws, ys, phases = H.matrix, [], [], []
+    blocks = _symmetry_blocks(H)
+    for blk in blocks:
         try:
             w, y = np.linalg.eigh(_compress(M, blk))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"dense Hermitian eigensolve failed: {exc}") from exc
         ws.append(w)
-        vs.append(_expand(y, blk, H.L))
+        ys.append(y)
+        phases.append(_block_phases(y, blk, H.modulation))
     w = np.concatenate(ws)
     order = np.argsort(w, kind="stable")[::-1]
     w = w[order]
-    x = np.hstack(vs)[:, order]
+    eigs = EigenSystem(w, ys, 0, float(gamma), H.region, H.window, blocks, order,
+                       H.modulation, np.concatenate(phases)[order])
+    eigs.N = choose_N(eigs, gamma)
     # sanity checks against M, one matvec per pair (top, alpha_N, alpha_{N+1} and
     # bottom): a blow-up means M was not Hermitian or a block was mis-assembled.  A
     # block that spans the wrong subspace (the even block twice, say) shows in the
     # eigenvalue sum, which must equal trace(M) up to roundoff (8.5e-14 at L=960)
-    eigs = EigenSystem(w, _fix_phases(x, H.modulation), 0, float(gamma), H.region, H.window)
-    eigs.N = choose_N(eigs, gamma)
-    ks = sorted({0, eigs.N - 1, eigs.N, H.L - 1} & set(range(H.L)))
-    res = np.linalg.norm(M @ x[:, ks] - x[:, ks] * w[ks], axis=0).max()
+    ks = np.array(sorted({0, eigs.N - 1, eigs.N, H.L - 1} & set(range(H.L))))
+    x = eigs._expanded(ks)
+    res = np.linalg.norm(M @ x - x * w[ks], axis=0).max()
     if not np.isfinite(res) or res > residual_tol:
         raise NumericalError(f"eigensolve residual {res:.3e} exceeds {residual_tol:g}")
     drift = abs(w.sum() - np.trace(M).real)
@@ -324,10 +490,14 @@ def concentration(f: Signal, region: TFRegion, window: Window) -> ConcentrationV
 
 def concentration_from_eigs(f: Signal, eigs: EigenSystem) -> ConcentrationValue:
     """Same functional evaluated spectrally: <Hf,f> = sum_k alpha_k |<f, psi_k>|^2."""
+    return _concentration(f, eigs.coeffs(f), eigs)
+
+
+def _concentration(f: Signal, c: np.ndarray, eigs: EigenSystem) -> ConcentrationValue:
+    """concentration_from_eigs(f, eigs) from f's coefficients c = eigs.coeffs(f)."""
     nsq = float(np.real(np.vdot(f.values, f.values)))
     if nsq == 0.0:
         raise ParameterError("concentration is undefined for the zero signal")
-    c = eigs.coeffs(f)
     value = float(np.real(eigs.eigenvalues @ (np.abs(c) ** 2)))
     return ConcentrationValue(value, 1.0 - value / nsq)
 

@@ -184,7 +184,7 @@ def make_concentrated_test_function(eigs: EigenSystem, eps_target: float, seed: 
     if not eps_u <= eps_target <= eps_v:
         raise InfeasibleError(f"outside reachable bracket [{eps_u:.3g}, {eps_v:.3g}]")
     s = (eps_target - eps_u) / (eps_v - eps_u)
-    u = eigs.eigenvectors[:, hi] @ cu
-    v = eigs.eigenvectors[:, lo] @ cv
+    u = eigs.synthesize(hi, cu)
+    v = eigs.synthesize(lo, cv)
     f = math.sqrt(1.0 - s) * u + math.sqrt(s) * v
     return Signal(f / np.linalg.norm(f))

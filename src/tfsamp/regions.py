@@ -37,25 +37,26 @@ __all__ = [
 
 @dataclass(eq=False)
 class TFRegion:
-    """A subset of the L x L time-frequency grid with measure #points / L."""
+    """A subset of the L x L time-frequency grid with measure #points / L.
+
+    mask is the region's own read-only copy, so point_count and measure are
+    counted once, when the region is made.
+    """
 
     L: int
     mask: np.ndarray
     _points: np.ndarray = field(default=None, repr=False, compare=False)
+    point_count: int = field(init=False, compare=False)
+    measure: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool)
+        m = np.array(self.mask, dtype=bool)
         if m.shape != (self.L, self.L):
             raise DimensionError(f"mask shape {m.shape} != ({self.L}, {self.L})")
+        m.flags.writeable = False
         self.mask = m
-
-    @property
-    def point_count(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def measure(self) -> float:
-        return self.point_count / self.L
+        self.point_count = int(np.count_nonzero(m))
+        self.measure = self.point_count / self.L
 
     def points(self) -> np.ndarray:
         """(P, 2) integer array of (m, n) grid points, row-major order. Cached."""
@@ -180,4 +181,4 @@ def covering_excess(region: TFRegion, cell_px: int) -> float:
     boundary cells that are only partially filled.
     """
     _, ids = _cell_ids(region.points(), region.L, cell_px)
-    return np.unique(ids).size - region.measure
+    return np.count_nonzero(np.bincount(ids)) - region.measure

@@ -182,7 +182,7 @@ def _region_table(
     arc: the contiguous eigenvector basis, the GEMM's phase table and
     extended basis, the FFT temporaries.
     """
-    # contiguous rows: the strided view of eigenvectors makes the FFTs ~1.5x slower
+    # contiguous rows: a strided view of the (L, N) basis makes the FFTs ~1.5x slower
     psi = np.ascontiguousarray(eigs.basis().T)
     table, gemm = _stft_rows(psi, eigs.window, mask, out)
     if stats is not None:

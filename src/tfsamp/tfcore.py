@@ -144,8 +144,9 @@ def make_gaussian_window(L: int) -> Window:
 def _translates(x: np.ndarray, shifts) -> np.ndarray:
     """Circular translates of x, one per shift: out[i, t] = x[(t - shifts[i]) mod L]."""
     L = x.shape[0]
-    t = np.arange(L)
-    return x[(t[None, :] - np.asarray(shifts)[:, None]) % L]
+    # window j over x followed by x[:-1] is x[(j + t) mod L]: the translate by -j
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([x, x[:-1]]), L)
+    return windows[-np.asarray(shifts) % L]
 
 
 def tf_shift(f: Signal, lam: TFPoint) -> Signal:

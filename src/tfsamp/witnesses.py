@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ParameterError
-from .locop import EigenSystem, _fix_phases, concentration_from_eigs
+from .locop import (
+    ConcentrationValue,
+    EigenSystem,
+    _concentration,
+    _fix_phases,
+    concentration_from_eigs,
+)
 from .tfcore import Signal
 
 __all__ = [
@@ -46,6 +52,8 @@ class NonlinearityWitness:
     eta: float
     eps: float
     M: int  # 1-based eigen index
+    conc_f: ConcentrationValue  # concentration_from_eigs(f), as the construction checked it
+    conc_h: ConcentrationValue  # concentration_from_eigs(h), likewise
 
 
 @dataclass(eq=False)
@@ -56,6 +64,7 @@ class AliasWitness:
     delta: float
     sample_gap: float  # max_j |V_phi f(lam_j) - V_phi f_tilde(lam_j)|
     phi_perp_energy: float  # <H phi_perp, phi_perp>; <= KERNEL_RANK_TOL: chosen by roundoff
+    conc_f: ConcentrationValue  # concentration_from_eigs(f), which sized delta
 
 
 def nonlinearity_witness(
@@ -109,14 +118,10 @@ def nonlinearity_witness(
         )
     c_hi = math.sqrt(max(x, 0.0))
     c_lo = math.sqrt(max(y, 0.0))
-    h_vals = (
-        cM * eigs.eigenvectors[:, idx]
-        + c_hi * eigs.eigenvectors[:, i_hi]
-        + c_lo * eigs.eigenvectors[:, i_lo]
-    )
-    h = Signal(h_vals)
+    psi = eigs.columns([idx, i_hi, i_lo])
+    h = Signal(cM * psi[:, 0] + c_hi * psi[:, 1] + c_lo * psi[:, 2])
     delta = 2.0 * cM * (aM - (1.0 - eps)) / (eps * (eta - 1.0))
-    psi_M = Signal(eigs.eigenvectors[:, idx].copy())
+    psi_M = Signal(psi[:, 0])
     f = Signal(psi_M.values + delta * h.values)
     # construction self-checks: f concentrated, delta*h not
     conc_f = concentration_from_eigs(f, eigs)
@@ -125,7 +130,8 @@ def nonlinearity_witness(
         raise InfeasibleError("constructed f failed its concentration check")
     if not conc_h.value < 1.0 - eps:
         raise InfeasibleError("constructed h unexpectedly concentrated")
-    return NonlinearityWitness(psi_M, h, float(delta), f, float(eta), float(eps), idx + 1)
+    return NonlinearityWitness(psi_M, h, float(delta), f, float(eta), float(eps), idx + 1,
+                               conc_f, conc_h)
 
 
 def null_sample_witness(W: np.ndarray, f: Signal, eigs: EigenSystem) -> AliasWitness:
@@ -151,7 +157,8 @@ def null_sample_witness(W: np.ndarray, f: Signal, eigs: EigenSystem) -> AliasWit
     carries only roundoff region energy, so phi_perp is an arbitrary valid
     choice among them.
     """
-    base = concentration_from_eigs(f, eigs)
+    cf = eigs.coeffs(f)
+    base = _concentration(f, cf, eigs)
     eps = 2.0 * base.epsilon
     if base.epsilon <= 0.0 or eps >= 1.0:
         raise InfeasibleError(
@@ -165,7 +172,7 @@ def null_sample_witness(W: np.ndarray, f: Signal, eigs: EigenSystem) -> AliasWit
         raise InfeasibleError("sampled atoms span the whole space; no alias direction")
     Q = Q[:, :rank]
     K = eigs.numerical_rank  # >= 1: f's region energy exceeds half its norm
-    B = eigs.eigenvectors[:, :K] * np.sqrt(eigs.eigenvalues[:K])
+    B = eigs.columns(slice(0, K)) * np.sqrt(eigs.eigenvalues[:K])
     Z = Q.conj().T @ B
     G = np.diag(eigs.eigenvalues[:K]) - Z.conj().T @ Z
     _, y = np.linalg.eigh(0.5 * (G + G.conj().T))
@@ -178,7 +185,7 @@ def null_sample_witness(W: np.ndarray, f: Signal, eigs: EigenSystem) -> AliasWit
     # f + delta*phi_perp stays concentrated iff q(delta) = a + 2b delta + c delta^2 >= 0,
     # with k_j = alpha_j - (1 - eps) weighting the eigen-coefficients; a > 0 here
     k = eigs.eigenvalues - (1.0 - eps)
-    cf, cp = eigs.coeffs(f), eigs.coeffs(phi_perp)
+    cp = eigs.coeffs(phi_perp)
     a = float(k @ np.abs(cf) ** 2)
     b = float(np.real(np.sum(k * np.conj(cf) * cp)))
     c = float(k @ np.abs(cp) ** 2)
@@ -194,4 +201,4 @@ def null_sample_witness(W: np.ndarray, f: Signal, eigs: EigenSystem) -> AliasWit
     if gap > 1e-10:
         raise InfeasibleError(f"complement construction leaked into the samples ({gap:.3e})")
     energy = float(eigs.eigenvalues @ np.abs(cp) ** 2)  # <H phi_perp, phi_perp>
-    return AliasWitness(f, f_tilde, phi_perp, float(delta), gap, energy)
+    return AliasWitness(f, f_tilde, phi_perp, float(delta), gap, energy, base)

@@ -527,6 +527,68 @@ eta = 2.0
     assert abs(np.linalg.norm(fa - fb) - al["delta"]) < 1e-10
 
 
+def test_witness_maps_each_signal_to_coefficients_once(tmp_path, monkeypatch):
+    # the witnesses carry the concentrations they computed: six coefficient maps,
+    # one per signal the report reads or the construction checks, and the report
+    # fields are those values bit for bit
+    from tfsamp import load_config
+    from tfsamp.cli import build_setup
+    from tfsamp.locop import EigenSystem, concentration_from_eigs
+    from tfsamp.witnesses import nonlinearity_witness
+
+    calls = []
+    real = EigenSystem.coeffs
+    monkeypatch.setattr(EigenSystem, "coeffs", lambda self, f: calls.append(f) or real(self, f))
+    ini = _ini(tmp_path, "[experiment]\nL = 64\nr = 60\n[region]\nradius_px = 16\n")
+    out = str(tmp_path / "out")
+    assert main(["witness", "--config", ini, "--out", out]) == 0
+    assert len(calls) == 6
+    nl = _json_report(out)["sections"]["nonlinearity"]
+    _, eigs = build_setup(load_config(ini))
+    w = nonlinearity_witness(eigs, 0.2, 2.0)
+    for key, sig in (("f", w.f), ("h", w.h)):
+        c = concentration_from_eigs(sig, eigs)
+        assert (nl[key]["value"], nl[key]["epsilon"]) == (c.value, c.epsilon)
+
+
+# L = 64, radius 12: N = 7 and numerical rank 32, so no verb needs all L columns
+NO_FULL_MATRIX = """
+[experiment]
+L = 64
+r = 20
+trials = 10
+
+[region]
+radius_px = 12
+
+[montecarlo]
+nu_grid = 0.3
+r_grid = 20, 400
+"""
+
+
+def test_no_verb_materializes_the_full_eigenvector_matrix(tmp_path, monkeypatch):
+    # every eigenvector a verb reads is expanded by EigenSystem._expanded; none
+    # asks it for all L columns, and none reads EigenSystem.eigenvectors
+    from tfsamp.locop import EigenSystem
+
+    widths = []
+    real = EigenSystem._expanded
+    monkeypatch.setattr(EigenSystem, "_expanded",
+                        lambda self, ks: widths.append(ks.size) or real(self, ks))
+
+    def full(self):
+        raise AssertionError("the full eigenvector matrix was formed")
+
+    monkeypatch.setattr(EigenSystem, "eigenvectors", property(full))
+    ini = _ini(tmp_path, NO_FULL_MATRIX)
+    for verb in ("spectrum", "reconstruct", "certify", "witness", "montecarlo"):
+        widths.clear()
+        args = [verb, "--config", ini, "--out", str(tmp_path / verb), "--emit-eigenvectors"]
+        assert main(args) == 0, verb
+        assert widths and max(widths) < 64, (verb, widths)
+
+
 def test_witness_infeasible_exits_4(tmp_path, capsys):
     ini = _ini(tmp_path, """
 [experiment]
@@ -665,7 +727,7 @@ r_grid = 5
 
 @pytest.mark.parametrize("verb", ["spectrum", "reconstruct", "certify", "witness", "montecarlo"])
 def test_setup_too_large_for_memory_exits_4_without_allocating(tmp_path, capsys, verb):
-    # L = 2**20 needs ~80 TiB for the dense setup; the guard is an estimate only
+    # L = 2**20 needs ~48 TiB for the dense setup; the guard is an estimate only
     ini = _ini(tmp_path, "[experiment]\nL = 1048576\n")
     out = tmp_path / "out"
     t0 = time.perf_counter()

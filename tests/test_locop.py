@@ -341,6 +341,17 @@ MIRROR_MASKS = {
 }
 
 
+@pytest.mark.parametrize("L", [1, 2, 7, 16])
+def test_reflected_is_the_reflection_about_c_half(L):
+    x = np.arange(L * L).reshape(L, L)
+    t = np.arange(L)
+    for c in range(L):
+        refl = (c - t) % L
+        assert np.array_equal(locop._reflected(t, c), refl)
+        assert np.array_equal(locop._reflected(x, c, axis=1), x[:, refl])
+        assert np.array_equal(locop._reflected(x, c, axis=(0, 1)), x[np.ix_(refl, refl)])
+
+
 @pytest.mark.parametrize("name", list(MIRROR_MASKS))
 def test_mirror_is_the_smallest_reflection_of_the_mask(name):
     # against every c in turn, on both axes
@@ -395,6 +406,84 @@ def test_assembly_matches_rank_one_sum_in_every_symmetry_case(name):
     for delta in (0.3, 0.5):
         got = eigenvalue_count_estimate(H, delta)
         assert np.max(np.abs(np.subtract(got, eigenvalue_count_estimate(plain, delta)))) <= 1e-12
+
+
+# the four block structures of the block form: two real blocks, two modulated
+# blocks at odd L, one real modulated block, one complex block
+BLOCK_FORMS = ["disk even L", "disk odd L", "frequency only", "asymmetric mask"]
+
+
+def _full_materialization(eigs):
+    # the full eigenvector matrix, formed as eigendecompose once formed it: every
+    # block expanded, the columns sorted, then the phases fixed
+    x = np.hstack([locop._expand(y, blk, eigs.L) for y, blk in zip(eigs.vectors, eigs.blocks)])
+    return _fix_phases(x[:, eigs.order], eigs.modulation)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", BLOCK_FORMS)
+def test_columns_match_the_full_materialization_bit_for_bit(name):
+    H = _case_operator(name)
+    eigs = eigendecompose(H, 0.5)
+    sizes, real = _block_sizes(H)
+    assert [y.shape[1] for y in eigs.vectors] == sizes
+    assert all(np.isrealobj(y) == real for y in eigs.vectors)
+    V = _full_materialization(eigs)
+    for k in range(H.L):
+        assert np.array_equal(_bits(eigs.columns(k)), _bits(V[:, k]))
+    for sel in (slice(None), slice(0, eigs.N), [H.L - 1, 0, 5], np.arange(3, H.L, 7)):
+        assert np.array_equal(_bits(eigs.columns(sel)), _bits(V[:, sel]))
+    assert np.array_equal(_bits(eigs.eigenvectors), _bits(V))
+    if eigs.N:  # the asymmetric mask's alpha_1 is below 1/2
+        assert np.array_equal(_bits(eigs.basis()), _bits(V[:, : eigs.N]))
+
+
+@pytest.mark.parametrize("name", BLOCK_FORMS)
+def test_coeffs_and_synthesis_match_the_dense_products(name):
+    eigs = eigendecompose(_case_operator(name), 0.5)
+    V = eigs.eigenvectors
+    f = random_signal(eigs.L, 4)
+    c = eigs.coeffs(f)
+    assert np.max(np.abs(c - V.conj().T @ f.values)) <= 1e-13 * f.norm()
+    rng = np.random.default_rng(8)
+    for sel in (slice(None), slice(0, eigs.N), [eigs.L - 1, 0, 5], np.arange(3, eigs.L, 7)):
+        k = np.arange(eigs.L)[sel]
+        z = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+        assert np.max(np.abs(eigs.synthesize(sel, z) - V[:, sel] @ z)) <= 1e-13 * np.linalg.norm(z)
+    # the dense one-block case takes the same path
+    dense = EigenSystem(eigs.eigenvalues, V, eigs.N, eigs.gamma, eigs.region, eigs.window)
+    assert np.array_equal(dense.eigenvectors, V)
+    assert np.max(np.abs(dense.coeffs(f) - c)) <= 1e-13 * f.norm()
+
+
+def test_block_phases_break_a_tie_at_the_first_time_index():
+    # a column whose largest entries tie between the fixed point t = 0, listed last
+    # in its block, and a pair (u_i, r_i): _fix_phases pivots on t = 0, the first
+    H = _case_operator("disk even L")
+    d = H.modulation
+    u, a, r, b = next(blk for blk in _symmetry_blocks(H) if 0 in blk[0][blk[0] == blk[2]])
+    y = 0.01 * np.random.default_rng(2).standard_normal((u.size, 3))
+    y[np.flatnonzero((u == 0) & (r == 0))[0], 0] = 0.5
+    # the tied pair entry has the opposite sign, so the wrong pivot flips the phase
+    i = np.flatnonzero(u != r)[0]
+    y[i, 0] = -0.5 / a[i]
+    x = locop._expand(y, (u, a, r, b), H.L)
+    phases = locop._block_phases(y, (u, a, r, b), d)
+    assert np.array_equal(_fix_phases(x, d), (d[:, None] * x) * phases[None, :])
+
+
+def test_basis_is_built_once_per_N_and_read_only(sys32):
+    eigs = eigendecompose(sys32.H, 0.5)
+    B = eigs.basis()
+    assert eigs.basis() is B and not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 0] = 0
+    eigs.N -= 1
+    assert eigs.basis().shape == (32, eigs.N)
+    assert np.array_equal(eigs.basis(), B[:, : eigs.N])
 
 
 def _poisson_tail(a, K):

@@ -73,6 +73,18 @@ def test_region_measure_additive_on_disjoint_masks():
     assert total == mask_region(a).measure + mask_region(b).measure
 
 
+def test_region_owns_a_read_only_mask_counted_once():
+    m = np.zeros((16, 16), dtype=bool)
+    m[2:5, 3:9] = True
+    reg = mask_region(m)
+    m[:] = True  # the caller's array is not the region's
+    assert reg.point_count == 18 and reg.measure == 18 / 16
+    assert not reg.mask.flags.writeable
+    with pytest.raises(ValueError):
+        reg.mask[0, 0] = True
+    assert reg.point_count == int(reg.mask.sum()) == 18
+
+
 def test_mask_region_requires_square():
     with pytest.raises(Exception):
         mask_region(np.zeros((4, 6), dtype=bool))
@@ -213,6 +225,14 @@ def test_covering_excess_counts_boundary_cells():
     ncells = np.unique(pts // cell, axis=0).shape[0]
     assert eps1 == ncells - reg.measure
     assert eps1 >= 0
+
+
+@pytest.mark.parametrize("cell", [1, 5, 8, 13, 64])
+def test_covering_excess_matches_distinct_cells(cell):
+    # a wrapping disk and a cell side that does not divide L: every partial cell counts
+    reg = disk_region(64, TFPoint(3, 60), 11)
+    ncells = np.unique(reg.points() // cell, axis=0).shape[0]
+    assert covering_excess(reg, cell) == ncells - reg.measure
 
 
 def test_covering_excess_empty_region():

@@ -13,7 +13,7 @@ from tfsamp import (
     stft,
     tf_shift,
 )
-from tfsamp.tfcore import TFPoint, _gemm_rows, _stft_rows, _window_support
+from tfsamp.tfcore import TFPoint, _gemm_rows, _stft_rows, _translates, _window_support
 
 from oracles import (
     adjoint_direct,
@@ -337,3 +337,13 @@ def test_gemm_rows_read_only_the_row_shape():
     # thirty rows of 46 cells save enough to pay for the phase table, twenty do not
     for rows, expected in ((30, 30), (20, 0)):
         assert _gemm_rows(np.where(np.arange(120) < rows, 46, 0), 77, 120, 23).sum() == expected
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 16])
+def test_translates_are_circular_shifts(L):
+    x = np.arange(L) * 1.5 - 1j * np.arange(L)
+    shifts = [0, 1, L - 1, L, 3 * L + 2, -1, -L - 5]
+    out = _translates(x, shifts)
+    assert out.shape == (len(shifts), L) and out.flags.c_contiguous
+    for row, m in zip(out, shifts):
+        assert np.array_equal(row, [x[(t - m) % L] for t in range(L)])
