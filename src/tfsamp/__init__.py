@@ -59,7 +59,6 @@ from .regions import (
 from .reports import RunReport, write_report
 from .sampling import (
     TailParams,
-    build_T_matrix,
     covering_exceedance_frequency,
     covering_tail,
     empirical_min_eigenvalue,

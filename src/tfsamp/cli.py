@@ -21,7 +21,7 @@ Exit codes: 0 success, 2 configuration error (also the library checks
 a config reaches: a wrapping disk, an all-zero or non-finite window
 file), 3 numerical failure, 4 infeasible request
 (an empty V_N, an L whose dense setup cannot fit in physical memory, or
-Monte Carlo draws that cannot).
+sample or Monte Carlo draws that cannot).
 
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
@@ -229,6 +229,12 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     report.timings["total_s"] = time.perf_counter() - t0
 
 
+def _refuse_oversized_draw(cfg: ExperimentConfig):
+    """Refuse a run-level draw whose (r, L) complex W and r indices cannot fit in memory."""
+    _refuse_beyond_memory(16 * cfg.r * cfg.L + 8 * cfg.r, f"r={cfg.r}: the sample draw",
+                          "16 * r * L + 8 * r")
+
+
 def _draw_samples(cfg: ExperimentConfig, eigs):
     """(seed, samples, W) of the run-level sample draw; W is its one analysis matrix."""
     sample_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, 0)
@@ -331,6 +337,7 @@ def run_spectrum(
 def run_reconstruct(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
+    _refuse_oversized_draw(cfg)
     with _run("reconstruct", cfg, outdir) as (report, eigs):
         sample_seed, samples, W = _draw_samples(cfg, eigs)
         B = exact_bessel_bound(W)
@@ -430,6 +437,7 @@ def run_montecarlo(
 def run_certify(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
+    _refuse_oversized_draw(cfg)
     with _run("certify", cfg, outdir) as (report, eigs):
         sample_seed, samples, W = _draw_samples(cfg, eigs)
         cell_px = _cell_px(cfg)
@@ -522,6 +530,7 @@ def run_certify(
 def run_witness(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
+    _refuse_oversized_draw(cfg)
     with _run("witness", cfg, outdir) as (report, eigs):
         nl = nonlinearity_witness(eigs, cfg.witness_epsilon, cfg.witness_eta, cfg.witness_M)
         sample_seed, samples, W = _draw_samples(cfg, eigs)

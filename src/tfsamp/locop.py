@@ -277,11 +277,8 @@ def _fix_phases(v: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     is zero.  Given d, the columns fixed are those of diag(d) v; |d| = 1
     keeps the pivots of v.
     """
-    lead = _lead(np.abs(v))
-    pivots = v[lead, np.arange(v.shape[1])]
-    if d is not None:
-        v, pivots = d[:, None] * v, pivots * d[lead]
-    return v * (np.conj(pivots) / np.abs(pivots))[None, :]
+    phases = _block_phases(v, None, d)
+    return (v if d is None else d[:, None] * v) * phases[None, :]
 
 
 def _block_phases(y: np.ndarray, blk, d: np.ndarray | None) -> np.ndarray:

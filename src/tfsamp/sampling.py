@@ -28,20 +28,11 @@ rows written once, in the order cells first draw their points.  A cell
 computes only the points no earlier cell drew; on the mc-L120 grid (nine
 cells of 50 trials at L=120) that is 2 821 rows where the cells draw 25 289
 between them, and every cell after the second adds none.  The table never
-holds more than min(|Omega|, the call's draws) rows, 16 N bytes each.  Each
-time row of a cell's new points takes one of two routes, picked by
-tfcore._gemm_rows from the rows' shapes alone: one FFT batch of length L,
-or one real GEMM over the row's drawn frequencies and the arc that holds
-the window's numerical support.  The centred disk's V_N basis at even L is
-real and enters that GEMM as itself; a complex basis enters as its real and
-imaginary planes, twice the flops.  At L=960 (N=188, radius 240, 20 trials
-of r=500) a row keeps about 20 of the 960 frequencies, every row takes the
-GEMM, and the table of 9 752 points takes about 0.09 s, 0.13-0.15 s for a
-complex basis, against 1.23 s by FFT (2-core x86 host, OpenBLAS on one
-thread).  At L=120 (N=23) the disk's whole table takes the GEMM on all 61
-rows for its real basis (3.7 ms against 4.3 ms by the earlier FFT-heavy
-rule); for a complex basis there the rows' savings do not pay for the
-GEMM's phase table, and every row takes the FFT.
+holds more than min(|Omega|, the call's draws) rows, 16 N bytes each.  A
+window whose support misses an offset tabulates every time row of a cell's
+new points by one real GEMM over the row's drawn frequencies and the arc
+that holds the support; a window with full support by one FFT batch per
+row (tfcore._stft_rows).
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
 <= -nu/|Omega| iff (1/r) G - E T + (nu/|Omega|) I is not positive definite,
@@ -98,11 +89,10 @@ import numpy as np
 from .errors import ParameterError
 from .locop import EigenSystem
 from .regions import TFRegion, _cell_ids, _draw_indices
-from .tfcore import TFPoint, _analysis_rows, _stft_rows
+from .tfcore import _stft_rows
 
 __all__ = [
     "TailParams",
-    "build_T_matrix",
     "expected_T",
     "empirical_min_eigenvalue",
     "subspace_failure_bound",
@@ -156,13 +146,6 @@ class TailParams:
             raise ParameterError("covering rate a must exceed 1/|Omega|")
 
 
-def build_T_matrix(lam: TFPoint, eigs: EigenSystem) -> np.ndarray:
-    """T = v v^H with v_k = V_phi psi_k(lam); trace = ||P_{V_N} pi(lam) phi||^2."""
-    row = _analysis_rows(np.array([lam.m]), np.array([lam.n]), eigs.window.values)[0]
-    v = row @ eigs.basis()
-    return np.outer(v, np.conj(v))
-
-
 def expected_T(eigs: EigenSystem) -> np.ndarray:
     """E(T) over a uniform point of the region: diag(alpha_1..alpha_N)/|Omega|, exact."""
     return np.diag(eigs.eigenvalues[: eigs.N]) / eigs.region.measure
@@ -173,20 +156,20 @@ def _region_table(
 ) -> np.ndarray:
     """E[i, k] = V_phi psi_k(p_i) over the True cells p_i of mask (row-major order).
 
-    Row by row, an FFT batch over all L frequencies or one real GEMM over
-    the row's cells and the window's support arc (tfcore._stft_rows); a stats
-    dict, if given, receives the number of GEMM rows as "table_gemm_rows".
-    The table is written into out if given, such as the next rows of a
-    _RegionTable.  Memory: the 16 * mask.sum() * N byte table unless out is
-    given, plus O(L (N + w)) bytes of buffers, w the width of the support
-    arc: the contiguous eigenvector basis, the GEMM's phase table and
-    extended basis, the FFT temporaries.
+    By tfcore._stft_rows; a stats dict, if given, receives the number of GEMM
+    rows as "table_gemm_rows": the rows of mask that have a cell, or 0 for a
+    window with full support.  The table is written into out if given, such
+    as the next rows of a _RegionTable.  Memory: the 16 * mask.sum() * N byte
+    table unless out is given, plus O(L (N + w)) bytes of buffers, w the
+    width of the support arc: the contiguous eigenvector basis, the GEMM's
+    phase table and extended basis, or the FFT temporaries.
     """
     # contiguous rows: a strided view of the (L, N) basis makes the FFTs ~1.5x slower
     psi = np.ascontiguousarray(eigs.basis().T)
-    table, gemm = _stft_rows(psi, eigs.window, mask, out)
+    table = _stft_rows(psi, eigs.window, mask, out)
     if stats is not None:
-        stats["table_gemm_rows"] = int(np.count_nonzero(gemm))
+        gemm = eigs.window.support.size < eigs.window.L
+        stats["table_gemm_rows"] = int(np.count_nonzero(mask.any(axis=1))) if gemm else 0
     return table
 
 

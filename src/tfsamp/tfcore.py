@@ -24,8 +24,9 @@ synthesis       adjoint of analysis with the 1/L grid weight
 All index arithmetic is circular.  The STFT over the full grid costs L
 FFTs of length L and comes back as a plain L x L ndarray V[m, n]; naive
 O(L^3) evaluation and the adjoint exist only in the test suite as
-oracles.  _stft_rows samples the STFT of many signals at
-chosen cells only, computing just those frequencies where that is cheaper.
+oracles.  _stft_rows samples the STFT of many signals at chosen cells
+only; unless the window has full support it computes just those
+frequencies.
 """
 
 from __future__ import annotations
@@ -178,97 +179,74 @@ def _support_arc(support: np.ndarray, L: int) -> tuple[int, int]:
     return int(support[(j + 1) % support.size]), L + 1 - int(gaps[j])
 
 
-def _gemm_rows(c, support: int, L: int, K: int, p: int = 1) -> np.ndarray:
-    """True where a time row of an STFT table of K signals takes the GEMM route.
-
-    c holds the drawn cells of every time row of one table, support = w the
-    width of the window's support arc (_support_arc; |S| for a Gaussian),
-    and p = 1 for a real batch, 2 for a complex one.  Measured over whole
-    tables of up to 96 rows at L = 64..1920, K = 8..188 and c = 1..100
-    (2-core x86 host, OpenBLAS on one thread), an FFT row costs
-    32 + 0.0014 K L log2(L) us, a GEMM row of _stft_rows' real kernel
-    24 + c w (0.0029 + 0.00018 p K) + 0.00048 w p K us, and the GEMM route's
-    phase table 0.023 L w us once per table.  A row takes the GEMM where it
-    is the cheaper route, unless those rows together save less than the
-    phase table costs.  Empty rows take neither route.  A window with full
-    support (w = L) takes the FFT on every row, so its table stays bit-equal
-    to stft.
-    """
-    fft_ns = 32_000 + 1.4 * K * L * np.log2(L)
-    gemm_ns = 24_000 + c * support * (2.9 + 0.18 * p * K) + 0.48 * support * p * K
-    gain = np.where((c > 0) & (support < L), fft_ns - gemm_ns, 0.0)
-    return (gain > 0) & (gain.clip(0).sum() > 23 * L * support)
-
-
 def _stft_rows(
     fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """STFT samples of a batch of signals at the True cells of an L x L mask.
 
     fvals is (K, L), one signal per row; out[i, k] = V_phi f_k(p_i) for the
     i-th True cell p_i in row-major order, written into out if given (a
-    (mask.sum(), K) complex array, such as rows of a larger table).  Each
-    time row m takes the route _gemm_rows picks from the table's cells per row:
+    (mask.sum(), K) complex array, such as rows of a larger table).  The
+    window's support picks one route for the whole table:
 
-    - FFT: one (K, L) FFT batch kept at the row's columns, equal bit for bit
-      to stft(f_k, phi)[mask].
-    - GEMM: only the drawn frequencies n_j.  With t = m + s,
+    - GEMM, when the arc s0 .. s0 + w - 1 that holds the support
+      (_support_arc) is shorter than L, i.e. the support misses an offset.
+      Each time row m computes only its drawn frequencies n: with t = m + s,
       V_phi f(m, n) = omega^(n m) sum_s conj(phi(s)) omega^(n s) f(m + s),
-      omega = e^(-2 pi i / L), summed over the arc s = s0 .. s0 + w - 1 that
-      holds the window's support (Window.support; zero taps elsewhere).  One
-      (L, 2, w) phase table holds the real and imaginary planes of
-      conj(phi(s)) omega^(n s), with n s reduced mod L as an integer; a row
-      takes its drawn frequencies' rows of it, times the signals over the arc,
-      a contiguous slice of a wrap-extended (L + w, K) copy.  That is one
-      real GEMM per row: a real batch (with a real window, every mask
-      mirrored about frequency 0 gives a real V_N basis) enters as itself, a
-      complex one as its real and imaginary planes side by side.  omega^(n m) then scales each frequency.
-      It agrees with stft to roundoff, about 1e-16 of each column's norm.
+      omega = e^(-2 pi i / L), summed over the arc (zero taps off the
+      support).  An (L, 2, w) phase table holds the real and imaginary
+      planes of conj(phi(s)) omega^(n s), n s reduced mod L as an integer;
+      a row takes its frequencies' rows of it times the signals over the
+      arc, a contiguous slice of a wrap-extended (L + w, K) copy: one real
+      GEMM per row.  A real batch enters as itself, a complex one as its
+      real and imaginary planes side by side.  It agrees with stft to
+      roundoff, about 1e-16 of each column's norm.
+    - FFT, for a window with full support: one (K, L) FFT batch per row kept
+      at the row's columns, equal bit for bit to stft(f_k, phi)[mask].
 
-    Returns (out, gemm), gemm[m] True where time row m took the GEMM route.
-    Memory: the K * mask.sum() output unless out is given, the 16 L w byte
-    phase table and the 8 (L + w) K (real) or 16 (L + w) K (complex) byte
-    extended copy, or two K x L temporaries on the FFT rows.
+    Memory: the 16 K mask.sum() byte output unless out is given; on the GEMM
+    route the 16 L w byte phase table and the 8 (L + w) K (real) or
+    16 (L + w) K (complex) byte extended copy, built only when the mask has
+    a cell; on the FFT route two K x L temporaries.
     """
     K, L = fvals.shape
-    conj_phi = np.conj(phi.values)
-    s0, w = _support_arc(phi.support, L)
-    omega = np.exp(-2j * np.pi * np.arange(L) / L)
     counts = np.count_nonzero(mask, axis=1)
-    planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])
-    p = len(planes)
-    gemm = _gemm_rows(counts, w, L, K, p)
+    rows = np.flatnonzero(counts)
+    starts = np.cumsum(counts) - counts
     if out is None:
         out = np.empty((counts.sum(), K), dtype=np.complex128)
-    if gemm.any():
-        s = (s0 + np.arange(w)) % L
-        taps = np.zeros(L, dtype=np.complex128)
-        taps[phi.support] = conj_phi[phi.support]
-        ph = omega[np.outer(np.arange(L), s) % L] * taps[s]
-        phase = np.stack([ph.real, ph.imag], axis=1)  # (L, 2, w)
-        ext = np.concatenate(planes, axis=1)
-        ext = np.concatenate([ext, ext[:w]])  # row t holds f(t mod L)
-    i = 0
-    for m in np.flatnonzero(counts):
-        cols = mask[m]
-        j = i + counts[m]
-        if gemm[m]:
-            n = np.flatnonzero(cols)
-            a = (m + s0) % L
-            Y = (phase[n].reshape(-1, w) @ ext[a : a + w]).reshape(-1, 2, p, K)
-            row = out[i:j]
-            row.real = Y[:, 0, 0]
-            row.imag = Y[:, 1, 0]
-            if p == 2:  # (Re P + i Im P)(Re F + i Im F)
-                row.real -= Y[:, 1, 1]
-                row.imag += Y[:, 0, 1]
-            row *= omega[(n * m) % L, None]
-        else:
+    conj_phi = np.conj(phi.values)
+    if phi.support.size == L:
+        for m in rows:
             # row m of stft for every signal
             F = np.fft.fft(fvals * _translates(conj_phi, [m])[0], axis=1)
-            out[i:j] = F[:, cols].T
-        i = j
-    return out, gemm
+            out[starts[m] : starts[m] + counts[m]] = F[:, mask[m]].T
+        return out
+    if rows.size == 0:
+        return out
+    s0, w = _support_arc(phi.support, L)
+    omega = np.exp(-2j * np.pi * np.arange(L) / L)
+    s = (s0 + np.arange(w)) % L
+    taps = np.zeros(L, dtype=np.complex128)
+    taps[phi.support] = conj_phi[phi.support]
+    ph = omega[np.outer(np.arange(L), s) % L] * taps[s]
+    phase = np.stack([ph.real, ph.imag], axis=1)  # (L, 2, w)
+    planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])
+    p = len(planes)
+    ext = np.concatenate(planes, axis=1)
+    ext = np.concatenate([ext, ext[:w]])  # row t holds f(t mod L)
+    for m in rows:
+        n = np.flatnonzero(mask[m])
+        a = (m + s0) % L
+        Y = (phase[n].reshape(-1, w) @ ext[a : a + w]).reshape(-1, 2, p, K)
+        row = out[starts[m] : starts[m] + counts[m]]
+        row.real = Y[:, 0, 0]
+        row.imag = Y[:, 1, 0]
+        if p == 2:  # (Re P + i Im P)(Re F + i Im F)
+            row.real -= Y[:, 1, 1]
+            row.imag += Y[:, 0, 1]
+        row *= omega[(n * m) % L, None]
+    return out
 
 
 def stft(f: Signal, phi: Window) -> np.ndarray:

@@ -178,6 +178,19 @@ def alias_direction_full(atoms, alpha, V):
     return comp @ v[:, -1], w
 
 
+def build_T_matrix(lam, eigs):
+    """T = v v^H with v_k = V_phi psi_k(lam) = <psi_k, pi(lam) phi>.
+
+    trace T = ||P_{V_N} pi(lam) phi||^2; eigs.basis() refuses an empty V_N.
+    """
+    basis = eigs.basis()
+    L = basis.shape[0]
+    # pi(lam) phi (t) = phi((t - m) mod L) e^{2 pi i n t / L}
+    atom = np.roll(eigs.window.values, lam.m) * np.exp(2j * np.pi * lam.n * np.arange(L) / L)
+    v = np.conj(atom) @ basis
+    return np.outer(v, np.conj(v))
+
+
 # ---------------------------------------------------------------- tails
 
 

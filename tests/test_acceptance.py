@@ -16,7 +16,6 @@ from tfsamp import (
     Signal,
     TailParams,
     build_localization_operator,
-    build_T_matrix,
     choose_N,
     concentration_from_eigs,
     covering_excess,
@@ -44,7 +43,7 @@ from tfsamp import (
 from tfsamp.tfcore import TFPoint, _analysis_rows
 
 from conftest import record_acceptance
-from oracles import mp_required_samples, mp_subspace_bound
+from oracles import build_T_matrix, mp_required_samples, mp_subspace_bound
 
 
 def test_01_full_grid_identity_and_parseval():

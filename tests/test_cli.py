@@ -247,10 +247,7 @@ def test_montecarlo_rows_name_their_gram_route(tmp_path):
     # each cell reports the Gram route it took, the distinct points its trials drew
     # and the time rows that took the GEMM route among the points it added to the
     # call's table; the route reads the table's width after the cell
-    from tfsamp import load_config
-    from tfsamp.cli import build_region
     from tfsamp.sampling import _draw_trials, _gram_route
-    from tfsamp.tfcore import _gemm_rows, _window_support
 
     ini = _ini(tmp_path, """
 [experiment]
@@ -269,21 +266,17 @@ r_grid = 20, 400
     rep = _json_report(out)
     P, N = rep["sections"]["eigen"]["point_count"], rep["sections"]["eigen"]["N"]
     rows = rep["sections"]["montecarlo"]["rows"]
-    region = build_region(load_config(ini))
-    support = _window_support(make_gaussian_window(32).values).size
+    # at L = 32 the Gaussian's support is every offset, so every table row takes the FFT
+    assert make_gaussian_window(32).support.size == 32
     tabulated = np.zeros(P, dtype=bool)  # the point -> row map's rows >= 0
     for row in rows:
         idx = _draw_trials(row["trials"], row["r"], P, row["cell_seed"])
         drawn = np.zeros(P, dtype=bool)
         drawn[idx] = True
-        new = drawn & ~tabulated
         tabulated |= drawn
         assert row["drawn_points"] == np.count_nonzero(drawn)
         assert row["gram"] == _gram_route(row["trials"], row["r"], np.count_nonzero(tabulated), N)
-        mask = np.zeros_like(region.mask)
-        mask[region.mask] = new
-        cells = np.count_nonzero(mask, axis=1)
-        assert row["table_gemm_rows"] == np.count_nonzero(_gemm_rows(cells, support, 32, N))
+        assert row["table_gemm_rows"] == 0
     assert [row["gram"] for row in rows] == ["gather", "counts"]
     with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n").split(",") == [
@@ -769,6 +762,29 @@ def test_montecarlo_draws_too_large_for_memory_exit_4_without_allocating(tmp_pat
     )
     assert "(8 * trials * r bytes)" in err
     assert "GiB of physical memory" in err
+
+
+@pytest.mark.parametrize("verb", ["reconstruct", "certify", "witness"])
+def test_sample_draw_too_large_for_memory_exits_4_without_allocating(tmp_path, capsys, verb):
+    # r = 10**12 i.i.d. points at L = 32 need 16 * r * L + 8 * r bytes, ~473 TiB, for
+    # the draw's W and indices; the guard refuses before the setup and the output directory
+    ini = _ini(tmp_path, "[experiment]\nL = 32\nr = 1000000000000\n"
+                         "[region]\nradius_px = 8\n[reconstruct]\ndistinct = false\n")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = main([verb, "--config", ini, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request: r=1000000000000: the sample draw needs about")
+    assert "(16 * r * L + 8 * r bytes)" in err and err.count("\n") == 1
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -9,7 +9,6 @@ from tfsamp import (
     Signal,
     TFPoint,
     Window,
-    build_T_matrix,
     build_localization_operator,
     choose_N,
     concentration,
@@ -35,6 +34,7 @@ from tfsamp.locop import (
 
 from oracles import (
     adjoint_direct,
+    build_T_matrix,
     count_interval_direct,
     loc_operator_direct,
     project_VN,
@@ -186,7 +186,7 @@ def test_no_callable_takes_an_eigensystem_and_its_region_or_window():
             if any(p.name == "eigs" or "EigenSystem" in str(p.annotation) for p in params):
                 checked.append(f"{info.name}.{name}")
                 assert not {p.name for p in params} & {"window", "region"}, checked[-1]
-    assert {"sampling.build_T_matrix", "recon.reconstruct", "sampling._region_table",
+    assert {"sampling.empirical_min_eigenvalue", "recon.reconstruct", "sampling._region_table",
             "witnesses.null_sample_witness"} <= set(checked)
 
 

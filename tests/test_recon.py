@@ -8,7 +8,6 @@ from tfsamp import (
     ParameterError,
     SampleSet,
     Signal,
-    build_T_matrix,
     cg_solve,
     error_bound,
     exact_bessel_bound,
@@ -20,7 +19,7 @@ from tfsamp import (
     uniform_sample,
 )
 
-from oracles import project_VN
+from oracles import build_T_matrix, project_VN
 
 
 # ---------------------------------------------------------------- normal eqs

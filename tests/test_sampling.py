@@ -13,7 +13,6 @@ from tfsamp import (
     Signal,
     TailParams,
     TFPoint,
-    build_T_matrix,
     covering_exceedance_frequency,
     covering_index,
     covering_tail,
@@ -46,9 +45,10 @@ from tfsamp.sampling import (
     _RegionTable,
     derive_seed,
 )
-from tfsamp.tfcore import Window, _stft_rows, _support_arc
+from tfsamp.tfcore import Window, _support_arc
 
 from oracles import (
+    build_T_matrix,
     mp_covering_tail,
     mp_required_samples,
     mp_subspace_bound,
@@ -388,24 +388,20 @@ def _disk_plus_noisy_block(L):
 
 
 def test_region_table_matches_stft():
-    # rows on the FFT route are bit-equal to stft; the disk's edge rows hold few
-    # cells and take the GEMM route, which agrees to 1e-14 of each column's norm
+    # the Gaussian's support misses offsets, so every time row with a cell takes the
+    # GEMM route, which agrees with stft to 1e-14 of each column's norm
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
         stats = {}
         table = _region_table(eigs, region.mask, stats)
-        _, gemm = _stft_rows(np.ascontiguousarray(eigs.basis().T), window, region.mask)
-        assert stats == {"table_gemm_rows": np.count_nonzero(gemm)}
         rows = region.mask.any(axis=1)
-        assert gemm[rows].any() and not gemm[rows].all()
-        on_gemm = gemm[region.points()[:, 0]]
+        assert window.support.size < region.L and not rows.all()
+        assert stats == {"table_gemm_rows": np.count_nonzero(rows)}
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
             col = stft(Signal(eigs.eigenvectors[:, k]), window)[region.mask]
-            got = np.ascontiguousarray(table[:, k])
-            assert np.array_equal(got[~on_gemm].view(np.float64), col[~on_gemm].view(np.float64))
-            assert np.max(np.abs(got[on_gemm] - col[on_gemm])) <= 1e-14 * np.linalg.norm(col)
+            assert np.max(np.abs(table[:, k] - col)) <= 1e-14 * np.linalg.norm(col)
 
     # against the direct O(L^3) sum, so the check does not rest on FFT vs FFT
     region = _disk_plus_noisy_block(24)
@@ -440,9 +436,9 @@ TABLE_CASES = {
 
 @pytest.mark.parametrize("name", list(TABLE_CASES))
 def test_region_table_matches_stft_for_every_kind_of_basis(name):
-    # a quarter of the region, as a Monte Carlo draw keeps it: every row takes the GEMM,
-    # which agrees to 1e-15 of each column's norm; the region's longest time row alone
-    # saves too little to pay for the GEMM's phase table, keeps the FFT and is bit-equal
+    # a quarter of the region, as a Monte Carlo draw keeps it, and the region's longest
+    # time row alone: every row with a cell takes the GEMM, which agrees to 1e-15 of
+    # each column's norm
     region, window = TABLE_CASES[name]()
     H = build_localization_operator(region, window)
     eigs = eigendecompose(H, 0.5)
@@ -454,22 +450,18 @@ def test_region_table_matches_stft_for_every_kind_of_basis(name):
         "asymmetric mask": H.modulation is None,
         "two-bump window": w > window.support.size,
     }
-    assert kind[name] and eigs.N >= 4
+    assert kind[name] and eigs.N >= 4 and w < region.L
     thin = region.mask & (np.random.default_rng(1).random(region.mask.shape) < 0.25)
     longest = np.argmax(region.mask.sum(axis=1))
     lone = np.zeros_like(region.mask)
     lone[longest] = region.mask[longest]
-    for mask, route in ((thin, "gemm"), (lone, "fft")):
-        table = _region_table(eigs, mask)
-        _, gemm = _stft_rows(np.ascontiguousarray(basis.T), window, mask)
-        rows = mask.any(axis=1)
-        assert gemm[rows].all() if route == "gemm" else not gemm.any()
+    for mask in (thin, lone):
+        stats = {}
+        table = _region_table(eigs, mask, stats)
+        assert stats == {"table_gemm_rows": np.count_nonzero(mask.any(axis=1))}
         for k in range(eigs.N):
             col = stft(Signal(basis[:, k]), window)[mask]
-            got = np.ascontiguousarray(table[:, k])
-            if route == "fft":
-                assert np.array_equal(got.view(np.float64), col.view(np.float64))
-            assert np.max(np.abs(got - col)) <= 1e-15 * np.linalg.norm(col)
+            assert np.max(np.abs(table[:, k] - col)) <= 1e-15 * np.linalg.norm(col)
 
 
 def test_support_arc_holds_the_support():
@@ -534,7 +526,7 @@ def test_drawn_table_rows_match_full_table():
     assert np.array_equal(table.row_of[distinct], np.arange(distinct.size))
     assert np.array_equal(idx, table.row_of[drawn])
     full = _region_table(eigs, region.mask)
-    # the drawn rows hold few cells and may take the GEMM route where the full rows do not
+    # both take the GEMM route, over different frequencies of each row
     err = np.abs(table.values[idx] - full[drawn]).max(axis=(0, 1))
     assert np.all(err <= 1e-14 * np.linalg.norm(full, axis=0))
 

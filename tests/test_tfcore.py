@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from tfsamp import (
     stft,
     tf_shift,
 )
-from tfsamp.tfcore import TFPoint, _gemm_rows, _stft_rows, _translates, _window_support
+from tfsamp.tfcore import TFPoint, _stft_rows, _translates, _window_support
 
 from oracles import (
     adjoint_direct,
@@ -246,13 +244,14 @@ def _unit_signals(K, L, seed):
     return f / np.linalg.norm(f, axis=1, keepdims=True)
 
 
-def _check_rows(f, phi, mask, out, gemm):
-    # FFT rows bit-equal to stft, GEMM rows within 1e-14 of each column's norm
-    on_gemm = gemm[np.nonzero(mask)[0]]
+def _check_rows(f, phi, mask, out):
+    # a full-support window's FFT table is bit-equal to stft, a GEMM table within
+    # 1e-14 of each column's norm
     for k in range(f.shape[0]):
         col = stft(Signal(f[k]), phi)[mask]
         got = np.ascontiguousarray(out[:, k])
-        assert np.array_equal(got[~on_gemm].view(np.float64), col[~on_gemm].view(np.float64))
+        if phi.support.size == phi.L:
+            assert np.array_equal(got.view(np.float64), col.view(np.float64))
         assert np.max(np.abs(got - col)) <= 1e-14 * np.linalg.norm(col)
 
 
@@ -264,9 +263,9 @@ def test_stft_rows_gemm_route_on_a_sparse_mask():
     for m in range(L):
         mask[m, rng.choice(L, rng.integers(1, 4), replace=False)] = True
     f, phi = _unit_signals(12, L, 4), make_gaussian_window(L)
-    out, gemm = _stft_rows(f, phi, mask)
-    assert gemm.all()
-    _check_rows(f, phi, mask, out, gemm)
+    assert phi.support.size < L
+    out = _stft_rows(f, phi, mask)
+    _check_rows(f, phi, mask, out)
     ref = stft_direct(f[0], phi.values, points=np.argwhere(mask))
     assert np.max(np.abs(out[:, 0] - ref)) < 1e-12
 
@@ -274,22 +273,17 @@ def test_stft_rows_gemm_route_on_a_sparse_mask():
 @pytest.mark.parametrize("keep", [1.0, 0.125])
 def test_stft_rows_wrap_around_the_torus(keep):
     # a disk centred at (2, L - 3): rows wrap past 0, and so does every support shift;
-    # the 41 rows around its centre keep every cell, the others a fraction keep of them
+    # the 41 rows around its centre keep every cell, the others a fraction keep of them.
+    # The Gaussian's support misses offsets, so every row takes the GEMM, full or thin
     L = 256
     thin = np.random.default_rng(5).random((L, L)) < keep
     thin[np.r_[L - 18 : L, 0:23]] = True
     mask = disk_region(L, TFPoint(2, L - 3), 100).mask & thin
     assert mask[0].any() and mask[L - 1].any()
     f, phi = _unit_signals(12, L, 6), make_gaussian_window(L)
-    out, gemm = _stft_rows(f, phi, mask)
-    if keep == 1.0:
-        # rows of up to 201 cells: even the disk's short edge rows together save less
-        # than the GEMM's phase table costs, so every row keeps the FFT
-        assert not gemm.any()
-    else:
-        # the full rows around the centre keep the FFT, the thinned ones take the GEMM
-        assert not gemm[[L - 1, 0, 2]].any() and gemm[[L - 28, 32, 100, 159]].all()
-    _check_rows(f, phi, mask, out, gemm)
+    assert phi.support.size < L
+    out = _stft_rows(f, phi, mask)
+    _check_rows(f, phi, mask, out)
 
 
 def test_stft_rows_full_support_window_keeps_the_fft():
@@ -299,9 +293,43 @@ def test_stft_rows_full_support_window_keeps_the_fft():
     assert _window_support(phi.values).size == L
     mask = disk_region(L, TFPoint(40, 90), 20).mask | (rng.random((L, L)) < 0.01)
     f = _unit_signals(12, L, 8)
-    out, gemm = _stft_rows(f, phi, mask)
-    assert not gemm.any()
-    _check_rows(f, phi, mask, out, gemm)
+    out = _stft_rows(f, phi, mask)
+    _check_rows(f, phi, mask, out)
+
+
+def test_stft_rows_route_follows_the_window_support(monkeypatch):
+    # a window whose support misses an offset takes the GEMM on every row that has a
+    # cell, whatever the row's shape: the disk of L = 120 for a real and a complex batch,
+    # and one lone full row; a window with full support takes the FFT on every such row,
+    # and a mask with no cell builds no phase table
+    import tfsamp.tfcore as tfcore
+
+    arcs, ffts = [], []
+    real_arc, real_translates = tfcore._support_arc, tfcore._translates
+    monkeypatch.setattr(tfcore, "_support_arc", lambda S, L: arcs.append(L) or real_arc(S, L))
+    monkeypatch.setattr(tfcore, "_translates",
+                        lambda x, shifts: ffts.extend(shifts) or real_translates(x, shifts))
+    L = 120
+    disk = disk_region(L, TFPoint(60, 60), 30).mask
+    lone = np.zeros_like(disk)
+    lone[60] = disk[60]
+    f, gauss = _unit_signals(23, L, 9), make_gaussian_window(L)
+    rng = np.random.default_rng(10)
+    full = Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    assert gauss.support.size < L == full.support.size
+    for batch, phi, mask in ((f.real.copy(), gauss, disk), (f, gauss, disk), (f, gauss, lone),
+                             (f, full, disk), (f, gauss, np.zeros_like(disk))):
+        arcs.clear()
+        ffts.clear()
+        out = _stft_rows(batch, phi, mask)
+        rows = np.flatnonzero(mask.any(axis=1))
+        gemm = phi.support.size < L and rows.size > 0
+        assert arcs == ([L] if gemm else [])
+        assert ffts == ([] if phi.support.size < L else list(rows))
+        assert out.shape == (mask.sum(), batch.shape[0])
+        if rows.size:
+            _check_rows(batch, phi, mask, out)
+    assert disk.any(axis=1).sum() == 61
 
 
 def test_window_support_drops_at_most_eps_over_16():
@@ -312,31 +340,6 @@ def test_window_support_drops_at_most_eps_over_16():
         dropped = np.delete(phi, S)
         assert np.linalg.norm(dropped) <= np.finfo(np.float64).eps / 16
         assert np.min(np.abs(phi[S])) >= np.max(np.abs(dropped))
-
-
-def test_gemm_rows_read_only_the_row_shape():
-    # (cells per time row, w, L, K, p) of whole tables: the mc-L120 region takes the GEMM
-    # on every row for a real basis; for a complex one, and for one lone row of it, the
-    # rows' savings do not pay for the phase table; large-L960's drawn rows take the GEMM,
-    # and a window with full support keeps the FFT
-    disk = np.count_nonzero(disk_region(120, TFPoint(60, 60), 30).mask, axis=1)
-    lone = np.where(np.arange(120) == 60, 46, 0)
-    drawn = np.where(np.arange(960) < 481, 20, 0)
-    shapes = [(disk, 77, 120, 23, 1), (disk, 77, 120, 23, 2), (lone, 77, 120, 23, 1),
-              (drawn, 215, 960, 188, 1), (drawn, 960, 960, 188, 1)]
-    tracemalloc.start()
-    try:
-        routes = [_gemm_rows(*shape) for shape in shapes]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [int(g.sum()) for g in routes] == [61, 0, 0, 481, 0]
-    assert np.array_equal(routes[0], disk > 0) and np.array_equal(routes[3], drawn > 0)
-    assert all(np.array_equal(_gemm_rows(*shape), g) for shape, g in zip(shapes, routes))
-    assert peak < 16 * 8 * 960  # a few temporaries of the largest table's length
-    # thirty rows of 46 cells save enough to pay for the phase table, twenty do not
-    for rows, expected in ((30, 30), (20, 0)):
-        assert _gemm_rows(np.where(np.arange(120) < rows, 46, 0), 77, 120, 23).sum() == expected
 
 
 @pytest.mark.parametrize("L", [1, 2, 7, 16])
