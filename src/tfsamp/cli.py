@@ -26,12 +26,13 @@ sample or Monte Carlo draws that cannot).
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
 tfsamp.sampling.derive_seed (re-exported here), which sits next to the
-three stream ids: SAMPLE_STREAM 0 for run-level sample draws,
-TRIAL_STREAM 1 for per-trial Monte Carlo draws, FUNCTION_STREAM 2 for
-generated test functions.  Reports echo each derived seed, so
-any row can be regenerated in isolation.  With a fixed config and
-master seed the report files are byte-identical across runs except for
-the wall-clock timing block.
+three stream ids: SAMPLE_STREAM 0 for the run-level sample draw (index 0)
+and for montecarlo's grid cells (index c seeds cell c, in nu-major
+order), TRIAL_STREAM 1 for per-trial Monte Carlo draws under a cell's
+seed, FUNCTION_STREAM 2 for generated test functions.  Reports echo each
+derived seed, so any row can be regenerated in isolation.  With a fixed
+config and master seed the report files are byte-identical across runs
+except for the wall-clock timing block.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from .sampling import (
     FUNCTION_STREAM,
     SAMPLE_STREAM,
     TailParams,
-    _RegionTable,
     covering_tail,
     derive_seed,
     empirical_min_eigenvalue,
@@ -206,9 +206,10 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     """Runner skeleton shared by every verb.
 
     Times build_setup, starts the report with the eigen section and its
-    headline line, releases the operator, makes the output directory, then
-    yields (report, eigs); the with-block adds sections, headline lines,
-    artifacts and any extra timings.
+    headline line, releases the operator, then yields (report, eigs); the
+    with-block adds sections, headline lines, artifacts and any extra
+    timings.  The output directory is made by the first _write, so a run
+    refused inside the with-block leaves none.
     """
     t0 = time.perf_counter()
     H, eigs = build_setup(cfg)
@@ -224,7 +225,6 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     report.headline.append(
         f"L={e['L']}  |Omega|={e['measure']:.6g}  N={e['N']}  trace={e['trace']:.6g}"
     )
-    os.makedirs(outdir, exist_ok=True)
     yield report, eigs
     report.timings["total_s"] = time.perf_counter() - t0
 
@@ -295,19 +295,25 @@ def _row_lines(rows: list, describe) -> list:
     ]
 
 
-def _write_row_table(path: str, header: list, rows: list):
-    """CSV of row dicts in header order; missing and None fields are left blank."""
-    write_rows_csv(
-        path, header, [["" if row.get(k) is None else row[k] for k in header] for row in rows]
-    )
+def _write(outdir: str, name: str, data, header: list | None = None):
+    """Write one artifact, outdir/name, making outdir on the first write.
+
+    With a header, data is a list of row dicts, written as CSV in header
+    order with missing and None fields left blank; without one, data is an
+    array, written as .npy.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, name)
+    if header is None:
+        np.save(path, data)
+    else:
+        write_rows_csv(
+            path, header, [["" if row.get(k) is None else row[k] for k in header] for row in data]
+        )
 
 
-def _write_samples(outdir: str, samples):
-    write_rows_csv(
-        os.path.join(outdir, "samples.csv"),
-        ["j", "m", "n"],
-        [(j + 1, m, n) for j, (m, n) in enumerate(samples.points)],
-    )
+def _samples_rows(samples) -> list:
+    return [{"j": j + 1, "m": m, "n": n} for j, (m, n) in enumerate(samples.points)]
 
 
 # Every runner takes the common --threads and --emit-eigenvectors flags;
@@ -318,18 +324,15 @@ def run_spectrum(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
     with _run("spectrum", cfg, outdir) as (report, eigs):
-        write_rows_csv(
-            os.path.join(outdir, "eigenvalues.csv"),
-            ["k", "alpha"],
-            [(k + 1, a) for k, a in enumerate(eigs.eigenvalues)],
-        )
+        _write(outdir, "eigenvalues.csv",
+               [{"k": k + 1, "alpha": a} for k, a in enumerate(eigs.eigenvalues)], ["k", "alpha"])
         spectro = np.abs(stft(Signal(eigs.columns(0)), eigs.window)) ** 2
-        np.save(os.path.join(outdir, "eigfun1_spectrogram.npy"), spectro)
-        np.save(os.path.join(outdir, "region.npy"), eigs.region.mask)
+        _write(outdir, "eigfun1_spectrogram.npy", spectro)
+        _write(outdir, "region.npy", eigs.region.mask)
         report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.npy"]
         if emit_eigenvectors:
             # column k is psi_{k+1}; not basis(), which refuses an empty V_N
-            np.save(os.path.join(outdir, "eigenvectors.npy"), eigs.columns(slice(0, eigs.N)))
+            _write(outdir, "eigenvectors.npy", eigs.columns(slice(0, eigs.N)))
             report.artifacts.append("eigenvectors.npy")
     return report
 
@@ -344,7 +347,7 @@ def run_reconstruct(
 
         def evaluate(i, eps_t, f):
             rec = reconstruct(f, W, eigs, cfg.cg_tol)
-            np.save(os.path.join(outdir, f"stft_abs_{i + 1}.npy"), np.abs(stft(f, eigs.window)))
+            _write(outdir, f"stft_abs_{i + 1}.npy", np.abs(stft(f, eigs.window)))
             return dict(
                 epsilon_measured=rec.epsilon,
                 relative_error=rec.relative_error,
@@ -369,8 +372,8 @@ def run_reconstruct(
             "epsilon_target", "epsilon_measured", "relative_error", "error_bound",
             "iterations", "converged", "residual_norm", "function_seed", "infeasible",
         ]
-        _write_row_table(os.path.join(outdir, "recon_rows.csv"), header, rows)
-        _write_samples(outdir, samples)
+        _write(outdir, "recon_rows.csv", rows, header)
+        _write(outdir, "samples.csv", _samples_rows(samples), ["j", "m", "n"])
         report.artifacts += ["recon_rows.csv", "samples.csv"]
         report.artifacts += [
             f"stft_abs_{i + 1}.npy" for i, row in enumerate(rows) if not row["infeasible"]
@@ -389,29 +392,19 @@ def run_montecarlo(
     with _run("montecarlo", cfg, outdir) as (report, eigs):
         t1 = time.perf_counter()
         tail = _tail_params(cfg, eigs)
-        # one table of V_phi psi_k for the whole grid: each cell adds the points it
-        # is the first to draw, and reads the rest
-        draws = cfg.trials * len(cfg.nu_grid) * sum(int(r) for r in cfg.r_grid)
-        table = _RegionTable(eigs, draws)
-        rows = []
-        for cell, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid)):
-            cell_seed = derive_seed(cfg.master_seed, SAMPLE_STREAM, cell)
-            stats = {}  # the cell's Gram route and distinct drawn points
-            freq = monte_carlo_failure_frequency(cfg.trials, nu, int(r), eigs, cell_seed, threads,
-                                                 stats=stats, table=table)
-            rows.append({
-                "nu": nu,
-                "r": int(r),
-                "trials": cfg.trials,
-                "cell_seed": cell_seed,
-                "empirical_freq": freq,
-                **stats,
-                **_tail_fields(cfg, tail, nu, int(r)),
-            })
-            report.headline.append(
-                f"nu={nu:.3g} r={int(r)}  empirical={freq:.4g}"
-                f"  bound={min(1.0, rows[-1]['subspace_bound']):.4g}"
-            )
+        grid = [(nu, int(r), derive_seed(cfg.master_seed, SAMPLE_STREAM, c))
+                for c, (nu, r) in enumerate(product(cfg.nu_grid, cfg.r_grid))]
+        cells = monte_carlo_failure_frequency(cfg.trials, grid, eigs, threads)
+        rows = [
+            {"nu": nu, "r": r, "trials": cfg.trials, "cell_seed": seed, **cell,
+             **_tail_fields(cfg, tail, nu, r)}
+            for (nu, r, seed), cell in zip(grid, cells)
+        ]
+        report.headline += [
+            f"nu={row['nu']:.3g} r={row['r']}  empirical={row['empirical_freq']:.4g}"
+            f"  bound={min(1.0, row['subspace_bound']):.4g}"
+            for row in rows
+        ]
         report.timings["trials_s"] = time.perf_counter() - t1
 
         report.sections["montecarlo"] = {
@@ -423,12 +416,12 @@ def run_montecarlo(
             "covering_rate_a": tail.a,
             "rows": rows,
         }
-        _write_row_table(
-            os.path.join(outdir, "mc_rows.csv"),
-            ["nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
-             "covering_tail", "success_probability", "required_samples", "cell_seed"],
+        _write(
+            outdir, "mc_rows.csv",
             [{**row, "theory_bound": row["subspace_bound"], "master_seed": cfg.master_seed}
              for row in rows],
+            ["nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
+             "covering_tail", "success_probability", "required_samples", "cell_seed"],
         )
         report.artifacts.append("mc_rows.csv")
     return report
@@ -520,9 +513,9 @@ def run_certify(
             "theorem_admissible", "A_used", "ratio", "lower_holds", "upper_holds",
             "vacuous", "premise_holds", "function_seed", "infeasible",
         ]
-        _write_row_table(os.path.join(outdir, "certify_rows.csv"), header,
-                         [{**row, "premise_holds": premise_holds} for row in rows])
-        _write_samples(outdir, samples)
+        _write(outdir, "certify_rows.csv",
+               [{**row, "premise_holds": premise_holds} for row in rows], header)
+        _write(outdir, "samples.csv", _samples_rows(samples), ["j", "m", "n"])
         report.artifacts += ["certify_rows.csv", "samples.csv"]
     return report
 
@@ -569,7 +562,7 @@ def run_witness(
             ("alias_f.npy", alias.f), ("alias_f_tilde.npy", alias.f_tilde),
             ("alias_phi_perp.npy", alias.phi_perp),
         ]:
-            np.save(os.path.join(outdir, name), sig.values)
+            _write(outdir, name, sig.values)
             report.artifacts.append(name)
     return report
 

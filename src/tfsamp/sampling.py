@@ -21,28 +21,23 @@ event; this module evaluates those closed-form tails exactly as stated
 only, so the formulas stay cross-checkable) and estimates the empirical
 failure frequency by seeded Monte Carlo.
 
-Monte Carlo tabulates v_p = (V_phi psi_k(p))_k only at the points its
-trials draw (_region_table), and one montecarlo call keeps one such table
-for all its cells (_RegionTable): a point -> row map over the region, and
-rows written once, in the order cells first draw their points.  A cell
-computes only the points no earlier cell drew; on the mc-L120 grid (nine
-cells of 50 trials at L=120) that is 2 821 rows where the cells draw 25 289
-between them, and every cell after the second adds none.  The table never
-holds more than min(|Omega|, the call's draws) rows, 16 N bytes each.  A
-window whose support misses an offset tabulates every time row of a cell's
-new points by one real GEMM over the row's drawn frequencies and the arc
-that holds the support; a window with full support by one FFT batch per
-row (tfcore._stft_rows).
+Monte Carlo runs a whole (nu, r) grid in one call,
+monte_carlo_failure_frequency, and tabulates v_p = (V_phi psi_k(p))_k only
+at the points its trials draw, in one table for all its cells
+(_RegionTable): a point -> row map over the region, and rows written once,
+in the order cells first draw their points.  A cell computes only the
+points no earlier cell drew, and the table never holds more than
+min(|Omega|, the call's draws) rows, 16 N bytes each.  A window whose
+support misses an offset tabulates every time row of a cell's new points by
+one real GEMM over the row's drawn frequencies and the arc that holds the
+support; a window with full support by one FFT batch per row
+(tfcore._stft_rows).
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
 <= -nu/|Omega| iff (1/r) G - E T + (nu/|Omega|) I is not positive definite,
 so one Cholesky per trial settles it, and a factorization that breaks down
-is a failure.  The Cholesky reads only the lower triangle of G.  At N=188
-it takes 0.9 ms against 5.5 ms for eigvalsh, at N=23 12 us against 54 us
-(OpenBLAS on one thread).  The acceptance grid's closest statistic lies
-2.1e-10 from its threshold, where the factorization's residual is 9e-17
-of the matrix norm, so no count moves.  empirical_min_eigenvalue, whose
-value certify reports, keeps eigvalsh.
+is a failure.  The Cholesky reads only the lower triangle of G.
+empirical_min_eigenvalue, whose value certify reports, keeps eigvalsh.
 
 Monte Carlo forms each trial's Gram G = sum_j T_j by one of two routes,
 picked per cell by _gram_route from the cell's shape alone (trials, r, the
@@ -50,22 +45,15 @@ P points of the call's table after the cell, N); both give the same
 decisions up to roundoff.  The gather route copies each trial's r rows v_j
 out of the table and multiplies them in real arithmetic: one symmetric
 rank-r update of their (r, 2N) float64 view, 4 r N^2 flops against 8 r N^2
-for the complex product (_gathered_grams; 20 Grams at N=188, r=500 take
-0.07 s instead of 0.09 s).  The counts route uses
+for the complex product (_gathered_grams).  The counts route uses
 sum_j T_j = sum_p c_p v_p v_p^H, with c the bincount of the trial's draw.
 It reads a packed table of the lower triangles of the v_p v_p^H: the real
 parts on and below the diagonal and the imaginary parts below it, N^2
 float64 or 8 N^2 bytes per point.  The call's table builds it when its
-first counts cell runs and extends it by new points only, so the mc-L120
-grid builds one where each counts cell used to build its own.  A chunk's
-Grams are then one real GEMM, the (chunk, P) count matrix times that table,
-scattered into the lower triangles.  Measured over whole cells, counts wins
-once P N^2 (120 + trials) < trials r (340 N - 110), roughly P below 6 r
-for N=23 and many trials, and only while the packed table's 8 P N^2 bytes
-fit OUTER_TABLE_BUDGET (32 MiB), which it therefore never outgrows.  At
-L=120 (N=23, P=2821) the 50-trial cells count at r=1000 and r=4000 and
-gather at r=250, where 2000 trials count at every r.  At L=960 (N=188,
-P=9741) the packed table would take 2.75 GB, so that cell gathers.
+first counts cell runs and extends it by new points only.  A chunk's Grams
+are then one real GEMM, the (chunk, P) count matrix times that table,
+scattered into the lower triangles.  One constant, MC_BUDGET, bounds both
+the packed table and the trial chunks that all workers hold at once.
 
 Note on exponents: the general matrix Bernstein tail
 N*exp(-(t^2/2)/(sigma^2 + B t/3)) carries the customary t^2/2 numerator,
@@ -105,7 +93,9 @@ __all__ = [
 ]
 
 # spawn-key stream ids for counter-based seed derivation (see derive_seed):
-# run-level sample draws, per-trial Monte Carlo draws, generated test functions
+# SAMPLE_STREAM index 0 seeds the run-level sample draw and index c the seed of
+# montecarlo's grid cell c; TRIAL_STREAM index i seeds trial i under a cell's seed;
+# FUNCTION_STREAM index i seeds generated test function i
 SAMPLE_STREAM = 0
 TRIAL_STREAM = 1
 FUNCTION_STREAM = 2
@@ -174,7 +164,7 @@ def _region_table(
 
 
 class _RegionTable:
-    """V_phi psi_k at the region points drawn so far; one per montecarlo call.
+    """V_phi psi_k at the region points drawn so far; one per Monte Carlo grid.
 
     row_of maps each of the region's point_count points to its row of
     values, -1 for a point not yet tabulated.  values is one (capacity, N)
@@ -183,8 +173,7 @@ class _RegionTable:
     written pages become resident, so the capacity, min(|Omega|, the draws
     to come), costs address space, not memory.  The counts route's packed
     table (_outer_table) is built the first time a counts cell asks for it
-    and then extended by the new points only; its capacity fits
-    OUTER_TABLE_BUDGET.
+    and then extended by the new points only; its capacity fits MC_BUDGET.
     """
 
     def __init__(self, eigs: EigenSystem, draws: int):
@@ -221,7 +210,7 @@ class _RegionTable:
         """The packed (N^2, P) table of every tabulated point, as a view."""
         N = self.eigs.N
         if self._outer is None:
-            width = min(self.values.shape[0], OUTER_TABLE_BUDGET // (8 * N * N))
+            width = min(self.values.shape[0], MC_BUDGET // (8 * N * N))
             self._outer = np.empty((N * N, width))
         _outer_table(self.values[self._packed : self.P], self._outer[:, self._packed : self.P])
         self._packed = self.P
@@ -381,25 +370,29 @@ def _draw_trials(trials: int, r: int, P: int, master_seed: int) -> np.ndarray:
     return idx
 
 
-def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1) -> float:
+# bytes a Monte Carlo call holds at most in each of two places: the chunks of trials
+# in flight over all workers (larger chunks are no faster and only raise the peak
+# RSS), and the counts route's packed table, 8 N^2 bytes per point
+MC_BUDGET = 32_000_000
+
+
+def _failure_frequency(idx: np.ndarray, fails, trial_bytes: int, threads: int = 1) -> float:
     """Fraction of the trials (rows of idx) that fail; the one Monte Carlo count.
 
     fails maps a (B, r) block of idx to B booleans; aggregation is an
     order-independent count over chunks of trials, so any thread count
-    gives the same result.  row_width is what one trial holds at the peak of
-    fails, in units of 32 * r bytes (32 bytes per drawn point).
-    At most one worker per CPU is started, and each gets work: a chunk is
-    at most ceil(trials / workers) trials.
+    gives the same result.  trial_bytes is what one trial holds at the peak
+    of fails, and the chunks of all workers together hold at most MC_BUDGET
+    bytes, or one trial each.  At most one worker per CPU is started, and
+    each gets work: a chunk is at most ceil(trials / workers) trials.
     """
-    trials, r = idx.shape
+    trials = idx.shape[0]
     workers = min(threads, os.cpu_count() or 1)
 
     def count_chunk(span: slice) -> int:
         return int(np.count_nonzero(fails(idx[span])))
 
-    # keep the chunks near ~32 MB in total over all workers; larger chunks
-    # are no faster and only raise the peak RSS
-    chunk = max(1, min(-(-trials // workers), 1_000_000 // workers // max(1, r * row_width)))
+    chunk = max(1, min(-(-trials // workers), MC_BUDGET // workers // trial_bytes))
     spans = [slice(t0, t0 + chunk) for t0 in range(0, trials, chunk)]
     if workers > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -411,65 +404,34 @@ def _failure_frequency(idx: np.ndarray, fails, row_width: int, threads: int = 1)
     return failures / trials
 
 
-# bytes allowed for the counts route's _outer_table, 8 N^2 per drawn point;
-# the gather route holds ~32 MB of chunks at its peak, so the counts route holds no more
-OUTER_TABLE_BUDGET = 32 * 2**20
-
-
 def _gram_route(trials: int, r: int, P: int, N: int) -> str:
     """"counts" or "gather": the cheaper way to form a Monte Carlo cell's Grams.
 
     A pure function of the cell's shape: trials of r draws, P the points of
     the call's table after the cell (its own distinct points and those that
     earlier cells drew: the width of the counts GEMM), with N = dim V_N.
-    Per cell, the gather route costs about 17 trials * r * N ns (copy the
-    rows, multiply them) and the counts route about
-    P N^2 (6 + 0.05 trials) + 5.5 trials * r ns (build the packed table,
-    then count the draws and one GEMM row per trial), as
-    measured over whole cells at N = 12, 23 and 28 on a 2-core x86 host with
-    OpenBLAS on one thread; the Cholesky step is the same on both.  The
-    counts route also needs its packed table of P points to fit
-    OUTER_TABLE_BUDGET.
+    Counts is taken while P N^2 (120 + trials) < trials r (340 N - 110),
+    where a cost model of both routes over whole cells puts it ahead (the
+    README gives the model and its measurements; the Cholesky step is the
+    same on both), and only while its packed table of P points, 8 P N^2
+    bytes, fits MC_BUDGET.
     """
-    if 8 * P * N * N > OUTER_TABLE_BUDGET:
+    if 8 * P * N * N > MC_BUDGET:
         return "gather"
     return "counts" if P * N * N * (120 + trials) < trials * r * (340 * N - 110) else "gather"
 
 
-def monte_carlo_failure_frequency(
-    trials: int,
-    nu: float,
-    r: int,
-    eigs: EigenSystem,
-    master_seed: int,
-    threads: int = 1,
-    stats: dict | None = None,
-    table: _RegionTable | None = None,
-) -> float:
-    """Fraction of trials with empirical min-eigenvalue <= -nu/|Omega|.
-
-    Trial i is the sample set uniform_sample(eigs.region, r,
-    derive_seed(master_seed, TRIAL_STREAM, i)), and its statistic is
-    empirical_min_eigenvalue's, compared with the threshold by one Cholesky
-    (_not_positive_definite).  The Grams come from _gram_route's choice;
-    both routes give the same decisions up to roundoff.  table, the
-    _RegionTable of the calling montecarlo run (same eigs), lends the rows
-    earlier cells tabulated and takes this cell's new points; without one
-    the cell makes its own.  A stats dict, if given, receives the route as
-    "gram", the distinct points this cell drew as "drawn_points" and the GEMM
-    rows among the points it added to the table as "table_gemm_rows".
-    """
+def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: int,
+                    threads: int) -> dict:
+    """One cell of monte_carlo_failure_frequency: its draws go into table, its Grams read it."""
+    eigs = table.eigs
     region, N = eigs.region, eigs.N
-    eigs.basis()  # refuse an empty V_N before drawing every trial's indices
-    idx = _draw_trials(trials, r, region.point_count, master_seed)
-    if table is None:
-        table = _RegionTable(eigs, trials * r)
+    idx = _draw_trials(trials, r, region.point_count, seed)
+    stats = {}
     drawn = table.add(idx, stats)
     # the counts route's GEMM runs over every point of the table, not just this cell's
     P = table.P
     route = _gram_route(trials, r, P, N)
-    if stats is not None:
-        stats.update(gram=route, drawn_points=drawn)
     if route == "counts":
         outer = table.outer()
 
@@ -477,13 +439,13 @@ def monte_carlo_failure_frequency(
             return _counted_grams(outer, blk)
 
         # per trial: its offset indices, count rows as int and float, packed and full Gram
-        row_width = -(-(8 * r + 16 * P + 24 * N * N) // (32 * r))
+        trial_bytes = 8 * r + 16 * P + 24 * N * N
     else:
         def grams(blk):
             return _gathered_grams(table.values[blk])
 
         # per trial: its (r, N) complex rows, the (2N)^2 real product and the Gram
-        row_width = -(-(16 * r * N + 48 * N * N) // (32 * r))
+        trial_bytes = 16 * r * N + 48 * N * N
     # a trial fails iff its min-eigenvalue is <= -nu/|Omega|, i.e. iff
     # (1/r) G - E T + (nu/|Omega|) I is not positive definite
     shift = expected_T(eigs) - nu / region.measure * np.eye(N)
@@ -494,7 +456,30 @@ def monte_carlo_failure_frequency(
         S -= shift
         return _not_positive_definite(S)
 
-    return _failure_frequency(idx, fails, row_width, threads)
+    freq = _failure_frequency(idx, fails, trial_bytes, threads)
+    return {"empirical_freq": freq, **stats, "gram": route, "drawn_points": drawn}
+
+
+def monte_carlo_failure_frequency(trials: int, cells, eigs: EigenSystem,
+                                  threads: int = 1) -> list:
+    """One dict per (nu, r, seed) of cells, for trials trials each.
+
+    Trial i of a cell is the sample set uniform_sample(eigs.region, r,
+    derive_seed(seed, TRIAL_STREAM, i)), and it fails when its
+    empirical_min_eigenvalue statistic is <= -nu/|Omega|, decided by one
+    Cholesky (_not_positive_definite).  The cells run in order and share one
+    _RegionTable: each tabulates the points no earlier cell drew and reads
+    the rest.  A cell's dict holds the fraction of its trials that fail as
+    "empirical_freq", the GEMM rows among the points it added to the table
+    as "table_gemm_rows", the Gram route _gram_route picked as "gram" (both
+    routes give the same decisions up to roundoff) and the distinct points
+    its trials drew as "drawn_points".  No value depends on threads.
+    """
+    # the table is made before the guard's basis temporary: in the other order the
+    # L=960 benchmark pass peaked 2-4 MB higher (heap layout, same working set)
+    table = _RegionTable(eigs, trials * sum(r for _, r, _ in cells))
+    eigs.basis()  # refuse an empty V_N before drawing any trial's indices
+    return [_cell_frequency(table, trials, nu, r, seed, threads) for nu, r, seed in cells]
 
 
 def covering_exceedance_frequency(
@@ -511,4 +496,6 @@ def covering_exceedance_frequency(
     def fails(idx):
         return np.array([np.bincount(row).max() for row in cell_of_point[idx]]) > a * r
 
-    return _failure_frequency(_draw_trials(trials, r, region.point_count, master_seed), fails, 1)
+    # per trial: its r cell ids and their temporaries, 32 bytes per draw
+    return _failure_frequency(_draw_trials(trials, r, region.point_count, master_seed), fails,
+                              32 * r)

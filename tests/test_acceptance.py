@@ -174,12 +174,14 @@ def test_05_failure_frequency_under_tail_bound(sys120):
     t0 = time.perf_counter()
     om, N = sys120.region.measure, sys120.eigs.N
     trials = 2000
+    # the nine cells in one call, as montecarlo runs them, cell c seeded with 1000 + c
+    grid = [(nu, r, 1000 + 3 * i + j) for i, nu in enumerate((0.2, 0.3, 0.5))
+            for j, r in enumerate((250, 1000, 4000))]
+    results = monte_carlo_failure_frequency(trials, grid, sys120.eigs)
     cells = []
     all_ok = True
-    for cell, (nu, r) in enumerate(
-        [(n, rr) for n in (0.2, 0.3, 0.5) for rr in (250, 1000, 4000)]
-    ):
-        freq = monte_carlo_failure_frequency(trials, nu, r, sys120.eigs, master_seed=1000 + cell)
+    for (nu, r, _), result in zip(grid, results):
+        freq = result["empirical_freq"]
         bound = min(1.0, subspace_failure_bound(TailParams(nu=nu, r=r, omega_measure=om, N=N)))
         sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
         cell_ok = freq <= bound + 4 * sigma

@@ -314,8 +314,8 @@ r_grid = {"20" if name == "modulated" else "60"}, 150
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", ["real", "complex H", "modulated"])
 def test_montecarlo_shared_table_matches_standalone_cells(tmp_path, name, threads):
-    # the cells of one call share one region table; each row is what a standalone
-    # call with the row's cell_seed, tabulating its own points, reports
+    # the cells of one call share one region table; each row is what a one-cell call
+    # with the row's cell_seed, tabulating its own points, reports
     from tfsamp import load_config
     from tfsamp.cli import build_setup
     from tfsamp.sampling import monte_carlo_failure_frequency
@@ -332,11 +332,11 @@ def test_montecarlo_shared_table_matches_standalone_cells(tmp_path, name, thread
     assert {row["gram"] for row in rows} == {"gather", "counts"}
     assert rows[0]["table_gemm_rows"] > 0
     for row in rows:
-        stats = {}
-        freq = monte_carlo_failure_frequency(row["trials"], row["nu"], row["r"], eigs,
-                                             row["cell_seed"], threads, stats=stats)
+        cell, = monte_carlo_failure_frequency(row["trials"],
+                                              [(row["nu"], row["r"], row["cell_seed"])], eigs,
+                                              threads)
         assert (row["empirical_freq"], row["gram"], row["drawn_points"]) == (
-            freq, stats["gram"], stats["drawn_points"])
+            cell["empirical_freq"], cell["gram"], cell["drawn_points"])
 
 
 def test_certify_and_montecarlo_agree_on_required_samples(tmp_path):
@@ -715,6 +715,24 @@ r_grid = 5
     err = capsys.readouterr().err
     assert err.startswith("infeasible request: V_N is empty")
     assert "gamma = 0.99" in err and "alpha_1 = 0.9187" in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    # the default r = 300 distinct points, from a region of 197
+    ("", "r=300 distinct points requested but region has 197"),
+    # alpha_1 = 0.919 < 1 - eps, so the non-linearity witness has no psi_M
+    ("[witness]\nepsilon = 0.001\n", "no eigenvalue exceeds 1 - eps = 0.999"),
+])
+def test_witness_refused_after_the_setup_leaves_no_output_directory(tmp_path, capsys, extra,
+                                                                    message):
+    # both refusals come inside the runner body, after the setup; the directory is made
+    # by the first artifact written, so none is left behind
+    ini = _ini(tmp_path, "[experiment]\nL = 32\ntrials = 5\n[region]\nradius_px = 8\n" + extra)
+    assert main(["witness", "--config", ini, "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"infeasible request: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 

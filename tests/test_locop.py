@@ -663,7 +663,7 @@ def test_project_VN_needs_positive_N():
 @pytest.mark.parametrize("consumer", [
     lambda eigs: build_T_matrix(TFPoint(8, 8), eigs),
     lambda eigs: empirical_min_eigenvalue(np.ones((3, 16), dtype=complex), eigs),
-    lambda eigs: monte_carlo_failure_frequency(4, 0.3, 5, eigs, 7),
+    lambda eigs: monte_carlo_failure_frequency(4, [(0.3, 5, 7)], eigs),
     lambda eigs: project_VN(random_signal(16, 0).values, eigs.basis()),
 ], ids=["build_T_matrix", "empirical_min_eigenvalue", "monte_carlo_failure_frequency",
         "project_VN"])
@@ -685,7 +685,7 @@ def test_monte_carlo_refuses_an_empty_V_N_before_drawing(sys16, monkeypatch):
     monkeypatch.setattr(sampling, "_draw_trials", no_draws)
     eigs = eigendecompose(sys16.H, 0.99)
     with pytest.raises(ParameterError, match=r"spectral cut with N >= 1") as info:
-        monte_carlo_failure_frequency(100_000, 0.3, 20, eigs, 7)
+        monte_carlo_failure_frequency(100_000, [(0.3, 20, 7)], eigs)
     assert info.traceback[-1].name == "basis"
 
 

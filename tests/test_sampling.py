@@ -32,7 +32,7 @@ from tfsamp import (
 )
 from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
 from tfsamp.sampling import (
-    OUTER_TABLE_BUDGET,
+    MC_BUDGET,
     TRIAL_STREAM,
     _counted_grams,
     _draw_trials,
@@ -499,8 +499,7 @@ def test_window_support_is_found_once_per_window(monkeypatch):
     real = tfcore._window_support
     calls = []
     monkeypatch.setattr(tfcore, "_window_support", lambda phi: calls.append(phi) or real(phi))
-    for nu, r in [(0.1, 250), (0.2, 1000), (0.3, 250)]:
-        monte_carlo_failure_frequency(20, nu, r, eigs, master_seed=7)
+    monte_carlo_failure_frequency(20, [(0.1, 250, 7), (0.2, 1000, 7), (0.3, 250, 7)], eigs)
     table = _region_table(eigs, region.mask)
     assert calls == []
     twin = EigenSystem(eigs.eigenvalues, eigs.eigenvectors, eigs.N, eigs.gamma, region,
@@ -591,24 +590,38 @@ def test_each_point_is_tabulated_once_per_call(tmp_path, monkeypatch):
     assert all(out.base is outs[0].base is not None for out in outs)
 
 
-def test_shared_table_rows_are_never_copied(sys480):
+def _recorded_tables(monkeypatch) -> list:
+    """The _RegionTable of each later monte_carlo_failure_frequency call, in call order."""
+    import tfsamp.sampling as sampling
+
+    tables = []
+
+    class Recorded(_RegionTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(sampling, "_RegionTable", Recorded)
+    return tables
+
+
+def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
     # six cells of one call fill one table from the front; a table grown by copying
     # its rows would hold the old and the new rows at once, about twice the written
     # rows, where the call's other buffers (draws, a gather chunk, the STFT
     # workspace) stay near a quarter of them
     eigs = sys480.eigs
-    cells = [(2, 1000, seed) for seed in range(6)]
-    monte_carlo_failure_frequency(2, 0.3, 10, eigs, master_seed=99)  # lazy imports, caches
+    cells = [(0.3, 1000, seed) for seed in range(6)]
+    monte_carlo_failure_frequency(2, [(0.3, 10, 99)], eigs)  # lazy imports, caches
+    tables = _recorded_tables(monkeypatch)
     tracemalloc.start()
     try:
-        table = _RegionTable(eigs, sum(trials * r for trials, r, _ in cells))
-        for trials, r, seed in cells:
-            stats = {}
-            monte_carlo_failure_frequency(trials, 0.3, r, eigs, seed, stats=stats, table=table)
-            assert stats["gram"] == "gather"
+        got = monte_carlo_failure_frequency(2, cells, eigs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert [cell["gram"] for cell in got] == ["gather"] * 6
+    table, = tables
     written = 16 * table.P * eigs.N
     assert written > 0.8 * 16 * 12000 * eigs.N
     assert peak <= 16 * 12000 * eigs.N + 0.5 * written
@@ -621,11 +634,11 @@ def test_monte_carlo_tabulates_only_drawn_points():
     eigs, window = _eigs_and_window(region)
     assert eigs.N == 39
     full_table_bytes = 16 * region.point_count * eigs.N
-    monte_carlo_failure_frequency(5, 0.3, 20, eigs, master_seed=4)  # lazy imports, caches
+    monte_carlo_failure_frequency(5, [(0.3, 20, 4)], eigs)  # lazy imports, caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        monte_carlo_failure_frequency(5, 0.3, 20, eigs, master_seed=3)
+        monte_carlo_failure_frequency(5, [(0.3, 20, 3)], eigs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -636,18 +649,18 @@ def test_monte_carlo_tabulates_only_drawn_points():
 
 
 def test_monte_carlo_deterministic(sys32):
-    a = monte_carlo_failure_frequency(50, 0.4, 30, sys32.eigs, master_seed=42)
-    b = monte_carlo_failure_frequency(50, 0.4, 30, sys32.eigs, master_seed=42)
+    a = monte_carlo_failure_frequency(50, [(0.4, 30, 42)], sys32.eigs)
+    b = monte_carlo_failure_frequency(50, [(0.4, 30, 42)], sys32.eigs)
     assert a == b
-    c = monte_carlo_failure_frequency(50, 0.4, 30, sys32.eigs, master_seed=43)
+    c, = monte_carlo_failure_frequency(50, [(0.4, 30, 43)], sys32.eigs)
     # a different seed is allowed to coincide numerically but the draw differs;
     # just check the frequency is a valid proportion
-    assert 0.0 <= c <= 1.0
+    assert 0.0 <= c["empirical_freq"] <= 1.0
 
 
 def test_monte_carlo_threads_agree(sys32):
-    a = monte_carlo_failure_frequency(64, 0.3, 25, sys32.eigs, master_seed=7, threads=1)
-    b = monte_carlo_failure_frequency(64, 0.3, 25, sys32.eigs, master_seed=7, threads=4)
+    a = monte_carlo_failure_frequency(64, [(0.3, 25, 7)], sys32.eigs, threads=1)
+    b = monte_carlo_failure_frequency(64, [(0.3, 25, 7)], sys32.eigs, threads=4)
     assert a == b
 
 
@@ -672,14 +685,12 @@ def test_monte_carlo_starts_at_most_one_worker_per_cpu(sys32, monkeypatch):
             return list(map(fn, items))
 
     # r * N large enough that the budget makes several chunks, so a pool is used
-    serial = monte_carlo_failure_frequency(64, 0.3, 4000, sys32.eigs, master_seed=7)
+    serial = monte_carlo_failure_frequency(64, [(0.3, 4000, 7)], sys32.eigs)
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     for cpus in (os.cpu_count(), None, 1, 3):
         monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
         started.clear()
-        freq = monte_carlo_failure_frequency(
-            64, 0.3, 4000, sys32.eigs, master_seed=7, threads=10**6
-        )
+        freq = monte_carlo_failure_frequency(64, [(0.3, 4000, 7)], sys32.eigs, threads=10**6)
         assert freq == serial
         assert started == ([] if cpus in (None, 1) else [cpus])
 
@@ -690,9 +701,8 @@ def test_monte_carlo_threads_share_one_chunk_budget(sys120):
     for threads in (1, 2):
         tracemalloc.start()
         try:
-            freq[threads] = monte_carlo_failure_frequency(
-                200, 0.2, 4000, sys120.eigs, master_seed=5, threads=threads
-            )
+            freq[threads] = monte_carlo_failure_frequency(200, [(0.2, 4000, 5)], sys120.eigs,
+                                                          threads=threads)
             peak[threads] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -708,7 +718,7 @@ def test_gather_chunks_stay_near_the_budget(sys120, monkeypatch):
     monkeypatch.setattr(sampling, "_gram_route", lambda *shape: "gather")
     tracemalloc.start()
     try:
-        monte_carlo_failure_frequency(2000, 0.9, 8, sys120.eigs, master_seed=5)
+        monte_carlo_failure_frequency(2000, [(0.9, 8, 5)], sys120.eigs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -718,15 +728,17 @@ def test_gather_chunks_stay_near_the_budget(sys120, monkeypatch):
 def test_monte_carlo_huge_nu_never_fails(sys32):
     om = sys32.region.measure
     nu = om * (1.0 + 1.0 / om) + 1.0  # statistic can never reach -nu/|Omega|
-    assert monte_carlo_failure_frequency(30, nu, 10, sys32.eigs, master_seed=1) == 0.0
+    cell, = monte_carlo_failure_frequency(30, [(nu, 10, 1)], sys32.eigs)
+    assert cell["empirical_freq"] == 0.0
 
 
 def test_monte_carlo_respects_theory_bound(sys32):
     # small-scale version of the tail-validation experiment
     om = sys32.region.measure
     N = sys32.eigs.N
-    for nu, r in [(0.4, 60), (0.6, 60)]:
-        freq = monte_carlo_failure_frequency(400, nu, r, sys32.eigs, master_seed=5)
+    cells = [(0.4, 60, 5), (0.6, 60, 5)]
+    for (nu, r, _), cell in zip(cells, monte_carlo_failure_frequency(400, cells, sys32.eigs)):
+        freq = cell["empirical_freq"]
         bound = subspace_failure_bound(TailParams(nu=nu, r=r, omega_measure=om, N=N))
         sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / 400)
         assert freq <= min(1.0, bound) + 4 * sigma
@@ -743,7 +755,7 @@ def test_batched_engine_matches_single_draws(sys32):
     stats = np.array([empirical_min_eigenvalue(s.analysis_rows(window), eigs)
                       for s in draws[:trials]])
     assert np.min(np.abs(stats - thresh)) > 1e-9
-    freq = monte_carlo_failure_frequency(trials, nu, 30, eigs, seed)
+    freq = monte_carlo_failure_frequency(trials, [(nu, 30, seed)], eigs)[0]["empirical_freq"]
     assert 0.0 < freq < 1.0
     assert freq == np.count_nonzero(stats <= thresh) / trials
 
@@ -762,7 +774,7 @@ def test_batched_engine_matches_single_draws(sys32):
 
     idx = _draw_trials(trials, 30, region.point_count, seed)
     assert np.array_equal(region.points()[idx], np.stack([s.points for s in draws[:trials]]))
-    one = _failure_frequency(idx, fails, row_width=1)
+    one = _failure_frequency(idx, fails, trial_bytes=32 * 30)
     assert 0.0 < one < 1.0
     assert _failure_frequency(idx, fails, 10**9, threads=2) == one
 
@@ -854,10 +866,9 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
                               stats <= thresh)
     for pinned in ("gather", "counts"):
         monkeypatch.setattr(sampling, "_gram_route", lambda *shape: pinned)
-        stats = {}
-        freq = monte_carlo_failure_frequency(trials, nu, r, eigs, seed, stats=stats)
-        assert freq == fails / trials
-        assert stats == {"gram": pinned, "drawn_points": P, **table_stats}
+        cell, = monte_carlo_failure_frequency(trials, [(nu, r, seed)], eigs)
+        assert cell == {"empirical_freq": fails / trials, "gram": pinned, "drawn_points": P,
+                        **table_stats}
 
 
 def test_gram_route_reads_only_the_cell_shape():
@@ -875,7 +886,7 @@ def test_gram_route_reads_only_the_cell_shape():
     assert routes == ["gather", "gather", "counts", "counts", "counts", "gather"]
     assert peak < 4096
     # the budget is on the 8 N^2 bytes per drawn point of the packed table
-    P = OUTER_TABLE_BUDGET // (8 * 23 * 23)
+    P = MC_BUDGET // (8 * 23 * 23)
     assert _gram_route(50, 4000, P, 23) == "counts"
     assert _gram_route(50, 4000, P + 1, 23) == "gather"
     assert _outer_table(np.ones((7, 23), dtype=complex)).nbytes == 7 * 8 * 23 * 23
@@ -886,29 +897,28 @@ def test_union_over_the_budget_gathers(sys32, monkeypatch):
     # on its own points gathers once the union no longer fits the budget
     import tfsamp.sampling as sampling
 
-    eigs, P, nu = sys32.eigs, sys32.region.point_count, 0.5
-    cells = [(10, 60, 1), (10, 60, 2)]  # (trials, r, seed)
+    eigs, P = sys32.eigs, sys32.region.point_count
+    cells = [(0.5, 60, 1), (0.5, 60, 2)]  # (nu, r, seed) of 10 trials each
     union = np.zeros(P, dtype=bool)
-    for trials, r, seed in cells:
-        union[_draw_trials(trials, r, P, seed)] = True
-    alone = {}
-    freq = monte_carlo_failure_frequency(10, nu, 60, eigs, 2, stats=alone)
+    for _, r, seed in cells:
+        union[_draw_trials(10, r, P, seed)] = True
+    alone, = monte_carlo_failure_frequency(10, cells[1:], eigs)
     # a budget that holds the second cell's packed table but not the union's
     budget = 8 * eigs.N**2 * alone["drawn_points"]
     assert alone["drawn_points"] < union.sum()
-    monkeypatch.setattr(sampling, "OUTER_TABLE_BUDGET", budget)
-    assert monte_carlo_failure_frequency(10, nu, 60, eigs, 2, stats=alone) == freq
-    assert alone["gram"] == "counts"
-    table, shared = _RegionTable(eigs, 1200), {}
-    for trials, r, seed in cells:
-        got = monte_carlo_failure_frequency(trials, nu, r, eigs, seed, stats=shared, table=table)
-    assert table.P == union.sum()
+    monkeypatch.setattr(sampling, "MC_BUDGET", budget)
+    again, = monte_carlo_failure_frequency(10, cells[1:], eigs)
+    assert again["empirical_freq"] == alone["empirical_freq"]
+    assert again["gram"] == "counts"
+    tables = _recorded_tables(monkeypatch)
+    _, shared = monte_carlo_failure_frequency(10, cells, eigs)
+    assert tables[0].P == union.sum()
     assert shared["gram"] == "gather" and shared["drawn_points"] == alone["drawn_points"]
-    assert got == freq
+    assert shared["empirical_freq"] == alone["empirical_freq"]
     # a packed table is allocated within the budget, whatever the call's draws
-    table = _RegionTable(eigs, 1200)
     monkeypatch.setattr(sampling, "_gram_route", lambda *shape: "counts")
-    monte_carlo_failure_frequency(10, nu, 60, eigs, 2, table=table)
+    monte_carlo_failure_frequency(10, cells[1:], eigs)
+    table = tables[-1]
     assert table.outer().nbytes <= table._outer.nbytes <= budget
 
 
