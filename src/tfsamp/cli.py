@@ -326,7 +326,7 @@ def run_spectrum(
     with _run("spectrum", cfg, outdir) as (report, eigs):
         _write(outdir, "eigenvalues.csv",
                [{"k": k + 1, "alpha": a} for k, a in enumerate(eigs.eigenvalues)], ["k", "alpha"])
-        spectro = np.abs(stft(Signal(eigs.columns(0)), eigs.window)) ** 2
+        spectro = stft(Signal(eigs.columns(0)), eigs.window, lambda V: np.abs(V) ** 2)
         _write(outdir, "eigfun1_spectrogram.npy", spectro)
         _write(outdir, "region.npy", eigs.region.mask)
         report.artifacts += ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.npy"]
@@ -347,7 +347,7 @@ def run_reconstruct(
 
         def evaluate(i, eps_t, f):
             rec = reconstruct(f, W, eigs, cfg.cg_tol)
-            _write(outdir, f"stft_abs_{i + 1}.npy", np.abs(stft(f, eigs.window)))
+            _write(outdir, f"stft_abs_{i + 1}.npy", stft(f, eigs.window, np.abs))
             return dict(
                 epsilon_measured=rec.epsilon,
                 relative_error=rec.relative_error,
@@ -390,6 +390,14 @@ def run_montecarlo(
                           f"trials={cfg.trials}, r={r_max}: the Monte Carlo draw block",
                           "8 * trials * r")
     with _run("montecarlo", cfg, outdir) as (report, eigs):
+        # the region table holds 16 N bytes per point the grid's draws can reach;
+        # sum(r) is over the grid's cells
+        sum_r = len(cfg.nu_grid) * sum(int(r) for r in cfg.r_grid)
+        capacity = min(eigs.region.point_count, cfg.trials * sum_r)
+        _refuse_beyond_memory(
+            16 * eigs.N * capacity,
+            f"trials={cfg.trials}, sum(r)={sum_r}, N={eigs.N}: the Monte Carlo region table",
+            "16 * N * min(|Omega| points, trials * sum(r))")
         t1 = time.perf_counter()
         tail = _tail_params(cfg, eigs)
         grid = [(nu, int(r), derive_seed(cfg.master_seed, SAMPLE_STREAM, c))

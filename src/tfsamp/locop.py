@@ -145,7 +145,9 @@ class EigenSystem:
         if self.modulation is not None:
             x = self.modulation[:, None] * x
         if self.phases is not None:
-            x = x * self.phases[cols][None, :]
+            # in place on the fresh x, so no second (L, len(sel)) array is held
+            x = x.astype(np.result_type(x, self.phases), copy=False)
+            x *= self.phases[cols][None, :]
         return x if ks.ndim else x[:, 0]
 
     @property
@@ -243,14 +245,23 @@ def build_localization_operator(region: TFRegion, window: Window) -> Localizatio
     conv /= L
     conv[0] *= 0.5  # the diagonal comes back from both halves of the mirror
     conv[L // 2, L // 2 :] *= L % 2  # at even L, offset L/2 meets each pair twice
-    del F, A  # each array is freed once read, so no more than B and P are held at once
-    # B[t, L - k] lands at Z[t, t - k + L]: columns >= L hold t >= k, the rest wrap
-    B = np.zeros((L, 2 * L + 1), dtype=conv.dtype)
-    B[:, L + 1 - k.size : L + 1] = conv[::-1].T
-    del conv
-    Z = B.ravel()[: 2 * L * L].reshape(L, 2 * L)
-    P = Z[:, L:] - Z[:, :L] if n % 2 else Z[:, L:] + Z[:, :L]
-    del B, Z
+    del F, A  # each array is freed once read, so no more than conv and P are held at once
+    # P[t, (t - k) mod L] = conv[k, t], negated where t - k wraps and n is odd, in slabs
+    # of 32 rows: row i of a (32, 2L + 1) buffer B holds conv[k, t], t = t0 + i, at
+    # column L + t0 - k, which its (32, 2L) skewed view Z shifts to column L + t - k:
+    # columns >= L hold t >= k, the rest wrap
+    P = np.empty((L, L), dtype=conv.dtype)
+    B = np.empty((32, 2 * L + 1), dtype=conv.dtype)
+    for t0 in range(0, L, 32):
+        b = min(32, L - t0)
+        B[:b] = 0
+        B[:b, L + t0 + 1 - k.size : L + t0 + 1] = conv[::-1, t0 : t0 + b].T
+        Z = B[:b].ravel()[: 2 * L * b].reshape(b, 2 * L)
+        if n % 2:
+            np.subtract(Z[:, L:], Z[:, :L], out=P[t0 : t0 + b])
+        else:
+            np.add(Z[:, L:], Z[:, :L], out=P[t0 : t0 + b])
+    del conv, B, Z
     # M = P + P^H, in slabs of 32 rows: the transposed read stays in cache
     M = np.empty_like(P)
     for i in range(0, L, 32):
@@ -480,8 +491,8 @@ def concentration(f: Signal, region: TFRegion, window: Window) -> ConcentrationV
     nsq = float(np.real(np.vdot(f.values, f.values)))
     if nsq == 0.0:
         raise ParameterError("concentration is undefined for the zero signal")
-    V = stft(f, window)[region.mask]
-    value = float((np.abs(V) ** 2).sum() / region.L)
+    V = stft(f, window, np.abs)[region.mask]
+    value = float((V**2).sum() / region.L)
     return ConcentrationValue(value, 1.0 - value / nsq)
 
 

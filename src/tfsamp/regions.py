@@ -45,7 +45,6 @@ class TFRegion:
 
     L: int
     mask: np.ndarray
-    _points: np.ndarray = field(default=None, repr=False, compare=False)
     point_count: int = field(init=False, compare=False)
     measure: float = field(init=False, compare=False)
 
@@ -59,10 +58,12 @@ class TFRegion:
         self.measure = self.point_count / self.L
 
     def points(self) -> np.ndarray:
-        """(P, 2) integer array of (m, n) grid points, row-major order. Cached."""
-        if self._points is None:
-            self._points = np.argwhere(self.mask)
-        return self._points
+        """(P, 2) integer array of (m, n) grid points, row-major order.
+
+        Not cached: 16 bytes per point, which a run would otherwise hold to its
+        end for one draw and one covering count.
+        """
+        return np.argwhere(self.mask)
 
 
 @dataclass(eq=False)
@@ -150,7 +151,9 @@ def uniform_sample(region: TFRegion, r: int, seed: int, distinct: bool = False) 
         raise InfeasibleError(f"r={r} distinct points requested but region has {P}")
     rng = np.random.default_rng(int(seed))
     idx = _draw_indices(rng, P, r, distinct)
-    return SampleSet(region.points()[idx], int(seed), region, distinct)
+    # the drawn cells only: 8 bytes per region point, where points() takes 16
+    cells = np.flatnonzero(region.mask)[idx]
+    return SampleSet(np.stack(np.divmod(cells, region.L), axis=1), int(seed), region, distinct)
 
 
 def default_cell_px(L: int) -> int:

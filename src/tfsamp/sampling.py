@@ -52,8 +52,8 @@ parts on and below the diagonal and the imaginary parts below it, N^2
 float64 or 8 N^2 bytes per point.  The call's table builds it when its
 first counts cell runs and extends it by new points only.  A chunk's Grams
 are then one real GEMM, the (chunk, P) count matrix times that table,
-scattered into the lower triangles.  One constant, MC_BUDGET, bounds both
-the packed table and the trial chunks that all workers hold at once.
+scattered into the lower triangles.  MC_BUDGET bounds the packed table and
+MC_CHUNK_BUDGET the trial chunks that all workers hold at once.
 
 Note on exponents: the general matrix Bernstein tail
 N*exp(-(t^2/2)/(sigma^2 + B t/3)) carries the customary t^2/2 numerator,
@@ -370,10 +370,13 @@ def _draw_trials(trials: int, r: int, P: int, master_seed: int) -> np.ndarray:
     return idx
 
 
-# bytes a Monte Carlo call holds at most in each of two places: the chunks of trials
-# in flight over all workers (larger chunks are no faster and only raise the peak
-# RSS), and the counts route's packed table, 8 N^2 bytes per point
+# bytes the counts route's packed table holds at most, 8 N^2 bytes per point
 MC_BUDGET = 32_000_000
+# bytes the chunks of trials in flight hold at most over all workers: larger chunks
+# are no faster and only raise the peak RSS.  It cannot be MC_BUDGET: a packed table
+# under 12 MB would send the r >= 1000 cells of the acceptance-05 grid (L = 120) to the
+# slower gather route, and 32 MB chunks set the peak of an L = 960 pass
+MC_CHUNK_BUDGET = 8_000_000
 
 
 def _failure_frequency(idx: np.ndarray, fails, trial_bytes: int, threads: int = 1) -> float:
@@ -382,9 +385,10 @@ def _failure_frequency(idx: np.ndarray, fails, trial_bytes: int, threads: int = 
     fails maps a (B, r) block of idx to B booleans; aggregation is an
     order-independent count over chunks of trials, so any thread count
     gives the same result.  trial_bytes is what one trial holds at the peak
-    of fails, and the chunks of all workers together hold at most MC_BUDGET
-    bytes, or one trial each.  At most one worker per CPU is started, and
-    each gets work: a chunk is at most ceil(trials / workers) trials.
+    of fails, and the chunks of all workers together hold at most
+    MC_CHUNK_BUDGET bytes, or one trial each.  At most one worker per CPU
+    is started, and each gets work: a chunk is at most ceil(trials /
+    workers) trials.
     """
     trials = idx.shape[0]
     workers = min(threads, os.cpu_count() or 1)
@@ -392,7 +396,7 @@ def _failure_frequency(idx: np.ndarray, fails, trial_bytes: int, threads: int = 
     def count_chunk(span: slice) -> int:
         return int(np.count_nonzero(fails(idx[span])))
 
-    chunk = max(1, min(-(-trials // workers), MC_BUDGET // workers // trial_bytes))
+    chunk = max(1, min(-(-trials // workers), MC_CHUNK_BUDGET // workers // trial_bytes))
     spans = [slice(t0, t0 + chunk) for t0 in range(0, trials, chunk)]
     if workers > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor

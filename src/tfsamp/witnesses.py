@@ -172,7 +172,8 @@ def null_sample_witness(W: np.ndarray, f: Signal, eigs: EigenSystem) -> AliasWit
         raise InfeasibleError("sampled atoms span the whole space; no alias direction")
     Q = Q[:, :rank]
     K = eigs.numerical_rank  # >= 1: f's region energy exceeds half its norm
-    B = eigs.columns(slice(0, K)) * np.sqrt(eigs.eigenvalues[:K])
+    B = eigs.columns(slice(0, K))
+    B *= np.sqrt(eigs.eigenvalues[:K])
     Z = Q.conj().T @ B
     G = np.diag(eigs.eigenvalues[:K]) - Z.conj().T @ Z
     _, y = np.linalg.eigh(0.5 * (G + G.conj().T))

@@ -68,6 +68,18 @@ def stft_direct(f, phi, points=None):
     return V
 
 
+def stft_one_shot(f, phi):
+    """The whole grid as one FFT batch over the L x L integrand f(t) conj(phi((t - m) mod L)).
+
+    The same floating-point operations as a row-block STFT, in one call:
+    the two agree bit for bit.
+    """
+    L = len(f)
+    t = np.arange(L)
+    translates = phi[(t[None, :] - t[:, None]) % L]
+    return np.fft.fft(f[None, :] * np.conj(translates), axis=1)
+
+
 def project_VN(f, basis):
     """Orthogonal projection of f onto the span of basis's orthonormal columns, column by column."""
     out = np.zeros(len(f), dtype=complex)

@@ -10,6 +10,8 @@ import pytest
 from tfsamp import make_gaussian_window
 from tfsamp.cli import derive_seed, main
 
+from oracles import stft_one_shot
+
 META = "[meta]\nschema_version = 1\n"
 
 
@@ -117,16 +119,18 @@ def test_reconstruct_deterministic_modulo_timings(tmp_path):
 
 def test_grids_are_npy_arrays_equal_to_the_library_values(tmp_path):
     # every grid in the artifact list (all .npy but the region mask) reloads without pickle,
-    # bit for bit the library's value
-    from tfsamp import Signal, load_config, make_concentrated_test_function, stft
+    # bit for bit |V|^2 or |V| of the whole grid's one-shot FFT, which the runners'
+    # row-block STFT reduces block by block
+    from tfsamp import load_config, make_concentrated_test_function
     from tfsamp.cli import build_setup
 
     ini = _ini(tmp_path, RECON)
     _, eigs = build_setup(load_config(ini))
+    phi = eigs.window.values
     out = str(tmp_path / "spectrum")
     assert main(["spectrum", "--config", ini, "--out", out]) == 0
     expected = {"eigfun1_spectrogram.npy":
-                np.abs(stft(Signal(eigs.eigenvectors[:, 0]), eigs.window)) ** 2}
+                np.abs(stft_one_shot(eigs.eigenvectors[:, 0], phi)) ** 2}
     grids = {os.path.join(out, a): expected[a]
              for a in _json_report(out)["artifacts"] if a.endswith(".npy") and a != "region.npy"}
     out = str(tmp_path / "reconstruct")
@@ -137,7 +141,7 @@ def test_grids_are_npy_arrays_equal_to_the_library_values(tmp_path):
         if a.endswith(".npy"):
             row = rows[int(a[len("stft_abs_"):-len(".npy")]) - 1]
             f = make_concentrated_test_function(eigs, row["epsilon_target"], row["function_seed"])
-            grids[os.path.join(out, a)] = np.abs(stft(f, eigs.window))
+            grids[os.path.join(out, a)] = np.abs(stft_one_shot(f.values, phi))
     assert len(grids) == 1 + len(rows) == 3
     for path, want in grids.items():
         got = np.load(path, allow_pickle=False)
@@ -779,6 +783,33 @@ def test_montecarlo_draws_too_large_for_memory_exit_4_without_allocating(tmp_pat
         "infeasible request: trials=1000000000000, r=4000: the Monte Carlo draw block needs about"
     )
     assert "(8 * trials * r bytes)" in err
+    assert "GiB of physical memory" in err
+
+
+def test_montecarlo_region_table_too_large_for_memory_exits_4_before_drawing(
+        tmp_path, capsys, monkeypatch):
+    # L = 64, radius 20: 1257 points and N = 19, so 5 trials of the default grid reach
+    # every point and the table takes 16 * 19 * 1257 bytes, ~382 KB.  Under 307 200 bytes of
+    # physical memory the setup (48 * 64^2 bytes) and the draw block (8 * 5 * 4000) fit,
+    # and the table is refused once N is known, before any trial is drawn
+    import tfsamp.cli as cli
+
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 75, "SC_PAGE_SIZE": 4096}  # 307 200 bytes
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+
+    def never(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran past the table guard")
+
+    monkeypatch.setattr(cli, "monte_carlo_failure_frequency", never)
+    ini = _ini(tmp_path, "[experiment]\nL = 64\ntrials = 5\n[region]\nradius_px = 20\n")
+    out = tmp_path / "out"
+    assert main(["montecarlo", "--config", ini, "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request: trials=5, sum(r)=15750, N=19: the Monte Carlo "
+                          "region table needs about")
+    assert "(16 * N * min(|Omega| points, trials * sum(r)) bytes)" in err
     assert "GiB of physical memory" in err
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,32 @@ def test_assembly_matches_rank_one_sum_in_every_symmetry_case(name):
     for delta in (0.3, 0.5):
         got = eigenvalue_count_estimate(H, delta)
         assert np.max(np.abs(np.subtract(got, eigenvalue_count_estimate(plain, delta)))) <= 1e-12
+
+
+def test_assembly_and_concentration_hold_no_extra_L2_buffer():
+    # measured at L = 256: the real M's assembly peaks at 22.2 L^2 bytes and the complex
+    # M's at 40.4 L^2, where the (L, 2L + 1) skew buffer took them to 26.1 and 52.1;
+    # concentration peaks at 13.2 L^2 (the |V| grid), where the complex grid took 50.0.
+    # Each bound lies below the old peak
+    L = 256
+    region = disk_region(L, TFPoint(128, 128), 64)
+    rng = np.random.default_rng(2)
+    cplx = Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    f = random_signal(L, 3)
+    checks = [
+        (lambda: build_localization_operator(region, make_gaussian_window(L)), 25),
+        (lambda: build_localization_operator(region, cplx), 48),
+        (lambda: concentration(f, region, cplx), 16),
+    ]
+    for call, bound in checks:
+        call()  # lazy imports, FFT plans
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * L * L
 
 
 # the four block structures of the block form: two real blocks, two modulated

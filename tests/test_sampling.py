@@ -33,6 +33,7 @@ from tfsamp import (
 from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
 from tfsamp.sampling import (
     MC_BUDGET,
+    MC_CHUNK_BUDGET,
     TRIAL_STREAM,
     _counted_grams,
     _draw_trials,
@@ -696,7 +697,7 @@ def test_monte_carlo_starts_at_most_one_worker_per_cpu(sys32, monkeypatch):
 
 
 def test_monte_carlo_threads_share_one_chunk_budget(sys120):
-    # the ~32 MB chunk budget is split over the threads, not held once per thread
+    # the 8 MB chunk budget is split over the threads, not held once per thread
     freq, peak = {}, {}
     for threads in (1, 2):
         tracemalloc.start()
@@ -710,9 +711,67 @@ def test_monte_carlo_threads_share_one_chunk_budget(sys120):
     assert peak[2] <= 1.25 * peak[1]
 
 
+def _spy_on_chunks(monkeypatch):
+    """(chunk trials, trial_bytes, threads) of each block a Monte Carlo call passes to fails."""
+    import tfsamp.sampling as sampling
+
+    real, seen = sampling._failure_frequency, []
+
+    def spy(idx, fails, trial_bytes, threads=1):
+        def spied(blk):
+            seen.append((blk.shape[0], trial_bytes, threads))
+            return fails(blk)
+
+        return real(idx, spied, trial_bytes, threads)
+
+    monkeypatch.setattr(sampling, "_failure_frequency", spy)
+    return seen
+
+
+@pytest.mark.parametrize("route", ["gather", "counts"])
+def test_monte_carlo_decisions_do_not_depend_on_the_chunk_size(sys120, monkeypatch, route):
+    # one trial per chunk and all 60 trials in one chunk decide every trial alike
+    import tfsamp.sampling as sampling
+
+    monkeypatch.setattr(sampling, "_gram_route", lambda *shape: route)
+    seen = _spy_on_chunks(monkeypatch)
+    cells = [(0.3, 1000, 5), (0.2, 1000, 6)]
+    freqs = []
+    for budget, largest in ((1, 1), (10**12, 60)):
+        monkeypatch.setattr(sampling, "MC_CHUNK_BUDGET", budget)
+        seen.clear()
+        got = monte_carlo_failure_frequency(60, cells, sys120.eigs)
+        assert {cell["gram"] for cell in got} == {route}
+        assert max(b for b, _, _ in seen) == largest
+        freqs.append([cell["empirical_freq"] for cell in got])
+    assert freqs[0] == freqs[1]
+    assert any(0 < f < 1 for f in freqs[0])
+
+
+@pytest.mark.parametrize("route", ["gather", "counts"])
+def test_monte_carlo_chunks_stay_under_the_cap(sys120, monkeypatch, route):
+    # at r = 4000 a gather trial holds about 1.5 MB and a counts trial about 90 KB, so
+    # the 8 MB cap splits 200 trials on either route; no block that reaches fails holds
+    # more than the cap over the workers, and the thread count moves no decision
+    import tfsamp.sampling as sampling
+
+    monkeypatch.setattr(sampling, "_gram_route", lambda *shape: route)
+    seen = _spy_on_chunks(monkeypatch)
+    freqs = []
+    for threads in (1, 2):
+        seen.clear()
+        got = monte_carlo_failure_frequency(200, [(0.2, 4000, 5)], sys120.eigs, threads=threads)
+        freqs.append(got)
+        workers = min(threads, os.cpu_count() or 1)
+        assert len(seen) > 2
+        assert all(b * tb <= MC_CHUNK_BUDGET // workers and t == threads for b, tb, t in seen)
+    assert freqs[0] == freqs[1]
+
+
 def test_gather_chunks_stay_near_the_budget(sys120, monkeypatch):
     # at r = 8 a trial's (2N)^2 real product and Gram outweigh its r rows; the chunk
-    # size counts them, so 2000 trials run in two chunks of about 32 MB, not one of 58 MB
+    # size counts them, so 2000 trials run in eight chunks of about 8 MB, not one of
+    # 58 MB (measured peak 8.9 MiB)
     import tfsamp.sampling as sampling
 
     monkeypatch.setattr(sampling, "_gram_route", lambda *shape: "gather")
@@ -722,7 +781,7 @@ def test_gather_chunks_stay_near_the_budget(sys120, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2**20
+    assert peak <= 1.5 * MC_CHUNK_BUDGET
 
 
 def test_monte_carlo_huge_nu_never_fails(sys32):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from tfsamp import (
     stft,
     tf_shift,
 )
-from tfsamp.tfcore import TFPoint, _stft_rows, _translates, _window_support
+from tfsamp.tfcore import STFT_ROWS, TFPoint, _stft_rows, _translates, _window_support
 
 from oracles import (
     adjoint_direct,
     gaussian_window_direct,
     stft_adjoint,
     stft_direct,
+    stft_one_shot,
     stft_point,
     tf_shift_direct,
 )
@@ -159,6 +162,42 @@ def test_stft_covariance():
     B = np.abs(stft(f, phi))
     B_shift = np.roll(np.roll(B, mu[0], axis=0), mu[1], axis=1)
     assert np.max(np.abs(A - B_shift)) < 1e-10
+
+
+@pytest.mark.parametrize("L", [130, 32, 7])
+def test_stft_row_blocks_equal_the_one_shot_fft(L):
+    # L = 130 ends on a partial block of STFT_ROWS = 32 rows, L = 32 is one whole block
+    # and L = 7 one partial one; a complex window and signal exercise every product
+    rng = np.random.default_rng(L)
+    f = random_signal(L, 4)
+    phi = Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    ref = stft_one_shot(f.values, phi.values)
+    got = stft(f, phi)
+    assert got.dtype == np.complex128 and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+    for apply in (np.abs, lambda V: np.abs(V) ** 2):
+        grid = stft(f, phi, apply)
+        assert grid.dtype == np.float64
+        assert np.array_equal(grid, apply(ref))
+
+
+def test_stft_holds_one_grid_and_a_few_row_blocks():
+    # at L = 256 the one-shot FFT peaked at 3.13 x 16 L^2 bytes (translates, their
+    # conjugate, the integrand and the grid); the row blocks peak at 1.39 x 16 L^2: the
+    # grid plus three 32-row blocks (the integrand, its FFT and the FFT's own copy).
+    # The bound allows four blocks, 1.5 x 16 L^2 for the complex grid
+    L = 256
+    f = random_signal(L, 5)
+    phi = Window.normalized(np.random.default_rng(6).standard_normal(L) + 0.5j)
+    stft(f, phi)  # lazy imports, FFT plans
+    for apply, grid_bytes in ((None, 16 * L * L), (np.abs, 8 * L * L)):
+        tracemalloc.start()
+        try:
+            stft(f, phi, apply)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_bytes + 4 * 16 * STFT_ROWS * L
 
 
 def test_stft_dimension_mismatch():
