@@ -52,14 +52,12 @@ from .regions import (
     covering_index,
     default_cell_px,
     disk_region,
-    full_region,
     mask_region,
     uniform_sample,
 )
 from .reports import RunReport, write_report
 from .sampling import (
     TailParams,
-    covering_exceedance_frequency,
     covering_tail,
     empirical_min_eigenvalue,
     expected_T,
@@ -74,7 +72,6 @@ from .tfcore import (
     Window,
     make_gaussian_window,
     stft,
-    tf_shift,
 )
 from .witnesses import (
     AliasWitness,

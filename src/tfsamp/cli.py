@@ -21,7 +21,8 @@ Exit codes: 0 success, 2 configuration error (also the library checks
 a config reaches: a wrapping disk, an all-zero or non-finite window
 file), 3 numerical failure, 4 infeasible request
 (an empty V_N, an L whose dense setup cannot fit in physical memory, or
-sample or Monte Carlo draws that cannot).
+sample or Monte Carlo draws that cannot; also a MemoryError, after which
+the artifacts already written stay).
 
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
@@ -153,9 +154,11 @@ def build_window(cfg: ExperimentConfig) -> Window:
     return Window.normalized(vals)
 
 
-# peak bytes of build_setup per L^2: in a fresh process ru_maxrss grew by 44, 36 and
-# 34 B/L^2 at L = 480, 960 and 1920
+# peak bytes of build_setup per L^2, for a real and a complex H: in a fresh process
+# ru_maxrss grew by 44, 30 and 26 B/L^2 for a disk of radius L/4 at L = 480, 960 and 1920,
+# and by 104, 88 and 84 B/L^2 for that disk plus 1 % random cells as a mask
 SETUP_BYTES_PER_L2 = 48
+COMPLEX_SETUP_BYTES_PER_L2 = 112
 
 
 def _refuse_beyond_memory(need: int, what: str, formula: str):
@@ -172,11 +175,15 @@ def build_setup(cfg: ExperimentConfig):
     """(operator, eigensystem) for one config.
 
     An L whose dense setup cannot fit in physical memory is refused before
-    any array or mask file is touched.
+    any array or mask file is touched, and a complex H before its eigensolve.
     """
     _refuse_beyond_memory(SETUP_BYTES_PER_L2 * cfg.L**2, f"L={cfg.L}: the dense setup",
                           f"{SETUP_BYTES_PER_L2} * L^2")
     H = build_localization_operator(build_region(cfg), build_window(cfg))
+    if H.modulation is None:  # a complex H, with its complex eigensolve to come
+        _refuse_beyond_memory(COMPLEX_SETUP_BYTES_PER_L2 * cfg.L**2,
+                              f"L={cfg.L}: the dense setup of a complex H",
+                              f"{COMPLEX_SETUP_BYTES_PER_L2} * L^2")
     return H, eigendecompose(H, cfg.gamma, cfg.eig_residual)
 
 
@@ -588,6 +595,7 @@ _RUNNERS = {
 _EXIT_CODES = (
     (NumericalError, 3, "numerical failure"),
     (InfeasibleError, 4, "infeasible request"),
+    (MemoryError, 4, "infeasible request"),
     (TFSampError, 2, "config error"),
 )
 
@@ -620,11 +628,11 @@ def main(argv=None) -> int:
             cfg, args.out, threads=args.threads, emit_eigenvectors=args.emit_eigenvectors
         )
         paths = write_report(report, args.out)
-    except TFSampError as exc:
+    except (TFSampError, MemoryError) as exc:
         code, label = next(
             (code, label) for cls, code, label in _EXIT_CODES if isinstance(exc, cls)
         )
-        print(f"{label}: {exc}", file=sys.stderr)
+        print(f"{label}: {exc or 'out of memory'}", file=sys.stderr)
         return code
     print(*report.headline, f"report: {paths[0]}", sep="\n")
     return 0

@@ -94,14 +94,14 @@ class EigenSystem:
         psi_{k+1} = phases[k] * d * (Q_i y_i[:, j]),
 
     d the operator's modulation.  A dense (L, L) matrix V is the one-block
-    case: blocks [None], order, modulation and phases None (identity, none,
-    unit).  The disk's two real blocks at L=960 hold 3.7 MB, where the
+    case [V]: blocks [None], order, modulation and phases None (identity,
+    none, unit).  The disk's two real blocks at L=960 hold 3.7 MB, where the
     complex L x L matrix takes 14.7 MB.  columns(sel) expands only the
     columns it is asked for; coeffs and synthesize never expand one.
     """
 
     eigenvalues: np.ndarray
-    vectors: list  # y_i per block; one (L, L) array is the dense case
+    vectors: list  # y_i per block; [V] for a dense (L, L) V
     N: int
     gamma: float
     region: TFRegion
@@ -115,8 +115,6 @@ class EigenSystem:
     _basis: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.vectors, np.ndarray):
-            self.vectors = [self.vectors]
         start = np.cumsum([0] + [y.shape[1] for y in self.vectors])
         src = np.arange(self.L) if self.order is None else self.order
         self._block = np.searchsorted(start, src, side="right") - 1
@@ -149,11 +147,6 @@ class EigenSystem:
             x = x.astype(np.result_type(x, self.phases), copy=False)
             x *= self.phases[cols][None, :]
         return x if ks.ndim else x[:, 0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """The full (L, L) matrix, column k psi_{k+1}: 16 L^2 bytes that no CLI verb forms."""
-        return self.columns(slice(None))
 
     def basis(self) -> np.ndarray:
         """(L, N) matrix of the V_N basis psi_1..psi_N; ParameterError if V_N is empty.

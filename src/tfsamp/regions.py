@@ -27,7 +27,6 @@ __all__ = [
     "CoveringReport",
     "disk_region",
     "mask_region",
-    "full_region",
     "uniform_sample",
     "covering_index",
     "default_cell_px",
@@ -122,10 +121,6 @@ def mask_region(mask) -> TFRegion:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("mask must be a square 2-D boolean array")
     return TFRegion(m.shape[0], m)
-
-
-def full_region(L: int) -> TFRegion:
-    return TFRegion(L, np.ones((L, L), dtype=bool))
 
 
 def _draw_indices(rng: np.random.Generator, P: int, r: int, distinct: bool) -> np.ndarray:

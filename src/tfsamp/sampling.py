@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .locop import EigenSystem
-from .regions import TFRegion, _cell_ids, _draw_indices
+from .regions import _draw_indices
 from .tfcore import _stft_rows
 
 __all__ = [
@@ -88,7 +88,6 @@ __all__ = [
     "success_probability",
     "required_samples",
     "monte_carlo_failure_frequency",
-    "covering_exceedance_frequency",
     "derive_seed",
 ]
 
@@ -141,28 +140,6 @@ def expected_T(eigs: EigenSystem) -> np.ndarray:
     return np.diag(eigs.eigenvalues[: eigs.N]) / eigs.region.measure
 
 
-def _region_table(
-    eigs: EigenSystem, mask: np.ndarray, stats: dict | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """E[i, k] = V_phi psi_k(p_i) over the True cells p_i of mask (row-major order).
-
-    By tfcore._stft_rows; a stats dict, if given, receives the number of GEMM
-    rows as "table_gemm_rows": the rows of mask that have a cell, or 0 for a
-    window with full support.  The table is written into out if given, such
-    as the next rows of a _RegionTable.  Memory: the 16 * mask.sum() * N byte
-    table unless out is given, plus O(L (N + w)) bytes of buffers, w the
-    width of the support arc: the contiguous eigenvector basis, the GEMM's
-    phase table and extended basis, or the FFT temporaries.
-    """
-    # contiguous rows: a strided view of the (L, N) basis makes the FFTs ~1.5x slower
-    psi = np.ascontiguousarray(eigs.basis().T)
-    table = _stft_rows(psi, eigs.window, mask, out)
-    if stats is not None:
-        gemm = eigs.window.support.size < eigs.window.L
-        stats["table_gemm_rows"] = int(np.count_nonzero(mask.any(axis=1))) if gemm else 0
-    return table
-
-
 class _RegionTable:
     """V_phi psi_k at the region points drawn so far; one per Monte Carlo grid.
 
@@ -184,27 +161,31 @@ class _RegionTable:
         self._outer = None
         self._packed = 0  # rows of values packed into _outer
 
-    def add(self, idx: np.ndarray, stats: dict | None = None) -> int:
+    def add(self, idx: np.ndarray) -> tuple[int, int]:
         """Tabulate the points of idx not yet in the table; remap idx in place to rows.
 
         idx holds point indices into region.points(); afterwards idx[t, j] is
         the row of values that holds that point.  Returns the number of
-        distinct points in idx.  A stats dict receives the GEMM rows of this
-        addition as "table_gemm_rows", 0 when every point was there before.
+        distinct points in idx and the GEMM rows of this addition
+        (table_gemm_rows): the time rows of its new points, 0 for a window
+        with full support or when every point was there before.
         """
-        region = self.eigs.region
+        eigs, region = self.eigs, self.eigs.region
         drawn = np.zeros(region.point_count, dtype=bool)
         drawn[idx] = True
         new = drawn & (self.row_of < 0)
         mask = np.zeros_like(region.mask)
         mask[region.mask] = new
         P = self.P + int(np.count_nonzero(new))
-        _region_table(self.eigs, mask, stats, self.values[self.P : P])
+        # contiguous rows, freed on return: a strided view makes the FFTs ~1.5x slower
+        _stft_rows(np.ascontiguousarray(eigs.basis().T), eigs.window, mask, self.values[self.P : P])
+        gemm = eigs.window.support.size < eigs.window.L
+        gemm_rows = int(np.count_nonzero(mask.any(axis=1))) if gemm else 0
         self.row_of[new] = np.arange(self.P, P)
         self.P = P
         for trial in idx:
             trial[:] = self.row_of[trial]
-        return int(np.count_nonzero(drawn))
+        return int(np.count_nonzero(drawn)), gemm_rows
 
     def outer(self) -> np.ndarray:
         """The packed (N^2, P) table of every tabulated point, as a view."""
@@ -431,8 +412,7 @@ def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: i
     eigs = table.eigs
     region, N = eigs.region, eigs.N
     idx = _draw_trials(trials, r, region.point_count, seed)
-    stats = {}
-    drawn = table.add(idx, stats)
+    drawn, gemm_rows = table.add(idx)
     # the counts route's GEMM runs over every point of the table, not just this cell's
     P = table.P
     route = _gram_route(trials, r, P, N)
@@ -461,7 +441,8 @@ def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: i
         return _not_positive_definite(S)
 
     freq = _failure_frequency(idx, fails, trial_bytes, threads)
-    return {"empirical_freq": freq, **stats, "gram": route, "drawn_points": drawn}
+    return {"empirical_freq": freq, "table_gemm_rows": gemm_rows, "gram": route,
+            "drawn_points": drawn}
 
 
 def monte_carlo_failure_frequency(trials: int, cells, eigs: EigenSystem,
@@ -484,22 +465,3 @@ def monte_carlo_failure_frequency(trials: int, cells, eigs: EigenSystem,
     table = _RegionTable(eigs, trials * sum(r for _, r, _ in cells))
     eigs.basis()  # refuse an empty V_N before drawing any trial's indices
     return [_cell_frequency(table, trials, nu, r, seed, threads) for nu, r, seed in cells]
-
-
-def covering_exceedance_frequency(
-    trials: int,
-    r: int,
-    region: TFRegion,
-    cell_px: int,
-    a: float,
-    master_seed: int,
-) -> float:
-    """Fraction of trials whose covering index N0 exceeds a*r (same trial draws)."""
-    _, cell_of_point = _cell_ids(region.points(), region.L, cell_px)
-
-    def fails(idx):
-        return np.array([np.bincount(row).max() for row in cell_of_point[idx]]) > a * r
-
-    # per trial: its r cell ids and their temporaries, 32 bytes per draw
-    return _failure_frequency(_draw_trials(trials, r, region.point_count, master_seed), fails,
-                              32 * r)

@@ -43,7 +43,6 @@ __all__ = [
     "Window",
     "TFPoint",
     "make_gaussian_window",
-    "tf_shift",
     "stft",
 ]
 
@@ -114,11 +113,6 @@ def _check_same_L(a, b, what="operands"):
         raise DimensionError(f"{what} have mismatched dimensions: {a.L} vs {b.L}")
 
 
-def _check_point(lam: TFPoint, L: int):
-    if not (0 <= lam.m < L and 0 <= lam.n < L):
-        raise DimensionError(f"TFPoint {(lam.m, lam.n)} outside the {L}x{L} grid")
-
-
 def make_gaussian_window(L: int) -> Window:
     """Periodized discrete Gaussian, unit-norm, centered at t=0 with wraparound.
 
@@ -149,14 +143,6 @@ def _translates(x: np.ndarray, shifts) -> np.ndarray:
     # window j over x followed by x[:-1] is x[(j + t) mod L]: the translate by -j
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([x, x[:-1]]), L)
     return windows[-np.asarray(shifts) % L]
-
-
-def tf_shift(f: Signal, lam: TFPoint) -> Signal:
-    """Time-frequency shift pi(lam): translate by m, then modulate by n. Unitary."""
-    L = f.L
-    _check_point(lam, L)
-    shifted = _translates(f.values, [lam.m])[0]
-    return Signal(shifted * np.exp(2j * np.pi * lam.n * np.arange(L) / L))
 
 
 def _window_support(phivals: np.ndarray) -> np.ndarray:

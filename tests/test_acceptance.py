@@ -19,7 +19,7 @@ from tfsamp import (
     choose_N,
     concentration_from_eigs,
     covering_excess,
-    covering_exceedance_frequency,
+    covering_index,
     covering_tail,
     default_cell_px,
     disk_region,
@@ -27,10 +27,10 @@ from tfsamp import (
     error_bound,
     exact_bessel_bound,
     expected_T,
-    full_region,
     gram_and_rhs,
     make_concentrated_test_function,
     make_gaussian_window,
+    mask_region,
     monte_carlo_failure_frequency,
     nonlinearity_witness,
     null_sample_witness,
@@ -40,6 +40,7 @@ from tfsamp import (
     subspace_failure_bound,
     uniform_sample,
 )
+from tfsamp.sampling import TRIAL_STREAM, derive_seed
 from tfsamp.tfcore import TFPoint, _analysis_rows
 
 from conftest import record_acceptance
@@ -52,7 +53,7 @@ def test_01_full_grid_identity_and_parseval():
     windows = {}
     for L in (32, 120, 480):
         windows[L] = make_gaussian_window(L)
-        H = build_localization_operator(full_region(L), windows[L])
+        H = build_localization_operator(mask_region(np.ones((L, L), bool)), windows[L])
         worst_id = max(worst_id, float(np.max(np.abs(H.hermitian() - np.eye(L)))))
     rng = np.random.default_rng(101)
     worst_rel = 0.0
@@ -91,7 +92,7 @@ def test_02_eigenvalue_count_and_trace_at_experiment_scale():
 
 def _projection_at_gamma(f, eigs, gamma):
     k = choose_N(eigs, gamma)
-    B = eigs.eigenvectors[:, :k]
+    B = eigs.columns(slice(None))[:, :k]
     return Signal(B @ (B.conj().T @ f.values))
 
 
@@ -106,7 +107,7 @@ def test_03_projection_inequality_suite(sys64):
     attempts = 0
     while checked < 100 and attempts < 400:
         attempts += 1
-        base = eigs.eigenvectors[:, : eigs.N] @ (
+        base = eigs.columns(slice(None))[:, : eigs.N] @ (
             rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
         )
         noise = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -207,7 +208,10 @@ def test_06_covering_index_tail(sys120):
     cells = []
     all_ok = True
     for r in (250, 1000, 4000):
-        freq = covering_exceedance_frequency(trials, r, region, cell_px, a, master_seed=77)
+        # trial i draws what Monte Carlo's trial i draws under master seed 77
+        seeds = (derive_seed(77, TRIAL_STREAM, i) for i in range(trials))
+        N0 = [covering_index(uniform_sample(region, r, s), cell_px).N0 for s in seeds]
+        freq = sum(n > a * r for n in N0) / trials
         bound = covering_tail(TailParams(nu=0.0, r=r, omega_measure=om, N=N, eps1=eps1, a=a))
         sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
         cell_ok = freq <= bound + 4 * sigma
@@ -263,7 +267,7 @@ def test_08_model_space_perfect_reconstruction(sys480):
     frame_ok = lam[0] > 1e-6 * lam[-1]
     rng = np.random.default_rng(31)
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
-    v = eigs.eigenvectors[:, : eigs.N] @ c
+    v = eigs.columns(slice(None))[:, : eigs.N] @ c
     rec = reconstruct(Signal(v / np.linalg.norm(v)), W, eigs, 1e-12)
     elapsed = time.perf_counter() - t0
     ok = (frame_ok and rec.converged and rec.iterations <= 100

@@ -77,7 +77,8 @@ def test_spectrum_emit_eigenvectors(tmp_path):
     vecs = np.load(os.path.join(out, "eigenvectors.npy"), allow_pickle=False)
     assert vecs.dtype == np.complex128 and vecs.shape == (16, N)
     _, eigs = build_setup(load_config(ini))
-    got, want = (np.ascontiguousarray(a).view(np.uint64) for a in (vecs, eigs.eigenvectors[:, :N]))
+    got, want = (np.ascontiguousarray(a).view(np.uint64)
+                 for a in (vecs, eigs.columns(slice(None))[:, :N]))
     assert np.array_equal(got, want)
 
 
@@ -130,7 +131,7 @@ def test_grids_are_npy_arrays_equal_to_the_library_values(tmp_path):
     out = str(tmp_path / "spectrum")
     assert main(["spectrum", "--config", ini, "--out", out]) == 0
     expected = {"eigfun1_spectrogram.npy":
-                np.abs(stft_one_shot(eigs.eigenvectors[:, 0], phi)) ** 2}
+                np.abs(stft_one_shot(eigs.columns(slice(None))[:, 0], phi)) ** 2}
     grids = {os.path.join(out, a): expected[a]
              for a in _json_report(out)["artifacts"] if a.endswith(".npy") and a != "region.npy"}
     out = str(tmp_path / "reconstruct")
@@ -288,9 +289,10 @@ r_grid = 20, 400
             "covering_tail", "success_probability", "required_samples", "cell_seed"]
 
 
-def _shared_table_config(tmp_path, name):
+def _shared_table_config(tmp_path, name, experiment=""):
     # a montecarlo config with a gather and a counts cell at L = 64 or 65: a real V_N
-    # basis, the basis of a complex H (a disk plus 5 % random cells), a modulated basis
+    # basis, the basis of a complex H (a disk plus 5 % random cells), a modulated basis;
+    # experiment holds further lines of its [experiment] section
     if name == "complex H":
         from tfsamp import TFPoint, disk_region
 
@@ -305,6 +307,7 @@ def _shared_table_config(tmp_path, name):
 [experiment]
 L = {L}
 trials = 40
+{experiment}
 
 [region]
 {region}
@@ -341,6 +344,39 @@ def test_montecarlo_shared_table_matches_standalone_cells(tmp_path, name, thread
                                               threads)
         assert (row["empirical_freq"], row["gram"], row["drawn_points"]) == (
             cell["empirical_freq"], cell["gram"], cell["drawn_points"])
+
+
+@pytest.mark.parametrize("name", ["real", "complex H", "modulated"])
+def test_run_verbs_hold_the_gate_on_every_kind_of_basis(tmp_path, name):
+    # reconstruct, certify and witness on a real V_N basis, the basis of a complex H and
+    # a modulated basis, checked against the properties the acceptance gate asks for
+    from tfsamp import Signal, concentration, load_config
+    from tfsamp.cli import build_setup
+
+    ini = _shared_table_config(tmp_path, name, "r = 60")
+    H, eigs = build_setup(load_config(ini))
+    assert {"real": not eigs.basis().imag.any(), "complex H": H.modulation is None,
+            "modulated": H.modulation is not None and eigs.basis().imag.any()}[name]
+    reports = {}
+    for verb in ("reconstruct", "certify", "witness"):
+        out = tmp_path / verb
+        assert main([verb, "--config", ini, "--out", str(out)]) == 0, verb
+        reports[verb] = _json_report(out)
+    rows = [row for row in reports["reconstruct"]["sections"]["reconstruct"]["rows"]
+            if not row["infeasible"]]
+    assert rows and all(row["converged"] for row in rows)
+    assert all(row["relative_error"] <= row["error_bound"] for row in rows)
+    bounds = reports["certify"]["sections"]["bounds"]
+    rows = [row for row in bounds["rows"] if not row["infeasible"]]
+    assert rows and all(row["upper_holds"] for row in rows)
+    assert bounds["bessel_B"] <= bounds["r"] == 60
+    alias = reports["witness"]["sections"]["alias"]
+    assert alias["sample_gap"] <= 1e-10
+    # concentration by the STFT, of the signals as written
+    for key, name in (("f", "alias_f.npy"), ("f_tilde", "alias_f_tilde.npy")):
+        f = Signal(np.load(tmp_path / "witness" / name, allow_pickle=False))
+        value = concentration(f, eigs.region, eigs.window).value
+        assert abs(value - alias[key]["value"]) <= 1e-12, (key, value, alias[key])
 
 
 def test_certify_and_montecarlo_agree_on_required_samples(tmp_path):
@@ -566,18 +602,13 @@ r_grid = 20, 400
 
 def test_no_verb_materializes_the_full_eigenvector_matrix(tmp_path, monkeypatch):
     # every eigenvector a verb reads is expanded by EigenSystem._expanded; none
-    # asks it for all L columns, and none reads EigenSystem.eigenvectors
+    # asks it for all L columns
     from tfsamp.locop import EigenSystem
 
     widths = []
     real = EigenSystem._expanded
     monkeypatch.setattr(EigenSystem, "_expanded",
                         lambda self, ks: widths.append(ks.size) or real(self, ks))
-
-    def full(self):
-        raise AssertionError("the full eigenvector matrix was formed")
-
-    monkeypatch.setattr(EigenSystem, "eigenvectors", property(full))
     ini = _ini(tmp_path, NO_FULL_MATRIX)
     for verb in ("spectrum", "reconstruct", "certify", "witness", "montecarlo"):
         widths.clear()
@@ -811,6 +842,46 @@ def test_montecarlo_region_table_too_large_for_memory_exits_4_before_drawing(
                           "region table needs about")
     assert "(16 * N * min(|Omega| points, trials * sum(r)) bytes)" in err
     assert "GiB of physical memory" in err
+
+
+def test_complex_setup_too_large_for_memory_exits_4_before_the_eigensolve(
+        tmp_path, capsys, monkeypatch):
+    # 307 200 bytes of physical memory lie between the real setup's 48 * 64^2 bytes and
+    # the complex setup's 112 * 64^2: the asymmetric mask's complex H is refused before
+    # its eigensolve, and the real disk at the same L runs
+    import tfsamp.cli as cli
+
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 75, "SC_PAGE_SIZE": 4096}  # 307 200 bytes
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    ini = _shared_table_config(tmp_path, "complex H")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", ini, "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request: L=64: the dense setup of a complex H needs about")
+    assert f"({cli.COMPLEX_SETUP_BYTES_PER_L2} * L^2 bytes)" in err
+    ini = _shared_table_config(tmp_path, "real")
+    assert main(["spectrum", "--config", ini, "--out", str(out)]) == 0
+    assert cli.SETUP_BYTES_PER_L2 * 64**2 < 307_200 < cli.COMPLEX_SETUP_BYTES_PER_L2 * 64**2
+
+
+def test_memory_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    # an allocation that fails beyond the memory guards is an infeasible request: one
+    # stderr line, no traceback, and nothing written before it failed
+    import tfsamp.cli as cli
+
+    def oom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (370727, 370727)")
+
+    monkeypatch.setattr(cli, "eigendecompose", oom)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", str(out)]) == 4
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("infeasible request: Unable to allocate 1.00 TiB for an array with "
+                            "shape (370727, 370727)\n")
 
 
 @pytest.mark.parametrize("verb", ["reconstruct", "certify", "witness"])

@@ -11,7 +11,6 @@ from tfsamp import (
     covering_index,
     default_cell_px,
     disk_region,
-    full_region,
     mask_region,
     uniform_sample,
 )
@@ -60,7 +59,7 @@ def test_disk_must_not_wrap():
 
 
 def test_region_measure_full_and_empty():
-    assert full_region(24).measure == 24.0
+    assert mask_region(np.ones((24, 24), bool)).measure == 24.0
     empty = mask_region(np.zeros((24, 24), dtype=bool))
     assert empty.measure == 0.0
 
@@ -175,7 +174,7 @@ def test_covering_index_all_in_one_cell():
 
 def test_covering_index_spread_points():
     # hand-placed samples in distinct cells -> N0 = 1
-    reg = full_region(32)
+    reg = mask_region(np.ones((32, 32), bool))
     pts = np.array([[0, 0], [8, 8], [16, 16], [24, 24], [0, 16], [16, 0]])
     s = SampleSet(pts, seed=0, region=reg, distinct=True)
     rep = covering_index(s, 8)
@@ -184,7 +183,7 @@ def test_covering_index_spread_points():
 
 
 def test_covering_index_empty_sampleset():
-    reg = full_region(16)
+    reg = mask_region(np.ones((16, 16), bool))
     s = SampleSet(np.zeros((0, 2), dtype=np.int64), seed=0, region=reg, distinct=False)
     rep = covering_index(s, 4)
     assert rep.N0 == 0
@@ -202,7 +201,7 @@ def test_covering_index_pigeonhole():
 
 
 def test_covering_index_rejects_bad_cell():
-    reg = full_region(16)
+    reg = mask_region(np.ones((16, 16), bool))
     s = uniform_sample(reg, 5, seed=0)
     with pytest.raises(ParameterError):
         covering_index(s, 0)

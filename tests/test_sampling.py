@@ -13,14 +13,12 @@ from tfsamp import (
     Signal,
     TailParams,
     TFPoint,
-    covering_exceedance_frequency,
     covering_index,
     covering_tail,
     default_cell_px,
     disk_region,
     empirical_min_eigenvalue,
     expected_T,
-    full_region,
     make_gaussian_window,
     mask_region,
     monte_carlo_failure_frequency,
@@ -42,11 +40,10 @@ from tfsamp.sampling import (
     _gram_route,
     _not_positive_definite,
     _outer_table,
-    _region_table,
     _RegionTable,
     derive_seed,
 )
-from tfsamp.tfcore import Window, _support_arc
+from tfsamp.tfcore import Window, _stft_rows, _support_arc
 
 from oracles import (
     build_T_matrix,
@@ -56,6 +53,7 @@ from oracles import (
     mp_success,
     mp_tropp,
     stft_direct,
+    tf_shift_direct,
     tropp_tail,
 )
 
@@ -81,23 +79,21 @@ def test_T_matrix_invariants(sys32):
 
 
 def test_T_matrix_trace_is_projected_atom_energy(sys32):
-    from tfsamp import tf_shift
-
     eigs, window = sys32.eigs, sys32.window
     lam = TFPoint(14, 18)
     T = build_T_matrix(lam, eigs)
-    atom = tf_shift(Signal(window.values), lam)
-    coeffs = eigs.basis().conj().T @ atom.values
+    atom = tf_shift_direct(window.values, lam.m, lam.n)
+    coeffs = eigs.basis().conj().T @ atom
     assert abs(np.real(np.trace(T)) - float(np.sum(np.abs(coeffs) ** 2))) < 1e-10
 
 
 def test_T_matrix_single_dimension_cut(sys32):
     e = sys32.eigs
-    one = EigenSystem(e.eigenvalues, e.eigenvectors, 1, e.gamma, e.region, e.window)
+    one = EigenSystem(e.eigenvalues, [e.columns(slice(None))], 1, e.gamma, e.region, e.window)
     lam = TFPoint(16, 16)
     T = build_T_matrix(lam, one)
     assert T.shape == (1, 1)
-    V = stft(Signal(e.eigenvectors[:, 0]), sys32.window)
+    V = stft(Signal(e.columns(slice(None))[:, 0]), sys32.window)
     assert abs(T[0, 0] - abs(V[16, 16]) ** 2) < 1e-12
 
 
@@ -106,7 +102,7 @@ def test_T_matrix_quadratic_form_is_sampled_energy(sys16):
     eigs, window = sys16.eigs, sys16.window
     rng = np.random.default_rng(12)
     c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
-    p = eigs.eigenvectors[:, : eigs.N] @ c
+    p = eigs.columns(slice(None))[:, : eigs.N] @ c
     lam = TFPoint(9, 6)
     T = build_T_matrix(lam, eigs)
     u = np.conj(c)
@@ -117,7 +113,7 @@ def test_T_matrix_quadratic_form_is_sampled_energy(sys16):
 
 def test_T_matrix_requires_cut(sys16):
     e = sys16.eigs
-    empty = EigenSystem(e.eigenvalues, e.eigenvectors, 0, e.gamma, e.region, e.window)
+    empty = EigenSystem(e.eigenvalues, [e.columns(slice(None))], 0, e.gamma, e.region, e.window)
     with pytest.raises(ParameterError):
         build_T_matrix(TFPoint(0, 0), empty)
 
@@ -128,7 +124,8 @@ def test_T_matrix_requires_cut(sys16):
 def test_expected_T_full_grid():
     L = 16
     phi = make_gaussian_window(L)
-    eigs = eigendecompose(build_localization_operator(full_region(L), phi), 0.5)
+    grid = mask_region(np.ones((L, L), bool))
+    eigs = eigendecompose(build_localization_operator(grid, phi), 0.5)
     assert eigs.N == L
     E = expected_T(eigs)
     assert np.max(np.abs(E - np.eye(L) / L)) < 1e-10
@@ -206,7 +203,7 @@ def test_empirical_statistic_implies_sampling_bound(sys32):
     rng = np.random.default_rng(14)
     for _ in range(20):
         c = rng.standard_normal(eigs.N) + 1j * rng.standard_normal(eigs.N)
-        p = eigs.eigenvectors[:, : eigs.N] @ c
+        p = eigs.columns(slice(None))[:, : eigs.N] @ c
         V = stft(Signal(p), window)
         lhs = float(np.mean(np.abs(V[s.points[:, 0], s.points[:, 1]]) ** 2))
         energy = float(np.real(np.vdot(p, H.hermitian() @ p)))
@@ -388,29 +385,37 @@ def _disk_plus_noisy_block(L):
     return mask_region(mask)
 
 
+def _table_at(eigs, mask):
+    """(values, table_gemm_rows) of a _RegionTable that adds the True cells of mask, a
+    subset of the region's: its rows are those cells in row-major order."""
+    table = _RegionTable(eigs, np.count_nonzero(mask))
+    drawn, gemm_rows = table.add(np.flatnonzero(mask[eigs.region.mask])[None])
+    assert drawn == table.P == np.count_nonzero(mask)
+    return table.values[: table.P], gemm_rows
+
+
 def test_region_table_matches_stft():
     # the Gaussian's support misses offsets, so every time row with a cell takes the
     # GEMM route, which agrees with stft to 1e-14 of each column's norm
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
-        stats = {}
-        table = _region_table(eigs, region.mask, stats)
+        table, gemm_rows = _table_at(eigs, region.mask)
         rows = region.mask.any(axis=1)
         assert window.support.size < region.L and not rows.all()
-        assert stats == {"table_gemm_rows": np.count_nonzero(rows)}
+        assert gemm_rows == np.count_nonzero(rows)
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
-            col = stft(Signal(eigs.eigenvectors[:, k]), window)[region.mask]
+            col = stft(Signal(eigs.columns(slice(None))[:, k]), window)[region.mask]
             assert np.max(np.abs(table[:, k] - col)) <= 1e-14 * np.linalg.norm(col)
 
     # against the direct O(L^3) sum, so the check does not rest on FFT vs FFT
     region = _disk_plus_noisy_block(24)
     eigs, window = _eigs_and_window(region)
-    table = _region_table(eigs, region.mask)
+    table, _ = _table_at(eigs, region.mask)
     assert eigs.N >= 2
     for k in range(eigs.N):
-        V = stft_direct(eigs.eigenvectors[:, k], window.values)
+        V = stft_direct(eigs.columns(slice(None))[:, k], window.values)
         assert np.max(np.abs(table[:, k] - V[region.mask])) < 1e-12
 
 
@@ -457,9 +462,8 @@ def test_region_table_matches_stft_for_every_kind_of_basis(name):
     lone = np.zeros_like(region.mask)
     lone[longest] = region.mask[longest]
     for mask in (thin, lone):
-        stats = {}
-        table = _region_table(eigs, mask, stats)
-        assert stats == {"table_gemm_rows": np.count_nonzero(mask.any(axis=1))}
+        table, gemm_rows = _table_at(eigs, mask)
+        assert gemm_rows == np.count_nonzero(mask.any(axis=1))
         for k in range(eigs.N):
             col = stft(Signal(basis[:, k]), window)[mask]
             assert np.max(np.abs(table[:, k] - col)) <= 1e-15 * np.linalg.norm(col)
@@ -483,7 +487,7 @@ def test_region_table_peak_memory():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        table = _region_table(eigs, region.mask)
+        table = _stft_rows(np.ascontiguousarray(eigs.basis().T), window, region.mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,13 +505,13 @@ def test_window_support_is_found_once_per_window(monkeypatch):
     calls = []
     monkeypatch.setattr(tfcore, "_window_support", lambda phi: calls.append(phi) or real(phi))
     monte_carlo_failure_frequency(20, [(0.1, 250, 7), (0.2, 1000, 7), (0.3, 250, 7)], eigs)
-    table = _region_table(eigs, region.mask)
+    table, _ = _table_at(eigs, region.mask)
     assert calls == []
-    twin = EigenSystem(eigs.eigenvalues, eigs.eigenvectors, eigs.N, eigs.gamma, region,
+    twin = EigenSystem(eigs.eigenvalues, [eigs.columns(slice(None))], eigs.N, eigs.gamma, region,
                        make_gaussian_window(120))
     assert len(calls) == 1
     assert np.array_equal(twin.window.support, window.support)
-    fresh = _region_table(twin, region.mask)
+    fresh, _ = _table_at(twin, region.mask)
     assert len(calls) == 1
     assert np.array_equal(table.view(np.float64), fresh.view(np.float64))
 
@@ -520,12 +524,12 @@ def test_drawn_table_rows_match_full_table():
     drawn = idx.copy()
     distinct = np.unique(drawn)
     table = _RegionTable(eigs, idx.size)
-    assert table.add(idx) == table.P == distinct.size < region.point_count
+    assert table.add(idx)[0] == table.P == distinct.size < region.point_count
     # the point -> row map: rows in row-major order of the drawn cells, -1 elsewhere
     assert np.array_equal(np.flatnonzero(table.row_of >= 0), distinct)
     assert np.array_equal(table.row_of[distinct], np.arange(distinct.size))
     assert np.array_equal(idx, table.row_of[drawn])
-    full = _region_table(eigs, region.mask)
+    full, _ = _table_at(eigs, region.mask)
     # both take the GEMM route, over different frequencies of each row
     err = np.abs(table.values[idx] - full[drawn]).max(axis=(0, 1))
     assert np.all(err <= 1e-14 * np.linalg.norm(full, axis=0))
@@ -540,12 +544,9 @@ def test_shared_table_matches_stft(name):
     basis = eigs.basis()
     cells = [(2, 40, 1), (2, 40, 2), (4, 40, 3), (2, 40, 4)]
     table = _RegionTable(eigs, sum(t * r for t, r, _ in cells))
-    stats = []
-    for cell in cells:
-        stats.append({})
-        idx = _draw_trials(*cell[:2], region.point_count, cell[2])
-        table.add(idx, stats[-1])
-    assert stats[0]["table_gemm_rows"] > 0
+    gemm_rows = [table.add(_draw_trials(*cell[:2], region.point_count, cell[2]))[1]
+                 for cell in cells]
+    assert gemm_rows[0] > 0
     union = np.flatnonzero(table.row_of >= 0)
     assert table.P == union.size < region.point_count
     mask = np.zeros_like(region.mask)
@@ -804,27 +805,18 @@ def test_monte_carlo_respects_theory_bound(sys32):
 
 
 def test_batched_engine_matches_single_draws(sys32):
-    # trial i of both estimators is uniform_sample's draw with the trial-stream seed
+    # Monte Carlo's trial i is uniform_sample's draw with the trial-stream seed
     region, window, eigs = sys32.region, sys32.window, sys32.eigs
     trials, seed = 60, 11
-    draws = [uniform_sample(region, r, derive_seed(seed, TRIAL_STREAM, i))
-             for r in (30, 40) for i in range(trials)]
+    draws = [uniform_sample(region, 30, derive_seed(seed, TRIAL_STREAM, i))
+             for i in range(trials)]
     nu = 0.4
     thresh = -nu / region.measure
-    stats = np.array([empirical_min_eigenvalue(s.analysis_rows(window), eigs)
-                      for s in draws[:trials]])
+    stats = np.array([empirical_min_eigenvalue(s.analysis_rows(window), eigs) for s in draws])
     assert np.min(np.abs(stats - thresh)) > 1e-9
     freq = monte_carlo_failure_frequency(trials, [(nu, 30, seed)], eigs)[0]["empirical_freq"]
     assert 0.0 < freq < 1.0
     assert freq == np.count_nonzero(stats <= thresh) / trials
-
-    cell = default_cell_px(region.L)
-    a = 1.5 / region.measure
-    N0 = np.array([covering_index(s, cell).N0 for s in draws[trials:]])
-    assert np.min(np.abs(N0 - a * 40)) > 1e-9
-    cover = covering_exceedance_frequency(trials, 40, region, cell, a, seed)
-    assert 0.0 < cover < 1.0
-    assert cover == np.count_nonzero(N0 > a * 40) / trials
 
     # the engine's draw block is those draws; one trial per chunk on a thread
     # pool counts the same failures as one chunk
@@ -832,7 +824,7 @@ def test_batched_engine_matches_single_draws(sys32):
         return np.isin(idx, np.arange(20)).any(axis=1)
 
     idx = _draw_trials(trials, 30, region.point_count, seed)
-    assert np.array_equal(region.points()[idx], np.stack([s.points for s in draws[:trials]]))
+    assert np.array_equal(region.points()[idx], np.stack([s.points for s in draws]))
     one = _failure_frequency(idx, fails, trial_bytes=32 * 30)
     assert 0.0 < one < 1.0
     assert _failure_frequency(idx, fails, 10**9, threads=2) == one
@@ -904,8 +896,8 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     s = request.getfixturevalue(system)
     eigs, seed = s.eigs, 2024
     idx = _draw_trials(trials, r, s.region.point_count, seed)
-    table, table_stats = _RegionTable(eigs, idx.size), {}
-    P = table.add(idx, table_stats)
+    table = _RegionTable(eigs, idx.size)
+    P, gemm_rows = table.add(idx)
     assert _gram_route(trials, r, P, eigs.N) == route
     gathered = _gathered_grams(table.values[idx]) / r
     counted = _counted_grams(table.outer(), idx) / r
@@ -927,7 +919,7 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
         monkeypatch.setattr(sampling, "_gram_route", lambda *shape: pinned)
         cell, = monte_carlo_failure_frequency(trials, [(nu, r, seed)], eigs)
         assert cell == {"empirical_freq": fails / trials, "gram": pinned, "drawn_points": P,
-                        **table_stats}
+                        "table_gemm_rows": gemm_rows}
 
 
 def test_gram_route_reads_only_the_cell_shape():
@@ -1000,7 +992,13 @@ def test_covering_exceedance_deterministic(sys32):
     region = sys32.region
     cell = default_cell_px(region.L)
     a = 3.0 / region.measure
-    f1 = covering_exceedance_frequency(60, 40, region, cell, a, master_seed=3)
-    f2 = covering_exceedance_frequency(60, 40, region, cell, a, master_seed=3)
+
+    def frequency():
+        # the per-trial covering count acceptance 06 makes, over Monte Carlo's trial draws
+        N0 = [covering_index(uniform_sample(region, 40, derive_seed(3, TRIAL_STREAM, i)), cell).N0
+              for i in range(60)]
+        return sum(n > a * 40 for n in N0) / 60
+
+    f1, f2 = frequency(), frequency()
     assert f1 == f2
     assert 0.0 <= f1 <= 1.0

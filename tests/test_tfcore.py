@@ -11,7 +11,6 @@ from tfsamp import (
     disk_region,
     make_gaussian_window,
     stft,
-    tf_shift,
 )
 from tfsamp.tfcore import STFT_ROWS, TFPoint, _stft_rows, _translates, _window_support
 
@@ -81,38 +80,6 @@ def test_signal_rejects_nonfinite_and_empty():
         Signal(np.zeros((2, 2)))
 
 
-# ---------------------------------------------------------------- tf_shift
-
-
-def test_tf_shift_identity_at_origin():
-    f = random_signal(16, 0)
-    g = tf_shift(f, TFPoint(0, 0))
-    assert np.array_equal(g.values, f.values)
-
-
-@pytest.mark.parametrize("lam", [(1, 0), (0, 5), (7, 3)])
-def test_tf_shift_unitary(lam):
-    f = random_signal(32, 1)
-    g = tf_shift(f, TFPoint(*lam))
-    assert abs(g.norm() - f.norm()) < 1e-12
-
-
-def test_tf_shift_delta_hand_evaluated():
-    # L=8, f = delta_0, lambda = (3, 2): e^{2 pi i 2 t / 8} at t = 3, else 0
-    f = Signal(np.eye(8)[0])
-    g = tf_shift(f, TFPoint(3, 2)).values
-    expect = np.zeros(8, dtype=complex)
-    expect[3] = np.exp(2j * np.pi * 2 * 3 / 8)
-    assert np.max(np.abs(g - expect)) < 1e-15
-
-
-def test_tf_shift_matches_direct():
-    f = random_signal(8, 2)
-    for m, n in [(0, 0), (3, 2), (7, 7)]:
-        got = tf_shift(f, TFPoint(m, n)).values
-        assert np.max(np.abs(got - tf_shift_direct(f.values, m, n))) < 1e-13
-
-
 # ---------------------------------------------------------------- stft
 
 
@@ -158,7 +125,7 @@ def test_stft_covariance():
     phi = make_gaussian_window(L)
     f = random_signal(L, 7)
     mu = (5, 11)
-    A = np.abs(stft(tf_shift(f, TFPoint(*mu)), phi))
+    A = np.abs(stft(Signal(tf_shift_direct(f.values, *mu)), phi))
     B = np.abs(stft(f, phi))
     B_shift = np.roll(np.roll(B, mu[0], axis=0), mu[1], axis=1)
     assert np.max(np.abs(A - B_shift)) < 1e-10
