@@ -17,9 +17,11 @@ signals (the six witness files, eigenvectors.npy) and the bool region
 mask (region.npy); see tfsamp.reports.  The mask and window files a
 config names (region.path, window.path) are .npy arrays too.
 
-Exit codes: 0 success, 2 configuration error (also the library checks
-a config reaches: a wrapping disk, an all-zero or non-finite window
-file), 3 numerical failure, 4 infeasible request
+Exit codes: 0 success, 2 configuration error (also an inf or nan real
+key, a --config that cannot be read, an --out that names a file or a
+path below one, and the library checks a config reaches: a wrapping
+disk, an all-zero or non-finite window file), 3 numerical failure,
+4 infeasible request
 (an empty V_N, an L whose dense setup cannot fit in physical memory, or
 sample or Monte Carlo draws that cannot; also a MemoryError, after which
 the artifacts already written stay).
@@ -600,6 +602,15 @@ _EXIT_CODES = (
 )
 
 
+def _refuse_unusable_out(out: str):
+    """ConfigError if the nearest existing path at or above out is not a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out: {path} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tfsamp",
@@ -624,6 +635,7 @@ def main(argv=None) -> int:
             cfg.master_seed = args.seed
         if args.threads < 1:
             raise ConfigError("--threads: must be >= 1")
+        _refuse_unusable_out(args.out)
         report = _RUNNERS[args.verb](
             cfg, args.out, threads=args.threads, emit_eigenvectors=args.emit_eigenvectors
         )
@@ -632,7 +644,7 @@ def main(argv=None) -> int:
         code, label = next(
             (code, label) for cls, code, label in _EXIT_CODES if isinstance(exc, cls)
         )
-        print(f"{label}: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"{label}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return code
     print(*report.headline, f"report: {paths[0]}", sep="\n")
     return 0

@@ -51,7 +51,7 @@ Example
 from __future__ import annotations
 
 import configparser
-import os
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -70,9 +70,16 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(low)
 
 
+def _as_real(raw: str) -> float:
+    """A finite float; inf and nan are refused."""
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(raw)
+    return v
+
+
 def _float_list(raw: str) -> list:
-    items = [p for chunk in raw.split(",") for p in chunk.split()]
-    return [float(p) for p in items]
+    return [_as_real(p) for chunk in raw.split(",") for p in chunk.split()]
 
 
 def _as_int(raw: str) -> int:
@@ -96,7 +103,7 @@ def _int_list(raw: str) -> list:
 
 # parsers: (conversion, diagnostic when the conversion fails)
 _INT = (_as_int, "must be an integer")
-_REAL = (float, "must be a real number")
+_REAL = (_as_real, "must be a real number")
 _TEXT = (str.strip, "")
 _BOOL = (_as_bool, "must be a boolean")
 _REALS = (_float_list, "must be a comma-separated list of reals")
@@ -225,12 +232,14 @@ def _get(parser, section: str, key: str, parse: tuple):
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an INI experiment file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, a file it may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     version = _get(parser, "meta", "schema_version", _INT) if parser.has_section("meta") else None

@@ -187,13 +187,7 @@ class EigenSystem:
                 continue
             zi = np.zeros(y.shape[1], dtype=np.complex128)
             zi[self._col[ks[m]]] = z[m]
-            g = _product(y, zi)
-            if blk is None:
-                x += g
-            else:
-                u, a, r, b = blk
-                x[u] += a * g
-                x[r] += b * g
+            x += _expand(_product(y, zi)[:, None], blk, self.region.L)[:, 0]
         return x if self.modulation is None else self.modulation * x
 
     @property

@@ -61,25 +61,46 @@ def test_spectrum_end_to_end(tmp_path, capsys):
     assert "L=48" in captured.out and "report:" in captured.out
 
 
-def test_spectrum_emit_eigenvectors(tmp_path):
-    # one (L, N) complex128 array whose column k is psi_{k+1}, bit for bit the library's
+@pytest.mark.parametrize("name", ["real", "complex H", "modulated"])
+def test_spectrum_emit_eigenvectors(tmp_path, name):
+    # one (L, N) complex128 array with orthonormal columns, column k being psi_{k+1}, bit
+    # for bit the library's, for a real V_N basis, the basis of a complex H and the
+    # modulated basis of an odd L
     from tfsamp import load_config
     from tfsamp.cli import build_setup
 
     out = str(tmp_path / "out")
-    ini = _ini(tmp_path, "[experiment]\nL = 16\n[region]\nradius_px = 4\n")
+    ini = _shared_table_config(tmp_path, name)
     assert main(["spectrum", "--config", ini, "--out", out, "--emit-eigenvectors"]) == 0
     payload = _json_report(out)
-    N = payload["sections"]["eigen"]["N"]
+    L, N = payload["sections"]["eigen"]["L"], payload["sections"]["eigen"]["N"]
     assert N >= 1
     assert payload["artifacts"] == ["eigenvalues.csv", "eigfun1_spectrogram.npy", "region.npy",
                                     "eigenvectors.npy"]
     vecs = np.load(os.path.join(out, "eigenvectors.npy"), allow_pickle=False)
-    assert vecs.dtype == np.complex128 and vecs.shape == (16, N)
+    assert vecs.dtype == np.complex128 and vecs.shape == (L, N)
+    assert np.abs(vecs.conj().T @ vecs - np.eye(N)).max() <= 1e-12
     _, eigs = build_setup(load_config(ini))
     got, want = (np.ascontiguousarray(a).view(np.uint64)
                  for a in (vecs, eigs.columns(slice(None))[:, :N]))
     assert np.array_equal(got, want)
+
+
+def test_spectrum_reports_trace_equal_to_measure_for_a_complex_H(tmp_path):
+    # a random asymmetric mask has no frequency mirror, so the operator is assembled as
+    # the complex H; the trace the report reads off it is still |Omega|
+    from tfsamp import load_config
+    from tfsamp.cli import build_setup
+
+    np.save(tmp_path / "asym.npy", np.random.default_rng(5).random((32, 32)) < 0.3)
+    ini = _ini(tmp_path, f"[experiment]\nL = 32\n[region]\nkind = mask\n"
+                         f"path = {tmp_path / 'asym.npy'}\n")
+    H, _ = build_setup(load_config(ini))
+    assert H.modulation is None
+    out = str(tmp_path / "out")
+    assert main(["spectrum", "--config", ini, "--out", out]) == 0
+    e = _json_report(out)["sections"]["eigen"]
+    assert abs(e["trace"] - e["measure"]) <= 1e-8 * e["measure"]
 
 
 # ------------------------------------------------------------- reconstruct
@@ -222,9 +243,15 @@ delta = 0.05
     assert len(lines) == 5
 
 
-def test_montecarlo_threads_do_not_change_the_results(tmp_path):
-    # at r = 4000 the chunk budget makes several chunks, so --threads 2 uses a pool
-    ini = _ini(tmp_path, """
+@pytest.mark.parametrize("name", ["several chunks", "real", "complex H", "modulated"])
+def test_montecarlo_threads_do_not_change_the_results(tmp_path, name):
+    # "several chunks": at r = 4000 the chunk budget makes several chunks, so --threads 2
+    # uses a pool; the others are _shared_table_config's gather and counts cells on each
+    # kind of basis, whose 40 trials --threads 2 splits into two chunks
+    if name != "several chunks":
+        ini = _shared_table_config(tmp_path, name)
+    else:
+        ini = _ini(tmp_path, """
 [experiment]
 L = 48
 trials = 40
@@ -523,6 +550,22 @@ def test_runner_headlines(tmp_path, capsys, verb):
         assert line.startswith(prefix), (line, prefix)
         if "infeasible: " in line:  # the row names its target; the message does not repeat it
             assert line.count("eps_target=") == 1, line
+
+
+ROW_TABLES = {"eigenvalues.csv", "recon_rows.csv", "samples.csv", "certify_rows.csv",
+              "mc_rows.csv"}
+
+
+@pytest.mark.parametrize("verb", sorted(HEADLINE_LINES))
+def test_output_directory_holds_the_reports_and_their_artifacts_only(tmp_path, verb):
+    # every artifact is a row table or a .npy array: no .tfrs signal, no region.json
+    # mask and no CSV grid, and nothing is written that the report does not list
+    out = tmp_path / "out"
+    assert main([verb, "--config", _ini(tmp_path, HEADLINE), "--out", str(out),
+                 "--emit-eigenvectors"]) == 0
+    artifacts = _json_report(out)["artifacts"]
+    assert artifacts and all(a.endswith(".npy") or a in ROW_TABLES for a in artifacts), artifacts
+    assert sorted(os.listdir(out)) == sorted(["report.txt", "report.json", *artifacts])
 
 
 # ----------------------------------------------------------------- witness
@@ -871,17 +914,19 @@ def test_memory_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     # stderr line, no traceback, and nothing written before it failed
     import tfsamp.cli as cli
 
-    def oom(*args, **kwargs):
-        raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (370727, 370727)")
+    message = "Unable to allocate 1.00 TiB for an array with shape (370727, 370727)"
+    # a bare MemoryError() has no message of its own
+    for exc, line in ((MemoryError(message), message), (MemoryError(), "out of memory")):
+        def oom(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(cli, "eigendecompose", oom)
-    out = tmp_path / "out"
-    assert main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", str(out)]) == 4
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("infeasible request: Unable to allocate 1.00 TiB for an array with "
-                            "shape (370727, 370727)\n")
+        monkeypatch.setattr(cli, "eigendecompose", oom)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"infeasible request: {line}\n"
 
 
 @pytest.mark.parametrize("verb", ["reconstruct", "certify", "witness"])
@@ -905,6 +950,52 @@ def test_sample_draw_too_large_for_memory_exits_4_without_allocating(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("infeasible request: r=1000000000000: the sample draw needs about")
     assert "(16 * r * L + 8 * r bytes)" in err and err.count("\n") == 1
+
+
+def _forbid_setup(monkeypatch):
+    # a refusal due before the setup fails the test if the setup starts
+    import tfsamp.cli as cli
+
+    def never(cfg):
+        raise AssertionError("the setup started")
+
+    monkeypatch.setattr(cli, "build_setup", never)
+
+
+def test_non_finite_real_exits_2_before_the_setup(tmp_path, capsys, monkeypatch):
+    # a non-finite real is a config error, refused before the setup could start
+    _forbid_setup(monkeypatch)
+    ini = _ini(tmp_path, "[experiment]\nL = 32\nnu = inf\n[region]\nradius_px = 8\n")
+    out = tmp_path / "out"
+    assert main(["certify", "--config", ini, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: experiment.nu: must be a real number (got 'inf')\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a file", "below a file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_the_setup(tmp_path, capsys, monkeypatch,
+                                                                 below):
+    _forbid_setup(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "sub" if below else blocker
+    assert main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --out: {blocker} is not a directory\n"
+    assert captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini", "file"]
+
+
+def test_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot read config file {tmp_path}: Is a directory\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

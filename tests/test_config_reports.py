@@ -150,6 +150,17 @@ def test_meta_section_without_version_key(tmp_path):
         ("[experiment]\nr = 1e300\n", r"experiment\.r: must be an integer \(got '1e300'\)"),
         ("[reconstruct]\ndistinct = maybe\n", r"reconstruct\.distinct: must be a boolean"),
         ("[witness]\nM = 2.5\n", r"witness\.M: must be an integer"),
+        # inf and nan are refused for every real key, before any range check reads them
+        ("[experiment]\nnu = inf\n", r"experiment\.nu: must be a real number \(got 'inf'\)"),
+        ("[experiment]\nnu = nan\n", r"experiment\.nu: must be a real number \(got 'nan'\)"),
+        ("[montecarlo]\nnu_grid = 0.2, inf\n",
+         r"montecarlo\.nu_grid: must be a comma-separated list of reals \(got '0\.2, inf'\)"),
+        ("[montecarlo]\nnu_grid = nan\n",
+         r"montecarlo\.nu_grid: must be a comma-separated list of reals \(got 'nan'\)"),
+        ("[tolerances]\ncg_tol = nan\n", r"tolerances\.cg_tol: must be a real number"),
+        ("[tolerances]\neig_residual = nan\n", r"tolerances\.eig_residual: must be a real number"),
+        ("[region]\nradius_px = nan\n", r"region\.radius_px: must be a real number"),
+        ("[experiment]\ngamma = -inf\n", r"experiment\.gamma: must be a real number"),
     ],
 )
 def test_conversion_diagnostics_name_the_key(tmp_path, body, fragment):
