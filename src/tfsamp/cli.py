@@ -18,13 +18,13 @@ mask (region.npy); see tfsamp.reports.  The mask and window files a
 config names (region.path, window.path) are .npy arrays too.
 
 Exit codes: 0 success, 2 configuration error (also an inf or nan real
-key, a --config that cannot be read, an --out that names a file or a
-path below one, and the library checks a config reaches: a wrapping
-disk, an all-zero or non-finite window file), 3 numerical failure,
-4 infeasible request
-(an empty V_N, an L whose dense setup cannot fit in physical memory, or
-sample or Monte Carlo draws that cannot; also a MemoryError, after which
-the artifacts already written stay).
+key, a --config that cannot be read, an --out that is empty, names a
+file or a path below one, or cannot be created, and the library checks a
+config reaches: a wrapping disk, an all-zero or non-finite window file),
+3 numerical failure, 4 infeasible request (an empty V_N, an L whose dense
+setup cannot fit in physical memory, or sample or Monte Carlo draws that
+cannot; also a MemoryError, after which the artifacts already written
+stay).
 
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
@@ -307,11 +307,16 @@ def _row_lines(rows: list, describe) -> list:
 def _write(outdir: str, name: str, data, header: list | None = None):
     """Write one artifact, outdir/name, making outdir on the first write.
 
+    An outdir that cannot be made is a ConfigError naming --out.
+
     With a header, data is a list of row dicts, written as CSV in header
     order with missing and None fields left blank; without one, data is an
     array, written as .npy.
     """
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create {outdir}: {exc.strerror or exc}") from None
     path = os.path.join(outdir, name)
     if header is None:
         np.save(path, data)
@@ -603,7 +608,9 @@ _EXIT_CODES = (
 
 
 def _refuse_unusable_out(out: str):
-    """ConfigError if the nearest existing path at or above out is not a directory."""
+    """ConfigError if out is empty or the nearest existing path at or above it is no directory."""
+    if not out:
+        raise ConfigError("--out: must not be empty")
     path = os.path.abspath(out)
     while not os.path.lexists(path):
         path = os.path.dirname(path)

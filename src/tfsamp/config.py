@@ -5,47 +5,8 @@ echoes both so any row can be regenerated.  Parsing is total: every
 failure surfaces as a ConfigError naming the offending section.key, and
 a key that no ExperimentConfig field declares is one of them.
 
-Example
--------
-    [meta]
-    schema_version = 1
-
-    [experiment]
-    L = 480
-    gamma = 0.5
-    r = 300
-    nu = 0.3
-    trials = 2000
-    master_seed = 20260816
-
-    [region]
-    kind = disk          ; disk | mask
-    center_m = 240
-    center_n = 240
-    radius_px = 120
-    ; path = region.npy  (kind = mask: an (L, L) bool array in .npy format)
-
-    [window]
-    kind = gaussian      ; gaussian | file
-    ; path = window.npy  (kind = file: an (L,) real or complex array in .npy format)
-
-    [reconstruct]
-    epsilon_targets = 0.1, 0.03, 1e-4, 1e-8
-    distinct = true
-
-    [montecarlo]
-    nu_grid = 0.2, 0.3, 0.5
-    r_grid = 250, 1000, 4000
-    delta = 0.05
-
-    [witness]
-    epsilon = 0.2
-    eta = 2.0
-    ; M = 12              (1-based eigen index; default: auto)
-
-    [tolerances]
-    cg_tol = 1e-12
-    eig_residual = 1e-8
+The README's CLI section holds the default config as an INI block, which
+a test pins to ExperimentConfig().
 """
 
 from __future__ import annotations
@@ -110,9 +71,19 @@ _REALS = (_float_list, "must be a comma-separated list of reals")
 _INTS = (_int_list, "must be a comma-separated list of integers")
 
 
-def _ini(section: str, key, parse: tuple, default=None):
-    """A field read from [section] key; a tuple of keys fills a tuple, all required together."""
-    meta = {"ini": (section, (key,) if isinstance(key, str) else key, parse)}
+# range rules shared by several keys: (predicate, diagnostic when it fails)
+_UNIT = (lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+
+
+def _ini(section: str, key, parse: tuple, default=None, rule: tuple | None = None):
+    """A field read from [section] key; a tuple of keys fills a tuple, all required together.
+
+    rule, a (predicate, diagnostic) pair, is the range check validate()
+    applies to the field's value unless it is None.
+    """
+    meta = {"ini": (section, (key,) if isinstance(key, str) else key, parse), "rule": rule}
     if isinstance(default, list):  # each config gets its own copy
         return field(default_factory=default.copy, metadata=meta)
     return field(default=default, metadata=meta)
@@ -120,36 +91,46 @@ def _ini(section: str, key, parse: tuple, default=None):
 
 @dataclass
 class ExperimentConfig:
-    L: int = _ini("experiment", "L", _INT, 480)
-    gamma: float = _ini("experiment", "gamma", _REAL, 0.5)
-    r: int = _ini("experiment", "r", _INT, 300)
-    nu: float = _ini("experiment", "nu", _REAL, 0.3)
-    trials: int = _ini("experiment", "trials", _INT, 2000)
-    master_seed: int = _ini("experiment", "master_seed", _INT, 20260816)
+    L: int = _ini("experiment", "L", _INT, 480, (lambda v: v >= 4, "must be an integer >= 4"))
+    gamma: float = _ini("experiment", "gamma", _REAL, 0.5, _UNIT)
+    r: int = _ini("experiment", "r", _INT, 300, _AT_LEAST_1)
+    nu: float = _ini("experiment", "nu", _REAL, 0.3, (lambda v: v >= 0, "must be >= 0"))
+    trials: int = _ini("experiment", "trials", _INT, 2000, _AT_LEAST_1)
+    master_seed: int = _ini("experiment", "master_seed", _INT, 20260816,
+                            (lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit int"))
 
-    region_kind: str = _ini("region", "kind", _TEXT, "disk")
+    region_kind: str = _ini("region", "kind", _TEXT, "disk",
+                            (lambda v: v in ("disk", "mask"), "must be 'disk' or 'mask'"))
     # None -> (L//2, L//2)
     region_center: tuple | None = _ini("region", ("center_m", "center_n"), _INT)
     region_radius_px: float | None = _ini("region", "radius_px", _REAL)  # None -> L/4
     region_mask_path: str | None = _ini("region", "path", _TEXT)
 
-    window_kind: str = _ini("window", "kind", _TEXT, "gaussian")
+    window_kind: str = _ini("window", "kind", _TEXT, "gaussian",
+                            (lambda v: v in ("gaussian", "file"), "must be 'gaussian' or 'file'"))
     window_path: str | None = _ini("window", "path", _TEXT)
 
-    epsilon_targets: list = _ini("reconstruct", "epsilon_targets", _REALS, [0.1, 0.03, 1e-4, 1e-8])
+    epsilon_targets: list = _ini(
+        "reconstruct", "epsilon_targets", _REALS, [0.1, 0.03, 1e-4, 1e-8],
+        (lambda v: v and all(0.0 < e < 1.0 for e in v),
+         "must be non-empty, and every value must be in (0, 1)"))
     distinct: bool = _ini("reconstruct", "distinct", _BOOL, True)
 
-    nu_grid: list = _ini("montecarlo", "nu_grid", _REALS, [0.2, 0.3, 0.5])
-    r_grid: list = _ini("montecarlo", "r_grid", _INTS, [250, 1000, 4000])
-    delta: float = _ini("montecarlo", "delta", _REAL, 0.05)
+    nu_grid: list = _ini("montecarlo", "nu_grid", _REALS, [0.2, 0.3, 0.5],
+                         (lambda v: v and all(nu >= 0 for nu in v),
+                          "must be non-empty, with every value >= 0"))
+    r_grid: list = _ini("montecarlo", "r_grid", _INTS, [250, 1000, 4000],
+                        (lambda v: v and all(r >= 1 for r in v), "entries must be integers >= 1"))
+    delta: float = _ini("montecarlo", "delta", _REAL, 0.05, _UNIT)
 
-    witness_epsilon: float = _ini("witness", "epsilon", _REAL, 0.2)
+    witness_epsilon: float = _ini("witness", "epsilon", _REAL, 0.2, _UNIT)
     witness_eta: float = _ini("witness", "eta", _REAL, 2.0)
     witness_M: int | None = _ini("witness", "M", _INT)
 
-    cg_tol: float = _ini("tolerances", "cg_tol", _REAL, 1e-12)
-    eig_residual: float = _ini("tolerances", "eig_residual", _REAL, 1e-8)
-    cell_px: int | None = _ini("experiment", "cell_px", _INT)  # None -> round(sqrt(L))
+    cg_tol: float = _ini("tolerances", "cg_tol", _REAL, 1e-12, _POSITIVE)
+    eig_residual: float = _ini("tolerances", "eig_residual", _REAL, 1e-8, _POSITIVE)
+    # None -> round(sqrt(L))
+    cell_px: int | None = _ini("experiment", "cell_px", _INT, None, _AT_LEAST_1)
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -158,24 +139,16 @@ class ExperimentConfig:
         return d
 
     def validate(self):
-        if self.L < 4:
-            raise ConfigError("experiment.L: must be an integer >= 4")
+        """Each field's declared rule, then the defaults, then the rules that read two keys."""
+        for f in fields(self):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if rule is not None and value is not None and not rule[0](value):
+                section, keys, _ = f.metadata["ini"]
+                raise ConfigError(f"{section}.{keys[0]}: {rule[1]}")
         if self.region_center is None:
             self.region_center = (self.L // 2, self.L // 2)
         if self.region_radius_px is None:
             self.region_radius_px = self.L / 4
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError("experiment.gamma: must lie strictly between 0 and 1")
-        if self.r < 1:
-            raise ConfigError("experiment.r: must be >= 1")
-        if self.nu < 0:
-            raise ConfigError("experiment.nu: must be >= 0")
-        if self.trials < 1:
-            raise ConfigError("experiment.trials: must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("experiment.master_seed: must fit in an unsigned 64-bit int")
-        if self.region_kind not in ("disk", "mask"):
-            raise ConfigError("region.kind: must be 'disk' or 'mask'")
         if self.region_kind == "disk":
             cm, cn = self.region_center
             if not (0 <= cm < self.L and 0 <= cn < self.L):
@@ -184,31 +157,12 @@ class ExperimentConfig:
                 raise ConfigError("region.radius_px: must be positive")
         elif not self.region_mask_path:
             raise ConfigError("region.path: required when region.kind = mask")
-        if self.window_kind not in ("gaussian", "file"):
-            raise ConfigError("window.kind: must be 'gaussian' or 'file'")
         if self.window_kind == "file" and not self.window_path:
             raise ConfigError("window.path: required when window.kind = file")
-        for e in self.epsilon_targets:
-            if not 0.0 < e < 1.0:
-                raise ConfigError("reconstruct.epsilon_targets: every value must be in (0, 1)")
-        if not self.nu_grid or any(nu < 0 for nu in self.nu_grid):
-            raise ConfigError("montecarlo.nu_grid: must be non-empty, with every value >= 0")
-        if not self.r_grid or any(int(r) < 1 for r in self.r_grid):
-            raise ConfigError("montecarlo.r_grid: entries must be integers >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("montecarlo.delta: must lie strictly between 0 and 1")
-        if not 0.0 < self.witness_epsilon < 1.0:
-            raise ConfigError("witness.epsilon: must lie strictly between 0 and 1")
         if not 1.0 < self.witness_eta < 1.0 / self.witness_epsilon:
             raise ConfigError("witness.eta: must satisfy 1 < eta < 1/epsilon")
         if self.witness_M is not None and not 1 <= self.witness_M <= self.L:
             raise ConfigError("witness.M: must lie in 1..L")
-        if self.cg_tol <= 0:
-            raise ConfigError("tolerances.cg_tol: must be positive")
-        if self.eig_residual <= 0:
-            raise ConfigError("tolerances.eig_residual: must be positive")
-        if self.cell_px is not None and self.cell_px < 1:
-            raise ConfigError("experiment.cell_px: must be >= 1")
         return self
 
 

@@ -93,32 +93,30 @@ class EigenSystem:
 
         psi_{k+1} = phases[k] * d * (Q_i y_i[:, j]),
 
-    d the operator's modulation.  A dense (L, L) matrix V is the one-block
-    case [V]: blocks [None], order, modulation and phases None (identity,
-    none, unit).  The disk's two real blocks at L=960 hold 3.7 MB, where the
-    complex L x L matrix takes 14.7 MB.  columns(sel) expands only the
-    columns it is asked for; coeffs and synthesize never expand one.
+    d the operator's modulation.  The disk's two real blocks at L=960 hold
+    3.7 MB, where the complex L x L matrix takes 14.7 MB.  columns(sel)
+    expands only the columns it is asked for; coeffs and synthesize never
+    expand one.
     """
 
     eigenvalues: np.ndarray
-    vectors: list  # y_i per block; [V] for a dense (L, L) V
+    vectors: list  # y_i per block
     N: int
     gamma: float
     region: TFRegion
     window: Window
-    blocks: list = field(default_factory=lambda: [None])
-    order: np.ndarray | None = None
-    modulation: np.ndarray | None = None
-    phases: np.ndarray | None = None
+    blocks: list
+    order: np.ndarray
+    modulation: np.ndarray | None
+    phases: np.ndarray
     _block: np.ndarray = field(init=False, repr=False)  # block of each sorted column
     _col: np.ndarray = field(init=False, repr=False)  # its column within the block
     _basis: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         start = np.cumsum([0] + [y.shape[1] for y in self.vectors])
-        src = np.arange(self.L) if self.order is None else self.order
-        self._block = np.searchsorted(start, src, side="right") - 1
-        self._col = src - start[self._block]
+        self._block = np.searchsorted(start, self.order, side="right") - 1
+        self._col = self.order - start[self._block]
 
     @property
     def L(self) -> int:
@@ -142,10 +140,9 @@ class EigenSystem:
         x = self._expanded(cols)
         if self.modulation is not None:
             x = self.modulation[:, None] * x
-        if self.phases is not None:
-            # in place on the fresh x, so no second (L, len(sel)) array is held
-            x = x.astype(np.result_type(x, self.phases), copy=False)
-            x *= self.phases[cols][None, :]
+        # in place on the fresh x, so no second (L, len(sel)) array is held
+        x = x.astype(np.result_type(x, self.phases), copy=False)
+        x *= self.phases[cols][None, :]
         return x if ks.ndim else x[:, 0]
 
     def basis(self) -> np.ndarray:
@@ -171,15 +168,12 @@ class EigenSystem:
         for y, blk in zip(self.vectors, self.blocks):
             h = g if blk is None else blk[1] * g[blk[0]] + blk[3] * g[blk[2]]  # Q_i^T g
             parts.append(_adjoint_product(y, h))
-        c = np.concatenate(parts)
-        c = c if self.order is None else c[self.order]
-        return c if self.phases is None else np.conj(self.phases) * c
+        return np.conj(self.phases) * np.concatenate(parts)[self.order]
 
     def synthesize(self, sel, c) -> np.ndarray:
         """columns(sel) @ c, summed in block coordinates: one half-size GEMV per block."""
         ks = np.atleast_1d(np.arange(self.L)[sel])
-        z = np.asarray(c, dtype=np.complex128)
-        z = z if self.phases is None else self.phases[ks] * z
+        z = self.phases[ks] * np.asarray(c, dtype=np.complex128)
         x = np.zeros(self.region.L, dtype=np.complex128)
         for i, (y, blk) in enumerate(zip(self.vectors, self.blocks)):
             m = self._block[ks] == i

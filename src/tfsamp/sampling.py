@@ -230,18 +230,16 @@ def _tril_layout(N: int) -> np.ndarray:
     return 2 * (i * N + np.where(imag, q - i - 1, q)) + imag
 
 
-def _outer_table(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _outer_table(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(N^2, P) float64 lower triangles of the rank-one v_p v_p^H of table's rows v_p.
 
     Column p holds v_p v_p^H packed as _tril_layout says: 8 N^2 bytes per
     drawn point, half the full complex matrix, and all a Cholesky reads.
     Each packed entry is one contiguous row over the P points.  Written into
-    out if given, such as the next columns of a _RegionTable's packed table.
+    out, such as the next columns of a _RegionTable's packed table.
     """
     v = np.ascontiguousarray(table.T)
     N = v.shape[0]
-    if out is None:
-        out = np.empty((N * N, v.shape[1]))
     for i in range(N):
         w = v[i] * np.conj(v[: i + 1])
         out[i * i : i * i + i + 1] = w.real
@@ -292,10 +290,18 @@ def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
     return float(np.linalg.eigvalsh(S)[0])
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where the float power overflows (|x| above about 1.34e154)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def subspace_failure_bound(p: TailParams) -> float:
     """Tail for the V_N sampling event: N * exp(-nu^2 r / (|Omega| (1 + nu/3)))."""
     om = p.omega_measure
-    return float(p.N * math.exp(-(p.nu**2) * p.r / (om * (1.0 + p.nu / 3.0))))
+    return float(p.N * math.exp(-_square(p.nu) * p.r / (om * (1.0 + p.nu / 3.0))))
 
 
 def covering_tail(p: TailParams) -> float:
@@ -313,7 +319,7 @@ def success_probability(p: TailParams) -> float:
     The first factor uses |Omega|+eps2 in place of the integer dimension.
     """
     om = p.omega_measure
-    sub = (om + p.eps2) * math.exp(-(p.nu**2) * p.r / (om * (1.0 + p.nu / 3.0)))
+    sub = (om + p.eps2) * math.exp(-_square(p.nu) * p.r / (om * (1.0 + p.nu / 3.0)))
     return float(1.0 - sub - covering_tail(p))
 
 
@@ -329,7 +335,7 @@ def required_samples(nu: float, delta: float, omega_measure: float, eps2: float 
         raise ParameterError("delta must lie strictly in (0, 1)")
     if omega_measure <= 0:
         raise ParameterError("omega_measure must be positive")
-    bound = omega_measure * (1.0 + nu / 3.0) / nu**2 * math.log(
+    bound = omega_measure * (1.0 + nu / 3.0) / _square(nu) * math.log(
         2.0 * (omega_measure + eps2) / delta
     )
     return max(1, int(math.floor(bound + 0.5)))

@@ -166,15 +166,13 @@ def _support_arc(support: np.ndarray, L: int) -> tuple[int, int]:
     return int(support[(j + 1) % support.size]), L + 1 - int(gaps[j])
 
 
-def _stft_rows(
-    fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
     """STFT samples of a batch of signals at the True cells of an L x L mask.
 
     fvals is (K, L), one signal per row; out[i, k] = V_phi f_k(p_i) for the
-    i-th True cell p_i in row-major order, written into out if given (a
-    (mask.sum(), K) complex array, such as rows of a larger table).  The
-    window's support picks one route for the whole table:
+    i-th True cell p_i in row-major order, written into out, a (mask.sum(),
+    K) complex array such as rows of a larger table.  The window's support
+    picks one route for the whole table:
 
     - GEMM, when the arc s0 .. s0 + w - 1 that holds the support
       (_support_arc) is shorter than L, i.e. the support misses an offset.
@@ -191,17 +189,14 @@ def _stft_rows(
     - FFT, for a window with full support: one (K, L) FFT batch per row kept
       at the row's columns, equal bit for bit to stft(f_k, phi)[mask].
 
-    Memory: the 16 K mask.sum() byte output unless out is given; on the GEMM
-    route the 16 L w byte phase table and the 8 (L + w) K (real) or
-    16 (L + w) K (complex) byte extended copy, built only when the mask has
-    a cell; on the FFT route two K x L temporaries.
+    Memory: on the GEMM route the 16 L w byte phase table and the 8 (L + w)
+    K (real) or 16 (L + w) K (complex) byte extended copy, built only when
+    the mask has a cell; on the FFT route two K x L temporaries.
     """
     K, L = fvals.shape
     counts = np.count_nonzero(mask, axis=1)
     rows = np.flatnonzero(counts)
     starts = np.cumsum(counts) - counts
-    if out is None:
-        out = np.empty((counts.sum(), K), dtype=np.complex128)
     conj_phi = np.conj(phi.values)
     if phi.support.size == L:
         for m in rows:

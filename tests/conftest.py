@@ -7,6 +7,7 @@ from tfsamp import (
     eigendecompose,
     make_gaussian_window,
 )
+from tfsamp.locop import EigenSystem
 from tfsamp.tfcore import TFPoint
 
 
@@ -19,6 +20,14 @@ class System:
         self.window = make_gaussian_window(L)
         self.H = build_localization_operator(self.region, self.window)
         self.eigs = eigendecompose(self.H, 0.5)
+
+
+def dense_eigensystem(eigenvalues, V, N, gamma, region, window):
+    """An EigenSystem of one dense (L, L) eigenvector matrix V: one block, identity
+    order, no modulation and unit phases, so columns(slice(None)) is V itself."""
+    L = V.shape[1]
+    return EigenSystem(eigenvalues, [V], N, gamma, region, window, [None], np.arange(L), None,
+                       np.ones(L))
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,13 @@ import json
 import os
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tfsamp import make_gaussian_window
+from tfsamp import ExperimentConfig, make_gaussian_window
 from tfsamp.cli import derive_seed, main
 
 from oracles import stft_one_shot
@@ -33,6 +34,17 @@ gamma = 0.5
 
 [region]
 radius_px = 12
+"""
+
+# the L = 32 run of the README's installed-script example
+TINY = """
+[experiment]
+L = 32
+r = 12
+trials = 5
+
+[region]
+radius_px = 8
 """
 
 
@@ -987,6 +999,69 @@ def test_out_that_cannot_be_a_directory_exits_2_before_the_setup(tmp_path, capsy
     assert captured.out == ""
     assert blocker.read_text(encoding="utf-8") == "kept\n"
     assert sorted(os.listdir(tmp_path)) == ["exp.ini", "file"]
+
+
+def test_empty_out_exits_2_before_the_setup(tmp_path, capsys, monkeypatch):
+    # '' is no directory: abspath would read it as the working directory
+    _forbid_setup(monkeypatch)
+    assert main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --out: must not be empty\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "reconstruct", "montecarlo", "certify", "witness"])
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, verb):
+    # the directory is made at the first write, after the setup: a refusal there is one line
+    def refuse(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied")
+
+    ini = _ini(tmp_path, TINY)
+    monkeypatch.setattr(os, "makedirs", refuse)
+    out = tmp_path / "out"
+    assert main([verb, "--config", ini, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --out: cannot create {out}: Permission denied\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["certify", "montecarlo"])
+def test_nu_whose_square_overflows_gives_a_zero_tail(tmp_path, capsys, verb):
+    # nu**2 overflows above about 1.34e154; the tail exp(-nu^2 r / ...) is then 0
+    body = TINY.replace("trials = 5\n", "trials = 5\nnu = 1e300\n")
+    ini = _ini(tmp_path, body + "[montecarlo]\nnu_grid = 1e300\nr_grid = 12\n")
+    out = str(tmp_path / "out")
+    assert main([verb, "--config", ini, "--out", out]) == 0
+    capsys.readouterr()
+    sections = _json_report(out)["sections"]
+    row = sections["montecarlo"]["rows"][0] if verb == "montecarlo" else sections["bounds"]
+    assert row["required_samples"] == 1
+    if verb == "montecarlo":
+        assert row["subspace_bound"] == 0.0
+
+
+# a value outside each declared range rule, by field name
+OUT_OF_RANGE = {
+    "L": "2", "gamma": "1.5", "r": "0", "nu": "-0.5", "trials": "0", "master_seed": "-1",
+    "region_kind": "triangle", "window_kind": "boxcar", "epsilon_targets": "0.1, 2.0",
+    "nu_grid": "-0.1", "r_grid": "0", "delta": "1.0", "witness_epsilon": "1.0", "cg_tol": "0",
+    "eig_residual": "-1e-8", "cell_px": "0",
+}
+
+
+@pytest.mark.parametrize("f", [f for f in fields(ExperimentConfig) if f.metadata["rule"]],
+                         ids=lambda f: f.name)
+def test_every_declared_rule_exits_2_before_the_setup(tmp_path, capsys, monkeypatch, f):
+    # each rule read from its field's declaration; OUT_OF_RANGE must name every such field
+    _forbid_setup(monkeypatch)
+    section, keys, _ = f.metadata["ini"]
+    ini = _ini(tmp_path, f"[{section}]\n{keys[0]} = {OUT_OF_RANGE[f.name]}\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", ini, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {section}.{keys[0]}: {f.metadata['rule'][1]}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_config_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -179,6 +179,8 @@ def test_conversion_diagnostics_name_the_key(tmp_path, body, fragment):
         ("[region]\ncenter_m = 500\ncenter_n = 0\n", r"region\.center_m/center_n"),
         ("[window]\nkind = file\n", r"window\.path: required when window\.kind = file"),
         ("[reconstruct]\nepsilon_targets = 0.1, 2.0\n", r"every value must be in \(0, 1\)"),
+        ("[reconstruct]\nepsilon_targets =\n", r"reconstruct\.epsilon_targets: must be non-empty"),
+        ("[region]\nradius_px = 0\n", r"region\.radius_px: must be positive"),
         ("[montecarlo]\nnu_grid =\n", r"montecarlo\.nu_grid: must be non-empty"),
         ("[montecarlo]\nnu_grid = 0, -0.1\n", r"montecarlo\.nu_grid: .*every value >= 0"),
         ("[montecarlo]\ndelta = 1.0\n", r"montecarlo\.delta"),

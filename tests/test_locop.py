@@ -24,13 +24,13 @@ from tfsamp import (
 )
 from tfsamp import locop
 from tfsamp.locop import (
-    EigenSystem,
     LocalizationOperator,
     _fix_phases,
     _mirror,
     _symmetry_blocks,
 )
 
+from conftest import dense_eigensystem
 from oracles import (
     adjoint_direct,
     build_T_matrix,
@@ -480,7 +480,7 @@ def test_coeffs_and_synthesis_match_the_dense_products(name):
         z = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
         assert np.max(np.abs(eigs.synthesize(sel, z) - V[:, sel] @ z)) <= 1e-13 * np.linalg.norm(z)
     # the dense one-block case takes the same path
-    dense = EigenSystem(eigs.eigenvalues, [V], eigs.N, eigs.gamma, eigs.region, eigs.window)
+    dense = dense_eigensystem(eigs.eigenvalues, V, eigs.N, eigs.gamma, eigs.region, eigs.window)
     assert np.array_equal(dense.columns(slice(None)), V)
     assert np.max(np.abs(dense.coeffs(f) - c)) <= 1e-13 * f.norm()
 
@@ -679,8 +679,8 @@ def test_project_VN_pythagoras_and_idempotent(sys32):
 
 def test_project_VN_needs_positive_N():
     L = 16
-    eigs = EigenSystem(np.zeros(L), [np.eye(L, dtype=complex)], 0, 0.5,
-                       mask_region(np.ones((L, L), bool)), make_gaussian_window(L))
+    eigs = dense_eigensystem(np.zeros(L), np.eye(L, dtype=complex), 0, 0.5,
+                             mask_region(np.ones((L, L), bool)), make_gaussian_window(L))
     with pytest.raises(ParameterError):
         project_VN(random_signal(L, 0).values, eigs.basis())
 

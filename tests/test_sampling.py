@@ -28,7 +28,7 @@ from tfsamp import (
     success_probability,
     uniform_sample,
 )
-from tfsamp.locop import EigenSystem, build_localization_operator, eigendecompose
+from tfsamp.locop import build_localization_operator, eigendecompose
 from tfsamp.sampling import (
     MC_BUDGET,
     MC_CHUNK_BUDGET,
@@ -45,6 +45,7 @@ from tfsamp.sampling import (
 )
 from tfsamp.tfcore import Window, _stft_rows, _support_arc
 
+from conftest import dense_eigensystem
 from oracles import (
     build_T_matrix,
     mp_covering_tail,
@@ -89,7 +90,7 @@ def test_T_matrix_trace_is_projected_atom_energy(sys32):
 
 def test_T_matrix_single_dimension_cut(sys32):
     e = sys32.eigs
-    one = EigenSystem(e.eigenvalues, [e.columns(slice(None))], 1, e.gamma, e.region, e.window)
+    one = dense_eigensystem(e.eigenvalues, e.columns(slice(None)), 1, e.gamma, e.region, e.window)
     lam = TFPoint(16, 16)
     T = build_T_matrix(lam, one)
     assert T.shape == (1, 1)
@@ -113,7 +114,8 @@ def test_T_matrix_quadratic_form_is_sampled_energy(sys16):
 
 def test_T_matrix_requires_cut(sys16):
     e = sys16.eigs
-    empty = EigenSystem(e.eigenvalues, [e.columns(slice(None))], 0, e.gamma, e.region, e.window)
+    empty = dense_eigensystem(e.eigenvalues, e.columns(slice(None)), 0, e.gamma, e.region,
+                              e.window)
     with pytest.raises(ParameterError):
         build_T_matrix(TFPoint(0, 0), empty)
 
@@ -487,7 +489,8 @@ def test_region_table_peak_memory():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        table = _stft_rows(np.ascontiguousarray(eigs.basis().T), window, region.mask)
+        table = _stft_rows(np.ascontiguousarray(eigs.basis().T), window, region.mask,
+                           np.empty((region.point_count, eigs.N), dtype=np.complex128))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -507,8 +510,8 @@ def test_window_support_is_found_once_per_window(monkeypatch):
     monte_carlo_failure_frequency(20, [(0.1, 250, 7), (0.2, 1000, 7), (0.3, 250, 7)], eigs)
     table, _ = _table_at(eigs, region.mask)
     assert calls == []
-    twin = EigenSystem(eigs.eigenvalues, [eigs.columns(slice(None))], eigs.N, eigs.gamma, region,
-                       make_gaussian_window(120))
+    twin = dense_eigensystem(eigs.eigenvalues, eigs.columns(slice(None)), eigs.N, eigs.gamma,
+                             region, make_gaussian_window(120))
     assert len(calls) == 1
     assert np.array_equal(twin.window.support, window.support)
     fresh, _ = _table_at(twin, region.mask)
@@ -940,7 +943,8 @@ def test_gram_route_reads_only_the_cell_shape():
     P = MC_BUDGET // (8 * 23 * 23)
     assert _gram_route(50, 4000, P, 23) == "counts"
     assert _gram_route(50, 4000, P + 1, 23) == "gather"
-    assert _outer_table(np.ones((7, 23), dtype=complex)).nbytes == 7 * 8 * 23 * 23
+    assert _outer_table(np.ones((7, 23), dtype=complex), np.empty((23 * 23, 7))).nbytes == \
+        7 * 8 * 23 * 23
 
 
 def test_union_over_the_budget_gathers(sys32, monkeypatch):

@@ -270,7 +270,7 @@ def test_stft_rows_gemm_route_on_a_sparse_mask():
         mask[m, rng.choice(L, rng.integers(1, 4), replace=False)] = True
     f, phi = _unit_signals(12, L, 4), make_gaussian_window(L)
     assert phi.support.size < L
-    out = _stft_rows(f, phi, mask)
+    out = _stft_rows(f, phi, mask, np.empty((mask.sum(), len(f)), dtype=np.complex128))
     _check_rows(f, phi, mask, out)
     ref = stft_direct(f[0], phi.values, points=np.argwhere(mask))
     assert np.max(np.abs(out[:, 0] - ref)) < 1e-12
@@ -288,7 +288,7 @@ def test_stft_rows_wrap_around_the_torus(keep):
     assert mask[0].any() and mask[L - 1].any()
     f, phi = _unit_signals(12, L, 6), make_gaussian_window(L)
     assert phi.support.size < L
-    out = _stft_rows(f, phi, mask)
+    out = _stft_rows(f, phi, mask, np.empty((mask.sum(), len(f)), dtype=np.complex128))
     _check_rows(f, phi, mask, out)
 
 
@@ -299,7 +299,7 @@ def test_stft_rows_full_support_window_keeps_the_fft():
     assert _window_support(phi.values).size == L
     mask = disk_region(L, TFPoint(40, 90), 20).mask | (rng.random((L, L)) < 0.01)
     f = _unit_signals(12, L, 8)
-    out = _stft_rows(f, phi, mask)
+    out = _stft_rows(f, phi, mask, np.empty((mask.sum(), len(f)), dtype=np.complex128))
     _check_rows(f, phi, mask, out)
 
 
@@ -327,7 +327,8 @@ def test_stft_rows_route_follows_the_window_support(monkeypatch):
                              (f, full, disk), (f, gauss, np.zeros_like(disk))):
         arcs.clear()
         ffts.clear()
-        out = _stft_rows(batch, phi, mask)
+        out = _stft_rows(batch, phi, mask,
+                         np.empty((mask.sum(), len(batch)), dtype=np.complex128))
         rows = np.flatnonzero(mask.any(axis=1))
         gemm = phi.support.size < L and rows.size > 0
         assert arcs == ([L] if gemm else [])
