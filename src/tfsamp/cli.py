@@ -19,8 +19,10 @@ config names (region.path, window.path) are .npy arrays too.
 
 Exit codes: 0 success, 2 configuration error (also an inf or nan real
 key, a --config that cannot be read, an --out that is empty, names a
-file or a path below one, or cannot be created, and the library checks a
-config reaches: a wrapping disk, an all-zero or non-finite window file),
+file or a path below one, or cannot be created, an artifact or report
+that cannot be written there, after which the files already written
+stay, and the library checks a config reaches: a wrapping disk, an
+all-zero or non-finite window file),
 3 numerical failure, 4 infeasible request (an empty V_N, an L whose dense
 setup cannot fit in physical memory, or sample or Monte Carlo draws that
 cannot; also a MemoryError, after which the artifacts already written
@@ -304,10 +306,26 @@ def _row_lines(rows: list, describe) -> list:
     ]
 
 
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError from writing under --out into a ConfigError naming the file.
+
+    The file is the one the error names, else path: a directory in its
+    place, a read-only or a full disk.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(
+            f"--out: cannot write {exc.filename or path}: {exc.strerror or exc}"
+        ) from None
+
+
 def _write(outdir: str, name: str, data, header: list | None = None):
     """Write one artifact, outdir/name, making outdir on the first write.
 
-    An outdir that cannot be made is a ConfigError naming --out.
+    An outdir that cannot be made, or an artifact that cannot be written,
+    is a ConfigError naming --out.
 
     With a header, data is a list of row dicts, written as CSV in header
     order with missing and None fields left blank; without one, data is an
@@ -318,12 +336,12 @@ def _write(outdir: str, name: str, data, header: list | None = None):
     except OSError as exc:
         raise ConfigError(f"--out: cannot create {outdir}: {exc.strerror or exc}") from None
     path = os.path.join(outdir, name)
-    if header is None:
-        np.save(path, data)
-    else:
-        write_rows_csv(
-            path, header, [["" if row.get(k) is None else row[k] for k in header] for row in data]
-        )
+    with _writing(path):
+        if header is None:
+            np.save(path, data)
+        else:
+            write_rows_csv(path, header,
+                           [["" if row.get(k) is None else row[k] for k in header] for row in data])
 
 
 def _samples_rows(samples) -> list:
@@ -646,7 +664,8 @@ def main(argv=None) -> int:
         report = _RUNNERS[args.verb](
             cfg, args.out, threads=args.threads, emit_eigenvectors=args.emit_eigenvectors
         )
-        paths = write_report(report, args.out)
+        with _writing(args.out):
+            paths = write_report(report, args.out)
     except (TFSampError, MemoryError) as exc:
         code, label = next(
             (code, label) for cls, code, label in _EXIT_CODES if isinstance(exc, cls)

@@ -227,22 +227,16 @@ def build_localization_operator(region: TFRegion, window: Window) -> Localizatio
     conv[0] *= 0.5  # the diagonal comes back from both halves of the mirror
     conv[L // 2, L // 2 :] *= L % 2  # at even L, offset L/2 meets each pair twice
     del F, A  # each array is freed once read, so no more than conv and P are held at once
-    # P[t, (t - k) mod L] = conv[k, t], negated where t - k wraps and n is odd, in slabs
-    # of 32 rows: row i of a (32, 2L + 1) buffer B holds conv[k, t], t = t0 + i, at
-    # column L + t0 - k, which its (32, 2L) skewed view Z shifts to column L + t - k:
-    # columns >= L hold t >= k, the rest wrap
-    P = np.empty((L, L), dtype=conv.dtype)
-    B = np.empty((32, 2 * L + 1), dtype=conv.dtype)
-    for t0 in range(0, L, 32):
-        b = min(32, L - t0)
-        B[:b] = 0
-        B[:b, L + t0 + 1 - k.size : L + t0 + 1] = conv[::-1, t0 : t0 + b].T
-        Z = B[:b].ravel()[: 2 * L * b].reshape(b, 2 * L)
-        if n % 2:
-            np.subtract(Z[:, L:], Z[:, :L], out=P[t0 : t0 + b])
-        else:
-            np.add(Z[:, L:], Z[:, :L], out=P[t0 : t0 + b])
-    del conv, B, Z
+    # P[t, (t - k) mod L] = conv[k, t], negated where t - k wraps and n is odd.  In P's
+    # flat array, offset k is two views of stride L + 1: the rows t >= k from k L on and
+    # the k rows that wrap from L - k on.  Both are added into P's zeros, so a -0 of
+    # conv lands as +0
+    P = np.zeros((L, L), dtype=conv.dtype)
+    flat = P.reshape(-1)
+    for j in range(k.size):
+        flat[j * L :: L + 1] += conv[j, j:]
+        flat[L - j :: L + 1][:j] += -conv[j, :j] if n % 2 else conv[j, :j]
+    del conv
     # M = P + P^H, in slabs of 32 rows: the transposed read stays in cache
     M = np.empty_like(P)
     for i in range(0, L, 32):

@@ -217,25 +217,15 @@ def _gathered_grams(A: np.ndarray) -> np.ndarray:
     return G
 
 
-def _tril_layout(N: int) -> np.ndarray:
-    """Where each column of an _outer_table lands in an N x N complex matrix viewed as float64.
-
-    Row i of the matrix takes columns i^2 .. (i+1)^2 - 1: the real parts of
-    its entries j = 0..i, then the imaginary parts of j = 0..i-1.
-    """
-    k = np.arange(N * N)
-    i = np.sqrt(k).astype(np.int64)  # exact: k < 2^52
-    q = k - i * i
-    imag = q > i
-    return 2 * (i * N + np.where(imag, q - i - 1, q)) + imag
-
-
 def _outer_table(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(N^2, P) float64 lower triangles of the rank-one v_p v_p^H of table's rows v_p.
 
-    Column p holds v_p v_p^H packed as _tril_layout says: 8 N^2 bytes per
-    drawn point, half the full complex matrix, and all a Cholesky reads.
-    Each packed entry is one contiguous row over the P points.  Written into
+    Column p holds v_p v_p^H packed by matrix row: row i takes columns
+    i^2 .. i^2 + i, the real parts of its entries j = 0..i, then columns
+    i^2 + i + 1 .. (i+1)^2 - 1, the imaginary parts of j = 0..i-1.  That is
+    8 N^2 bytes per drawn point, half the full complex matrix, and all a
+    Cholesky reads; _counted_grams unpacks with the same row slices.  Each
+    packed entry is one contiguous row over the P points.  Written into
     out, such as the next columns of a _RegionTable's packed table.
     """
     v = np.ascontiguousarray(table.T)
@@ -252,15 +242,19 @@ def _counted_grams(outer: np.ndarray, blk: np.ndarray) -> np.ndarray:
 
     blk holds indices into the P points of outer, the packed _outer_table,
     and c_p are a trial's point counts.  The (B, P) count matrix times
-    outer^T is one real GEMM for the whole block; its columns are scattered
-    into the lower triangles, and the strict upper triangles are 0.
+    outer^T is one real GEMM for the whole block; its columns are written
+    into the lower triangles by _outer_table's row slices, and the strict
+    upper triangles are 0.
     """
     B, (NN, P) = blk.shape[0], outer.shape
     N = math.isqrt(NN)
     counts = np.bincount((blk + P * np.arange(B)[:, None]).ravel(), minlength=B * P)
-    G = np.zeros((B, 2 * NN))
-    G[:, _tril_layout(N)] = counts.reshape(B, P).astype(np.float64) @ outer.T
-    return G.view(np.complex128).reshape(B, N, N)
+    Y = counts.reshape(B, P).astype(np.float64) @ outer.T
+    G = np.zeros((B, N, N), dtype=np.complex128)
+    for i in range(N):
+        G.real[:, i, : i + 1] = Y[:, i * i : i * i + i + 1]
+        G.imag[:, i, :i] = Y[:, i * i + i + 1 : (i + 1) ** 2]
+    return G
 
 
 def _not_positive_definite(S: np.ndarray) -> np.ndarray:
@@ -298,10 +292,15 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _subspace_exp(p: TailParams) -> float:
+    """exp(-nu^2 r / (|Omega| (1 + nu/3))), or 0 where the denominator overflows."""
+    den = p.omega_measure * (1.0 + p.nu / 3.0)
+    return 0.0 if math.isinf(den) else math.exp(-_square(p.nu) * p.r / den)
+
+
 def subspace_failure_bound(p: TailParams) -> float:
     """Tail for the V_N sampling event: N * exp(-nu^2 r / (|Omega| (1 + nu/3)))."""
-    om = p.omega_measure
-    return float(p.N * math.exp(-_square(p.nu) * p.r / (om * (1.0 + p.nu / 3.0))))
+    return float(p.N * _subspace_exp(p))
 
 
 def covering_tail(p: TailParams) -> float:
@@ -318,9 +317,7 @@ def success_probability(p: TailParams) -> float:
     1 - (|Omega|+eps2) * exp(-nu^2 r/(|Omega|(1+nu/3))) - covering_tail.
     The first factor uses |Omega|+eps2 in place of the integer dimension.
     """
-    om = p.omega_measure
-    sub = (om + p.eps2) * math.exp(-_square(p.nu) * p.r / (om * (1.0 + p.nu / 3.0)))
-    return float(1.0 - sub - covering_tail(p))
+    return float(1.0 - (p.omega_measure + p.eps2) * _subspace_exp(p) - covering_tail(p))
 
 
 def required_samples(nu: float, delta: float, omega_measure: float, eps2: float = 0.0) -> int:
@@ -335,7 +332,9 @@ def required_samples(nu: float, delta: float, omega_measure: float, eps2: float 
         raise ParameterError("delta must lie strictly in (0, 1)")
     if omega_measure <= 0:
         raise ParameterError("omega_measure must be positive")
-    bound = omega_measure * (1.0 + nu / 3.0) / _square(nu) * math.log(
+    if math.isinf(_square(nu)):
+        return 1
+    bound = omega_measure * (1.0 + nu / 3.0) / nu**2 * math.log(
         2.0 * (omega_measure + eps2) / delta
     )
     return max(1, int(math.floor(bound + 0.5)))

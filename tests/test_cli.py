@@ -1025,11 +1025,33 @@ def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, verb)
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("verb", ["certify", "montecarlo"])
-def test_nu_whose_square_overflows_gives_a_zero_tail(tmp_path, capsys, verb):
+@pytest.mark.parametrize("name", ["region.npy", "report.json"])
+def test_out_file_that_cannot_be_written_exits_2(tmp_path, capsys, name):
+    # a directory takes the name of spectrum's last artifact, or of its report
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["spectrum", "--config", _ini(tmp_path, SMALL), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --out: cannot write {out / name}: Is a directory\n"
+    assert captured.out == ""
+    # the files written before it stay
+    written = ["eigenvalues.csv", "eigfun1_spectrogram.npy"]
+    if name == "report.json":
+        written.append("region.npy")
+    assert sorted(os.listdir(out)) == sorted(written + [name])
+
+
+@pytest.mark.parametrize("verb, nu", [
+    pytest.param("certify", "1e300", id="certify"),
+    pytest.param("montecarlo", "1e300", id="montecarlo"),
+    # |Omega| (1 + nu/3) overflows too: inf / inf must not make a NaN
+    pytest.param("certify", "1.7e308", id="certify-1.7e308"),
+    pytest.param("montecarlo", "1.7e308", id="montecarlo-1.7e308"),
+])
+def test_nu_whose_square_overflows_gives_a_zero_tail(tmp_path, capsys, verb, nu):
     # nu**2 overflows above about 1.34e154; the tail exp(-nu^2 r / ...) is then 0
-    body = TINY.replace("trials = 5\n", "trials = 5\nnu = 1e300\n")
-    ini = _ini(tmp_path, body + "[montecarlo]\nnu_grid = 1e300\nr_grid = 12\n")
+    body = TINY.replace("trials = 5\n", f"trials = 5\nnu = {nu}\n")
+    ini = _ini(tmp_path, body + f"[montecarlo]\nnu_grid = {nu}\nr_grid = 12\n")
     out = str(tmp_path / "out")
     assert main([verb, "--config", ini, "--out", out]) == 0
     capsys.readouterr()
@@ -1038,6 +1060,7 @@ def test_nu_whose_square_overflows_gives_a_zero_tail(tmp_path, capsys, verb):
     assert row["required_samples"] == 1
     if verb == "montecarlo":
         assert row["subspace_bound"] == 0.0
+    assert "NaN" not in Path(out, "report.json").read_text(encoding="utf-8")
 
 
 # a value outside each declared range rule, by field name
