@@ -19,10 +19,9 @@ config names (region.path, window.path) are .npy arrays too.
 
 Exit codes: 0 success, 2 configuration error (also an inf or nan real
 key, a --config that cannot be read, an --out that is empty, names a
-file or a path below one, or cannot be created, an artifact or report
-that cannot be written there, after which the files already written
-stay, and the library checks a config reaches: a wrapping disk, an
-all-zero or non-finite window file),
+file or a path below one, cannot be created or cannot take an artifact,
+and the library checks a config reaches: a wrapping disk, an all-zero or
+non-finite window file),
 3 numerical failure, 4 infeasible request (an empty V_N, an L whose dense
 setup cannot fit in physical memory, or sample or Monte Carlo draws that
 cannot; also a MemoryError, after which the artifacts already written
@@ -308,24 +307,18 @@ def _row_lines(rows: list, describe) -> list:
 
 @contextmanager
 def _writing(path: str):
-    """Turn an OSError from writing under --out into a ConfigError naming the file.
-
-    The file is the one the error names, else path: a directory in its
-    place, a read-only or a full disk.
-    """
+    """Turn an OSError from writing path, such as a full disk, into a ConfigError naming --out."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(
-            f"--out: cannot write {exc.filename or path}: {exc.strerror or exc}"
-        ) from None
+        where = exc.filename or path  # the file that failed, where the error names one
+        raise ConfigError(f"--out: cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _write(outdir: str, name: str, data, header: list | None = None):
     """Write one artifact, outdir/name, making outdir on the first write.
 
-    An outdir that cannot be made, or an artifact that cannot be written,
-    is a ConfigError naming --out.
+    An outdir that cannot be made or written into is a ConfigError naming --out.
 
     With a header, data is a list of row dicts, written as CSV in header
     order with missing and None fields left blank; without one, data is an

@@ -227,10 +227,9 @@ def build_localization_operator(region: TFRegion, window: Window) -> Localizatio
     conv[0] *= 0.5  # the diagonal comes back from both halves of the mirror
     conv[L // 2, L // 2 :] *= L % 2  # at even L, offset L/2 meets each pair twice
     del F, A  # each array is freed once read, so no more than conv and P are held at once
-    # P[t, (t - k) mod L] = conv[k, t], negated where t - k wraps and n is odd.  In P's
-    # flat array, offset k is two views of stride L + 1: the rows t >= k from k L on and
-    # the k rows that wrap from L - k on.  Both are added into P's zeros, so a -0 of
-    # conv lands as +0
+    # P[t, (t - k) mod L] = conv[k, t], negated where t - k wraps and n is odd.  Offset k
+    # is two views of P's flat array, stride L + 1: rows t >= k from k L, the k that wrap
+    # from L - k.  Adding into zeros, not assigning, turns a -0 of conv into +0
     P = np.zeros((L, L), dtype=conv.dtype)
     flat = P.reshape(-1)
     for j in range(k.size):

@@ -284,18 +284,12 @@ def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
     return float(np.linalg.eigvalsh(S)[0])
 
 
-def _square(x: float) -> float:
-    """x**2, or inf where the float power overflows (|x| above about 1.34e154)."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def _subspace_exp(p: TailParams) -> float:
-    """exp(-nu^2 r / (|Omega| (1 + nu/3))), or 0 where the denominator overflows."""
-    den = p.omega_measure * (1.0 + p.nu / 3.0)
-    return 0.0 if math.isinf(den) else math.exp(-_square(p.nu) * p.r / den)
+    """exp(-nu^2 r / (|Omega| (1 + nu/3))), or 0 where nu^2 overflows (nu above ~1.34e154)."""
+    try:
+        return math.exp(-p.nu**2 * p.r / (p.omega_measure * (1.0 + p.nu / 3.0)))
+    except OverflowError:  # also where |Omega| (1 + nu/3) would, so no inf / inf is formed
+        return 0.0
 
 
 def subspace_failure_bound(p: TailParams) -> float:
@@ -332,11 +326,12 @@ def required_samples(nu: float, delta: float, omega_measure: float, eps2: float 
         raise ParameterError("delta must lie strictly in (0, 1)")
     if omega_measure <= 0:
         raise ParameterError("omega_measure must be positive")
-    if math.isinf(_square(nu)):
+    try:
+        bound = omega_measure * (1.0 + nu / 3.0) / nu**2 * math.log(
+            2.0 * (omega_measure + eps2) / delta
+        )
+    except OverflowError:  # nu^2 overflows: the threshold is 0
         return 1
-    bound = omega_measure * (1.0 + nu / 3.0) / nu**2 * math.log(
-        2.0 * (omega_measure + eps2) / delta
-    )
     return max(1, int(math.floor(bound + 0.5)))
 
 
