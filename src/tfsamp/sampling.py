@@ -288,7 +288,7 @@ def _subspace_exp(p: TailParams) -> float:
     """exp(-nu^2 r / (|Omega| (1 + nu/3))), or 0 where nu^2 overflows (nu above ~1.34e154)."""
     try:
         return math.exp(-p.nu**2 * p.r / (p.omega_measure * (1.0 + p.nu / 3.0)))
-    except OverflowError:  # also where |Omega| (1 + nu/3) would, so no inf / inf is formed
+    except OverflowError:  # |Omega| (1 + nu/3) overflows only where nu^2 does: no inf / inf
         return 0.0
 
 
