@@ -31,7 +31,6 @@ from .locop import (
     LocalizationOperator,
     build_localization_operator,
     choose_N,
-    concentration,
     concentration_from_eigs,
     eigendecompose,
     eigenvalue_count_estimate,

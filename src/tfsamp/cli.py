@@ -22,10 +22,10 @@ key, a --config that cannot be read, an --out that is empty, names a
 file or a path below one, cannot be created or cannot take an artifact,
 and the library checks a config reaches: a wrapping disk, an all-zero or
 non-finite window file),
-3 numerical failure, 4 infeasible request (an empty V_N, an L whose dense
-setup cannot fit in physical memory, or sample or Monte Carlo draws that
-cannot; also a MemoryError, after which the artifacts already written
-stay).
+3 numerical failure, 4 infeasible request (an empty V_N, or a run whose
+arrays, summed by _refuse_beyond_memory before the setup, before a complex
+H's eigensolve and after the setup, exceed physical memory; also a
+MemoryError, after which the artifacts already written stay).
 
 Seed management: every random object in a run is drawn from a seed
 derived as SeedSequence(master_seed, spawn_key=(stream, index)) by
@@ -80,6 +80,7 @@ from .sampling import (
     FUNCTION_STREAM,
     SAMPLE_STREAM,
     TailParams,
+    _table_rows,
     covering_tail,
     derive_seed,
     empirical_min_eigenvalue,
@@ -164,29 +165,46 @@ SETUP_BYTES_PER_L2 = 48
 COMPLEX_SETUP_BYTES_PER_L2 = 112
 
 
-def _refuse_beyond_memory(need: int, what: str, formula: str):
-    """InfeasibleError if an estimated peak of need bytes exceeds physical memory."""
+def _refuse_beyond_memory(cfg: ExperimentConfig, verb: str | None = None, *,
+                          complex_h: bool = False, eigs=None) -> int:
+    """Bytes of the arrays verb holds at once, summed; InfeasibleError beyond physical memory.
+
+    verb None is the setup alone, and the terms that need N or K enter once
+    eigs is given (the README lists the terms and their measured peaks).
+    """
+    L, r = cfg.L, cfg.r
+    terms = {"the dense setup of a complex H" if complex_h else "the dense setup":
+             (COMPLEX_SETUP_BYTES_PER_L2 if complex_h else SETUP_BYTES_PER_L2) * L * L}
+    at = {"L": L}
+    if verb in ("reconstruct", "certify", "witness"):  # W and the r indices
+        at["r"] = r
+        terms["the sample draw"] = 16 * r * L + 8 * r
+    if verb == "montecarlo":  # every trial's indices at the largest r
+        at.update(trials=cfg.trials, r=max(cfg.r_grid))
+        terms["the Monte Carlo draw block"] = 8 * cfg.trials * at["r"]
+    if verb == "montecarlo" and eigs is not None:
+        at.update(N=eigs.N, rows=_table_rows(eigs.region, cfg.trials,
+                                             list(cfg.r_grid) * len(cfg.nu_grid)))
+        terms["the Monte Carlo region table"] = 16 * eigs.N * at["rows"]
+    if verb == "witness" and eigs is not None:  # atoms, their SVD copy, U, B, G twice, eigh's
+        at["K"] = K = eigs.numerical_rank
+        terms["the witness arrays"] = 16 * (3 * r * L + L * K + 4 * K * K)
+    need = sum(terms.values())
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise InfeasibleError(
-            f"{what} needs about {need / 2**30:.3g} GiB ({formula} bytes), more than "
-            f"the {have / 2**30:.3g} GiB of physical memory"
+            f"{verb or 'the setup'} at {', '.join(f'{k}={v}' for k, v in at.items())} needs "
+            f"about {need / 2**30:.3g} GiB ({' + '.join(f'{t} {n}' for t, n in terms.items())}"
+            f" bytes), more than the {have / 2**30:.3g} GiB of physical memory"
         )
+    return need
 
 
 def build_setup(cfg: ExperimentConfig):
-    """(operator, eigensystem) for one config.
-
-    An L whose dense setup cannot fit in physical memory is refused before
-    any array or mask file is touched, and a complex H before its eigensolve.
-    """
-    _refuse_beyond_memory(SETUP_BYTES_PER_L2 * cfg.L**2, f"L={cfg.L}: the dense setup",
-                          f"{SETUP_BYTES_PER_L2} * L^2")
+    """(operator, eigensystem) for one config; a complex H is refused before its eigensolve."""
     H = build_localization_operator(build_region(cfg), build_window(cfg))
     if H.modulation is None:  # a complex H, with its complex eigensolve to come
-        _refuse_beyond_memory(COMPLEX_SETUP_BYTES_PER_L2 * cfg.L**2,
-                              f"L={cfg.L}: the dense setup of a complex H",
-                              f"{COMPLEX_SETUP_BYTES_PER_L2} * L^2")
+        _refuse_beyond_memory(cfg, complex_h=True)
     return H, eigendecompose(H, cfg.gamma, cfg.eig_residual)
 
 
@@ -215,19 +233,21 @@ def _eigen_summary(H, eigs) -> dict:
 def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     """Runner skeleton shared by every verb.
 
-    Times build_setup, starts the report with the eigen section and its
-    headline line, releases the operator, then yields (report, eigs); the
-    with-block adds sections, headline lines, artifacts and any extra
-    timings.  The output directory is made by the first _write, so a run
-    refused inside the with-block leaves none.
+    Refuses beyond memory before and after build_setup and times it, starts
+    the report with the eigen section and its headline line, releases the
+    operator, then yields (report, eigs); the with-block adds sections,
+    headline lines, artifacts and any extra timings.  The output directory
+    is made by the first _write, so a run refused inside it leaves none.
     """
     t0 = time.perf_counter()
+    _refuse_beyond_memory(cfg, verb)  # before any array or mask file is touched
     H, eigs = build_setup(cfg)
     if eigs.N < 1 and verb != "spectrum":  # every other verb works inside V_N
         raise InfeasibleError(
             f"V_N is empty: no eigenvalue reaches gamma = {eigs.gamma:g} "
             f"(alpha_1 = {eigs.eigenvalues[0]:.12g})"
         )
+    _refuse_beyond_memory(cfg, verb, complex_h=H.modulation is None, eigs=eigs)
     report = RunReport(verb, cfg.master_seed, cfg.to_dict())
     report.timings["setup_s"] = time.perf_counter() - t0
     e = report.sections["eigen"] = _eigen_summary(H, eigs)
@@ -237,12 +257,6 @@ def _run(verb: str, cfg: ExperimentConfig, outdir: str):
     )
     yield report, eigs
     report.timings["total_s"] = time.perf_counter() - t0
-
-
-def _refuse_oversized_draw(cfg: ExperimentConfig):
-    """Refuse a run-level draw whose (r, L) complex W and r indices cannot fit in memory."""
-    _refuse_beyond_memory(16 * cfg.r * cfg.L + 8 * cfg.r, f"r={cfg.r}: the sample draw",
-                          "16 * r * L + 8 * r")
 
 
 def _draw_samples(cfg: ExperimentConfig, eigs):
@@ -365,7 +379,6 @@ def run_spectrum(
 def run_reconstruct(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
-    _refuse_oversized_draw(cfg)
     with _run("reconstruct", cfg, outdir) as (report, eigs):
         sample_seed, samples, W = _draw_samples(cfg, eigs)
         B = exact_bessel_bound(W)
@@ -409,20 +422,7 @@ def run_reconstruct(
 def run_montecarlo(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
-    r_max = max(int(r) for r in cfg.r_grid)
-    # each cell draws every trial's r point indices at once, 8 bytes each
-    _refuse_beyond_memory(8 * cfg.trials * r_max,
-                          f"trials={cfg.trials}, r={r_max}: the Monte Carlo draw block",
-                          "8 * trials * r")
     with _run("montecarlo", cfg, outdir) as (report, eigs):
-        # the region table holds 16 N bytes per point the grid's draws can reach;
-        # sum(r) is over the grid's cells
-        sum_r = len(cfg.nu_grid) * sum(int(r) for r in cfg.r_grid)
-        capacity = min(eigs.region.point_count, cfg.trials * sum_r)
-        _refuse_beyond_memory(
-            16 * eigs.N * capacity,
-            f"trials={cfg.trials}, sum(r)={sum_r}, N={eigs.N}: the Monte Carlo region table",
-            "16 * N * min(|Omega| points, trials * sum(r))")
         t1 = time.perf_counter()
         tail = _tail_params(cfg, eigs)
         grid = [(nu, int(r), derive_seed(cfg.master_seed, SAMPLE_STREAM, c))
@@ -463,7 +463,6 @@ def run_montecarlo(
 def run_certify(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
-    _refuse_oversized_draw(cfg)
     with _run("certify", cfg, outdir) as (report, eigs):
         sample_seed, samples, W = _draw_samples(cfg, eigs)
         cell_px = _cell_px(cfg)
@@ -556,7 +555,6 @@ def run_certify(
 def run_witness(
     cfg: ExperimentConfig, outdir: str, *, threads: int = 1, emit_eigenvectors: bool = False
 ) -> RunReport:
-    _refuse_oversized_draw(cfg)
     with _run("witness", cfg, outdir) as (report, eigs):
         nl = nonlinearity_witness(eigs, cfg.witness_epsilon, cfg.witness_eta, cfg.witness_M)
         sample_seed, samples, W = _draw_samples(cfg, eigs)

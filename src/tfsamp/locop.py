@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, ParameterError
 from .regions import TFRegion
-from .tfcore import Signal, Window, _translates, stft
+from .tfcore import Signal, Window, _translates
 
 __all__ = [
     "LocalizationOperator",
@@ -50,7 +50,6 @@ __all__ = [
     "build_localization_operator",
     "eigendecompose",
     "choose_N",
-    "concentration",
     "concentration_from_eigs",
     "eigenvalue_count_estimate",
 ]
@@ -71,11 +70,6 @@ class LocalizationOperator:
     @property
     def L(self) -> int:
         return self.matrix.shape[0]
-
-    def hermitian(self) -> np.ndarray:
-        """H as a new complex L x L array."""
-        d = np.ones(self.L, complex) if self.modulation is None else self.modulation
-        return d[:, None] * self.matrix * np.conj(d)[None, :]
 
 
 @dataclass(eq=False)
@@ -456,18 +450,6 @@ def choose_N(eigs: EigenSystem, gamma: float) -> int:
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie strictly between 0 and 1")
     return int((eigs.eigenvalues >= gamma).sum())
-
-
-def concentration(f: Signal, region: TFRegion, window: Window) -> ConcentrationValue:
-    """Region energy (1/L) * sum_{lam in Omega} |V_phi f(lam)|^2 == <Hf, f>."""
-    if f.L != region.L or window.L != region.L:
-        raise DimensionError("signal, region and window dimensions must agree")
-    nsq = float(np.real(np.vdot(f.values, f.values)))
-    if nsq == 0.0:
-        raise ParameterError("concentration is undefined for the zero signal")
-    V = stft(f, window, np.abs)[region.mask]
-    value = float((V**2).sum() / region.L)
-    return ConcentrationValue(value, 1.0 - value / nsq)
 
 
 def concentration_from_eigs(f: Signal, eigs: EigenSystem) -> ConcentrationValue:

@@ -140,23 +140,28 @@ def expected_T(eigs: EigenSystem) -> np.ndarray:
     return np.diag(eigs.eigenvalues[: eigs.N]) / eigs.region.measure
 
 
+def _table_rows(region, trials: int, rs) -> int:
+    """Rows of a Monte Carlo call's region table, rs holding each cell's r; 16 N bytes each."""
+    return min(region.point_count, trials * sum(rs))
+
+
 class _RegionTable:
     """V_phi psi_k at the region points drawn so far; one per Monte Carlo grid.
 
     row_of maps each of the region's point_count points to its row of
-    values, -1 for a point not yet tabulated.  values is one (capacity, N)
+    values, -1 for a point not yet tabulated.  values is one (rows, N)
     complex allocation, filled from the front: each add() appends the points
     no earlier cell drew, and no row is copied after it is written.  Only
-    written pages become resident, so the capacity, min(|Omega|, the draws
-    to come), costs address space, not memory.  The counts route's packed
+    written pages become resident, so the capacity, _table_rows of the draws
+    to come, costs address space, not memory.  The counts route's packed
     table (_outer_table) is built the first time a counts cell asks for it
     and then extended by the new points only; its capacity fits MC_BUDGET.
     """
 
-    def __init__(self, eigs: EigenSystem, draws: int):
+    def __init__(self, eigs: EigenSystem, rows: int):
         self.eigs = eigs
         self.row_of = np.full(eigs.region.point_count, -1, dtype=np.int64)
-        self.values = np.empty((min(eigs.region.point_count, draws), eigs.N), dtype=np.complex128)
+        self.values = np.empty((rows, eigs.N), dtype=np.complex128)
         self.P = 0  # rows written
         self._outer = None
         self._packed = 0  # rows of values packed into _outer
@@ -462,6 +467,6 @@ def monte_carlo_failure_frequency(trials: int, cells, eigs: EigenSystem,
     """
     # the table is made before the guard's basis temporary: in the other order the
     # L=960 benchmark pass peaked 2-4 MB higher (heap layout, same working set)
-    table = _RegionTable(eigs, trials * sum(r for _, r, _ in cells))
+    table = _RegionTable(eigs, _table_rows(eigs.region, trials, [r for _, r, _ in cells]))
     eigs.basis()  # refuse an empty V_N before drawing any trial's indices
     return [_cell_frequency(table, trials, nu, r, seed, threads) for nu, r, seed in cells]

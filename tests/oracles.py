@@ -8,6 +8,7 @@ side of every two-route check.
 
 import cmath
 import math
+from collections import namedtuple
 
 import mpmath
 import numpy as np
@@ -140,6 +141,24 @@ def loc_operator_direct(mask, phi):
                 atom = tf_shift_direct(phi, m, n)
                 H += np.outer(atom, atom.conjugate())
     return H / L
+
+
+def hermitian(H):
+    """H = diag(d) M diag(d)^* of a LocalizationOperator (matrix M, modulation d) as a
+    new complex L x L array; H itself when d is None."""
+    d = np.ones(H.L, complex) if H.modulation is None else H.modulation
+    return d[:, None] * H.matrix * np.conj(d)[None, :]
+
+
+Concentration = namedtuple("Concentration", "value epsilon")
+
+
+def concentration(f, region, window):
+    """Region energy (1/L) sum_{lam in Omega} |V_phi f(lam)|^2 = <Hf, f> from the full STFT
+    grid, with the defect epsilon = 1 - value/||f||^2."""
+    V = stft_one_shot(f.values, window.values)[region.mask]
+    value = float((np.abs(V) ** 2).sum() / region.L)
+    return Concentration(value, 1.0 - value / float(np.vdot(f.values, f.values).real))
 
 
 def count_interval_direct(mask, phi, delta):

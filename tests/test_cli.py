@@ -389,8 +389,10 @@ def test_montecarlo_shared_table_matches_standalone_cells(tmp_path, name, thread
 def test_run_verbs_hold_the_gate_on_every_kind_of_basis(tmp_path, name):
     # reconstruct, certify and witness on a real V_N basis, the basis of a complex H and
     # a modulated basis, checked against the properties the acceptance gate asks for
-    from tfsamp import Signal, concentration, load_config
+    from tfsamp import Signal, load_config
     from tfsamp.cli import build_setup
+
+    from oracles import concentration
 
     ini = _shared_table_config(tmp_path, name, "r = 60")
     H, eigs = build_setup(load_config(ini))
@@ -843,7 +845,8 @@ def test_setup_too_large_for_memory_exits_4_without_allocating(tmp_path, capsys,
     assert peak < 1 << 20
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("infeasible request: L=1048576: the dense setup needs about")
+    assert err.startswith(f"infeasible request: {verb} at L=1048576")
+    assert "(the dense setup 52776558133248" in err
     assert "GiB of physical memory" in err
 
 
@@ -866,26 +869,34 @@ def test_montecarlo_draws_too_large_for_memory_exit_4_without_allocating(tmp_pat
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(
-        "infeasible request: trials=1000000000000, r=4000: the Monte Carlo draw block needs about"
+        "infeasible request: montecarlo at L=32, trials=1000000000000, r=4000 needs about"
     )
-    assert "(8 * trials * r bytes)" in err
+    # 8 * trials * r bytes of indices beside the setup's 48 * L^2
+    assert "(the dense setup 49152 + the Monte Carlo draw block 32000000000000000 bytes)" in err
     assert "GiB of physical memory" in err
+
+
+def _fake_physical_memory(monkeypatch, pages):
+    import tfsamp.cli as cli
+
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
 
 
 def test_montecarlo_region_table_too_large_for_memory_exits_4_before_drawing(
         tmp_path, capsys, monkeypatch):
     # L = 64, radius 20: 1257 points and N = 19, so 5 trials of the default grid reach
-    # every point and the table takes 16 * 19 * 1257 bytes, ~382 KB.  Under 307 200 bytes of
-    # physical memory the setup (48 * 64^2 bytes) and the draw block (8 * 5 * 4000) fit,
-    # and the table is refused once N is known, before any trial is drawn
+    # every point.  The setup takes 48 * 64^2 = 196 608 bytes, the draw block
+    # 8 * 5 * 4000 = 160 000 and the table 16 * 19 * 1257 = 382 128.  Under 499 712 bytes
+    # of physical memory each fits alone and so does the sum before the setup, but the
+    # sum of all three, 738 736, does not: refused once N is known, before any trial
     import tfsamp.cli as cli
 
-    real_sysconf = os.sysconf
-    fake = {"SC_PHYS_PAGES": 75, "SC_PAGE_SIZE": 4096}  # 307 200 bytes
-    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    _fake_physical_memory(monkeypatch, 122)  # 499 712 bytes
 
     def never(*args, **kwargs):
-        raise AssertionError("Monte Carlo ran past the table guard")
+        raise AssertionError("Monte Carlo ran past the memory refusal")
 
     monkeypatch.setattr(cli, "monte_carlo_failure_frequency", never)
     ini = _ini(tmp_path, "[experiment]\nL = 64\ntrials = 5\n[region]\nradius_px = 20\n")
@@ -893,10 +904,10 @@ def test_montecarlo_region_table_too_large_for_memory_exits_4_before_drawing(
     assert main(["montecarlo", "--config", ini, "--out", str(out)]) == 4
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("infeasible request: trials=5, sum(r)=15750, N=19: the Monte Carlo "
-                          "region table needs about")
-    assert "(16 * N * min(|Omega| points, trials * sum(r)) bytes)" in err
-    assert "GiB of physical memory" in err
+    assert err == (
+        "infeasible request: montecarlo at L=64, trials=5, r=4000, N=19, rows=1257 needs about "
+        "0.000688 GiB (the dense setup 196608 + the Monte Carlo draw block 160000 + the Monte "
+        "Carlo region table 382128 bytes), more than the 0.000465 GiB of physical memory\n")
 
 
 def test_complex_setup_too_large_for_memory_exits_4_before_the_eigensolve(
@@ -906,19 +917,95 @@ def test_complex_setup_too_large_for_memory_exits_4_before_the_eigensolve(
     # its eigensolve, and the real disk at the same L runs
     import tfsamp.cli as cli
 
-    real_sysconf = os.sysconf
-    fake = {"SC_PHYS_PAGES": 75, "SC_PAGE_SIZE": 4096}  # 307 200 bytes
-    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    _fake_physical_memory(monkeypatch, 75)  # 307 200 bytes
     ini = _shared_table_config(tmp_path, "complex H")
     out = tmp_path / "out"
     assert main(["spectrum", "--config", ini, "--out", str(out)]) == 4
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("infeasible request: L=64: the dense setup of a complex H needs about")
-    assert f"({cli.COMPLEX_SETUP_BYTES_PER_L2} * L^2 bytes)" in err
+    assert err.startswith("infeasible request: the setup at L=64 needs about")
+    assert "(the dense setup of a complex H 458752 bytes)" in err
     ini = _shared_table_config(tmp_path, "real")
     assert main(["spectrum", "--config", ini, "--out", str(out)]) == 0
     assert cli.SETUP_BYTES_PER_L2 * 64**2 < 307_200 < cli.COMPLEX_SETUP_BYTES_PER_L2 * 64**2
+
+
+def test_witness_arrays_of_a_complex_H_count_toward_the_memory_refusal(
+        tmp_path, capsys, monkeypatch):
+    # the complex H at L = 64 and r = 60 has K = 64 eigenvalues above 1e-12.  Its setup
+    # (112 * 64^2 = 458 752 bytes) and draw (16 r L + 8 r = 61 920) sum to 520 672, and
+    # the witness arrays, 16 (3 r L + L K + 4 K^2) = 512 000, take the sum to 1 032 672.
+    # Under 798 720 bytes of physical memory witness is refused after the setup, and
+    # spectrum, which holds the setup alone, runs
+    import tfsamp.cli as cli
+
+    _fake_physical_memory(monkeypatch, 195)  # 798 720 bytes
+    setups = []
+    build_setup = cli.build_setup
+    monkeypatch.setattr(cli, "build_setup", lambda cfg: setups.append(cfg) or build_setup(cfg))
+    ini = _shared_table_config(tmp_path, "complex H", "r = 60")
+    out = tmp_path / "out"
+    assert main(["witness", "--config", ini, "--out", str(out)]) == 4
+    assert len(setups) == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request: witness at L=64, r=60, K=64 needs about")
+    assert ("(the dense setup of a complex H 458752 + the sample draw 61920 + the witness "
+            "arrays 512000 bytes)") in err
+    assert main(["spectrum", "--config", ini, "--out", str(out)]) == 0
+
+
+# runs one verb and prints, after its headline, its ru_maxrss growth over the imported,
+# configured process and the largest sum _refuse_beyond_memory formed, both in bytes
+_PEAK_CHILD = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from tfsamp import cli
+from tfsamp.config import load_config
+ini, verb, out = sys.argv[2:]
+sums, refuse = [], cli._refuse_beyond_memory
+cli._refuse_beyond_memory = lambda *args, **kwargs: sums.append(refuse(*args, **kwargs))
+load_config(ini)
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert cli.main([verb, "--config", ini, "--out", out]) == 0
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base), max(sums))
+"""
+# what does not scale with L: BLAS and FFT buffers, lazy imports.  At L = 480 the real
+# disk's verbs outgrow the summed terms by up to 9.4 MB (montecarlo, 34.4 against 25.0);
+# at L = 960 every verb stays below its sum with no allowance
+PEAK_ALLOWANCE = 16 * 2**20
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+@pytest.mark.parametrize("kind", ["real", "complex H"])
+def test_memory_estimate_covers_the_measured_peak(tmp_path, kind, verb):
+    # a fresh process per verb at L = 480 with the large-L960 benchmark's settings, on a
+    # disk of radius L/4 and, for a complex H, that disk plus 1 % random cells.  Linux
+    # carries ru_maxrss over exec, so the child is started by a small intermediate
+    # process: started straight from pytest, it would begin at pytest's own peak
+    import subprocess
+    import sys
+
+    import tfsamp
+    from tfsamp import TFPoint, disk_region
+
+    L = 480
+    region = f"radius_px = {L // 4}"
+    if kind == "complex H":
+        mask = (disk_region(L, TFPoint(L // 2, L // 2), L // 4).mask
+                | (np.random.default_rng(1).random((L, L)) < 0.01))
+        np.save(tmp_path / "mask.npy", mask)
+        region = f"kind = mask\npath = {tmp_path / 'mask.npy'}"
+    ini = _ini(tmp_path, f"[experiment]\nL = {L}\nr = 300\ntrials = 20\n[region]\n{region}\n"
+                         "[reconstruct]\nepsilon_targets = 1e-4\n[montecarlo]\nnu_grid = 0.3\n"
+                         "r_grid = 500\n[witness]\nepsilon = 0.2\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    spawn = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    res = subprocess.run(
+        [sys.executable, "-c", spawn, sys.executable, "-c", _PEAK_CHILD,
+         str(Path(tfsamp.__file__).parent.parent), ini, verb, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True)
+    growth, need = map(int, res.stdout.splitlines()[-1].split())
+    assert growth <= need + PEAK_ALLOWANCE, (growth / 2**20, need / 2**20)
 
 
 def test_memory_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
@@ -960,8 +1047,10 @@ def test_sample_draw_too_large_for_memory_exits_4_without_allocating(tmp_path, c
     assert peak < 1 << 20
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("infeasible request: r=1000000000000: the sample draw needs about")
-    assert "(16 * r * L + 8 * r bytes)" in err and err.count("\n") == 1
+    assert err.startswith(f"infeasible request: {verb} at L=32, r=1000000000000 needs about")
+    # 16 * r * L + 8 * r bytes beside the setup's 48 * L^2
+    assert "(the dense setup 49152 + the sample draw 520000000000000 bytes)" in err
+    assert err.count("\n") == 1
 
 
 def _forbid_setup(monkeypatch):

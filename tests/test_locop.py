@@ -12,7 +12,6 @@ from tfsamp import (
     Window,
     build_localization_operator,
     choose_N,
-    concentration,
     concentration_from_eigs,
     disk_region,
     eigendecompose,
@@ -34,7 +33,9 @@ from conftest import dense_eigensystem
 from oracles import (
     adjoint_direct,
     build_T_matrix,
+    concentration,
     count_interval_direct,
+    hermitian,
     loc_operator_direct,
     project_VN,
     stft_direct,
@@ -53,14 +54,14 @@ def random_signal(L, seed):
 def test_full_grid_operator_is_identity():
     L = 32
     H = build_localization_operator(mask_region(np.ones((L, L), bool)), make_gaussian_window(L))
-    assert np.max(np.abs(H.hermitian() - np.eye(L))) < 1e-10
+    assert np.max(np.abs(hermitian(H) - np.eye(L))) < 1e-10
 
 
 @pytest.mark.parametrize("L,radius", [(16, 4), (32, 8), (64, 16)])
 def test_trace_equals_region_measure(L, radius):
     reg = disk_region(L, TFPoint(L // 2, L // 2), radius)
     H = build_localization_operator(reg, make_gaussian_window(L))
-    tr = float(np.real(np.trace(H.hermitian())))
+    tr = float(np.real(np.trace(hermitian(H))))
     assert abs(tr - reg.measure) <= 1e-8 * reg.measure
 
 
@@ -76,8 +77,8 @@ def test_spectrum_covariant_under_cyclic_mask_shift(kind, shift):
         base = mask_region(np.random.default_rng(7).random((L, L)) < 0.2)
     moved = mask_region(np.roll(base.mask, shift, axis=(0, 1)))
     phi = make_gaussian_window(L)
-    H0 = build_localization_operator(base, phi).hermitian()
-    H1 = build_localization_operator(moved, phi).hermitian()
+    H0 = hermitian(build_localization_operator(base, phi))
+    H1 = hermitian(build_localization_operator(moved, phi))
     assert np.max(np.abs(np.linalg.eigvalsh(H1) - np.linalg.eigvalsh(H0))) <= 1e-12
     assert abs(float(np.real(np.trace(H1))) - moved.measure) <= 1e-12 * L
     assert moved.measure == base.measure
@@ -98,7 +99,7 @@ def test_operator_is_masked_analysis_synthesis():
     V = stft_direct(f.values, phi.values)
     V[~reg.mask] = 0
     want = adjoint_direct(V, phi.values)
-    got = H.hermitian() @ f.values
+    got = hermitian(H) @ f.values
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -108,7 +109,7 @@ def test_operator_matches_rank_one_sum():
     phi = make_gaussian_window(L)
     H = build_localization_operator(reg, phi)
     ref = loc_operator_direct(reg.mask, phi.values)
-    assert np.max(np.abs(H.hermitian() - ref)) < 1e-12
+    assert np.max(np.abs(hermitian(H) - ref)) < 1e-12
 
 
 def test_operator_hermitian_psd():
@@ -116,7 +117,7 @@ def test_operator_hermitian_psd():
     reg = disk_region(L, TFPoint(16, 16), 8)
     op = build_localization_operator(reg, make_gaussian_window(L))
     assert np.array_equal(op.matrix, op.matrix.conj().T)  # the mirror fills the matrix
-    w = np.linalg.eigvalsh(op.hermitian())
+    w = np.linalg.eigvalsh(hermitian(op))
     assert w.min() >= -1e-12
     assert w.max() <= 1 + 1e-12
 
@@ -125,7 +126,7 @@ def test_empty_region_gives_zero_operator():
     L = 16
     reg = mask_region(np.zeros((L, L), dtype=bool))
     H = build_localization_operator(reg, make_gaussian_window(L))
-    assert np.max(np.abs(H.hermitian())) < 1e-14
+    assert np.max(np.abs(hermitian(H))) < 1e-14
 
 
 def test_operator_dimension_mismatch():
@@ -156,11 +157,11 @@ def test_eigensystem_properties(sys32):
     G = v.conj().T @ v
     assert np.max(np.abs(G - np.eye(eigs.L))) < 1e-10
     # every eigenpair satisfies its equation
-    res = H.hermitian() @ v - v * w[None, :]
+    res = hermitian(H) @ v - v * w[None, :]
     assert np.max(np.linalg.norm(res, axis=0)) < 1e-8
     # operator rebuilds from its eigenpairs
     rebuilt = (v * w[None, :]) @ v.conj().T
-    assert np.max(np.abs(rebuilt - H.hermitian())) < 1e-10
+    assert np.max(np.abs(rebuilt - hermitian(H))) < 1e-10
 
 
 def test_eigensystem_carries_region_and_window(sys32):
@@ -373,7 +374,7 @@ def test_block_eigensolve_matches_complex_eigh(name):
     sizes, real = _block_sizes(H)
     assert (sizes, real) == tuple(SYMMETRY_CASES[name][2:])
     eigs = eigendecompose(H, 0.5)
-    Hm = H.hermitian()
+    Hm = hermitian(H)
     w_ref, v_ref = np.linalg.eigh(Hm)
     _assert_true_eigensystem(eigs, Hm, w_ref[::-1], v_ref[:, ::-1])
     assert eigs.N == int((w_ref >= 0.5).sum())
@@ -391,7 +392,7 @@ def test_assembly_matches_rank_one_sum_in_every_symmetry_case(name):
     H = _case_operator(name)
     region, phi = H.region, H.window
     M, d = H.matrix, H.modulation
-    Hm = H.hermitian()
+    Hm = hermitian(H)
     assert np.max(np.abs(Hm - loc_operator_direct(region.mask, phi.values))) < 1e-12
     assert (d is not None) == SYMMETRY_CASES[name][3]
     if d is None:
@@ -409,20 +410,17 @@ def test_assembly_matches_rank_one_sum_in_every_symmetry_case(name):
         assert np.max(np.abs(np.subtract(got, eigenvalue_count_estimate(plain, delta)))) <= 1e-12
 
 
-def test_assembly_and_concentration_hold_no_extra_L2_buffer():
+def test_assembly_holds_no_extra_L2_buffer():
     # measured at L = 256: the real M's assembly peaks at 22.2 L^2 bytes and the complex
-    # M's at 40.4 L^2, where the (L, 2L + 1) skew buffer took them to 26.1 and 52.1;
-    # concentration peaks at 13.2 L^2 (the |V| grid), where the complex grid took 50.0.
+    # M's at 40.4 L^2, where the (L, 2L + 1) skew buffer took them to 26.1 and 52.1.
     # Each bound lies below the old peak
     L = 256
     region = disk_region(L, TFPoint(128, 128), 64)
     rng = np.random.default_rng(2)
     cplx = Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L))
-    f = random_signal(L, 3)
     checks = [
         (lambda: build_localization_operator(region, make_gaussian_window(L)), 25),
         (lambda: build_localization_operator(region, cplx), 48),
-        (lambda: concentration(f, region, cplx), 16),
     ]
     for call, bound in checks:
         call()  # lazy imports, FFT plans
@@ -546,7 +544,7 @@ def test_symmetry_broken_by_the_matrix_is_not_trusted(sys32, size):
     E = E + E.conj().T
     op = sys32.H
     # a plain Hermitian matrix (no modulation) is solved as it stands, as one complex block
-    Hm = op.hermitian() + size * E / np.linalg.norm(E)
+    Hm = hermitian(op) + size * E / np.linalg.norm(E)
     bent = LocalizationOperator(Hm, sys32.region, sys32.window)
     assert _block_sizes(bent) == ([32], False)
     # a demodulated matrix that breaks the time reflection is caught on the matrix
@@ -559,8 +557,8 @@ def test_symmetry_broken_by_the_matrix_is_not_trusted(sys32, size):
             eigs = eigendecompose(bad, 0.5)
         except NumericalError:
             continue
-        w_ref, v_ref = np.linalg.eigh(bad.hermitian())
-        _assert_true_eigensystem(eigs, bad.hermitian(), w_ref[::-1], v_ref[:, ::-1])
+        w_ref, v_ref = np.linalg.eigh(hermitian(bad))
+        _assert_true_eigensystem(eigs, hermitian(bad), w_ref[::-1], v_ref[:, ::-1])
 
 
 def test_tight_residual_tol_accepts_a_true_eigensystem(sys480):
@@ -627,7 +625,7 @@ def test_concentration_of_eigenfunctions(sys32):
 def test_concentration_is_quadratic_form(sys16):
     f = random_signal(16, 2)
     c = concentration(f, sys16.region, sys16.window)
-    quad = float(np.real(np.vdot(f.values, sys16.H.hermitian() @ f.values)))
+    quad = float(np.real(np.vdot(f.values, hermitian(sys16.H) @ f.values)))
     assert abs(c.value - quad) < 1e-12
 
 
@@ -642,8 +640,6 @@ def test_concentration_spectral_route_agrees(sys32):
 
 def test_concentration_rejects_zero_signal(sys16):
     z = Signal(np.zeros(16, dtype=complex))
-    with pytest.raises(ParameterError):
-        concentration(z, sys16.region, sys16.window)
     with pytest.raises(ParameterError):
         concentration_from_eigs(z, sys16.eigs)
 
@@ -750,7 +746,7 @@ def test_concentration_lemma_inequalities_small_suite(sys64):
         floor = 1 - eps / (1 - gamma)
         assert p.norm() ** 2 >= floor - 1e-9
         assert Signal(f.values - p.values).norm() ** 2 <= eps / (1 - gamma) + 1e-9
-        energy = float(np.real(np.vdot(p.values, H.hermitian() @ p.values)))
+        energy = float(np.real(np.vdot(p.values, hermitian(H) @ p.values)))
         assert energy >= gamma * floor - 1e-9
         checked += 1
     assert checked >= 25
@@ -774,7 +770,7 @@ def test_count_estimate_brackets_true_count(delta):
     phi = make_gaussian_window(L)
     H = build_localization_operator(reg, phi)
     lo, hi = eigenvalue_count_estimate(H, delta)
-    w = np.linalg.eigvalsh(H.hermitian())
+    w = np.linalg.eigvalsh(hermitian(H))
     count = int((w > 1 - delta).sum())
     assert lo - 1e-9 <= count <= hi + 1e-9
     assert lo <= reg.measure <= hi

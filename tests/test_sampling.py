@@ -48,6 +48,7 @@ from tfsamp.tfcore import Window, _stft_rows, _support_arc
 from conftest import dense_eigensystem
 from oracles import (
     build_T_matrix,
+    hermitian,
     mp_covering_tail,
     mp_required_samples,
     mp_subspace_bound,
@@ -208,7 +209,7 @@ def test_empirical_statistic_implies_sampling_bound(sys32):
         p = eigs.columns(slice(None))[:, : eigs.N] @ c
         V = stft(Signal(p), window)
         lhs = float(np.mean(np.abs(V[s.points[:, 0], s.points[:, 1]]) ** 2))
-        energy = float(np.real(np.vdot(p, H.hermitian() @ p)))
+        energy = float(np.real(np.vdot(p, hermitian(H) @ p)))
         nsq = float(np.real(np.vdot(p, p)))
         rhs = (energy - nu_hat * nsq) / om
         assert lhs >= rhs - 1e-9
