@@ -27,10 +27,9 @@ at the points its trials draw, in one table for all its cells
 (_RegionTable): a point -> row map over the region, and rows written once,
 in the order cells first draw their points.  A cell computes only the
 points no earlier cell drew, and the table never holds more than
-min(|Omega|, the call's draws) rows, 16 N bytes each.  A window whose
-support misses an offset tabulates every time row of a cell's new points by
-one real GEMM over the row's drawn frequencies and the arc that holds the
-support; a window with full support by one FFT batch per row
+min(|Omega|, the call's draws) rows, 16 N bytes each.  Every time row of
+a cell's new points is tabulated by one real GEMM over the row's drawn
+frequencies and the arc that holds the window's support
 (tfcore._stft_rows).
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
@@ -172,8 +171,8 @@ class _RegionTable:
         idx holds point indices into region.points(); afterwards idx[t, j] is
         the row of values that holds that point.  Returns the number of
         distinct points in idx and the GEMM rows of this addition
-        (table_gemm_rows): the time rows of its new points, 0 for a window
-        with full support or when every point was there before.
+        (table_gemm_rows): the time rows of its new points, 0 when every
+        point was there before.
         """
         eigs, region = self.eigs, self.eigs.region
         drawn = np.zeros(region.point_count, dtype=bool)
@@ -182,15 +181,12 @@ class _RegionTable:
         mask = np.zeros_like(region.mask)
         mask[region.mask] = new
         P = self.P + int(np.count_nonzero(new))
-        # contiguous rows, freed on return: a strided view makes the FFTs ~1.5x slower
-        _stft_rows(np.ascontiguousarray(eigs.basis().T), eigs.window, mask, self.values[self.P : P])
-        gemm = eigs.window.support.size < eigs.window.L
-        gemm_rows = int(np.count_nonzero(mask.any(axis=1))) if gemm else 0
+        _stft_rows(eigs.basis().T, eigs.window, mask, self.values[self.P : P])
         self.row_of[new] = np.arange(self.P, P)
         self.P = P
         for trial in idx:
             trial[:] = self.row_of[trial]
-        return int(np.count_nonzero(drawn)), gemm_rows
+        return int(np.count_nonzero(drawn)), int(np.count_nonzero(mask.any(axis=1)))
 
     def outer(self) -> np.ndarray:
         """The packed (N^2, P) table of every tabulated point, as a view."""

@@ -26,8 +26,7 @@ FFTs of length L, run a block of rows at a time, and comes back as a plain
 L x L ndarray V[m, n] (or an elementwise map of it, such as |V|); naive
 O(L^3) evaluation and the adjoint exist only in the test suite as
 oracles.  _stft_rows samples the STFT of many signals at chosen cells
-only; unless the window has full support it computes just those
-frequencies.
+only: one real GEMM per time row over just its drawn frequencies.
 """
 
 from __future__ import annotations
@@ -171,46 +170,34 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
 
     fvals is (K, L), one signal per row; out[i, k] = V_phi f_k(p_i) for the
     i-th True cell p_i in row-major order, written into out, a (mask.sum(),
-    K) complex array such as rows of a larger table.  The window's support
-    picks one route for the whole table:
+    K) complex array such as rows of a larger table.  Each time row m
+    computes only its drawn frequencies n: with t = m + s,
+    V_phi f(m, n) = omega^(n m) sum_s conj(phi(s)) omega^(n s) f(m + s),
+    omega = e^(-2 pi i / L), summed over the arc s0 .. s0 + w - 1 that holds
+    the window's support (_support_arc; w = L for a full support, zero taps
+    off the support).  An (L, 2, w) phase table holds the real and imaginary
+    planes of conj(phi(s)) omega^(n s), n s reduced mod L as an integer; a
+    row takes its frequencies' rows of it times the signals over the arc, a
+    contiguous slice of a wrap-extended (L + w, K) copy: one real GEMM per
+    row.  A real batch enters as itself, a complex one as its real and
+    imaginary planes side by side.  It agrees with stft to roundoff, about
+    1e-16 of each column's norm.
 
-    - GEMM, when the arc s0 .. s0 + w - 1 that holds the support
-      (_support_arc) is shorter than L, i.e. the support misses an offset.
-      Each time row m computes only its drawn frequencies n: with t = m + s,
-      V_phi f(m, n) = omega^(n m) sum_s conj(phi(s)) omega^(n s) f(m + s),
-      omega = e^(-2 pi i / L), summed over the arc (zero taps off the
-      support).  An (L, 2, w) phase table holds the real and imaginary
-      planes of conj(phi(s)) omega^(n s), n s reduced mod L as an integer;
-      a row takes its frequencies' rows of it times the signals over the
-      arc, a contiguous slice of a wrap-extended (L + w, K) copy: one real
-      GEMM per row.  A real batch enters as itself, a complex one as its
-      real and imaginary planes side by side.  It agrees with stft to
-      roundoff, about 1e-16 of each column's norm.
-    - FFT, for a window with full support: one (K, L) FFT batch per row kept
-      at the row's columns, equal bit for bit to stft(f_k, phi)[mask].
-
-    Memory: on the GEMM route the 16 L w byte phase table and the 8 (L + w)
-    K (real) or 16 (L + w) K (complex) byte extended copy, built only when
-    the mask has a cell; on the FFT route two K x L temporaries.
+    Memory: the 16 L w byte phase table and the 8 (L + w) K (real) or
+    16 (L + w) K (complex) byte extended copy, built only when the mask has
+    a cell.
     """
     K, L = fvals.shape
     counts = np.count_nonzero(mask, axis=1)
     rows = np.flatnonzero(counts)
     starts = np.cumsum(counts) - counts
-    conj_phi = np.conj(phi.values)
-    if phi.support.size == L:
-        for m in rows:
-            # row m of stft for every signal
-            F = np.fft.fft(fvals * _translates(conj_phi, [m])[0], axis=1)
-            out[starts[m] : starts[m] + counts[m]] = F[:, mask[m]].T
-        return out
     if rows.size == 0:
         return out
     s0, w = _support_arc(phi.support, L)
     omega = np.exp(-2j * np.pi * np.arange(L) / L)
     s = (s0 + np.arange(w)) % L
     taps = np.zeros(L, dtype=np.complex128)
-    taps[phi.support] = conj_phi[phi.support]
+    taps[phi.support] = np.conj(phi.values[phi.support])
     ph = omega[np.outer(np.arange(L), s) % L] * taps[s]
     phase = np.stack([ph.real, ph.imag], axis=1)  # (L, 2, w)
     planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])

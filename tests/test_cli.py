@@ -289,8 +289,9 @@ r_grid = 250, 4000
 
 def test_montecarlo_rows_name_their_gram_route(tmp_path):
     # each cell reports the Gram route it took, the distinct points its trials drew
-    # and the time rows that took the GEMM route among the points it added to the
-    # call's table; the route reads the table's width after the cell
+    # and the time rows of the points it added to the call's table, each one GEMM;
+    # the route reads the table's width after the cell
+    from tfsamp import TFPoint, disk_region
     from tfsamp.sampling import _draw_trials, _gram_route
 
     ini = _ini(tmp_path, """
@@ -310,17 +311,21 @@ r_grid = 20, 400
     rep = _json_report(out)
     P, N = rep["sections"]["eigen"]["point_count"], rep["sections"]["eigen"]["N"]
     rows = rep["sections"]["montecarlo"]["rows"]
-    # at L = 32 the Gaussian's support is every offset, so every table row takes the FFT
+    # at L = 32 the Gaussian's support is every offset, and its table rows take the GEMM too
     assert make_gaussian_window(32).support.size == 32
+    time_rows = np.argwhere(disk_region(32, TFPoint(16, 16), 8).mask)[:, 0]
+    assert time_rows.size == P
     tabulated = np.zeros(P, dtype=bool)  # the point -> row map's rows >= 0
     for row in rows:
         idx = _draw_trials(row["trials"], row["r"], P, row["cell_seed"])
         drawn = np.zeros(P, dtype=bool)
         drawn[idx] = True
+        new = drawn & ~tabulated
         tabulated |= drawn
         assert row["drawn_points"] == np.count_nonzero(drawn)
         assert row["gram"] == _gram_route(row["trials"], row["r"], np.count_nonzero(tabulated), N)
-        assert row["table_gemm_rows"] == 0
+        assert row["table_gemm_rows"] == np.unique(time_rows[new]).size
+    assert rows[0]["table_gemm_rows"] > 0
     assert [row["gram"] for row in rows] == ["gather", "counts"]
     with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n").split(",") == [
@@ -970,34 +975,43 @@ assert cli.main([verb, "--config", ini, "--out", out]) == 0
 print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base), max(sums))
 """
 # what does not scale with L: BLAS and FFT buffers, lazy imports.  At L = 480 the real
-# disk's verbs outgrow the summed terms by up to 9.4 MB (montecarlo, 34.4 against 25.0);
-# at L = 960 every verb stays below its sum with no allowance
+# disk's verbs outgrow the summed terms by up to 9.4 MB (montecarlo, 34.4 against 25.0;
+# 35.1 with the full-support window); at L = 960 every verb stays below its sum with no
+# allowance
 PEAK_ALLOWANCE = 16 * 2**20
 
 
 @pytest.mark.parametrize("verb", ALL_VERBS)
-@pytest.mark.parametrize("kind", ["real", "complex H"])
+@pytest.mark.parametrize("kind", ["real", "complex H", "full-support window"])
 def test_memory_estimate_covers_the_measured_peak(tmp_path, kind, verb):
     # a fresh process per verb at L = 480 with the large-L960 benchmark's settings, on a
-    # disk of radius L/4 and, for a complex H, that disk plus 1 % random cells.  Linux
-    # carries ru_maxrss over exec, so the child is started by a small intermediate
-    # process: started straight from pytest, it would begin at pytest's own peak
+    # disk of radius L/4 and, for a complex H, that disk plus 1 % random cells.  The
+    # full-support window keeps every offset, so the region table's phase table spans
+    # the whole circle; it is real and even, so H still splits into two real blocks.
+    # Linux carries ru_maxrss over exec, so the child is started by a small
+    # intermediate process: started straight from pytest, it would begin at pytest's
+    # own peak
     import subprocess
     import sys
 
     import tfsamp
-    from tfsamp import TFPoint, disk_region
+    from tfsamp import TFPoint, Window, disk_region
 
     L = 480
-    region = f"radius_px = {L // 4}"
+    region, window = f"radius_px = {L // 4}", ""
     if kind == "complex H":
         mask = (disk_region(L, TFPoint(L // 2, L // 2), L // 4).mask
                 | (np.random.default_rng(1).random((L, L)) < 0.01))
         np.save(tmp_path / "mask.npy", mask)
         region = f"kind = mask\npath = {tmp_path / 'mask.npy'}"
+    if kind == "full-support window":
+        values = make_gaussian_window(L).values.real + 1e-3
+        assert Window.normalized(values).support.size == L
+        np.save(tmp_path / "window.npy", values)
+        window = f"[window]\nkind = file\npath = {tmp_path / 'window.npy'}\n"
     ini = _ini(tmp_path, f"[experiment]\nL = {L}\nr = 300\ntrials = 20\n[region]\n{region}\n"
                          "[reconstruct]\nepsilon_targets = 1e-4\n[montecarlo]\nnu_grid = 0.3\n"
-                         "r_grid = 500\n[witness]\nepsilon = 0.2\n")
+                         "r_grid = 500\n[witness]\nepsilon = 0.2\n" + window)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     spawn = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
     res = subprocess.run(
@@ -1006,6 +1020,29 @@ def test_memory_estimate_covers_the_measured_peak(tmp_path, kind, verb):
         capture_output=True, text=True, env=env, check=True)
     growth, need = map(int, res.stdout.splitlines()[-1].split())
     assert growth <= need + PEAK_ALLOWANCE, (growth / 2**20, need / 2**20)
+
+
+@pytest.mark.parametrize("tolerance, prefix", [
+    ("[tolerances]\neig_residual = 1e-300\n", "numerical failure: eigensolve residual "),
+    ("", "numerical failure: dense Hermitian eigensolve failed: "),
+], ids=["residual", "LinAlgError"])
+def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch, tolerance,
+                                                   prefix):
+    # an eigensolve whose residual exceeds its tolerance, or that LAPACK gives up on,
+    # exits 3 with one stderr line and nothing written
+    if not tolerance:
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", _ini(tmp_path, TINY + tolerance),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
 
 
 def test_memory_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):

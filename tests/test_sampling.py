@@ -412,7 +412,8 @@ def test_region_table_matches_stft():
             col = stft(Signal(eigs.columns(slice(None))[:, k]), window)[region.mask]
             assert np.max(np.abs(table[:, k] - col)) <= 1e-14 * np.linalg.norm(col)
 
-    # against the direct O(L^3) sum, so the check does not rest on FFT vs FFT
+    # against the direct O(L^3) sum, so the check does not rest on stft; at L = 24 the
+    # Gaussian has full support, so the GEMM runs over the whole circle
     region = _disk_plus_noisy_block(24)
     eigs, window = _eigs_and_window(region)
     table, _ = _table_at(eigs, region.mask)

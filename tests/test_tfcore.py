@@ -251,14 +251,10 @@ def _unit_signals(K, L, seed):
 
 
 def _check_rows(f, phi, mask, out):
-    # a full-support window's FFT table is bit-equal to stft, a GEMM table within
-    # 1e-14 of each column's norm
+    # the GEMM table lies within 1e-14 of each column's norm of stft
     for k in range(f.shape[0]):
         col = stft(Signal(f[k]), phi)[mask]
-        got = np.ascontiguousarray(out[:, k])
-        if phi.support.size == phi.L:
-            assert np.array_equal(got.view(np.float64), col.view(np.float64))
-        assert np.max(np.abs(got - col)) <= 1e-14 * np.linalg.norm(col)
+        assert np.max(np.abs(out[:, k] - col)) <= 1e-14 * np.linalg.norm(col)
 
 
 def test_stft_rows_gemm_route_on_a_sparse_mask():
@@ -292,50 +288,58 @@ def test_stft_rows_wrap_around_the_torus(keep):
     _check_rows(f, phi, mask, out)
 
 
-def test_stft_rows_full_support_window_keeps_the_fft():
+def _full_and_hann_windows(L, seed):
+    # a real window with full support, a complex one and a Hann window, whose two zero
+    # taps leave an arc of L - 2
+    rng = np.random.default_rng(seed)
+    windows = (Window.normalized(make_gaussian_window(L).values.real + 1e-3),
+               Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L)),
+               Window.normalized(np.hanning(L)))
+    assert [phi.support.size for phi in windows] == [L, L, L - 2]
+    return windows
+
+
+def test_stft_rows_full_support_and_hann_windows_match_stft():
+    # every window takes the one GEMM, over the whole circle when its support is full
     L = 128
     rng = np.random.default_rng(7)
-    phi = Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L))
-    assert _window_support(phi.values).size == L
-    mask = disk_region(L, TFPoint(40, 90), 20).mask | (rng.random((L, L)) < 0.01)
     f = _unit_signals(12, L, 8)
-    out = _stft_rows(f, phi, mask, np.empty((mask.sum(), len(f)), dtype=np.complex128))
-    _check_rows(f, phi, mask, out)
+    for mask in (disk_region(L, TFPoint(40, 90), 20).mask, rng.random((L, L)) < 0.01):
+        for phi in _full_and_hann_windows(L, 11):
+            out = _stft_rows(f, phi, mask, np.empty((mask.sum(), len(f)), dtype=np.complex128))
+            _check_rows(f, phi, mask, out)
 
 
-def test_stft_rows_route_follows_the_window_support(monkeypatch):
-    # a window whose support misses an offset takes the GEMM on every row that has a
-    # cell, whatever the row's shape: the disk of L = 120 for a real and a complex batch,
-    # and one lone full row; a window with full support takes the FFT on every such row,
-    # and a mask with no cell builds no phase table
+def test_stft_rows_every_window_takes_the_gemm(monkeypatch):
+    # every row that has a cell takes the one GEMM for every window, whatever the row's
+    # shape: the disk of L = 120 for a real and a complex batch, and one lone full row.
+    # No row builds a translate of the window, and a mask with no cell builds no phase
+    # table
     import tfsamp.tfcore as tfcore
 
-    arcs, ffts = [], []
+    arcs, translates = [], []
     real_arc, real_translates = tfcore._support_arc, tfcore._translates
     monkeypatch.setattr(tfcore, "_support_arc", lambda S, L: arcs.append(L) or real_arc(S, L))
     monkeypatch.setattr(tfcore, "_translates",
-                        lambda x, shifts: ffts.extend(shifts) or real_translates(x, shifts))
+                        lambda x, shifts: translates.extend(shifts) or real_translates(x, shifts))
     L = 120
     disk = disk_region(L, TFPoint(60, 60), 30).mask
     lone = np.zeros_like(disk)
     lone[60] = disk[60]
-    f, gauss = _unit_signals(23, L, 9), make_gaussian_window(L)
-    rng = np.random.default_rng(10)
-    full = Window.normalized(rng.standard_normal(L) + 1j * rng.standard_normal(L))
-    assert gauss.support.size < L == full.support.size
-    for batch, phi, mask in ((f.real.copy(), gauss, disk), (f, gauss, disk), (f, gauss, lone),
-                             (f, full, disk), (f, gauss, np.zeros_like(disk))):
-        arcs.clear()
-        ffts.clear()
-        out = _stft_rows(batch, phi, mask,
-                         np.empty((mask.sum(), len(batch)), dtype=np.complex128))
-        rows = np.flatnonzero(mask.any(axis=1))
-        gemm = phi.support.size < L and rows.size > 0
-        assert arcs == ([L] if gemm else [])
-        assert ffts == ([] if phi.support.size < L else list(rows))
-        assert out.shape == (mask.sum(), batch.shape[0])
-        if rows.size:
-            _check_rows(batch, phi, mask, out)
+    f = _unit_signals(23, L, 9)
+    gauss = make_gaussian_window(L)
+    assert gauss.support.size < L
+    for phi in (gauss, *_full_and_hann_windows(L, 10)):
+        for batch, mask in ((f.real.copy(), disk), (f, disk), (f, lone), (f, np.zeros_like(disk))):
+            arcs.clear()
+            translates.clear()  # stft in _check_rows builds them
+            out = _stft_rows(batch, phi, mask,
+                             np.empty((mask.sum(), len(batch)), dtype=np.complex128))
+            assert arcs == ([L] if mask.any() else [])
+            assert translates == []
+            assert out.shape == (mask.sum(), batch.shape[0])
+            if mask.any():
+                _check_rows(batch, phi, mask, out)
     assert disk.any(axis=1).sum() == 61
 
 
