@@ -60,12 +60,17 @@ KERNEL_RANK_TOL = 1e-12
 
 @dataclass(eq=False)
 class LocalizationOperator:
-    """Dense matrix M of H = diag(d) M diag(d)^*: H itself if modulation d is None, else real."""
+    """Dense matrix M of H = diag(d) M diag(d)^*: H itself if modulation d is None, else real.
+
+    mirror is the c of d = e^{i pi c t/L}: every mask row is symmetric about frequency
+    c/2.  Both are None for a complex H.
+    """
 
     matrix: np.ndarray
     region: TFRegion
     window: Window
     modulation: np.ndarray | None = None
+    mirror: int | None = None
 
     @property
     def L(self) -> int:
@@ -87,10 +92,12 @@ class EigenSystem:
 
         psi_{k+1} = phases[k] * d * (Q_i y_i[:, j]),
 
-    d the operator's modulation.  The disk's two real blocks at L=960 hold
-    3.7 MB, where the complex L x L matrix takes 14.7 MB.  columns(sel)
-    expands only the columns it is asked for; coeffs and synthesize never
-    expand one.
+    d the operator's modulation and mirror its c (None for a complex H).  The
+    column without its phase, d * (Q_i y_i[:, j]), has the STFT value at
+    (m, (c - n) mod L) conjugate to the one at (m, n).  The disk's two real
+    blocks at L=960 hold 3.7 MB, where the complex L x L matrix takes 14.7 MB.
+    columns(sel) expands only the columns it is asked for; coeffs and
+    synthesize never expand one.
     """
 
     eigenvalues: np.ndarray
@@ -103,6 +110,7 @@ class EigenSystem:
     order: np.ndarray
     modulation: np.ndarray | None
     phases: np.ndarray
+    mirror: int | None = None
     _block: np.ndarray = field(init=False, repr=False)  # block of each sorted column
     _col: np.ndarray = field(init=False, repr=False)  # its column within the block
     _basis: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -127,25 +135,32 @@ class EigenSystem:
                 x[:, m] = _expand(y[:, self._col[ks[m]]], blk, L)
         return x
 
-    def columns(self, sel) -> np.ndarray:
-        """psi_{k+1} for k in sel (an index, slice or index array), as V[:, sel] of the full V."""
+    def columns(self, sel, phased: bool = True) -> np.ndarray:
+        """psi_{k+1} for k in sel (an index, slice or index array), as V[:, sel] of the full V.
+
+        phased=False leaves out the phases: psi_{k+1} * conj(phases[k]) = d * (Q_i y_i[:, j]).
+        """
         ks = np.arange(self.L)[sel]
         cols = np.atleast_1d(ks)
         x = self._expanded(cols)
         if self.modulation is not None:
             x = self.modulation[:, None] * x
-        # in place on the fresh x, so no second (L, len(sel)) array is held
-        x = x.astype(np.result_type(x, self.phases), copy=False)
-        x *= self.phases[cols][None, :]
+        if phased:
+            # in place on the fresh x, so no second (L, len(sel)) array is held
+            x = x.astype(np.result_type(x, self.phases), copy=False)
+            x *= self.phases[cols][None, :]
         return x if ks.ndim else x[:, 0]
 
-    def basis(self) -> np.ndarray:
+    def basis(self, phased: bool = True) -> np.ndarray:
         """(L, N) matrix of the V_N basis psi_1..psi_N; ParameterError if V_N is empty.
 
-        Built once per N and read-only.
+        Built once per N and read-only.  phased=False gives columns(slice(0, N),
+        phased=False) instead, built afresh on each call.
         """
         if self.N < 1:
             raise ParameterError("V_N basis needs a spectral cut with N >= 1")
+        if not phased:
+            return self.columns(slice(0, self.N), phased=False)
         if self._basis is None or self._basis.shape[1] != self.N:
             self._basis = self.columns(slice(0, self.N))
             self._basis.flags.writeable = False
@@ -236,7 +251,7 @@ def build_localization_operator(region: TFRegion, window: Window) -> Localizatio
         Pt = P[:, i : i + 32].T
         M[i : i + 32] = P[i : i + 32] + (Pt if c is not None else Pt.conj())
     d = None if c is None else np.exp(1j * np.pi * ((c * np.arange(L)) % (2 * L)) / L)
-    return LocalizationOperator(M, region, window, d)
+    return LocalizationOperator(M, region, window, d, c)
 
 
 def _lead(mag: np.ndarray) -> np.ndarray:
@@ -428,7 +443,7 @@ def eigendecompose(
     order = np.argsort(w, kind="stable")[::-1]
     w = w[order]
     eigs = EigenSystem(w, ys, 0, float(gamma), H.region, H.window, blocks, order,
-                       H.modulation, np.concatenate(phases)[order])
+                       H.modulation, np.concatenate(phases)[order], H.mirror)
     eigs.N = choose_N(eigs, gamma)
     # sanity checks against M, one matvec per pair (top, alpha_N, alpha_{N+1} and
     # bottom): a blow-up means M was not Hermitian or a block was mis-assembled.  A

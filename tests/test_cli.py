@@ -289,8 +289,9 @@ r_grid = 250, 4000
 
 def test_montecarlo_rows_name_their_gram_route(tmp_path):
     # each cell reports the Gram route it took, the distinct points its trials drew
-    # and the time rows of the points it added to the call's table, each one GEMM;
-    # the route reads the table's width after the cell
+    # and the time rows where the GEMM ran for the points it added to the call's table:
+    # those of the pairs (m, n), (m, -n mod 32) none of whose points was tabulated
+    # before, one GEMM each; the route reads the table's width in pairs after the cell
     from tfsamp import TFPoint, disk_region
     from tfsamp.sampling import _draw_trials, _gram_route
 
@@ -304,7 +305,7 @@ radius_px = 8
 
 [montecarlo]
 nu_grid = 0.3
-r_grid = 20, 400
+r_grid = 5, 400
 """)
     out = str(tmp_path / "out")
     assert main(["montecarlo", "--config", ini, "--out", out]) == 0
@@ -313,18 +314,19 @@ r_grid = 20, 400
     rows = rep["sections"]["montecarlo"]["rows"]
     # at L = 32 the Gaussian's support is every offset, and its table rows take the GEMM too
     assert make_gaussian_window(32).support.size == 32
-    time_rows = np.argwhere(disk_region(32, TFPoint(16, 16), 8).mask)[:, 0]
+    time_rows, n = np.argwhere(disk_region(32, TFPoint(16, 16), 8).mask).T
     assert time_rows.size == P
-    tabulated = np.zeros(P, dtype=bool)  # the point -> row map's rows >= 0
+    pair = 32 * time_rows + np.minimum(n, -n % 32)  # one id per pair
+    tabulated = np.zeros(32 * 32, dtype=bool)  # the pairs with a tabulated point
     for row in rows:
         idx = _draw_trials(row["trials"], row["r"], P, row["cell_seed"])
-        drawn = np.zeros(P, dtype=bool)
-        drawn[idx] = True
+        drawn = np.zeros(32 * 32, dtype=bool)
+        drawn[pair[idx]] = True
         new = drawn & ~tabulated
         tabulated |= drawn
-        assert row["drawn_points"] == np.count_nonzero(drawn)
+        assert row["drawn_points"] == np.unique(idx).size
         assert row["gram"] == _gram_route(row["trials"], row["r"], np.count_nonzero(tabulated), N)
-        assert row["table_gemm_rows"] == np.unique(time_rows[new]).size
+        assert row["table_gemm_rows"] == np.unique(np.flatnonzero(new) // 32).size
     assert rows[0]["table_gemm_rows"] > 0
     assert [row["gram"] for row in rows] == ["gather", "counts"]
     with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
@@ -336,7 +338,8 @@ r_grid = 20, 400
 def _shared_table_config(tmp_path, name, experiment=""):
     # a montecarlo config with a gather and a counts cell at L = 64 or 65: a real V_N
     # basis, the basis of a complex H (a disk plus 5 % random cells), a modulated basis;
-    # experiment holds further lines of its [experiment] section
+    # experiment holds further lines of its [experiment] section.  Each smaller r keeps
+    # its cells on the gather route, alone and after the r = 150 cells
     if name == "complex H":
         from tfsamp import TFPoint, disk_region
 
@@ -347,6 +350,7 @@ def _shared_table_config(tmp_path, name, experiment=""):
     else:
         region = "radius_px = 14" if name == "real" else "radius_px = 12"
     L = 65 if name == "modulated" else 64
+    r = {"real": 30, "complex H": 60, "modulated": 10}[name]
     return _ini(tmp_path, f"""
 [experiment]
 L = {L}
@@ -358,7 +362,7 @@ trials = 40
 
 [montecarlo]
 nu_grid = 0.3, 0.6
-r_grid = {"20" if name == "modulated" else "60"}, 150
+r_grid = {r}, 150
 """)
 
 

@@ -390,16 +390,18 @@ def _disk_plus_noisy_block(L):
 
 def _table_at(eigs, mask):
     """(values, table_gemm_rows) of a _RegionTable that adds the True cells of mask, a
-    subset of the region's: its rows are those cells in row-major order."""
+    subset of the region's, its rows read in row-major order of those cells."""
     table = _RegionTable(eigs, np.count_nonzero(mask))
-    drawn, gemm_rows = table.add(np.flatnonzero(mask[eigs.region.mask])[None])
-    assert drawn == table.P == np.count_nonzero(mask)
-    return table.values[: table.P], gemm_rows
+    pts = np.flatnonzero(mask[eigs.region.mask])
+    drawn, gemm_rows = table.add(pts[None].copy())
+    assert drawn == table.P == pts.size
+    return table.values[table.row_of[pts]], gemm_rows
 
 
 def test_region_table_matches_stft():
     # the Gaussian's support misses offsets, so every time row with a cell takes the
-    # GEMM route, which agrees with stft to 1e-14 of each column's norm
+    # GEMM route; the table, in the frame of the columns without their phases, agrees
+    # with stft to 1e-14 of each column's norm
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
         table, gemm_rows = _table_at(eigs, region.mask)
@@ -409,7 +411,8 @@ def test_region_table_matches_stft():
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
-            col = stft(Signal(eigs.columns(slice(None))[:, k]), window)[region.mask]
+            chi = eigs.columns(slice(None), phased=False)[:, k]
+            col = stft(Signal(chi), window)[region.mask]
             assert np.max(np.abs(table[:, k] - col)) <= 1e-14 * np.linalg.norm(col)
 
     # against the direct O(L^3) sum, so the check does not rest on stft; at L = 24 the
@@ -419,7 +422,7 @@ def test_region_table_matches_stft():
     table, _ = _table_at(eigs, region.mask)
     assert eigs.N >= 2
     for k in range(eigs.N):
-        V = stft_direct(eigs.columns(slice(None))[:, k], window.values)
+        V = stft_direct(eigs.columns(slice(None), phased=False)[:, k], window.values)
         assert np.max(np.abs(table[:, k] - V[region.mask])) < 1e-12
 
 
@@ -447,12 +450,13 @@ TABLE_CASES = {
 @pytest.mark.parametrize("name", list(TABLE_CASES))
 def test_region_table_matches_stft_for_every_kind_of_basis(name):
     # a quarter of the region, as a Monte Carlo draw keeps it, and the region's longest
-    # time row alone: every row with a cell takes the GEMM, which agrees to 1e-15 of
-    # each column's norm
+    # time row alone: every row with a cell takes the GEMM, and the table agrees with
+    # the columns without their phases to 1e-15 of each column's norm
     region, window = TABLE_CASES[name]()
     H = build_localization_operator(region, window)
     eigs = eigendecompose(H, 0.5)
     basis = eigs.basis()
+    chi = eigs.basis(phased=False)
     s0, w = _support_arc(window.support, region.L)
     kind = {
         "centred disk": not basis.imag.any(),
@@ -469,8 +473,81 @@ def test_region_table_matches_stft_for_every_kind_of_basis(name):
         table, gemm_rows = _table_at(eigs, mask)
         assert gemm_rows == np.count_nonzero(mask.any(axis=1))
         for k in range(eigs.N):
-            col = stft(Signal(basis[:, k]), window)[mask]
+            col = stft(Signal(chi[:, k]), window)[mask]
             assert np.max(np.abs(table[:, k] - col)) <= 1e-15 * np.linalg.norm(col)
+
+
+def _mask_mirrored_about(L, c, seed):
+    """Two disks and 2 % random cells, every row symmetric about frequency c/2 alone."""
+    disks = disk_region(L, TFPoint(L // 2, c // 2), L // 8).mask
+    mask = disks | (np.random.default_rng(seed).random((L, L)) < 0.01)
+    return mask | mask[:, (c - np.arange(L)) % L]
+
+
+# name -> (region, the row mirror c of its operator)
+PAIR_CASES = {
+    "centred disk": lambda: (disk_region(120, TFPoint(60, 60), 30), 0),
+    "odd L disk": lambda: (disk_region(121, TFPoint(60, 60), 30), 120),
+    "off-centre disk": lambda: (disk_region(120, TFPoint(50, 37), 25), 74),
+    "mask mirrored about 30.5": lambda: (mask_region(_mask_mirrored_about(120, 61, 3)), 61),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_CASES))
+def test_region_table_pairs_mirror_points(name):
+    # chi_k, psi_k without its phase, has V chi_k(m, (c - n) mod L) = conj V chi_k(m, n)
+    # to 1e-14 of each column's norm; the table computes one point of each new pair by
+    # GEMM, which agrees with stft to 1e-15 of that norm, and conjugates it into the
+    # other, so every row agrees to 1e-14
+    region, c = PAIR_CASES[name]()
+    eigs, window = _eigs_and_window(region)
+    assert eigs.mirror == c and eigs.N >= 4
+    L, chi = region.L, eigs.basis(phased=False)
+    mirrored = (c - np.arange(L)) % L
+    V = np.stack([stft(Signal(chi[:, k]), window) for k in range(eigs.N)], axis=-1)
+    norms = np.linalg.norm(V[region.mask], axis=0)
+    assert np.all(np.abs(V[:, mirrored] - np.conj(V))[region.mask] <= 1e-14 * norms)
+
+    idx = _draw_trials(6, 200, region.point_count, 9)
+    drawn = np.unique(idx)
+    table = _RegionTable(eigs, idx.size)
+    assert table.add(idx)[0] == table.P == drawn.size
+    points = region.points()[drawn]
+    want = V[points[:, 0], points[:, 1]]
+    rows = table.row_of[drawn]
+    computed = table.code[rows] % 2 == 0
+    assert 0 < table.pairs == computed.sum() < drawn.size
+    err = np.abs(table.values[rows] - want)
+    assert np.all(err[computed] <= 1e-15 * norms)
+    assert np.all(err <= 1e-14 * norms)
+    # a partner row is the conjugate of its pair's computed row, in the same time row
+    partner = table.partner(drawn)
+    assert np.array_equal(region.points()[partner][:, 0], points[:, 0])
+    assert np.array_equal(region.points()[partner][:, 1], mirrored[points[:, 1]])
+    assert np.array_equal(table.partner(partner), drawn)
+    firsts = np.flatnonzero(table.code[: table.P] % 2 == 0)
+    mates = firsts[table.code[rows[~computed]] // 2]
+    assert np.array_equal(table.values[rows[~computed]], np.conj(table.values[mates]))
+    # the packed counts Grams, one column per pair, are the gathered ones
+    gathered = _gathered_grams(table.values[idx]) / 200
+    counted = _counted_grams(table.outer(), table.code[idx]) / 200
+    lower = np.tril(np.ones((eigs.N, eigs.N), dtype=bool))
+    assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
+
+
+def test_region_table_without_a_mirror_computes_every_point():
+    # a complex H has no row mirror: every point is its own pair, and the GEMM runs for
+    # every drawn point
+    region, window = TABLE_CASES["asymmetric mask"]()
+    eigs = eigendecompose(build_localization_operator(region, window), 0.5)
+    assert eigs.mirror is None and eigs.modulation is None
+    idx = _draw_trials(6, 200, region.point_count, 9)
+    table = _RegionTable(eigs, idx.size)
+    drawn, gemm_rows = table.add(idx)
+    assert table.pairs == table.P == drawn
+    assert np.array_equal(table.code[: table.P], 2 * np.arange(table.P))
+    points = region.points()[np.flatnonzero(table.row_of >= 0)]
+    assert gemm_rows == np.unique(points[:, 0]).size
 
 
 def test_support_arc_holds_the_support():
@@ -501,7 +578,8 @@ def test_region_table_peak_memory():
 
 def test_window_support_is_found_once_per_window(monkeypatch):
     # a window finds its support when it is made; Monte Carlo cells and tables only
-    # read it, and a table is bit for bit that of a twin window made afterwards
+    # read it, and a table is bit for bit that of a twin window made afterwards (the
+    # twin's columns are the ones without phases, and it keeps the mirror)
     import tfsamp.tfcore as tfcore
 
     region = disk_region(120, TFPoint(60, 60), 30)
@@ -512,8 +590,9 @@ def test_window_support_is_found_once_per_window(monkeypatch):
     monte_carlo_failure_frequency(20, [(0.1, 250, 7), (0.2, 1000, 7), (0.3, 250, 7)], eigs)
     table, _ = _table_at(eigs, region.mask)
     assert calls == []
-    twin = dense_eigensystem(eigs.eigenvalues, eigs.columns(slice(None)), eigs.N, eigs.gamma,
-                             region, make_gaussian_window(120))
+    twin = dense_eigensystem(eigs.eigenvalues, eigs.columns(slice(None), phased=False),
+                             eigs.N, eigs.gamma, region, make_gaussian_window(120))
+    twin.mirror = eigs.mirror
     assert len(calls) == 1
     assert np.array_equal(twin.window.support, window.support)
     fresh, _ = _table_at(twin, region.mask)
@@ -530,9 +609,14 @@ def test_drawn_table_rows_match_full_table():
     distinct = np.unique(drawn)
     table = _RegionTable(eigs, idx.size)
     assert table.add(idx)[0] == table.P == distinct.size < region.point_count
-    # the point -> row map: rows in row-major order of the drawn cells, -1 elsewhere
+    # the point -> row map: one row per drawn cell, -1 elsewhere; the computed rows come
+    # first, then the partners' conjugates, each in row-major order of their cells
     assert np.array_equal(np.flatnonzero(table.row_of >= 0), distinct)
-    assert np.array_equal(table.row_of[distinct], np.arange(distinct.size))
+    rows = table.row_of[distinct]
+    assert np.array_equal(np.sort(rows), np.arange(distinct.size))
+    computed = table.code[rows] % 2 == 0
+    assert np.array_equal(rows[computed], np.arange(computed.sum()))
+    assert np.all(np.diff(rows[~computed]) > 0)
     assert np.array_equal(idx, table.row_of[drawn])
     full, _ = _table_at(eigs, region.mask)
     # both take the GEMM route, over different frequencies of each row
@@ -546,7 +630,7 @@ def test_shared_table_matches_stft(name):
     # every tabulated point agrees with stft to 1e-15 of each column's norm
     region, window = TABLE_CASES[name]()
     eigs = eigendecompose(build_localization_operator(region, window), 0.5)
-    basis = eigs.basis()
+    basis = eigs.basis(phased=False)
     cells = [(2, 40, 1), (2, 40, 2), (4, 40, 3), (2, 40, 4)]
     table = _RegionTable(eigs, sum(t * r for t, r, _ in cells))
     gemm_rows = [table.add(_draw_trials(*cell[:2], region.point_count, cell[2]))[1]
@@ -563,8 +647,9 @@ def test_shared_table_matches_stft(name):
 
 
 def test_each_point_is_tabulated_once_per_call(tmp_path, monkeypatch):
-    # every cell of one montecarlo call hands _stft_rows only the points no earlier
-    # cell drew, and together they cover every drawn point
+    # every cell of one montecarlo call hands _stft_rows only points no earlier cell
+    # drew, one of each new pair (m, n), (m, -n mod L) of the disk centred at n = L/2;
+    # together with their partners they cover every drawn point
     import tfsamp.sampling as sampling
     from tfsamp.cli import main
 
@@ -591,7 +676,13 @@ def test_each_point_is_tabulated_once_per_call(tmp_path, monkeypatch):
     tabulated = np.sum(masks, axis=0)
     assert tabulated.max() == 1
     region = disk_region(120, TFPoint(60, 60), 30)
-    assert np.array_equal(np.argwhere(tabulated), region.points()[drawn])
+    cells = np.zeros_like(region.mask)
+    cells[tuple(region.points()[drawn].T)] = True
+    partners = np.roll(np.flip(tabulated, axis=1), 1, axis=1)  # (m, n) -> (m, -n mod L)
+    assert np.array_equal((tabulated | partners) & region.mask, cells | partners)
+    assert not (tabulated & ~cells).any()
+    both = tabulated & partners
+    assert both.any() and not both[:, 1:60].any() and not both[:, 61:].any()
     assert drawn.sum() < P and all(m.sum() < drawn.sum() for m in masks)
     # each cell writes its rows straight into the one table
     assert all(out.base is outs[0].base is not None for out in outs)
@@ -756,7 +847,7 @@ def test_monte_carlo_decisions_do_not_depend_on_the_chunk_size(sys120, monkeypat
 
 @pytest.mark.parametrize("route", ["gather", "counts"])
 def test_monte_carlo_chunks_stay_under_the_cap(sys120, monkeypatch, route):
-    # at r = 4000 a gather trial holds about 1.5 MB and a counts trial about 90 KB, so
+    # at r = 4000 a gather trial holds about 1.5 MB and a counts trial about 100 KB, so
     # the 8 MB cap splits 200 trials on either route; no block that reaches fails holds
     # more than the cap over the workers, and the thread count moves no decision
     import tfsamp.sampling as sampling
@@ -775,9 +866,9 @@ def test_monte_carlo_chunks_stay_under_the_cap(sys120, monkeypatch, route):
 
 
 def test_gather_chunks_stay_near_the_budget(sys120, monkeypatch):
-    # at r = 8 a trial's (2N)^2 real product and Gram outweigh its r rows; the chunk
-    # size counts them, so 2000 trials run in eight chunks of about 8 MB, not one of
-    # 58 MB (measured peak 8.9 MiB)
+    # at r = 8 a trial's (2N)^2 real product, Gram and Cholesky factor outweigh its r
+    # rows; the chunk size counts them, so 2000 trials run in ten chunks of about 8 MB,
+    # not one of 74 MB (measured peak 7.2 MiB)
     import tfsamp.sampling as sampling
 
     monkeypatch.setattr(sampling, "_gram_route", lambda *shape: "gather")
@@ -807,6 +898,25 @@ def test_monte_carlo_respects_theory_bound(sys32):
         bound = subspace_failure_bound(TailParams(nu=nu, r=r, omega_measure=om, N=N))
         sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / 400)
         assert freq <= min(1.0, bound) + 4 * sigma
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1, 20260816])
+def test_draw_trials_are_the_trial_stream_draws_bit_for_bit(seed):
+    # the vectorized seeding gives trial i exactly the generator that
+    # default_rng(derive_seed(seed, TRIAL_STREAM, i)) builds
+    for P in (1, 7, 2821, 180917):
+        idx = _draw_trials(40, 13, P, seed)
+        assert idx.dtype == np.int64 and idx.shape == (40, 13)
+        for i, row in enumerate(idx):
+            rng = np.random.default_rng(derive_seed(seed, TRIAL_STREAM, i))
+            assert np.array_equal(row, rng.integers(0, P, 13))
+
+
+def test_draw_trials_refuse_a_negative_seed_as_derive_seed_does():
+    with pytest.raises(ValueError) as refused:
+        derive_seed(-1, TRIAL_STREAM, 0)
+    with pytest.raises(ValueError, match=str(refused.value)):
+        _draw_trials(3, 5, 7, -1)
 
 
 def test_batched_engine_matches_single_draws(sys32):
@@ -861,6 +971,34 @@ def test_cholesky_decision_matches_eigvalsh(N):
     assert np.array_equal(np.linalg.eigvalsh(near)[:, 0] <= thresh, off < 0)
 
 
+def test_cholesky_decisions_of_a_stack_are_those_of_single_calls():
+    # one call on the whole stack decides each matrix as np.linalg.cholesky does alone:
+    # positive definite, indefinite and within 1e-13 of singular either way, and a
+    # stack of 1 x 1 matrices; no floating-point warning escapes
+    import warnings
+
+    rng = np.random.default_rng(8)
+    S = _hermitian_batch(rng, 30, 23)
+    lam = np.linalg.eigvalsh(S)[:, 0]
+    shifts = np.concatenate([lam[:10] - 0.1, lam[10:20] + 0.1,
+                             lam[20:] + np.array([1e-13, -1e-13] * 5)])
+    stacks = [S - shifts[:, None, None] * np.eye(23),
+              np.array([[[2.0]], [[-1.0]], [[0.0]], [[1e-300]]], dtype=complex)]
+    for stack in stacks:
+        expected = []
+        for s in stack:
+            try:
+                np.linalg.cholesky(s)
+                expected.append(False)
+            except np.linalg.LinAlgError:
+                expected.append(True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decided = _not_positive_definite(stack)
+        assert decided.dtype == bool and np.array_equal(decided, expected)
+        assert 0 < np.count_nonzero(decided) < len(stack)
+
+
 def test_cholesky_decision_reads_only_the_lower_triangle():
     # the counts route leaves the strict upper triangles 0; any values there are ignored
     rng = np.random.default_rng(3)
@@ -903,9 +1041,10 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     idx = _draw_trials(trials, r, s.region.point_count, seed)
     table = _RegionTable(eigs, idx.size)
     P, gemm_rows = table.add(idx)
-    assert _gram_route(trials, r, P, eigs.N) == route
+    assert table.pairs < P
+    assert _gram_route(trials, r, table.pairs, eigs.N) == route
     gathered = _gathered_grams(table.values[idx]) / r
-    counted = _counted_grams(table.outer(), idx) / r
+    counted = _counted_grams(table.outer(), table.code[idx]) / r
     # the packed counts Grams are the lower triangles of the gathered ones
     lower = np.tril(np.ones((eigs.N, eigs.N), dtype=bool))
     assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
@@ -950,26 +1089,29 @@ def test_gram_route_reads_only_the_cell_shape():
 
 
 def test_union_over_the_budget_gathers(sys32, monkeypatch):
-    # the packed table spans every point the call has tabulated; a cell that counts
-    # on its own points gathers once the union no longer fits the budget
+    # the packed table spans every pair the call has tabulated; a cell that counts
+    # on its own pairs gathers once the union's pairs no longer fit the budget
     import tfsamp.sampling as sampling
 
     eigs, P = sys32.eigs, sys32.region.point_count
-    cells = [(0.5, 60, 1), (0.5, 60, 2)]  # (nu, r, seed) of 10 trials each
+    # (nu, r, seed) of 10 trials each; at r = 60 the second cell alone would draw all
+    # 107 pairs of the disk's 197 points
+    cells = [(0.5, 30, 1), (0.5, 30, 2)]
     union = np.zeros(P, dtype=bool)
     for _, r, seed in cells:
         union[_draw_trials(10, r, P, seed)] = True
+    tables = _recorded_tables(monkeypatch)
     alone, = monte_carlo_failure_frequency(10, cells[1:], eigs)
     # a budget that holds the second cell's packed table but not the union's
-    budget = 8 * eigs.N**2 * alone["drawn_points"]
-    assert alone["drawn_points"] < union.sum()
+    pairs = tables[0].pairs
+    budget = 8 * eigs.N**2 * pairs
+    assert pairs < alone["drawn_points"] < union.sum()
     monkeypatch.setattr(sampling, "MC_BUDGET", budget)
     again, = monte_carlo_failure_frequency(10, cells[1:], eigs)
     assert again["empirical_freq"] == alone["empirical_freq"]
     assert again["gram"] == "counts"
-    tables = _recorded_tables(monkeypatch)
     _, shared = monte_carlo_failure_frequency(10, cells, eigs)
-    assert tables[0].P == union.sum()
+    assert tables[2].P == union.sum() and tables[2].pairs > pairs
     assert shared["gram"] == "gather" and shared["drawn_points"] == alone["drawn_points"]
     assert shared["empirical_freq"] == alone["empirical_freq"]
     # a packed table is allocated within the budget, whatever the call's draws
