@@ -93,8 +93,11 @@ class EigenSystem:
         psi_{k+1} = phases[k] * d * (Q_i y_i[:, j]),
 
     d the operator's modulation and mirror its c (None for a complex H).  The
-    column without its phase, d * (Q_i y_i[:, j]), has the STFT value at
-    (m, (c - n) mod L) conjugate to the one at (m, n).  The disk's two real
+    column without its phase, chi = d * (Q_i y_i[:, j]), has the STFT value at
+    (m, (c - n) mod L) conjugate to the one at (m, n).  time_mirror is the a of
+    blocks split by the time reflection t -> (a - t) mod L (_symmetry_blocks),
+    None for one block, and parity[k] the sign e = +-1 of column k's block
+    (+1 for one block): then chi((a - t) mod L) = e d(a) conj(chi(t)).  The disk's two real
     blocks at L=960 hold 3.7 MB, where the complex L x L matrix takes 14.7 MB.
     columns(sel) expands only the columns it is asked for; coeffs and
     synthesize never expand one.
@@ -111,14 +114,17 @@ class EigenSystem:
     modulation: np.ndarray | None
     phases: np.ndarray
     mirror: int | None = None
+    time_mirror: int | None = None
     _block: np.ndarray = field(init=False, repr=False)  # block of each sorted column
     _col: np.ndarray = field(init=False, repr=False)  # its column within the block
+    parity: np.ndarray = field(init=False, repr=False)
     _basis: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         start = np.cumsum([0] + [y.shape[1] for y in self.vectors])
         self._block = np.searchsorted(start, self.order, side="right") - 1
         self._col = self.order - start[self._block]
+        self.parity = np.where(self._block == 0, 1.0, -1.0)
 
     @property
     def L(self) -> int:
@@ -328,11 +334,14 @@ def _mirror(mask: np.ndarray):
     for every n, so the cyclic self-convolution of g reaches its maximum sum
     g^2 there (Cauchy-Schwarz).  Each candidate is confirmed on the mask
     itself, in ascending order, so colliding fingerprints cost time only.
+    einsum casts the bool mask a buffer at a time, where a matrix product
+    would first copy all of it to float64; the integer sums are exact in
+    any order.
     """
     L = mask.shape[1]
     # a multiplicative hash, cheaper than seeding a generator on each call
     w = (np.arange(1, mask.shape[0] + 1) * 40503 % 65521).astype(np.float64)
-    g = w @ mask
+    g = np.einsum("m,mn->n", w, mask)
     conv = np.fft.irfft(np.fft.rfft(g) ** 2, n=L)
     # a mirror reaches g @ g up to FFT roundoff, far below 1e-9 of it
     for c in np.flatnonzero(conv >= (1 - 1e-9) * (g @ g)):
@@ -442,8 +451,10 @@ def eigendecompose(
     w = np.concatenate(ws)
     order = np.argsort(w, kind="stable")[::-1]
     w = w[order]
+    # the even block pairs each u_i with its reflection r_i = (a - u_i) mod L
+    a = None if blocks[0] is None else int(blocks[0][0][0] + blocks[0][2][0]) % H.L
     eigs = EigenSystem(w, ys, 0, float(gamma), H.region, H.window, blocks, order,
-                       H.modulation, np.concatenate(phases)[order], H.mirror)
+                       H.modulation, np.concatenate(phases)[order], H.mirror, a)
     eigs.N = choose_N(eigs, gamma)
     # sanity checks against M, one matvec per pair (top, alpha_N, alpha_{N+1} and
     # bottom): a blow-up means M was not Hermitian or a block was mis-assembled.  A

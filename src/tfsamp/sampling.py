@@ -32,14 +32,24 @@ their points.  The table holds V_phi chi_k, chi_k = psi_k * conj(phases[k])
 the basis column without its phase; a Gram in that frame is D^* G D for the
 unitary diagonal D = diag(phases), and E T is diagonal, so every decision is
 that of G.  When the operator has a row mirror c (a real window), the value
-of chi_k at (m, (c - n) mod L) is the conjugate of the one at (m, n): the
-two points form a pair, a point on the mirror axis, and every point of a
-region without a mirror, its own.  A cell computes one point of each pair
-no earlier cell drew, each time row of them by one real GEMM over the
-row's drawn frequencies and the arc that holds the window's support
-(tfcore._stft_rows), and conjugates it into the partner if that was drawn
-too.  The table never holds more than min(|Omega|, the call's draws) rows,
-16 N bytes each.
+of chi_k at (m, (c - n) mod L) is the conjugate of the one at (m, n).  When
+its eigensolve also split at a time mirror a (locop._symmetry_blocks: the
+mask is symmetric about time a/2 and the window even), the value at
+((a - m) mod L, n) is theta(n) e_k conj(value at (m, n)), with e_k = +-1 the
+parity of chi_k's block and theta(n) = e^{i pi (a (c - 2n) mod 2L)/L}, the
+same for every k: chi_k((a - t) mod L) = e_k d(a) conj(chi_k(t)) for the
+modulation d, and the window is real and even.  So the points
+{(m, n), (m, c - n), (a - m, n), (a - m, c - n)} form an orbit whose values
+all follow from one of them, v: conj(v), theta E conj(v) and theta' E v,
+E = diag(e) and theta' = theta((c - n) mod L).  An orbit has fewer points
+on a mirror axis or where a mirror is missing, and every point of a complex
+H is its own.  A cell computes the least drawn point of each orbit no
+earlier cell drew, each time row of them by one real GEMM over the row's
+drawn frequencies and the arc that holds the window's support
+(tfcore._stft_rows); that point lies in the earlier of rows m and a - m
+that hold a drawn member, so one GEMM serves both.  The orbit's other drawn
+points are written from it.  The table never holds more than
+min(|Omega|, the call's draws) rows, 16 N bytes each.
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
 <= -nu/|Omega| iff (1/r) G - E T + (nu/|Omega|) I is not positive definite,
@@ -50,22 +60,21 @@ value certify reports, keeps eigvalsh.
 
 Monte Carlo forms each trial's Gram G = sum_j T_j by one of two routes,
 picked per cell by _gram_route from the cell's shape alone (trials, r, the
-P pairs of the call's table after the cell, N); both give the same
-decisions up to roundoff.  The gather route copies each trial's r rows v_j
-out of the table and multiplies them in real arithmetic: one symmetric
-rank-r update of their (r, 2N) float64 view, 4 r N^2 flops against 8 r N^2
-for the complex product (_gathered_grams).  The counts route uses
-sum_j T_j = sum_p c_p v_p v_p^H, with c the bincount of the trial's draw.
-A pair's partner has v_p' = conj(v_p), so its outer product is the
-conjugate and the pair adds (c_p + c_p') Re(v_p v_p^H) + i (c_p - c_p')
-Im(v_p v_p^H).  The route reads a packed table with one column per pair:
-the real parts of v_p v_p^H on and below the diagonal, then the imaginary
-parts below it, N^2 float64 or 8 N^2 bytes per pair.  The call's table
-builds it when its first counts cell runs and extends it by new pairs only.
-A chunk's Grams are then two real GEMMs, the (chunk, P) sums times the real
-rows and the differences times the imaginary rows, scattered into the lower
-triangles.  MC_BUDGET bounds the packed table and MC_CHUNK_BUDGET the
-trial chunks that all workers hold at once.
+Q orbits of the call's table after the cell and those not yet packed, N);
+both give the same decisions up to roundoff.  The gather route copies each
+trial's r rows v_j out of the table and multiplies them in real arithmetic:
+one symmetric rank-r update of their (r, 2N) float64 view, 4 r N^2 flops
+against 8 r N^2 for the complex product (_gathered_grams).  The counts
+route sums the outer products of the orbits' members, counted from the
+trial's draw: with X = v v^H of an orbit's computed row they are X,
+conj(X), E conj(X) E and E X E (theta cancels), so each entry (i, j) takes
+one of four weights per orbit, by its part and the sign e_i e_j
+(_counted_grams).  The route reads a packed table with one column per
+orbit, the lower triangle of X in N^2 float64 or 8 N^2 bytes, which the
+call's table builds when its first counts cell runs and extends by new
+orbits only.  A chunk's Grams are four real GEMMs, the (chunk, Q) weights
+times the packed rows.  MC_BUDGET bounds the packed table and
+MC_CHUNK_BUDGET the trial chunks that all workers hold at once.
 
 Note on exponents: the general matrix Bernstein tail
 N*exp(-(t^2/2)/(sigma^2 + B t/3)) carries the customary t^2/2 numerator,
@@ -166,98 +175,192 @@ def _table_rows(region, trials: int, rs) -> int:
 
 
 class _RegionTable:
-    """V_phi chi_k at the region points drawn so far, in pairs (module docstring); one per grid.
+    """V_phi chi_k at the region points drawn so far, by mirror orbits (module docstring).
 
-    row_of maps each of the region's point_count points to its row of
-    values, -1 for a point not yet tabulated.  values is one (rows, N)
+    One per grid.  row_of maps each of the region's point_count points to its
+    row of values, -1 for a point not yet tabulated.  values is one (rows, N)
     complex allocation, filled from the front: each add() appends the points
     no earlier cell drew, and no row is copied after it is written.  Only
     written pages become resident, so the capacity, _table_rows of the draws
-    to come, costs address space, not memory.  code names each row's pair
-    column j: 2 j for the pair's first row, 2 j + 1 for its partner; pair
-    columns are numbered in the order of their first rows.  The counts
-    route's packed table (_outer_table) is built the first time a counts
-    cell asks for it and then extended by the new pairs only; its capacity
-    fits MC_BUDGET.
+    to come, costs address space, not memory.  Orbits are numbered in the
+    order they enter the table; ref[j] is orbit j's reference point, its one
+    computed point: the least of its points drawn by the first cell that drew
+    any of them.  freq[j] is that point's frequency n.
+    code names each row's orbit j and its member, 4 j + i: i = 0 for the
+    reference (m, n), 1 for (m, c - n), 2 for (a - m, n) and 3 for
+    (a - m, c - n), all mod L, the first of them where mirrors coincide.
+    The counts route's packed table (_outer_table) is built the first time a
+    counts cell asks for it and then extended by the new orbits only; its
+    capacity fits MC_BUDGET.
     """
 
     def __init__(self, eigs: EigenSystem, rows: int):
-        region = eigs.region
+        region, L = eigs.region, eigs.region.L
         self.eigs = eigs
         self.row_of = np.full(region.point_count, -1, dtype=np.int64)
         self.values = np.empty((rows, eigs.N), dtype=np.complex128)
         self.chi = eigs.basis(phased=False).T  # refuses an empty V_N
         self.code = np.empty(rows, dtype=np.int64)
+        self.ref = np.empty(rows, dtype=np.int64)
+        self.freq = np.empty(rows, dtype=np.int64)
         self.P = 0  # rows written
-        self.pairs = 0  # pair columns
+        self.orbits = 0  # orbit columns
         self._outer = None
-        self._packed = 0  # pairs packed into _outer
-        self._rows = None
-        if eigs.mirror is not None:
-            # per time row: its first point, its first point with n > c, and its end.
-            # A mirrored row's points n <= c pair among themselves in reverse order,
-            # and so do its points n > c
-            counts = np.count_nonzero(region.mask, axis=1)
-            ends = np.cumsum(counts)
-            low = np.count_nonzero(region.mask[:, : eigs.mirror + 1], axis=1)
-            self._rows = (ends - counts, ends - counts + low, ends)
+        self._layout = None
+        self.packed = 0  # orbits packed into _outer
+        # per time row: its first point, its first point with n > c (mids) and its end.
+        # A mirrored row's points n <= c pair among themselves in reverse order, and so
+        # do its points n > c
+        counts = np.count_nonzero(region.mask, axis=1)
+        self._ends = np.cumsum(counts)
+        self._starts = self._ends - counts
+        c, a = eigs.mirror, eigs.time_mirror
+        if c is not None:
+            self._mids = self._starts + np.count_nonzero(region.mask[:, : c + 1], axis=1)
+        if a is not None:
+            # theta(n) of the time mirror and theta'(n) of both mirrors, per reference n
+            n = np.arange(L)
+            self._theta = (np.exp(1j * np.pi * ((a * (c - 2 * n)) % (2 * L)) / L),
+                           np.exp(1j * np.pi * ((a * (2 * n - c)) % (2 * L)) / L))
 
-    def partner(self, pts: np.ndarray) -> np.ndarray:
-        """The partner (m, (c - n) mod L) of each point (m, n) of pts, as point indices."""
-        if self._rows is None:
-            return pts
-        starts, mids, ends = self._rows
-        m = np.searchsorted(ends, pts, side="right")
-        a, b = starts[m], mids[m]
-        return np.where(pts < b, a + b - 1 - pts, b + ends[m] - 1 - pts)
+    def members(self, pts: np.ndarray) -> np.ndarray:
+        """(4, pts.size) point indices: pts, (m, c - n), (a - m, n) and (a - m, c - n).
+
+        A missing mirror maps each point to itself.  Row a - m holds the same
+        frequencies as row m, so a time mirror keeps a point's place in its row.
+        """
+        eigs = self.eigs
+        m = np.searchsorted(self._ends, pts, side="right")
+        starts, R = self._starts[m], pts
+        if eigs.mirror is not None:
+            mids = self._mids[m]
+            R = np.where(pts < mids, starts + mids - 1 - pts, mids + self._ends[m] - 1 - pts)
+        shift = 0
+        if eigs.time_mirror is not None:
+            shift = self._starts[(eigs.time_mirror - m) % eigs.region.L] - starts
+        return np.stack([pts, R, pts + shift, R + shift])
+
+    def _mirrored(self, dst: np.ndarray, src: np.ndarray, member: int, n: np.ndarray) -> None:
+        """values[dst] = member's values from the reference rows v = values[src], at the
+        references' frequencies n: conj(v), theta(n) (E conj(v)) or theta'(n) (E v), E =
+        diag(parity), a block of at most MC_BLOCK bytes at a time."""
+        N = self.eigs.N
+        step = max(1, MC_BLOCK // (16 * N))
+        for b in range(0, dst.size, step):
+            blk = slice(b, b + step)
+            v = self.values[src[blk]]
+            if member < 3:
+                np.conjugate(v, out=v)
+            if member > 1:
+                v *= self.eigs.parity[:N]
+                np.multiply(self._theta[member - 2][n[blk], None], v, out=v)
+            self.values[dst[blk]] = v
 
     def add(self, idx: np.ndarray) -> tuple[int, int]:
         """Tabulate the points of idx not yet in the table; remap idx in place to rows.
 
         idx holds point indices into region.points(); afterwards idx[t, j] is
-        the row of values that holds that point.  Of each new pair the first
-        point is computed (_stft_rows), and the rows after those take the
-        conjugates of their partners' rows.  Returns the number of distinct
-        points in idx and the time rows where the GEMM ran (table_gemm_rows),
-        0 when every point was there before or is a partner's conjugate.
+        the row of values that holds that point.  Returns the number of
+        distinct points in idx and the time rows where the GEMM ran
+        (table_gemm_rows, _tabulate).
         """
-        region = self.eigs.region
-        drawn = np.zeros(region.point_count, dtype=bool)
+        drawn = np.zeros(self.eigs.region.point_count, dtype=bool)
         drawn[idx] = True
         new = drawn & (self.row_of < 0)
-        pts = np.flatnonzero(new)
-        mate = self.partner(pts)
-        # computed: a new point whose partner is neither tabulated nor an earlier new point
-        computed = (self.row_of[mate] < 0) & ((pts <= mate) | ~new[mate])
-        new[pts[~computed]] = False
-        mask = np.zeros_like(region.mask)
-        mask[region.mask] = new
-        P, g = self.P, int(np.count_nonzero(computed))
-        _stft_rows(self.chi, self.eigs.window, mask, self.values[P : P + g])
-        self.row_of[pts[computed]] = np.arange(P, P + g)
-        self.code[P : P + g] = 2 * np.arange(self.pairs, self.pairs + g)
-        self.pairs += g
-        # the partners' rows are all written now
-        self.row_of[pts[~computed]] = np.arange(P + g, P + pts.size)
-        mates = self.row_of[mate[~computed]]
-        np.conjugate(self.values[mates], out=self.values[P + g : P + pts.size])
-        self.code[P + g : P + pts.size] = self.code[mates] + 1
-        self.P = P + pts.size
-        for trial in idx:
-            trial[:] = self.row_of[trial]
-        return int(np.count_nonzero(drawn)), int(np.count_nonzero(mask.any(axis=1)))
+        gemm_rows = self._tabulate(new) if new.any() else 0
+        # every drawn point has a row now, so no index clips; in place, as no other
+        # mode buffers a copy of the whole block
+        np.take(self.row_of, idx, out=idx, mode="clip")
+        return int(np.count_nonzero(drawn)), gemm_rows
 
-    def outer(self) -> np.ndarray:
-        """The packed (N^2, pairs) table of every pair's first row, as a view."""
+    def _tabulate(self, new: np.ndarray) -> int:
+        """Write the rows of the True points of new; the time rows where the GEMM ran.
+
+        Only the references of new orbits are computed (_stft_rows); every
+        other new point is written from its orbit's reference row (_mirrored).
+        """
+        region = self.eigs.region
+        pts = np.flatnonzero(new)
+        orbit = self.members(pts)
+        # each fresh orbit (no member in the table yet) is computed at its least drawn
+        # point, the one with no new member below it
+        least = ~(new[orbit] & (orbit < pts)).any(axis=0)
+        refs = pts[least & (self.row_of[orbit] < 0).all(axis=0)]
+        cells = np.zeros(region.point_count, dtype=bool)
+        cells[refs] = True
+        mask = np.zeros_like(region.mask)
+        mask[region.mask] = cells
+        P, Q, g = self.P, self.orbits, refs.size
+        _stft_rows(self.chi, self.eigs.window, mask, self.values[P : P + g])
+        self.row_of[refs] = np.arange(P, P + g)
+        self.code[P : P + g] = 4 * np.arange(Q, Q + g)
+        self.ref[Q : Q + g] = refs
+        self.freq[Q : Q + g] = np.flatnonzero(mask) % region.L
+        self.orbits = Q + g
+        # the other new points, by member, each member's rows in ascending point order
+        rest = pts[self.row_of[pts] < 0]
+        j = self.code[self.row_of[self.members(rest)].max(axis=0)] // 4
+        member = np.argmax(self.members(self.ref[j]) == rest, axis=0)
+        order = np.lexsort((rest, member))
+        rest, j, member = rest[order], j[order], member[order]
+        start = P + g
+        rows = np.arange(start, start + rest.size)
+        self.row_of[rest] = rows
+        self.code[rows] = 4 * j + member
+        bounds = np.searchsorted(member, [1, 2, 3, 4])
+        for i in (1, 2, 3):
+            seg = slice(bounds[i - 1], bounds[i])
+            self._mirrored(rows[seg], self.row_of[self.ref[j[seg]]], i, self.freq[j[seg]])
+        self.P = start + rest.size
+        return int(np.count_nonzero(mask.any(axis=1)))
+
+    def counted(self, rows: np.ndarray) -> np.ndarray:
+        """rows remapped in place to the codes p Q + j of _counted_grams: orbit j of the
+        Q orbits, and p = 0, 2, 1, 3 for its members 0..3 (their bits reversed)."""
+        code, Q = self.code[: self.P], self.orbits
+        return np.take((2 * (code & 1) + (code >> 1 & 1)) * Q + (code >> 2), rows, out=rows,
+                       mode="clip")
+
+    def outer(self) -> tuple[np.ndarray, tuple]:
+        """The packed (N^2, orbits) table of every orbit's reference row, as a view, and its
+        _packed_layout."""
         N = self.eigs.N
         if self._outer is None:
             width = min(self.values.shape[0], MC_BUDGET // (8 * N * N))
             self._outer = np.empty((N * N, width))
-        firsts = np.flatnonzero(self.code[: self.P] % 2 == 0)  # in pair order
-        new = slice(self._packed, self.pairs)
-        _outer_table(self.values[firsts[new]], self._outer[:, new])
-        self._packed = self.pairs
-        return self._outer[:, : self.pairs]
+            self._layout = _packed_layout(self.eigs.parity[:N])
+        if self.packed < self.orbits:
+            new = slice(self.packed, self.orbits)
+            _outer_table(self.values[self.row_of[self.ref[new]]], self._outer[:, new],
+                         self._layout)
+            self.packed = self.orbits
+        return self._outer[:, : self.orbits], self._layout
+
+
+def _packed_layout(parity: np.ndarray) -> tuple:
+    """Where _outer_table packs each lower-triangle entry, for columns of the given parities.
+
+    The packed rows hold, in four segments, the real parts on and below the
+    diagonal of the entries (i, j) with e_i e_j = +1, then those with -1, then
+    the imaginary parts below the diagonal of the entries with -1, then those
+    with +1 (the order of _counted_grams's weights); each segment in
+    row-major order.  Returns (rows, bounds, src): rows the packed row of
+    each real entry in np.tril_indices order, then of each imaginary one,
+    bounds the five segment edges, and src the column of a (B, N^2 + 1) GEMM
+    output, the last column 0, that each float of a (B, N, N) Gram reads.
+    """
+    N = parity.size
+    i, j = np.tril_indices(N)
+    strict = i > j
+    plus = parity[i] * parity[j] > 0
+    keys = np.concatenate([np.where(plus, 0, 1), np.where(plus, 3, 2)[strict]])
+    order = np.argsort(keys, kind="stable")
+    rows = np.empty(N * N, dtype=np.int64)
+    rows[order] = np.arange(N * N)
+    src = np.full((N, N, 2), N * N, dtype=np.int64)
+    src[i, j, 0] = rows[: i.size]
+    src[i[strict], j[strict], 1] = rows[i.size :]
+    return rows, np.searchsorted(keys[order], np.arange(5)), src.ravel()
 
 
 def _gathered_grams(A: np.ndarray) -> np.ndarray:
@@ -279,52 +382,60 @@ def _gathered_grams(A: np.ndarray) -> np.ndarray:
     return G
 
 
-def _outer_table(table: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _outer_table(table: np.ndarray, out: np.ndarray, layout: tuple) -> np.ndarray:
     """(N^2, P) float64 lower triangles of the rank-one v_p v_p^H of table's rows v_p.
 
-    Column p holds v_p v_p^H packed in two blocks, each by matrix row: first
-    the real parts on and below the diagonal, row i at i(i+1)/2 .. i(i+1)/2 + i,
-    then, from N(N+1)/2 on, the imaginary parts below it, row i at offset
-    i(i-1)/2 .. i(i-1)/2 + i - 1.  That is 8 N^2 bytes per column, half the
-    full complex matrix, and all a Cholesky reads; _counted_grams unpacks
-    with the same row slices.  Each packed entry is one contiguous row over
-    the P columns.  Written into out, such as the next columns of a
-    _RegionTable's packed table.
+    Column p holds the real parts of v_p v_p^H on and below the diagonal and
+    the imaginary parts below it, in the packed rows of layout
+    (_packed_layout): 8 N^2 bytes per column, half the full complex matrix,
+    and all a Cholesky reads.  Each packed entry is one contiguous row over
+    the P columns, written one matrix row at a time.  Written into out, such
+    as the next columns of a _RegionTable's packed table.
     """
     v = np.ascontiguousarray(table.T)
-    N = v.shape[0]
-    T = N * (N + 1) // 2
-    for i in range(N):
-        w = v[i] * np.conj(v[: i + 1])
-        out[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = w.real
-        out[T + i * (i - 1) // 2 : T + i * (i + 1) // 2] = w.imag[:i]
+    rows, T = layout[0], v.shape[0] * (v.shape[0] + 1) // 2
+    for i in range(v.shape[0]):
+        w = np.conj(v[: i + 1])
+        np.multiply(v[i], w, out=w)
+        out[rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]] = w.real
+        out[rows[T + i * (i - 1) // 2 : T + i * (i + 1) // 2]] = w.imag[:i]
     return out
 
 
-def _counted_grams(outer: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Lower triangle of sum_j T_j for each trial (row) of code, overwriting code.
+def _counted_grams(outer: np.ndarray, code: np.ndarray, layout: tuple) -> np.ndarray:
+    """sum_j T_j for each trial (row) of code, lower triangle only, overwriting code.
 
-    code holds a trial's draws as 2 j for the first row v_p of pair column j
-    of outer, the packed _outer_table of those rows, and 2 j + 1 for its
-    partner, conj(v_p).  A pair drawn c_p and c_p' times adds
-    (c_p + c_p') Re(v_p v_p^H) + i (c_p - c_p') Im(v_p v_p^H): two real GEMMs
-    for the whole block, whose columns are written into the lower triangles
-    by _outer_table's row slices; the strict upper triangles are 0.
+    code holds a trial's draws as p Q + j: orbit j of the Q orbits of outer,
+    the packed _outer_table of the orbits' computed rows v in layout, and
+    p = 0, 2, 1, 3 for its members 0..3 (_RegionTable).  The members' outer
+    products are X = v v^H, conj(X), E conj(X) E and E X E, so an orbit drawn
+    c0..c3 times adds, at an entry (i, j) of sign e_i e_j = +-1,
+    (c0 + c1 +- (c2 + c3)) Re X_ij to the real part and
+    (c0 - c1 +- (c3 - c2)) Im X_ij to the imaginary part.  The trials' counts,
+    in the planes p, become those four weights, in the order of layout's
+    segments, by two stages of in-place butterflies (a, b) -> (a + b, a - b);
+    then one real GEMM per segment, weights times packed rows, and one
+    gather into the Grams.  The strict upper triangles are 0.
     """
     B, (NN, Q) = code.shape[0], outer.shape
     N = math.isqrt(NN)
-    T = N * (N + 1) // 2
-    code += 2 * Q * np.arange(B)[:, None]
-    counts = np.bincount(code.ravel(), minlength=2 * B * Q).reshape(B, Q, 2)
-    plus = np.add(counts[..., 0], counts[..., 1], dtype=np.float64)
-    minus = np.subtract(counts[..., 0], counts[..., 1], dtype=np.float64)
-    Yr = plus @ outer[:T].T
-    Yi = minus @ outer[T:].T
-    G = np.zeros((B, N, N), dtype=np.complex128)
-    for i in range(N):
-        G.real[:, i, : i + 1] = Yr[:, i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
-        G.imag[:, i, :i] = Yi[:, i * (i - 1) // 2 : i * (i + 1) // 2]
-    return G
+    _, bounds, src = layout
+    code += 4 * Q * np.arange(B)[:, None]
+    counts = np.bincount(code.ravel(), minlength=4 * B * Q).reshape(B, 4, Q)
+    # the planes p as float, each contiguous, so the in-place butterflies read and write
+    # disjoint memory
+    w = np.ascontiguousarray(counts.transpose(1, 0, 2), dtype=np.float64)
+    for a, b in ((0, 2), (1, 3), (0, 1), (2, 3)):
+        w[a] += w[b]
+        w[b] *= -2.0
+        w[b] += w[a]
+    Y = np.empty((B, NN + 1))
+    Y[:, NN] = 0.0
+    for k in range(4):
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo:
+            np.matmul(w[k], outer[lo:hi].T, out=Y[:, lo:hi])
+    return np.take(Y, src, axis=1).view(np.complex128).reshape(B, N, N)
 
 
 def _not_positive_definite(S: np.ndarray) -> np.ndarray:
@@ -504,6 +615,8 @@ def _draw_trials(trials: int, r: int, P: int, master_seed: int) -> np.ndarray:
     return idx
 
 
+# bytes of the blocks of rows that _RegionTable writes from their mirror images
+MC_BLOCK = 1 << 20
 # bytes the counts route's packed table holds at most, 8 N^2 bytes per pair
 MC_BUDGET = 32_000_000
 # bytes the chunks of trials in flight hold at most over all workers: larger chunks
@@ -542,21 +655,22 @@ def _failure_frequency(idx: np.ndarray, fails, trial_bytes: int, threads: int = 
     return failures / trials
 
 
-def _gram_route(trials: int, r: int, P: int, N: int) -> str:
+def _gram_route(trials: int, r: int, Q: int, N: int, new: int) -> str:
     """"counts" or "gather": the cheaper way to form a Monte Carlo cell's Grams.
 
-    A pure function of the cell's shape: trials of r draws, P the pairs of
+    A pure function of the cell's shape: trials of r draws, Q the orbits of
     the call's table after the cell (those its own trials drew and those that
-    earlier cells drew: the width of the counts GEMMs), with N = dim V_N.
-    Counts is taken while P N^2 (120 + trials) < trials r (340 N - 110),
+    earlier cells drew: the width of the counts GEMMs), new <= Q of them not
+    yet in the call's packed table (the columns the cell would pack), with
+    N = dim V_N.  Counts is taken while N (64 new + trials Q) < 98 trials r,
     where a cost model of both routes over whole cells puts it ahead (the
-    README gives the model and its measurements; the Cholesky step is the
-    same on both), and only while its packed table of P pairs, 8 P N^2
-    bytes, fits MC_BUDGET.
+    README gives the model and its measurements; the draws, the table and the
+    Cholesky step are the same on both), and only while its packed table of
+    Q orbits, 8 Q N^2 bytes, fits MC_BUDGET.
     """
-    if 8 * P * N * N > MC_BUDGET:
+    if 8 * Q * N * N > MC_BUDGET:
         return "gather"
-    return "counts" if P * N * N * (120 + trials) < trials * r * (340 * N - 110) else "gather"
+    return "counts" if N * (64 * new + trials * Q) < 98 * trials * r else "gather"
 
 
 def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: int,
@@ -566,18 +680,18 @@ def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: i
     region, N = eigs.region, eigs.N
     idx = _draw_trials(trials, r, region.point_count, seed)
     drawn, gemm_rows = table.add(idx)
-    # the counts route's GEMM runs over every pair of the table, not just this cell's
-    P = table.pairs
-    route = _gram_route(trials, r, P, N)
+    # the counts route's GEMMs run over every orbit of the table, not just this cell's
+    route = _gram_route(trials, r, table.orbits, N, table.orbits - table.packed)
     if route == "counts":
-        outer = table.outer()
+        outer, layout = table.outer()
+        table.counted(idx)
 
         def grams(blk):
-            return _counted_grams(outer, table.code[blk])
+            return _counted_grams(outer, blk, layout)
 
-        # per trial: its codes, the counts of both halves of each pair, their sums and
-        # differences as float, the packed and the full Gram and its Cholesky factor
-        trial_bytes = 8 * r + 32 * P + 40 * N * N
+        # per trial: the counts of its orbits' four members as int and as float, the
+        # GEMM row, the Gram and its Cholesky factor
+        trial_bytes = 64 * table.orbits + 40 * N * N
     else:
         def grams(blk):
             return _gathered_grams(table.values[blk])

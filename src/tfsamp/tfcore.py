@@ -180,12 +180,15 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     row takes its frequencies' rows of it times the signals over the arc, a
     contiguous slice of a wrap-extended (L + w, K) copy: one real GEMM per
     row.  A real batch enters as itself, a complex one as its real and
-    imaginary planes side by side.  It agrees with stft to roundoff, about
-    1e-16 of each column's norm.
+    imaginary planes side by side.  The GEMMs of consecutive rows write into
+    one buffer of about STFT_BUFFER bytes (at least one row), and each full
+    buffer is combined into out at once: its real and imaginary planes, then
+    the factors omega^(n m).  It agrees with stft to roundoff, about 1e-16 of
+    each column's norm.
 
-    Memory: the 16 L w byte phase table and the 8 (L + w) K (real) or
-    16 (L + w) K (complex) byte extended copy, built only when the mask has
-    a cell.
+    Memory: the 16 L w byte phase table, the 8 (L + w) K (real) or
+    16 (L + w) K (complex) byte extended copy and the buffer, built only when
+    the mask has a cell.
     """
     K, L = fvals.shape
     counts = np.count_nonzero(mask, axis=1)
@@ -200,23 +203,42 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     taps[phi.support] = np.conj(phi.values[phi.support])
     ph = omega[np.outer(np.arange(L), s) % L] * taps[s]
     phase = np.stack([ph.real, ph.imag], axis=1)  # (L, 2, w)
+    del ph  # the buffer below takes its place
     planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])
     p = len(planes)
     ext = np.concatenate(planes, axis=1)
     ext = np.concatenate([ext, ext[:w]])  # row t holds f(t mod L)
+    cap = max(int(counts.max()), STFT_BUFFER // (16 * p * K))
+    buf, nm = np.empty((cap, 2, p, K)), np.empty(cap, dtype=np.int64)
+    lo = 0  # the out row of the buffer's first cell
     for m in rows:
+        if starts[m] + counts[m] - lo > cap:  # full: combine it first
+            _combine(buf, nm, out[lo : starts[m]], omega)
+            lo = starts[m]
         n = np.flatnonzero(mask[m])
         a = (m + s0) % L
-        Y = (phase[n].reshape(-1, w) @ ext[a : a + w]).reshape(-1, 2, p, K)
-        row = out[starts[m] : starts[m] + counts[m]]
-        row.real = Y[:, 0, 0]
-        row.imag = Y[:, 1, 0]
-        if p == 2:  # (Re P + i Im P)(Re F + i Im F)
-            row.real -= Y[:, 1, 1]
-            row.imag += Y[:, 0, 1]
-        row *= omega[(n * m) % L, None]
+        k = slice(starts[m] - lo, starts[m] - lo + n.size)
+        np.matmul(phase[n].reshape(-1, w), ext[a : a + w], out=buf[k].reshape(-1, p * K))
+        nm[k] = (n * m) % L
+    _combine(buf, nm, out[lo : starts[m] + counts[m]], omega)
     return out
 
+
+def _combine(buf: np.ndarray, nm: np.ndarray, out: np.ndarray, omega: np.ndarray) -> None:
+    """out = the complex STFT samples of the GEMM planes at the front of _stft_rows's
+    buffer, (cells, 2, p, K): the planes, then the factors omega^(n m), nm = n m mod L."""
+    Y = buf[: out.shape[0]]
+    out.real = Y[:, 0, 0]
+    out.imag = Y[:, 1, 0]
+    if Y.shape[2] == 2:  # (Re P + i Im P)(Re F + i Im F)
+        out.real -= Y[:, 1, 1]
+        out.imag += Y[:, 0, 1]
+    out *= omega[nm[: out.shape[0]], None]
+
+
+# bytes of _stft_rows's GEMM buffer: at L = 960 as fast as 1 MB, and it keeps the
+# workspace of a whole-region table under a fifth of the table at L = 128
+STFT_BUFFER = 1 << 17
 
 # rows of the STFT grid computed at once; as fast as 64 or 128 at L = 960 and 1920
 STFT_ROWS = 32

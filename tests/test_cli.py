@@ -290,8 +290,10 @@ r_grid = 250, 4000
 def test_montecarlo_rows_name_their_gram_route(tmp_path):
     # each cell reports the Gram route it took, the distinct points its trials drew
     # and the time rows where the GEMM ran for the points it added to the call's table:
-    # those of the pairs (m, n), (m, -n mod 32) none of whose points was tabulated
-    # before, one GEMM each; the route reads the table's width in pairs after the cell
+    # those of the least drawn point of each orbit (m, n), (m, -n), (-m, n), (-m, -n)
+    # (mod 32) none of whose points was tabulated before, one GEMM each; the route
+    # reads the table's width in orbits after the cell and those not yet packed, which
+    # a counts cell packs
     from tfsamp import TFPoint, disk_region
     from tfsamp.sampling import _draw_trials, _gram_route
 
@@ -316,17 +318,21 @@ r_grid = 5, 400
     assert make_gaussian_window(32).support.size == 32
     time_rows, n = np.argwhere(disk_region(32, TFPoint(16, 16), 8).mask).T
     assert time_rows.size == P
-    pair = 32 * time_rows + np.minimum(n, -n % 32)  # one id per pair
-    tabulated = np.zeros(32 * 32, dtype=bool)  # the pairs with a tabulated point
+    orbit = 32 * np.minimum(time_rows, -time_rows % 32) + np.minimum(n, -n % 32)
+    tabulated = np.zeros(32 * 32, dtype=bool)  # the orbits with a tabulated point
+    packed = 0
     for row in rows:
         idx = _draw_trials(row["trials"], row["r"], P, row["cell_seed"])
-        drawn = np.zeros(32 * 32, dtype=bool)
-        drawn[pair[idx]] = True
-        new = drawn & ~tabulated
-        tabulated |= drawn
-        assert row["drawn_points"] == np.unique(idx).size
-        assert row["gram"] == _gram_route(row["trials"], row["r"], np.count_nonzero(tabulated), N)
-        assert row["table_gemm_rows"] == np.unique(np.flatnonzero(new) // 32).size
+        drawn = np.unique(idx)
+        new = drawn[~tabulated[orbit[drawn]]]
+        # the least drawn point of each new orbit: drawn ascends in row-major order
+        _, first = np.unique(orbit[new], return_index=True)
+        tabulated[orbit[drawn]] = True
+        assert row["drawn_points"] == drawn.size
+        Q = np.count_nonzero(tabulated)
+        assert row["gram"] == _gram_route(row["trials"], row["r"], Q, N, Q - packed)
+        packed = Q if row["gram"] == "counts" else packed
+        assert row["table_gemm_rows"] == np.unique(time_rows[new[first]]).size
     assert rows[0]["table_gemm_rows"] > 0
     assert [row["gram"] for row in rows] == ["gather", "counts"]
     with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
@@ -339,7 +345,9 @@ def _shared_table_config(tmp_path, name, experiment=""):
     # a montecarlo config with a gather and a counts cell at L = 64 or 65: a real V_N
     # basis, the basis of a complex H (a disk plus 5 % random cells), a modulated basis;
     # experiment holds further lines of its [experiment] section.  Each smaller r keeps
-    # its cells on the gather route, alone and after the r = 150 cells
+    # its cells on the gather route, alone and after the larger r's cells have packed
+    # the table's orbits; the complex H's orbits are its points, so its counts cells
+    # need r = 300
     if name == "complex H":
         from tfsamp import TFPoint, disk_region
 
@@ -350,7 +358,8 @@ def _shared_table_config(tmp_path, name, experiment=""):
     else:
         region = "radius_px = 14" if name == "real" else "radius_px = 12"
     L = 65 if name == "modulated" else 64
-    r = {"real": 30, "complex H": 60, "modulated": 10}[name]
+    r = {"real": 10, "complex H": 60, "modulated": 5}[name]
+    big = 300 if name == "complex H" else 150
     return _ini(tmp_path, f"""
 [experiment]
 L = {L}
@@ -362,7 +371,7 @@ trials = 40
 
 [montecarlo]
 nu_grid = 0.3, 0.6
-r_grid = {r}, 150
+r_grid = {r}, {big}
 """)
 
 

@@ -40,6 +40,7 @@ from tfsamp.sampling import (
     _gram_route,
     _not_positive_definite,
     _outer_table,
+    _packed_layout,
     _RegionTable,
     derive_seed,
 )
@@ -388,6 +389,23 @@ def _disk_plus_noisy_block(L):
     return mask_region(mask)
 
 
+def _references(eigs, cells):
+    """The reference cells of the True cells of an L x L mask: in each mirror orbit
+    {(m, n), (m, c - n), (a - m, n), (a - m, c - n)} (mod L) the least of its cells in
+    row-major order, the mirrors c and a those of eigs (an orbit shrinks where one is
+    missing)."""
+    L = cells.shape[0]
+    m, n = np.nonzero(cells)  # row-major
+    c, a = eigs.mirror, eigs.time_mirror
+    ms = [m] if a is None else [m, (a - m) % L]
+    ns = [n] if c is None else [n, (c - n) % L]
+    orbit = np.min([mm * L + nn for mm in ms for nn in ns], axis=0)
+    _, first = np.unique(orbit, return_index=True)
+    refs = np.zeros_like(cells)
+    refs[m[first], n[first]] = True
+    return refs
+
+
 def _table_at(eigs, mask):
     """(values, table_gemm_rows) of a _RegionTable that adds the True cells of mask, a
     subset of the region's, its rows read in row-major order of those cells."""
@@ -399,15 +417,22 @@ def _table_at(eigs, mask):
 
 
 def test_region_table_matches_stft():
-    # the Gaussian's support misses offsets, so every time row with a cell takes the
-    # GEMM route; the table, in the frame of the columns without their phases, agrees
-    # with stft to 1e-14 of each column's norm
+    # the Gaussian's support misses offsets, so every time row with a reference cell
+    # takes the GEMM route; the table, in the frame of the columns without their phases,
+    # agrees with stft to 1e-14 of each column's norm.  The disk centred at (3, 125) is
+    # mirrored in time and frequency, so only the rows m <= (6 - m) mod 128 compute
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
         table, gemm_rows = _table_at(eigs, region.mask)
         rows = region.mask.any(axis=1)
         assert window.support.size < region.L and not rows.all()
-        assert gemm_rows == np.count_nonzero(rows)
+        assert gemm_rows == np.count_nonzero(_references(eigs, region.mask).any(axis=1))
+        if eigs.time_mirror is not None:
+            m = np.arange(region.L)
+            assert eigs.time_mirror == 6
+            assert gemm_rows == np.count_nonzero(rows & (m <= (6 - m) % region.L))
+        else:
+            assert gemm_rows == np.count_nonzero(rows)
         assert eigs.N >= 2
         assert table.shape == (region.point_count, eigs.N)
         for k in range(eigs.N):
@@ -450,8 +475,8 @@ TABLE_CASES = {
 @pytest.mark.parametrize("name", list(TABLE_CASES))
 def test_region_table_matches_stft_for_every_kind_of_basis(name):
     # a quarter of the region, as a Monte Carlo draw keeps it, and the region's longest
-    # time row alone: every row with a cell takes the GEMM, and the table agrees with
-    # the columns without their phases to 1e-15 of each column's norm
+    # time row alone: every row with a reference cell takes the GEMM, and the table
+    # agrees with the columns without their phases to 1e-15 of each column's norm
     region, window = TABLE_CASES[name]()
     H = build_localization_operator(region, window)
     eigs = eigendecompose(H, 0.5)
@@ -471,7 +496,7 @@ def test_region_table_matches_stft_for_every_kind_of_basis(name):
     lone[longest] = region.mask[longest]
     for mask in (thin, lone):
         table, gemm_rows = _table_at(eigs, mask)
-        assert gemm_rows == np.count_nonzero(mask.any(axis=1))
+        assert gemm_rows == np.count_nonzero(_references(eigs, mask).any(axis=1))
         for k in range(eigs.N):
             col = stft(Signal(chi[:, k]), window)[mask]
             assert np.max(np.abs(table[:, k] - col)) <= 1e-15 * np.linalg.norm(col)
@@ -484,68 +509,101 @@ def _mask_mirrored_about(L, c, seed):
     return mask | mask[:, (c - np.arange(L)) % L]
 
 
-# name -> (region, the row mirror c of its operator)
+# name -> (region, the row mirror c and the time mirror a of its operator)
 PAIR_CASES = {
-    "centred disk": lambda: (disk_region(120, TFPoint(60, 60), 30), 0),
-    "odd L disk": lambda: (disk_region(121, TFPoint(60, 60), 30), 120),
-    "off-centre disk": lambda: (disk_region(120, TFPoint(50, 37), 25), 74),
-    "mask mirrored about 30.5": lambda: (mask_region(_mask_mirrored_about(120, 61, 3)), 61),
+    "centred disk": lambda: (disk_region(120, TFPoint(60, 60), 30), 0, 0),
+    "odd L disk": lambda: (disk_region(121, TFPoint(60, 60), 30), 120, 120),
+    "off-centre disk": lambda: (disk_region(120, TFPoint(50, 37), 25), 74, 100),
+    "L=128 disk at (37, 74)": lambda: (disk_region(128, TFPoint(37, 74), 30), 20, 74),
+    "mask mirrored about 30.5": lambda: (mask_region(_mask_mirrored_about(120, 61, 3)), 61, None),
+    "complex H": lambda: (TABLE_CASES["asymmetric mask"]()[0], None, None),
 }
 
 
 @pytest.mark.parametrize("name", list(PAIR_CASES))
 def test_region_table_pairs_mirror_points(name):
     # chi_k, psi_k without its phase, has V chi_k(m, (c - n) mod L) = conj V chi_k(m, n)
-    # to 1e-14 of each column's norm; the table computes one point of each new pair by
-    # GEMM, which agrees with stft to 1e-15 of that norm, and conjugates it into the
-    # other, so every row agrees to 1e-14
-    region, c = PAIR_CASES[name]()
+    # and V chi_k((a - m) mod L, n) = theta(n) e_k conj V chi_k(m, n) to 1e-14 of each
+    # column's norm, e_k the parity of chi_k's block and theta(n) =
+    # e^{i pi (a (c - 2n) mod 2L)/L}.  The table computes the least drawn point of each
+    # new orbit by GEMM and writes every other drawn member from it, bit for bit:
+    # conj(v), theta (E conj(v)) or theta' (E v), theta' = theta at (c - n) mod L.  The
+    # GEMM rows agree with stft to 1e-15 of that norm, and every row to 1e-14
+    region, c, a = PAIR_CASES[name]()
     eigs, window = _eigs_and_window(region)
-    assert eigs.mirror == c and eigs.N >= 4
-    L, chi = region.L, eigs.basis(phased=False)
-    mirrored = (c - np.arange(L)) % L
-    V = np.stack([stft(Signal(chi[:, k]), window) for k in range(eigs.N)], axis=-1)
+    assert (eigs.mirror, eigs.time_mirror) == (c, a) and eigs.N >= 4
+    L, N, chi, e = region.L, eigs.N, eigs.basis(phased=False), eigs.parity[: eigs.N]
+    assert np.all(np.abs(e) == 1) and (a is None) == np.all(e == 1)
+    V = np.stack([stft(Signal(chi[:, k]), window) for k in range(N)], axis=-1)
     norms = np.linalg.norm(V[region.mask], axis=0)
-    assert np.all(np.abs(V[:, mirrored] - np.conj(V))[region.mask] <= 1e-14 * norms)
+    t = np.arange(L)
+    if c is not None:
+        assert np.all(np.abs(V[:, (c - t) % L] - np.conj(V))[region.mask] <= 1e-14 * norms)
+    if a is not None:
+        theta = np.exp(1j * np.pi * ((a * (c - 2 * t)) % (2 * L)) / L)
+        theta2 = np.exp(1j * np.pi * ((a * (2 * t - c)) % (2 * L)) / L)
+        assert np.all(np.abs(V[(a - t) % L] - theta[:, None] * (np.conj(V) * e))[region.mask]
+                      <= 1e-14 * norms)
 
     idx = _draw_trials(6, 200, region.point_count, 9)
     drawn = np.unique(idx)
     table = _RegionTable(eigs, idx.size)
     assert table.add(idx)[0] == table.P == drawn.size
     points = region.points()[drawn]
-    want = V[points[:, 0], points[:, 1]]
     rows = table.row_of[drawn]
-    computed = table.code[rows] % 2 == 0
-    assert 0 < table.pairs == computed.sum() < drawn.size
-    err = np.abs(table.values[rows] - want)
+    orbit, member = np.divmod(table.code[rows], 4)
+    computed = member == 0
+    assert table.orbits == computed.sum() == orbit.max() + 1
+    assert (table.orbits < drawn.size) == (c is not None)
+    cells = np.zeros_like(region.mask)
+    cells[tuple(points.T)] = True
+    assert np.array_equal(computed, _references(eigs, cells)[tuple(points.T)])
+    err = np.abs(table.values[rows] - V[points[:, 0], points[:, 1]])
     assert np.all(err[computed] <= 1e-15 * norms)
     assert np.all(err <= 1e-14 * norms)
-    # a partner row is the conjugate of its pair's computed row, in the same time row
-    partner = table.partner(drawn)
-    assert np.array_equal(region.points()[partner][:, 0], points[:, 0])
-    assert np.array_equal(region.points()[partner][:, 1], mirrored[points[:, 1]])
-    assert np.array_equal(table.partner(partner), drawn)
-    firsts = np.flatnonzero(table.code[: table.P] % 2 == 0)
-    mates = firsts[table.code[rows[~computed]] // 2]
-    assert np.array_equal(table.values[rows[~computed]], np.conj(table.values[mates]))
-    # the packed counts Grams, one column per pair, are the gathered ones
+    # each member is its orbit's reference point mirrored, and its row that point's
+    # row transformed
+    ref = region.points()[table.ref[orbit]]
+    assert np.array_equal(region.points()[table.ref[orbit[computed]]], points[computed])
+    mirrored_m = ref[:, 0] if a is None else (a - ref[:, 0]) % L
+    mirrored_n = ref[:, 1] if c is None else (c - ref[:, 1]) % L
+    for i, (m, n) in enumerate([(ref[:, 0], ref[:, 1]), (ref[:, 0], mirrored_n),
+                                (mirrored_m, ref[:, 1]), (mirrored_m, mirrored_n)]):
+        sel = member == i
+        assert sel.any() == (i == 0 or (i == 1 and c is not None) or a is not None)
+        if not sel.any():
+            continue
+        assert np.array_equal(points[sel], np.stack([m[sel], n[sel]], axis=1))
+        v, got = table.values[table.row_of[table.ref[orbit[sel]]]], table.values[rows[sel]]
+        if i == 0:
+            want = v
+        elif i == 1:
+            want = np.conj(v)
+        elif i == 2:
+            want = theta[ref[sel, 1], None] * (np.conj(v) * e)
+        else:
+            want = theta2[ref[sel, 1], None] * (v * e)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the packed counts Grams, one column per orbit, are the gathered ones
     gathered = _gathered_grams(table.values[idx]) / 200
-    counted = _counted_grams(table.outer(), table.code[idx]) / 200
-    lower = np.tril(np.ones((eigs.N, eigs.N), dtype=bool))
+    outer, layout = table.outer()
+    assert outer.shape == (N * N, table.orbits)
+    counted = _counted_grams(outer, table.counted(idx.copy()), layout) / 200
+    lower = np.tril(np.ones((N, N), dtype=bool))
     assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
 
 
 def test_region_table_without_a_mirror_computes_every_point():
-    # a complex H has no row mirror: every point is its own pair, and the GEMM runs for
+    # a complex H has no mirror: every point is its own orbit, and the GEMM runs for
     # every drawn point
     region, window = TABLE_CASES["asymmetric mask"]()
     eigs = eigendecompose(build_localization_operator(region, window), 0.5)
-    assert eigs.mirror is None and eigs.modulation is None
+    assert eigs.mirror is None and eigs.time_mirror is None and eigs.modulation is None
     idx = _draw_trials(6, 200, region.point_count, 9)
     table = _RegionTable(eigs, idx.size)
     drawn, gemm_rows = table.add(idx)
-    assert table.pairs == table.P == drawn
-    assert np.array_equal(table.code[: table.P], 2 * np.arange(table.P))
+    assert table.orbits == table.P == drawn
+    assert np.array_equal(table.code[: table.P], 4 * np.arange(table.P))
     points = region.points()[np.flatnonzero(table.row_of >= 0)]
     assert gemm_rows == np.unique(points[:, 0]).size
 
@@ -579,7 +637,7 @@ def test_region_table_peak_memory():
 def test_window_support_is_found_once_per_window(monkeypatch):
     # a window finds its support when it is made; Monte Carlo cells and tables only
     # read it, and a table is bit for bit that of a twin window made afterwards (the
-    # twin's columns are the ones without phases, and it keeps the mirror)
+    # twin's columns are the ones without phases, and it keeps the mirrors and parities)
     import tfsamp.tfcore as tfcore
 
     region = disk_region(120, TFPoint(60, 60), 30)
@@ -592,7 +650,7 @@ def test_window_support_is_found_once_per_window(monkeypatch):
     assert calls == []
     twin = dense_eigensystem(eigs.eigenvalues, eigs.columns(slice(None), phased=False),
                              eigs.N, eigs.gamma, region, make_gaussian_window(120))
-    twin.mirror = eigs.mirror
+    twin.mirror, twin.time_mirror, twin.parity = eigs.mirror, eigs.time_mirror, eigs.parity
     assert len(calls) == 1
     assert np.array_equal(twin.window.support, window.support)
     fresh, _ = _table_at(twin, region.mask)
@@ -610,13 +668,16 @@ def test_drawn_table_rows_match_full_table():
     table = _RegionTable(eigs, idx.size)
     assert table.add(idx)[0] == table.P == distinct.size < region.point_count
     # the point -> row map: one row per drawn cell, -1 elsewhere; the computed rows come
-    # first, then the partners' conjugates, each in row-major order of their cells
+    # first, then the other members by member (1, 2, 3), each in row-major order of
+    # their cells
     assert np.array_equal(np.flatnonzero(table.row_of >= 0), distinct)
     rows = table.row_of[distinct]
     assert np.array_equal(np.sort(rows), np.arange(distinct.size))
-    computed = table.code[rows] % 2 == 0
-    assert np.array_equal(rows[computed], np.arange(computed.sum()))
-    assert np.all(np.diff(rows[~computed]) > 0)
+    member = table.code[rows] % 4
+    assert np.array_equal(rows[member == 0], np.arange(table.orbits))
+    assert np.array_equal(rows[member > 0], np.arange(table.orbits, distinct.size)[
+        np.argsort(np.argsort(member[member > 0], kind="stable"))])
+    assert {0, 1, 2, 3} <= set(member)
     assert np.array_equal(idx, table.row_of[drawn])
     full, _ = _table_at(eigs, region.mask)
     # both take the GEMM route, over different frequencies of each row
@@ -648,8 +709,9 @@ def test_shared_table_matches_stft(name):
 
 def test_each_point_is_tabulated_once_per_call(tmp_path, monkeypatch):
     # every cell of one montecarlo call hands _stft_rows only points no earlier cell
-    # drew, one of each new pair (m, n), (m, -n mod L) of the disk centred at n = L/2;
-    # together with their partners they cover every drawn point
+    # drew, one of each new orbit (m, n), (m, -n), (-m, n), (-m, -n) (mod L) of the disk
+    # centred at (L/2, L/2): the least of its drawn points.  Together with their orbits
+    # they cover every drawn point
     import tfsamp.sampling as sampling
     from tfsamp.cli import main
 
@@ -669,21 +731,38 @@ def test_each_point_is_tabulated_once_per_call(tmp_path, monkeypatch):
     with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
         rep = json.load(fh)
     P = rep["sections"]["eigen"]["point_count"]
+    region = disk_region(120, TFPoint(60, 60), 30)
+    eigs, _ = _eigs_and_window(region)
+    assert (eigs.mirror, eigs.time_mirror) == (0, 0)
+
+    def orbits(cells):
+        # each cell with its three mirror images
+        flipped = np.roll(np.flip(cells, axis=1), 1, axis=1)  # (m, n) -> (m, -n mod L)
+        both = cells | flipped
+        return both | np.roll(np.flip(both, axis=0), 1, axis=0)  # (m, n) -> (-m mod L, n)
+
     drawn = np.zeros(P, dtype=bool)
-    for row in rep["sections"]["montecarlo"]["rows"]:
-        drawn[_draw_trials(row["trials"], row["r"], P, row["cell_seed"])] = True
+    seen = np.zeros_like(region.mask)  # the orbits tabulated by earlier cells
     assert len(masks) == 6
+    for row, mask in zip(rep["sections"]["montecarlo"]["rows"], masks):
+        cell = np.zeros(P, dtype=bool)
+        cell[_draw_trials(row["trials"], row["r"], P, row["cell_seed"])] = True
+        drawn |= cell
+        cells = np.zeros_like(region.mask)
+        cells[region.mask] = cell
+        assert np.array_equal(mask, _references(eigs, cells & ~seen))
+        seen |= orbits(cells)
     tabulated = np.sum(masks, axis=0)
     assert tabulated.max() == 1
-    region = disk_region(120, TFPoint(60, 60), 30)
     cells = np.zeros_like(region.mask)
     cells[tuple(region.points()[drawn].T)] = True
-    partners = np.roll(np.flip(tabulated, axis=1), 1, axis=1)  # (m, n) -> (m, -n mod L)
-    assert np.array_equal((tabulated | partners) & region.mask, cells | partners)
+    assert np.array_equal(orbits(tabulated) & region.mask, orbits(cells) & region.mask)
     assert not (tabulated & ~cells).any()
-    both = tabulated & partners
-    assert both.any() and not both[:, 1:60].any() and not both[:, 61:].any()
-    assert drawn.sum() < P and all(m.sum() < drawn.sum() for m in masks)
+    # a reference lies in the later of its rows m and -m mod L only where the earlier
+    # one holds no drawn point of its orbit; the GEMM of row m serves row -m as well
+    m = np.arange(120)
+    assert 0 < tabulated[m > (-m) % 120].sum() < tabulated[m < (-m) % 120].sum() / 2
+    assert drawn.sum() < P and all(mask.sum() < drawn.sum() / 2 for mask in masks)
     # each cell writes its rows straight into the one table
     assert all(out.base is outs[0].base is not None for out in outs)
 
@@ -724,6 +803,30 @@ def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
     assert written > 0.8 * 16 * 12000 * eigs.N
     assert peak <= 16 * 12000 * eigs.N + 0.5 * written
     assert table.values.shape[0] == 12000
+
+
+def test_table_remaps_a_block_in_place(sys120):
+    # a cell's (trials, r) block of point indices becomes rows, and for the counts route
+    # codes, in place: neither step holds a second block (6.4 MB here)
+    eigs = sys120.eigs
+    idx = _draw_trials(200, 4000, sys120.region.point_count, 3)
+    points = idx.copy()
+    table = _RegionTable(eigs, sys120.region.point_count)
+    table.add(_draw_trials(5, 4000, sys120.region.point_count, 4))  # every point, first
+    tracemalloc.start()
+    try:
+        table.add(idx)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        rows = idx.copy()
+        tracemalloc.reset_peak()
+        table.counted(idx)
+        peaks.append(tracemalloc.get_traced_memory()[1] - rows.nbytes)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < idx.nbytes / 8
+    assert np.array_equal(rows, table.row_of[points])
+    orbit, member = np.divmod(table.code[rows], 4)
+    assert np.array_equal(idx, np.array([0, 2, 1, 3])[member] * table.orbits + orbit)
 
 
 def test_monte_carlo_tabulates_only_drawn_points():
@@ -847,8 +950,8 @@ def test_monte_carlo_decisions_do_not_depend_on_the_chunk_size(sys120, monkeypat
 
 @pytest.mark.parametrize("route", ["gather", "counts"])
 def test_monte_carlo_chunks_stay_under_the_cap(sys120, monkeypatch, route):
-    # at r = 4000 a gather trial holds about 1.5 MB and a counts trial about 100 KB, so
-    # the 8 MB cap splits 200 trials on either route; no block that reaches fails holds
+    # at r = 4000 a gather trial holds about 1.5 MB and a counts trial about 70 KB, so
+    # the 8 MB cap splits 300 trials on either route; no block that reaches fails holds
     # more than the cap over the workers, and the thread count moves no decision
     import tfsamp.sampling as sampling
 
@@ -857,7 +960,7 @@ def test_monte_carlo_chunks_stay_under_the_cap(sys120, monkeypatch, route):
     freqs = []
     for threads in (1, 2):
         seen.clear()
-        got = monte_carlo_failure_frequency(200, [(0.2, 4000, 5)], sys120.eigs, threads=threads)
+        got = monte_carlo_failure_frequency(300, [(0.2, 4000, 5)], sys120.eigs, threads=threads)
         freqs.append(got)
         workers = min(threads, os.cpu_count() or 1)
         assert len(seen) > 2
@@ -1041,10 +1144,11 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     idx = _draw_trials(trials, r, s.region.point_count, seed)
     table = _RegionTable(eigs, idx.size)
     P, gemm_rows = table.add(idx)
-    assert table.pairs < P
-    assert _gram_route(trials, r, table.pairs, eigs.N) == route
+    assert table.orbits < P / 2
+    assert _gram_route(trials, r, table.orbits, eigs.N, table.orbits) == route
     gathered = _gathered_grams(table.values[idx]) / r
-    counted = _counted_grams(table.outer(), table.code[idx]) / r
+    outer, layout = table.outer()
+    counted = _counted_grams(outer, table.counted(idx.copy()), layout) / r
     # the packed counts Grams are the lower triangles of the gathered ones
     lower = np.tril(np.ones((eigs.N, eigs.N), dtype=bool))
     assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
@@ -1067,58 +1171,66 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
 
 
 def test_gram_route_reads_only_the_cell_shape():
-    # (trials, r, drawn points, N) of the benchmark cells: large-L960, then mc-L120
-    # at r = 250, 1000, 4000, then acceptance 05 at r = 250; the last shape is
-    # cheaper by counts but over budget
-    shapes = [(20, 500, 9741, 188), (50, 250, 2787, 23), (50, 1000, 2821, 23),
-              (50, 4000, 2821, 23), (2000, 250, 2821, 23), (2000, 40000, 9741, 188)]
+    # (trials, r, orbits, N, orbits not yet packed) of the benchmark cells: large-L960,
+    # then mc-L120's first cell at r = 250, its cells at r = 1000 and 4000 and its later
+    # cells at r = 250, which count on the packed table the r = 1000 cell built, then
+    # acceptance 05 at r = 250; the last shape is cheaper by counts but over budget
+    shapes = [(20, 500, 9044, 188, 9044), (50, 250, 736, 23, 736), (50, 1000, 736, 23, 736),
+              (50, 4000, 736, 23, 0), (50, 250, 736, 23, 0), (2000, 250, 736, 23, 736),
+              (2000, 40000, 9044, 188, 9044)]
     tracemalloc.start()
     try:
         routes = [_gram_route(*shape) for shape in shapes]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert routes == ["gather", "gather", "counts", "counts", "counts", "gather"]
+    assert routes == ["gather", "gather", "counts", "counts", "counts", "counts", "gather"]
     assert peak < 4096
-    # the budget is on the 8 N^2 bytes per drawn point of the packed table
-    P = MC_BUDGET // (8 * 23 * 23)
-    assert _gram_route(50, 4000, P, 23) == "counts"
-    assert _gram_route(50, 4000, P + 1, 23) == "gather"
-    assert _outer_table(np.ones((7, 23), dtype=complex), np.empty((23 * 23, 7))).nbytes == \
-        7 * 8 * 23 * 23
+    # the budget is on the 8 N^2 bytes per orbit of the packed table
+    Q = MC_BUDGET // (8 * 23 * 23)
+    assert _gram_route(2000, 4000, Q, 23, Q) == "counts"
+    assert _gram_route(2000, 4000, Q + 1, 23, 0) == "gather"
+    assert _outer_table(np.ones((7, 23), dtype=complex), np.empty((23 * 23, 7)),
+                        _packed_layout(np.ones(23))).nbytes == 7 * 8 * 23 * 23
 
 
 def test_union_over_the_budget_gathers(sys32, monkeypatch):
-    # the packed table spans every pair the call has tabulated; a cell that counts
-    # on its own pairs gathers once the union's pairs no longer fit the budget
+    # the packed table spans every orbit the call has tabulated; a cell that counts
+    # on its own orbits gathers once the union's orbits no longer fit the budget.  The
+    # cost rule counts only once draws revisit every orbit, so r is passed to it a
+    # billion-fold: the budget alone decides
     import tfsamp.sampling as sampling
 
+    real = sampling._gram_route
+    monkeypatch.setattr(sampling, "_gram_route",
+                        lambda trials, r, *shape: real(trials, 10**9 * r, *shape))
     eigs, P = sys32.eigs, sys32.region.point_count
-    # (nu, r, seed) of 10 trials each; at r = 60 the second cell alone would draw all
-    # 107 pairs of the disk's 197 points
-    cells = [(0.5, 30, 1), (0.5, 30, 2)]
+    # (nu, r, seed) of 10 trials each; 50 draws leave some orbits of the disk's 197
+    # points undrawn
+    cells = [(0.5, 5, 1), (0.5, 5, 2)]
     union = np.zeros(P, dtype=bool)
     for _, r, seed in cells:
         union[_draw_trials(10, r, P, seed)] = True
     tables = _recorded_tables(monkeypatch)
     alone, = monte_carlo_failure_frequency(10, cells[1:], eigs)
+    assert alone["gram"] == "counts"
     # a budget that holds the second cell's packed table but not the union's
-    pairs = tables[0].pairs
-    budget = 8 * eigs.N**2 * pairs
-    assert pairs < alone["drawn_points"] < union.sum()
+    orbits = tables[0].orbits
+    budget = 8 * eigs.N**2 * orbits
+    assert orbits < alone["drawn_points"] < union.sum()
     monkeypatch.setattr(sampling, "MC_BUDGET", budget)
     again, = monte_carlo_failure_frequency(10, cells[1:], eigs)
     assert again["empirical_freq"] == alone["empirical_freq"]
     assert again["gram"] == "counts"
     _, shared = monte_carlo_failure_frequency(10, cells, eigs)
-    assert tables[2].P == union.sum() and tables[2].pairs > pairs
+    assert tables[2].P == union.sum() and tables[2].orbits > orbits
     assert shared["gram"] == "gather" and shared["drawn_points"] == alone["drawn_points"]
     assert shared["empirical_freq"] == alone["empirical_freq"]
     # a packed table is allocated within the budget, whatever the call's draws
     monkeypatch.setattr(sampling, "_gram_route", lambda *shape: "counts")
     monte_carlo_failure_frequency(10, cells[1:], eigs)
     table = tables[-1]
-    assert table.outer().nbytes <= table._outer.nbytes <= budget
+    assert table.outer()[0].nbytes <= table._outer.nbytes <= budget
 
 
 @pytest.mark.parametrize("route", ["gather", "counts"])
