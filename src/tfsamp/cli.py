@@ -185,7 +185,9 @@ def _refuse_beyond_memory(cfg: ExperimentConfig, verb: str | None = None, *,
     if verb == "montecarlo" and eigs is not None:
         at.update(N=eigs.N, rows=_table_rows(eigs.region, cfg.trials,
                                              list(cfg.r_grid) * len(cfg.nu_grid)))
-        terms["the Monte Carlo region table"] = 16 * eigs.N * at["rows"]
+        terms["the Monte Carlo region table"] = 8 * eigs.N * at["rows"]  # complex64
+        # the complex128 rows of the distinct points of a trial re-decided in float64
+        terms["the Monte Carlo fallback rows"] = 16 * eigs.N * min(at["r"], eigs.region.point_count)
     if verb == "witness" and eigs is not None:  # atoms, their SVD copy, U, B, G twice, eigh's
         at["K"] = K = eigs.numerical_rank
         terms["the witness arrays"] = 16 * (3 * r * L + L * K + 4 * K * K)
@@ -454,7 +456,8 @@ def run_montecarlo(
             [{**row, "theory_bound": row["subspace_bound"], "master_seed": cfg.master_seed}
              for row in rows],
             ["nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
-             "covering_tail", "success_probability", "required_samples", "cell_seed"],
+             "covering_tail", "success_probability", "required_samples", "cell_seed",
+             "uncertified", "float64_band"],
         )
         report.artifacts.append("mc_rows.csv")
     return report

@@ -156,18 +156,17 @@ def default_cell_px(L: int) -> int:
     return max(1, round(math.sqrt(L)))
 
 
-def _cell_ids(points: np.ndarray, L: int, cell_px: int):
-    """(C, ids): C = ceil(L / cell_px) aligned cells per side, and the row-major id
-    of the cell_px x cell_px covering cell that holds each (m, n) row of points."""
+def _cells_per_side(L: int, cell_px: int) -> int:
+    """C = ceil(L / cell_px), the aligned cell_px x cell_px covering cells per side."""
     if cell_px < 1:
         raise ParameterError("cell_px must be >= 1")
-    C = -(-L // cell_px)
-    return C, (points[:, 0] // cell_px) * C + points[:, 1] // cell_px
+    return -(-L // cell_px)
 
 
 def covering_index(samples: SampleSet, cell_px: int) -> CoveringReport:
     """Partition the grid into aligned cell_px x cell_px cells; N0 = max occupancy."""
-    C, ids = _cell_ids(samples.points, samples.region.L, cell_px)
+    C = _cells_per_side(samples.region.L, cell_px)
+    ids = (samples.points[:, 0] // cell_px) * C + samples.points[:, 1] // cell_px
     counts = np.bincount(ids, minlength=C * C).reshape(C, C)
     return CoveringReport(int(cell_px), counts, int(counts.max()))
 
@@ -176,7 +175,11 @@ def covering_excess(region: TFRegion, cell_px: int) -> float:
     """eps1 = (number of covering cells intersecting the region) - |Omega|.
 
     The region is covered by at most |Omega| + eps1 cells; eps1 absorbs the
-    boundary cells that are only partially filled.
+    boundary cells that are only partially filled.  The mask, padded to
+    C cell_px on each side, is reduced by any over each cell.
     """
-    _, ids = _cell_ids(region.points(), region.L, cell_px)
-    return np.count_nonzero(np.bincount(ids)) - region.measure
+    C = _cells_per_side(region.L, cell_px)
+    padded = np.zeros((C * cell_px, C * cell_px), dtype=bool)
+    padded[: region.L, : region.L] = region.mask
+    met = padded.reshape(C, cell_px, C, cell_px).any(axis=(1, 3))
+    return np.count_nonzero(met) - region.measure

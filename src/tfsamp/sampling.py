@@ -49,29 +49,39 @@ drawn frequencies and the arc that holds the window's support
 (tfcore._stft_rows); that point lies in the earlier of rows m and a - m
 that hold a drawn member, so one GEMM serves both.  The orbit's other drawn
 points are written from it.  The table never holds more than
-min(|Omega|, the call's draws) rows, 16 N bytes each.
+min(|Omega|, the call's draws) rows of complex64, 8 N bytes each, every
+entry within EPS_TABLE |v| of its float64 value v.
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
-<= -nu/|Omega| iff (1/r) G - E T + (nu/|Omega|) I is not positive definite,
-so one Cholesky per trial settles it, and a factorization that breaks down
-is a failure.  The Cholesky reads only the lower triangle of G, and one
+<= -nu/|Omega| iff S = (1/r) G - E T + (nu/|Omega|) I is not positive
+definite, i.e. iff its Cholesky breaks down.  The S^ a trial computes lies
+within tau = (2 gamma + 3 EPS_TABLE) tr(G)/r + c' N u64 ||S^|| of the S of
+its float64 rows, with room for a Cholesky's roundoff (Higham 2002, ch. 3
+and 10): 2 gamma tr(G) bounds the Gram's inner products (_gathered_grams),
+3 EPS_TABLE tr(G) the stored rows, and the last term is the float64 band
+(_band).  A trial passes if S^ - tau I is positive definite and fails if
+S^ + tau I is not (_certified).  The rare trial in between is re-decided
+from its rows tabulated afresh in float64 (_redecided), counted as
+"uncertified", and as "float64_band" if float64 roundoff alone could move
+its decision.  The Cholesky reads only the lower triangle of S, and one
 call factors a whole chunk of trials.  empirical_min_eigenvalue, whose
 value certify reports, keeps eigvalsh.
 
 Monte Carlo forms each trial's Gram G = sum_j T_j by one of two routes,
 picked per cell by _gram_route from the cell's shape alone (trials, r, the
 Q orbits of the call's table after the cell and those not yet packed, N);
-both give the same decisions up to roundoff.  The gather route copies each
-trial's r rows v_j out of the table and multiplies them in real arithmetic:
-one symmetric rank-r update of their (r, 2N) float64 view, 4 r N^2 flops
-against 8 r N^2 for the complex product (_gathered_grams).  The counts
-route sums the outer products of the orbits' members, counted from the
-trial's draw: with X = v v^H of an orbit's computed row they are X,
-conj(X), E conj(X) E and E X E (theta cancels), so each entry (i, j) takes
-one of four weights per orbit, by its part and the sign e_i e_j
-(_counted_grams).  The route reads a packed table with one column per
-orbit, the lower triangle of X in N^2 float64 or 8 N^2 bytes, which the
-call's table builds when its first counts cell runs and extends by new
+both give the same decisions.  The gather route copies each trial's r
+complex64 rows v_j out of the table and multiplies them in real
+arithmetic: symmetric rank-b updates of their (r, 2N) float32 view, blocks
+of b = 256 rows summed in float64, 4 r N^2 flops against 8 r N^2 for the
+complex product (_gathered_grams).  The counts route sums the outer
+products of the orbits' members, counted from the trial's draw, in
+float64: with X = v v^H of an orbit's computed row, its stored value
+upcast, they are X, conj(X), E conj(X) E and E X E (theta cancels), so each
+entry (i, j) takes one of four weights per orbit, by its part and the sign
+e_i e_j (_counted_grams).  The route reads a packed table with one column
+per orbit, the lower triangle of X in N^2 float64 or 8 N^2 bytes, which
+the call's table builds when its first counts cell runs and extends by new
 orbits only.  A chunk's Grams are four real GEMMs, the (chunk, Q) weights
 times the packed rows.  MC_BUDGET bounds the packed table and
 MC_CHUNK_BUDGET the trial chunks that all workers hold at once.
@@ -170,7 +180,7 @@ def expected_T(eigs: EigenSystem) -> np.ndarray:
 
 
 def _table_rows(region, trials: int, rs) -> int:
-    """Rows of a Monte Carlo call's region table, rs holding each cell's r; 16 N bytes each."""
+    """Rows of a Monte Carlo call's region table, rs holding each cell's r; 8 N bytes each."""
     return min(region.point_count, trials * sum(rs))
 
 
@@ -179,7 +189,7 @@ class _RegionTable:
 
     One per grid.  row_of maps each of the region's point_count points to its
     row of values, -1 for a point not yet tabulated.  values is one (rows, N)
-    complex allocation, filled from the front: each add() appends the points
+    complex64 allocation, filled from the front: each add() appends the points
     no earlier cell drew, and no row is copied after it is written.  Only
     written pages become resident, so the capacity, _table_rows of the draws
     to come, costs address space, not memory.  Orbits are numbered in the
@@ -198,7 +208,7 @@ class _RegionTable:
         region, L = eigs.region, eigs.region.L
         self.eigs = eigs
         self.row_of = np.full(region.point_count, -1, dtype=np.int64)
-        self.values = np.empty((rows, eigs.N), dtype=np.complex128)
+        self.values = np.empty((rows, eigs.N), dtype=np.complex64)
         self.chi = eigs.basis(phased=False).T  # refuses an empty V_N
         self.code = np.empty(rows, dtype=np.int64)
         self.ref = np.empty(rows, dtype=np.int64)
@@ -243,9 +253,9 @@ class _RegionTable:
     def _mirrored(self, dst: np.ndarray, src: np.ndarray, member: int, n: np.ndarray) -> None:
         """values[dst] = member's values from the reference rows v = values[src], at the
         references' frequencies n: conj(v), theta(n) (E conj(v)) or theta'(n) (E v), E =
-        diag(parity), a block of at most MC_BLOCK bytes at a time."""
+        diag(parity), MC_BLOCK bytes at a time, rounded once to the stored dtype."""
         N = self.eigs.N
-        step = max(1, MC_BLOCK // (16 * N))
+        step = max(1, MC_BLOCK // (self.values.itemsize * N))
         for b in range(0, dst.size, step):
             blk = slice(b, b + step)
             v = self.values[src[blk]]
@@ -286,11 +296,8 @@ class _RegionTable:
         # point, the one with no new member below it
         least = ~(new[orbit] & (orbit < pts)).any(axis=0)
         refs = pts[least & (self.row_of[orbit] < 0).all(axis=0)]
-        cells = np.zeros(region.point_count, dtype=bool)
-        cells[refs] = True
-        mask = np.zeros_like(region.mask)
-        mask[region.mask] = cells
         P, Q, g = self.P, self.orbits, refs.size
+        mask = self.mask_of(refs)
         _stft_rows(self.chi, self.eigs.window, mask, self.values[P : P + g])
         self.row_of[refs] = np.arange(P, P + g)
         self.code[P : P + g] = 4 * np.arange(Q, Q + g)
@@ -313,6 +320,20 @@ class _RegionTable:
             self._mirrored(rows[seg], self.row_of[self.ref[j[seg]]], i, self.freq[j[seg]])
         self.P = start + rest.size
         return int(np.count_nonzero(mask.any(axis=1)))
+
+    def mask_of(self, pts: np.ndarray) -> np.ndarray:
+        """The L x L mask of the region points pts."""
+        cells = np.zeros(self.eigs.region.point_count, dtype=bool)
+        cells[pts] = True
+        mask = np.zeros_like(self.eigs.region.mask)
+        mask[self.eigs.region.mask] = cells
+        return mask
+
+    def points(self, rows: np.ndarray, counted: bool) -> np.ndarray:
+        """The region point index of each row of values, or of each code of counted()."""
+        p, j = np.divmod(rows, self.orbits)
+        j, member = (j, 2 * (p & 1) + (p >> 1)) if counted else np.divmod(self.code[rows], 4)
+        return np.take_along_axis(self.members(self.ref[j]), member[None], axis=0)[0]
 
     def counted(self, rows: np.ndarray) -> np.ndarray:
         """rows remapped in place to the codes p Q + j of _counted_grams: orbit j of the
@@ -366,16 +387,23 @@ def _packed_layout(parity: np.ndarray) -> tuple:
 def _gathered_grams(A: np.ndarray) -> np.ndarray:
     """sum_j T_j = A^T conj(A) for each (r, N) block of A, whose rows are the v_j.
 
-    In real arithmetic, by one product of the (r, 2N) float64 view V of a
-    block, where Re v_k and Im v_k sit side by side: with Z = V^T V,
+    In real arithmetic, by products of the (r, 2N) real view V of a block,
+    where Re v_k and Im v_k sit side by side: with Z = V^T V,
     Re G = Z[re, re] + Z[im, im] and Im G = Z[im, re] - Z[re, im].  NumPy runs
     V^T V as a symmetric rank-k update, 4 r N^2 flops against the complex
-    product's 8 r N^2, and V needs no copy of A.
+    product's 8 r N^2, and V needs no copy of A.  A complex128 A takes one
+    float64 product, a complex64 A one float32 product per GRAM_BLOCK rows,
+    summed in float64: each entry of G is then off by at most sqrt(2) gamma
+    sum_j |v_jk| |v_jl| plus float64 roundoff, gamma = b u32 / (1 - b u32),
+    b = min(GRAM_BLOCK, r), a matrix of 2-norm <= tr(G) (Higham 2002, ch. 3).
     """
     A = np.ascontiguousarray(A)
-    N = A.shape[-1]
-    V = A.view(np.float64)
-    Z = (np.swapaxes(V, -1, -2) @ V).reshape(A.shape[:-2] + (N, 2, N, 2))
+    N, r = A.shape[-1], A.shape[-2]
+    V, b = A.view(A.real.dtype), GRAM_BLOCK if A.dtype == np.complex64 else r
+    Z = (np.swapaxes(V[..., :b, :], -1, -2) @ V[..., :b, :]).astype(np.float64, copy=False)
+    for v in (V[..., j : j + b, :] for j in range(b, r, b)):
+        Z += np.swapaxes(v, -1, -2) @ v
+    Z = Z.reshape(A.shape[:-2] + (N, 2, N, 2))
     G = np.empty(A.shape[:-2] + (N, N), dtype=np.complex128)
     np.add(Z[..., 0, :, 0], Z[..., 1, :, 1], out=G.real)
     np.subtract(Z[..., 1, :, 0], Z[..., 0, :, 1], out=G.imag)
@@ -390,9 +418,9 @@ def _outer_table(table: np.ndarray, out: np.ndarray, layout: tuple) -> np.ndarra
     (_packed_layout): 8 N^2 bytes per column, half the full complex matrix,
     and all a Cholesky reads.  Each packed entry is one contiguous row over
     the P columns, written one matrix row at a time.  Written into out, such
-    as the next columns of a _RegionTable's packed table.
+    as the next columns of a _RegionTable's packed table, from its rows upcast.
     """
-    v = np.ascontiguousarray(table.T)
+    v = np.ascontiguousarray(table.T, dtype=np.complex128)
     rows, T = layout[0], v.shape[0] * (v.shape[0] + 1) // 2
     for i in range(v.shape[0]):
         w = np.conj(v[: i + 1])
@@ -403,7 +431,7 @@ def _outer_table(table: np.ndarray, out: np.ndarray, layout: tuple) -> np.ndarra
 
 
 def _counted_grams(outer: np.ndarray, code: np.ndarray, layout: tuple) -> np.ndarray:
-    """sum_j T_j for each trial (row) of code, lower triangle only, overwriting code.
+    """sum_j T_j for each trial (row) of code, lower triangle only.
 
     code holds a trial's draws as p Q + j: orbit j of the Q orbits of outer,
     the packed _outer_table of the orbits' computed rows v in layout, and
@@ -420,8 +448,10 @@ def _counted_grams(outer: np.ndarray, code: np.ndarray, layout: tuple) -> np.nda
     B, (NN, Q) = code.shape[0], outer.shape
     N = math.isqrt(NN)
     _, bounds, src = layout
-    code += 4 * Q * np.arange(B)[:, None]
+    offsets = 4 * Q * np.arange(B)[:, None]
+    code += offsets  # in place and restored: no copy of the block
     counts = np.bincount(code.ravel(), minlength=4 * B * Q).reshape(B, 4, Q)
+    code -= offsets
     # the planes p as float, each contiguous, so the in-place butterflies read and write
     # disjoint memory
     w = np.ascontiguousarray(counts.transpose(1, 0, 2), dtype=np.float64)
@@ -450,6 +480,41 @@ def _not_positive_definite(S: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         L = _umath_linalg.cholesky_lo(S, signature="D->D")
     return np.isnan(L[:, -1, -1].real)
+
+
+def _band(norm, N: int):
+    """c' N u64 norm, c' = 4 (N + 1), norm >= ||S||: a Cholesky that completes on A is
+    exact for some A + dA, ||dA|| <= gamma_{N+1} tr(R^H R) <= (N + 1) N u64 ||A|| to first
+    order (Higham 2002, Thm 10.3), doubled for complex arithmetic and for forming S."""
+    return 4 * (N + 1) * N * U64 * norm
+
+
+def _certified(S: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fails, unsure) for each Hermitian matrix of the stack S, shifted in place: it passes
+    if S - tau I is positive definite, and of the rest fails if S + tau I is not."""
+    np.einsum("bii->bi", S)[...] -= tau[:, None]  # a view of the diagonals
+    fails = _not_positive_definite(S)
+    T = S[fails]
+    np.einsum("bii->bi", T)[...] += 2 * tau[fails, None]
+    unsure = fails.copy()
+    unsure[fails] = ~_not_positive_definite(T)
+    return fails & ~unsure, unsure
+
+
+def _redecided(table: _RegionTable, pts: np.ndarray, shift: np.ndarray, r: int) -> tuple:
+    """(fails, in_band) of a trial drawing the region points pts, by one Cholesky of the
+    float64 gathered Gram of their rows tabulated afresh, a point drawn c times weighted
+    by sqrt(c); in_band: those of S -+ _band(||S||) I disagree."""
+    cells, counts = np.unique(pts, return_counts=True)
+    v = np.empty((cells.size, len(shift)), dtype=np.complex128)
+    _stft_rows(table.chi, table.eigs.window, table.mask_of(cells), v)
+    v *= np.sqrt(counts)[:, None]
+    G = _gathered_grams(v[None])
+    S = G / r - shift
+    norm = np.trace(G[0]).real / r + np.abs(np.diag(shift)).max()  # >= ||S||
+    tau = _band(norm, len(shift)) * np.eye(len(shift))
+    fails, below, above = _not_positive_definite(np.concatenate([S, S - tau, S + tau]))
+    return bool(fails), bool(below != above)
 
 
 def empirical_min_eigenvalue(W: np.ndarray, eigs: EigenSystem) -> float:
@@ -617,6 +682,12 @@ def _draw_trials(trials: int, r: int, P: int, master_seed: int) -> np.ndarray:
 
 # bytes of the blocks of rows that _RegionTable writes from their mirror images
 MC_BLOCK = 1 << 20
+# rows of the gather route's float32 Gram blocks, each summed into float64
+GRAM_BLOCK = 256
+# unit roundoffs, and the relative error of a stored table entry: its float64 value
+# rounded once, a member's float64 product with theta once more, 2 U32 + O(U64)
+U32, U64 = 2.0**-24, 2.0**-53
+EPS_TABLE = 3 * U32
 # bytes the counts route's packed table holds at most, 8 N^2 bytes per pair
 MC_BUDGET = 32_000_000
 # bytes the chunks of trials in flight hold at most over all workers: larger chunks
@@ -689,29 +760,40 @@ def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: i
         def grams(blk):
             return _counted_grams(outer, blk, layout)
 
-        # per trial: the counts of its orbits' four members as int and as float, the
-        # GEMM row, the Gram and its Cholesky factor
-        trial_bytes = 64 * table.orbits + 40 * N * N
+        n, u = table.orbits + N, U64  # float64 sums over the orbits and the trace
+        # per trial: its orbits' member counts as int and float, the GEMM row and the
+        # Gram; later the Gram, a shifted copy and that copy's Cholesky factor
+        trial_bytes = max(64 * table.orbits + 24 * N * N, 48 * N * N)
     else:
         def grams(blk):
             return _gathered_grams(table.values[blk])
 
-        # per trial: its (r, N) complex rows, the (2N)^2 real product, the Gram and its
-        # Cholesky factor
-        trial_bytes = 16 * r * N + 64 * N * N
+        n, u = min(GRAM_BLOCK, r), U32
+        # per trial: its (r, N) stored rows, the (2N)^2 float64 sum, a float32 block, the Gram
+        trial_bytes = table.values.itemsize * r * N + 64 * N * N
     # a trial fails iff its min-eigenvalue is <= -nu/|Omega|, i.e. iff
-    # (1/r) G - E T + (nu/|Omega|) I is not positive definite
+    # S = (1/r) G - E T + (nu/|Omega|) I is not positive definite
     shift = expected_T(eigs) - nu / region.measure * np.eye(N)
+    gamma, s = n * u / (1 - n * u), np.abs(np.diag(shift)).max()
+    margins = []  # (unsure, of those in the float64 band) per chunk, in any order
 
     def fails(blk):
         S = grams(blk)
+        # tr(G) / r from the computed trace and its error; ||S|| <= g + max |shift_kk|
+        g = np.einsum("bii->b", S).real * ((1 + 3 * gamma) / r)
         S /= r
         S -= shift
-        return _not_positive_definite(S)
+        failed, unsure = _certified(S, (2 * gamma + 3 * EPS_TABLE) * g + _band(g + s, N))
+        redecided = [_redecided(table, table.points(row, route == "counts"), shift, r)
+                     for row in blk[unsure]]
+        failed[unsure] = [f for f, _ in redecided]
+        margins.append((len(redecided), sum(band for _, band in redecided)))
+        return failed
 
     freq = _failure_frequency(idx, fails, trial_bytes, threads)
     return {"empirical_freq": freq, "table_gemm_rows": gemm_rows, "gram": route,
-            "drawn_points": drawn}
+            "drawn_points": drawn, "uncertified": sum(u for u, _ in margins),
+            "float64_band": sum(b for _, b in margins)}
 
 
 def monte_carlo_failure_frequency(trials: int, cells, eigs: EigenSystem,
@@ -720,15 +802,14 @@ def monte_carlo_failure_frequency(trials: int, cells, eigs: EigenSystem,
 
     Trial i of a cell is the sample set uniform_sample(eigs.region, r,
     derive_seed(seed, TRIAL_STREAM, i)), and it fails when its
-    empirical_min_eigenvalue statistic is <= -nu/|Omega|, decided by one
-    Cholesky (_not_positive_definite).  The cells run in order and share one
-    _RegionTable: each tabulates the points no earlier cell drew and reads
-    the rest.  A cell's dict holds the fraction of its trials that fail as
-    "empirical_freq", the time rows where the GEMM ran for the points it
-    added to the table as "table_gemm_rows", the Gram route _gram_route
-    picked as "gram" (both routes give the same decisions up to roundoff)
-    and the distinct points its trials drew as "drawn_points".  No value
-    depends on threads.
+    empirical_min_eigenvalue statistic is <= -nu/|Omega| (module docstring).
+    The cells run in order and share one _RegionTable: each tabulates the
+    points no earlier cell drew and reads the rest.  A cell's dict holds the
+    fraction of its trials that fail as "empirical_freq", the time rows where
+    the GEMM ran for the points it added to the table as "table_gemm_rows",
+    the Gram route _gram_route picked as "gram", the distinct points its
+    trials drew as "drawn_points", and "uncertified" and "float64_band"
+    (module docstring).  No value depends on threads.
     """
     # the table refuses an empty V_N before any trial's indices are drawn
     table = _RegionTable(eigs, _table_rows(eigs.region, trials, [r for _, r, _ in cells]))

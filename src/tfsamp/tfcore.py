@@ -184,7 +184,7 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     one buffer of about STFT_BUFFER bytes (at least one row), and each full
     buffer is combined into out at once: its real and imaginary planes, then
     the factors omega^(n m).  It agrees with stft to roundoff, about 1e-16 of
-    each column's norm.
+    each column's norm.  A complex64 out gets each float64 sample rounded once.
 
     Memory: the 16 L w byte phase table, the 8 (L + w) K (real) or
     16 (L + w) K (complex) byte extended copy and the buffer, built only when
@@ -226,14 +226,17 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
 
 def _combine(buf: np.ndarray, nm: np.ndarray, out: np.ndarray, omega: np.ndarray) -> None:
     """out = the complex STFT samples of the GEMM planes at the front of _stft_rows's
-    buffer, (cells, 2, p, K): the planes, then the factors omega^(n m), nm = n m mod L."""
+    buffer, (cells, 2, p, K): the planes, then the factors omega^(n m), nm = n m mod L.
+    Formed in complex128, so a complex64 out takes one rounding per part."""
     Y = buf[: out.shape[0]]
-    out.real = Y[:, 0, 0]
-    out.imag = Y[:, 1, 0]
+    z = out if out.dtype == np.complex128 else np.empty(out.shape, dtype=np.complex128)
+    z.real = Y[:, 0, 0]
+    z.imag = Y[:, 1, 0]
     if Y.shape[2] == 2:  # (Re P + i Im P)(Re F + i Im F)
-        out.real -= Y[:, 1, 1]
-        out.imag += Y[:, 0, 1]
-    out *= omega[nm[: out.shape[0]], None]
+        z.real -= Y[:, 1, 1]
+        z.imag += Y[:, 0, 1]
+    z *= omega[nm[: out.shape[0]], None]
+    out[...] = z
 
 
 # bytes of _stft_rows's GEMM buffer: at L = 960 as fast as 1 MB, and it keeps the

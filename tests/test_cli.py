@@ -338,7 +338,8 @@ r_grid = 5, 400
     with open(os.path.join(out, "mc_rows.csv"), encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n").split(",") == [
             "nu", "r", "empirical_freq", "theory_bound", "trials", "master_seed",
-            "covering_tail", "success_probability", "required_samples", "cell_seed"]
+            "covering_tail", "success_probability", "required_samples", "cell_seed",
+            "uncertified", "float64_band"]
 
 
 def _shared_table_config(tmp_path, name, experiment=""):
@@ -906,9 +907,10 @@ def test_montecarlo_region_table_too_large_for_memory_exits_4_before_drawing(
         tmp_path, capsys, monkeypatch):
     # L = 64, radius 20: 1257 points and N = 19, so 5 trials of the default grid reach
     # every point.  The setup takes 48 * 64^2 = 196 608 bytes, the draw block
-    # 8 * 5 * 4000 = 160 000 and the table 16 * 19 * 1257 = 382 128.  Under 499 712 bytes
-    # of physical memory each fits alone and so does the sum before the setup, but the
-    # sum of all three, 738 736, does not: refused once N is known, before any trial
+    # 8 * 5 * 4000 = 160 000, the complex64 table 8 * 19 * 1257 = 191 064 and the rows of
+    # one trial re-decided in float64 16 * 19 * min(4000, 1257) = 382 128.  Under 499 712
+    # bytes of physical memory each fits alone and so does the sum before the setup, but
+    # the sum of all four, 929 800, does not: refused once N is known, before any trial
     import tfsamp.cli as cli
 
     _fake_physical_memory(monkeypatch, 122)  # 499 712 bytes
@@ -924,8 +926,9 @@ def test_montecarlo_region_table_too_large_for_memory_exits_4_before_drawing(
     err = capsys.readouterr().err
     assert err == (
         "infeasible request: montecarlo at L=64, trials=5, r=4000, N=19, rows=1257 needs about "
-        "0.000688 GiB (the dense setup 196608 + the Monte Carlo draw block 160000 + the Monte "
-        "Carlo region table 382128 bytes), more than the 0.000465 GiB of physical memory\n")
+        "0.000866 GiB (the dense setup 196608 + the Monte Carlo draw block 160000 + the Monte "
+        "Carlo region table 191064 + the Monte Carlo fallback rows 382128 bytes), more than "
+        "the 0.000465 GiB of physical memory\n")
 
 
 def test_complex_setup_too_large_for_memory_exits_4_before_the_eigensolve(

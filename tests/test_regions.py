@@ -234,6 +234,26 @@ def test_covering_excess_matches_distinct_cells(cell):
     assert covering_excess(reg, cell) == ncells - reg.measure
 
 
+@pytest.mark.parametrize("name", ["centred disk", "odd L disk", "asymmetric mask",
+                                  "two-bump window", "random mask"])
+def test_covering_excess_is_the_point_formula(name):
+    # the covering cells that meet the mask, counted over the padded mask, against the
+    # distinct cells of the region's points, bit for bit; 8 divides 64 but not 65, and
+    # 11 divides neither
+    from test_sampling import TABLE_CASES
+
+    if name == "random mask":
+        region = mask_region(np.random.default_rng(3).random((121, 121)) < 0.2)
+    else:
+        region = TABLE_CASES[name]()[0]
+    points = region.points()
+    for cell in (1, 8, 11, default_cell_px(region.L), region.L):
+        C = -(-region.L // cell)
+        ids = (points[:, 0] // cell) * C + points[:, 1] // cell
+        assert covering_excess(region, cell) == (np.count_nonzero(np.bincount(ids))
+                                                 - region.measure)
+
+
 def test_covering_excess_empty_region():
     empty = mask_region(np.zeros((16, 16), dtype=bool))
     assert covering_excess(empty, 4) == 0.0

@@ -30,6 +30,7 @@ from tfsamp import (
 )
 from tfsamp.locop import build_localization_operator, eigendecompose
 from tfsamp.sampling import (
+    EPS_TABLE,
     MC_BUDGET,
     MC_CHUNK_BUDGET,
     TRIAL_STREAM,
@@ -406,20 +407,41 @@ def _references(eigs, cells):
     return refs
 
 
+def _float64_twin(eigs, rows):
+    """A _RegionTable whose values are complex128: _stft_rows and _mirrored write their
+    float64 values into it unrounded, the values its complex64 twin rounds."""
+    table = _RegionTable(eigs, rows)
+    table.values = np.empty((rows, eigs.N), dtype=np.complex128)
+    return table
+
+
+def _assert_stored(stored, exact):
+    # each complex64 entry within EPS_TABLE of its float64 value; a float32 below the
+    # normal range (2^-126) could add up to 2^-149 per part
+    assert stored.dtype == np.complex64 and exact.dtype == np.complex128
+    assert np.all(np.abs(stored - exact) <= EPS_TABLE * np.abs(exact) + 2.0**-148)
+
+
 def _table_at(eigs, mask):
     """(values, table_gemm_rows) of a _RegionTable that adds the True cells of mask, a
-    subset of the region's, its rows read in row-major order of those cells."""
-    table = _RegionTable(eigs, np.count_nonzero(mask))
+    subset of the region's, its rows read in row-major order of those cells: the
+    complex128 values of a float64 twin, after checking the stored complex64 ones
+    against them."""
     pts = np.flatnonzero(mask[eigs.region.mask])
-    drawn, gemm_rows = table.add(pts[None].copy())
-    assert drawn == table.P == pts.size
-    return table.values[table.row_of[pts]], gemm_rows
+    values = []
+    for table in (_RegionTable(eigs, pts.size), _float64_twin(eigs, pts.size)):
+        drawn, gemm_rows = table.add(pts[None].copy())
+        assert drawn == table.P == pts.size
+        values.append(table.values[table.row_of[pts]])
+    _assert_stored(*values)
+    return values[1], gemm_rows
 
 
 def test_region_table_matches_stft():
     # the Gaussian's support misses offsets, so every time row with a reference cell
     # takes the GEMM route; the table, in the frame of the columns without their phases,
-    # agrees with stft to 1e-14 of each column's norm.  The disk centred at (3, 125) is
+    # agrees with stft to 1e-14 of each column's norm written into complex128, and
+    # stored in complex64 lies within EPS_TABLE of that (_table_at).  The disk centred at (3, 125) is
     # mirrored in time and frequency, so only the rows m <= (6 - m) mod 128 compute
     for region in (disk_region(128, TFPoint(3, 125), 40), _disk_plus_noisy_block(120)):
         eigs, window = _eigs_and_window(region)
@@ -477,6 +499,7 @@ def test_region_table_matches_stft_for_every_kind_of_basis(name):
     # a quarter of the region, as a Monte Carlo draw keeps it, and the region's longest
     # time row alone: every row with a reference cell takes the GEMM, and the table
     # agrees with the columns without their phases to 1e-15 of each column's norm
+    # written into complex128, and within EPS_TABLE of that stored (_table_at)
     region, window = TABLE_CASES[name]()
     H = build_localization_operator(region, window)
     eigs = eigendecompose(H, 0.5)
@@ -526,9 +549,11 @@ def test_region_table_pairs_mirror_points(name):
     # and V chi_k((a - m) mod L, n) = theta(n) e_k conj V chi_k(m, n) to 1e-14 of each
     # column's norm, e_k the parity of chi_k's block and theta(n) =
     # e^{i pi (a (c - 2n) mod 2L)/L}.  The table computes the least drawn point of each
-    # new orbit by GEMM and writes every other drawn member from it, bit for bit:
-    # conj(v), theta (E conj(v)) or theta' (E v), theta' = theta at (c - n) mod L.  The
-    # GEMM rows agree with stft to 1e-15 of that norm, and every row to 1e-14
+    # new orbit by GEMM and writes every other drawn member from it, bit for bit in the
+    # stored dtype: conj(v), theta (E conj(v)) or theta' (E v), theta' = theta at
+    # (c - n) mod L, each product with theta rounded once.  Written into complex128, the
+    # GEMM rows agree with stft to 1e-15 of that norm and every row to 1e-14; stored in
+    # complex64, every row lies within EPS_TABLE of that
     region, c, a = PAIR_CASES[name]()
     eigs, window = _eigs_and_window(region)
     assert (eigs.mirror, eigs.time_mirror) == (c, a) and eigs.N >= 4
@@ -547,8 +572,10 @@ def test_region_table_pairs_mirror_points(name):
 
     idx = _draw_trials(6, 200, region.point_count, 9)
     drawn = np.unique(idx)
-    table = _RegionTable(eigs, idx.size)
+    table, twin = _RegionTable(eigs, idx.size), _float64_twin(eigs, idx.size)
+    assert twin.add(idx.copy())[0] == twin.P == drawn.size
     assert table.add(idx)[0] == table.P == drawn.size
+    assert np.array_equal(table.row_of, twin.row_of)
     points = region.points()[drawn]
     rows = table.row_of[drawn]
     orbit, member = np.divmod(table.code[rows], 4)
@@ -558,9 +585,10 @@ def test_region_table_pairs_mirror_points(name):
     cells = np.zeros_like(region.mask)
     cells[tuple(points.T)] = True
     assert np.array_equal(computed, _references(eigs, cells)[tuple(points.T)])
-    err = np.abs(table.values[rows] - V[points[:, 0], points[:, 1]])
+    err = np.abs(twin.values[rows] - V[points[:, 0], points[:, 1]])
     assert np.all(err[computed] <= 1e-15 * norms)
     assert np.all(err <= 1e-14 * norms)
+    _assert_stored(table.values[rows], twin.values[rows])
     # each member is its orbit's reference point mirrored, and its row that point's
     # row transformed
     ref = region.points()[table.ref[orbit]]
@@ -574,23 +602,30 @@ def test_region_table_pairs_mirror_points(name):
         if not sel.any():
             continue
         assert np.array_equal(points[sel], np.stack([m[sel], n[sel]], axis=1))
-        v, got = table.values[table.row_of[table.ref[orbit[sel]]]], table.values[rows[sel]]
-        if i == 0:
-            want = v
-        elif i == 1:
-            want = np.conj(v)
-        elif i == 2:
-            want = theta[ref[sel, 1], None] * (np.conj(v) * e)
-        else:
-            want = theta2[ref[sel, 1], None] * (v * e)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # the packed counts Grams, one column per orbit, are the gathered ones
-    gathered = _gathered_grams(table.values[idx]) / 200
-    outer, layout = table.outer()
-    assert outer.shape == (N * N, table.orbits)
-    counted = _counted_grams(outer, table.counted(idx.copy()), layout) / 200
+        for values in (table.values, twin.values):
+            v, got = values[table.row_of[table.ref[orbit[sel]]]], values[rows[sel]]
+            if i == 0:
+                want = v
+            elif i == 1:
+                want = np.conj(v)
+            elif i == 2:
+                want = theta[ref[sel, 1], None] * (np.conj(v) * e)
+            else:
+                want = theta2[ref[sel, 1], None] * (v * e)
+            want = want.astype(values.dtype)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    # the packed counts Grams, one column per orbit, are the gathered ones: to 1e-12 in
+    # float64, and within the gather route's float32 bound 2 gamma_b tr(G) / r
     lower = np.tril(np.ones((N, N), dtype=bool))
-    assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
+    gamma = 200 * 2.0**-24 / (1 - 200 * 2.0**-24)
+    for t in (twin, table):
+        gathered = _gathered_grams(t.values[idx]) / 200
+        outer, layout = t.outer()
+        assert outer.shape == (N * N, t.orbits)
+        counted = _counted_grams(outer, t.counted(idx.copy()), layout) / 200
+        tr = np.trace(gathered, axis1=1, axis2=2).real[:, None]
+        tol = 1e-12 if t is twin else 2 * gamma * tr
+        assert np.all(np.abs(gathered[:, lower] - counted[:, lower]) <= tol)
 
 
 def test_region_table_without_a_mirror_computes_every_point():
@@ -680,23 +715,31 @@ def test_drawn_table_rows_match_full_table():
     assert {0, 1, 2, 3} <= set(member)
     assert np.array_equal(idx, table.row_of[drawn])
     full, _ = _table_at(eigs, region.mask)
-    # both take the GEMM route, over different frequencies of each row
-    err = np.abs(table.values[idx] - full[drawn]).max(axis=(0, 1))
+    # both take the GEMM route, over different frequencies of each row: written into
+    # complex128 they agree to 1e-14 of each column's norm, and the stored rows lie
+    # within EPS_TABLE of theirs
+    twin = _float64_twin(eigs, idx.size)
+    twin.add(drawn.copy())
+    _assert_stored(table.values[: table.P], twin.values[: twin.P])
+    err = np.abs(twin.values[idx] - full[drawn]).max(axis=(0, 1))
     assert np.all(err <= 1e-14 * np.linalg.norm(full, axis=0))
 
 
 @pytest.mark.parametrize("name", ["centred disk", "odd L disk", "asymmetric mask"])
 def test_shared_table_matches_stft(name):
     # cells that add ever fewer new points to one table, as a montecarlo call's do:
-    # every tabulated point agrees with stft to 1e-15 of each column's norm
+    # every tabulated point agrees with stft to 1e-15 of each column's norm written
+    # into complex128, and stored in complex64 within EPS_TABLE of that
     region, window = TABLE_CASES[name]()
     eigs = eigendecompose(build_localization_operator(region, window), 0.5)
     basis = eigs.basis(phased=False)
     cells = [(2, 40, 1), (2, 40, 2), (4, 40, 3), (2, 40, 4)]
-    table = _RegionTable(eigs, sum(t * r for t, r, _ in cells))
-    gemm_rows = [table.add(_draw_trials(*cell[:2], region.point_count, cell[2]))[1]
-                 for cell in cells]
+    rows = sum(t * r for t, r, _ in cells)
+    stored, table = _RegionTable(eigs, rows), _float64_twin(eigs, rows)
+    gemm_rows = [[t.add(_draw_trials(*cell[:2], region.point_count, cell[2]))[1]
+                  for t in (stored, table)][1] for cell in cells]
     assert gemm_rows[0] > 0
+    _assert_stored(stored.values[: stored.P], table.values[: table.P])
     union = np.flatnonzero(table.row_of >= 0)
     assert table.P == union.size < region.point_count
     mask = np.zeros_like(region.mask)
@@ -786,7 +829,7 @@ def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
     # six cells of one call fill one table from the front; a table grown by copying
     # its rows would hold the old and the new rows at once, about twice the written
     # rows, where the call's other buffers (draws, a gather chunk, the STFT
-    # workspace) stay near a quarter of them
+    # workspace, a trial re-decided in float64) stay near half of the complex64 ones
     eigs = sys480.eigs
     cells = [(0.3, 1000, seed) for seed in range(6)]
     monte_carlo_failure_frequency(2, [(0.3, 10, 99)], eigs)  # lazy imports, caches
@@ -799,9 +842,10 @@ def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
         tracemalloc.stop()
     assert [cell["gram"] for cell in got] == ["gather"] * 6
     table, = tables
-    written = 16 * table.P * eigs.N
-    assert written > 0.8 * 16 * 12000 * eigs.N
-    assert peak <= 16 * 12000 * eigs.N + 0.5 * written
+    row = table.values.itemsize * eigs.N
+    written = row * table.P
+    assert written > 0.8 * row * 12000
+    assert peak <= row * 12000 + 0.75 * written
     assert table.values.shape[0] == 12000
 
 
@@ -1142,17 +1186,23 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     s = request.getfixturevalue(system)
     eigs, seed = s.eigs, 2024
     idx = _draw_trials(trials, r, s.region.point_count, seed)
-    table = _RegionTable(eigs, idx.size)
+    table, stored = _float64_twin(eigs, idx.size), _RegionTable(eigs, idx.size)
+    stored.add(idx.copy())
     P, gemm_rows = table.add(idx)
     assert table.orbits < P / 2
     assert _gram_route(trials, r, table.orbits, eigs.N, table.orbits) == route
-    gathered = _gathered_grams(table.values[idx]) / r
-    outer, layout = table.outer()
-    counted = _counted_grams(outer, table.counted(idx.copy()), layout) / r
-    # the packed counts Grams are the lower triangles of the gathered ones
+    # the packed counts Grams are the lower triangles of the gathered ones: to 1e-12 in
+    # float64, and from the stored complex64 rows within the float32 bound 2 gamma_b tr(G)
     lower = np.tril(np.ones((eigs.N, eigs.N), dtype=bool))
-    assert np.max(np.abs(gathered[:, lower] - counted[:, lower])) <= 1e-12
-    assert not np.any(counted[:, ~lower])
+    gamma = min(r, 256) * 2.0**-24 / (1 - min(r, 256) * 2.0**-24)
+    for t in (stored, table):
+        gathered = _gathered_grams(t.values[idx]) / r
+        outer, layout = t.outer()
+        counted = _counted_grams(outer, t.counted(idx.copy()), layout) / r
+        tr = np.trace(gathered, axis1=1, axis2=2).real[:, None]
+        tol = 1e-12 if t is table else 2 * gamma * tr
+        assert np.all(np.abs(gathered[:, lower] - counted[:, lower]) <= tol)
+        assert not np.any(counted[:, ~lower])
 
     thresh = -nu / s.region.measure
     diag = expected_T(eigs)
@@ -1166,8 +1216,9 @@ def test_gram_routes_agree(request, monkeypatch, system, trials, r, nu, route):
     for pinned in ("gather", "counts"):
         monkeypatch.setattr(sampling, "_gram_route", lambda *shape: pinned)
         cell, = monte_carlo_failure_frequency(trials, [(nu, r, seed)], eigs)
+        assert 0 <= cell.pop("uncertified") <= trials
         assert cell == {"empirical_freq": fails / trials, "gram": pinned, "drawn_points": P,
-                        "table_gemm_rows": gemm_rows}
+                        "table_gemm_rows": gemm_rows, "float64_band": 0}
 
 
 def test_gram_route_reads_only_the_cell_shape():
@@ -1192,6 +1243,74 @@ def test_gram_route_reads_only_the_cell_shape():
     assert _gram_route(2000, 4000, Q + 1, 23, 0) == "gather"
     assert _outer_table(np.ones((7, 23), dtype=complex), np.empty((23 * 23, 7)),
                         _packed_layout(np.ones(23))).nbytes == 7 * 8 * 23 * 23
+
+
+def _trial_decisions(monkeypatch, eigs, trials, cells, fallback=False):
+    """(cell dicts, each cell's decisions in trial order) of one single-threaded Monte
+    Carlo call; fallback: every trial is re-decided in float64, none certified."""
+    import tfsamp.sampling as sampling
+
+    real, decided = sampling._failure_frequency, []
+
+    def recorded(idx, fails, trial_bytes, threads=1):
+        chunks = []
+        freq = real(idx, lambda blk: chunks.append(fails(blk)) or chunks[-1], trial_bytes)
+        decided.append(np.concatenate(chunks))
+        return freq
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_failure_frequency", recorded)
+        if fallback:
+            patch.setattr(sampling, "_certified",
+                          lambda S, tau: (np.zeros(len(S), bool), np.ones(len(S), bool)))
+        return monte_carlo_failure_frequency(trials, cells, eigs), decided
+
+
+def test_certified_decisions_are_the_float64_ones(sys120, monkeypatch):
+    # the benchmark grids, mc-L120's at 10 trials: every trial that single precision
+    # certifies is decided as the float64 fallback decides it, on both Gram routes; the
+    # fallback run re-decides every trial, none of them inside the float64 band
+    from conftest import System
+
+    grid = [(nu, r, derive_seed(20260816, 0, c))
+            for c, (nu, r) in enumerate((nu, r) for nu in (0.2, 0.3, 0.5)
+                                        for r in (250, 1000, 4000))]
+    for eigs, trials, cells, routes, mixed in (
+            (sys120.eigs, 10, grid, {"gather", "counts"}, 3),
+            (System(960, 240).eigs, 20, [(0.3, 500, 5)], {"gather"}, 0)):
+        got, certified = _trial_decisions(monkeypatch, eigs, trials, cells)
+        forced, exact = _trial_decisions(monkeypatch, eigs, trials, cells, fallback=True)
+        assert {cell["gram"] for cell in got} == routes
+        for cell, fell_back, c, d in zip(got, forced, certified, exact):
+            assert np.array_equal(c, d) and c.size == trials
+            assert cell["empirical_freq"] == fell_back["empirical_freq"]
+            assert fell_back["uncertified"] == trials
+            assert cell["float64_band"] == fell_back["float64_band"] == 0
+        assert sum(0 < cell["empirical_freq"] < 1 for cell in got) == mixed
+
+
+@pytest.mark.parametrize("route", ["gather", "counts"])
+def test_a_trial_within_tau_takes_the_fallback(sys120, monkeypatch, route):
+    # nu chosen so that trial 0's min-eigenvalue of S lies 1e-9 / |Omega| above or below
+    # 0: inside tau (at least 3 EPS_TABLE tr(G) / r, about 5e-7 here) and far outside the
+    # float64 band (about 1e-13), so the float64 fallback decides it, and the row says
+    # so for any thread count; 1e-2 / |Omega| lies outside tau and is certified
+    import tfsamp.sampling as sampling
+
+    monkeypatch.setattr(sampling, "_gram_route", lambda *shape: route)
+    region, eigs, r, seed = sys120.region, sys120.eigs, 250, 11
+    W = uniform_sample(region, r, derive_seed(seed, TRIAL_STREAM, 0)).analysis_rows(
+        sys120.window)
+    lam = empirical_min_eigenvalue(W, eigs)
+    for margin, fails, uncertified in ((1e-9, 0, 1), (-1e-9, 1, 1), (1e-2, 0, 0)):
+        nu = margin - region.measure * lam
+        cell, = monte_carlo_failure_frequency(1, [(nu, r, seed)], eigs)
+        assert cell["gram"] == route and cell["empirical_freq"] == fails
+        assert (cell["uncertified"], cell["float64_band"]) == (uncertified, 0)
+        # among seven more trials, none of them within tau, in one chunk or two
+        cells = [monte_carlo_failure_frequency(8, [(nu, r, seed)], eigs, threads)[0]
+                 for threads in (1, 2)]
+        assert cells[0] == cells[1] and cells[0]["uncertified"] == uncertified
 
 
 def test_union_over_the_budget_gathers(sys32, monkeypatch):
