@@ -26,31 +26,34 @@ monte_carlo_failure_frequency.  Trial i of a cell draws exactly what
 default_rng(derive_seed(seed, TRIAL_STREAM, i)) draws; _draw_trials
 computes both seedings of every trial at once and sets one PCG64 to each
 trial's state in turn.  The call tabulates values only at the points its
-trials draw, in one table for all its cells (_RegionTable): a point -> row
-map over the region, and rows written once, in the order cells first draw
-their points.  The table holds V_phi chi_k, chi_k = psi_k * conj(phases[k])
-the basis column without its phase; a Gram in that frame is D^* G D for the
-unitary diagonal D = diag(phases), and E T is diagonal, so every decision is
-that of G.  When the operator has a row mirror c (a real window), the value
-of chi_k at (m, (c - n) mod L) is the conjugate of the one at (m, n).  When
-its eigensolve also split at a time mirror a (locop._symmetry_blocks: the
-mask is symmetric about time a/2 and the window even), the value at
+trials draw, in one table for all its cells (_RegionTable).  The table holds
+V_phi chi_k, chi_k = psi_k * conj(phases[k]) the basis column without its
+phase; a Gram in that frame is D^* G D for the unitary diagonal
+D = diag(phases), and E T is diagonal, so every decision is that of G.  When
+the operator has a row mirror c (a real window), the value of chi_k at
+(m, (c - n) mod L) is the conjugate of the one at (m, n).  When its
+eigensolve also split at a time mirror a (locop._symmetry_blocks: the mask
+is symmetric about time a/2 and the window even), the value at
 ((a - m) mod L, n) is theta(n) e_k conj(value at (m, n)), with e_k = +-1 the
 parity of chi_k's block and theta(n) = e^{i pi (a (c - 2n) mod 2L)/L}, the
 same for every k: chi_k((a - t) mod L) = e_k d(a) conj(chi_k(t)) for the
 modulation d, and the window is real and even.  So the points
 {(m, n), (m, c - n), (a - m, n), (a - m, c - n)} form an orbit whose values
 all follow from one of them, v: conj(v), theta E conj(v) and theta' E v,
-E = diag(e) and theta' = theta((c - n) mod L).  An orbit has fewer points
-on a mirror axis or where a mirror is missing, and every point of a complex
-H is its own.  A cell computes the least drawn point of each orbit no
-earlier cell drew, each time row of them by one real GEMM over the row's
-drawn frequencies and the arc that holds the window's support
-(tfcore._stft_rows); that point lies in the earlier of rows m and a - m
-that hold a drawn member, so one GEMM serves both.  The orbit's other drawn
-points are written from it.  The table never holds more than
-min(|Omega|, the call's draws) rows of complex64, 8 N bytes each, every
-entry within EPS_TABLE |v| of its float64 value v.
+E = diag(e) and theta' = theta((c - n) mod L).  A row's theta cancels in
+its outer product, so a Gram reads each member as conj(v), E conj(v) or
+E v: v with the signs of its imaginary parts, of its odd-parity entries or
+of both flipped, exactly.  An orbit has fewer points on a mirror axis or
+where a mirror is missing, and every point of a complex H is its own.  The
+table holds one row per orbit, its reference row v, and a code for every
+point of a tabulated orbit, its orbit and member.  A cell computes the
+least drawn point of each orbit no earlier cell drew, each time row of them
+by one real GEMM over the row's drawn frequencies and the arc that holds
+the window's support (tfcore._stft_rows); that point lies in the earlier of
+rows m and a - m that hold a drawn member, so one GEMM serves both.  The
+table never holds more than min(|Omega|, the call's draws) rows of
+complex64, 8 N bytes each, every entry v within EPS_TABLE |v| of its
+float64 value.
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
 <= -nu/|Omega| iff S = (1/r) G - E T + (nu/|Omega|) I is not positive
@@ -58,9 +61,10 @@ definite, i.e. iff its Cholesky breaks down.  The S^ a trial computes lies
 within tau = (2 gamma + 3 EPS_TABLE) tr(G)/r + c' N u64 ||S^|| of the S of
 its float64 rows, with room for a Cholesky's roundoff (Higham 2002, ch. 3
 and 10): 2 gamma tr(G) bounds the Gram's inner products (_gathered_grams),
-3 EPS_TABLE tr(G) the stored rows, and the last term is the float64 band
-(_band).  A trial passes if S^ - tau I is positive definite and fails if
-S^ + tau I is not (_certified).  The rare trial in between is re-decided
+3 EPS_TABLE tr(G) the stored rows (rounded once, so with room to spare),
+and the last term is the float64 band (_band).  A trial passes if
+S^ - tau I is positive definite and fails if S^ + tau I is not
+(_certified).  The rare trial in between is re-decided
 from its rows tabulated afresh in float64 (_redecided), counted as
 "uncertified", and as "float64_band" if float64 roundoff alone could move
 its decision.  The Cholesky reads only the lower triangle of S, and one
@@ -71,15 +75,16 @@ Monte Carlo forms each trial's Gram G = sum_j T_j by one of two routes,
 picked per cell by _gram_route from the cell's shape alone (trials, r, the
 Q orbits of the call's table after the cell and those not yet packed, N);
 both give the same decisions.  The gather route copies each trial's r
-complex64 rows v_j out of the table and multiplies them in real
-arithmetic: symmetric rank-b updates of their (r, 2N) float32 view, blocks
-of b = 256 rows summed in float64, 4 r N^2 flops against 8 r N^2 for the
-complex product (_gathered_grams).  The counts route sums the outer
-products of the orbits' members, counted from the trial's draw, in
-float64: with X = v v^H of an orbit's computed row, its stored value
-upcast, they are X, conj(X), E conj(X) E and E X E (theta cancels), so each
-entry (i, j) takes one of four weights per orbit, by its part and the sign
-e_i e_j (_counted_grams).  The route reads a packed table with one column
+complex64 rows out of the table, the reference rows of the orbits it drew,
+flips each member's signs in place (_RegionTable.gather) and multiplies
+them in real arithmetic: symmetric rank-b updates of their (r, 2N) float32
+view, blocks of b = 256 rows summed in float64, 4 r N^2 flops against
+8 r N^2 for the complex product (_gathered_grams).  The counts route sums
+the outer products of the orbits' members, counted from the trial's codes,
+in float64: with X = v v^H of an orbit's reference row, its stored value
+upcast, they are X, conj(X), E conj(X) E and E X E, so each entry (i, j)
+takes one of four weights per orbit, by its part and the sign e_i e_j
+(_counted_grams).  The route reads a packed table with one column
 per orbit, the lower triangle of X in N^2 float64 or 8 N^2 bytes, which
 the call's table builds when its first counts cell runs and extends by new
 orbits only.  A chunk's Grams are four real GEMMs, the (chunk, Q) weights
@@ -185,53 +190,51 @@ def _table_rows(region, trials: int, rs) -> int:
 
 
 class _RegionTable:
-    """V_phi chi_k at the region points drawn so far, by mirror orbits (module docstring).
+    """V_phi chi_k at the reference points of the mirror orbits drawn so far (module
+    docstring).
 
-    One per grid.  row_of maps each of the region's point_count points to its
-    row of values, -1 for a point not yet tabulated.  values is one (rows, N)
-    complex64 allocation, filled from the front: each add() appends the points
-    no earlier cell drew, and no row is copied after it is written.  Only
-    written pages become resident, so the capacity, _table_rows of the draws
-    to come, costs address space, not memory.  Orbits are numbered in the
+    One per grid.  values is one (rows, N) complex64 allocation whose row j is
+    orbit j's reference row, filled from the front: each add() appends the
+    orbits no earlier cell drew, and no row is copied after it is written.
+    Only written pages become resident, so the capacity, _table_rows of the
+    draws to come, costs address space, not memory.  Orbits are numbered in the
     order they enter the table; ref[j] is orbit j's reference point, its one
     computed point: the least of its points drawn by the first cell that drew
-    any of them.  freq[j] is that point's frequency n.
-    code names each row's orbit j and its member, 4 j + i: i = 0 for the
-    reference (m, n), 1 for (m, c - n), 2 for (a - m, n) and 3 for
-    (a - m, c - n), all mod L, the first of them where mirrors coincide.
-    The counts route's packed table (_outer_table) is built the first time a
-    counts cell asks for it and then extended by the new orbits only; its
-    capacity fits MC_BUDGET.
+    any of them.  code maps each of the region's point_count points to 4 j + i,
+    orbit j and member i: i = 0 for the reference (m, n), 1 for (m, c - n),
+    2 for (a - m, n) and 3 for (a - m, c - n), all mod L, the first of them
+    where mirrors coincide; -1 for a point of no tabulated orbit.  gather()
+    reads a member's row from its reference's by sign flips.  The counts
+    route's packed table (_outer_table) is built the first time a counts cell
+    asks for it and then extended by the new orbits only; its capacity fits
+    MC_BUDGET.
     """
 
     def __init__(self, eigs: EigenSystem, rows: int):
-        region, L = eigs.region, eigs.region.L
+        region, N = eigs.region, eigs.N
         self.eigs = eigs
-        self.row_of = np.full(region.point_count, -1, dtype=np.int64)
-        self.values = np.empty((rows, eigs.N), dtype=np.complex64)
+        self.code = np.full(region.point_count, -1, dtype=np.int64)
+        self.values = np.empty((rows, N), dtype=np.complex64)
         self.chi = eigs.basis(phased=False).T  # refuses an empty V_N
-        self.code = np.empty(rows, dtype=np.int64)
         self.ref = np.empty(rows, dtype=np.int64)
-        self.freq = np.empty(rows, dtype=np.int64)
-        self.P = 0  # rows written
-        self.orbits = 0  # orbit columns
+        self.orbits = 0  # rows written
         self._outer = None
         self._layout = None
         self.packed = 0  # orbits packed into _outer
+        # each member's signs on its reference row's real view, (Re, Im) per column:
+        # conj(v) negates Im, E v the odd-parity columns and E conj(v) both
+        self._signs = np.ones((4, 2 * N), dtype=np.float32)
+        self._signs[1:3, 1::2] = -1.0
+        self._signs[2:] *= np.repeat(eigs.parity[:N], 2)
         # per time row: its first point, its first point with n > c (mids) and its end.
         # A mirrored row's points n <= c pair among themselves in reverse order, and so
         # do its points n > c
         counts = np.count_nonzero(region.mask, axis=1)
         self._ends = np.cumsum(counts)
         self._starts = self._ends - counts
-        c, a = eigs.mirror, eigs.time_mirror
-        if c is not None:
-            self._mids = self._starts + np.count_nonzero(region.mask[:, : c + 1], axis=1)
-        if a is not None:
-            # theta(n) of the time mirror and theta'(n) of both mirrors, per reference n
-            n = np.arange(L)
-            self._theta = (np.exp(1j * np.pi * ((a * (c - 2 * n)) % (2 * L)) / L),
-                           np.exp(1j * np.pi * ((a * (2 * n - c)) % (2 * L)) / L))
+        if eigs.mirror is not None:
+            self._mids = self._starts + np.count_nonzero(region.mask[:, : eigs.mirror + 1],
+                                                         axis=1)
 
     def members(self, pts: np.ndarray) -> np.ndarray:
         """(4, pts.size) point indices: pts, (m, c - n), (a - m, n) and (a - m, c - n).
@@ -250,75 +253,39 @@ class _RegionTable:
             shift = self._starts[(eigs.time_mirror - m) % eigs.region.L] - starts
         return np.stack([pts, R, pts + shift, R + shift])
 
-    def _mirrored(self, dst: np.ndarray, src: np.ndarray, member: int, n: np.ndarray) -> None:
-        """values[dst] = member's values from the reference rows v = values[src], at the
-        references' frequencies n: conj(v), theta(n) (E conj(v)) or theta'(n) (E v), E =
-        diag(parity), MC_BLOCK bytes at a time, rounded once to the stored dtype."""
-        N = self.eigs.N
-        step = max(1, MC_BLOCK // (self.values.itemsize * N))
-        for b in range(0, dst.size, step):
-            blk = slice(b, b + step)
-            v = self.values[src[blk]]
-            if member < 3:
-                np.conjugate(v, out=v)
-            if member > 1:
-                v *= self.eigs.parity[:N]
-                np.multiply(self._theta[member - 2][n[blk], None], v, out=v)
-            self.values[dst[blk]] = v
-
     def add(self, idx: np.ndarray) -> tuple[int, int]:
-        """Tabulate the points of idx not yet in the table; remap idx in place to rows.
+        """Tabulate the orbits of the points of idx not yet in the table; remap idx in
+        place to codes.
 
         idx holds point indices into region.points(); afterwards idx[t, j] is
-        the row of values that holds that point.  Returns the number of
-        distinct points in idx and the time rows where the GEMM ran
-        (table_gemm_rows, _tabulate).
+        that point's code.  Returns the number of distinct points in idx and
+        the time rows where the GEMM ran (table_gemm_rows, _tabulate).
         """
         drawn = np.zeros(self.eigs.region.point_count, dtype=bool)
         drawn[idx] = True
-        new = drawn & (self.row_of < 0)
+        new = drawn & (self.code < 0)
         gemm_rows = self._tabulate(new) if new.any() else 0
-        # every drawn point has a row now, so no index clips; in place, as no other
+        # every drawn point has a code now, so no index clips; in place, as no other
         # mode buffers a copy of the whole block
-        np.take(self.row_of, idx, out=idx, mode="clip")
+        np.take(self.code, idx, out=idx, mode="clip")
         return int(np.count_nonzero(drawn)), gemm_rows
 
     def _tabulate(self, new: np.ndarray) -> int:
-        """Write the rows of the True points of new; the time rows where the GEMM ran.
-
-        Only the references of new orbits are computed (_stft_rows); every
-        other new point is written from its orbit's reference row (_mirrored).
-        """
-        region = self.eigs.region
+        """Compute the reference rows of the orbits of the True points of new, none of
+        them tabulated yet, and code all their members; the time rows where the GEMM
+        ran (_stft_rows)."""
         pts = np.flatnonzero(new)
         orbit = self.members(pts)
-        # each fresh orbit (no member in the table yet) is computed at its least drawn
-        # point, the one with no new member below it
-        least = ~(new[orbit] & (orbit < pts)).any(axis=0)
-        refs = pts[least & (self.row_of[orbit] < 0).all(axis=0)]
-        P, Q, g = self.P, self.orbits, refs.size
+        # each orbit is computed at its least drawn point, the one with no new member below it
+        refs = pts[~(new[orbit] & (orbit < pts)).any(axis=0)]
+        Q, g = self.orbits, refs.size
         mask = self.mask_of(refs)
-        _stft_rows(self.chi, self.eigs.window, mask, self.values[P : P + g])
-        self.row_of[refs] = np.arange(P, P + g)
-        self.code[P : P + g] = 4 * np.arange(Q, Q + g)
+        _stft_rows(self.chi, self.eigs.window, mask, self.values[Q : Q + g])
         self.ref[Q : Q + g] = refs
-        self.freq[Q : Q + g] = np.flatnonzero(mask) % region.L
+        codes, members = 4 * np.arange(Q, Q + g), self.members(refs)
+        for i in (3, 2, 1, 0):  # the least member wins where mirrors coincide
+            self.code[members[i]] = codes + i
         self.orbits = Q + g
-        # the other new points, by member, each member's rows in ascending point order
-        rest = pts[self.row_of[pts] < 0]
-        j = self.code[self.row_of[self.members(rest)].max(axis=0)] // 4
-        member = np.argmax(self.members(self.ref[j]) == rest, axis=0)
-        order = np.lexsort((rest, member))
-        rest, j, member = rest[order], j[order], member[order]
-        start = P + g
-        rows = np.arange(start, start + rest.size)
-        self.row_of[rest] = rows
-        self.code[rows] = 4 * j + member
-        bounds = np.searchsorted(member, [1, 2, 3, 4])
-        for i in (1, 2, 3):
-            seg = slice(bounds[i - 1], bounds[i])
-            self._mirrored(rows[seg], self.row_of[self.ref[j[seg]]], i, self.freq[j[seg]])
-        self.P = start + rest.size
         return int(np.count_nonzero(mask.any(axis=1)))
 
     def mask_of(self, pts: np.ndarray) -> np.ndarray:
@@ -329,18 +296,25 @@ class _RegionTable:
         mask[self.eigs.region.mask] = cells
         return mask
 
-    def points(self, rows: np.ndarray, counted: bool) -> np.ndarray:
-        """The region point index of each row of values, or of each code of counted()."""
-        p, j = np.divmod(rows, self.orbits)
-        j, member = (j, 2 * (p & 1) + (p >> 1)) if counted else np.divmod(self.code[rows], 4)
+    def points(self, codes: np.ndarray) -> np.ndarray:
+        """The region point index of each code."""
+        j, member = np.divmod(codes, 4)
         return np.take_along_axis(self.members(self.ref[j]), member[None], axis=0)[0]
 
-    def counted(self, rows: np.ndarray) -> np.ndarray:
-        """rows remapped in place to the codes p Q + j of _counted_grams: orbit j of the
-        Q orbits, and p = 0, 2, 1, 3 for its members 0..3 (their bits reversed)."""
-        code, Q = self.code[: self.P], self.orbits
-        return np.take((2 * (code & 1) + (code >> 1 & 1)) * Q + (code >> 2), rows, out=rows,
-                       mode="clip")
+    def gather(self, codes: np.ndarray) -> np.ndarray:
+        """(..., N) rows of the points of codes, each its orbit's reference row v with
+        signs flipped: v, conj(v), E conj(v) or E v for members 0..3, E = diag(parity).
+
+        Each is the point's V_phi chi_k up to a unimodular factor theta that v v^H
+        cancels (module docstring), and as exact as v.  The flips run in place on
+        the gathered rows' real view, GRAM_BLOCK rows at a time: each block
+        multiplied by its rows' signs, a (GRAM_BLOCK, 2N) float32 temporary.
+        """
+        A = self.values[codes >> 2]
+        V, member = A.view(A.real.dtype).reshape(-1, 2 * A.shape[-1]), (codes & 3).ravel()
+        for b in range(0, member.size, GRAM_BLOCK):
+            V[b : b + GRAM_BLOCK] *= self._signs[member[b : b + GRAM_BLOCK]]
+        return A
 
     def outer(self) -> tuple[np.ndarray, tuple]:
         """The packed (N^2, orbits) table of every orbit's reference row, as a view, and its
@@ -352,8 +326,7 @@ class _RegionTable:
             self._layout = _packed_layout(self.eigs.parity[:N])
         if self.packed < self.orbits:
             new = slice(self.packed, self.orbits)
-            _outer_table(self.values[self.row_of[self.ref[new]]], self._outer[:, new],
-                         self._layout)
+            _outer_table(self.values[new], self._outer[:, new], self._layout)
             self.packed = self.orbits
         return self._outer[:, : self.orbits], self._layout
 
@@ -433,38 +406,38 @@ def _outer_table(table: np.ndarray, out: np.ndarray, layout: tuple) -> np.ndarra
 def _counted_grams(outer: np.ndarray, code: np.ndarray, layout: tuple) -> np.ndarray:
     """sum_j T_j for each trial (row) of code, lower triangle only.
 
-    code holds a trial's draws as p Q + j: orbit j of the Q orbits of outer,
-    the packed _outer_table of the orbits' computed rows v in layout, and
-    p = 0, 2, 1, 3 for its members 0..3 (_RegionTable).  The members' outer
-    products are X = v v^H, conj(X), E conj(X) E and E X E, so an orbit drawn
-    c0..c3 times adds, at an entry (i, j) of sign e_i e_j = +-1,
-    (c0 + c1 +- (c2 + c3)) Re X_ij to the real part and
-    (c0 - c1 +- (c3 - c2)) Im X_ij to the imaginary part.  The trials' counts,
-    in the planes p, become those four weights, in the order of layout's
-    segments, by two stages of in-place butterflies (a, b) -> (a + b, a - b);
-    then one real GEMM per segment, weights times packed rows, and one
-    gather into the Grams.  The strict upper triangles are 0.
+    code holds a trial's draws as 4 j + i: member i of orbit j of the Q orbits
+    of outer, the packed _outer_table of the orbits' reference rows v in
+    layout (_RegionTable).  The members' outer products are X = v v^H,
+    conj(X), E conj(X) E and E X E, so an orbit drawn c0..c3 times adds, at an
+    entry (i, j) of sign e_i e_j = +-1, (c0 + c1 +- (c2 + c3)) Re X_ij to the
+    real part and (c0 - c1 +- (c3 - c2)) Im X_ij to the imaginary part.  The
+    trials' counts, in one plane per member, become those four weights by two
+    stages of in-place butterflies (a, b) -> (a + b, a - b), in planes 0, 2, 1
+    and 3 for layout's segments 0..3; then one real GEMM per segment, weights
+    times packed rows, and one gather into the Grams.  The strict upper
+    triangles are 0.
     """
     B, (NN, Q) = code.shape[0], outer.shape
     N = math.isqrt(NN)
     _, bounds, src = layout
     offsets = 4 * Q * np.arange(B)[:, None]
     code += offsets  # in place and restored: no copy of the block
-    counts = np.bincount(code.ravel(), minlength=4 * B * Q).reshape(B, 4, Q)
+    counts = np.bincount(code.ravel(), minlength=4 * B * Q).reshape(B, Q, 4)
     code -= offsets
-    # the planes p as float, each contiguous, so the in-place butterflies read and write
-    # disjoint memory
-    w = np.ascontiguousarray(counts.transpose(1, 0, 2), dtype=np.float64)
-    for a, b in ((0, 2), (1, 3), (0, 1), (2, 3)):
+    # the member planes as float, each contiguous, so the in-place butterflies read and
+    # write disjoint memory
+    w = np.ascontiguousarray(counts.transpose(2, 0, 1), dtype=np.float64)
+    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)):
         w[a] += w[b]
         w[b] *= -2.0
         w[b] += w[a]
     Y = np.empty((B, NN + 1))
     Y[:, NN] = 0.0
-    for k in range(4):
+    for k, plane in enumerate((0, 2, 1, 3)):
         lo, hi = bounds[k], bounds[k + 1]
         if hi > lo:
-            np.matmul(w[k], outer[lo:hi].T, out=Y[:, lo:hi])
+            np.matmul(w[plane], outer[lo:hi].T, out=Y[:, lo:hi])
     return np.take(Y, src, axis=1).view(np.complex128).reshape(B, N, N)
 
 
@@ -680,15 +653,15 @@ def _draw_trials(trials: int, r: int, P: int, master_seed: int) -> np.ndarray:
     return idx
 
 
-# bytes of the blocks of rows that _RegionTable writes from their mirror images
-MC_BLOCK = 1 << 20
 # rows of the gather route's float32 Gram blocks, each summed into float64
 GRAM_BLOCK = 256
-# unit roundoffs, and the relative error of a stored table entry: its float64 value
-# rounded once, a member's float64 product with theta once more, 2 U32 + O(U64)
+# unit roundoffs, and a bound on the relative error of a stored table entry: its
+# float64 value rounded once, U32 + O(U64), and a member read from it by sign flips
+# is as exact.  It stays 3 U32, the bound of a table that also rounded products with
+# theta, so that tau, and with it every uncertified count, is the one it was
 U32, U64 = 2.0**-24, 2.0**-53
 EPS_TABLE = 3 * U32
-# bytes the counts route's packed table holds at most, 8 N^2 bytes per pair
+# bytes the counts route's packed table holds at most, 8 N^2 bytes per orbit
 MC_BUDGET = 32_000_000
 # bytes the chunks of trials in flight hold at most over all workers: larger chunks
 # are no faster and only raise the peak RSS.  It cannot be MC_BUDGET: a packed table
@@ -755,7 +728,6 @@ def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: i
     route = _gram_route(trials, r, table.orbits, N, table.orbits - table.packed)
     if route == "counts":
         outer, layout = table.outer()
-        table.counted(idx)
 
         def grams(blk):
             return _counted_grams(outer, blk, layout)
@@ -766,11 +738,13 @@ def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: i
         trial_bytes = max(64 * table.orbits + 24 * N * N, 48 * N * N)
     else:
         def grams(blk):
-            return _gathered_grams(table.values[blk])
+            return _gathered_grams(table.gather(blk))
 
         n, u = min(GRAM_BLOCK, r), U32
-        # per trial: its (r, N) stored rows, the (2N)^2 float64 sum, a float32 block, the Gram
-        trial_bytes = table.values.itemsize * r * N + 64 * N * N
+        # per trial: its (r, N) gathered rows and their int64 orbits or members, its share
+        # of the signs of a block of GRAM_BLOCK rows, the (2N)^2 float64 sum, a float32
+        # block, the Gram
+        trial_bytes = (table.values.itemsize * N + 8) * r + 8 * N * n + 64 * N * N
     # a trial fails iff its min-eigenvalue is <= -nu/|Omega|, i.e. iff
     # S = (1/r) G - E T + (nu/|Omega|) I is not positive definite
     shift = expected_T(eigs) - nu / region.measure * np.eye(N)
@@ -784,8 +758,7 @@ def _cell_frequency(table: _RegionTable, trials: int, nu: float, r: int, seed: i
         S /= r
         S -= shift
         failed, unsure = _certified(S, (2 * gamma + 3 * EPS_TABLE) * g + _band(g + s, N))
-        redecided = [_redecided(table, table.points(row, route == "counts"), shift, r)
-                     for row in blk[unsure]]
+        redecided = [_redecided(table, table.points(row), shift, r) for row in blk[unsure]]
         failed[unsure] = [f for f, _ in redecided]
         margins.append((len(redecided), sum(band for _, band in redecided)))
         return failed
