@@ -10,10 +10,11 @@ Entries:  H(t, s) = (1/L) * sum_{(m,n) in Omega}
 
 Dense construction runs in O(L^2 log L): per diagonal offset k = t - s
 the frequency sum is the conjugate rfft of the mask row and the sum over
-m a circular convolution, one FFT batch over k = 0..L/2; the Hermitian
-mirror fills the rest.  A mask whose rows are symmetric about one
-frequency, with a real window, gives a real symmetric demodulated matrix
-of 8 L^2 bytes (7.4 MB at L=960), anything else the complex H of 16 L^2.
+m a circular convolution, one FFT batch over k = 0..L/2, each offset added
+into the matrix with its Hermitian mirror as four strided views.  A mask
+whose rows are symmetric about one frequency, with a real window, gives a
+real symmetric demodulated matrix of 8 L^2 bytes (7.4 MB at L=960),
+anything else the complex H of 16 L^2.
 Both keep trace(H) = |Omega| and ||H||_F^2 = sum_k alpha_k^2, which
 eigenvalue_count_estimate reads, so past the eigensolve only the
 EigenSystem is needed.
@@ -241,21 +242,20 @@ def build_localization_operator(region: TFRegion, window: Window) -> Localizatio
     conv /= L
     conv[0] *= 0.5  # the diagonal comes back from both halves of the mirror
     conv[L // 2, L // 2 :] *= L % 2  # at even L, offset L/2 meets each pair twice
-    del F, A  # each array is freed once read, so no more than conv and P are held at once
-    # P[t, (t - k) mod L] = conv[k, t], negated where t - k wraps and n is odd.  Offset k
-    # is two views of P's flat array, stride L + 1: rows t >= k from k L, the k that wrap
-    # from L - k.  Adding into zeros, not assigning, turns a -0 of conv into +0
-    P = np.zeros((L, L), dtype=conv.dtype)
-    flat = P.reshape(-1)
+    del F, A  # each array is freed once read, so no more than conv and M are held at once
+    # M[t, (t - k) mod L] gets conv[k, t], negated where t - k wraps and n is odd, and
+    # M[(t - k) mod L, t] its conjugate: four views of M's flat array, stride L + 1, from
+    # k L (rows t >= k), L - k (the k that wrap), k and (L - k) L.  Adding into zeros turns
+    # a -0 of conv into +0, and np.add, unlike flat[...] +=, writes each view only once
+    M = np.zeros((L, L), dtype=conv.dtype)
+    flat = M.reshape(-1)
     for j in range(k.size):
-        flat[j * L :: L + 1] += conv[j, j:]
-        flat[L - j :: L + 1][:j] += -conv[j, :j] if n % 2 else conv[j, :j]
+        v, w = conv[j, j:], -conv[j, :j] if n % 2 else conv[j, :j]
+        vh, wh = (v, w) if c is not None else (v.conj(), w.conj())
+        for out, x in ((flat[j * L :: L + 1], v), (flat[L - j : (j + 1) * L : L + 1], w),
+                       (flat[j : (L - j) * L : L + 1], vh), (flat[(L - j) * L :: L + 1], wh)):
+            np.add(out, x, out=out)
     del conv
-    # M = P + P^H, in slabs of 32 rows: the transposed read stays in cache
-    M = np.empty_like(P)
-    for i in range(0, L, 32):
-        Pt = P[:, i : i + 32].T
-        M[i : i + 32] = P[i : i + 32] + (Pt if c is not None else Pt.conj())
     d = None if c is None else np.exp(1j * np.pi * ((c * np.arange(L)) % (2 * L)) / L)
     return LocalizationOperator(M, region, window, d, c)
 
@@ -359,13 +359,14 @@ def _symmetry_blocks(H: LocalizationOperator):
     an even window, commutes with the signed reflection (J x)(t) = s_t x((a - t)
     mod L), s_t = d(t) d((a - t) mod L) conj(d(a)) = +-1, and splits into J's
     even and odd subspace.  That symmetry is confirmed on M: what it drops must
-    be roundoff, at most 64 eps sqrt(|Omega|) in norm.
+    be roundoff, at most 64 eps sqrt(|Omega|) in norm.  Returns (blocks, a), a
+    None for one block.
     """
     L, t = H.L, np.arange(H.L)
     d, M, phi = H.modulation, H.matrix, H.window.values
     a = None if d is None else _mirror(H.region.mask.T)
     if a is None or np.abs(phi - _reflected(phi, 0)).max() > 1e-14 * np.abs(phi).max():
-        return [None]
+        return [None], None
     refl = _reflected(t, a)
     s = np.rint((d * d[refl] * np.conj(d[a])).real)
     # ||M||_F <= sqrt(trace M) = sqrt(|Omega|) when the eigenvalues lie in [0, 1]
@@ -375,7 +376,7 @@ def _symmetry_blocks(H: LocalizationOperator):
     R *= s[None, :]
     R -= M
     if np.linalg.norm(R) > tol:
-        return [None]
+        return [None], None
     u = t[t < refl]
     h = np.full(u.size, np.sqrt(0.5))
     fixed = t[t == refl]
@@ -388,7 +389,7 @@ def _symmetry_blocks(H: LocalizationOperator):
             np.concatenate([refl[u], f]),
             np.concatenate([parity * s[u] * h, np.zeros(f.size)]),
         ))
-    return blocks
+    return blocks, a
 
 
 def _compress(M: np.ndarray, blk) -> np.ndarray:
@@ -439,7 +440,7 @@ def eigendecompose(
     if residual_tol <= 0:
         raise ParameterError("residual_tol must be positive")
     M, ws, ys, phases = H.matrix, [], [], []
-    blocks = _symmetry_blocks(H)
+    blocks, a = _symmetry_blocks(H)
     for blk in blocks:
         try:
             w, y = np.linalg.eigh(_compress(M, blk))
@@ -451,8 +452,6 @@ def eigendecompose(
     w = np.concatenate(ws)
     order = np.argsort(w, kind="stable")[::-1]
     w = w[order]
-    # the even block pairs each u_i with its reflection r_i = (a - u_i) mod L
-    a = None if blocks[0] is None else int(blocks[0][0][0] + blocks[0][2][0]) % H.L
     eigs = EigenSystem(w, ys, 0, float(gamma), H.region, H.window, blocks, order,
                        H.modulation, np.concatenate(phases)[order], H.mirror, a)
     eigs.N = choose_N(eigs, gamma)

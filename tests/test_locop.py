@@ -305,7 +305,7 @@ def _case_operator(name):
 
 
 def _block_sizes(H):
-    blocks = _symmetry_blocks(H)
+    blocks, _ = _symmetry_blocks(H)
     return [H.L if b is None else b[0].size for b in blocks], H.modulation is not None
 
 
@@ -374,6 +374,13 @@ def test_block_eigensolve_matches_complex_eigh(name):
     sizes, real = _block_sizes(H)
     assert (sizes, real) == tuple(SYMMETRY_CASES[name][2:])
     eigs = eigendecompose(H, 0.5)
+    # two blocks split at the smallest time mirror a, pairing each u_i with (a - u_i) mod L
+    t, mask = np.arange(H.L), H.region.mask
+    mirrors = [a for a in t if np.array_equal(mask, mask[(a - t) % H.L])]
+    assert eigs.time_mirror == (mirrors[0] if len(sizes) == 2 else None)
+    if eigs.time_mirror is not None:
+        u, _, r, _ = eigs.blocks[0]
+        assert np.array_equal(r, (eigs.time_mirror - u) % H.L)
     Hm = hermitian(H)
     w_ref, v_ref = np.linalg.eigh(Hm)
     _assert_true_eigensystem(eigs, Hm, w_ref[::-1], v_ref[:, ::-1])
@@ -433,6 +440,36 @@ def test_assembly_holds_no_extra_L2_buffer():
         assert peak <= bound * L * L
 
 
+def _disk_and_random_cells(L):
+    # the centred disk plus 1 % random cells: no mirror, so a complex H
+    m = disk_region(L, TFPoint(L // 2, L // 2), L // 4).mask.copy()
+    return mask_region(m | (np.random.default_rng(L).random((L, L)) < 0.01))
+
+
+@pytest.mark.parametrize(
+    "case", ["disk 120", "disk 480", "disk + random cells", "file window", "chirped boxcar"]
+)
+def test_assembly_leaves_no_negative_zero(case):
+    # the offsets are added into zeros, which turns a -0 of the convolution into +0.
+    # array_equal(M, M.T) cannot see a -0, yet one moves the bits of every eigenvector
+    # of a degenerate eigenvalue.  The boxcar's exact zeros give its convolution -0
+    # entries, which an assembly that assigns them keeps (two at L = 32)
+    if case == "file window":
+        H = _case_operator("file window")
+    elif case == "chirped boxcar":
+        t = np.arange(32)
+        box = Window.normalized((t < 8) * np.exp(1j * np.pi * t**2 / 32))
+        H = build_localization_operator(disk_region(32, TFPoint(16, 16), 8), box)
+    else:
+        L = 480 if case == "disk 480" else 120
+        region = (_disk_and_random_cells(L) if case == "disk + random cells"
+                  else disk_region(L, TFPoint(L // 2, L // 2), L // 4))
+        H = build_localization_operator(region, make_gaussian_window(L))
+    assert (H.modulation is None) == (case not in ("disk 120", "disk 480"))
+    for part in (H.matrix.real, H.matrix.imag):
+        assert not ((part == 0) & np.signbit(part)).any()
+
+
 # the four block structures of the block form: two real blocks, two modulated
 # blocks at odd L, one real modulated block, one complex block
 BLOCK_FORMS = ["disk even L", "disk odd L", "frequency only", "asymmetric mask"]
@@ -488,7 +525,7 @@ def test_block_phases_break_a_tie_at_the_first_time_index():
     # in its block, and a pair (u_i, r_i): _fix_phases pivots on t = 0, the first
     H = _case_operator("disk even L")
     d = H.modulation
-    u, a, r, b = next(blk for blk in _symmetry_blocks(H) if 0 in blk[0][blk[0] == blk[2]])
+    u, a, r, b = next(blk for blk in _symmetry_blocks(H)[0] if 0 in blk[0][blk[0] == blk[2]])
     y = 0.01 * np.random.default_rng(2).standard_normal((u.size, 3))
     y[np.flatnonzero((u == 0) & (r == 0))[0], 0] = 0.5
     # the tied pair entry has the opposite sign, so the wrong pivot flips the phase
@@ -594,9 +631,9 @@ def test_mis_assembled_block_is_caught(sys32, monkeypatch, corrupt):
     real = locop._symmetry_blocks
 
     def wrong(H):
-        blocks = real(H)
+        blocks, a = real(H)
         assert [b[0].size for b in blocks] == [17, 15]
-        return corrupt(blocks)
+        return corrupt(blocks), a
 
     monkeypatch.setattr(locop, "_symmetry_blocks", wrong)
     with pytest.raises(NumericalError):

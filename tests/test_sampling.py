@@ -48,7 +48,7 @@ from tfsamp.sampling import (
     _RegionTable,
     derive_seed,
 )
-from tfsamp.tfcore import Window, _stft_rows, _support_arc
+from tfsamp.tfcore import STFT_BUFFER, Window, _stft_rows, _support_arc
 
 from conftest import dense_eigensystem
 from oracles import (
@@ -864,13 +864,14 @@ def test_each_point_is_tabulated_once_per_call(tmp_path, monkeypatch):
     assert all(out.base is outs[0].base is not None for out in outs)
 
 
-def _recorded_tables(monkeypatch) -> list:
-    """The _RegionTable of each later monte_carlo_failure_frequency call, in call order."""
+def _recorded_tables(monkeypatch, base=_RegionTable) -> list:
+    """The table of each later monte_carlo_failure_frequency call, in call order, made
+    from base."""
     import tfsamp.sampling as sampling
 
     tables = []
 
-    class Recorded(_RegionTable):
+    class Recorded(base):
         def __init__(self, *args):
             super().__init__(*args)
             tables.append(self)
@@ -879,16 +880,25 @@ def _recorded_tables(monkeypatch) -> list:
     return tables
 
 
-def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
-    # six cells of one call fill one table from the front, one row per orbit; a table
-    # grown by copying its rows would hold the old and the new rows at once, about
-    # twice the written rows, where the call's other buffers (draws, a gather chunk,
-    # the STFT workspace, a trial re-decided in float64) stay under three quarters of
-    # the complex64 ones
-    eigs = sys480.eigs
+class _CopyingTable(_RegionTable):
+    """A table that copies its written rows once per add, as one grown by copying would."""
+
+    def _tabulate(self, new):
+        gemm_rows = super()._tabulate(new)
+        self.values[: self.orbits] = self.values[: self.orbits].copy()
+        return gemm_rows
+
+
+def _shared_table_peak(eigs, monkeypatch, base):
+    """(traced peak, bound, table) of six gather cells of 2 trials at r = 1000 in one call.
+
+    The bound is the table's capacity, the workspace _stft_rows documents and one
+    gather chunk of both trials at _cell_frequency's bytes per trial.  Its allowance
+    also covers the table's code, ref and chi, which are held at the same time.
+    """
     cells = [(0.3, 1000, seed) for seed in range(6)]
     monte_carlo_failure_frequency(2, [(0.3, 10, 99)], eigs)  # lazy imports, caches
-    tables = _recorded_tables(monkeypatch)
+    tables = _recorded_tables(monkeypatch, base)
     tracemalloc.start()
     try:
         got = monte_carlo_failure_frequency(2, cells, eigs)
@@ -897,11 +907,29 @@ def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
         tracemalloc.stop()
     assert [cell["gram"] for cell in got] == ["gather"] * 6
     table, = tables
-    row = table.values.itemsize * eigs.N
-    written = row * table.orbits
-    assert written > 0.5 * row * 12000
-    assert peak <= row * 12000 + 0.75 * written
+    L, N = eigs.region.L, eigs.N
+    w, p = _support_arc(eigs.window.support, L)[1], 1 + bool(table.chi.imag.any())
+    row = table.values.itemsize * N
+    stft = 16 * L * w + 8 * p * (L + w) * N + STFT_BUFFER
+    chunk = 2 * ((row + 8) * 1000 + 8 * N * min(GRAM_BLOCK, 1000) + 64 * N * N)
+    return peak, row * table.values.shape[0] + stft + chunk, table
+
+
+def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
+    # six cells of one call fill one table from the front, one row per orbit.  Measured:
+    # a 13.15 MB peak against a 13.83 MB bound (a 9.02 MB capacity, a 1.77 MB STFT
+    # workspace, a 3.04 MB chunk).  A table that copied its rows would add at least the
+    # 5.55 MB written, which the bound does not grow with
+    peak, bound, table = _shared_table_peak(sys480.eigs, monkeypatch, _RegionTable)
+    assert table.orbits > 0.5 * 12000
+    assert peak <= bound
     assert table.values.shape[0] == 12000
+
+
+def test_a_table_that_copies_its_rows_exceeds_the_bound(sys480, monkeypatch):
+    # the bound above catches one copy of the written rows per add: 15.88 MB measured
+    peak, bound, _ = _shared_table_peak(sys480.eigs, monkeypatch, _CopyingTable)
+    assert peak > bound
 
 
 def test_table_remaps_a_block_in_place(sys120):
