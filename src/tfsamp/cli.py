@@ -80,7 +80,6 @@ from .sampling import (
     FUNCTION_STREAM,
     SAMPLE_STREAM,
     TailParams,
-    _table_rows,
     covering_tail,
     derive_seed,
     empirical_min_eigenvalue,
@@ -183,9 +182,12 @@ def _refuse_beyond_memory(cfg: ExperimentConfig, verb: str | None = None, *,
         at.update(trials=cfg.trials, r=max(cfg.r_grid))
         terms["the Monte Carlo draw block"] = 8 * cfg.trials * at["r"]
     if verb == "montecarlo" and eigs is not None:
-        at.update(N=eigs.N, rows=_table_rows(eigs.region, cfg.trials,
-                                             list(cfg.r_grid) * len(cfg.nu_grid)))
-        terms["the Monte Carlo region table"] = 8 * eigs.N * at["rows"]  # complex64
+        # a complex64 row per point the draws can reach, though the table allocates one per
+        # mirror orbit (sampling._orbit_count), up to 4 times fewer: the surplus stands in
+        # for the trial chunks and other Monte Carlo buffers no term models yet
+        at.update(N=eigs.N, rows=min(eigs.region.point_count,
+                                     cfg.trials * sum(cfg.r_grid) * len(cfg.nu_grid)))
+        terms["the Monte Carlo region table"] = 8 * eigs.N * at["rows"]
         # the complex128 rows of the distinct points of a trial re-decided in float64
         terms["the Monte Carlo fallback rows"] = 16 * eigs.N * min(at["r"], eigs.region.point_count)
     if verb == "witness" and eigs is not None:  # atoms, their SVD copy, U, B, G twice, eigh's

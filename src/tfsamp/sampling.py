@@ -51,9 +51,9 @@ least drawn point of each orbit no earlier cell drew, each time row of them
 by one real GEMM over the row's drawn frequencies and the arc that holds
 the window's support (tfcore._stft_rows); that point lies in the earlier of
 rows m and a - m that hold a drawn member, so one GEMM serves both.  The
-table never holds more than min(|Omega|, the call's draws) rows of
-complex64, 8 N bytes each, every entry v within EPS_TABLE |v| of its
-float64 value.
+table never holds more than min(the region's orbits, the call's draws) rows
+of complex64, 8 N bytes each, every entry v within EPS_TABLE |v| of its
+float64 value; Burnside's lemma counts the orbits (_orbit_count).
 
 Monte Carlo decides each trial without its min-eigenvalue: the statistic is
 <= -nu/|Omega| iff S = (1/r) G - E T + (nu/|Omega|) I is not positive
@@ -88,8 +88,9 @@ takes one of four weights per orbit, by its part and the sign e_i e_j
 per orbit, the lower triangle of X in N^2 float64 or 8 N^2 bytes, which
 the call's table builds when its first counts cell runs and extends by new
 orbits only.  A chunk's Grams are four real GEMMs, the (chunk, Q) weights
-times the packed rows.  MC_BUDGET bounds the packed table and
-MC_CHUNK_BUDGET the trial chunks that all workers hold at once.
+times the packed rows.  The packed table has a column per row the table can
+hold, within MC_BUDGET, and MC_CHUNK_BUDGET bounds the trial chunks that
+all workers hold at once.
 
 Note on exponents: the general matrix Bernstein tail
 N*exp(-(t^2/2)/(sigma^2 + B t/3)) carries the customary t^2/2 numerator,
@@ -184,9 +185,15 @@ def expected_T(eigs: EigenSystem) -> np.ndarray:
     return np.diag(eigs.eigenvalues[: eigs.N]) / eigs.region.measure
 
 
-def _table_rows(region, trials: int, rs) -> int:
-    """Rows of a Monte Carlo call's region table, rs holding each cell's r; 8 N bytes each."""
-    return min(region.point_count, trials * sum(rs))
+def _orbit_count(eigs: EigenSystem) -> int:
+    """The mirror orbits of the region's points (module docstring), by Burnside's lemma:
+    the mean, over the group of the mirrors, of the points each element fixes.  A mirror
+    about x/2 fixes the lines t with 2 t = x mod L: c columns, a rows, both their cells."""
+    t = np.arange(eigs.region.L)
+    lines = [[slice(None)] + ([] if x is None else [t[(2 * t - x) % t.size == 0]])
+             for x in (eigs.time_mirror, eigs.mirror)]
+    fixed = [np.count_nonzero(eigs.region.mask[m][:, n]) for m in lines[0] for n in lines[1]]
+    return sum(fixed) // len(fixed)
 
 
 class _RegionTable:
@@ -196,8 +203,8 @@ class _RegionTable:
     One per grid.  values is one (rows, N) complex64 allocation whose row j is
     orbit j's reference row, filled from the front: each add() appends the
     orbits no earlier cell drew, and no row is copied after it is written.
-    Only written pages become resident, so the capacity, _table_rows of the
-    draws to come, costs address space, not memory.  Orbits are numbered in the
+    Its capacity is min(the region's orbits (_orbit_count), the call's draws),
+    all the rows the draws can write.  Orbits are numbered in the
     order they enter the table; ref[j] is orbit j's reference point, its one
     computed point: the least of its points drawn by the first cell that drew
     any of them.  code maps each of the region's point_count points to 4 j + i,
@@ -206,12 +213,15 @@ class _RegionTable:
     where mirrors coincide; -1 for a point of no tabulated orbit.  gather()
     reads a member's row from its reference's by sign flips.  The counts
     route's packed table (_outer_table) is built the first time a counts cell
-    asks for it and then extended by the new orbits only; its capacity fits
-    MC_BUDGET.
+    asks for it and then extended by the new orbits only; it has a column per
+    row of values, as many as fit MC_BUDGET.  Unlike values it costs its whole
+    width in memory: each of its N^2 rows is written up to the orbits
+    tabulated, so pages across all of it become resident.
     """
 
-    def __init__(self, eigs: EigenSystem, rows: int):
+    def __init__(self, eigs: EigenSystem, draws: int):
         region, N = eigs.region, eigs.N
+        rows = min(_orbit_count(eigs), draws)
         self.eigs = eigs
         self.code = np.full(region.point_count, -1, dtype=np.int64)
         self.values = np.empty((rows, N), dtype=np.complex64)
@@ -785,5 +795,5 @@ def monte_carlo_failure_frequency(trials: int, cells, eigs: EigenSystem,
     (module docstring).  No value depends on threads.
     """
     # the table refuses an empty V_N before any trial's indices are drawn
-    table = _RegionTable(eigs, _table_rows(eigs.region, trials, [r for _, r, _ in cells]))
+    table = _RegionTable(eigs, trials * sum(r for _, r, _ in cells))
     return [_cell_frequency(table, trials, nu, r, seed, threads) for nu, r, seed in cells]

@@ -186,9 +186,14 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     the factors omega^(n m).  It agrees with stft to roundoff, about 1e-16 of
     each column's norm.  A complex64 out gets each float64 sample rounded once.
 
-    Memory: the 16 L w byte phase table, the 8 (L + w) K (real) or
-    16 (L + w) K (complex) byte extended copy and the buffer, built only when
-    the mask has a cell.
+    Memory, built only when the mask has a cell: the 16 L w byte phase
+    table, filled STFT_BUFFER // (48 w) rows at a time; the 8 p (L + w) K byte
+    extended copy, p = 1 for a real batch and 2 for a complex one; and the
+    buffer, 16 p K + 8 bytes per cell for max(the most cells of a row,
+    STFT_BUFFER // (16 p K)) cells.  Beside them a row gathers its phase rows,
+    16 w bytes per cell, and a combine forms the complex128 samples and their
+    product with the factors, at most 32 K bytes per buffered cell; the rest
+    is O(L) bytes of factors and indices.
     """
     K, L = fvals.shape
     counts = np.count_nonzero(mask, axis=1)
@@ -201,13 +206,21 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     s = (s0 + np.arange(w)) % L
     taps = np.zeros(L, dtype=np.complex128)
     taps[phi.support] = np.conj(phi.values[phi.support])
-    ph = omega[np.outer(np.arange(L), s) % L] * taps[s]
-    phase = np.stack([ph.real, ph.imag], axis=1)  # (L, 2, w)
+    taps = taps[s]
+    phase = np.empty((L, 2, w))
+    step = max(1, STFT_BUFFER // (48 * w))  # rows whose temporaries fit the buffer's bytes
+    for n in range(0, L, step):
+        ph = omega[np.outer(np.arange(n, min(n + step, L)), s) % L] * taps
+        phase[n : n + step, 0] = ph.real
+        phase[n : n + step, 1] = ph.imag
     del ph  # the buffer below takes its place
-    planes = [fvals.real.T] + ([fvals.imag.T] if fvals.imag.any() else [])
-    p = len(planes)
-    ext = np.concatenate(planes, axis=1)
-    ext = np.concatenate([ext, ext[:w]])  # row t holds f(t mod L)
+    p = 1 + bool(fvals.imag.any())
+    # column-major: the GEMMs' roundoff, and so the table's bits, depend on the layout
+    ext = np.empty((L + w, p * K), order="F")
+    ext[:L, :K] = fvals.real.T
+    if p == 2:
+        ext[:L, K:] = fvals.imag.T
+    ext[L:] = ext[:w]  # row t holds f(t mod L)
     cap = max(int(counts.max()), STFT_BUFFER // (16 * p * K))
     buf, nm = np.empty((cap, 2, p, K)), np.empty(cap, dtype=np.int64)
     lo = 0  # the out row of the buffer's first cell

@@ -43,6 +43,7 @@ from tfsamp.sampling import (
     _gathered_grams,
     _gram_route,
     _not_positive_definite,
+    _orbit_count,
     _outer_table,
     _packed_layout,
     _RegionTable,
@@ -414,7 +415,7 @@ def _float64_twin(eigs, rows):
     """A _RegionTable whose values are complex128: _stft_rows writes its float64 values
     into it unrounded, the values its complex64 twin rounds."""
     table = _RegionTable(eigs, rows)
-    table.values = np.empty((rows, eigs.N), dtype=np.complex128)
+    table.values = np.empty_like(table.values, dtype=np.complex128)
     return table
 
 
@@ -660,6 +661,31 @@ def test_region_table_without_a_mirror_computes_every_point():
     assert gemm_rows == np.unique(points[:, 0]).size
 
 
+def test_orbit_count_is_the_number_of_member_orbits():
+    # Burnside's count of the mirror orbits equals the orbits members() enumerates over
+    # every point, on every TABLE_CASES and locop SYMMETRY_CASES region (gamma 0.1 gives
+    # each an N >= 1): no mirror (a complex H), the frequency mirror only and both, odd
+    # L, points on both mirror axes and a frequency mirror with none on its axis
+    from test_locop import SYMMETRY_CASES
+
+    cases = [make() for make in TABLE_CASES.values()]
+    for make_region, make_window, _, _ in SYMMETRY_CASES.values():
+        region = make_region()
+        cases.append((region, make_window(region.L)))
+    seen = []
+    for region, window in cases:
+        eigs = eigendecompose(build_localization_operator(region, window), 0.1)
+        members = _RegionTable(eigs, 1).members(np.arange(region.point_count))
+        assert _orbit_count(eigs) == np.unique(members.min(axis=0)).size
+        # (c, a, odd L, and per mirror c, a and both whether it fixes a point)
+        seen.append((eigs.mirror is not None, eigs.time_mirror is not None, region.L % 2 == 1,
+                     *(members[1:] == members[0]).any(axis=1)))
+    assert {k[:2] for k in seen} == {(False, False), (True, False), (True, True)}
+    assert any(k[2] for k in seen)
+    assert any(k[1] and all(k[3:]) for k in seen)
+    assert any(k[0] and not k[3] for k in seen)
+
+
 def test_table_writes_one_row_per_orbit(sys120):
     # on the centred disk an orbit holds up to four points: the table writes one row
     # per orbit it tabulates, fewer than the distinct drawn points, and leaves the rest
@@ -892,9 +918,10 @@ class _CopyingTable(_RegionTable):
 def _shared_table_peak(eigs, monkeypatch, base):
     """(traced peak, bound, table) of six gather cells of 2 trials at r = 1000 in one call.
 
-    The bound is the table's capacity, the workspace _stft_rows documents and one
+    The bound is the table's capacity, the three arrays of the workspace _stft_rows
+    documents (its phase table, extended copy and a buffer of STFT_BUFFER bytes) and one
     gather chunk of both trials at _cell_frequency's bytes per trial.  Its allowance
-    also covers the table's code, ref and chi, which are held at the same time.
+    also covers the table's code, ref and chi and _stft_rows's transients.
     """
     cells = [(0.3, 1000, seed) for seed in range(6)]
     monte_carlo_failure_frequency(2, [(0.3, 10, 99)], eigs)  # lazy imports, caches
@@ -916,20 +943,48 @@ def _shared_table_peak(eigs, monkeypatch, base):
 
 
 def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
-    # six cells of one call fill one table from the front, one row per orbit.  Measured:
-    # a 13.15 MB peak against a 13.83 MB bound (a 9.02 MB capacity, a 1.77 MB STFT
+    # six cells of one call fill one table from the front, one row per orbit; its
+    # capacity is the region's 11 427 orbits, fewer than the 12 000 draws.  Measured: a
+    # 12.36 MB peak against a 13.40 MB bound (an 8.59 MB capacity, a 1.77 MB STFT
     # workspace, a 3.04 MB chunk).  A table that copied its rows would add at least the
     # 5.55 MB written, which the bound does not grow with
     peak, bound, table = _shared_table_peak(sys480.eigs, monkeypatch, _RegionTable)
     assert table.orbits > 0.5 * 12000
     assert peak <= bound
-    assert table.values.shape[0] == 12000
+    assert table.values.shape[0] == min(_orbit_count(sys480.eigs), 12000) == 11427
 
 
 def test_a_table_that_copies_its_rows_exceeds_the_bound(sys480, monkeypatch):
-    # the bound above catches one copy of the written rows per add: 15.88 MB measured
+    # the bound above catches one copy of the written rows per add: 15.45 MB measured
     peak, bound, _ = _shared_table_peak(sys480.eigs, monkeypatch, _CopyingTable)
     assert peak > bound
+
+
+def test_packed_table_has_a_column_per_orbit(sys120, monkeypatch):
+    # the mc-L120 grid: 50 trials in each of nu in (0.2, 0.3, 0.5) x r in (250, 1000,
+    # 4000), every cell after the first counting.  The packed table is 8 N^2 bytes per
+    # orbit of the region, 3.1 MB for its 736, and the call's traced peak stays within
+    # the packed table and the table rows per orbit, the code per point, the largest
+    # cell's draw block and MC_CHUNK_BUDGET for the chunks: 7.9 MB measured against a
+    # 12.9 MB sum.  Packed by the region's 2 821 points, as the point rows allowed, it
+    # took 11.9 MB and the call peaked at 17.2 MB
+    eigs, N, P = sys120.eigs, sys120.eigs.N, sys120.region.point_count
+    cells = [(nu, r, 11 + 3 * i + j) for i, nu in enumerate((0.2, 0.3, 0.5))
+             for j, r in enumerate((250, 1000, 4000))]
+    monte_carlo_failure_frequency(2, [(0.3, 10, 99)], eigs)  # lazy imports, caches
+    tables = _recorded_tables(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = monte_carlo_failure_frequency(50, cells, eigs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table, = tables
+    assert [cell["gram"] for cell in got] == ["gather"] + ["counts"] * 8
+    assert table.orbits == _orbit_count(eigs) == table.values.shape[0] == 736 < P
+    assert table._outer.nbytes <= 8 * N * N * table.orbits
+    held = (8 * N * N + 8 * N) * table.orbits + 8 * P + 8 * 50 * 4000
+    assert peak <= held + MC_CHUNK_BUDGET
 
 
 def test_table_remaps_a_block_in_place(sys120):

@@ -12,7 +12,15 @@ from tfsamp import (
     make_gaussian_window,
     stft,
 )
-from tfsamp.tfcore import STFT_ROWS, TFPoint, _stft_rows, _translates, _window_support
+from tfsamp.tfcore import (
+    STFT_BUFFER,
+    STFT_ROWS,
+    TFPoint,
+    _stft_rows,
+    _support_arc,
+    _translates,
+    _window_support,
+)
 
 from oracles import (
     adjoint_direct,
@@ -341,6 +349,41 @@ def test_stft_rows_every_window_takes_the_gemm(monkeypatch):
             if mask.any():
                 _check_rows(batch, phi, mask, out)
     assert disk.any(axis=1).sum() == 61
+
+
+def _stft_rows_workspace(f, phi, mask):
+    """The bytes _stft_rows's Memory paragraph lists for one call, its O(L) aside."""
+    K, L = f.shape
+    w, p = _support_arc(phi.support, L)[1], 1 + bool(f.imag.any())
+    most = int(np.count_nonzero(mask, axis=1).max())
+    cap = max(most, STFT_BUFFER // (16 * p * K))
+    return (16 * L * w + 8 * p * (L + w) * K + cap * (16 * p * K + 8)
+            + max(16 * w * most, 32 * K * cap))
+
+
+def test_stft_rows_peak_stays_within_its_documented_workspace():
+    # L = 480, w = 152, K = 94, a real and a complex batch, 5 % of a disk and all of it,
+    # into complex64 and complex128: the traced peak stays within the workspace the
+    # docstring lists plus 128 L bytes for its O(L) factors and indices.  Measured on
+    # the thin mask into complex64: 2.06 MB against 2.10 MB.  A phase table formed whole,
+    # its index, phase and product arrays alive together and copied by np.stack, peaked
+    # at 2.49 MB there
+    L, K = 480, 94
+    phi = make_gaussian_window(L)
+    disk = disk_region(L, TFPoint(240, 240), 120).mask
+    thin = disk & (np.random.default_rng(14).random((L, L)) < 0.05)
+    f = _unit_signals(K, L, 15)
+    for batch in (f.real + 0j, f):
+        for mask in (thin, disk):
+            for dtype in (np.complex64, np.complex128):
+                out = np.empty((mask.sum(), K), dtype=dtype)
+                tracemalloc.start()
+                try:
+                    _stft_rows(batch, phi, mask, out)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= _stft_rows_workspace(batch, phi, mask) + 128 * L
 
 
 def test_window_support_drops_at_most_eps_over_16():
