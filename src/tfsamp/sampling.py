@@ -635,11 +635,12 @@ def _draw_trials(trials: int, r: int, P: int, master_seed: int) -> np.ndarray:
     its seed, are computed for all trials at once in uint32 arithmetic; NumPy's
     stream policy (NEP 19) fixes them and PCG64's seeding.  One PCG64 is then
     set to each trial's state in turn and drawn from by Generator.integers.
-    Trial indices stay below 2^32, one spawn-key word, in any index block that
-    fits in memory.
+    Trial indices are one uint32 spawn-key word, so more than 2^32 trials
+    raise ParameterError before anything is drawn: trial 2^32 would reuse
+    trial 0's stream, not derive_seed's.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    if not 1 <= trials <= 2**32:
+        raise ParameterError("trials must lie in 1..2^32")
     words = _uint32_words(master_seed)
     words += [0] * (4 - len(words))  # a spawn key pads the run entropy to the pool size
     entropy = np.empty((trials, len(words) + 2), dtype=np.uint32)

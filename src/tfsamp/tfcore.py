@@ -180,20 +180,21 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     row takes its frequencies' rows of it times the signals over the arc, a
     contiguous slice of a wrap-extended (L + w, K) copy: one real GEMM per
     row.  A real batch enters as itself, a complex one as its real and
-    imaginary planes side by side.  The GEMMs of consecutive rows write into
-    one buffer of about STFT_BUFFER bytes (at least one row), and each full
-    buffer is combined into out at once: its real and imaginary planes, then
-    the factors omega^(n m).  It agrees with stft to roundoff, about 1e-16 of
-    each column's norm.  A complex64 out gets each float64 sample rounded once.
+    imaginary planes side by side.  Each row's GEMM writes into one buffer
+    sized for the largest row, and is combined into that row's slice of out
+    at once: its real and imaginary planes, then the factors omega^(n m).  It
+    agrees with stft to roundoff, about 1e-16 of each column's norm.  A
+    complex64 out gets each float64 sample rounded once.
 
     Memory, built only when the mask has a cell: the 16 L w byte phase
     table, filled STFT_BUFFER // (48 w) rows at a time; the 8 p (L + w) K byte
-    extended copy, p = 1 for a real batch and 2 for a complex one; and the
-    buffer, 16 p K + 8 bytes per cell for max(the most cells of a row,
-    STFT_BUFFER // (16 p K)) cells.  Beside them a row gathers its phase rows,
-    16 w bytes per cell, and a combine forms the complex128 samples and their
-    product with the factors, at most 32 K bytes per buffered cell; the rest
-    is O(L) bytes of factors and indices.
+    extended copy, p = 1 for a real batch and 2 for a complex one, whose w
+    wrap rows NumPy writes from an 8 p w K byte copy of its first rows; and
+    the buffer, 16 p K bytes per cell of the row with the most cells.
+    Beside the buffer a row gathers its phase rows, 16 w bytes per cell, and
+    its combine forms the complex128 samples and their product with the
+    factors, at most 32 K + 16 bytes per cell of the row; the rest is O(L)
+    bytes of factors and indices.
     """
     K, L = fvals.shape
     counts = np.count_nonzero(mask, axis=1)
@@ -208,12 +209,12 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     taps[phi.support] = np.conj(phi.values[phi.support])
     taps = taps[s]
     phase = np.empty((L, 2, w))
-    step = max(1, STFT_BUFFER // (48 * w))  # rows whose temporaries fit the buffer's bytes
+    step = max(1, STFT_BUFFER // (48 * w))  # rows whose temporaries fit STFT_BUFFER
     for n in range(0, L, step):
         ph = omega[np.outer(np.arange(n, min(n + step, L)), s) % L] * taps
         phase[n : n + step, 0] = ph.real
         phase[n : n + step, 1] = ph.imag
-    del ph  # the buffer below takes its place
+    del ph  # not held beside the extended copy
     p = 1 + bool(fvals.imag.any())
     # column-major: the GEMMs' roundoff, and so the table's bits, depend on the layout
     ext = np.empty((L + w, p * K), order="F")
@@ -221,39 +222,31 @@ def _stft_rows(fvals: np.ndarray, phi: Window, mask: np.ndarray, out: np.ndarray
     if p == 2:
         ext[:L, K:] = fvals.imag.T
     ext[L:] = ext[:w]  # row t holds f(t mod L)
-    cap = max(int(counts.max()), STFT_BUFFER // (16 * p * K))
-    buf, nm = np.empty((cap, 2, p, K)), np.empty(cap, dtype=np.int64)
-    lo = 0  # the out row of the buffer's first cell
+    buf = np.empty((int(counts.max()), 2, p, K))
     for m in rows:
-        if starts[m] + counts[m] - lo > cap:  # full: combine it first
-            _combine(buf, nm, out[lo : starts[m]], omega)
-            lo = starts[m]
         n = np.flatnonzero(mask[m])
         a = (m + s0) % L
-        k = slice(starts[m] - lo, starts[m] - lo + n.size)
-        np.matmul(phase[n].reshape(-1, w), ext[a : a + w], out=buf[k].reshape(-1, p * K))
-        nm[k] = (n * m) % L
-    _combine(buf, nm, out[lo : starts[m] + counts[m]], omega)
+        np.matmul(phase[n].reshape(-1, w), ext[a : a + w], out=buf[: n.size].reshape(-1, p * K))
+        _combine(buf[: n.size], omega[(n * m) % L], out[starts[m] : starts[m] + n.size])
     return out
 
 
-def _combine(buf: np.ndarray, nm: np.ndarray, out: np.ndarray, omega: np.ndarray) -> None:
-    """out = the complex STFT samples of the GEMM planes at the front of _stft_rows's
-    buffer, (cells, 2, p, K): the planes, then the factors omega^(n m), nm = n m mod L.
-    Formed in complex128, so a complex64 out takes one rounding per part."""
-    Y = buf[: out.shape[0]]
+def _combine(Y: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
+    """out = the complex STFT samples of one row's GEMM planes Y, (cells, 2, p, K): the
+    planes, then each cell's factor omega^(n m).  Formed in complex128, so a complex64
+    out takes one rounding per part, and freed before the next row's GEMM."""
     z = out if out.dtype == np.complex128 else np.empty(out.shape, dtype=np.complex128)
     z.real = Y[:, 0, 0]
     z.imag = Y[:, 1, 0]
     if Y.shape[2] == 2:  # (Re P + i Im P)(Re F + i Im F)
         z.real -= Y[:, 1, 1]
         z.imag += Y[:, 0, 1]
-    z *= omega[nm[: out.shape[0]], None]
+    z *= factors[:, None]
     out[...] = z
 
 
-# bytes of _stft_rows's GEMM buffer: at L = 960 as fast as 1 MB, and it keeps the
-# workspace of a whole-region table under a fifth of the table at L = 128
+# bytes of the temporaries of one block of _stft_rows's phase-table fill, which takes
+# STFT_BUFFER // (48 w) rows of the table at a time
 STFT_BUFFER = 1 << 17
 
 # rows of the STFT grid computed at once; as fast as 64 or 128 at L = 960 and 1920

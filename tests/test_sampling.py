@@ -49,9 +49,10 @@ from tfsamp.sampling import (
     _RegionTable,
     derive_seed,
 )
-from tfsamp.tfcore import STFT_BUFFER, Window, _stft_rows, _support_arc
+from tfsamp.tfcore import Window, _stft_rows, _support_arc
 
 from conftest import dense_eigensystem
+from test_tfcore import _stft_rows_workspace
 from oracles import (
     build_T_matrix,
     hermitian,
@@ -918,14 +919,24 @@ class _CopyingTable(_RegionTable):
 def _shared_table_peak(eigs, monkeypatch, base):
     """(traced peak, bound, table) of six gather cells of 2 trials at r = 1000 in one call.
 
-    The bound is the table's capacity, the three arrays of the workspace _stft_rows
-    documents (its phase table, extended copy and a buffer of STFT_BUFFER bytes) and one
-    gather chunk of both trials at _cell_frequency's bytes per trial.  Its allowance
-    also covers the table's code, ref and chi and _stft_rows's transients.
+    The bound is the table's capacity, the largest workspace _stft_rows documents for
+    one of its calls (its phase table, extended copy and one row's buffer and
+    temporaries) and one gather chunk of both trials at _cell_frequency's bytes per
+    trial.  Its allowance also covers the table's code, ref and chi and _stft_rows's
+    O(L) arrays.
     """
+    import tfsamp.sampling as sampling
+
     cells = [(0.3, 1000, seed) for seed in range(6)]
     monte_carlo_failure_frequency(2, [(0.3, 10, 99)], eigs)  # lazy imports, caches
     tables = _recorded_tables(monkeypatch, base)
+    real, workspaces = sampling._stft_rows, []
+
+    def recorded(fvals, phi, mask, out):
+        workspaces.append(_stft_rows_workspace(fvals, phi, mask))
+        return real(fvals, phi, mask, out)
+
+    monkeypatch.setattr(sampling, "_stft_rows", recorded)
     tracemalloc.start()
     try:
         got = monte_carlo_failure_frequency(2, cells, eigs)
@@ -934,18 +945,16 @@ def _shared_table_peak(eigs, monkeypatch, base):
         tracemalloc.stop()
     assert [cell["gram"] for cell in got] == ["gather"] * 6
     table, = tables
-    L, N = eigs.region.L, eigs.N
-    w, p = _support_arc(eigs.window.support, L)[1], 1 + bool(table.chi.imag.any())
+    N = eigs.N
     row = table.values.itemsize * N
-    stft = 16 * L * w + 8 * p * (L + w) * N + STFT_BUFFER
     chunk = 2 * ((row + 8) * 1000 + 8 * N * min(GRAM_BLOCK, 1000) + 64 * N * N)
-    return peak, row * table.values.shape[0] + stft + chunk, table
+    return peak, row * table.values.shape[0] + max(workspaces) + chunk, table
 
 
 def test_shared_table_rows_are_never_copied(sys480, monkeypatch):
     # six cells of one call fill one table from the front, one row per orbit; its
     # capacity is the region's 11 427 orbits, fewer than the 12 000 draws.  Measured: a
-    # 12.36 MB peak against a 13.40 MB bound (an 8.59 MB capacity, a 1.77 MB STFT
+    # 12.37 MB peak against a 13.39 MB bound (an 8.59 MB capacity, a 1.76 MB STFT
     # workspace, a 3.04 MB chunk).  A table that copied its rows would add at least the
     # 5.55 MB written, which the bound does not grow with
     peak, bound, table = _shared_table_peak(sys480.eigs, monkeypatch, _RegionTable)
@@ -1197,6 +1206,14 @@ def test_draw_trials_refuse_a_negative_seed_as_derive_seed_does():
         derive_seed(-1, TRIAL_STREAM, 0)
     with pytest.raises(ValueError, match=str(refused.value)):
         _draw_trials(3, 5, 7, -1)
+
+
+def test_draw_trials_refuse_more_trials_than_one_index_word(sys16):
+    # trial 2^32 would wrap to trial 0's uint32 entropy word, not to its own seed; the
+    # refusal comes before the (trials, 6) entropy block or any draw is allocated
+    assert derive_seed(5, TRIAL_STREAM, 2**32) != derive_seed(5, TRIAL_STREAM, 0)
+    with pytest.raises(ParameterError, match="2\\^32"):
+        monte_carlo_failure_frequency(2**32 + 1, [(0.3, 1, 5)], sys16.eigs)
 
 
 def test_batched_engine_matches_single_draws(sys32):

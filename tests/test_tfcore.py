@@ -13,7 +13,6 @@ from tfsamp import (
     stft,
 )
 from tfsamp.tfcore import (
-    STFT_BUFFER,
     STFT_ROWS,
     TFPoint,
     _stft_rows,
@@ -352,22 +351,22 @@ def test_stft_rows_every_window_takes_the_gemm(monkeypatch):
 
 
 def _stft_rows_workspace(f, phi, mask):
-    """The bytes _stft_rows's Memory paragraph lists for one call, its O(L) aside."""
+    """The bytes _stft_rows's Memory paragraph lists for one call, its O(L) aside: the
+    phase table and the extended copy, then the larger of the copy's wrap-row transient
+    and a row's buffer with its phase gather or its combine."""
     K, L = f.shape
     w, p = _support_arc(phi.support, L)[1], 1 + bool(f.imag.any())
     most = int(np.count_nonzero(mask, axis=1).max())
-    cap = max(most, STFT_BUFFER // (16 * p * K))
-    return (16 * L * w + 8 * p * (L + w) * K + cap * (16 * p * K + 8)
-            + max(16 * w * most, 32 * K * cap))
+    row = 16 * p * K * most + max(16 * w * most, (32 * K + 16) * most)
+    return 16 * L * w + 8 * p * (L + w) * K + max(8 * p * w * K, row)
 
 
 def test_stft_rows_peak_stays_within_its_documented_workspace():
     # L = 480, w = 152, K = 94, a real and a complex batch, 5 % of a disk and all of it,
     # into complex64 and complex128: the traced peak stays within the workspace the
     # docstring lists plus 128 L bytes for its O(L) factors and indices.  Measured on
-    # the thin mask into complex64: 2.06 MB against 2.10 MB.  A phase table formed whole,
-    # its index, phase and product arrays alive together and copied by np.stack, peaked
-    # at 2.49 MB there
+    # the thin mask into complex64: 1.78 MB against 1.82 MB, set by the wrap rows'
+    # copy.  A GEMM buffer of at least 128 KB shared across rows peaked at 2.06 MB there
     L, K = 480, 94
     phi = make_gaussian_window(L)
     disk = disk_region(L, TFPoint(240, 240), 120).mask
@@ -384,6 +383,32 @@ def test_stft_rows_peak_stays_within_its_documented_workspace():
                 finally:
                     tracemalloc.stop()
                 assert peak <= _stft_rows_workspace(batch, phi, mask) + 128 * L
+
+
+@pytest.mark.parametrize("L", [47, 120, 480])
+def test_stft_rows_bits_do_not_depend_on_the_fill_blocks(monkeypatch, L):
+    # the phase table filled one row per block (STFT_BUFFER of 1 byte) and whole in one
+    # block (48 L w bytes) gives the same table bit for bit, for a Gaussian and a
+    # full-support window, a real and a complex batch; and a complex64 out is the
+    # complex128 out rounded once, bit for bit, the rounding EPS_TABLE assumes
+    import tfsamp.tfcore as tfcore
+
+    rng = np.random.default_rng(L)
+    mask = disk_region(L, TFPoint(L // 2, L // 3), L // 4).mask & (rng.random((L, L)) < 0.5)
+    f = _unit_signals(12, L, 16)
+    gauss = make_gaussian_window(L)
+    for phi in (gauss, Window.normalized(gauss.values.real + 1e-3)):
+        w = _support_arc(phi.support, L)[1]
+        for batch in (f.real + 0j, f):
+            tables = []
+            for size in (1, 48 * L * w):
+                monkeypatch.setattr(tfcore, "STFT_BUFFER", size)
+                tables.append([_stft_rows(batch, phi, mask, np.empty((mask.sum(), 12), dtype))
+                               for dtype in (np.complex64, np.complex128)])
+            (one64, one128), (whole64, whole128) = tables
+            assert one64.tobytes() == whole64.tobytes()
+            assert one128.tobytes() == whole128.tobytes()
+            assert one64.tobytes() == one128.astype(np.complex64).tobytes()
 
 
 def test_window_support_drops_at_most_eps_over_16():
